@@ -2,10 +2,13 @@
 
 Section 1 classifies functional-simulation techniques: "interpreted
 simulation, statically-compiled simulation [17] and dynamically-compiled
-simulation [3]" (Shade).  This bench measures the bundled interpreted ISS
-against the dynamically-compiled ISS on the MediaBench kernel mix — the
-technique gap that motivates fast functional backbones for
-micro-architecture simulators.
+simulation [3]" (Shade).  This bench measures the plain interpreted ISS
+(``specialize=False``: per-instruction decode-cache lookup and semantics
+dispatch) against the dynamically-compiled ISS on the MediaBench kernel
+mix — the technique gap that motivates fast functional backbones for
+micro-architecture simulators.  The specialised interpreter the timing
+models run on (execgen executors chained block at a time) is reported as
+a middle row, so the compiled ISS's own margin over it stays visible.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ def _run(factory, sources):
     return instructions, time.perf_counter() - start
 
 
+def _interpreted(program):
+    return ArmInterpreter(program, specialize=False)
+
+
 def test_compiled_iss_speedup(benchmark, report):
     sources = [
         mediabench.arm_source(name, scale=SCALE)
@@ -39,18 +46,24 @@ def test_compiled_iss_speedup(benchmark, report):
     compiled_instrs, compiled_seconds = benchmark.pedantic(
         _run, args=(CompiledArmInterpreter, sources), rounds=1, iterations=1
     )
-    interp_instrs, interp_seconds = _run(ArmInterpreter, sources)
-    assert compiled_instrs == interp_instrs  # same work, exactly
+    interp_instrs, interp_seconds = _run(_interpreted, sources)
+    special_instrs, special_seconds = _run(ArmInterpreter, sources)
+    # same work, exactly
+    assert compiled_instrs == interp_instrs == special_instrs
 
     compiled_speed = compiled_instrs / compiled_seconds
     interp_speed = interp_instrs / interp_seconds
+    special_speed = special_instrs / special_seconds
     speedup = compiled_speed / interp_speed
     table = format_table(
         ["technique", "instructions", "seconds", "instr/sec"],
         [
             ["interpreted", interp_instrs, f"{interp_seconds:.2f}", f"{interp_speed:,.0f}"],
+            ["specialised (execgen blocks)", special_instrs,
+             f"{special_seconds:.2f}", f"{special_speed:,.0f}"],
             ["dynamically compiled", compiled_instrs, f"{compiled_seconds:.2f}", f"{compiled_speed:,.0f}"],
-            ["speedup", "", "", f"{speedup:.2f}x"],
+            ["speedup (compiled / interpreted)", "", "", f"{speedup:.2f}x"],
+            ["compiled / specialised", "", "", f"{compiled_speed / special_speed:.2f}x"],
         ],
         title="F1. ISS technique comparison (Section-1 context: Shade-style "
               "dynamic compilation vs interpretation)",

@@ -34,7 +34,7 @@ from repro.workloads import mediabench
 #: decode per instruction.  This reproduction's hand-coded baseline keeps
 #: the OSM model's pre-decoded instruction cache — removing real
 #: SimpleScalar's main handicap — and in Python every token transaction
-#: is several real function calls, so the ratio inverts (measured ~0.13x;
+#: is several real function calls, so the ratio inverts (measured ~0.3x;
 #: see EXPERIMENTS.md S1 for the analysis).  The assertion is a guardrail
 #: on gross regressions, not the paper's claim.
 MAX_SLOWDOWN = 16.0

@@ -1,6 +1,6 @@
 """Formal analysis and compiler-information extraction (Section 6)."""
 
-from . import asm_export, check, compiler_info, effects, lint, modelcheck
+from . import asm_export, check, compiler_info, effects, lint
 from .asm_export import AsmRule, export_asm, render_asm
 from .check import (
     CheckReport,
@@ -13,16 +13,15 @@ from .check import (
     purify,
 )
 from .compiler_info import canonical_path, operand_latencies, reservation_table
+from .diagnostics import Diagnostic, Report, Severity
 from .effects import CompilabilityReport, Footprint, compilability_report, effects_spec
-from .lint import Diagnostic, LintReport, Severity, lint_spec
+from .lint import lint_spec
 from .lint.graph import (
     DeadlockReport,
     ReachabilityReport,
     analyze_deadlock,
     analyze_reachability,
 )
-from .modelcheck import ModelCheckReport, check as model_check
-from .registry import available_specs, build_spec, register_spec
 
 __all__ = [
     "AsmRule",
@@ -32,16 +31,13 @@ __all__ = [
     "Diagnostic",
     "Finding",
     "Footprint",
-    "LintReport",
-    "ModelCheckReport",
     "ReachabilityReport",
+    "Report",
     "Severity",
     "Trace",
     "analyze_deadlock",
     "analyze_reachability",
     "asm_export",
-    "available_specs",
-    "build_spec",
     "canonical_path",
     "check",
     "check_model",
@@ -55,11 +51,8 @@ __all__ = [
     "export_asm",
     "lint",
     "lint_spec",
-    "model_check",
-    "modelcheck",
     "operand_latencies",
     "purify",
-    "register_spec",
     "render_asm",
     "reservation_table",
 ]

@@ -28,7 +28,6 @@ or from the command line: ``repro adlcheck <name|file> [--json]``.
 
 from .closure import SynthClosurePass
 from .engine import (
-    DEFAULT_PASSES,
     SYNTAX_CODE,
     AdlContext,
     AdlPass,
@@ -45,7 +44,6 @@ from .registry import (
 __all__ = [
     "AdlContext",
     "AdlPass",
-    "DEFAULT_PASSES",
     "SYNTAX_CODE",
     "SynthClosurePass",
     "adlcheck_processor",

@@ -1,18 +1,17 @@
-"""adlcheck engine: pass protocol, shared context, suppression, driver.
+"""adlcheck engine: shared context, span-mapped pass base, drivers.
 
-An ADL pass is a small object with a stable ``code`` (``ADL001``…), a
-``rule`` slug and a :meth:`AdlPass.run` generator over one parsed
-:class:`~repro.adl.ast.ProcessorDecl`.  Passes share an
-:class:`AdlContext` that precomputes the facts most rules need (manager
-maps, per-machine state sets, stable edge qualnames) and converts
-declaration line numbers into :class:`~repro.analysis.diagnostics
-.SourceSpan` provenance, so every finding points at the ADL line the
-author wrote.
+An ADL rule is an :class:`AdlPass` (``ADL001``…) over one parsed
+:class:`~repro.adl.ast.ProcessorDecl`, run by the shared analysis
+driver.  Passes share an :class:`AdlContext` that precomputes the facts
+most rules need (manager maps, per-machine state sets, stable edge
+qualnames) and converts declaration line numbers into
+:class:`~repro.analysis.diagnostics.SourceSpan` provenance, so every
+finding points at the ADL line the author wrote.
 
-Suppression mirrors osmlint's: a finding anchored to an edge whose
-``allow`` clause names the rule code — or a description whose
-processor-level ``allow`` names it — is kept in the report but marked
-``suppressed`` and excluded from the pass/fail verdict.
+A finding anchored to an edge whose ``allow`` clause names the rule
+code — or a description whose processor-level ``allow`` names it — is
+kept in the report but marked ``suppressed`` and excluded from the
+pass/fail verdict.
 
 The drivers:
 
@@ -24,11 +23,12 @@ The drivers:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ...adl.ast import EdgeDecl, MachineDecl, ProcessorDecl
+from ...adl.ast import EdgeDecl, ProcessorDecl
 from ...adl.parser import AdlError, parse
-from ..diagnostics import Diagnostic, Report, Severity, SourceSpan
+from ..diagnostics import (AnalysisPass, Diagnostic, Report, Severity,
+                           SourceSpan, allow_lookup, run_passes)
 
 
 class AdlContext:
@@ -37,7 +37,7 @@ class AdlContext:
     def __init__(self, processor: ProcessorDecl, unit: Optional[str] = None):
         self.processor = processor
         #: name diagnostics are keyed by (file path or processor name)
-        self.unit = unit or processor.name
+        self.unit = self.subject = unit or processor.name
         self.manager_names = {m.name for m in processor.managers}
         self.managers = {m.name: m for m in processor.managers}
         #: machine name -> declared state-name set
@@ -66,18 +66,9 @@ class AdlContext:
         return SourceSpan(self.unit, lineno)
 
 
-class AdlPass:
-    """Base class of all adlcheck rules."""
-
-    #: stable rule code, e.g. "ADL001"
-    code: str = "ADL000"
-    #: short rule slug, e.g. "undefined-reference"
-    rule: str = "abstract"
-
-    def run(self, ctx: AdlContext) -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    # -- diagnostic constructor -------------------------------------------
+class AdlPass(AnalysisPass):
+    """Base class of the adlcheck rules: findings anchor to AST edges
+    and carry the ADL source line of their declaration."""
 
     def diag(
         self,
@@ -104,9 +95,6 @@ class AdlPass:
             edge=ctx.qualname(edge) if edge is not None else None,
             source_span=ctx.span(lineno),
         )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"{type(self).__name__}({self.code})"
 
 
 def default_passes(synth_closure: bool = True) -> List[AdlPass]:
@@ -140,21 +128,6 @@ def default_passes(synth_closure: bool = True) -> List[AdlPass]:
     return passes
 
 
-#: cache behind the lazy ``DEFAULT_PASSES`` attribute below
-_DEFAULT_PASSES_CACHE: Optional[Dict[str, type]] = None
-
-
-def __getattr__(name: str):
-    # DEFAULT_PASSES (code -> pass class, for --rules filters) is built
-    # lazily: computing it imports .closure, which imports this module —
-    # an eager module-level dict comprehension would be circular.
-    if name == "DEFAULT_PASSES":
-        global _DEFAULT_PASSES_CACHE
-        if _DEFAULT_PASSES_CACHE is None:
-            _DEFAULT_PASSES_CACHE = {p.code: type(p) for p in default_passes()}
-        return _DEFAULT_PASSES_CACHE
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 #: rule code reserved for parse failures (reported, never run as a pass)
 SYNTAX_CODE = "ADL000"
 
@@ -181,28 +154,9 @@ def adlcheck_processor(
     """
     if passes is None:
         passes = default_passes(synth_closure=synth_closure)
-    if codes is not None:
-        wanted = set(codes)
-        unknown = wanted - {p.code for p in passes}
-        if unknown:
-            raise ValueError(f"unknown adlcheck rule code(s): {sorted(unknown)}")
-        passes = [p for p in passes if p.code in wanted]
-
     ctx = AdlContext(processor, unit=unit)
-    report = Report(spec=ctx.unit, tool="adlcheck")
-    spec_allow = set(processor.allow)
-    for adl_pass in passes:
-        report.passes_run.append(adl_pass.code)
-        for diagnostic in adl_pass.run(ctx):
-            if diagnostic.code in spec_allow:
-                diagnostic.suppressed = True
-            elif diagnostic.edge is not None and diagnostic.code in ctx.edge_allow.get(
-                diagnostic.edge, ()
-            ):
-                diagnostic.suppressed = True
-            report.diagnostics.append(diagnostic)
-    report.sort()
-    return report
+    return run_passes("adlcheck", ctx, passes, codes,
+                      allow_lookup(processor.allow, ctx.edge_allow))
 
 
 def adlcheck_source(

@@ -22,8 +22,6 @@ the rule table and suppression syntax.
 from .engine import (
     AUDIT_ADDR,
     AuditContext,
-    AuditPass,
-    DEFAULT_PASSES,
     audit_target,
     default_passes,
     run_point,
@@ -50,9 +48,7 @@ from .targets import (
 __all__ = [
     "AUDIT_ADDR",
     "AuditContext",
-    "AuditPass",
     "AuditTarget",
-    "DEFAULT_PASSES",
     "DecoderArm",
     "EmittableUdfPass",
     "EncoderOverflowPass",

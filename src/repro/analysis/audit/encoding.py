@@ -20,15 +20,15 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
-from ..diagnostics import Diagnostic
+from ..diagnostics import AnalysisPass, Diagnostic
 from .cubes import Cube, sample, subtract_all
-from .engine import AUDIT_ADDR, AuditContext, AuditPass
+from .engine import AUDIT_ADDR, AuditContext
 
 #: fidelity spot-check samples per arm remainder
 FIDELITY_SAMPLES = 16
 
 
-class OverlapPass(AuditPass):
+class OverlapPass(AnalysisPass):
     """ISA001: two non-catch-all arms overlap without declaring it.
 
     An undeclared overlap means some words match both patterns and only
@@ -65,7 +65,7 @@ def _overlap_ok(a, b) -> bool:
     return "*" in a.overlaps_ok or b.name in a.overlaps_ok
 
 
-class ShadowedArmPass(AuditPass):
+class ShadowedArmPass(AnalysisPass):
     """ISA002: an arm is unreachable under decode order, or the arm
     table misdescribes the decoder.
 
@@ -115,7 +115,7 @@ class ShadowedArmPass(AuditPass):
                     break
 
 
-class EmittableUdfPass(AuditPass):
+class EmittableUdfPass(AnalysisPass):
     """ISA006: the assembler's encoders can emit a word the decoder
     rejects as undefined/illegal — a program that assembles but cannot
     execute."""
@@ -137,7 +137,7 @@ class EmittableUdfPass(AuditPass):
                     )
 
 
-class EncoderOverflowPass(AuditPass):
+class EncoderOverflowPass(AnalysisPass):
     """ISA007: an encoder accepts an out-of-range field value.
 
     An overflowing field bleeds into neighbouring bit fields, silently

@@ -1,24 +1,24 @@
-"""Audit engine: pass protocol, shared lattice harness, suppression.
+"""Audit engine: shared lattice harness, pass list, driver.
 
-An audit pass mirrors the osmlint pass protocol — a stable ``code``
-(``ISA001``…), a ``rule`` slug, and a :meth:`AuditPass.run` generator —
-but runs over an :class:`~.targets.AuditTarget` (one ISA) instead of a
-MachineSpec.  Passes share an :class:`AuditContext` that lazily executes
-every encoding class's field lattice once against the taint-instrumented
-:class:`~repro.iss.state.ShadowArchState`, so the round-trip, hazard and
-udf-reachability passes all consume the same per-point records.
+An audit rule is an :class:`~repro.analysis.diagnostics.AnalysisPass`
+(``ISA001``…) over an :class:`~.targets.AuditTarget` (one ISA) instead
+of a MachineSpec.  Passes share an :class:`AuditContext` that lazily
+executes every encoding class's field lattice once against the
+taint-instrumented :class:`~repro.iss.state.ShadowArchState`, so the
+round-trip, hazard and udf-reachability passes all consume the same
+per-point records.  A finding's ``state`` slot carries the arm or class
+name, its ``edge`` slot the lattice point.
 
 Suppression is allow-style, like lint: a rule code in ``target.allow``
 suppresses target-wide; a code in an arm's or class's ``allow`` set
-suppresses diagnostics anchored to that arm/class (the diagnostic's
-``state`` slot carries the arm or class name).
+suppresses diagnostics anchored to that arm/class.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..diagnostics import Diagnostic, Report, Severity
+from ..diagnostics import AnalysisPass, Report, allow_lookup, run_passes
 from .targets import AuditTarget, EncodingClass
 
 #: address every audited instruction executes at
@@ -144,6 +144,7 @@ class AuditContext:
 
     def __init__(self, target: AuditTarget):
         self.target = target
+        self.subject = target.name
         self._runs: Optional[Dict[str, List[PointRun]]] = None
 
     @property
@@ -157,40 +158,7 @@ class AuditContext:
         return self._runs
 
 
-class AuditPass:
-    """Base class of all audit rules."""
-
-    code: str = "ISA000"
-    rule: str = "abstract"
-
-    def run(self, ctx: AuditContext) -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    def diag(
-        self,
-        ctx: AuditContext,
-        message: str,
-        severity: Severity = Severity.ERROR,
-        state: Optional[str] = None,
-        edge: Optional[str] = None,
-    ) -> Diagnostic:
-        """Build a diagnostic located in *ctx*'s target; the ``state``
-        slot carries the arm/class name, ``edge`` the lattice point."""
-        return Diagnostic(
-            code=self.code,
-            rule=self.rule,
-            severity=severity,
-            spec=ctx.target.name,
-            message=message,
-            state=state,
-            edge=edge,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"{type(self).__name__}({self.code})"
-
-
-def default_passes() -> List[AuditPass]:
+def default_passes() -> List[AnalysisPass]:
     """Fresh instances of the per-ISA rules ISA001–ISA007, in code order
     (ISA008 runs per model spec, see :mod:`.routing`)."""
     from .encoding import EmittableUdfPass, EncoderOverflowPass, OverlapPass, ShadowedArmPass
@@ -208,39 +176,16 @@ def default_passes() -> List[AuditPass]:
     ]
 
 
-#: code -> pass class mapping of the bundled per-ISA rules
-DEFAULT_PASSES = {p.code: type(p) for p in default_passes()}
-
-
 def audit_target(
     target: AuditTarget,
-    passes: Optional[Sequence[AuditPass]] = None,
+    passes: Optional[Sequence[AnalysisPass]] = None,
     codes: Optional[Iterable[str]] = None,
 ) -> Report:
     """Run the audit passes over *target* and return the report."""
     if passes is None:
         passes = default_passes()
-    if codes is not None:
-        wanted = set(codes)
-        unknown = wanted - {p.code for p in passes}
-        if unknown:
-            raise ValueError(f"unknown audit rule code(s): {sorted(unknown)}")
-        passes = [p for p in passes if p.code in wanted]
-
-    ctx = AuditContext(target)
-    report = Report(spec=target.name, tool="audit")
     anchor_allow = {arm.name: arm.allow for arm in target.arms}
     anchor_allow.update({cls.name: cls.allow for cls in target.classes})
     anchor_allow.update({case.name: case.allow for case in target.overflows})
-    for audit_pass in passes:
-        report.passes_run.append(audit_pass.code)
-        for diagnostic in audit_pass.run(ctx):
-            if diagnostic.code in target.allow:
-                diagnostic.suppressed = True
-            elif diagnostic.state is not None and diagnostic.code in anchor_allow.get(
-                diagnostic.state, ()
-            ):
-                diagnostic.suppressed = True
-            report.diagnostics.append(diagnostic)
-    report.sort()
-    return report
+    return run_passes("audit", AuditContext(target), passes, codes,
+                      allow_lookup(target.allow, anchor_allow, slot="state"))

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Set, Tuple
 
-from ..diagnostics import Diagnostic, Severity
-from .engine import AuditContext, AuditPass, PointRun, run_point
+from ..diagnostics import AnalysisPass, Diagnostic, Severity
+from .engine import AuditContext, PointRun, run_point
 from .targets import AuditTarget
 
 
@@ -49,7 +49,7 @@ def _declared(target: AuditTarget, instr) -> Tuple[Set[int], Set[int]]:
     return src, dst
 
 
-class UnderDeclaredPass(AuditPass):
+class UnderDeclaredPass(AnalysisPass):
     """ISA004: observed traffic the hazard metadata does not declare."""
 
     code = "ISA004"
@@ -231,7 +231,7 @@ def _perturb_reg(reg: int):
     return tweak
 
 
-class OverDeclaredPass(AuditPass):
+class OverDeclaredPass(AnalysisPass):
     """ISA005: declared hazard metadata never exercised on the lattice.
 
     Over-declaration is not a correctness bug for the simulated program,

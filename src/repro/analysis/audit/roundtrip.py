@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..diagnostics import Diagnostic
-from .engine import AuditContext, AuditPass
+from ..diagnostics import AnalysisPass, Diagnostic
+from .engine import AuditContext
 
 
-class RoundTripPass(AuditPass):
+class RoundTripPass(AnalysisPass):
     """ISA003: encode -> decode -> re-encode must be a fixpoint."""
 
     code = "ISA003"

@@ -24,9 +24,11 @@ token starvation, but never falsely blames a unit the guards admit.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Iterable, Iterator, List, Optional, Set
 
-from ..diagnostics import Diagnostic, Report, Severity
+from ..diagnostics import (AnalysisPass, Diagnostic, Report, Severity,
+                           run_passes, spec_allow)
 from ..registry import build_spec, spec_isa
 from .targets import build_target
 
@@ -127,6 +129,22 @@ def audit_routing(spec, units: Iterable[str],
             )
 
 
+class RoutingPass(AnalysisPass):
+    """ISA008 over one model spec; the context carries the ``spec`` and
+    the ISA's ``units`` vocabulary."""
+
+    code = ROUTING_CODE
+    rule = ROUTING_RULE
+
+    def run(self, ctx) -> Iterator[Diagnostic]:
+        return audit_routing(ctx.spec, ctx.units, spec_name=ctx.subject)
+
+
+def default_passes() -> List[AnalysisPass]:
+    """The per-model audit rules: ISA008 alone."""
+    return [RoutingPass()]
+
+
 def audit_model(name: str,
                 codes: Optional[Iterable[str]] = None) -> Report:
     """Run the routing cross-check over the registered model *name*.
@@ -134,20 +152,7 @@ def audit_model(name: str,
     The unit vocabulary comes from the audit target of the ISA the spec
     is registered against (``register_spec(..., isa=...)``).
     """
-    if codes is not None:
-        wanted = set(codes)
-        unknown = wanted - {ROUTING_CODE}
-        if unknown:
-            raise ValueError(f"unknown audit rule code(s): {sorted(unknown)}")
-        if ROUTING_CODE not in wanted:
-            return Report(spec=name, tool="audit")
     spec = build_spec(name)
-    units = build_target(spec_isa(name)).units
-    report = Report(spec=name, tool="audit")
-    report.passes_run.append(ROUTING_CODE)
-    for diagnostic in audit_routing(spec, units, spec_name=name):
-        if diagnostic.code in spec.lint_allow:
-            diagnostic.suppressed = True
-        report.diagnostics.append(diagnostic)
-    report.sort()
-    return report
+    ctx = SimpleNamespace(subject=name, spec=spec,
+                          units=build_target(spec_isa(name)).units)
+    return run_passes("audit", ctx, default_passes(), codes, spec_allow(spec))

@@ -28,12 +28,9 @@ same TRV001–003 checks also gate fusion at model-build time through
 :func:`repro.core.edgecompile.apply_compilability`.
 """
 
-from ..registry import available_specs, build_spec, spec_isa  # noqa: F401
 from .engine import (  # noqa: F401
-    DEFAULT_PASSES,
     ISA_CODES,
     SPEC_CODES,
-    CertifyPass,
     IsaCertifyContext,
     SpecCertifyContext,
     certify_fused_states,
@@ -45,16 +42,11 @@ from .engine import (  # noqa: F401
 from .fingerprint import GENERATOR_MODULES, generator_fingerprint  # noqa: F401
 
 __all__ = [
-    "DEFAULT_PASSES",
     "GENERATOR_MODULES",
     "ISA_CODES",
     "SPEC_CODES",
-    "CertifyPass",
     "IsaCertifyContext",
     "SpecCertifyContext",
-    "available_specs",
-    "build_spec",
-    "spec_isa",
     "certify_fused_states",
     "certify_isa",
     "certify_spec",

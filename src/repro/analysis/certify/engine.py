@@ -1,11 +1,10 @@
 """transcheck engine: contexts, the TRV rule passes, and the drivers.
 
-Mirrors the effects/audit engines' shape — a pass protocol over a
-lazily-computed shared context, driven by :func:`certify_spec` (model
-specs, rules TRV001–TRV003/TRV007–TRV008) and :func:`certify_isa` (ISA
-targets, rules TRV004–TRV006) with the same suppression channels
-(``spec.lint_allow`` / ``edge.lint_allow`` for specs, ``target.allow``
-for ISAs).
+The TRV rules are :class:`~repro.analysis.diagnostics.AnalysisPass`
+passes run by the shared driver: :func:`certify_spec` over model specs
+(rules TRV001–TRV003/TRV007–TRV008, suppressed through
+``spec.lint_allow`` / ``edge.lint_allow``) and :func:`certify_isa` over
+ISA targets (rules TRV004–TRV006, suppressed through ``target.allow``).
 
 :func:`certify_fused_states` is the *build-time gate*: called by
 :func:`repro.core.fuse.enable_fusion` after fusing, it replays every
@@ -20,15 +19,14 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..diagnostics import Diagnostic, Report, Severity
+from ..diagnostics import (AnalysisPass, Diagnostic, Report, Severity,
+                           allow_lookup, run_passes, spec_allow)
 from .fingerprint import generator_fingerprint
 from .replay import replay_probe, replay_stepper
 
 __all__ = [
-    "DEFAULT_PASSES",
     "ISA_CODES",
     "SPEC_CODES",
-    "CertifyPass",
     "IsaCertifyContext",
     "SpecCertifyContext",
     "certify_fused_states",
@@ -54,6 +52,7 @@ class SpecCertifyContext:
 
     def __init__(self, spec):
         self.spec = spec
+        self.subject = spec.name
         self._ident_sites = None
         self._compilability = None
         # force every probe plan so the compile census and the compiled
@@ -94,6 +93,7 @@ class IsaCertifyContext:
 
     def __init__(self, target):
         self.target = target
+        self.subject = target.name
         self._audit = None
         self._iss = None
         self._iss_built = False
@@ -108,8 +108,9 @@ class IsaCertifyContext:
 
     @property
     def iss(self):
-        """The compiling ISS after running the bundled driver program,
-        or None for targets without one (e.g. toy test targets)."""
+        """The ISS after running the bundled driver program (the
+        compiling ISS on ARM, the specialised interpreter on PPC), or
+        None for targets without one (e.g. toy test targets)."""
         if not self._iss_built:
             from .isachecks import run_arm_driver, run_ppc_driver
             if self.target.name == "arm":
@@ -120,45 +121,9 @@ class IsaCertifyContext:
         return self._iss
 
 
-# -- pass protocol -----------------------------------------------------------
-
-class CertifyPass:
-    """Base class of all transcheck rules (TRV001…)."""
-
-    code: str = "TRV000"
-    rule: str = "abstract"
-
-    def run(self, ctx) -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    def diag(
-        self,
-        ctx,
-        message: str,
-        severity: Severity = Severity.ERROR,
-        state: Optional[str] = None,
-        edge=None,
-    ) -> Diagnostic:
-        if edge is not None and state is None:
-            state = edge.src.name
-        subject = ctx.spec.name if hasattr(ctx, "spec") else ctx.target.name
-        return Diagnostic(
-            code=self.code,
-            rule=self.rule,
-            severity=severity,
-            spec=subject,
-            message=message,
-            state=state,
-            edge=edge.qualname if edge is not None else None,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"{type(self).__name__}({self.code})"
-
-
 # -- spec-side rules ---------------------------------------------------------
 
-class Trv001FusedReplay(CertifyPass):
+class Trv001FusedReplay(AnalysisPass):
     """Replay each fused stepper's source against the per-edge plan."""
 
     code = "TRV001"
@@ -183,7 +148,7 @@ class Trv001FusedReplay(CertifyPass):
                 )
 
 
-class Trv002InlineContract(CertifyPass):
+class Trv002InlineContract(AnalysisPass):
     """``__fuse_inline__`` declarations must match the tagged callable."""
 
     code = "TRV002"
@@ -237,7 +202,7 @@ class Trv002InlineContract(CertifyPass):
                 )
 
 
-class Trv003ProbeReplay(CertifyPass):
+class Trv003ProbeReplay(AnalysisPass):
     """Replay each compiled edge probe against the primitive sequence."""
 
     code = "TRV003"
@@ -261,7 +226,7 @@ class Trv003ProbeReplay(CertifyPass):
                 )
 
 
-class Trv007FallbackConsistency(CertifyPass):
+class Trv007FallbackConsistency(AnalysisPass):
     """Installed steppers, the effectcheck verdict and the compile
     census must tell the same story."""
 
@@ -302,7 +267,7 @@ class Trv007FallbackConsistency(CertifyPass):
                 )
 
 
-class Trv008GeneratorDrift(CertifyPass):
+class Trv008GeneratorDrift(AnalysisPass):
     """Fuse certificates must match the current generators and steppers."""
 
     code = "TRV008"
@@ -339,7 +304,7 @@ class Trv008GeneratorDrift(CertifyPass):
 
 # -- ISA-side rules ----------------------------------------------------------
 
-class Trv004ExecgenWriteSet(CertifyPass):
+class Trv004ExecgenWriteSet(AnalysisPass):
     """Generated executors must cover the reference semantics' writes.
 
     For every audit lattice point the reference semantics executed, the
@@ -414,13 +379,13 @@ class Trv004ExecgenWriteSet(CertifyPass):
                         )
 
 
-class Trv005BlockStoreGuards(CertifyPass):
+class Trv005BlockStoreGuards(AnalysisPass):
     """Compiled ARM blocks must guard every store with ``_b.valid``.
 
-    Only the ARM target translates whole blocks to source; the PPC
-    compiling ISS chains the per-instruction executors (reference code,
-    documented exemption in docs/static-analysis.md).  *interpreter* and
-    *mutate* are injectable for the mutation tests.
+    Only the ARM target translates whole blocks to source; the PPC ISS
+    runs the per-instruction execgen executors and emits no block source
+    (documented exemption in docs/static-analysis.md).  *interpreter*
+    and *mutate* are injectable for the mutation tests.
     """
 
     code = "TRV005"
@@ -466,7 +431,7 @@ class Trv005BlockStoreGuards(CertifyPass):
             )
 
 
-class Trv006PageMapCoverage(CertifyPass):
+class Trv006PageMapCoverage(AnalysisPass):
     """Every live block must be indexed under every page it spans."""
 
     code = "TRV006"
@@ -537,7 +502,7 @@ def _normalized_expr_dump(expr: str, param: str) -> Optional[str]:
 
 # -- drivers -----------------------------------------------------------------
 
-def default_spec_passes() -> List[CertifyPass]:
+def default_spec_passes() -> List[AnalysisPass]:
     """Fresh instances of the per-spec rules, in code order."""
     return [
         Trv001FusedReplay(),
@@ -548,7 +513,7 @@ def default_spec_passes() -> List[CertifyPass]:
     ]
 
 
-def default_isa_passes() -> List[CertifyPass]:
+def default_isa_passes() -> List[AnalysisPass]:
     """Fresh instances of the per-ISA rules, in code order."""
     return [
         Trv004ExecgenWriteSet(),
@@ -557,24 +522,9 @@ def default_isa_passes() -> List[CertifyPass]:
     ]
 
 
-#: code -> pass class mapping of the bundled rules (for --rules filters)
-DEFAULT_PASSES = {p.code: type(p)
-                  for p in default_spec_passes() + default_isa_passes()}
-
-
-def _filter_passes(passes, codes):
-    if codes is None:
-        return list(passes)
-    wanted = set(codes)
-    unknown = wanted - {p.code for p in passes}
-    if unknown:
-        raise ValueError(f"unknown certify rule code(s): {sorted(unknown)}")
-    return [p for p in passes if p.code in wanted]
-
-
 def certify_spec(
     spec,
-    passes: Optional[Sequence[CertifyPass]] = None,
+    passes: Optional[Sequence[AnalysisPass]] = None,
     codes: Optional[Iterable[str]] = None,
 ) -> Report:
     """Run the spec-side transcheck rules over *spec*.
@@ -586,27 +536,13 @@ def certify_spec(
     """
     if passes is None:
         passes = default_spec_passes()
-    passes = _filter_passes(passes, codes)
-    ctx = SpecCertifyContext(spec)
-    report = Report(spec=spec.name, tool="certify")
-    spec_allow = set(getattr(spec, "lint_allow", ()))
-    edge_allow = {edge.qualname: set(edge.lint_allow) for edge in spec.edges}
-    for certify_pass in passes:
-        report.passes_run.append(certify_pass.code)
-        for diagnostic in certify_pass.run(ctx):
-            if diagnostic.code in spec_allow:
-                diagnostic.suppressed = True
-            elif diagnostic.edge is not None and diagnostic.code in \
-                    edge_allow.get(diagnostic.edge, ()):
-                diagnostic.suppressed = True
-            report.diagnostics.append(diagnostic)
-    report.sort()
-    return report
+    return run_passes("certify", SpecCertifyContext(spec), passes, codes,
+                      spec_allow(spec))
 
 
 def certify_isa(
     target,
-    passes: Optional[Sequence[CertifyPass]] = None,
+    passes: Optional[Sequence[AnalysisPass]] = None,
     codes: Optional[Iterable[str]] = None,
 ) -> Report:
     """Run the ISA-side transcheck rules over an audit target (by name
@@ -616,17 +552,8 @@ def certify_isa(
         target = build_target(target)
     if passes is None:
         passes = default_isa_passes()
-    passes = _filter_passes(passes, codes)
-    ctx = IsaCertifyContext(target)
-    report = Report(spec=target.name, tool="certify")
-    for certify_pass in passes:
-        report.passes_run.append(certify_pass.code)
-        for diagnostic in certify_pass.run(ctx):
-            if diagnostic.code in target.allow:
-                diagnostic.suppressed = True
-            report.diagnostics.append(diagnostic)
-    report.sort()
-    return report
+    return run_passes("certify", IsaCertifyContext(target), passes, codes,
+                      allow_lookup(target.allow))
 
 
 # -- build-time gate ---------------------------------------------------------

@@ -272,10 +272,11 @@ def run_arm_driver():
 
 
 def run_ppc_driver():
-    """Run the PPC driver under the (executor-chaining) compiling ISS."""
+    """Run the PPC driver under the specialised interpreter, whose
+    block-at-a-time loop fills the decode cache's block layer."""
     from ...isa.ppc import assemble
-    from ...iss import CompiledPpcInterpreter
+    from ...iss import PpcInterpreter
 
-    interpreter = CompiledPpcInterpreter(assemble(_PPC_DRIVER))
+    interpreter = PpcInterpreter(assemble(_PPC_DRIVER))
     interpreter.run()
     return interpreter

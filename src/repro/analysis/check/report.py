@@ -24,8 +24,8 @@ class Finding:
 
     diagnostic: Diagnostic
     trace: Optional[Trace] = None
-    #: the violating system state (implementation detail; used by the
-    #: legacy ``modelcheck`` compatibility shim)
+    #: the violating system state (e.g. the deadlocked configuration of
+    #: a CHK004 finding)
     state: Optional[object] = None
 
     def render(self) -> str:
@@ -83,7 +83,10 @@ class CheckReport:
 
     # -- renderers ---------------------------------------------------------
 
-    def render_text(self) -> str:
+    def render_text(self, show_suppressed: bool = False) -> str:
+        """Findings with their traces, then the verdict line (model
+        checking has no suppressions; *show_suppressed* is accepted so
+        every tool's report renders alike)."""
         lines = [finding.render() for finding in self.findings]
         mode = "por+symmetry" if self.reduction else "naive"
         verdict = "ok" if self.ok else ("TRUNCATED" if self.truncated and not self.errors

@@ -15,7 +15,7 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ...core.osm import MachineSpec
-from ..diagnostics import Diagnostic, Severity
+from ..diagnostics import Diagnostic, Severity, select
 from .abstraction import purify
 from .explore import ExploreResult, explore
 from .properties import Property, StateProperty, default_properties
@@ -36,12 +36,7 @@ def check_system(
     verdicts with shortest counterexample traces."""
     if properties is None:
         properties = default_properties()
-    if codes is not None:
-        wanted = set(codes)
-        unknown = wanted - {p.code for p in properties}
-        if unknown:
-            raise ValueError(f"unknown property code(s): {sorted(unknown)}")
-        properties = [p for p in properties if p.code in wanted]
+    properties = select(properties, codes, "property")
 
     system = TokenSystem(spec, managers, n_osms)
     state_props = [p for p in properties if isinstance(p, StateProperty)]

@@ -20,6 +20,12 @@ unit and line of the declaration it maps back to — rendered as a
 ``description.adl:12`` style suffix and serialized under
 ``source_span``.  Hand-written subjects leave it ``None``.
 
+Every rule of every tool is an :class:`AnalysisPass`, and one driver,
+:func:`run_passes`, runs a tool's pass list over the tool's context: it
+applies the ``codes`` filter, resolves suppressions and sorts the
+report.  A tool supplies only its context, its pass list and its allow
+lookup.
+
 Suppression: a finding attached to an edge/arm whose allow set contains
 the rule code — or whose subject-level allow set contains it — is marked
 ``suppressed``.  Suppressed findings stay visible in the JSON output but
@@ -31,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 #: version of the JSON finding/report schema emitted by every tool
 #: (v3 added the optional per-finding ``source_span``)
@@ -144,6 +150,10 @@ class Report:
     passes_run: List[str] = field(default_factory=list)
     #: emitting tool ("lint", "check", "audit")
     tool: str = "lint"
+    #: verdicts derived from the findings (effectcheck's compilability
+    #: report): each has ``to_dict()``, serialized under its key, and
+    #: ``summary()``, printed after the text summary line
+    sections: Dict[str, object] = field(default_factory=dict)
 
     def extend(self, diagnostics) -> None:
         self.diagnostics.extend(diagnostics)
@@ -196,7 +206,9 @@ class Report:
             f"{counts['info']} info, {n_suppressed} suppressed "
             f"({len(self.passes_run)} passes)"
         )
-        return "\n".join(lines + [summary])
+        notes = [f"{self.spec}: {key}: {section.summary()}"
+                 for key, section in self.sections.items()]
+        return "\n".join(lines + [summary] + notes)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -207,11 +219,110 @@ class Report:
             "counts": self.counts(),
             "ok": self.ok,
             "diagnostics": [d.to_dict() for d in self.diagnostics],
+            **{key: section.to_dict() for key, section in self.sections.items()},
         }
 
     def render_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-#: historical name from the osmlint era; the class is tool-agnostic now
-LintReport = Report
+# -- the shared pass protocol and driver -------------------------------------
+
+class AnalysisPass:
+    """Base class of every rule of every analysis front end.
+
+    A pass has a stable ``code`` (``OSM001``, ``ISA003``…), a ``rule``
+    slug and a :meth:`run` generator of findings over its tool's
+    context, which names the analysis subject as ``ctx.subject``.
+    """
+
+    code: str = "XXX000"
+    rule: str = "abstract"
+
+    def run(self, ctx) -> Iterator[Diagnostic]:
+        raise NotImplementedError
+
+    def diag(
+        self,
+        ctx,
+        message: str,
+        severity: Severity = Severity.ERROR,
+        state: Optional[str] = None,
+        edge=None,
+    ) -> Diagnostic:
+        """A finding on ``ctx.subject``.  *edge* is either a spec edge —
+        its qualname fills the ``edge`` slot and its source state the
+        ``state`` slot unless given — or a rendered anchor string."""
+        if edge is not None and not isinstance(edge, str):
+            if state is None:
+                state = edge.src.name
+            edge = edge.qualname
+        return Diagnostic(
+            code=self.code,
+            rule=self.rule,
+            severity=severity,
+            spec=ctx.subject,
+            message=message,
+            state=state,
+            edge=edge,
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"{type(self).__name__}({self.code})"
+
+
+def select(rules: Sequence, codes: Optional[Iterable[str]], what: str) -> list:
+    """The *rules* (anything with a ``code``) named in *codes*, or all of
+    them when *codes* is None; a code no rule has is a ``ValueError``
+    ("unknown *what* code(s)")."""
+    if codes is None:
+        return list(rules)
+    wanted = set(codes)
+    unknown = wanted - {rule.code for rule in rules}
+    if unknown:
+        raise ValueError(f"unknown {what} code(s): {sorted(unknown)}")
+    return [rule for rule in rules if rule.code in wanted]
+
+
+#: ``diagnostic -> codes allowed where it is anchored``
+AllowLookup = Callable[[Diagnostic], Iterable[str]]
+
+
+def allow_lookup(everywhere: Iterable[str],
+                 by_anchor: Optional[Dict[str, Iterable[str]]] = None,
+                 slot: str = "edge") -> AllowLookup:
+    """The codes allowed subject-wide plus those *by_anchor* allows at the
+    diagnostic's ``edge`` (or ``state``) slot."""
+    everywhere = frozenset(everywhere)
+    by_anchor = by_anchor or {}
+    return lambda d: everywhere.union(by_anchor.get(getattr(d, slot), ()))
+
+
+def spec_allow(spec) -> AllowLookup:
+    """A machine spec's allow channel: ``spec.lint_allow`` everywhere,
+    ``edge.lint_allow`` at each edge."""
+    return allow_lookup(
+        getattr(spec, "lint_allow", ()),
+        {edge.qualname: edge.lint_allow for edge in spec.edges},
+    )
+
+
+def run_passes(
+    tool: str,
+    ctx,
+    passes: Sequence[AnalysisPass],
+    codes: Optional[Iterable[str]],
+    allowed: AllowLookup,
+) -> Report:
+    """Run the *passes* named in *codes* (all when None) over *ctx* and
+    return *tool*'s sorted report on ``ctx.subject``; a finding whose
+    code *allowed* lists for its anchor is marked suppressed."""
+    report = Report(spec=ctx.subject, tool=tool)
+    for analysis_pass in select(passes, codes, f"{tool} rule"):
+        report.passes_run.append(analysis_pass.code)
+        for diagnostic in analysis_pass.run(ctx):
+            if diagnostic.code in allowed(diagnostic):
+                diagnostic.suppressed = True
+            report.diagnostics.append(diagnostic)
+    report.sort()
+    return report

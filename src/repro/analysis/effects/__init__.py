@@ -20,28 +20,21 @@ from .compilability import (
     compilability_report,
 )
 from .engine import (
-    DEFAULT_PASSES,
     CallableSite,
     EffectContext,
-    EffectPass,
     default_passes,
     effects_spec,
     harvest_spec,
 )
 from .footprint import Footprint, analyze_callable
-from ..registry import available_specs, build_spec
 
 __all__ = [
     "CallableSite",
     "CompilabilityReport",
-    "DEFAULT_PASSES",
     "EffectContext",
-    "EffectPass",
     "Footprint",
     "StateVerdict",
     "analyze_callable",
-    "available_specs",
-    "build_spec",
     "compilability_report",
     "default_passes",
     "effects_spec",

@@ -75,6 +75,13 @@ class CompilabilityReport:
             v.fusable for v in self.verdicts.values()
         )
 
+    def summary(self) -> str:
+        """The one-line verdict printed under the effects text report."""
+        if self.fully_compilable:
+            return "fully compilable"
+        return (f"{len(self.fusable_states)}/{len(self.verdicts)} states "
+                f"fusable, {len(self.unsafe_edges)} unsafe edge(s)")
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "spec": self.spec,

@@ -1,15 +1,14 @@
-"""effectcheck engine: callable harvest, shared context, driver.
+"""effectcheck engine: callable harvest, shared context, pass list, driver.
 
-Mirrors the lint engine's shape (pass protocol + lazily-computed shared
-facts + suppression resolution) so the two front ends stay structurally
-interchangeable.  The facts here are *effect footprints*: the harvest
-walks one :class:`~repro.core.MachineSpec` and collects every Python
-callable the spec can execute — guard predicates, dynamic token
-identifiers, release values, custom primitive probes, edge actions,
-state ``on_enter`` hooks and the director rank key breadcrumb — each
-tagged with its *role*, because the invariants differ by role: code the
-edge compiler bakes (probe-time roles) must be pure, actions merely
-must not lie to the scheduler.
+The rules are :class:`~repro.analysis.diagnostics.AnalysisPass` passes
+run by the shared driver.  The facts they share are *effect
+footprints*: the harvest walks one :class:`~repro.core.MachineSpec` and
+collects every Python callable the spec can execute — guard predicates,
+dynamic token identifiers, release values, custom primitive probes,
+edge actions, state ``on_enter`` hooks and the director rank key
+breadcrumb — each tagged with its *role*, because the invariants differ
+by role: code the edge compiler bakes (probe-time roles) must be pure,
+actions merely must not lie to the scheduler.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from ...core.primitives import (
     Release,
     ReleaseMany,
 )
-from ..diagnostics import Diagnostic, Report, Severity
+from ..diagnostics import AnalysisPass, Report, run_passes, spec_allow
 from .footprint import Footprint, analyze_callable
 
 #: primitive types whose probe implementations are part of the trusted
@@ -148,6 +147,7 @@ class EffectContext:
 
     def __init__(self, spec: MachineSpec):
         self.spec = spec
+        self.subject = spec.name
         self._sites: Optional[List[CallableSite]] = None
         self._footprints: Dict[Tuple[int, Tuple[str, ...], int], Footprint] = {}
         self._compile_stats = None
@@ -185,40 +185,7 @@ class EffectContext:
         return self._compile_stats
 
 
-class EffectPass:
-    """Base class of all effect rules (EFF001…)."""
-
-    code: str = "EFF000"
-    rule: str = "abstract"
-
-    def run(self, ctx: EffectContext) -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    def diag(
-        self,
-        ctx: EffectContext,
-        message: str,
-        severity: Severity = Severity.ERROR,
-        state: Optional[str] = None,
-        edge: Optional[Edge] = None,
-    ) -> Diagnostic:
-        if edge is not None and state is None:
-            state = edge.src.name
-        return Diagnostic(
-            code=self.code,
-            rule=self.rule,
-            severity=severity,
-            spec=ctx.spec.name,
-            message=message,
-            state=state,
-            edge=edge.qualname if edge is not None else None,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"{type(self).__name__}({self.code})"
-
-
-def default_passes() -> List[EffectPass]:
+def default_passes() -> List[AnalysisPass]:
     """Fresh instances of the bundled effect rules, in code order."""
     from .passes import (
         GlobalWritePass,
@@ -243,13 +210,9 @@ def default_passes() -> List[EffectPass]:
     ]
 
 
-#: code -> pass class mapping of the bundled rules (for --rules filters)
-DEFAULT_PASSES = {p.code: type(p) for p in default_passes()}
-
-
 def effects_spec(
     spec: MachineSpec,
-    passes: Optional[Sequence[EffectPass]] = None,
+    passes: Optional[Sequence[AnalysisPass]] = None,
     codes: Optional[Iterable[str]] = None,
 ) -> Report:
     """Run the effect passes over *spec* and return the report.
@@ -261,26 +224,5 @@ def effects_spec(
     """
     if passes is None:
         passes = default_passes()
-    if codes is not None:
-        wanted = set(codes)
-        unknown = wanted - {p.code for p in passes}
-        if unknown:
-            raise ValueError(f"unknown effect rule code(s): {sorted(unknown)}")
-        passes = [p for p in passes if p.code in wanted]
-
-    ctx = EffectContext(spec)
-    report = Report(spec=spec.name, tool="effects")
-    spec_allow = set(getattr(spec, "lint_allow", ()))
-    edge_allow = {edge.qualname: set(edge.lint_allow) for edge in spec.edges}
-    for effect_pass in passes:
-        report.passes_run.append(effect_pass.code)
-        for diagnostic in effect_pass.run(ctx):
-            if diagnostic.code in spec_allow:
-                diagnostic.suppressed = True
-            elif diagnostic.edge is not None and diagnostic.code in edge_allow.get(
-                diagnostic.edge, ()
-            ):
-                diagnostic.suppressed = True
-            report.diagnostics.append(diagnostic)
-    report.sort()
-    return report
+    return run_passes("effects", EffectContext(spec), passes, codes,
+                      spec_allow(spec))

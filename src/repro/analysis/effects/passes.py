@@ -32,9 +32,9 @@ from typing import Dict, Iterator, List, Set, Tuple
 
 from ...core.osm import Edge
 from ...core.primitives import Allocate, AllocateMany
-from ..diagnostics import Diagnostic, Severity
+from ..diagnostics import AnalysisPass, Diagnostic, Severity
 from ..lint.passes import _fallible_signature
-from .engine import EffectContext, EffectPass
+from .engine import EffectContext
 
 #: per-OSM attributes the built-in rankings read; all are assigned only
 #: at the state-I boundaries, so a marked rank key restricted to them
@@ -70,7 +70,7 @@ def _shared_write(path: str) -> bool:
     return path.startswith(("shared:", "global:", "?"))
 
 
-class ImpureGuardPass(EffectPass):
+class ImpureGuardPass(AnalysisPass):
     """EFF001: a probe-time callable (guard predicate, dynamic token
     identifier, release value) with effects beyond the probe protocol.
 
@@ -108,7 +108,7 @@ class ImpureGuardPass(EffectPass):
                 )
 
 
-class RankStabilityPass(EffectPass):
+class RankStabilityPass(AnalysisPass):
     """EFF002: a rank key carrying the ``rank_stable_in_flight`` mark
     reads state that can change while an operation is in flight.
 
@@ -157,7 +157,7 @@ class RankStabilityPass(EffectPass):
                 )
 
 
-class RankInputMutationPass(EffectPass):
+class RankInputMutationPass(AnalysisPass):
     """EFF003: an in-flight edge (neither endpoint initial) whose action
     or destination ``on_enter`` writes a rank input.
 
@@ -231,7 +231,7 @@ def _edge_write_targets(ctx: EffectContext, edge: Edge) -> Set[str]:
     return targets
 
 
-class WriteRacePass(EffectPass):
+class WriteRacePass(AnalysisPass):
     """EFF004: same-priority sibling edges that are not statically
     disjoint and write overlapping targets.
 
@@ -276,7 +276,7 @@ class WriteRacePass(EffectPass):
                             )
 
 
-class ProbeDivergencePass(EffectPass):
+class ProbeDivergencePass(AnalysisPass):
     """EFF005: custom primitive probes that break the probe protocol,
     and edge code that mutates baked primitive constants.
 
@@ -330,7 +330,7 @@ class ProbeDivergencePass(EffectPass):
                 )
 
 
-class NondetPass(EffectPass):
+class NondetPass(AnalysisPass):
     """EFF006: edge code touching nondeterminism sources.
 
     ``repro bench`` verifies the fast path by re-running under the
@@ -356,7 +356,7 @@ class NondetPass(EffectPass):
                 )
 
 
-class GlobalWritePass(EffectPass):
+class GlobalWritePass(AnalysisPass):
     """EFF007: edge code writing module-global state.
 
     Not necessarily wrong (a debug counter, a trace hook) but it leaks
@@ -381,7 +381,7 @@ class GlobalWritePass(EffectPass):
                 )
 
 
-class OpaqueCodePass(EffectPass):
+class OpaqueCodePass(AnalysisPass):
     """EFF008: unanalyzable code in certified positions, and every edge
     whose probe fell back to the interpreter.
 

@@ -3,14 +3,14 @@
 Section 6 of the paper claims the OSM model is *analyzable*: every edge
 is a guarded conjunction of token transactions, so model properties can
 be extracted and checked without running the simulator.  This package is
-that claim turned into a lint gate: a shared diagnostics engine
-(:mod:`.diagnostics`), an abstract interpretation of the token buffer
-along all state-graph paths (:mod:`.buffer`), and a set of rules
-(:mod:`.passes`, codes ``OSM001``–``OSM008``) that catch model-author
-mistakes — leaked tokens, double allocations, shadowed or ambiguous
-edges, statically infeasible allocations, unreachable states and cyclic
-resource dependencies — at model-build time rather than at cycle 10M of
-a MediaBench run.
+that claim turned into a lint gate: an abstract interpretation of the
+token buffer along all state-graph paths (:mod:`.buffer`), and a set of
+rules (:mod:`.passes`, codes ``OSM001``–``OSM008``) run by the shared
+analysis driver (:func:`repro.analysis.diagnostics.run_passes`) that
+catch model-author mistakes — leaked tokens, double allocations,
+shadowed or ambiguous edges, statically infeasible allocations,
+unreachable states and cyclic resource dependencies — at model-build
+time rather than at cycle 10M of a MediaBench run.
 
 Entry points:
 
@@ -22,22 +22,16 @@ Entry points:
 or from the command line: ``python -m repro lint <model> [--json]``.
 """
 
+from ..diagnostics import Diagnostic, Severity
 from .buffer import BufferAnalysis, analyze_buffers
-from .diagnostics import Diagnostic, LintReport, Severity
-from .engine import DEFAULT_PASSES, LintContext, LintPass, lint_spec
-from .registry import available_specs, build_spec, register_spec
+from .engine import LintContext, default_passes, lint_spec
 
 __all__ = [
     "BufferAnalysis",
-    "DEFAULT_PASSES",
     "Diagnostic",
     "LintContext",
-    "LintPass",
-    "LintReport",
     "Severity",
     "analyze_buffers",
-    "available_specs",
-    "build_spec",
+    "default_passes",
     "lint_spec",
-    "register_spec",
 ]

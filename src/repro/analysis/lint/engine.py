@@ -1,24 +1,24 @@
-"""Lint engine: pass protocol, shared context, suppression, driver.
+"""Lint engine: shared context, pass list, driver.
 
-A lint pass is a small object with a stable ``code`` (``OSM001``…), a
-``rule`` slug and a :meth:`LintPass.run` generator over one
+A lint pass is an :class:`~repro.analysis.diagnostics.AnalysisPass`
+with a stable ``code`` (``OSM001``…) over one
 :class:`~repro.core.MachineSpec`.  Passes share a :class:`LintContext`
 that lazily computes (once) the facts several passes need: the abstract
 token-buffer exploration (:func:`.buffer.analyze_buffers`), the
 reachability report and the hold-allocate dependency graph.
 
-Suppression is resolved here: a diagnostic anchored to an edge whose
-``lint_allow`` names the rule code — or whose spec carries the code in
-``spec.lint_allow`` — is kept in the report but marked ``suppressed``
-and excluded from the pass/fail verdict.
+A diagnostic anchored to an edge whose ``lint_allow`` names the rule
+code — or whose spec carries the code in ``spec.lint_allow`` — is kept
+in the report but marked ``suppressed`` and excluded from the pass/fail
+verdict.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from ...core.osm import Edge, MachineSpec
-from ..diagnostics import Diagnostic, LintReport, Severity
+from ...core.osm import MachineSpec
+from ..diagnostics import AnalysisPass, Report, run_passes, spec_allow
 
 
 class LintContext:
@@ -26,6 +26,7 @@ class LintContext:
 
     def __init__(self, spec: MachineSpec):
         self.spec = spec
+        self.subject = spec.name
         self._buffers = None
         self._reachability = None
         self._deadlock = None
@@ -55,46 +56,7 @@ class LintContext:
         return self._deadlock
 
 
-class LintPass:
-    """Base class of all lint rules."""
-
-    #: stable rule code, e.g. "OSM001"
-    code: str = "OSM000"
-    #: short rule slug, e.g. "token-leak"
-    rule: str = "abstract"
-
-    def run(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    # -- diagnostic constructors ------------------------------------------
-
-    def diag(
-        self,
-        ctx: LintContext,
-        message: str,
-        severity: Severity = Severity.ERROR,
-        state: Optional[str] = None,
-        edge: Optional[Edge] = None,
-    ) -> Diagnostic:
-        """Build a diagnostic located in *ctx*'s spec; an edge location
-        implies its source-state location unless overridden."""
-        if edge is not None and state is None:
-            state = edge.src.name
-        return Diagnostic(
-            code=self.code,
-            rule=self.rule,
-            severity=severity,
-            spec=ctx.spec.name,
-            message=message,
-            state=state,
-            edge=edge.qualname if edge is not None else None,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"{type(self).__name__}({self.code})"
-
-
-def default_passes() -> List[LintPass]:
+def default_passes() -> List[AnalysisPass]:
     """Fresh instances of the bundled rules, in code order."""
     from .passes import (
         AmbiguousSiblingsPass,
@@ -119,15 +81,11 @@ def default_passes() -> List[LintPass]:
     ]
 
 
-#: code -> pass class mapping of the bundled rules (for --rules filters)
-DEFAULT_PASSES = {p.code: type(p) for p in default_passes()}
-
-
 def lint_spec(
     spec: MachineSpec,
-    passes: Optional[Sequence[LintPass]] = None,
+    passes: Optional[Sequence[AnalysisPass]] = None,
     codes: Optional[Iterable[str]] = None,
-) -> LintReport:
+) -> Report:
     """Run the lint passes over *spec* and return the report.
 
     Parameters
@@ -139,26 +97,4 @@ def lint_spec(
     """
     if passes is None:
         passes = default_passes()
-    if codes is not None:
-        wanted = set(codes)
-        unknown = wanted - {p.code for p in passes}
-        if unknown:
-            raise ValueError(f"unknown lint rule code(s): {sorted(unknown)}")
-        passes = [p for p in passes if p.code in wanted]
-
-    ctx = LintContext(spec)
-    report = LintReport(spec=spec.name, tool="lint")
-    spec_allow = set(getattr(spec, "lint_allow", ()))
-    edge_allow = {edge.qualname: set(edge.lint_allow) for edge in spec.edges}
-    for lint_pass in passes:
-        report.passes_run.append(lint_pass.code)
-        for diagnostic in lint_pass.run(ctx):
-            if diagnostic.code in spec_allow:
-                diagnostic.suppressed = True
-            elif diagnostic.edge is not None and diagnostic.code in edge_allow.get(
-                diagnostic.edge, ()
-            ):
-                diagnostic.suppressed = True
-            report.diagnostics.append(diagnostic)
-    report.sort()
-    return report
+    return run_passes("lint", LintContext(spec), passes, codes, spec_allow(spec))

@@ -1,7 +1,8 @@
 """The bundled lint rules, codes ``OSM001``–``OSM008``.
 
-Each rule is a :class:`~.engine.LintPass`; see ``docs/static-analysis.md``
-for the paper grounding, severities and worked examples of every code.
+Each rule is an :class:`~..diagnostics.AnalysisPass`; see
+``docs/static-analysis.md`` for the paper grounding, severities and
+worked examples of every code.
 
 ========  ==================  ==========================================
 code      rule                finds
@@ -36,18 +37,18 @@ from ...core.primitives import (
     Release,
     ReleaseMany,
 )
-from ..diagnostics import Diagnostic, Severity
-from .engine import LintContext, LintPass
+from ..diagnostics import AnalysisPass, Diagnostic, Severity
+from .engine import LintContext
 
 
-class TokenLeakPass(LintPass):
+class TokenLeakPass(AnalysisPass):
     """OSM001: an edge returning to the initial state leaves tokens in
     the buffer.
 
     The static complement of the dynamic invariant enforced by
     ``OperationStateMachine.try_transition`` ("Back to I: token buffer
-    must be empty") and checked by ``analysis.modelcheck``'s buffer
-    hygiene: here the leak is caught without running anything.  A slot
+    must be empty") and checked by osmcheck's buffer-hygiene property
+    (CHK002): here the leak is caught without running anything.  A slot
     that is *definitely* held leaks on every execution (error); a slot
     that is only *possibly* held (conditional or dynamic allocation)
     leaks on some executions (warning).
@@ -78,7 +79,7 @@ class TokenLeakPass(LintPass):
                 )
 
 
-class VacuousReleasePass(LintPass):
+class VacuousReleasePass(AnalysisPass):
     """OSM002: a ``Release``/``Discard`` names a slot that no path ever
     allocates.
 
@@ -110,7 +111,7 @@ class VacuousReleasePass(LintPass):
             )
 
 
-class DoubleAllocatePass(LintPass):
+class DoubleAllocatePass(AnalysisPass):
     """OSM003: an ``Allocate`` targets a slot the buffer already holds.
 
     The commit would silently overwrite the held token's buffer entry,
@@ -176,7 +177,7 @@ def _ident_key(ident) -> str:
     return f"value:{ident!r}"
 
 
-class AmbiguousSiblingsPass(LintPass):
+class AmbiguousSiblingsPass(AnalysisPass):
     """OSM004: same-priority sibling edges that are not statically
     distinguishable.
 
@@ -225,7 +226,7 @@ def _is_unconditional(edge: Edge) -> bool:
     )
 
 
-class ShadowedEdgePass(LintPass):
+class ShadowedEdgePass(AnalysisPass):
     """OSM005: a sibling edge that can never fire because an
     unconditional edge of higher effective priority always wins.
 
@@ -257,7 +258,7 @@ class ShadowedEdgePass(LintPass):
                     blocker = edge
 
 
-class ReachabilityPass(LintPass):
+class ReachabilityPass(AnalysisPass):
     """OSM006: unreachable states, trapping states, states that cannot
     return to I, and edges out of unreachable states.
 
@@ -304,7 +305,7 @@ class ReachabilityPass(LintPass):
                 )
 
 
-class CapacityPass(LintPass):
+class CapacityPass(AnalysisPass):
     """OSM007: an allocation whose definite demand exceeds the manager's
     static capacity.
 
@@ -330,7 +331,7 @@ class CapacityPass(LintPass):
             )
 
 
-class ResourceCyclePass(LintPass):
+class ResourceCyclePass(AnalysisPass):
     """OSM008: cyclic hold-allocate resource dependencies.
 
     Section 3.4: cyclic resource dependency between managers implies a

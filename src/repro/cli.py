@@ -5,37 +5,16 @@ Gives the framework a downstream-usable front end:
 * ``run``      — assemble a program and run it on a model or ISS,
                  optionally with a pipeline trace
 * ``asm``      — assemble to a hex/word listing
-* ``analyze``  — umbrella: run all six analysis tools (lint, check,
-                 audit, effects, certify, and adlcheck for ADL-backed
-                 specs) over model specs and their ISAs, with one
-                 merged JSON report for CI
-* ``lint``     — static analysis of model specs (rule codes OSM001…;
-                 nonzero exit on unsuppressed error findings)
-* ``check``    — explicit-state model checking (osmcheck) of model
-                 specs via the pure-token abstraction (property codes
-                 CHK001…; counterexample traces; nonzero exit on any
-                 violated property)
-* ``audit``    — cross-layer ISA/model consistency audit (isaaudit):
-                 encoding space, encode/decode round-trips, hazard
-                 metadata vs. executed semantics, unit routing (rule
-                 codes ISA001…; nonzero exit on unsuppressed errors)
-* ``effects``  — static effect/purity analysis (effectcheck) of the
-                 Python callables hanging off model specs: certifies
-                 the fast-path and edge-compiler contracts (rule codes
-                 EFF001…; per-model compilability report; nonzero exit
-                 on unsuppressed errors)
-* ``certify``  — translation validation (transcheck) of generated
-                 fast-path code: fused steppers, compiled edge probes,
-                 execgen closures and compiled ISS blocks are replayed
-                 or diffed against their reference sources (rule codes
-                 TRV001…; nonzero exit on unsuppressed errors)
-* ``adlcheck`` — source-level semantic analysis (adlcheck) of ADL
-                 descriptions, by registered name or file path: rules
-                 ADL001–ADL009 over the parsed AST plus the ADL010
-                 synthesis closure folding span-remapped lint / check /
-                 effects findings back onto description source lines
-                 (nonzero exit on unsuppressed errors)
+* ``analyze``  — umbrella: every analysis tool over model specs and
+                 their ISAs, with one merged JSON report for CI
+* ``lint``, ``check``, ``effects``, ``audit``, ``certify``, ``adlcheck``
+               — the analysis front ends (osmlint, osmcheck, effectcheck,
+                 isaaudit, transcheck, adlcheck), one row each of
+                 :data:`ANALYSIS_TOOLS`; nonzero exit on an unsuppressed
+                 error finding (rule tables in docs/static-analysis.md)
 * ``bench``    — quick cycles-per-second measurement of a model
+* ``serve``, ``submit``, ``fleet-bench`` — the fleet job server, its
+                 client, and the end-to-end fleet bench
 * ``workload`` — emit a bundled workload's assembly source
 
 Examples::
@@ -64,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 
 def _assemble(isa: str, source: str):
@@ -168,422 +148,283 @@ def cmd_asm(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    """Umbrella: run all six analysis tools (osmlint, osmcheck,
-    isaaudit, effectcheck, transcheck, and adlcheck for specs backed by
-    an ADL description) over the named model specs and the ISAs they
-    consume; exit 1 if any tool reports a failure.
+# -- analysis front ends -----------------------------------------------------
 
-    JSON mode emits one merged report — per model a section per
-    spec-level tool, per ISA the audit and certify sections — so CI can
-    archive a single artifact for the whole static-analysis matrix.
-    """
+def _lazy(path: str):
+    """The object at ``.module:name`` (relative to this package),
+    imported on first use so CLI start-up imports no analysis code."""
+    from importlib import import_module
+
+    module, _, name = path.partition(":")
+    return getattr(import_module(module, __package__), name)
+
+
+class SubjectKind(NamedTuple):
+    """What an analysis subject name can denote."""
+
+    #: ``module:function`` listing the registered names of this kind
+    registry: str
+    #: noun for error messages
+    noun: str
+    #: help text of the subject argument
+    help: str
+
+
+SUBJECT_KINDS = {
+    "isa": SubjectKind(".analysis.audit.targets:available_targets", "ISA target",
+                       "ISA target (arm, ppc)"),
+    "spec": SubjectKind(".analysis.registry:available_specs", "spec",
+                        "registered model spec name"),
+    "adl": SubjectKind(".analysis.adl:available_descriptions", "description",
+                       "registered description name (adl-*), ADL file path"),
+}
+
+
+class AnalysisTool(NamedTuple):
+    """One analysis front end, as its subcommand and ``analyze`` see it."""
+
+    name: str
+    #: rule-code prefix ("OSM" for OSM001…)
+    prefix: str
+    #: subject kind -> ``module:factory`` of the rules run on that kind
+    rules: Dict[str, str]
+    #: JSON payload key of the per-subject reports
+    key: str
+    #: ``run(kind, name, codes, args) -> report``
+    run: Callable
+    help: str
+    #: option strings of the rule-code filter
+    filter_flags: Tuple[str, ...] = ("--rules",)
+    #: tool-specific ``(option strings, add_argument kwargs)`` pairs
+    flags: Tuple = ()
+
+    @property
+    def kinds(self) -> Tuple[str, ...]:
+        return tuple(self.rules)
+
+    def rule_codes(self, kind: str) -> List[str]:
+        return [rule.code for rule in _lazy(self.rules[kind])()]
+
+
+def _lint(kind, name, codes, args):
+    from .analysis.lint import lint_spec
+    from .analysis.registry import build_spec
+
+    return lint_spec(build_spec(name), codes=codes)
+
+
+def _check(kind, name, codes, args):
+    from .analysis.check import check_model
+
+    return check_model(name, n_osms=args.n_osms, codes=codes,
+                       reduction=not args.naive, max_states=args.max_states)
+
+
+def _effects(kind, name, codes, args):
+    from .analysis.effects import compilability_report, effects_spec
+    from .analysis.registry import build_spec
+
+    spec = build_spec(name)
+    report = effects_spec(spec, codes=codes)
+    report.sections["compilability"] = compilability_report(spec, report)
+    return report
+
+
+def _audit(kind, name, codes, args):
+    from .analysis.audit import audit_isa, audit_model
+
+    return (audit_isa if kind == "isa" else audit_model)(name, codes=codes)
+
+
+def _certify(kind, name, codes, args):
+    from .analysis.certify import certify_isa, certify_spec
+    from .analysis.registry import build_spec
+
+    if kind == "isa":
+        return certify_isa(name, codes=codes)
+    return certify_spec(build_spec(name), codes=codes)
+
+
+def _adlcheck(kind, name, codes, args):
+    from .analysis.adl import adlcheck_source, available_descriptions, description_source
+
+    text = (description_source(name) if name in available_descriptions()
+            else _read_source(name))
+    try:
+        return adlcheck_source(text, unit=name, codes=codes,
+                               synth_closure=not args.no_closure)
+    except ValueError as exc:  # --rules ADL010 with --no-closure
+        raise SystemExit(str(exc))
+
+
+_SHOW_SUPPRESSED = (("--show-suppressed",), dict(
+    action="store_true", help="include suppressed findings in text output"))
+
+#: the six analysis front ends, in ``analyze`` report order; each row
+#: generates its subcommand, and ``analyze`` runs every row on each
+#: subject of a kind the row takes
+ANALYSIS_TOOLS = (
+    AnalysisTool(
+        "lint", "OSM", {"spec": ".analysis.lint.engine:default_passes"},
+        "models", _lint,
+        "static analysis (osmlint) of model specifications",
+        flags=(_SHOW_SUPPRESSED,),
+    ),
+    AnalysisTool(
+        "check", "CHK", {"spec": ".analysis.check.properties:default_properties"},
+        "models", _check,
+        "explicit-state model checking (osmcheck) of model specifications",
+        filter_flags=("--properties",),
+        flags=(
+            (("--n-osms",), dict(
+                type=int, default=2, metavar="N",
+                help="number of concurrent OSM instances to compose (default 2)")),
+            (("--naive",), dict(
+                action="store_true",
+                help="disable symmetry + partial-order reduction (full interleaving)")),
+            (("--max-states",), dict(
+                type=int, default=200_000, metavar="N",
+                help="state-count bound before the search is truncated")),
+        ),
+    ),
+    AnalysisTool(
+        "effects", "EFF", {"spec": ".analysis.effects.engine:default_passes"},
+        "models", _effects,
+        "static effect/purity analysis (effectcheck) of model specifications",
+        flags=(_SHOW_SUPPRESSED,),
+    ),
+    AnalysisTool(
+        "audit", "ISA", {"isa": ".analysis.audit.engine:default_passes",
+                         "spec": ".analysis.audit.routing:default_passes"},
+        "subjects", _audit,
+        "cross-layer ISA/model consistency audit (isaaudit)",
+        filter_flags=("--rules", "--codes"), flags=(_SHOW_SUPPRESSED,),
+    ),
+    AnalysisTool(
+        "certify", "TRV", {"isa": ".analysis.certify.engine:default_isa_passes",
+                           "spec": ".analysis.certify.engine:default_spec_passes"},
+        "subjects", _certify,
+        "translation validation (transcheck) of generated fast-path code",
+        filter_flags=("--rules", "--codes"), flags=(_SHOW_SUPPRESSED,),
+    ),
+    AnalysisTool(
+        "adlcheck", "ADL", {"adl": ".analysis.adl.engine:default_passes"},
+        "descriptions", _adlcheck,
+        "source-level semantic analysis (adlcheck) of ADL descriptions",
+        filter_flags=("--rules", "--codes"),
+        flags=(
+            (("--no-closure",), dict(
+                action="store_true",
+                help="skip the ADL010 synthesis-closure pass (source-level rules only)")),
+            _SHOW_SUPPRESSED,
+        ),
+    ),
+)
+
+
+def _resolve(kinds, names) -> List[Tuple[str, str]]:
+    """``(kind, name)`` for each subject name; ``all`` stands for every
+    registered subject of *kinds*, in kind order.  A name that is not
+    registered may be an ADL file path where *kinds* include ``adl``."""
+    import os
+
+    registered = {kind: _lazy(SUBJECT_KINDS[kind].registry)() for kind in kinds}
+    if "all" in names:
+        return [(kind, name) for kind, known in registered.items() for name in known]
+    resolved = []
+    for name in names:
+        matches = [kind for kind, known in registered.items() if name in known]
+        if not matches and "adl" in kinds and os.path.exists(name):
+            matches = ["adl"]
+        if not matches:
+            noun = " or ".join(SUBJECT_KINDS[kind].noun for kind in kinds)
+            available = ", ".join(n for known in registered.values() for n in known)
+            raise SystemExit(f"unknown {noun} {name!r}; available: {available}")
+        resolved.append((matches[0], name))
+    return resolved
+
+
+def _parse_codes(tool: AnalysisTool, text: Optional[str]):
+    """The rule filter as a code set, or None to run every rule; a filter
+    naming no code, or a code the tool does not have, is a usage error."""
+    if text is None:
+        return None
+    codes = {code.strip() for code in text.split(",")} - {""}
+    if not codes:
+        raise SystemExit(f"{tool.name}: rule filter {text!r} names no rule code")
+    known = {code for kind in tool.kinds for code in tool.rule_codes(kind)}
+    if codes - known:
+        raise SystemExit(f"unknown {tool.name} rule code(s): {sorted(codes - known)}")
+    return codes
+
+
+def _run_tool(tool: AnalysisTool, kind: str, name: str, codes, args):
+    """*tool*'s report on one subject, keyed by the subject name (a
+    registered spec's ``spec.name`` may differ)."""
+    if codes is not None:
+        codes = sorted(codes & set(tool.rule_codes(kind)))
+    report = tool.run(kind, name, codes, args)
+    report.spec = name
+    return report
+
+
+def _print_payload(tool: str, ok: bool, **sections) -> None:
     import json
 
-    from .analysis.adl import adlcheck_source, description_source
-    from .analysis.adl import available_descriptions as adl_descriptions
-    from .analysis.audit import audit_isa, audit_model
-    from .analysis.certify import certify_isa, certify_spec
-    from .analysis.check import check_model
-    from .analysis.effects import compilability_report, effects_spec
-    from .analysis.lint import lint_spec
-    from .analysis.registry import available_specs, build_spec, spec_isa
+    from .analysis.diagnostics import SCHEMA_VERSION
 
-    names = list(args.models)
-    if "all" in names:
-        names = available_specs()
-    model_sections = {}
-    isa_names = []
-    ok = True
-    for name in names:
-        try:
-            spec = build_spec(name)
-        except KeyError as exc:
-            raise SystemExit(str(exc.args[0]))
-        isa = spec_isa(name)
-        if isa not in isa_names:
-            isa_names.append(isa)
-        lint = lint_spec(spec)
-        lint.spec = name
-        check = check_model(name, n_osms=2)
-        effects = effects_spec(spec)
-        effects.spec = name
-        compilability = compilability_report(spec, effects)
-        routing = audit_model(name)
-        certify = certify_spec(spec)
-        certify.spec = name
-        reports = (lint, check, effects, routing, certify)
-        ok = ok and all(report.ok for report in reports)
-        model_sections[name] = {
-            "lint": lint.to_dict(),
-            "check": check.to_dict(),
-            "effects": {**effects.to_dict(),
-                        "compilability": compilability.to_dict()},
-            "audit": routing.to_dict(),
-            "certify": certify.to_dict(),
-        }
-        # sixth tool: specs synthesized from an ADL description also get
-        # the description-level analysis, keyed by the same name
-        adlcheck = None
-        if name in adl_descriptions():
-            adlcheck = adlcheck_source(description_source(name), unit=name)
-            ok = ok and adlcheck.ok
-            model_sections[name]["adlcheck"] = adlcheck.to_dict()
-        if not args.json:
-            print(f"== {name} ==")
-            for report in (lint, effects, routing, certify):
-                print(report.render_text(
-                    show_suppressed=args.show_suppressed))
-            print(check.render_text())
-            if adlcheck is not None:
-                print(adlcheck.render_text(
-                    show_suppressed=args.show_suppressed))
-    isa_sections = {}
-    for isa in isa_names:
-        audit = audit_isa(isa)
-        certify = certify_isa(isa)
-        ok = ok and audit.ok and certify.ok
-        isa_sections[isa] = {
-            "audit": audit.to_dict(),
-            "certify": certify.to_dict(),
-        }
-        if not args.json:
-            print(f"== {isa} (ISA) ==")
-            print(audit.render_text(show_suppressed=args.show_suppressed))
-            print(certify.render_text(show_suppressed=args.show_suppressed))
+    print(json.dumps({"tool": tool, "schema_version": SCHEMA_VERSION, "ok": ok,
+                      **sections}, indent=2))
+
+
+def cmd_tool(tool: AnalysisTool, args) -> int:
+    """One analysis front end over its subjects; exit 1 on any
+    unsuppressed error-severity finding (or violated property)."""
+    codes = _parse_codes(tool, args.rules)
+    reports = [(name, _run_tool(tool, kind, name, codes, args))
+               for kind, name in _resolve(tool.kinds, args.subjects)]
+    ok = all(report.ok for _, report in reports)
     if args.json:
-        from .analysis.diagnostics import SCHEMA_VERSION
-
-        payload = {
-            "tool": "analyze",
-            "schema_version": SCHEMA_VERSION,
-            "ok": ok,
-            "models": model_sections,
-            "isas": isa_sections,
-        }
-        print(json.dumps(payload, indent=2))
-    elif ok:
-        print("analyze: all tools clean")
+        _print_payload(tool.name, ok, **{
+            tool.key: {name: report.to_dict() for name, report in reports}})
+    else:
+        for _, report in reports:
+            print(report.render_text(show_suppressed=args.show_suppressed))
     return 0 if ok else 1
 
 
-def cmd_certify(args) -> int:
-    """Translation validation (transcheck) of generated fast-path code;
-    exit 1 on any unsuppressed error-severity finding."""
-    import json
+def cmd_analyze(args) -> int:
+    """Umbrella: every analysis tool over the named model specs (plus the
+    ADL tools for specs synthesized from a registered description) and
+    the ISAs they consume; exit 1 if any tool reports a failure.  JSON
+    mode emits one merged report, a section per tool per subject."""
+    from .analysis.adl import available_descriptions
+    from .analysis.registry import spec_isa
 
-    from .analysis.certify import (
-        DEFAULT_PASSES,
-        ISA_CODES,
-        SPEC_CODES,
-        certify_isa,
-        certify_spec,
-    )
-    from .analysis.audit.targets import available_targets
-    from .analysis.registry import available_specs, build_spec
-
-    targets = available_targets()
-    specs = available_specs()
-    names = list(args.subjects)
-    if "all" in names:
-        names = targets + specs
-    codes = None
-    if args.rules:
-        codes = {code.strip() for code in args.rules.split(",") if code.strip()}
-        unknown = codes - set(DEFAULT_PASSES)
-        if unknown:
-            raise SystemExit(f"unknown certify rule code(s): {sorted(unknown)}")
-    reports = []
-    for name in names:
-        if name in targets:
-            subject_codes = None if codes is None else sorted(codes & set(ISA_CODES))
-            report = certify_isa(name, codes=subject_codes)
-        elif name in specs:
-            subject_codes = None if codes is None else sorted(codes & set(SPEC_CODES))
-            spec = build_spec(name)
-            report = certify_spec(spec, codes=subject_codes)
-            report.spec = name  # key by registry name (spec.name may differ)
-        else:
-            raise SystemExit(
-                f"unknown certify subject {name!r}; ISA targets: "
-                f"{', '.join(targets)}; model specs: {', '.join(specs)}"
-            )
-        reports.append((name, report))
+    names = [name for _, name in _resolve(("spec",), args.subjects)]
+    subjects = [("models", name, ("spec", "adl") if name in available_descriptions()
+                 else ("spec",)) for name in names]
+    subjects += [("isas", isa, ("isa",))
+                 for isa in dict.fromkeys(spec_isa(name) for name in names)]
+    payload = {"models": {}, "isas": {}}
+    ok = True
+    for key, name, kinds in subjects:
+        if not args.json:
+            print(f"== {name} ==" if key == "models" else f"== {name} (ISA) ==")
+        section = payload[key][name] = {}
+        for kind in kinds:
+            for tool in ANALYSIS_TOOLS:
+                if kind in tool.rules:
+                    report = _run_tool(tool, kind, name, None, args)
+                    ok = ok and report.ok
+                    section[tool.name] = report.to_dict()
+                    if not args.json:
+                        print(report.render_text(show_suppressed=args.show_suppressed))
     if args.json:
-        from .analysis.diagnostics import SCHEMA_VERSION
-
-        payload = {
-            "tool": "certify",
-            "schema_version": SCHEMA_VERSION,
-            "ok": all(report.ok for _, report in reports),
-            "subjects": {name: report.to_dict() for name, report in reports},
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for name, report in reports:
-            print(report.render_text(show_suppressed=args.show_suppressed))
-    return 0 if all(report.ok for _, report in reports) else 1
-
-
-def cmd_lint(args) -> int:
-    """Lint one or more model specifications; exit 1 on any unsuppressed
-    error-severity finding."""
-    import json
-
-    from .analysis.lint import available_specs, build_spec, lint_spec
-
-    names = list(args.models)
-    if "all" in names:
-        names = available_specs()
-    codes = None
-    if args.rules:
-        codes = [code.strip() for code in args.rules.split(",") if code.strip()]
-    reports = []
-    for name in names:
-        try:
-            spec = build_spec(name)
-        except KeyError as exc:
-            raise SystemExit(str(exc.args[0]))
-        try:
-            report = lint_spec(spec, codes=codes)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        # key the report by its registry name (spec.name may differ)
-        report.spec = name
-        reports.append((name, report))
-    if args.json:
-        from .analysis.diagnostics import SCHEMA_VERSION
-
-        payload = {
-            "tool": "lint",
-            "schema_version": SCHEMA_VERSION,
-            "ok": all(report.ok for _, report in reports),
-            "models": {name: report.to_dict() for name, report in reports},
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for name, report in reports:
-            print(report.render_text(show_suppressed=args.show_suppressed))
-    return 0 if all(report.ok for _, report in reports) else 1
-
-
-def cmd_check(args) -> int:
-    """Model-check one or more specifications (via the pure-token
-    abstraction); exit 1 on any violated property or truncated search."""
-    import json
-
-    from .analysis.check import check_model
-    from .analysis.registry import available_specs
-
-    names = list(args.models)
-    if "all" in names:
-        names = available_specs()
-    codes = None
-    if args.properties:
-        codes = [code.strip() for code in args.properties.split(",") if code.strip()]
-    reports = []
-    for name in names:
-        try:
-            report = check_model(
-                name,
-                n_osms=args.n_osms,
-                codes=codes,
-                reduction=not args.naive,
-                max_states=args.max_states,
-            )
-        except KeyError as exc:
-            raise SystemExit(str(exc.args[0]))
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        reports.append((name, report))
-    if args.json:
-        from .analysis.diagnostics import SCHEMA_VERSION
-
-        payload = {
-            "tool": "check",
-            "schema_version": SCHEMA_VERSION,
-            "ok": all(report.ok for _, report in reports),
-            "models": {name: report.to_dict() for name, report in reports},
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for name, report in reports:
-            print(report.render_text())
-    return 0 if all(report.ok for _, report in reports) else 1
-
-
-def cmd_audit(args) -> int:
-    """Audit ISA encoding/hazard consistency (per-ISA rules ISA001–ISA007)
-    and model unit routing (ISA008); exit 1 on any unsuppressed
-    error-severity finding."""
-    import json
-
-    from .analysis.audit import (
-        DEFAULT_PASSES,
-        ROUTING_CODE,
-        audit_isa,
-        audit_model,
-        available_targets,
-    )
-    from .analysis.registry import available_specs
-
-    targets = available_targets()
-    specs = available_specs()
-    names = list(args.subjects)
-    if "all" in names:
-        names = targets + specs
-    codes = None
-    if args.rules:
-        codes = {code.strip() for code in args.rules.split(",") if code.strip()}
-        unknown = codes - set(DEFAULT_PASSES) - {ROUTING_CODE}
-        if unknown:
-            raise SystemExit(f"unknown audit rule code(s): {sorted(unknown)}")
-    reports = []
-    for name in names:
-        if name in targets:
-            subject_codes = None if codes is None else sorted(codes & set(DEFAULT_PASSES))
-            report = audit_isa(name, codes=subject_codes)
-        elif name in specs:
-            subject_codes = None if codes is None else sorted(codes & {ROUTING_CODE})
-            report = audit_model(name, codes=subject_codes)
-        else:
-            raise SystemExit(
-                f"unknown audit subject {name!r}; ISA targets: "
-                f"{', '.join(targets)}; model specs: {', '.join(specs)}"
-            )
-        reports.append((name, report))
-    if args.json:
-        from .analysis.diagnostics import SCHEMA_VERSION
-
-        payload = {
-            "tool": "audit",
-            "schema_version": SCHEMA_VERSION,
-            "ok": all(report.ok for _, report in reports),
-            "subjects": {name: report.to_dict() for name, report in reports},
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for name, report in reports:
-            print(report.render_text(show_suppressed=args.show_suppressed))
-    return 0 if all(report.ok for _, report in reports) else 1
-
-
-def cmd_effects(args) -> int:
-    """Effect/purity analysis (effectcheck) of one or more model specs;
-    exit 1 on any unsuppressed error-severity finding."""
-    import json
-
-    from .analysis.effects import (
-        build_spec,
-        compilability_report,
-        effects_spec,
-    )
-    from .analysis.registry import available_specs
-
-    names = list(args.models)
-    if "all" in names:
-        names = available_specs()
-    codes = None
-    if args.rules:
-        codes = [code.strip() for code in args.rules.split(",") if code.strip()]
-    results = []
-    for name in names:
-        try:
-            spec = build_spec(name)
-        except KeyError as exc:
-            raise SystemExit(str(exc.args[0]))
-        try:
-            report = effects_spec(spec, codes=codes)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        report.spec = name  # key by registry name (spec.name may differ)
-        results.append((name, report, compilability_report(spec, report)))
-    if args.json:
-        from .analysis.diagnostics import SCHEMA_VERSION
-
-        payload = {
-            "tool": "effects",
-            "schema_version": SCHEMA_VERSION,
-            "ok": all(report.ok for _, report, _ in results),
-            "models": {
-                name: {
-                    **report.to_dict(),
-                    "compilability": comp.to_dict(),
-                }
-                for name, report, comp in results
-            },
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for name, report, comp in results:
-            print(report.render_text(show_suppressed=args.show_suppressed))
-            verdict = (
-                "fully compilable"
-                if comp.fully_compilable
-                else f"{len(comp.fusable_states)}/{len(comp.verdicts)} states "
-                     f"fusable, {len(comp.unsafe_edges)} unsafe edge(s)"
-            )
-            print(f"{name}: compilability: {verdict}")
-    return 0 if all(report.ok for _, report, _ in results) else 1
-
-
-def cmd_adlcheck(args) -> int:
-    """Source-level semantic analysis (adlcheck) of ADL descriptions;
-    exit 1 on any unsuppressed error-severity finding (including parse
-    failures, reported as a located ``ADL000``)."""
-    import json
-    import os
-
-    from .analysis.adl import (
-        DEFAULT_PASSES,
-        adlcheck_source,
-        available_descriptions,
-        description_source,
-    )
-
-    registered = available_descriptions()
-    names = list(args.subjects)
-    if "all" in names:
-        names = registered
-    codes = None
-    if args.rules:
-        codes = {code.strip() for code in args.rules.split(",") if code.strip()}
-        unknown = codes - set(DEFAULT_PASSES)
-        if unknown:
-            raise SystemExit(f"unknown adlcheck rule code(s): {sorted(unknown)}")
-    reports = []
-    for name in names:
-        if name in registered:
-            text = description_source(name)
-        elif os.path.exists(name):
-            text = _read_source(name)
-        else:
-            raise SystemExit(
-                f"unknown description {name!r}: not a registered name "
-                f"({', '.join(registered)}) and no such file"
-            )
-        try:
-            report = adlcheck_source(
-                text, unit=name, codes=codes,
-                synth_closure=not args.no_closure,
-            )
-        except ValueError as exc:  # e.g. --rules ADL010 with --no-closure
-            raise SystemExit(str(exc))
-        reports.append((name, report))
-    if args.json:
-        from .analysis.diagnostics import SCHEMA_VERSION
-
-        payload = {
-            "tool": "adlcheck",
-            "schema_version": SCHEMA_VERSION,
-            "ok": all(report.ok for _, report in reports),
-            "descriptions": {name: report.to_dict() for name, report in reports},
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for name, report in reports:
-            print(report.render_text(show_suppressed=args.show_suppressed))
-    return 0 if all(report.ok for _, report in reports) else 1
+        _print_payload("analyze", ok, **payload)
+    elif ok:
+        print("analyze: all tools clean")
+    return 0 if ok else 1
 
 
 #: models benched by ``bench --model cases`` (one per bundled ISA)
@@ -981,6 +822,46 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
+def _add_analysis_parsers(sub) -> None:
+    """The ``analyze`` umbrella and one subcommand per analysis tool,
+    generated from :data:`ANALYSIS_TOOLS`."""
+    import functools
+
+    # analyze passes its args to every tool: give it their flag defaults
+    flag_defaults = argparse.ArgumentParser(add_help=False, conflict_handler="resolve")
+    for tool in ANALYSIS_TOOLS:
+        for flags, kwargs in tool.flags:
+            flag_defaults.add_argument(*flags, **kwargs)
+    analyze = sub.add_parser(
+        "analyze",
+        help=f"run all {len(ANALYSIS_TOOLS)} analysis tools "
+             f"({', '.join(tool.name for tool in ANALYSIS_TOOLS)}) over model "
+             "specs (merged report)",
+    )
+    analyze.add_argument("subjects", nargs="+", metavar="MODEL",
+                         help="registered spec name(s), or 'all'")
+    analyze.add_argument("--json", action="store_true",
+                         help="one merged machine-readable report")
+    analyze.add_argument(*_SHOW_SUPPRESSED[0], **_SHOW_SUPPRESSED[1])
+    analyze.set_defaults(func=cmd_analyze, **vars(flag_defaults.parse_args([])))
+
+    for tool in ANALYSIS_TOOLS:
+        parser = sub.add_parser(tool.name, help=tool.help)
+        parser.add_argument(
+            "subjects", nargs="+",
+            metavar="MODEL" if tool.kinds == ("spec",) else "SUBJECT",
+            help=", ".join(SUBJECT_KINDS[kind].help for kind in tool.kinds) + ", or 'all'",
+        )
+        parser.add_argument("--json", action="store_true", help="machine-readable output")
+        parser.add_argument(
+            *tool.filter_flags, dest="rules", metavar="CODES",
+            help=f"comma-separated {tool.prefix} rule codes to run (default: all)",
+        )
+        for flags, kwargs in tool.flags:
+            parser.add_argument(*flags, **kwargs)
+        parser.set_defaults(func=functools.partial(cmd_tool, tool), show_suppressed=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="OSM retargetable microprocessor simulation"
@@ -1002,145 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     asm.add_argument("--isa", default="arm", choices=("arm", "ppc"))
     asm.set_defaults(func=cmd_asm)
 
-    analyze = sub.add_parser(
-        "analyze",
-        help="run all five analysis tools over model specs (merged report)",
-    )
-    analyze.add_argument(
-        "models", nargs="+", metavar="MODEL",
-        help="registered spec name(s), or 'all'",
-    )
-    analyze.add_argument("--json", action="store_true",
-                         help="one merged machine-readable report")
-    analyze.add_argument(
-        "--show-suppressed", action="store_true",
-        help="include suppressed findings in text output",
-    )
-    analyze.set_defaults(func=cmd_analyze)
-
-    lint = sub.add_parser(
-        "lint", help="static analysis (osmlint) of model specifications"
-    )
-    lint.add_argument(
-        "models", nargs="+", metavar="MODEL",
-        help="registered spec name(s), or 'all'",
-    )
-    lint.add_argument("--json", action="store_true", help="machine-readable output")
-    lint.add_argument(
-        "--rules", help="comma-separated rule codes to run (default: all)"
-    )
-    lint.add_argument(
-        "--show-suppressed", action="store_true",
-        help="include suppressed findings in text output",
-    )
-    lint.set_defaults(func=cmd_lint)
-
-    checker = sub.add_parser(
-        "check", help="explicit-state model checking (osmcheck) of model specifications"
-    )
-    checker.add_argument(
-        "models", nargs="+",
-        help="registered model names, or 'all' for every registered spec",
-    )
-    checker.add_argument("--json", action="store_true", help="machine-readable output")
-    checker.add_argument(
-        "--n-osms", type=int, default=2, metavar="N",
-        help="number of concurrent OSM instances to compose (default 2)",
-    )
-    checker.add_argument(
-        "--naive", action="store_true",
-        help="disable symmetry + partial-order reduction (full interleaving)",
-    )
-    checker.add_argument(
-        "--max-states", type=int, default=200_000, metavar="N",
-        help="state-count bound before the search is truncated",
-    )
-    checker.add_argument(
-        "--properties", metavar="CODES",
-        help="comma-separated property codes to check (e.g. CHK001,CHK004)",
-    )
-    checker.set_defaults(func=cmd_check)
-
-    audit = sub.add_parser(
-        "audit",
-        help="cross-layer ISA/model consistency audit (isaaudit)",
-    )
-    audit.add_argument(
-        "subjects", nargs="+", metavar="SUBJECT",
-        help="ISA target (arm, ppc), registered model spec name, or 'all'",
-    )
-    audit.add_argument("--json", action="store_true", help="machine-readable output")
-    audit.add_argument(
-        "--rules", "--codes", dest="rules", metavar="CODES",
-        help="comma-separated rule codes to run (e.g. ISA003,ISA008)",
-    )
-    audit.add_argument(
-        "--show-suppressed", action="store_true",
-        help="include suppressed findings in text output",
-    )
-    audit.set_defaults(func=cmd_audit)
-
-    effects = sub.add_parser(
-        "effects",
-        help="static effect/purity analysis (effectcheck) of model specifications",
-    )
-    effects.add_argument(
-        "models", nargs="+", metavar="MODEL",
-        help="registered spec name(s), or 'all'",
-    )
-    effects.add_argument("--json", action="store_true", help="machine-readable output")
-    effects.add_argument(
-        "--rules", metavar="CODES",
-        help="comma-separated rule codes to run (e.g. EFF001,EFF004)",
-    )
-    effects.add_argument(
-        "--show-suppressed", action="store_true",
-        help="include suppressed findings in text output",
-    )
-    effects.set_defaults(func=cmd_effects)
-
-    certify = sub.add_parser(
-        "certify",
-        help="translation validation (transcheck) of generated fast-path code",
-    )
-    certify.add_argument(
-        "subjects", nargs="+", metavar="SUBJECT",
-        help="ISA target (arm, ppc), registered model spec name, or 'all'",
-    )
-    certify.add_argument("--json", action="store_true", help="machine-readable output")
-    certify.add_argument(
-        "--rules", "--codes", dest="rules", metavar="CODES",
-        help="comma-separated rule codes to run (e.g. TRV001,TRV003)",
-    )
-    certify.add_argument(
-        "--show-suppressed", action="store_true",
-        help="include suppressed findings in text output",
-    )
-    certify.set_defaults(func=cmd_certify)
-
-    adlcheck = sub.add_parser(
-        "adlcheck",
-        help="source-level semantic analysis (adlcheck) of ADL descriptions",
-    )
-    adlcheck.add_argument(
-        "subjects", nargs="+", metavar="SUBJECT",
-        help="registered description name (adl-*), ADL file path, or 'all'",
-    )
-    adlcheck.add_argument("--json", action="store_true",
-                          help="machine-readable output")
-    adlcheck.add_argument(
-        "--rules", "--codes", dest="rules", metavar="CODES",
-        help="comma-separated rule codes to run (e.g. ADL001,ADL010)",
-    )
-    adlcheck.add_argument(
-        "--no-closure", action="store_true",
-        help="skip the ADL010 synthesis-closure pass (source-level rules only)",
-    )
-    adlcheck.add_argument(
-        "--show-suppressed", action="store_true",
-        help="include suppressed findings in text output",
-    )
-    adlcheck.set_defaults(func=cmd_adlcheck)
+    _add_analysis_parsers(sub)
 
     bench = sub.add_parser("bench", help="measure simulation speed")
     bench.add_argument("--model", default="cases",

@@ -1,8 +1,12 @@
-"""Instruction-set simulators (interpreted and dynamically compiled) and
-the functional oracle."""
+"""Instruction-set simulators and the functional oracle.
 
-from .compiled import (CompiledArmInterpreter, CompiledInterpreter,
-                       CompiledPpcInterpreter)
+Per ISA, the plain interpreter (``specialize=False``) is the reference;
+the default specialised interpreter runs execgen executors block at a
+time, and on ARM the dynamically-compiling ISS translates whole blocks
+to Python source.
+"""
+
+from .compiled import CompiledArmInterpreter
 from .decode_cache import DecodeCache, DecodedBlock
 from .interpreter import ArmInterpreter, BaseInterpreter, IssError, PpcInterpreter
 from .oracle import ExecRecord, Oracle
@@ -13,8 +17,6 @@ __all__ = [
     "ArchState",
     "ArmInterpreter",
     "CompiledArmInterpreter",
-    "CompiledInterpreter",
-    "CompiledPpcInterpreter",
     "DecodeCache",
     "DecodedBlock",
     "BaseInterpreter",

@@ -2,25 +2,28 @@
 
 Section 1 of the paper classifies fast ISS techniques: interpreted
 simulation, statically-compiled simulation [Pees et al.] and
-dynamically-compiled simulation [Shade].  :class:`CompiledInterpreter`
+dynamically-compiled simulation [Shade].  :class:`CompiledArmInterpreter`
 implements the dynamic variant over the shared decode cache's basic-block
 layer: the first time control reaches an address, the block starting
-there is bound to a specialised function and cached on the
+there is translated to a specialised function and cached on the
 :class:`~repro.iss.decode_cache.DecodedBlock`; subsequent visits run the
 function directly, eliminating per-instruction decode and dispatch, and
 a store over translated code invalidates decode and translation together.
 
-The ARM target translates whole blocks to Python source
-(:class:`BlockTranslator`): register numbers, immediates, shift amounts
-and condition tests become literals, and NZCV flags live in local
-variables across the block, spilling only at block exit.  The PPC target
-chains the per-instruction executors bound by
-:mod:`repro.isa.ppc.execgen`.  Blocks end at control transfers
-(branches, mov-to-pc, swi/sc) or after ``MAX_BLOCK_LEN`` instructions.
+The translation (:class:`BlockTranslator`) emits whole-block Python
+source: register numbers, immediates, shift amounts and condition tests
+become literals, and NZCV flags live in local variables across the
+block, spilling only at block exit.  Blocks end at control transfers
+(branches, mov-to-pc, swi) or after ``MAX_BLOCK_LEN`` instructions.
 
-Both compiled ISSs are drop-in compatible with their interpreters (same
-architectural state, same syscalls) and are differentially tested
-against them; the speed ratio is reported by
+The PPC target has no compiled ISS: its specialised interpreter
+(:class:`~repro.iss.interpreter.PpcInterpreter`) already runs
+block-at-a-time over the execgen executors, and chaining the same
+executors under a compiled-ISS loop measured no faster.
+
+The compiled ISS is drop-in compatible with its interpreter (same
+architectural state, same syscalls) and is differentially tested
+against it; the speed ratio is reported by
 ``benchmarks/bench_compiled_iss.py``.
 """
 
@@ -31,7 +34,7 @@ from typing import Callable, List, Optional, Tuple
 from ..isa.arm.decode import ArmInstruction
 from ..isa.arm.isa import PC
 from ..isa.program import Program
-from .interpreter import ArmInterpreter, IssError, PpcInterpreter
+from .interpreter import ArmInterpreter, IssError
 
 MAX_BLOCK_LEN = 64
 
@@ -411,40 +414,24 @@ def _sub(a: int, b: int, carry: int = 1):
     return _add(a, (~b) & 0xFFFFFFFF, carry)
 
 
-class CompiledInterpreter:
-    """Shade-style dynamically-compiling ISS, generic over the target.
+class CompiledArmInterpreter:
+    """Shade-style dynamically-compiling ISS for the ARM-like target.
 
     Basic blocks come from the shared :class:`~repro.iss.decode_cache.
     DecodeCache` (discovered at fetch time, invalidated by overlapping
     writes), and each block's translation is cached *on the block
     object* — so a store over translated code drops the stale
-    translation together with the stale decode, fixing the seed
-    organisation where the compiled ISS kept a private, never-invalidated
-    block table.
-
-    The generic translation chains the per-instruction ``exec_fn``
-    executors the ISA's execgen bound when the block was built (how the
-    PPC target benefits from the block machinery); the ARM subclass
-    overrides it with whole-block translation via :class:`BlockTranslator`,
-    which additionally caches registers and flags in locals across the
-    block.
+    translation together with the stale decode.
     """
 
-    #: the interpreter supplying state/syscalls/decode (subclasses set)
-    fallback_class: type = None  # type: ignore[assignment]
-    #: whether the fallback should bind per-instruction executors (the
-    #: whole-block ARM translator makes them redundant work)
-    fallback_specialize = True
-
     def __init__(self, program: Program, stdin: bytes = b"", stack_top: int = 0x80000):
-        # reuse the interpreter's state/syscall construction
-        self._fallback = self.fallback_class(
-            program, stdin=stdin, stack_top=stack_top,
-            specialize=self.fallback_specialize,
-        )
-        self.state = self._fallback.state
-        self.syscalls = self._fallback.syscalls
-        self.decode_cache = self._fallback.decode_cache
+        # the plain interpreter supplies state, syscalls and the decode
+        # cache; whole-block translation makes execgen executors redundant
+        interpreter = ArmInterpreter(program, stdin=stdin, stack_top=stack_top,
+                                     specialize=False)
+        self.state = interpreter.state
+        self.syscalls = interpreter.syscalls
+        self.decode_cache = interpreter.decode_cache
         self.program = program
         self.blocks_compiled = 0
         self.block_runs = 0
@@ -452,26 +439,29 @@ class CompiledInterpreter:
     # -- translation -----------------------------------------------------------
 
     def _translate_block(self, block) -> Callable:
-        """``fn(state, syscalls) -> next_pc`` chaining the block's
-        pre-bound executors (interpreter fallback per instruction)."""
-        execute = self._fallback._execute
-        instrs = block.instrs
-
-        def run_block(state, syscalls, instrs=instrs, block=block, execute=execute):
-            for instr in instrs:
-                if not block.valid:
-                    break  # self-modified under our feet: re-fetch
-                fn = instr.exec_fn
-                if fn is not None:
-                    fn(state)
-                else:
-                    execute(instr)
-                state.instret += 1
-                if state.halted:
-                    break
-            return state.pc
-
-        return run_block
+        """``fn(state, syscalls) -> next_pc`` for *block*, compiled from
+        :class:`BlockTranslator` source."""
+        translator = BlockTranslator()
+        count = 0
+        return_expr: Optional[str] = None
+        for instr in block.instrs:
+            if instr.kind == "udf":
+                raise IssError(
+                    f"undefined instruction at {instr.addr:#x}: {instr.word:#010x}")
+            count += 1
+            translator.instr_count = count
+            return_expr = translator.translate(instr)
+        if return_expr is None:
+            # block-length limit (or decode ran off memory): continue at
+            # the next sequential address
+            return_expr = str(block.end & 0xFFFFFFFF)
+        entry = block.entry
+        source = translator.build(entry, count, return_expr)
+        namespace = {"_add": _add, "_sub": _sub, "_b": block}
+        exec(compile(source, f"<block {entry:#x}>", "exec"), namespace)
+        fn = namespace[f"_block_{entry:x}"]
+        fn.__block_source__ = source  # transcheck introspection (TRV005)
+        return fn
 
     # -- execution ----------------------------------------------------------------
 
@@ -496,41 +486,3 @@ class CompiledInterpreter:
     @property
     def steps(self) -> int:
         return self.state.instret
-
-
-class CompiledArmInterpreter(CompiledInterpreter):
-    """Dynamically-compiling ISS for the ARM-like target: whole-block
-    translation to Python source with registers and flags in locals."""
-
-    fallback_class = ArmInterpreter
-    fallback_specialize = False
-
-    def _translate_block(self, block) -> Callable:
-        translator = BlockTranslator()
-        count = 0
-        return_expr: Optional[str] = None
-        for instr in block.instrs:
-            if instr.kind == "udf":
-                raise IssError(
-                    f"undefined instruction at {instr.addr:#x}: {instr.word:#010x}")
-            count += 1
-            translator.instr_count = count
-            return_expr = translator.translate(instr)
-        if return_expr is None:
-            # block-length limit (or decode ran off memory): continue at
-            # the next sequential address
-            return_expr = str(block.end & 0xFFFFFFFF)
-        entry = block.entry
-        source = translator.build(entry, count, return_expr)
-        namespace = {"_add": _add, "_sub": _sub, "_b": block}
-        exec(compile(source, f"<block {entry:#x}>", "exec"), namespace)
-        fn = namespace[f"_block_{entry:x}"]
-        fn.__block_source__ = source  # transcheck introspection (TRV005)
-        return fn
-
-
-class CompiledPpcInterpreter(CompiledInterpreter):
-    """Dynamically-compiling ISS for the PowerPC-like target, running the
-    execgen-specialised executor chain block at a time."""
-
-    fallback_class = PpcInterpreter

@@ -416,8 +416,7 @@ class TestInlineContract:
                 self.fn = fn
 
         class _Ctx:
-            class spec:
-                name = "inline-fixture"
+            subject = "inline-fixture"
 
             def __init__(self, fn):
                 self.ident_sites = [_Site(fn)]

@@ -1,12 +1,18 @@
-"""The legacy ``analysis.deadlock`` / ``analysis.reachability``
-deprecation shims are gone: :mod:`repro.analysis.lint.graph` is the
-single owner of the spec-graph analyses.
+"""The legacy compatibility shims are gone: ``analysis.deadlock`` /
+``analysis.reachability`` (:mod:`repro.analysis.lint.graph` is the
+single owner of the spec-graph analyses), ``analysis.modelcheck``
+(:func:`repro.analysis.check.check_system` replaced it), and the
+osmlint-era ``analysis.lint.registry`` / ``analysis.lint.diagnostics``
+(:mod:`repro.analysis.registry` and :mod:`repro.analysis.diagnostics`
+are the only import paths).
 
 Coverage here pins two things: the old import paths are really removed
 (so nothing silently resurrects them), and the graph analyses still
 agree with the osmcheck model checker's ground truth on every bundled
 spec — the cross-validation the shim tests used to carry.
 """
+
+import importlib
 
 import pytest
 
@@ -24,11 +30,30 @@ class TestShimRemoval:
         with pytest.raises(ImportError):
             import repro.analysis.reachability  # noqa: F401
 
+    @pytest.mark.parametrize("module", [
+        "repro.analysis.modelcheck",
+        "repro.analysis.lint.registry",
+        "repro.analysis.lint.diagnostics",
+    ])
+    def test_osmlint_era_shims_removed(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
     def test_package_no_longer_exposes_shim_modules(self):
         import repro.analysis as analysis
 
-        assert "deadlock" not in analysis.__all__
-        assert "reachability" not in analysis.__all__
+        for name in ("deadlock", "reachability", "modelcheck", "model_check",
+                     "ModelCheckReport", "LintReport"):
+            assert name not in analysis.__all__
+            assert not hasattr(analysis, name)
+
+    @pytest.mark.parametrize("package", ["repro.analysis", "repro.analysis.lint",
+                                         "repro.analysis.effects",
+                                         "repro.analysis.certify"])
+    def test_registry_has_one_import_path(self, package):
+        module = importlib.import_module(package)
+        for name in ("available_specs", "build_spec", "register_spec"):
+            assert not hasattr(module, name), (package, name)
 
     def test_lint_graph_owns_the_analyses(self):
         import repro.analysis as analysis

@@ -9,13 +9,8 @@ as a token-leak diagnostic.
 
 import pytest
 
-from repro.analysis.lint import (
-    Severity,
-    analyze_buffers,
-    available_specs,
-    build_spec,
-    lint_spec,
-)
+from repro.analysis.lint import Severity, analyze_buffers, lint_spec
+from repro.analysis.registry import available_specs, build_spec
 from repro.core import (
     ALWAYS,
     Allocate,

@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from repro.analysis.lint import register_spec
-from repro.analysis.lint.registry import _REGISTRY
+from repro.analysis.registry import _REGISTRY, register_spec
 from repro.cli import main
 from repro.core import ALWAYS, Allocate, Condition, MachineSpec, SlotManager
 

@@ -1,8 +1,12 @@
-"""Tests for the bounded model checker."""
+"""Closed token systems through the model checker's ground-truth entry
+point, :func:`repro.analysis.check.check_system`.
 
-import pytest
+``reduction=False`` explores every interleaving (every director
+schedule); a configuration in which no OSM can ever fire again is a
+CHK004 (deadlock) finding.
+"""
 
-from repro.analysis.modelcheck import check
+from repro.analysis.check import check_system
 from repro.core import (
     ALWAYS,
     Allocate,
@@ -72,32 +76,38 @@ def crossing_machine():
 
 class TestModelCheck:
     def test_linear_pipeline_is_safe(self):
-        report = check(linear_pipeline, n_osms=3, all_orders=True)
-        assert report.safe
+        spec, managers = linear_pipeline()
+        report = check_system(spec, managers, n_osms=3, reduction=False)
+        assert report.ok
         assert report.n_states > 3
 
     def test_all_orders_explores_more_than_one_schedule(self):
-        single = check(linear_pipeline, n_osms=3, all_orders=False)
-        every = check(linear_pipeline, n_osms=3, all_orders=True)
+        spec, managers = linear_pipeline()
+        single = check_system(spec, managers, n_osms=3, reduction=True)
+        spec, managers = linear_pipeline()
+        every = check_system(spec, managers, n_osms=3, reduction=False)
         assert every.n_transitions >= single.n_transitions
 
     def test_leak_detected_as_violation(self):
         # the OSM layer refuses buffer-carrying returns to I at commit
-        # time; the checker catches that and reports it as a violation
-        # (with a counterexample trace, via the new check package)
-        report = check(leaky_machine, n_osms=1)
-        assert not report.safe
-        assert any("still holding" in v for v in report.violations)
+        # time; the checker reports that as a violation with a trace
+        spec, managers = leaky_machine()
+        report = check_system(spec, managers, n_osms=1, reduction=False)
+        assert not report.ok
+        assert any("still holding" in d.message for d in report.diagnostics)
 
     def test_trap_state_reported(self):
-        report = check(trap_machine, n_osms=1)
-        assert not report.safe
-        assert report.trapped_states
+        spec, managers = trap_machine()
+        report = check_system(spec, managers, n_osms=1, reduction=False)
+        assert not report.ok
+        assert report.by_code("CHK004")
 
     def test_crossing_deadlock_found_by_exhaustive_search(self):
         """With 2 OSMs, one order reaches (HoldA, HoldB): both stuck."""
-        report = check(crossing_machine, n_osms=2, all_orders=True)
-        assert report.trapped_states  # the deadlocked configuration
+        spec, managers = crossing_machine()
+        report = check_system(spec, managers, n_osms=2, reduction=False)
+        (deadlock,) = report.by_code("CHK004")  # the deadlocked configuration
+        assert deadlock.state is not None and deadlock.trace is not None
         # and the static analysis agrees there is a cycle
         from repro.analysis.lint.graph import analyze_deadlock
 
@@ -105,10 +115,13 @@ class TestModelCheck:
         assert not analyze_deadlock(spec).deadlock_free
 
     def test_single_osm_cannot_deadlock_the_crossing(self):
-        report = check(crossing_machine, n_osms=1)
-        assert not report.trapped_states
+        spec, managers = crossing_machine()
+        report = check_system(spec, managers, n_osms=1, reduction=False)
+        assert not report.by_code("CHK004")
 
     def test_truncation_reported(self):
-        report = check(linear_pipeline, n_osms=4, max_states=5)
+        spec, managers = linear_pipeline()
+        report = check_system(spec, managers, n_osms=4, reduction=False,
+                              max_states=5)
         assert report.truncated
-        assert not report.safe
+        assert not report.ok

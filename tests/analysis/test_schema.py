@@ -1,27 +1,21 @@
 """Cross-tool JSON schema stability.
 
-All six analysis front ends — osmlint (``repro lint``), osmcheck
-(``repro check``), isaaudit (``repro audit``), effectcheck
-(``repro effects``), transcheck (``repro certify``) and adlcheck
-(``repro adlcheck``) — emit the
-shared diagnostics schema of :mod:`repro.analysis.diagnostics`.  These tests pin the contract
-downstream consumers (CI artifact diffing, dashboards) dispatch on:
-a ``tool`` name, the ``schema_version``, and rule codes of the shape
-``ABC123``.
+Every analysis front end — one row each of :data:`repro.cli.ANALYSIS_TOOLS`
+(``repro lint``, ``check``, ``effects``, ``audit``, ``certify``,
+``adlcheck``) — emits the shared diagnostics schema of
+:mod:`repro.analysis.diagnostics`.  These tests pin the contract
+downstream consumers (CI artifact diffing, dashboards) dispatch on: a
+``tool`` name, the ``schema_version``, and rule codes of the shape
+``ABC123`` under the tool's own prefix.  The tool list and the prefixes
+come from the table, so a new front end is covered by adding its row.
 """
 
 import re
 
 import pytest
 
-from repro.analysis.adl import adlcheck_source, description_source
-from repro.analysis.audit import audit_target, build_target
-from repro.analysis.certify import certify_spec
-from repro.analysis.check import check_model
 from repro.analysis.diagnostics import SCHEMA_VERSION
-from repro.analysis.effects import effects_spec
-from repro.analysis.lint import lint_spec
-from repro.analysis.registry import build_spec
+from repro.cli import ANALYSIS_TOOLS, build_parser
 
 RULE_CODE = re.compile(r"^[A-Z]{3}\d{3}$")
 
@@ -31,68 +25,42 @@ DIAGNOSTIC_KEYS = {
     "suppressed",
 }
 
+#: the subject a tool's report is sampled on, by subject kind
+SAMPLE_SUBJECT = {"spec": "pipeline5", "isa": "arm", "adl": "adl-pipeline5"}
 
-def _lint_report():
-    return "lint", lint_spec(build_spec("pipeline5")).to_dict()
-
-
-def _check_report():
-    return "check", check_model("pipeline5", n_osms=2).to_dict()
+TOOLS = {tool.name: tool for tool in ANALYSIS_TOOLS}
 
 
-def _audit_report():
-    return "audit", audit_target(build_target("arm"), codes=["ISA003"]).to_dict()
-
-
-def _effects_report():
-    return "effects", effects_spec(build_spec("pipeline5")).to_dict()
-
-
-def _certify_report():
-    return "certify", certify_spec(build_spec("pipeline5")).to_dict()
-
-
-def _adlcheck_report():
-    # source-level rules only: the ADL010 closure re-runs three other
-    # tools, which this schema test does not need
-    return "adlcheck", adlcheck_source(
-        description_source("adl-pipeline5"), unit="adl-pipeline5",
-        synth_closure=False,
-    ).to_dict()
-
-
-REPORTS = {
-    "lint": _lint_report,
-    "check": _check_report,
-    "audit": _audit_report,
-    "effects": _effects_report,
-    "certify": _certify_report,
-    "adlcheck": _adlcheck_report,
-}
+def _report(tool):
+    """The tool's report on a sample subject of its last subject kind,
+    run through the table row with its subcommand's default flags."""
+    kind = tool.kinds[-1]
+    subject = SAMPLE_SUBJECT[kind]
+    args = build_parser().parse_args([tool.name, subject])
+    return tool.run(kind, subject, None, args).to_dict()
 
 
 @pytest.fixture(scope="module")
 def payloads():
-    return {name: build() for name, build in REPORTS.items()}
+    return {name: _report(tool) for name, tool in TOOLS.items()}
 
 
-@pytest.mark.parametrize("tool", sorted(REPORTS))
+@pytest.mark.parametrize("tool", sorted(TOOLS))
 class TestSchemaStability:
     def test_tool_name_matches(self, payloads, tool):
-        expected, payload = payloads[tool]
-        assert payload["tool"] == expected == tool
+        assert payloads[tool]["tool"] == tool
 
     def test_schema_version_is_current(self, payloads, tool):
-        _, payload = payloads[tool]
+        payload = payloads[tool]
         assert payload["schema_version"] == SCHEMA_VERSION
 
     def test_core_envelope_keys(self, payloads, tool):
-        _, payload = payloads[tool]
+        payload = payloads[tool]
         assert isinstance(payload["spec"], str)
         assert isinstance(payload["ok"], bool)
 
     def test_rule_codes_are_well_formed(self, payloads, tool):
-        _, payload = payloads[tool]
+        payload = payloads[tool]
         findings = payload.get("diagnostics", payload.get("findings", []))
         rules = payload.get("passes", payload.get("properties", []))
         for code in rules:
@@ -109,18 +77,23 @@ class TestRulePrefixes:
 
     def test_prefixes_are_disjoint(self, payloads):
         prefixes = {}
-        for tool, (_, payload) in payloads.items():
-            rules = payload.get("passes", payload.get("properties", []))
-            for code in rules:
-                prefixes.setdefault(code[:3], set()).add(tool)
+        for tool in ANALYSIS_TOOLS:
+            payload = payloads[tool.name]
+            codes = set(payload.get("passes", payload.get("properties", [])))
+            codes.update(code for kind in tool.kinds for code in tool.rule_codes(kind))
+            for code in codes:
+                prefixes.setdefault(code[:3], set()).add(tool.name)
         for prefix, owners in prefixes.items():
             assert len(owners) == 1, (prefix, owners)
+        assert len({tool.prefix for tool in ANALYSIS_TOOLS}) == len(ANALYSIS_TOOLS)
 
     def test_expected_prefix_per_tool(self, payloads):
-        expected = {"lint": "OSM", "check": "CHK", "audit": "ISA",
-                    "effects": "EFF", "certify": "TRV", "adlcheck": "ADL"}
-        for tool, prefix in expected.items():
-            _, payload = payloads[tool]
+        for tool in ANALYSIS_TOOLS:
+            payload = payloads[tool.name]
             rules = payload.get("passes", payload.get("properties", []))
-            assert rules, tool
-            assert all(code.startswith(prefix) for code in rules), tool
+            assert rules, tool.name
+            assert all(code.startswith(tool.prefix) for code in rules), tool.name
+            for kind in tool.kinds:
+                codes = tool.rule_codes(kind)
+                assert codes and all(RULE_CODE.match(code) for code in codes)
+                assert all(code.startswith(tool.prefix) for code in codes), tool.name
