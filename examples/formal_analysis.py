@@ -157,7 +157,8 @@ def main() -> None:
     for diagnostic in bad_effects.errors[:2]:
         print(diagnostic.render())
     bad_comp = compilability_report(impure, bad_effects)
-    print(f"unsafe edges (demoted to interpreted probing): {bad_comp.unsafe_edges}")
+    unfused = [name for name, v in sorted(bad_comp.verdicts.items()) if not v.fusable]
+    print(f"states kept on the interpreted reference: {unfused}")
     print()
 
     # --- compiler information -------------------------------------------------------

@@ -48,6 +48,7 @@ from ..core import (
     Release,
     ReleaseMany,
     SimulationStats,
+    enable_fusion,
 )
 from ..core.director import operation_seq_rank
 from ..isa.arm import semantics as arm_semantics
@@ -164,6 +165,10 @@ class SynthesizedModel:
         n_osms = processor.params.get("osms", len(processor.machine.states) + 2)
         self.osms = [OperationStateMachine(self.spec) for _ in range(n_osms)]
         self.director.add(*self.osms)
+        # The gate fuses every state effectcheck and transcheck certify
+        # (repro.core.fuse); a description it cannot certify runs the
+        # interpreted reference instead.
+        enable_fusion(self.spec)
         self.kernel = CycleDrivenKernel(self.director, modules)
         self.kernel.stop_condition = self._finished
         self.retired = 0

@@ -2,7 +2,7 @@
 
 The TRV rules are :class:`~repro.analysis.diagnostics.AnalysisPass`
 passes run by the shared driver: :func:`certify_spec` over model specs
-(rules TRV001–TRV003/TRV007–TRV008, suppressed through
+(rules TRV001–TRV002/TRV007–TRV008, suppressed through
 ``spec.lint_allow`` / ``edge.lint_allow``) and :func:`certify_isa` over
 ISA targets (rules TRV004–TRV006, suppressed through ``target.allow``).
 
@@ -10,7 +10,7 @@ ISA targets (rules TRV004–TRV006, suppressed through ``target.allow``).
 :func:`repro.core.fuse.enable_fusion` after fusing, it replays every
 installed stepper (the TRV001 check) and returns the states whose
 generated code failed validation, so the model demotes them back to the
-per-edge plan before the first cycle runs.  It deliberately touches
+interpreted reference before the first cycle runs.  It deliberately touches
 nothing beyond the replayer — no audit targets, no ISS drivers — to
 stay cheap on the model-construction path.
 """
@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..diagnostics import (AnalysisPass, Diagnostic, Report, Severity,
                            allow_lookup, run_passes, spec_allow)
 from .fingerprint import generator_fingerprint
-from .replay import replay_probe, replay_stepper
+from .replay import replay_stepper
 
 __all__ = [
     "ISA_CODES",
@@ -36,8 +36,9 @@ __all__ = [
     "default_spec_passes",
 ]
 
-#: rule codes that run per model spec / per ISA target
-SPEC_CODES = ("TRV001", "TRV002", "TRV003", "TRV007", "TRV008")
+#: rule codes that run per model spec / per ISA target (TRV003, the
+#: retired per-edge probe replay, is not reused)
+SPEC_CODES = ("TRV001", "TRV002", "TRV007", "TRV008")
 ISA_CODES = ("TRV004", "TRV005", "TRV006")
 
 #: cap on repeated findings per (pass, anchor): keeps a systematically
@@ -55,10 +56,6 @@ class SpecCertifyContext:
         self.subject = spec.name
         self._ident_sites = None
         self._compilability = None
-        # force every probe plan so the compile census and the compiled
-        # probes exist regardless of what the model ran before
-        for state in spec.states.values():
-            state.probe_plan()
 
     @property
     def ident_sites(self):
@@ -124,7 +121,7 @@ class IsaCertifyContext:
 # -- spec-side rules ---------------------------------------------------------
 
 class Trv001FusedReplay(AnalysisPass):
-    """Replay each fused stepper's source against the per-edge plan."""
+    """Replay each fused stepper's source against its edges' primitives."""
 
     code = "TRV001"
     rule = "fused-stepper-replay"
@@ -146,6 +143,15 @@ class Trv001FusedReplay(AnalysisPass):
                     f"fused stepper diverges from the edge plan: {problem}",
                     state=state.name,
                 )
+        # a stepper the build-time gate demoted failed this same replay
+        stats = getattr(ctx.spec, "compile_stats", None)
+        for name, reason in stats.demoted_states if stats is not None else ():
+            yield self.diag(
+                ctx,
+                f"fused stepper for state {name!r} was demoted at model "
+                f"build: {reason}",
+                state=name,
+            )
 
 
 class Trv002InlineContract(AnalysisPass):
@@ -199,30 +205,6 @@ class Trv002InlineContract(AnalysisPass):
                     f"{site.name}: __fuse_inline__ expression {inline!r} "
                     "diverges from the tagged callable's body",
                     edge=site.edge,
-                )
-
-
-class Trv003ProbeReplay(AnalysisPass):
-    """Replay each compiled edge probe against the primitive sequence."""
-
-    code = "TRV003"
-    rule = "edge-probe-replay"
-
-    def run(self, ctx) -> Iterator[Diagnostic]:
-        from ...core.edgecompile import compile_edge_probe
-
-        for edge in ctx.spec.edges:
-            if getattr(edge, "compile_mode", "auto") == "interpreted":
-                continue  # pinned to the interpreted fallback: no artifact
-            probe = compile_edge_probe(edge)
-            if getattr(probe, "__probe_source__", None) is None:
-                continue  # interpreted fallback closure: no artifact
-            for problem in replay_probe(edge, probe)[:MAX_PER_ANCHOR]:
-                yield self.diag(
-                    ctx,
-                    f"compiled probe diverges from the primitive plan: "
-                    f"{problem}",
-                    edge=edge,
                 )
 
 
@@ -507,7 +489,6 @@ def default_spec_passes() -> List[AnalysisPass]:
     return [
         Trv001FusedReplay(),
         Trv002InlineContract(),
-        Trv003ProbeReplay(),
         Trv007FallbackConsistency(),
         Trv008GeneratorDrift(),
     ]
@@ -564,7 +545,8 @@ def certify_fused_states(spec) -> List[Tuple[str, str]]:
 
     The fast path of ``repro certify`` rule TRV001, packaged for
     :func:`repro.core.fuse.enable_fusion`: the caller demotes the named
-    states via ``apply_compilability`` before the model runs a cycle.
+    states via :func:`repro.core.fuse.demote_states` before the model
+    runs a cycle.
     """
     failures: List[Tuple[str, str]] = []
     for state in spec.states.values():

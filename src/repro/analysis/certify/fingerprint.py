@@ -32,7 +32,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 #: every module whose output transcheck certifies, in hash order
 GENERATOR_MODULES: Tuple[str, ...] = (
-    "repro.core.edgecompile",
     "repro.core.fuse",
     "repro.isa.arm.execgen",
     "repro.isa.ppc.execgen",

@@ -1,14 +1,13 @@
-"""Symbolic replay of generated OSM fast-path code (TRV001 / TRV003).
+"""Symbolic replay of generated OSM code (TRV001).
 
-The replayer validates a generated artifact — a fused per-state stepper
-(:func:`repro.core.fuse.generate_stepper`) or a compiled edge probe
-(:func:`repro.core.edgecompile.compile_edge_probe`) — against the
-*reference* transition semantics, without executing either.  It works in
-two halves:
+The replayer validates a fused per-state stepper
+(:func:`repro.core.fuse.generate_stepper`) — the only generated OSM
+code — against the *reference* transition semantics, without executing
+either.  It works in two halves:
 
-1. **Extraction** (:class:`_Extractor`): the artifact's source (captured
-   on the function object as ``__fused_source__`` / ``__probe_source__``)
-   is parsed and flattened into a linear sequence of *effect events* —
+1. **Extraction** (:class:`_Extractor`): the stepper's source (captured
+   on the function object as ``__fused_source__``) is parsed and
+   flattened into a linear sequence of *effect events* —
    guard calls, blocking refusals, buffer updates, holder flips, counter
    bumps, transaction appends, transition bookkeeping.  Bound constants
    (managers, slots, edge objects, predicates) are resolved through the
@@ -18,7 +17,11 @@ two halves:
    extractor cannot place in its vocabulary raises
    :class:`ExtractionError`, which the caller reports as a conservative
    certification failure — unknown effects are treated as wrong, never
-   ignored.
+   ignored.  The same holds for loops: a ``for`` statement replays once,
+   so its iterable must have one of the shapes the generators emit (see
+   :meth:`_Extractor._known_iterable`); a loop over anything else — a
+   sliced ident list, say, which would silently skip elements — fails
+   extraction.
 
 2. **Matching**: an *expected* event sequence is derived independently
    from the edge's ``condition.primitives`` plus the reference ordering
@@ -32,8 +35,9 @@ two halves:
    bounded zones that still *require* the reference counter updates.
 
 A fused edge may legitimately compile to either the native inline form
-or the transactional form (probe + ``txn.commit``); the replayer accepts
-whichever of the two expected shapes matches.
+or the transactional form (each primitive's probe body against
+``osm._txn``, then ``txn.commit``); the replayer accepts whichever of
+the two expected shapes matches.
 
 Soundness caveat (documented in ``docs/static-analysis.md``): the replay
 is *linear* — it checks that every effect the generated code can perform
@@ -63,7 +67,6 @@ from .astnorm import parse_function
 
 __all__ = [
     "ExtractionError",
-    "replay_probe",
     "replay_stepper",
 ]
 
@@ -127,7 +130,8 @@ class _Extractor:
 
     def _resolve(self, node) -> Optional[Tuple]:
         """Binding for *node*: ("obj", o) | ("osm",) | ("clock",) |
-        ("txn",) | ("buffer",) | ("local",) | None (unresolvable)."""
+        ("txn",) | ("buffer",) | ("ident",) (an evaluated identifier) |
+        ("list",) (a local list) | ("local",) | None (unresolvable)."""
         if isinstance(node, ast.Name):
             return self.env.get(node.id)
         return None
@@ -208,6 +212,9 @@ class _Extractor:
             self.run(stmt.body)
             self.run(stmt.orelse)
         elif isinstance(stmt, ast.For):
+            if not self._known_iterable(stmt.iter):
+                raise ExtractionError(
+                    f"loop over an unrecognized iterable {ast.unparse(stmt.iter)}")
             self._scan(stmt.iter)
             self._mark_local(stmt.target)
             self.run(stmt.body)
@@ -223,6 +230,57 @@ class _Extractor:
         else:
             raise ExtractionError(
                 f"unclassifiable statement {type(stmt).__name__}")
+
+    def _is_ident_expr(self, node) -> bool:
+        """A dynamic identifier evaluation: a bound ``fn(osm)`` call or a
+        pasted ``__fuse_inline__`` attribute chain rooted at ``osm``."""
+        if isinstance(node, ast.Call):
+            return (self._is_kind(node.func, "obj") and not node.keywords
+                    and len(node.args) == 1 and self._is_kind(node.args[0], "osm"))
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            if isinstance(node, ast.Subscript) and not _is_literal_node(node.slice):
+                return False
+            node = node.value
+        return self._is_kind(node, "osm")
+
+    def _is_buffer_snapshot(self, node) -> bool:
+        """``list(buffer.items())``."""
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "list" and len(node.args) == 1
+                and isinstance(node.args[0], ast.Call)
+                and not node.args[0].args
+                and isinstance(node.args[0].func, ast.Attribute)
+                and node.args[0].func.attr == "items"
+                and self._is_kind(node.args[0].func.value, "buffer"))
+
+    def _known_iterable(self, node) -> bool:
+        """True for the loop iterables the generators emit: the ident
+        local; ``<idents>(osm) or ()``, optionally under ``enumerate``;
+        ``list(buffer.items())``; a bound token list or ``upd[ident]``;
+        and a local commit list, optionally under ``enumerate``."""
+        enumerated = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "enumerate" and len(node.args) == 1
+                      and not node.keywords)
+        if enumerated:
+            node = node.args[0]
+        if isinstance(node, ast.BoolOp):
+            return (isinstance(node.op, ast.Or) and len(node.values) == 2
+                    and self._is_ident_expr(node.values[0])
+                    and isinstance(node.values[1], ast.Tuple)
+                    and not node.values[1].elts)
+        if isinstance(node, ast.Name):
+            if self._is_kind(node, "list"):
+                return True
+            return not enumerated and (
+                self._is_kind(node, "ident")
+                or isinstance(self._obj(node), (list, tuple)))
+        if enumerated:
+            return False
+        if isinstance(node, ast.Subscript):
+            return (self._is_kind(node.value, "obj")
+                    and (isinstance(node.slice, ast.Name)
+                         or _is_literal_node(node.slice)))
+        return self._is_buffer_snapshot(node)
 
     def _mark_local(self, target) -> None:
         if isinstance(target, ast.Name):
@@ -278,7 +336,13 @@ class _Extractor:
             self.env[name] = self._resolve(value) or ("local",)
             return
         self._scan(value)
-        self.env[name] = ("local",)
+        if self._is_ident_expr(value):
+            self.env[name] = ("ident",)
+        elif (isinstance(value, ast.List) and not value.elts) \
+                or self._is_buffer_snapshot(value):
+            self.env[name] = ("list",)
+        else:
+            self.env[name] = ("local",)
 
     def _assign_attr(self, target, value) -> None:
         attr = target.attr
@@ -416,7 +480,7 @@ class _Extractor:
             if any(self._is_kind(a, "osm") for a in call.args):
                 self.emit("writers_append")
                 return
-            if isinstance(base, ast.Name) and self._is_kind(base, "local"):
+            if isinstance(base, ast.Name) and self._is_kind(base, "list"):
                 return  # building a local list
             raise ExtractionError("append to an unclassifiable list")
         if method == "add":
@@ -474,6 +538,14 @@ class _Extractor:
             self.emit("t_disc", slot)
         else:
             raise ExtractionError(f"append to txn.{collection}")
+
+
+def _is_literal_node(node) -> bool:
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return False
+    return True
 
 
 def _const_int(node) -> Optional[int]:
@@ -691,9 +763,61 @@ def _native_expected(edge) -> Optional[List]:
 
 
 def _txn_expected(edge) -> List:
-    """Matchers for the transactional form: probe, commit, bookkeeping."""
-    return [_One("txn_probe", ANY), _One("txn_commit")] + \
-        _bookkeeping_expected(edge)
+    """Matchers for the transactional form: each primitive's probe body
+    against the transaction, then ``txn.commit()``, then bookkeeping."""
+    primitives = edge.condition.primitives if edge.condition is not None else []
+    sequence: List = []
+    for p in primitives:
+        kind = type(p)
+        if kind is Guard:
+            sequence.append(_One("call1", p.predicate))
+        elif kind is Allocate:
+            if p._dynamic and not _inlined(p.ident):
+                sequence.append(_One("call1", p.ident))
+            sequence.extend([
+                _One("mgr_call", "allocate", p.manager),
+                _One("blocked", p.manager),
+                _One("t_grant", _slot_arg(p.slot)),
+            ])
+        elif kind is AllocateMany:
+            if not _inlined(p.idents):
+                sequence.append(_One("call1", p.idents))
+            sequence.extend([
+                _One("mgr_call", "allocate", p.manager),
+                _One("blocked", p.manager),
+                _One("t_grant", ANY),
+            ])
+        elif kind is Inquire:
+            group = [
+                _One("mgr_call", "inquire", p.manager),
+                _One("blocked", p.manager),
+                _One("t_inq", p.manager),
+                _One("inq_count", p.manager),
+            ]
+            if p._dynamic:
+                if not _inlined(p.ident):
+                    sequence.append(_One("call1", p.ident))
+                sequence.append(_Rep(group, 2, 2))
+            elif isinstance(p.ident, (list, tuple)):
+                n = len(p.ident)
+                sequence.append(_Rep(group, n, n))
+            else:
+                sequence.extend(group)
+        elif kind in (Release, ReleaseMany):
+            many = kind is ReleaseMany
+            allowed = [("raise", ()), ("release_call", ()), ("blocked", (None,))]
+            if p.value is not None:
+                allowed.append(("call2" if many else "call1", (p.value,)))
+            sequence.append(_Zone(allowed, minimum=1,
+                                  required=(("release_call", ()),)))
+            sequence.append(_One("t_rel", ANY if many else _slot_arg(p.slot)))
+        elif kind is Discard:
+            sequence.append(
+                _One("t_disc", _slot_arg(p.slot) if p.slot is not None else ANY))
+        else:  # custom primitive: its bound probe(osm, txn), called in place
+            sequence.append(_One("txn_probe", _callable_key(p.probe)))
+    sequence.append(_One("txn_commit"))
+    return sequence + _bookkeeping_expected(edge)
 
 
 def _bookkeeping_expected(edge) -> List:
@@ -712,71 +836,6 @@ def _bookkeeping_expected(edge) -> List:
     if edge.dst.is_initial:
         sequence.extend([_One("raise"), _One("op_none"), _One("age_reset")])
     sequence.append(_One("return_obj", edge))
-    return sequence
-
-
-def _probe_expected(edge) -> Optional[List]:
-    """Matchers for a compiled edge probe (:mod:`repro.core.edgecompile`)."""
-    primitives = edge.condition.primitives if edge.condition is not None else []
-    sequence: List = []
-    for p in primitives:
-        kind = type(p)
-        if kind is Guard:
-            sequence.append(_One("call1", p.predicate))
-        elif kind is Allocate:
-            if p._dynamic:
-                sequence.append(_One("call1", p.ident))
-            sequence.extend([
-                _One("mgr_call", "allocate", p.manager),
-                _One("blocked", p.manager),
-                _One("t_grant", _slot_arg(p.slot)),
-            ])
-        elif kind is AllocateMany:
-            sequence.extend([
-                _One("call1", p.idents),
-                _One("mgr_call", "allocate", p.manager),
-                _One("blocked", p.manager),
-                _One("t_grant", ANY),
-            ])
-        elif kind is Inquire:
-            group = [
-                _One("mgr_call", "inquire", p.manager),
-                _One("blocked", p.manager),
-                _One("t_inq", p.manager),
-                _One("inq_count", p.manager),
-            ]
-            if p._dynamic:
-                sequence.append(_One("call1", p.ident))
-                sequence.append(_Rep(group, 2, 2))
-            elif isinstance(p.ident, (list, tuple)):
-                n = len(p.ident)
-                sequence.append(_Rep(group, n, n))
-            else:
-                sequence.extend(group)
-        elif kind is Release:
-            allowed = [("raise", ()), ("release_call", ()), ("blocked", (None,))]
-            if p.value is not None:
-                allowed.append(("call1", (p.value,)))
-            sequence.append(_Zone(allowed, minimum=1,
-                                  required=(("release_call", ()),)))
-            sequence.append(_One("t_rel", _slot_arg(p.slot)))
-        elif kind is ReleaseMany:
-            allowed = [("raise", ()), ("release_call", ()), ("blocked", (None,))]
-            if p.value is not None:
-                allowed.append(("call2", (p.value,)))
-            sequence.append(_Zone(allowed, minimum=1,
-                                  required=(("release_call", ()),)))
-            sequence.append(_One("t_rel", ANY))
-        elif kind is Discard:
-            sequence.append(
-                _One("t_disc", _slot_arg(p.slot) if p.slot is not None else ANY))
-        else:
-            # custom primitive: compiled as a bound probe(osm, txn) call
-            probe = getattr(p, "probe", None)
-            if not callable(probe):
-                return None
-            sequence.append(_One("txn_probe", _callable_key(probe)))
-    sequence.append(_One("return_true"))
     return sequence
 
 
@@ -859,40 +918,3 @@ def replay_stepper(state, spec) -> List[str]:
             f"{edge.qualname}: generated effects do not replay against the "
             f"edge plan (events: {[e[0] for e in extractor.events]})")
     return problems
-
-
-def replay_probe(edge, probe) -> List[str]:
-    """Validate a compiled edge probe against the interpreted plan.
-
-    Returns problem strings; an interpreted probe (no captured source)
-    yields no problems — there is no translation to validate.
-    """
-    source = getattr(probe, "__probe_source__", None)
-    if source is None:
-        return []
-    try:
-        node = parse_function(source, "_probe")
-    except (ValueError, SyntaxError) as exc:
-        return [f"{edge.qualname}: unparseable probe source: {exc}"]
-    try:
-        env = _param_env(node, probe)
-    except ExtractionError as exc:
-        return [f"{edge.qualname}: {exc}"]
-    names = [a.arg for a in node.args.args]
-    if len(names) < 2:
-        return [f"{edge.qualname}: probe signature too short"]
-    env[names[0]] = ("osm",)
-    env[names[1]] = ("txn",)
-    extractor = _Extractor(env)
-    try:
-        extractor.run(node.body)
-    except ExtractionError as exc:
-        return [f"{edge.qualname}: {exc}"]
-    expected = _probe_expected(edge)
-    if expected is None:
-        return [f"{edge.qualname}: compiled probe for a custom primitive"]
-    if not _matches(expected, extractor.events):
-        return [
-            f"{edge.qualname}: compiled probe does not replay against the "
-            f"interpreted plan (events: {[e[0] for e in extractor.events]})"]
-    return []

@@ -1,15 +1,15 @@
 """effectcheck: static effect/purity analysis of OSM edge code.
 
 The simulator's fast paths rest on behavioural contracts that nothing
-else enforces: probe-time code must be pure (the edge compiler bakes it
+else enforces: probe-time code must be pure (the fused steppers bake it
 and the director's version gate skips it), ``rank_stable_in_flight``
 marks must be honest (the cached rank order is kept on their strength),
 and co-enabled edges must not race on writes.  effectcheck infers a
 per-callable effect footprint (:mod:`.footprint`), checks the contracts
 as rules EFF001–EFF008 (:mod:`.passes`), and distils a per-model
 compilability report (:mod:`.compilability`) that
-:func:`repro.core.edgecompile.apply_compilability` consumes to demote
-uncertified edges to interpreted probing.
+:func:`repro.core.fuse.enable_fusion` consumes to keep uncertified
+states on the interpreted reference.
 
 Front end: ``repro effects <model>|all [--json]``.
 """

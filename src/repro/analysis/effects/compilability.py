@@ -1,28 +1,21 @@
-"""Per-model compilability report: which states the edge compiler may
-treat aggressively.
+"""Per-model compilability report: which states the fuser may compile.
 
 effectcheck's certification output, consumed by
-:func:`repro.core.edgecompile.apply_compilability`: a per-state verdict
-(*fusable* — every outgoing edge's probe-time code is certified pure and
-compiled, so the whole probe plan could be fused into one specialised
-function or AOT-compiled) plus the list of *unsafe edges* whose baked
-probes the effect analysis could not certify and which should therefore
-run interpreted.
+:func:`repro.core.fuse.enable_fusion`: a per-state verdict (*fusable* —
+every outgoing edge's probe-time code is certified pure, so the state
+may run a generated stepper).  Every other state runs the interpreted
+reference, which is also where an edge with an EFF001/EFF005/EFF006
+error ends up: those codes block fusion of the edge's source state.
 
-Verdicts are derived from an effects :class:`~..diagnostics.Report`:
+Verdicts are derived from an effects :class:`~..diagnostics.Report`: a
+state is **fusable** when none of its outgoing edges carries an
+unsuppressed error-severity EFF001/EFF004/EFF005/EFF006 finding and
+none carries an (unsuppressed) EFF008 finding — i.e. probing the state
+is provably effect-free, race-free, deterministic, and fully visible to
+both the analyzer and the compiler.
 
-* a state is **fusable** when none of its outgoing edges carries an
-  unsuppressed error-severity EFF001/EFF004/EFF005/EFF006 finding and
-  none carries an (unsuppressed) EFF008 finding — i.e. probing the
-  state is provably effect-free, race-free, deterministic, and fully
-  visible to both the analyzer and the compiler;
-* an edge is **unsafe** when it carries an unsuppressed error-severity
-  EFF001/EFF005/EFF006 finding — its compiled probe would bake
-  assumptions the analysis refuted, so interpretation is the honest
-  mode.
-
-Audited suppressions (``allow_lint("EFF…")``) are deliberately excluded
-from both: a suppression is a human assertion that the finding is a
+Audited suppressions (``allow_lint("EFF…")``) are deliberately
+excluded: a suppression is a human assertion that the finding is a
 false positive, and the report trusts it.
 """
 
@@ -36,9 +29,6 @@ from ..diagnostics import Report, Severity
 
 #: error codes that block whole-state fusion
 FUSION_BLOCKERS = {"EFF001", "EFF004", "EFF005", "EFF006"}
-
-#: error codes that make one edge's *compiled* probe dishonest
-EDGE_UNSAFE_CODES = {"EFF001", "EFF005", "EFF006"}
 
 #: the analyzability/fallback rule: warnings here block fusion too,
 #: because fusing code nobody can see through certifies nothing
@@ -60,8 +50,6 @@ class StateVerdict:
 class CompilabilityReport:
     spec: str
     verdicts: Dict[str, StateVerdict] = field(default_factory=dict)
-    #: qualnames of edges whose compiled probe is not certified honest
-    unsafe_edges: List[str] = field(default_factory=list)
 
     @property
     def fusable_states(self) -> List[str]:
@@ -69,18 +57,15 @@ class CompilabilityReport:
 
     @property
     def fully_compilable(self) -> bool:
-        """Every state fusable and no unsafe edge: the whole model is
-        certified for aggressive compilation."""
-        return not self.unsafe_edges and all(
-            v.fusable for v in self.verdicts.values()
-        )
+        """Every state fusable: the whole model is certified for
+        generated steppers."""
+        return all(v.fusable for v in self.verdicts.values())
 
     def summary(self) -> str:
         """The one-line verdict printed under the effects text report."""
         if self.fully_compilable:
             return "fully compilable"
-        return (f"{len(self.fusable_states)}/{len(self.verdicts)} states "
-                f"fusable, {len(self.unsafe_edges)} unsafe edge(s)")
+        return f"{len(self.fusable_states)}/{len(self.verdicts)} states fusable"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -91,13 +76,12 @@ class CompilabilityReport:
                 name: verdict.to_dict()
                 for name, verdict in sorted(self.verdicts.items())
             },
-            "unsafe_edges": sorted(self.unsafe_edges),
         }
 
 
 def compilability_report(spec: MachineSpec, report: Report) -> CompilabilityReport:
-    """Derive the per-state fusion verdicts and unsafe-edge list of
-    *spec* from an effects *report* over it."""
+    """Derive the per-state fusion verdicts of *spec* from an effects
+    *report* over it."""
     edge_findings: Dict[str, List] = {}
     for diagnostic in report.diagnostics:
         if diagnostic.suppressed or diagnostic.edge is None:
@@ -105,7 +89,6 @@ def compilability_report(spec: MachineSpec, report: Report) -> CompilabilityRepo
         edge_findings.setdefault(diagnostic.edge, []).append(diagnostic)
 
     result = CompilabilityReport(spec=spec.name)
-    unsafe: set = set()
     for state in spec.states.values():
         blockers: List[str] = []
         for edge in state.out_edges:
@@ -117,15 +100,9 @@ def compilability_report(spec: MachineSpec, report: Report) -> CompilabilityRepo
                 ) or code == OPACITY_CODE
                 if blocking:
                     blockers.append(code)
-                if (
-                    code in EDGE_UNSAFE_CODES
-                    and diagnostic.severity is Severity.ERROR
-                ):
-                    unsafe.add(edge.qualname)
         result.verdicts[state.name] = StateVerdict(
             state=state.name,
             fusable=not blockers,
             blockers=sorted(set(blockers)),
         )
-    result.unsafe_edges = sorted(unsafe)
     return result

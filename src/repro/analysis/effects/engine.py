@@ -7,7 +7,7 @@ collects every Python callable the spec can execute — guard predicates,
 dynamic token identifiers, release values, custom primitive probes,
 edge actions, state ``on_enter`` hooks and the director rank key
 breadcrumb — each tagged with its *role*, because the invariants differ
-by role: code the edge compiler bakes (probe-time roles) must be pure,
+by role: code the fused steppers bake (probe-time roles) must be pure,
 actions merely must not lie to the scheduler.
 """
 
@@ -36,7 +36,7 @@ CORE_PRIMITIVES = (
     Allocate, AllocateMany, Inquire, Release, ReleaseMany, Discard, Guard,
 )
 
-#: roles whose code runs at probe time and is baked by the edge compiler
+#: roles whose code runs at probe time and is baked by the fused steppers
 PROBE_TIME_ROLES = ("guard", "ident", "value", "probe")
 
 #: recursion depth for probe-time callables vs. post-commit actions
@@ -142,15 +142,13 @@ def harvest_spec(spec: MachineSpec) -> List[CallableSite]:
 
 
 class EffectContext:
-    """Per-run shared facts: the harvest, memoized footprints, and the
-    spec's compile statistics (with every probe plan forced)."""
+    """Per-run shared facts: the harvest and memoized footprints."""
 
     def __init__(self, spec: MachineSpec):
         self.spec = spec
         self.subject = spec.name
         self._sites: Optional[List[CallableSite]] = None
         self._footprints: Dict[Tuple[int, Tuple[str, ...], int], Footprint] = {}
-        self._compile_stats = None
 
     @property
     def sites(self) -> List[CallableSite]:
@@ -171,18 +169,6 @@ class EffectContext:
             fp = analyze_callable(site.fn, site.param_roles, depth=depth)
             self._footprints[key] = fp
         return fp
-
-    @property
-    def compile_stats(self):
-        """The spec's :class:`~repro.core.edgecompile.CompileStats` after
-        forcing every state's probe plan, so the fallback census covers
-        the whole spec rather than only the states a prior simulation
-        happened to visit."""
-        if self._compile_stats is None:
-            for state in self.spec.states.values():
-                state.probe_plan()
-            self._compile_stats = getattr(self.spec, "compile_stats", None)
-        return self._compile_stats
 
 
 def default_passes() -> List[AnalysisPass]:

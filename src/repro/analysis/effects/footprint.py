@@ -53,7 +53,7 @@ __all__ = ["Footprint", "analyze_callable"]
 
 
 #: modules whose use marks a callable nondeterministic (EFF006) — their
-#: values vary across runs, so baking them into compiled probes (or any
+#: values vary across runs, so baking them into fused steppers (or any
 #: replay) diverges
 NONDET_MODULES = {"random", "time", "secrets", "uuid", "datetime", "os"}
 

@@ -2,15 +2,16 @@
 
 Each pass consumes the shared :class:`~.engine.EffectContext` (harvest +
 memoized footprints) and yields diagnostics.  The error-severity rules
-certify the invariants the fast path and the edge compiler rely on;
+certify the invariants the fast path and the fused steppers rely on;
 the warning-severity rules surface effect smells that degrade
 analyzability without being provably wrong.
 
 ========  =====================  ========================================
 code      rule                   certifies
 ========  =====================  ========================================
-EFF001    impure-guard           probe-time code baked by ``edgecompile``
-                                 writes nothing beyond the transaction
+EFF001    impure-guard           probe-time code baked by the fused
+                                 steppers writes nothing beyond the
+                                 transaction
 EFF002    rank-stability-lie     ``@rank_stable_in_flight`` marks are
                                  honest (cached rank order stays valid)
 EFF003    rank-input-mutation    in-flight edges don't silently mutate
@@ -21,8 +22,7 @@ EFF005    probe-divergence       custom probes honour the probe
                                  protocol; baked constants stay constant
 EFF006    nondeterminism         edge code is replay-deterministic
 EFF007    global-mutation        edge code doesn't write module globals
-EFF008    opaque-code            certified positions are analyzable and
-                                 every codegen fallback is accounted
+EFF008    opaque-code            certified positions are analyzable
 ========  =====================  ========================================
 """
 
@@ -74,8 +74,8 @@ class ImpureGuardPass(AnalysisPass):
     """EFF001: a probe-time callable (guard predicate, dynamic token
     identifier, release value) with effects beyond the probe protocol.
 
-    ``edgecompile`` bakes these callables into specialised probe
-    functions and the director's version-gated fast path *skips
+    The fused steppers of :mod:`repro.core.fuse` bake these callables
+    into generated code and the director's version-gated fast path *skips
     re-probing* unchanged states — both transformations assume probing
     is free of side effects.  A guard that mutates OSM, manager, shared
     or global state (or bumps the observable version via ``notify``)
@@ -281,11 +281,11 @@ class ProbeDivergencePass(AnalysisPass):
     and edge code that mutates baked primitive constants.
 
     A custom ``Primitive.probe`` that writes shared state diverges
-    between compiled and interpreted execution (the compiler's plan
-    cache changes how often probes run).  Likewise, an action that
+    between fused and interpreted execution (the version-gated fast
+    path changes how often probes run).  Likewise, an action that
     rebinds an attribute of a primitive object (e.g. changing an
     ``Allocate``'s identifier after build) invalidates the constants
-    the edge compiler baked into specialised probes at plan time.
+    the fused steppers baked in at build time.
     """
 
     code = "EFF005"
@@ -382,16 +382,11 @@ class GlobalWritePass(AnalysisPass):
 
 
 class OpaqueCodePass(AnalysisPass):
-    """EFF008: unanalyzable code in certified positions, and every edge
-    whose probe fell back to the interpreter.
+    """EFF008: unanalyzable code in certified positions.
 
     The purity certificates of EFF001/EFF002/EFF005 are only as good as
     the analyzer's visibility; a probe-time callable it cannot see
-    through gets a warning instead of a silent pass.  The second half
-    surfaces the edge compiler's own census: each edge whose condition
-    could not be compiled (opt-out primitive, codegen error, policy) is
-    named with its reason, so fallbacks are a visible budget rather
-    than a silent slowdown.
+    through gets a warning instead of a silent pass.
     """
 
     code = "EFF008"
@@ -429,15 +424,4 @@ class OpaqueCodePass(AnalysisPass):
                     severity=Severity.WARNING,
                     edge=site.edge,
                     state=site.state,
-                )
-        stats = ctx.compile_stats
-        if stats is not None:
-            edges = {edge.qualname: edge for edge in ctx.spec.edges}
-            for qualname, reason in stats.fallback_edges:
-                edge_obj = edges.get(qualname)
-                message = f"edge probe falls back to the interpreter ({reason})"
-                if edge_obj is None:
-                    message = f"{qualname}: {message}"
-                yield self.diag(
-                    ctx, message, severity=Severity.WARNING, edge=edge_obj
                 )

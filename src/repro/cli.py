@@ -75,7 +75,12 @@ def _build_model(name: str, program, isa: str, fused: bool = True):
         from .models.vliw import VliwModel
 
         _require_isa(name, isa, "arm")
-        return VliwModel(program)
+        model = VliwModel(program)
+        if not fused:
+            from .core import defuse_spec
+
+            defuse_spec(model.spec)
+        return model
     if name == "ppc750":
         from .models.ppc750 import Ppc750Model
 
@@ -479,7 +484,6 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        agg.absorb_compile_stats(model.spec)
         compile_stats = model.spec.compile_stats
         cache = _model_decode_cache(model)
         if cache is not None:
@@ -539,11 +543,6 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         },
         "verified": (not args.no_verify) and not mismatches,
         "mismatches": mismatches,
-        "compiled_probes": agg.compiled_probes,
-        "probe_fallbacks": agg.probe_fallbacks,
-        "fallback_edges": [
-            {"edge": edge, "reason": reason} for edge, reason in agg.fallback_edges
-        ],
         "fused_states": compile_stats.fused_states if compile_stats else 0,
         "fused_fallback_states": (
             compile_stats.fused_fallback_states if compile_stats else 0
@@ -560,9 +559,6 @@ def _print_bench_row(row: dict, verify: bool) -> None:
           f"{row['events_per_second']:,.0f} events/sec")
     for name in sorted(row["phase_seconds"]):
         print(f"  phase {name:<9}: {row['phase_seconds'][name]:.3f}s")
-    if row["compiled_probes"] or row["probe_fallbacks"]:
-        print(f"  probes: {row['compiled_probes']} compiled, "
-              f"{row['probe_fallbacks']} interpreted fallbacks")
     print(f"  fused states: {row['fused_states']} "
           f"({row['fused_fallback_states']} fallback)")
     cache = row["decode_cache"]
@@ -892,8 +888,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "case-study model (strongarm + ppc750)")
     bench.add_argument("--isa", choices=("arm", "ppc"))
     bench.add_argument("--no-fused", action="store_true",
-                       help="disable the fused per-state step functions "
-                            "(A/B baseline; results must be identical)")
+                       help="disable the fused per-state step functions, "
+                            "running no generated OSM code (A/B baseline; "
+                            "results must be identical)")
     bench.add_argument("--max-cycles", type=int, default=10_000_000)
     bench.add_argument("--quick", action="store_true",
                        help="CI subset: first three workloads only")

@@ -35,8 +35,8 @@ from .primitives import (
     ReleaseMany,
 )
 from .osm import Edge, MachineSpec, OperationStateMachine, State
-from .edgecompile import CompileStats, apply_compilability, compile_edge_probe
 from .fuse import (
+    CompileStats,
     ManagerEmitter,
     defuse_spec,
     enable_fusion,
@@ -81,8 +81,6 @@ __all__ = [
     "TokenManager",
     "Transaction",
     "age_rank",
-    "apply_compilability",
-    "compile_edge_probe",
     "defuse_spec",
     "enable_fusion",
     "fuse_spec",

@@ -256,8 +256,9 @@ class Director:
                 i += 1
                 continue
             # Dispatch point: fused whole-state stepper when the current
-            # state carries one (see repro.core.fuse), per-edge probe plan
-            # otherwise.  Both produce the identical Edge-or-None outcome.
+            # state carries one (see repro.core.fuse), the interpreted
+            # reference otherwise.  Both produce the identical Edge-or-None
+            # outcome.
             stepper = osm.current._fused
             if stepper is not None:
                 edge = stepper(osm, clock)

@@ -1,20 +1,17 @@
 """Whole-model specialization: fused per-state step functions.
 
-:mod:`repro.core.edgecompile` compiles one probe per edge; the remaining
-per-transition overhead is the dispatch *around* those probes — the
-plan walk in :meth:`~repro.core.osm.OperationStateMachine.try_transition`,
-the transaction object bookkeeping, the virtual calls into the token
-managers, and the post-commit state update.  This module removes all of
-it: :func:`fuse_spec` generates **one Python function per state** whose
-body is the concatenation of every outgoing edge's guard evaluation,
-commit effects and OSM bookkeeping as straight-line code with all
-constants (managers, tokens, slots, predicates, destination states)
-pre-bound as parameter defaults.  The director's fast path dispatches
-through ``State._fused`` when present and falls back to
-``try_transition`` otherwise, so fused and unfused states interleave
-freely within one model.
+The only generated OSM code.  :func:`fuse_spec` generates **one Python
+function per state** whose body is the concatenation of every outgoing
+edge's guard evaluation, commit effects and OSM bookkeeping as
+straight-line code with all constants (managers, tokens, slots,
+predicates, destination states) pre-bound as parameter defaults.  The
+director's fast path dispatches through ``State._fused`` when present
+and falls back to :meth:`~repro.core.osm.OperationStateMachine.try_transition`
+otherwise — the interpreted reference, which probes each primitive
+through its own ``probe`` method — so fused and unfused states
+interleave freely within one model.
 
-Two generation modes per edge, decided statically:
+Two generation forms per edge, decided statically:
 
 * **native** — every primitive's manager has a registered
   :class:`ManagerEmitter` for its *exact* class, so the manager probe
@@ -24,29 +21,28 @@ Two generation modes per edge, decided statically:
   the generic virtual ``release``/``on_release_commit`` calls are exact
   (with an inline fast path when every candidate manager shares one
   emitter-backed class).
-* **transaction** — anything else (custom managers, custom primitives,
-  edges pinned ``compile_mode="interpreted"``) probes through the
-  per-edge compiled probe against ``osm._txn`` and commits via
-  :meth:`Transaction.commit`, exactly like ``try_transition``.
+* **transactional** — anything else (custom managers, custom
+  primitives): each primitive's ``probe`` body is inlined, calling its
+  manager's TMI against ``osm._txn``, and the edge commits via
+  :meth:`Transaction.commit`, exactly like ``try_transition``.  Custom
+  primitives are called through their bound ``probe`` method in place.
 
 **Soundness.** A fused stepper must be bit-identical to
-``try_transition`` over the same edge plan: every manager call, counter
+``try_transition`` over the same edges: every manager call, counter
 increment, ``blocked_on`` note, commit-hook effect and error message is
 mirrored from :mod:`repro.core.primitives` / :mod:`repro.core.manager` /
 :meth:`repro.core.transaction.Transaction.commit`.  Which states may be
 fused at all is decided by the effectcheck compilability report
-(:mod:`repro.analysis.effects`): :func:`enable_fusion` certifies the
-spec, pins unsafe edges via
-:func:`~repro.core.edgecompile.apply_compilability`, and fuses only the
-certified states.  Everything else — and any codegen failure — falls
-back to the per-edge plan, with the outcome recorded per state in the
-spec's :class:`~repro.core.edgecompile.CompileStats`.
+(:mod:`repro.analysis.effects`): :func:`enable_fusion` fuses only the
+certified states, then translation-validates every stepper with
+transcheck and demotes the ones that fail.  Everything else — and any
+codegen failure — runs the interpreted reference, with the outcome
+recorded per state in the spec's :class:`CompileStats`.
 
 Steppers bake per-edge constants (actions, ``on_enter`` hooks,
-destination states); ``MachineSpec.edge()`` and ``apply_compilability``
-invalidate ``State._fused`` so mutated specs regenerate lazily via
-:func:`fuse_spec` — mutating edge callables in place after fusion is
-outside the contract, exactly as for compiled probes.
+destination states); ``MachineSpec.edge()`` invalidates ``State._fused``
+so mutated specs regenerate lazily via :func:`fuse_spec` — mutating
+edge callables in place after fusion is outside the contract.
 """
 
 from __future__ import annotations
@@ -55,11 +51,70 @@ import ast
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .edgecompile import apply_compilability, compile_edge_probe
 from .errors import TokenError
 from .manager import PoolManager, RegisterFileManager, ResetManager, SlotManager
 from .primitives import (Allocate, AllocateMany, Discard, Guard, Inquire,
                          Release, ReleaseMany)
+
+#: census reason prefix of a state the transcheck gate demoted
+CERTIFY_PREFIX = "certify: "
+
+
+class CompileStats:
+    """Per-spec fusion census: state name -> None (fused) or the reason
+    the state runs the interpreted reference instead.
+
+    Recorded by :func:`fuse_spec` and the transcheck gate of
+    :func:`enable_fusion`; re-recording a state replaces its entry, so
+    rebuilt steppers never double-count.
+    """
+
+    def __init__(self):
+        self.states: Dict[str, Optional[str]] = {}
+
+    def record_state(self, state, reason: Optional[str] = None) -> None:
+        self.states[state.name] = reason
+
+    @property
+    def fused_states(self) -> int:
+        return sum(1 for reason in self.states.values() if reason is None)
+
+    @property
+    def fused_fallback_states(self) -> int:
+        return sum(1 for reason in self.states.values() if reason is not None)
+
+    @property
+    def fallback_states(self) -> List[Tuple[str, str]]:
+        """``(state name, reason)`` for every unfused state."""
+        return sorted(
+            (name, reason)
+            for name, reason in self.states.items()
+            if reason is not None
+        )
+
+    @property
+    def demoted_states(self) -> List[Tuple[str, str]]:
+        """``(state name, transcheck verdict)`` for every state
+        :func:`demote_states` dropped back to the reference."""
+        return [
+            (name, reason[len(CERTIFY_PREFIX):])
+            for name, reason in self.fallback_states
+            if reason.startswith(CERTIFY_PREFIX)
+        ]
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "fused_states": self.fused_states,
+            "fused_fallback_states": self.fused_fallback_states,
+            "fallback_states": [
+                {"state": name, "reason": reason}
+                for name, reason in self.fallback_states
+            ],
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return (f"CompileStats(fused={self.fused_states}, "
+                f"fallbacks={self.fused_fallback_states})")
 
 
 # --------------------------------------------------------------------------
@@ -87,13 +142,15 @@ class _Writer:
 
 
 class _Codegen:
-    """Constant binding (edgecompile's params-as-defaults idiom) plus a
-    shared counter for fresh local names."""
+    """Constant binding (constants as parameter defaults, so the hot
+    path pays local-variable loads) plus a shared counter for fresh
+    local names."""
 
     def __init__(self):
         self.env: Dict[str, Any] = {"TokenError": TokenError}
         self.params: List[str] = []
         self._bound: Dict[int, str] = {}
+        self._methods: Dict[Tuple[int, str], Any] = {}
         self._n = 0
 
     def bind(self, hint: str, obj: Any) -> str:
@@ -106,6 +163,16 @@ class _Codegen:
         self.params.append(name)
         self._bound[id(obj)] = name
         return name
+
+    def method(self, hint: str, obj: Any, name: str) -> str:
+        """Bind the bound method ``obj.<name>`` once per function (every
+        attribute access makes a new bound method, which :meth:`bind`
+        cannot recognise as a repeat)."""
+        key = (id(obj), name)
+        bound = self._methods.get(key)
+        if bound is None:
+            bound = self._methods[key] = getattr(obj, name)
+        return self.bind(hint, bound)
 
     def fresh(self, hint: str) -> str:
         self._n += 1
@@ -476,11 +543,7 @@ register_native_emitter(ResetManager, ResetManagerEmitter())
 def _edge_native_blocker(edge) -> Optional[str]:
     """None when every primitive of *edge* can be emitted natively, else
     the reason the edge must run in transaction mode."""
-    if getattr(edge, "compile_mode", "auto") == "interpreted":
-        return "policy"
     for p in edge.condition.primitives:
-        if not getattr(p, "compilable", True):
-            return f"opt-out: {p!r}"
         t = type(p)
         if t is Guard or t is Discard or t is Release or t is ReleaseMany:
             continue
@@ -819,17 +882,176 @@ def _emit_native_edge(g, w, edge, slot_cands):
     _emit_native_commit(g, w, ctx)
 
 
-def _emit_txn_edge(g, w, edge, spec, k):
-    probe = g.bind(f"e{k}probe", compile_edge_probe(edge, spec))
-    tv = g.fresh(f"e{k}txn")
-    w(f"{tv} = osm._txn")
-    with w.block(f"if {tv}.dirty:"):
-        w(f"{tv}.reset(osm)")
-    with w.block(f"if not {probe}(osm, {tv}):"):
-        with w.block(f"if {tv}.dirty:"):
-            w(f"{tv}.reset(osm)")
+# Transactional form: each emitter mirrors the ``probe`` body of its
+# primitive in :mod:`repro.core.primitives` against the stepper's
+# ``txn = osm._txn``; a refusal notes ``osm.blocked_on`` and leaves the
+# edge attempt (loops through an ok-flag, as in the native form).
+
+
+def _txn_refuse(w, mgr_expr: str, ident_expr: str, ok: Optional[str] = None) -> None:
+    w(f"osm.blocked_on = ({mgr_expr}, {ident_expr})")
+    if ok is not None:
+        w(f"{ok} = False")
+    w("break")
+
+
+def _txn_grant(w, slot_expr: str, tok: str) -> None:
+    w("txn.dirty = True")
+    w(f"txn.grants.append(({slot_expr}, {tok}))")
+    w(f"txn._granted_ids.add(id({tok}))")
+
+
+def _txn_allocate(g, w, p, idx):
+    alloc = g.method(f"a{idx}alloc", p.manager, "allocate")
+    m = g.bind("mgr", p.manager)
+    slot = _expr(g, f"a{idx}slot", p.slot)
+    tv = g.fresh(f"a{idx}t")
+
+    def body(ident):
+        w(f"{tv} = {alloc}(osm, {ident}, txn)")
+        with w.block(f"if {tv} is None:"):
+            _txn_refuse(w, m, ident)
+        _txn_grant(w, slot, tv)
+
+    if p._dynamic:
+        iv = g.fresh(f"a{idx}i")
+        w(f"{iv} = {_ident_call(g, f'a{idx}ident', p.ident)}")
+        with w.block(f"if {iv} is not None:"):
+            body(iv)
+    else:
+        body(_expr(g, f"a{idx}ident", p.ident))
+
+
+def _txn_allocate_many(g, w, p, idx):
+    alloc = g.method(f"m{idx}alloc", p.manager, "allocate")
+    m = g.bind("mgr", p.manager)
+    slot = _expr(g, f"m{idx}slot", p.slot)
+    idents_call = _ident_call(g, f"m{idx}idents", p.idents)
+    ok, ix, iv, tv = (g.fresh(f"m{idx}{s}") for s in ("ok", "x", "i", "t"))
+    w(f"{ok} = True")
+    with w.block(f"for {ix}, {iv} in enumerate({idents_call} or ()):"):
+        w(f"{tv} = {alloc}(osm, {iv}, txn)")
+        with w.block(f"if {tv} is None:"):
+            _txn_refuse(w, m, iv, ok)
+        _txn_grant(w, f"{slot} + str({ix})", tv)
+    with w.block(f"if not {ok}:"):
         w("break")
-    w(f"{tv}.commit()")
+
+
+def _txn_inquire(g, w, p, idx):
+    inq = g.method(f"i{idx}inq", p.manager, "inquire")
+    m = g.bind("mgr", p.manager)
+
+    def check(ident, ok=None):
+        with w.block(f"if not {inq}(osm, {ident}, txn):"):
+            _txn_refuse(w, m, ident, ok)
+        w("txn.dirty = True")
+        w(f"txn.inquiries.append(({m}, {ident}))")
+        w(f"{m}.n_inquiries += 1")
+
+    if p._dynamic:
+        iv = g.fresh(f"i{idx}v")
+        w(f"{iv} = {_ident_call(g, f'i{idx}ident', p.ident)}")
+        with w.block(f"if {iv} is not None:"):
+            with w.block(f"if not isinstance({iv}, (list, tuple)):"):
+                check(iv)
+            with w.block("else:"):
+                ok = g.fresh(f"i{idx}ok")
+                sv = g.fresh(f"i{idx}s")
+                w(f"{ok} = True")
+                with w.block(f"for {sv} in {iv}:"):
+                    check(sv, ok)
+                with w.block(f"if not {ok}:"):
+                    w("break")
+    elif isinstance(p.ident, (list, tuple)):
+        for j, element in enumerate(p.ident):
+            check(_expr(g, f"i{idx}e{j}", element))
+    else:
+        check(_expr(g, f"i{idx}ident", p.ident))
+
+
+def _txn_release(g, w, p, idx, may_have_releases):
+    slot = _expr(g, f"r{idx}slot", p.slot)
+    tv = g.fresh(f"r{idx}t")
+    mv = g.fresh(f"r{idx}m")
+    w(f"{tv} = buffer.get({slot})")
+    with w.block(f"if {tv} is not None:"):
+        if may_have_releases:
+            with w.block(f"if txn.releases and txn.is_tentatively_released({tv}):"):
+                w("raise TokenError("
+                  f"'double release of slot %r in one condition' % ({slot},))")
+        w(f"{mv} = {tv}.manager")
+        with w.block(f"if not {mv}.release(osm, {tv}, txn):"):
+            _txn_refuse(w, mv, slot)
+        value = "None" if p.value is None else f"{g.bind(f'r{idx}value', p.value)}(osm)"
+        w("txn.dirty = True")
+        w(f"txn.releases.append(({tv}, {value}, {slot}))")
+
+
+def _txn_release_many(g, w, p, idx):
+    prefix = _expr(g, f"r{idx}prefix", p.prefix)
+    ok, sv, tv, mv = (g.fresh(f"r{idx}{s}") for s in ("ok", "s", "t", "m"))
+    w(f"{ok} = True")
+    with w.block(f"for {sv}, {tv} in list(buffer.items()):"):
+        with w.block(f"if not {sv}.startswith({prefix}):"):
+            w("continue")
+        w(f"{mv} = {tv}.manager")
+        with w.block(f"if not {mv}.release(osm, {tv}, txn):"):
+            _txn_refuse(w, mv, sv, ok)
+        value = ("None" if p.value is None
+                 else f"{g.bind(f'r{idx}value', p.value)}(osm, {tv})")
+        w("txn.dirty = True")
+        w(f"txn.releases.append(({tv}, {value}, {sv}))")
+    with w.block(f"if not {ok}:"):
+        w("break")
+
+
+def _txn_discard(g, w, p, idx):
+    if p.slot is not None:
+        slot = _expr(g, f"d{idx}slot", p.slot)
+        dv = g.fresh(f"d{idx}t")
+        w(f"{dv} = buffer.get({slot})")
+        with w.block(f"if {dv} is not None:"):
+            w("txn.dirty = True")
+            w(f"txn.discards.append(({dv}, {slot}))")
+    else:
+        sv = g.fresh(f"d{idx}s")
+        dv = g.fresh(f"d{idx}t")
+        with w.block(f"for {sv}, {dv} in list(buffer.items()):"):
+            w("txn.dirty = True")
+            w(f"txn.discards.append(({dv}, {sv}))")
+
+
+def _emit_txn_edge(g, w, edge):
+    with w.block("if txn.dirty:"):
+        w("txn.reset(osm)")
+    # True once an earlier primitive may already have appended to
+    # txn.releases — only then can a Release hit the double-release check
+    may_have_releases = False
+    for idx, p in enumerate(edge.condition.primitives):
+        t = type(p)
+        if t is Guard:
+            _nat_guard(g, w, p, idx, None)
+        elif t is Allocate:
+            _txn_allocate(g, w, p, idx)
+        elif t is AllocateMany:
+            _txn_allocate_many(g, w, p, idx)
+        elif t is Inquire:
+            _txn_inquire(g, w, p, idx)
+        elif t is Release:
+            _txn_release(g, w, p, idx, may_have_releases)
+            may_have_releases = True
+        elif t is ReleaseMany:
+            _txn_release_many(g, w, p, idx)
+            may_have_releases = True
+        elif t is Discard:
+            _txn_discard(g, w, p, idx)
+        else:  # custom primitive: its own probe, called in place
+            probe = g.method(f"p{idx}probe", p, "probe")
+            with w.block(f"if not {probe}(osm, txn):"):
+                w("break")
+            may_have_releases = True
+    w("txn.commit()")
 
 
 def _emit_bookkeeping(g, w, edge):
@@ -858,21 +1080,22 @@ def generate_stepper(state, spec) -> Callable:
     """Generate the fused ``step(osm, clock) -> Edge | None`` for *state*.
 
     Raises on any generation problem; callers (:func:`fuse_spec`) catch
-    and fall back to the per-edge plan.
+    and leave the state on the interpreted reference.
     """
     g = _Codegen()
     w = _Writer()
     slot_cands = _slot_candidates(spec)
+    native = [_edge_native_blocker(edge) is None for edge in state.out_edges]
     w("osm.blocked_on = None")
     w("buffer = osm.token_buffer")
-    for k, edge in enumerate(state.out_edges):
-        blocker = _edge_native_blocker(edge)
+    if not all(native):
+        w("txn = osm._txn")
+    for edge, is_native in zip(state.out_edges, native):
         with w.block("while True:"):
-            if blocker is None:
+            if is_native:
                 _emit_native_edge(g, w, edge, slot_cands)
-                spec.compile_stats.record(edge, None)
             else:
-                _emit_txn_edge(g, w, edge, spec, k)
+                _emit_txn_edge(g, w, edge)
             _emit_bookkeeping(g, w, edge)
     w("return None")
     sig = "".join(f", {n}={n}" for n in g.params)
@@ -895,8 +1118,8 @@ def fuse_spec(spec, states=None) -> int:
     *states* restricts fusion to the named states (the certified-fusable
     set from effectcheck); others are recorded as policy fallbacks.  Any
     generation failure is caught, recorded in ``spec.compile_stats`` and
-    degrades that state to the per-edge plan.  Returns the number of
-    states fused.
+    leaves that state on the interpreted reference.  Returns the number
+    of states fused.
     """
     stats = spec.compile_stats
     fused = 0
@@ -930,19 +1153,21 @@ def defuse_spec(spec) -> None:
         spec.fuse_certificate = None
 
 
-class _UnsafeEdges:
-    def __init__(self, unsafe_edges):
-        self.unsafe_edges = unsafe_edges
-
-
-class _Uncertified:
-    """Minimal compilability-report shape carrying only transcheck
-    demotions, for :func:`apply_compilability`."""
-
-    unsafe_edges: tuple = ()
-
-    def __init__(self, uncertified_states):
-        self.uncertified_states = uncertified_states
+def demote_states(spec, failures) -> int:
+    """Drop the fused stepper of every ``(state name, reason)`` pair in
+    *failures* (transcheck verdicts), recording each in
+    ``spec.compile_stats`` with :data:`CERTIFY_PREFIX` so the demotion is
+    visible in the bench JSON row.  Returns the number of states demoted.
+    """
+    demoted = 0
+    for name, reason in failures:
+        state = spec.states.get(name)
+        if state is None:
+            continue
+        state._fused = None
+        spec.compile_stats.record_state(state, CERTIFY_PREFIX + reason)
+        demoted += 1
+    return demoted
 
 
 def _structure_key(spec) -> tuple:
@@ -968,8 +1193,9 @@ def _structure_key(spec) -> tuple:
     return tuple(parts)
 
 
-#: structure key -> (frozenset of fusable state names, tuple of unsafe edges)
-_CERT_CACHE: Dict[tuple, Tuple[frozenset, tuple]] = {}
+#: structure key -> frozenset of the state names effectcheck certifies
+#: fusable
+_CERT_CACHE: Dict[tuple, frozenset] = {}
 
 #: (structure key, generator fingerprint) -> tuple of (state, reason)
 #: transcheck demotions — empty for a generator that certifies clean
@@ -981,36 +1207,27 @@ def enable_fusion(spec) -> int:
 
     The gated entry point used by model constructors: runs the effect
     analysis (cached per spec structure, so repeated model builds pay it
-    once per process), pins statically-unsafe edges to the interpreted
-    path via :func:`apply_compilability`, and fuses exactly the states
-    the compilability report deems fusable.  The generated steppers are
-    then translation-validated by transcheck
-    (:mod:`repro.analysis.certify`, cached per structure + generator
-    fingerprint): a state whose stepper fails certification is demoted
-    back to the per-edge plan, with the fallback counted in
-    ``spec.compile_stats``.  The surviving set is stamped on
+    once per process) and fuses exactly the states the compilability
+    report deems fusable.  The generated steppers are then
+    translation-validated by transcheck (:mod:`repro.analysis.certify`,
+    cached per structure + generator fingerprint): a state whose stepper
+    fails certification is demoted back to the interpreted reference by
+    :func:`demote_states`.  The surviving set is stamped on
     ``spec.fuse_certificate`` together with the generator fingerprint so
     ``repro certify`` can flag stale certificates (TRV008).  Analysis
-    failures degrade to no fusion — the per-edge plan keeps working —
-    and are recorded in ``spec.compile_stats``.  Returns the number of
-    states fused.
+    failures degrade to no fusion and are recorded in
+    ``spec.compile_stats``.  Returns the number of states fused.
     """
     try:
         key = _structure_key(spec)
-        verdict = _CERT_CACHE.get(key)
-        if verdict is None:
+        fusable = _CERT_CACHE.get(key)
+        if fusable is None:
             # Imported lazily: repro.analysis imports the model registry,
             # which imports the models, which import repro.core — a
             # module-level import here would be circular.
             from ..analysis.effects import compilability_report, effects_spec
-            report = effects_spec(spec)
-            comp = compilability_report(spec, report)
-            verdict = (frozenset(comp.fusable_states),
-                       tuple(sorted(comp.unsafe_edges)))
-            _CERT_CACHE[key] = verdict
-        fusable, unsafe = verdict
-        if unsafe:
-            apply_compilability(spec, _UnsafeEdges(unsafe))
+            comp = compilability_report(spec, effects_spec(spec))
+            fusable = _CERT_CACHE[key] = frozenset(comp.fusable_states)
         fused = fuse_spec(spec, states=fusable)
 
         from ..analysis.certify import (certify_fused_states,
@@ -1021,8 +1238,7 @@ def enable_fusion(spec) -> int:
         if uncertified is None:
             uncertified = tuple(certify_fused_states(spec))
             _TRV_CACHE[trv_key] = uncertified
-        if uncertified:
-            fused -= apply_compilability(spec, _Uncertified(uncertified))
+        fused -= demote_states(spec, uncertified)
         spec.fuse_certificate = {
             "generator": fingerprint,
             "fused_states": sorted(

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from .edgecompile import CompileStats, compile_edge_probe
 from .errors import SpecError, TokenError
+from .fuse import CompileStats
 from .primitives import ALWAYS, Condition, Primitive
 from .token import Token
 from .transaction import Transaction
@@ -30,7 +30,7 @@ class State:
     """A named state in a machine specification."""
 
     __slots__ = ("name", "is_initial", "on_enter", "out_edges", "spec",
-                 "source_span", "_plan", "_fused")
+                 "source_span", "_fused")
 
     def __init__(self, name: str, is_initial: bool = False, on_enter: Optional[Action] = None):
         self.name = name
@@ -41,36 +41,16 @@ class State:
         #: The shared diagnostics layer renders it so analysis findings
         #: can point at the describing source line.
         self.source_span: Optional[Tuple[str, int]] = None
-        #: owning spec, set by :meth:`MachineSpec.state`; carries the
-        #: per-spec :class:`~repro.core.edgecompile.CompileStats` that
-        #: :meth:`probe_plan` records compile outcomes into
+        #: owning spec, set by :meth:`MachineSpec.state`
         self.spec: Optional["MachineSpec"] = None
         #: outgoing edges sorted by descending static priority
         self.out_edges: List["Edge"] = []
-        #: pre-bound probe plan: ``((edge, compiled_probe), ...)`` snapshot
-        #: of the outgoing edges, each guard condition compiled to one
-        #: specialised ``probe(osm, txn) -> bool`` function (see
-        #: :mod:`repro.core.edgecompile`).  Built lazily at first use and
-        #: invalidated whenever an edge is declared; compiling once at
-        #: model-build time keeps the per-cycle transition probe free of
-        #: per-primitive dispatch, attribute chasing and temporary lists.
-        self._plan: Optional[Tuple[Tuple["Edge", Callable], ...]] = None
         #: fused whole-state stepper ``step(osm, clock) -> Edge | None``
         #: installed by :func:`repro.core.fuse.fuse_spec` for states the
-        #: effect analysis certifies; ``None`` means "walk the per-edge
-        #: probe plan" (the always-available fallback)
+        #: effect analysis certifies; ``None`` means "probe through
+        #: :meth:`OperationStateMachine.try_transition`" (the interpreted
+        #: reference, always available)
         self._fused: Optional[Callable] = None
-
-    def probe_plan(self) -> Tuple[Tuple["Edge", Callable], ...]:
-        """The pre-bound (edge, compiled probe) plan for this state."""
-        plan = self._plan
-        if plan is None:
-            plan = tuple(
-                (edge, compile_edge_probe(edge, self.spec))
-                for edge in self.out_edges
-            )
-            self._plan = plan
-        return plan
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"State({self.name!r})"
@@ -101,7 +81,7 @@ class Edge:
     """
 
     __slots__ = ("src", "dst", "condition", "priority", "action", "label",
-                 "index", "lint_allow", "compile_mode", "source_span")
+                 "index", "lint_allow", "source_span")
 
     def __init__(
         self,
@@ -125,11 +105,6 @@ class Edge:
         #: when labels repeat); assigned by :meth:`MachineSpec.edge`
         self.index: int = -1
         self.lint_allow: Tuple[str, ...] = tuple(allow)
-        #: "auto" (compile the guard condition, interpreted fallback on
-        #: failure) or "interpreted" (skip codegen — set by
-        #: :func:`repro.core.edgecompile.apply_compilability` for edges
-        #: the effect analyzer cannot certify)
-        self.compile_mode: str = "auto"
         #: ``(unit, lineno)`` provenance when synthesized from a source
         #: description (see :class:`State.source_span`)
         self.source_span: Optional[Tuple[str, int]] = None
@@ -159,7 +134,7 @@ class MachineSpec:
         #: spec-wide lint suppressions (rule codes); see Edge.lint_allow
         #: for the per-edge variant
         self.lint_allow: Tuple[str, ...] = ()
-        #: per-spec edge-probe compile outcomes (see CompileStats)
+        #: per-spec fusion census (see :class:`repro.core.fuse.CompileStats`)
         self.compile_stats = CompileStats()
         #: analysis breadcrumb: the rank-key function of the director the
         #: spec's OSMs were last registered with (stamped by
@@ -213,8 +188,7 @@ class MachineSpec:
         # keep outgoing edges sorted: highest static priority first, then
         # declaration order (stable sort) for determinism among equals
         out.sort(key=lambda edge: -edge.priority)
-        source._plan = None  # edge set changed: rebuild the probe plan
-        source._fused = None  # and drop any fused stepper baked on the old set
+        source._fused = None  # drop any fused stepper baked on the old edge set
         # the fusion census entry described the old edge set; drop it so
         # a later rebuild (or none) never reports a stale fused state
         self.compile_stats.states.pop(source.name, None)
@@ -342,24 +316,21 @@ class OperationStateMachine:
         the edge action and the destination's ``on_enter``, and returns the
         edge.  Returns ``None`` when no edge fires.
 
-        The probe loop runs over the state's pre-bound
-        :meth:`State.probe_plan`: each edge's guard condition is compiled
-        at model-build time into one specialised probe function (see
-        :mod:`repro.core.edgecompile`), so per-cycle work is one call per
-        candidate edge instead of per-primitive dispatch.  The observable
-        behaviour is identical to probing each edge's condition in
-        declaration order.
+        This is the interpreted reference (the oracle the fused steppers
+        of :mod:`repro.core.fuse` are checked against): every edge is
+        probed by calling ``p.probe(osm, txn)`` on its primitives in
+        declaration order, and runs no generated code.
         """
         self.blocked_on = None
         current = self.current
-        plan = current._plan
-        if plan is None:
-            plan = current.probe_plan()
         txn = self._txn
-        if txn.dirty:
-            txn.reset(self)
-        for edge, probe in plan:
-            if probe(self, txn):
+        for edge in current.out_edges:
+            if txn.dirty:
+                txn.reset(self)
+            for primitive in edge.condition.primitives:
+                if not primitive.probe(self, txn):
+                    break
+            else:
                 txn.commit()
                 dst = edge.dst
                 self.current = dst
@@ -381,8 +352,6 @@ class OperationStateMachine:
                     self.operation = None
                     self.age = -1
                 return edge
-            if txn.dirty:
-                txn.reset(self)
         return None
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 
 from .errors import TokenError
 from .manager import TokenManager
-from .transaction import Transaction, acquire_transaction, recycle_transaction
+from .transaction import Transaction
 
 IdentLike = Union[Any, Callable[[Any], Any]]
 
@@ -32,20 +32,17 @@ class Primitive:
     #: subclasses set this for traces
     kind = "primitive"
 
-    #: set False on a subclass (or instance) to keep the edge compiler
-    #: from baking this primitive into a specialised probe — the edge
-    #: then runs the interpreted closure and the fallback is counted in
-    #: the spec's :class:`~repro.core.edgecompile.CompileStats` and
-    #: reported by effectcheck (EFF008).  Use for probes whose behaviour
-    #: depends on being dispatched through the interpreter (e.g. probes
-    #: that are monkeypatched per instance at run time).
-    compilable = True
-
     def probe(self, osm, txn: Transaction) -> bool:
         """Probe phase: return True when the transaction would succeed,
         recording tentative effects in *txn*.  Must not mutate any manager
         or OSM state — effectcheck's EFF005 pass statically audits custom
-        overrides against this contract."""
+        overrides against this contract.
+
+        These methods are the interpreted reference:
+        :meth:`~repro.core.osm.OperationStateMachine.try_transition`
+        calls them directly, and the fused steppers of
+        :mod:`repro.core.fuse` inline the built-in primitives' bodies
+        (custom primitives keep calling their own ``probe``)."""
         raise NotImplementedError
 
     def __and__(self, other: "Primitive") -> "Condition":
@@ -307,8 +304,9 @@ class Guard(Primitive):
 class Condition:
     """Conjunction of primitives guarding one edge.
 
-    Evaluation is all-or-nothing: :meth:`probe` builds a transaction whose
-    effects are committed only if every primitive succeeds, per Section 3.3.
+    Evaluation is all-or-nothing: the OSM probes every primitive against
+    its transaction and commits the effects only if all of them succeed,
+    per Section 3.3.
     """
 
     __slots__ = ("primitives",)
@@ -320,15 +318,6 @@ class Condition:
         if isinstance(other, Condition):
             return Condition(self.primitives + other.primitives)
         return Condition(self.primitives + [other])
-
-    def probe(self, osm) -> Optional[Transaction]:
-        """Return a ready-to-commit transaction, or ``None`` if unsatisfied."""
-        txn = acquire_transaction(osm)
-        for primitive in self.primitives:
-            if not primitive.probe(osm, txn):
-                recycle_transaction(txn)  # failed probes recycle their transaction
-                return None
-        return txn
 
     def __repr__(self) -> str:  # pragma: no cover
         return " & ".join(repr(p) for p in self.primitives) or "Always()"

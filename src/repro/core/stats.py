@@ -48,14 +48,6 @@ class SimulationStats:
         self.state_occupancy: Dict[str, int] = {}
         #: phase name -> accumulated wall seconds (see module docstring)
         self.phase_seconds: Dict[str, float] = {}
-        #: edge probes compiled to straight-line code / interpreted
-        #: fallbacks, absorbed from the model spec's CompileStats after a
-        #: run (see :meth:`absorb_compile_stats`); ``repro bench``
-        #: surfaces both in its JSON row
-        self.compiled_probes = 0
-        self.probe_fallbacks = 0
-        #: ``(edge qualname, reason)`` for every counted fallback
-        self.fallback_edges: list = []
         self._wall_start: Optional[float] = None
         self.wall_seconds = 0.0
         #: open ``time_phase`` frames: ``[name, start, child_seconds]``
@@ -128,22 +120,6 @@ class SimulationStats:
             if self._phase_stack:
                 self._phase_stack[-1][2] += elapsed
 
-    def absorb_compile_stats(self, spec) -> None:
-        """Accumulate the edge-probe compile outcomes of *spec* (a
-        :class:`~repro.core.MachineSpec`) into this stats object.
-
-        Called at harness boundaries (``repro bench`` after each model
-        run) — only states whose probe plans were actually built are
-        counted, so the figures describe what the simulation ran, not
-        what the spec declares.
-        """
-        compile_stats = getattr(spec, "compile_stats", None)
-        if compile_stats is None:
-            return
-        self.compiled_probes += compile_stats.compiled
-        self.probe_fallbacks += compile_stats.fallbacks
-        self.fallback_edges.extend(compile_stats.fallback_edges)
-
     @property
     def cycles_per_second(self) -> float:
         """Simulated cycles per wall-clock second (0.0 when untimed)."""
@@ -182,9 +158,6 @@ class SimulationStats:
             f"wall seconds     : {self.wall_seconds:.3f}",
             f"cycles/second    : {self.cycles_per_second:,.0f}",
         ]
-        if self.compiled_probes or self.probe_fallbacks:
-            lines.append(f"compiled probes  : {self.compiled_probes}")
-            lines.append(f"probe fallbacks  : {self.probe_fallbacks}")
         for name in sorted(self.phase_seconds):
             lines.append(f"phase {name:<11}: {self.phase_seconds[name]:.3f}s")
         return "\n".join(lines)

@@ -7,7 +7,8 @@ simultaneously.  If all primitives do not succeed, the condition is not
 satisfied and all transaction requests are abandoned."*
 
 The two-phase probe/commit protocol is realised by a :class:`Transaction`
-object created per edge evaluation.  During the probe phase primitives ask
+object each OSM owns and reuses for every edge evaluation (probing is
+sequential per OSM).  During the probe phase primitives ask
 their managers whether the transaction *would* succeed; grants recorded in
 the transaction are tentative.  Managers consult the transaction so that a
 condition allocating two tokens from one pool is answered consistently
@@ -73,8 +74,8 @@ class Transaction:
         self.inquiries.append((manager, ident))
 
     def reset(self, osm) -> None:
-        """Recycle this transaction for a fresh probe (object pooling:
-        most probes fail and their transactions are reused)."""
+        """Clear this transaction for a fresh probe (most probes fail,
+        and the OSM reuses its transaction for the next edge)."""
         self.osm = osm
         self.dirty = False
         # guard each clear: a typical transaction touches one or two of
@@ -98,12 +99,6 @@ class Transaction:
         same physical token twice.
         """
         return bool(self._granted_ids) and id(token) in self._granted_ids
-
-    def tentative_release_value(self, token: Token) -> Optional[Any]:
-        for released, value, _ in self.releases:
-            if released is token:
-                return value
-        return None
 
     def is_tentatively_released(self, token: Token) -> bool:
         if not self.releases:
@@ -163,25 +158,3 @@ class Transaction:
             f"releases={len(self.releases)}, discards={len(self.discards)})"
         )
 
-
-#: recycled transactions (object pooling: most probes fail, and committed
-#: transactions are never retained by managers, so both can be reused)
-_TXN_POOL: List[Transaction] = []
-
-
-def acquire_transaction(osm) -> Transaction:
-    """A fresh (possibly recycled) transaction bound to *osm*."""
-    pool = _TXN_POOL
-    if pool:
-        txn = pool.pop()
-        if txn.dirty:
-            txn.reset(osm)
-        else:
-            txn.osm = osm
-        return txn
-    return Transaction(osm)
-
-
-def recycle_transaction(txn: Transaction) -> None:
-    """Return *txn* to the pool once its probe failed or its commit ran."""
-    _TXN_POOL.append(txn)

@@ -19,9 +19,8 @@ Cross-process hazards audited for this contract (and why each is safe):
   transcheck verdicts per spec *structure* (qualnames, not object
   identities), so a fresh process recomputes the same verdict it would
   inherit under ``fork``.
-* ``repro.core.transaction._TXN_POOL`` recycles transactions across
-  model builds inside one worker; transactions are reset on reuse and
-  carry no cross-job state.
+* transactions are per-OSM state (``osm._txn``), created fresh with
+  every model build, so no probe state crosses jobs.
 * ``repro.iss.decode_cache.DecodeCache`` is per-``MainMemory`` instance
   state, created fresh with every model build.
 """

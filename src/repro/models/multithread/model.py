@@ -39,6 +39,7 @@ from ...core import (
     ReleaseMany,
     SimulationStats,
     SlotManager,
+    enable_fusion,
 )
 from ...de.module import HardwareModule
 from ...isa.arm import semantics as arm_semantics
@@ -180,6 +181,9 @@ class MultithreadModel:
             for _ in range(osms_per_thread):
                 self.osms.append(OperationStateMachine(self.spec, tag=tid))
         self.director.add(*self.osms)
+        # After director.add: the gate audits the stamped rank key
+        # (repro.core.fuse).
+        enable_fusion(self.spec)
         self.kernel = CycleDrivenKernel(
             self.director,
             [self.fetch, self.decode_stage, self.execute_stage,

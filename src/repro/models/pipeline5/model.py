@@ -107,9 +107,10 @@ class Pipeline5Model:
         case-study optimisation disables it; exposed for ablation A1.
     fused:
         Generate fused per-state step functions for the states the effect
-        analysis certifies (see :mod:`repro.core.fuse`); ``False`` keeps
-        the per-edge probe plans only.  Scheduling results are identical
-        either way.
+        analysis certifies (see :mod:`repro.core.fuse`); ``False`` runs
+        no generated OSM code — every state probes through the
+        interpreted reference.  Scheduling results are identical either
+        way.
     """
 
     #: units whose :meth:`execute_latency` can exceed one cycle —

@@ -34,6 +34,7 @@ from ...core import (
     PoolManager,
     Release,
     SimulationStats,
+    enable_fusion,
 )
 from ...core.director import operation_seq_rank
 from ...de.module import HardwareModule
@@ -127,6 +128,9 @@ class VliwModel:
             OperationStateMachine(self.spec) for _ in range(5 * width + width)
         ]
         self.director.add(*self.osms)
+        # After director.add: the gate audits the stamped rank key
+        # (repro.core.fuse).
+        enable_fusion(self.spec)
         self.kernel = CycleDrivenKernel(
             self.director,
             [self.fetch, self.decode_stage, self.execute_stage,

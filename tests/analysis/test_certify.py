@@ -4,16 +4,17 @@ fast-path code.
 Three layers of coverage:
 
 * **Clean certification**: every registered spec and both ISA targets
-  certify with zero errors — the generated fused steppers, compiled
-  probes, execgen closures and ISS blocks all agree with their reference
-  sources.
+  certify with zero errors — the generated fused steppers, execgen
+  closures and ISS blocks all agree with their reference sources.
 * **Mutation harness**: each rule TRV001–TRV008 (and the build-time
   gate) demonstrably *fires* when the corresponding generator output is
   corrupted.  A validator that never fails validates nothing.
 * **Demotion plumbing**: a TRV-failing state is demoted by
-  ``apply_compilability`` with the fallback counted in ``CompileStats``
+  ``demote_states`` with the fallback counted in ``CompileStats``
   (the counters the bench JSON row reports).
 """
+
+import re
 
 import pytest
 
@@ -33,8 +34,8 @@ from repro.analysis.certify.engine import (
     Trv006PageMapCoverage,
 )
 from repro.analysis.registry import available_specs, build_spec
-from repro.core import edgecompile, fuse
-from repro.core.edgecompile import apply_compilability
+from repro.core import fuse
+from repro.core.fuse import demote_states
 from repro.models.pipeline5 import model as p5model
 
 
@@ -109,22 +110,16 @@ class TestSpecRuleMutations:
             p5model._source_regs.__fuse_inline__ = original
         assert found and "diverges" in found[0].message
 
-    def test_trv003_fires_on_corrupted_probe_source(self, monkeypatch):
-        spec = build_spec("pipeline5")
-        real = edgecompile.compile_edge_probe
-
-        def corrupted(edge, spec=None):
-            probe = real(edge, spec)
-            source = getattr(probe, "__probe_source__", None)
-            if source is not None and "txn.grants.append" in source:
-                probe.__probe_source__ = source.replace(
-                    "txn.grants.append((a0_slot, token))", "pass", 1)
-            return probe
-
-        monkeypatch.setattr(edgecompile, "compile_edge_probe", corrupted)
-        found = _errors(certify_spec(spec, codes=["TRV003"]), "TRV003")
-        assert found, "TRV003 must fire when a compiled probe drops a grant"
-        assert "diverges from the primitive plan" in found[0].message
+    def test_trv001_fires_on_corrupted_txn_edge(self):
+        spec = build_spec("ppc750")
+        state = spec.states["Q"]
+        source = state._fused.__fused_source__
+        assert "txn.grants.append(('cq'" in source
+        state._fused.__fused_source__ = re.sub(
+            r"txn\.grants\.append\(\('cq', \w+\)\)", "pass", source, count=1)
+        found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
+        assert found, "TRV001 must fire when a transactional edge drops a grant"
+        assert {d.state for d in found} == {"Q"}
 
     def test_trv007_fires_on_census_drift(self):
         spec = build_spec("pipeline5")
@@ -158,6 +153,92 @@ class TestSpecRuleMutations:
             spec.fuse_certificate, fused_states=stamped)
         found = _errors(certify_spec(spec, codes=["TRV008"]), "TRV008")
         assert found and "certificate covers states" in found[0].message
+
+
+def _slice_loop(spec, pattern, replacement):
+    """Rewrite the iterable of the first fused ``for`` loop whose
+    iterable matches *pattern* (the way a miscompiled loop silently skips
+    elements); returns the mutated state."""
+    regex = re.compile(r"^(\s*for [\w, ]+ in )(" + pattern + r"):$", re.M)
+    for state in spec.states.values():
+        fn = state._fused
+        match = regex.search(fn.__fused_source__) if fn is not None else None
+        if match:
+            fn.__fused_source__ = (
+                fn.__fused_source__[:match.start(2)]
+                + match.expand(replacement)
+                + fn.__fused_source__[match.end(2):])
+            return state
+    pytest.fail(f"{spec.name}: no fused loop over {pattern!r}")
+
+
+#: one case per loop-iterable shape the generators emit, each sliced to
+#: its first element: (spec, iterable pattern, sliced replacement)
+LOOP_SLICES = {
+    "ident-local": ("pipeline5", r"i\d+v\d+", r"\2[:1]"),
+    "ident-local-transactional": ("ppc750", r"i\d+v\d+", r"\2[:1]"),
+    "idents-or-empty": ("pipeline5", r"\(osm\.operation\.instr\.dst_regs\) or \(\)",
+                        r"(\2)[:1]"),
+    "enumerated-idents-or-empty": ("ppc750", r"enumerate\((.+ or \(\))\)",
+                                   r"enumerate((\3)[:1])"),
+    "buffer-snapshot": ("pipeline5", r"list\(buffer\.items\(\)\)", r"\2[:1]"),
+    "bound-token-list": ("vliw", r"pool_\d+", r"\2[:1]"),
+    "register-update-tokens": ("pipeline5", r"upd_\d+\[\w+\]", r"\2[:1]"),
+    "commit-list": ("pipeline5", r"r\d+l\d+", r"\2[:1]"),
+    "enumerated-commit-list": ("pipeline5", r"enumerate\((m\d+l\d+)\)",
+                               r"enumerate(\3[:1])"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LOOP_SLICES))
+def test_trv001_fires_on_sliced_loop_iterable(shape):
+    """The replay walks a loop body once, so it must pin what the loop
+    iterates: a sliced iterable skips work yet keeps every event."""
+    name, pattern, replacement = LOOP_SLICES[shape]
+    spec = build_spec(name)
+    state = _slice_loop(spec, pattern, replacement)
+    found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
+    assert found, f"TRV001 must fire on a sliced {shape} loop"
+    assert state.name in {d.state for d in found}
+
+
+def test_build_gate_demotes_ppc750_q_on_partial_inquiry(monkeypatch):
+    """A transactional inquiry loop that checks only the first source
+    register (a miscompile that shifts ppc750's cycle counts while the
+    reference path still agrees with itself) must not survive the build
+    gate: state Q is demoted and ``repro certify`` reports it."""
+    from repro.isa.ppc import assemble
+    from repro.models.ppc750 import Ppc750Model
+
+    program = assemble("""
+    .text
+_start:
+    li r0, 0
+    li r3, 0
+    sc
+""")
+    real = fuse.generate_stepper
+
+    def partial(state, spec):
+        stepper = real(state, spec)
+        stepper.__fused_source__ = re.sub(
+            r"(for i\d+s\d+ in )(i\d+v\d+):", r"\1\2[:1]:",
+            stepper.__fused_source__)
+        return stepper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fuse, "generate_stepper", partial)
+        fuse._TRV_CACHE.clear()
+        try:
+            spec = Ppc750Model(program, perfect_memory=True).spec
+        finally:
+            fuse._TRV_CACHE.clear()
+    assert "Q" not in spec.fuse_certificate["fused_states"]
+    assert "Q" in dict(spec.compile_stats.demoted_states)
+    # repro certify reports the demotion, not a clean spec
+    found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
+    assert "Q" in {d.state for d in found}
+    assert all("[:1]" in d.message for d in found)
 
 
 class TestIsaRuleMutations:
@@ -247,7 +328,7 @@ class TestBuildGate:
     def test_corrupted_generator_demotes_at_model_build(self, monkeypatch):
         """End to end: a generator emitting uncertifiable code loses the
         fused stepper at ``enable_fusion`` time, and the demotion is
-        counted as a ``certify:`` fallback in the compile stats (the
+        counted as a transcheck demotion in the compile stats (the
         counters the bench JSON row carries)."""
         from repro.isa.arm import assemble
         from repro.models.pipeline5 import Pipeline5Model
@@ -274,9 +355,9 @@ _start:
                 stats = model.spec.compile_stats
                 assert stats.fused_states == 0
                 assert stats.fused_fallback_states > 0
-                reasons = [r for r in stats.states.values() if r is not None]
-                assert reasons and all(
-                    r.startswith("certify:") for r in reasons)
+                # every unfused state is a transcheck demotion
+                demoted = [name for name, _ in stats.demoted_states]
+                assert demoted == [name for name, _ in stats.fallback_states]
             finally:
                 fuse._TRV_CACHE.clear()
 
@@ -286,26 +367,20 @@ _start:
 
 
 class TestDemotionPlumbing:
-    def test_apply_compilability_consumes_trv_verdicts(self):
-        class _Verdict:
-            unsafe_edges = ()
-
-            def __init__(self, states):
-                self.uncertified_states = states
-
+    def test_demote_states_consumes_trv_verdicts(self):
         spec = build_spec("pipeline5")
         state = _fused_state(spec)
         before = spec.compile_stats.fused_states
-        changed = apply_compilability(
-            spec, _Verdict([(state.name, "stepper does not replay")]))
+        changed = demote_states(
+            spec, [(state.name, "stepper does not replay")])
         stats = spec.compile_stats
         assert changed == 1
         assert state._fused is None
-        assert stats.states[state.name] == "certify: stepper does not replay"
+        assert stats.states[state.name] == (
+            fuse.CERTIFY_PREFIX + "stepper does not replay")
         assert stats.fused_states == before - 1
         assert stats.fused_fallback_states == 1
-        assert (state.name, "certify: stepper does not replay") \
-            in stats.fallback_states
+        assert stats.demoted_states == [(state.name, "stepper does not replay")]
         # the counters the bench row publishes survive serialization
         payload = stats.to_dict()
         assert payload["fused_states"] == before - 1

@@ -2,18 +2,13 @@
 
 Every rule gets a triggering case on a minimal hand-built spec, the
 bundled models are pinned effects-clean (modulo audited suppressions),
-and the compilability report is round-tripped through
-``apply_compilability`` to prove the certification actually gates the
-edge compiler.
+and the compilability report is round-tripped through ``enable_fusion``
+to prove the certification actually gates the fused steppers.
 """
 
 import pytest
 
-from repro.analysis.effects import (
-    CompilabilityReport,
-    compilability_report,
-    effects_spec,
-)
+from repro.analysis.effects import compilability_report, effects_spec
 from repro.analysis.effects.footprint import Footprint, analyze_callable
 from repro.analysis.registry import available_specs, build_spec
 from repro.core import (
@@ -23,9 +18,11 @@ from repro.core import (
     MachineSpec,
     Release,
     SlotManager,
-    apply_compilability,
+    enable_fusion,
+    fuse_spec,
     rank_stable_in_flight,
 )
+from repro.core.osm import OperationStateMachine
 from repro.core.primitives import Primitive
 
 # module-global mutated by the EFF007 fixture
@@ -69,7 +66,6 @@ class TestCleanSpec:
         comp = compilability_report(spec, report)
         assert comp.fully_compilable
         assert comp.fusable_states == ["I", "P", "Q"]
-        assert comp.unsafe_edges == []
 
     def test_all_eight_passes_run(self):
         report = effects_spec(clean_spec())
@@ -283,8 +279,9 @@ class TestWriteRace:
         comp = compilability_report(spec, effects_spec(spec))
         assert not comp.verdicts["I"].fusable
         assert "EFF004" in comp.verdicts["I"].blockers
-        # a race is a scheduling hazard, not a dishonest compiled probe
-        assert comp.unsafe_edges == []
+        # a race is a scheduling hazard, not a codegen problem: the
+        # edges themselves still compile
+        assert fuse_spec(spec) == len(spec.states)
 
 
 class CountingProbe(Primitive):
@@ -393,33 +390,8 @@ class TestGlobalMutation:
         assert report.ok  # warnings do not gate
 
 
-class OptOutProbe(Primitive):
-    """Compilable-in-principle primitive that opts out of codegen."""
-
-    kind = "opt-out"
-    compilable = False
-
-    def probe(self, osm, txn) -> bool:
-        return True
-
-    def __repr__(self):
-        return "OptOutProbe()"
-
-
 class TestOpaqueCode:
     """EFF008."""
-
-    def test_compile_fallback_census_names_the_edge(self):
-        stage = SlotManager("S")
-        spec = one_edge_spec(
-            Condition([OptOutProbe(), Allocate(stage)]), label="slow"
-        )
-        report = effects_spec(spec)
-        findings = unsuppressed(report, "EFF008")
-        census = [d for d in findings if "falls back" in d.message]
-        assert census
-        assert census[0].edge == "slow@0"
-        assert "opt-out" in census[0].message
 
     def test_unanalyzable_probe_time_code_warns(self):
         ns = {}
@@ -433,9 +405,12 @@ class TestOpaqueCode:
         assert report.ok  # warning, not error
 
     def test_opacity_blocks_fusion(self):
+        ns = {}
+        exec("def mystery(osm):\n    return True", ns)
         stage = SlotManager("S")
         spec = one_edge_spec(
-            Condition([OptOutProbe(), Allocate(stage)]), label="slow"
+            Condition([Guard(ns["mystery"], "mystery"), Allocate(stage)]),
+            label="slow",
         )
         comp = compilability_report(spec, effects_spec(spec))
         assert not comp.verdicts["I"].fusable
@@ -472,43 +447,38 @@ class TestSuppression:
         assert all(d.suppressed for d in report.by_code("EFF007"))
 
 
-class TestApplyCompilability:
-    def test_unsafe_edge_is_pinned_to_the_interpreter(self):
-        stage = SlotManager("S")
+def sneaky_spec() -> MachineSpec:
+    """``I --grab--> P`` behind a guard that mutates the OSM (EFF001)."""
+    def sneaky(osm):
+        osm.operation = None
+        return True
 
-        def sneaky(osm):
-            osm.operation = None
-            return True
+    return one_edge_spec(
+        Condition([Guard(sneaky, "sneaky"), Allocate(SlotManager("S"))]),
+        label="grab",
+    )
 
-        spec = one_edge_spec(
-            Condition([Guard(sneaky, "sneaky"), Allocate(stage)]), label="grab"
-        )
+
+class TestFusionGate:
+    def test_unsafe_edge_keeps_its_state_unfused(self):
+        spec = sneaky_spec()
         comp = compilability_report(spec, effects_spec(spec))
-        assert comp.unsafe_edges == ["grab@0"]
+        assert "EFF001" in comp.verdicts["I"].blockers
+        enable_fusion(spec)
+        assert spec.states["I"]._fused is None
+        assert spec.states["P"]._fused is not None
+        assert spec.compile_stats.states["I"] == "policy: not certified fusable"
 
-        pinned = apply_compilability(spec, comp)
-        assert pinned == 1
-        edge = next(e for e in spec.edges if e.qualname == "grab@0")
-        assert edge.compile_mode == "interpreted"
-
-        # rebuilding the plans re-records the edge as a policy fallback
-        for state in spec.states.values():
-            state.probe_plan()
-        assert dict(spec.compile_stats.fallback_edges)["grab@0"] == "policy"
-        # idempotent: a second application pins nothing new
-        assert apply_compilability(spec, comp) == 0
-
-    def test_pinning_preserves_probe_semantics(self):
-        """A pinned edge still probes correctly (interpreted path)."""
-        from repro.core.osm import OperationStateMachine
-
-        stage = SlotManager("S")
-        spec = one_edge_spec(Condition([Allocate(stage)]), label="grab")
-        report = CompilabilityReport(spec="fixture", unsafe_edges=["grab@0"])
-        apply_compilability(spec, report)
+    def test_unfused_state_probes_through_the_primitives(self):
+        """The state the gate keeps unfused still transitions correctly,
+        on the interpreted reference, next to a fused one."""
+        spec = sneaky_spec()
+        enable_fusion(spec)
         osm = OperationStateMachine(spec)
-        assert osm.try_transition(0) is not None
-        assert osm.current.name == "P"
+        assert osm.try_transition(0).label == "grab"
+        assert osm.current.name == "P" and osm.holds("S")
+        assert spec.states["P"]._fused(osm, 1).label == "retire"
+        assert osm.current.name == "I" and not osm.token_buffer
 
 
 class TestFootprintAnalyzer:

@@ -53,7 +53,7 @@ class TestEffectsCli:
         assert main(["effects", impure_spec_registered]) == 1
         out = capsys.readouterr().out
         assert "EFF001" in out and "error" in out
-        assert "1 unsafe edge(s)" in out
+        assert "1/2 states fusable" in out
 
     def test_json_output_schema(self, impure_spec_registered, capsys):
         assert main(["effects", "pipeline5", impure_spec_registered,
@@ -78,13 +78,11 @@ class TestEffectsCli:
 
         comp = impure["compilability"]
         assert comp["fully_compilable"] is False
-        assert comp["unsafe_edges"] == ["grab@0"]
         assert comp["states"]["I"]["fusable"] is False
         assert "EFF001" in comp["states"]["I"]["blockers"]
 
         clean_comp = payload["models"]["pipeline5"]["compilability"]
         assert clean_comp["fully_compilable"] is True
-        assert clean_comp["unsafe_edges"] == []
 
     def test_rules_filter(self, impure_spec_registered, capsys):
         # the impurity is EFF001; filtering to EFF007 hides it

@@ -2,15 +2,19 @@
 
 import pytest
 
+from repro.analysis.certify import certify_fused_states
 from repro.core import (
     ALWAYS,
     Allocate,
     Condition,
     MachineSpec,
     OperationStateMachine,
+    Primitive,
+    Release,
     SlotManager,
     SpecError,
     TokenError,
+    fuse_spec,
 )
 
 
@@ -144,3 +148,51 @@ class TestOperationStateMachine:
         a, b = OperationStateMachine(spec), OperationStateMachine(spec)
         assert a.name != b.name
         assert a.serial != b.serial
+
+
+class Turnstile(Primitive):
+    """A custom primitive: refuses, noting where the OSM waits, until its
+    owner opens it."""
+
+    kind = "turnstile"
+
+    def __init__(self):
+        self.open = False
+
+    def probe(self, osm, txn) -> bool:
+        if not self.open:
+            osm.note_blocked_on(self, "turnstile")
+            return False
+        return True
+
+
+class TestCustomPrimitive:
+    @staticmethod
+    def _step(osm, clock):
+        stepper = osm.current._fused
+        if stepper is not None:
+            return stepper(osm, clock)
+        return osm.try_transition(clock)
+
+    def test_custom_primitive_probes_in_place_on_both_paths(self):
+        """A custom primitive keeps its own ``probe`` on the interpreted
+        reference and inside a fused stepper's transactional form."""
+        for fused in (False, True):
+            gate, stage = Turnstile(), SlotManager("S")
+            spec = MachineSpec("custom")
+            spec.state("I", initial=True)
+            spec.state("P")
+            spec.edge("I", "P", Condition([gate, Allocate(stage)]), label="enter")
+            spec.edge("P", "I", Condition([Release("S")]), label="leave")
+            if fused:
+                assert fuse_spec(spec) == 2
+                assert certify_fused_states(spec) == []
+            osm = OperationStateMachine(spec)
+            assert self._step(osm, 0) is None
+            assert osm.blocked_on == (gate, "turnstile")
+            assert stage.token.holder is None
+            gate.open = True
+            assert self._step(osm, 1).label == "enter"
+            assert osm.holds("S") and osm.blocked_on is None
+            assert self._step(osm, 2).label == "leave"
+            assert osm.in_initial and not osm.token_buffer

@@ -1,0 +1,102 @@
+"""The reference path is an independent oracle: built with
+``fused=False`` and run under the director's reference loop, a model
+executes no generated OSM code, so a bug in the code generator cannot
+hide by also running in the oracle.  (The ISS's execgen closures are
+out of scope: the ISS has its own oracle, ``specialize=False``.)
+The models without a ``fused=`` switch fuse at build and are checked
+against the same model defused under the reference loop.
+"""
+
+import sys
+
+import pytest
+
+from repro.workloads import mediabench
+
+#: ``co_filename`` prefixes of generated OSM code
+GENERATED_OSM = ("<fused:", "<edge-condition")
+
+
+def _build(model_name: str, fused: bool):
+    if model_name == "strongarm":
+        from repro.isa.arm import assemble
+        from repro.models.strongarm import StrongArmModel
+
+        return StrongArmModel(assemble(mediabench.arm_source("gsm_dec")),
+                              fused=fused)
+    from repro.isa.ppc import assemble
+    from repro.models.ppc750 import Ppc750Model
+
+    return Ppc750Model(assemble(mediabench.ppc_source("gsm_dec")), fused=fused)
+
+
+def _executed_files(model):
+    """``co_filename`` of every Python function *model* runs on its way
+    through the whole kernel."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        model.run(10_000_000)
+    finally:
+        sys.setprofile(None)
+    assert model.exit_code == 130  # gsm_dec ran to completion
+    return seen
+
+
+@pytest.mark.parametrize("model_name", ["strongarm", "ppc750"])
+def test_reference_run_executes_no_generated_osm_code(model_name):
+    # positive control: the profiler does see the fused steppers run
+    fused = _executed_files(_build(model_name, fused=True))
+    assert any(f.startswith("<fused:") for f in fused)
+
+    model = _build(model_name, fused=False)
+    model.director.reference = True
+    generated = sorted(
+        f for f in _executed_files(model) if f.startswith(GENERATED_OSM))
+    assert generated == []
+
+
+def _build_unswitched(model_name: str):
+    from repro.isa.arm import assemble
+
+    def program(kernel):
+        return assemble(mediabench.arm_source(kernel))
+
+    if model_name == "vliw":
+        from repro.models.vliw import VliwModel
+
+        return VliwModel(program("gsm_dec"))
+    if model_name == "multithread":
+        from repro.models.multithread import MultithreadModel
+
+        return MultithreadModel([program("gsm_dec"), program("g721_dec")])
+    from repro.adl.synth import PIPELINE5_ADL, STRONGARM_ADL, synthesize
+
+    description = {"adl-pipeline5": PIPELINE5_ADL,
+                   "adl-strongarm": STRONGARM_ADL}[model_name]
+    return synthesize(description, program("gsm_dec"))
+
+
+def _results(model):
+    stats = model.run(10_000_000)
+    codes = (model.exit_codes() if hasattr(model, "exit_codes")
+             else model.exit_code)
+    return stats.cycles, stats.instructions, stats.transitions, codes
+
+
+@pytest.mark.parametrize(
+    "model_name", ["adl-pipeline5", "adl-strongarm", "multithread", "vliw"])
+def test_unswitched_model_fuses_and_matches_its_oracle(model_name):
+    from repro.core import defuse_spec
+
+    fast = _build_unswitched(model_name)
+    assert fast.spec.fuse_certificate["fused_states"] == sorted(fast.spec.states)
+    oracle = _build_unswitched(model_name)
+    defuse_spec(oracle.spec)
+    oracle.director.reference = True
+    assert _results(fast) == _results(oracle)
