@@ -59,11 +59,14 @@ class SpecCertifyContext:
 
     @property
     def ident_sites(self):
-        """Harvested dynamic-ident callables (effects engine harvest)."""
+        """Harvested dynamic-ident and guard-key callables — every site
+        whose ``__fuse_inline__`` a fused stepper may paste (effects
+        engine harvest)."""
         if self._ident_sites is None:
             from ..effects.engine import harvest_spec
             self._ident_sites = [
-                site for site in harvest_spec(self.spec) if site.role == "ident"
+                site for site in harvest_spec(self.spec)
+                if site.role in ("ident", "key")
             ]
         return self._ident_sites
 

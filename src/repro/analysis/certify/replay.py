@@ -8,8 +8,10 @@ either.  It works in two halves:
 1. **Extraction** (:class:`_Extractor`): the stepper's source (captured
    on the function object as ``__fused_source__``) is parsed and
    flattened into a linear sequence of *effect events* —
-   guard calls, blocking refusals, buffer updates, holder flips, counter
-   bumps, transaction appends, transition bookkeeping.  Bound constants
+   guard calls, keyed-guard tests, identifier evaluations (a bound call,
+   or the AST dump of a pasted ``__fuse_inline__`` expression), blocking
+   refusals, buffer updates, holder flips, counter bumps, transaction
+   appends, transition bookkeeping.  Bound constants
    (managers, slots, edge objects, predicates) are resolved through the
    function's ``__defaults__`` so events carry the real objects, and the
    token-buffer / transaction aliases are tracked through local
@@ -28,7 +30,10 @@ either.  It works in two halves:
    rules — probe effects in primitive order, then commitment in
    :meth:`Transaction.commit` order (releases, discards, grants), then
    ``try_transition`` bookkeeping (current/last_edge/n_transitions/age,
-   action, ``on_enter``, the initial-state buffer check).  Matching uses
+   action, ``on_enter``, the initial-state buffer check).  Where the
+   generator pastes an identifier's or a guard key's ``__fuse_inline__``
+   expression, the plan requires the *declared* expression, and a keyed
+   test must compare against the guard's own value.  Matching uses
    small regex-like combinators (:class:`_One`, :class:`_Zone`,
    :class:`_Rep`) with backtracking; manager-internal bookkeeping
    (free-counters, writer lists, ready bitmaps) is admitted through
@@ -63,7 +68,7 @@ from ...core.primitives import (
     Release,
     ReleaseMany,
 )
-from .astnorm import parse_function
+from .astnorm import const_value, parse_function
 
 __all__ = [
     "ExtractionError",
@@ -203,6 +208,8 @@ class _Extractor:
         elif isinstance(stmt, ast.Delete):
             self._delete(stmt)
         elif isinstance(stmt, ast.If):
+            if self._keyed_test(stmt):
+                return
             before = len(self.events)
             self._scan(stmt.test)
             if len(self.events) > before:
@@ -216,6 +223,11 @@ class _Extractor:
                 raise ExtractionError(
                     f"loop over an unrecognized iterable {ast.unparse(stmt.iter)}")
             self._scan(stmt.iter)
+            iterable = stmt.iter
+            if isinstance(iterable, ast.Call):  # enumerate(...)
+                iterable = iterable.args[0]
+            if isinstance(iterable, ast.BoolOp):  # <idents> or ()
+                self._ident_eval(iterable.values[0])
             self._mark_local(stmt.target)
             self.run(stmt.body)
             if stmt.orelse:
@@ -242,6 +254,43 @@ class _Extractor:
                 return False
             node = node.value
         return self._is_kind(node, "osm")
+
+    def _ident_eval(self, node) -> None:
+        """Record one evaluation of a dynamic identifier or guard key:
+        ``call1`` for a bound ``fn(osm)`` call (emitted by the scan), or
+        ``("inline", dump)`` for a pasted ``__fuse_inline__`` expression,
+        so the expected plan can require the declared expression."""
+        if not isinstance(node, ast.Call):
+            self.emit("inline", ast.dump(node))
+
+    def _keyed_test(self, stmt) -> bool:
+        """``if (<key>) != <value>: break`` — a keyed guard's inline
+        test (:meth:`repro.core.primitives.Guard.equals`).  Emits the key
+        evaluation, then ``("key_ne", value)`` with the literal or bound
+        value it compares against.  Any other comparison of a key or
+        pasted expression fails extraction."""
+        test = stmt.test
+        if not (isinstance(test, ast.Compare)
+                and not isinstance(test.left, ast.Name)
+                and self._is_ident_expr(test.left)):
+            return False
+        if not (len(test.ops) == 1 and isinstance(test.ops[0], ast.NotEq)
+                and len(stmt.body) == 1 and isinstance(stmt.body[0], ast.Break)
+                and not stmt.orelse):
+            raise ExtractionError(
+                f"unrecognized keyed test {ast.unparse(test)}")
+        comparator = test.comparators[0]
+        value = const_value(comparator)
+        if value is ...:
+            binding = self._resolve(comparator)
+            if binding is None or binding[0] != "obj":
+                raise ExtractionError(
+                    f"keyed test against {ast.unparse(comparator)}")
+            value = binding[1]
+        self._scan(test.left)
+        self._ident_eval(test.left)
+        self.emit("key_ne", value)
+        return True
 
     def _is_buffer_snapshot(self, node) -> bool:
         """``list(buffer.items())``."""
@@ -337,6 +386,7 @@ class _Extractor:
             return
         self._scan(value)
         if self._is_ident_expr(value):
+            self._ident_eval(value)
             self.env[name] = ("ident",)
         elif (isinstance(value, ast.List) and not value.elts) \
                 or self._is_buffer_snapshot(value):
@@ -658,10 +708,36 @@ def _matches(matchers, events: Sequence[Tuple]) -> bool:
 # expected sequences
 
 
-def _inlined(fn) -> bool:
+def _ident_expected(fn):
+    """One evaluation of *fn* at a probe-time site: its declared
+    ``__fuse_inline__`` expression, AST-normalized, when the generator
+    pastes it, else a bound ``fn(osm)`` call."""
     from ...core.fuse import safe_inline_expr
     inline = getattr(fn, "__fuse_inline__", None)
-    return inline is not None and safe_inline_expr(inline)
+    if inline is not None and safe_inline_expr(inline):
+        return _One("inline", ast.dump(ast.parse(inline, mode="eval").body))
+    return _One("call1", fn)
+
+
+class _KeyTest:
+    """A keyed guard's inline test against exactly the guard's value:
+    the same object, or an equal literal of the same type."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def ends(self, events: Sequence[Tuple], start: int) -> Iterator[int]:
+        if start < len(events) and events[start][0] == "key_ne":
+            got = events[start][1]
+            if got is self.value or (type(got) is type(self.value)
+                                     and got == self.value):
+                yield start + 1
+
+
+def _guard_expected(p) -> List:
+    if p.key is None:
+        return [_One("call1", p.predicate)]
+    return [_ident_expected(p.key), _KeyTest(p.value)]
 
 
 def _slot_arg(slot) -> Any:
@@ -709,22 +785,20 @@ def _native_expected(edge) -> Optional[List]:
     for p in primitives:
         kind = type(p)
         if kind is Guard:
-            sequence.append(_One("call1", p.predicate))
+            sequence.extend(_guard_expected(p))
         elif kind is Allocate:
-            if p._dynamic and not _inlined(p.ident):
-                sequence.append(_One("call1", p.ident))
+            if p._dynamic:
+                sequence.append(_ident_expected(p.ident))
             sequence.append(_One("blocked", p.manager))
             grants.append((False, p))
         elif kind is AllocateMany:
-            if not _inlined(p.idents):
-                sequence.append(_One("call1", p.idents))
+            sequence.append(_ident_expected(p.idents))
             sequence.append(_One("blocked", p.manager))
             grants.append((True, p))
         elif kind is Inquire:
             group = [_One("blocked", p.manager), _One("inq_count", p.manager)]
             if p._dynamic:
-                if not _inlined(p.ident):
-                    sequence.append(_One("call1", p.ident))
+                sequence.append(_ident_expected(p.ident))
                 sequence.append(_Rep(group, 2, 2))
             elif isinstance(p.ident, (list, tuple)):
                 n = len(p.ident)
@@ -770,18 +844,17 @@ def _txn_expected(edge) -> List:
     for p in primitives:
         kind = type(p)
         if kind is Guard:
-            sequence.append(_One("call1", p.predicate))
+            sequence.extend(_guard_expected(p))
         elif kind is Allocate:
-            if p._dynamic and not _inlined(p.ident):
-                sequence.append(_One("call1", p.ident))
+            if p._dynamic:
+                sequence.append(_ident_expected(p.ident))
             sequence.extend([
                 _One("mgr_call", "allocate", p.manager),
                 _One("blocked", p.manager),
                 _One("t_grant", _slot_arg(p.slot)),
             ])
         elif kind is AllocateMany:
-            if not _inlined(p.idents):
-                sequence.append(_One("call1", p.idents))
+            sequence.append(_ident_expected(p.idents))
             sequence.extend([
                 _One("mgr_call", "allocate", p.manager),
                 _One("blocked", p.manager),
@@ -795,8 +868,7 @@ def _txn_expected(edge) -> List:
                 _One("inq_count", p.manager),
             ]
             if p._dynamic:
-                if not _inlined(p.ident):
-                    sequence.append(_One("call1", p.ident))
+                sequence.append(_ident_expected(p.ident))
                 sequence.append(_Rep(group, 2, 2))
             elif isinstance(p.ident, (list, tuple)):
                 n = len(p.ident)

@@ -3,9 +3,9 @@
 The rules are :class:`~repro.analysis.diagnostics.AnalysisPass` passes
 run by the shared driver.  The facts they share are *effect
 footprints*: the harvest walks one :class:`~repro.core.MachineSpec` and
-collects every Python callable the spec can execute — guard predicates,
-dynamic token identifiers, release values, custom primitive probes,
-edge actions, state ``on_enter`` hooks and the director rank key
+collects every Python callable the spec can execute — guard predicates
+and keys, dynamic token identifiers, release values, custom primitive
+probes, edge actions, state ``on_enter`` hooks and the director rank key
 breadcrumb — each tagged with its *role*, because the invariants differ
 by role: code the fused steppers bake (probe-time roles) must be pure,
 actions merely must not lie to the scheduler.
@@ -37,7 +37,7 @@ CORE_PRIMITIVES = (
 )
 
 #: roles whose code runs at probe time and is baked by the fused steppers
-PROBE_TIME_ROLES = ("guard", "ident", "value", "probe")
+PROBE_TIME_ROLES = ("guard", "key", "ident", "value", "probe")
 
 #: recursion depth for probe-time callables vs. post-commit actions
 #: (actions run identically in compiled and interpreted modes, so only
@@ -50,7 +50,7 @@ ACTION_DEPTH = 0
 class CallableSite:
     """One harvested callable with its location and analysis role."""
 
-    role: str                      #: guard|ident|value|probe|action|on_enter|rank
+    role: str                      #: guard|key|ident|value|probe|action|on_enter|rank
     fn: object
     param_roles: Tuple[str, ...]
     name: str                      #: display name for diagnostics
@@ -81,6 +81,15 @@ def harvest_spec(spec: MachineSpec) -> List[CallableSite]:
                     name=f"guard {primitive.label!r}", edge=edge,
                     primitive=primitive,
                 ))
+                if primitive.key is not None:
+                    # a fused stepper evaluates the key itself (possibly
+                    # as its pasted __fuse_inline__ expression)
+                    sites.append(CallableSite(
+                        role="key", fn=primitive.key, param_roles=("osm",),
+                        name=f"guard {primitive.label!r} key "
+                             f"{_callable_name(primitive.key)}",
+                        edge=edge, primitive=primitive,
+                    ))
             elif isinstance(primitive, (Allocate, Inquire)):
                 if callable(primitive.ident):
                     sites.append(CallableSite(

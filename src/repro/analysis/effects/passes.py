@@ -71,8 +71,9 @@ def _shared_write(path: str) -> bool:
 
 
 class ImpureGuardPass(AnalysisPass):
-    """EFF001: a probe-time callable (guard predicate, dynamic token
-    identifier, release value) with effects beyond the probe protocol.
+    """EFF001: a probe-time callable (guard predicate or key, dynamic
+    token identifier, release value) with effects beyond the probe
+    protocol.
 
     The fused steppers of :mod:`repro.core.fuse` bake these callables
     into generated code and the director's version-gated fast path *skips
@@ -86,7 +87,7 @@ class ImpureGuardPass(AnalysisPass):
     rule = "impure-guard"
 
     def run(self, ctx: EffectContext) -> Iterator[Diagnostic]:
-        for site in ctx.sites_by_role("guard", "ident", "value"):
+        for site in ctx.sites_by_role("guard", "key", "ident", "value"):
             fp = ctx.footprint(site)
             bad = sorted(w for w in fp.writes if not _probe_write_allowed(w))
             if bad:
@@ -311,7 +312,8 @@ class ProbeDivergencePass(AnalysisPass):
             for p in e.condition.primitives
         }
         prim_roots = {f"shared:{name}." for name in prim_types}
-        for site in ctx.sites_by_role("action", "on_enter", "guard", "ident", "value"):
+        for site in ctx.sites_by_role("action", "on_enter", "guard", "key",
+                                       "ident", "value"):
             fp = ctx.footprint(site)
             baked = sorted(
                 w for w in fp.writes

@@ -165,8 +165,7 @@ def _fallible_signature(edge: Edge) -> FrozenSet[Tuple]:
         elif isinstance(primitive, Discard):
             pass  # always succeeds: no discriminating power
         else:
-            # Model-specific predicate primitives (e.g. tag guards):
-            # distinguishable iff their reprs differ.
+            # Custom primitives: distinguishable iff their reprs differ.
             atoms.add((getattr(primitive, "kind", "primitive"), repr(primitive)))
     return frozenset(atoms)
 

@@ -637,6 +637,13 @@ def _emit_release_hook(g, w, dispatch, mv, tok, value_expr):
 
 
 def _nat_guard(g, w, p, idx, ctx):
+    if p.key is not None:
+        # keyed guard (Guard.equals): one inline comparison, evaluated
+        # per edge attempt exactly where the reference calls the predicate
+        key = _ident_call(g, f"g{idx}key", p.key)
+        with w.block(f"if {key} != {_expr(g, f'g{idx}value', p.value)}:"):
+            w("break")
+        return
     pred = g.bind(f"g{idx}pred", p.predicate)
     with w.block(f"if not {pred}(osm):"):
         w("break")
@@ -1023,12 +1030,20 @@ def _txn_discard(g, w, p, idx):
 
 
 def _emit_txn_edge(g, w, edge):
+    primitives = edge.condition.primitives
+    # A leading keyed guard touches neither the transaction nor
+    # osm.blocked_on, so it may run before the reset: a non-matching
+    # edge then costs the one comparison.
+    lead = int(bool(primitives) and type(primitives[0]) is Guard
+               and primitives[0].key is not None)
+    if lead:
+        _nat_guard(g, w, primitives[0], 0, None)
     with w.block("if txn.dirty:"):
         w("txn.reset(osm)")
     # True once an earlier primitive may already have appended to
     # txn.releases — only then can a Release hit the double-release check
     may_have_releases = False
-    for idx, p in enumerate(edge.condition.primitives):
+    for idx, p in enumerate(primitives[lead:], start=lead):
         t = type(p)
         if t is Guard:
             _nat_guard(g, w, p, idx, None)
@@ -1182,6 +1197,7 @@ def _structure_key(spec) -> tuple:
             (type(p).__name__,
              type(getattr(p, "manager", None)).__name__,
              qn(getattr(p, "predicate", None)),
+             qn(getattr(p, "key", None)),
              qn(getattr(p, "ident", None)),
              qn(getattr(p, "idents", None)),
              qn(getattr(p, "value", None)))

@@ -286,13 +286,35 @@ class Guard(Primitive):
     predicate.
     """
 
-    __slots__ = ("predicate", "label")
+    __slots__ = ("predicate", "label", "key", "value")
 
     kind = "guard"
 
     def __init__(self, predicate: Callable[[Any], bool], label: str = "guard"):
         self.predicate = predicate
         self.label = label
+        #: set by :meth:`equals`: the guard holds iff ``key(osm) == value``
+        self.key: Optional[Callable[[Any], Any]] = None
+        self.value: Any = None
+
+    @classmethod
+    def equals(cls, key: Callable[[Any], Any], value: Any,
+               label: str = "guard") -> "Guard":
+        """A *keyed* guard: holds iff ``key(osm) == value``.
+
+        The way to write parallel edges that route on a field of the
+        operation (one edge per unit class, per thread …).  The
+        reference probe still calls the predicate; a fused stepper tests
+        the key inline, ``if (<key>) != <value>: break``, pasting the
+        key's ``__fuse_inline__`` expression when it declares one (the
+        same contract as dynamic token identifiers)."""
+        def holds(osm):
+            return key(osm) == value
+
+        guard = cls(holds, label)
+        guard.key = key
+        guard.value = value
+        return guard
 
     def probe(self, osm, txn: Transaction) -> bool:
         return bool(self.predicate(osm))

@@ -32,6 +32,7 @@ from ...core import (
     CycleDrivenKernel,
     Director,
     Discard,
+    Guard,
     Inquire,
     MachineSpec,
     OperationStateMachine,
@@ -50,6 +51,20 @@ from ...memory.cache import Cache
 from ...core.director import rank_stable_in_flight
 from ..common import Operation, ResetUnit, StageUnit
 from ..strongarm.managers import ForwardingRegisterFileManager
+
+
+# Routing key of the per-thread edges (Guard.equals): the OSM's thread tag.
+def thread_of(osm) -> int:
+    return osm.tag
+
+
+# pasted into fused steppers as a keyed-guard test (must mirror the body)
+thread_of.__fuse_inline__ = "osm.tag"
+
+
+def _has_miss(osm) -> bool:
+    """True for operations with an outstanding memory miss."""
+    return osm.operation.miss_cycles > 0
 
 
 @rank_stable_in_flight
@@ -224,7 +239,7 @@ class MultithreadModel:
             spec.edge(
                 "D", "E",
                 Condition([
-                    _TagGuard(tid),
+                    Guard.equals(thread_of, tid, f"thread-{tid}"),
                     Allocate(self.execute_stage.manager, slot="m_e"),
                     Inquire(regfile, sources),
                     AllocateMany(regfile, dests, slot="rupd"),
@@ -244,8 +259,8 @@ class MultithreadModel:
             spec.edge(
                 "B", "M",
                 Condition([
-                    _TagGuard(tid),
-                    _MissGuard(),
+                    Guard.equals(thread_of, tid, f"thread-{tid}"),
+                    Guard(_has_miss, "miss"),
                     Allocate(miss_unit.manager, slot="m_miss"),
                     Release("m_b"),
                 ]),
@@ -350,33 +365,6 @@ class MultithreadModel:
 
     def exit_codes(self) -> List[int]:
         return [t.state.exit_code for t in self.threads]
-
-
-class _TagGuard:
-    """Guard primitive matching the OSM's thread tag."""
-
-    kind = "guard"
-
-    def __init__(self, tid: int):
-        self.tid = tid
-
-    def probe(self, osm, txn) -> bool:
-        return osm.tag == self.tid
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"TagGuard({self.tid})"
-
-
-class _MissGuard:
-    """Guard primitive: true for operations with an outstanding miss."""
-
-    kind = "guard"
-
-    def probe(self, osm, txn) -> bool:
-        return osm.operation.miss_cycles > 0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "MissGuard()"
 
 
 class _Backing:

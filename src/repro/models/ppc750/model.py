@@ -103,14 +103,31 @@ class OooOperation:
         return f"OooOperation(#{self.seq} {self.instr.text}{tag})"
 
 
-def unit_routes(instr) -> Tuple[str, ...]:
-    """Acceptable function units in preference order for an instruction."""
-    unit = instr.unit
+def unit_routes(unit: str) -> Tuple[str, ...]:
+    """Acceptable function units in preference order for an instruction
+    of unit class *unit* (``instr.unit``)."""
     if unit == ppc_isa.UNIT_IU2:
         # Plain integer work runs on either IU; prefer IU2 to keep IU1
         # free for multiply/divide (dispatcher heuristic).
         return (ppc_isa.UNIT_IU2, ppc_isa.UNIT_IU1)
     return (unit,)
+
+
+# Routing keys of the keyed dispatch and issue guards (Guard.equals):
+# the operation's unit class, and the reservation station holding it.
+# Single-return bodies, so transcheck (TRV002) can check the
+# __fuse_inline__ declarations below against them.
+def unit_of(osm) -> str:
+    return osm.operation.instr.unit
+
+
+def station_of(osm) -> Optional[str]:
+    return osm.operation.rs_unit
+
+
+# pasted into fused steppers as keyed-guard tests (must mirror the bodies)
+unit_of.__fuse_inline__ = "osm.operation.instr.unit"
+station_of.__fuse_inline__ = "osm.operation.rs_unit"
 
 
 class FetchEngine(HardwareModule):
@@ -312,48 +329,42 @@ class Ppc750Model:
             label="fetch",
         ).allow_lint("EFF001", "EFF008")
 
-        # Dispatch edges.  Direct-to-unit (Figure 2's e2) outranks
-        # dispatch-to-reservation-station (e1); unit preference order is
-        # encoded in decreasing static priority.
+        # Dispatch edges, one per (unit class, acceptable unit) of
+        # unit_routes, each keyed on the operation's unit class.
+        # Direct-to-unit (Figure 2's e2) outranks dispatch-to-reservation-
+        # station (e1); every class's first choice outranks the
+        # alternates, in decreasing static priority.
+        routes = {cls: unit_routes(cls) for cls in UNIT_NAMES}
         priority = 40
-        for unit_name in UNIT_NAMES:
-            spec.edge(
-                "Q", "X",
-                Condition([
-                    Guard(self._route_guard(unit_name, 0), f"route-{unit_name}"),
-                    Inquire(self.rename, src_idents),
-                    Allocate(self.units[unit_name].manager, slot="unit"),
-                    Allocate(self.cq, slot="cq"),
-                    AllocateMany(self.rename, dst_idents, slot="ren"),
-                    Release("fq"),
-                ]),
-                priority=priority,
-                action=self._dispatch_execute,
-                label=f"direct-{unit_name}",
-            )
-            priority -= 1
-        # IU fallback: plain integer ops may also enter IU1 directly.
-        spec.edge(
-            "Q", "X",
-            Condition([
-                Guard(self._route_guard(ppc_isa.UNIT_IU1, 1), "route-iu1-alt"),
-                Inquire(self.rename, src_idents),
-                Allocate(self.units[ppc_isa.UNIT_IU1].manager, slot="unit"),
-                Allocate(self.cq, slot="cq"),
-                AllocateMany(self.rename, dst_idents, slot="ren"),
-                Release("fq"),
-            ]),
-            priority=priority,
-            action=self._dispatch_execute,
-            label="direct-iu1-alt",
-        )
+        for choice in range(max(len(units) for units in routes.values())):
+            for cls, units in routes.items():
+                if choice >= len(units):
+                    continue
+                unit_name = units[choice]
+                name = unit_name if choice == 0 else f"{unit_name}-alt"
+                spec.edge(
+                    "Q", "X",
+                    Condition([
+                        Guard.equals(unit_of, cls, f"route-{name}"),
+                        Inquire(self.rename, src_idents),
+                        Allocate(self.units[unit_name].manager, slot="unit"),
+                        Allocate(self.cq, slot="cq"),
+                        AllocateMany(self.rename, dst_idents, slot="ren"),
+                        Release("fq"),
+                    ]),
+                    priority=priority,
+                    action=self._dispatch_execute,
+                    label=f"direct-{name}",
+                )
+                priority -= 1
 
         priority = 20
-        for unit_name in UNIT_NAMES:
+        for cls, units in routes.items():
+            unit_name = units[0]
             spec.edge(
                 "Q", "R",
                 Condition([
-                    Guard(self._route_guard(unit_name, 0), f"rsroute-{unit_name}"),
+                    Guard.equals(unit_of, cls, f"rsroute-{unit_name}"),
                     Allocate(self.stations[unit_name], slot="rs"),
                     Allocate(self.cq, slot="cq"),
                     AllocateMany(self.rename, dst_idents, slot="ren"),
@@ -370,7 +381,7 @@ class Ppc750Model:
             spec.edge(
                 "R", "X",
                 Condition([
-                    Guard(self._station_guard(unit_name), f"in-rs-{unit_name}"),
+                    Guard.equals(station_of, unit_name, f"in-rs-{unit_name}"),
                     Inquire(self.rename, dep_idents),
                     Allocate(self.units[unit_name].manager, slot="unit"),
                     Release("rs"),
@@ -401,19 +412,6 @@ class Ppc750Model:
             )
         spec.validate()
         return spec
-
-    def _route_guard(self, unit_name: str, choice_index: int):
-        def guard(osm) -> bool:
-            routes = unit_routes(osm.operation.instr)
-            return len(routes) > choice_index and routes[choice_index] == unit_name
-
-        return guard
-
-    def _station_guard(self, unit_name: str):
-        def guard(osm) -> bool:
-            return osm.operation.rs_unit == unit_name
-
-        return guard
 
     # -- edge actions ----------------------------------------------------------
 

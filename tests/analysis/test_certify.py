@@ -110,6 +110,35 @@ class TestSpecRuleMutations:
             p5model._source_regs.__fuse_inline__ = original
         assert found and "diverges" in found[0].message
 
+    def test_trv002_fires_on_diverging_guard_key(self):
+        from repro.models.ppc750 import model as ppc_model
+
+        original = ppc_model.unit_of.__fuse_inline__
+        ppc_model.unit_of.__fuse_inline__ = "osm.operation.instr.mnemonic"
+        try:
+            found = _errors(certify_spec(build_spec("ppc750"),
+                                         codes=["TRV002"]), "TRV002")
+        finally:
+            ppc_model.unit_of.__fuse_inline__ = original
+        assert found and all("key unit_of" in d.message
+                             and "diverges" in d.message for d in found)
+        assert {d.state for d in found} == {"Q"}
+
+    @pytest.mark.parametrize("name", ["strongarm", "ppc750"])
+    def test_trv001_fires_on_wrong_pasted_ident(self, name):
+        """A stepper pasting another expression than the declared
+        ``__fuse_inline__`` (``dst_regs`` for ``src_regs``) emits the
+        same events, yet shifts cycle counts."""
+        spec = build_spec(name)
+        pasted = "(osm.operation.instr.src_regs)"
+        state = next(s for s in spec.states.values() if s._fused is not None
+                     and pasted in s._fused.__fused_source__)
+        state._fused.__fused_source__ = state._fused.__fused_source__.replace(
+            pasted, "(osm.operation.instr.dst_regs)", 1)
+        found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
+        assert found, "TRV001 must fire on a pasted ident the declaration denies"
+        assert {d.state for d in found} == {state.name}
+
     def test_trv001_fires_on_corrupted_txn_edge(self):
         spec = build_spec("ppc750")
         state = spec.states["Q"]
@@ -239,6 +268,55 @@ _start:
     found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
     assert "Q" in {d.state for d in found}
     assert all("[:1]" in d.message for d in found)
+
+
+#: miscompiles of a keyed guard's inline test in ppc750's first dispatch
+#: edge (direct-iu1): (source pattern, replacement)
+KEYED_TEST_MUTATIONS = {
+    "wrong-value": (r"(\(osm\.operation\.instr\.unit\) != )'iu1'", r"\1'iu2'"),
+    "wrong-key": (r"\(osm\.operation\.instr\.unit\)( != 'iu1')",
+                  r"(osm.operation.instr.mnemonic)\1"),
+    "inverted": (r"(\(osm\.operation\.instr\.unit\)) != ('iu1')", r"\1 == \2"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(KEYED_TEST_MUTATIONS))
+def test_build_gate_demotes_ppc750_q_on_wrong_keyed_test(monkeypatch, mutation):
+    """A keyed test must compare the declared key expression against the
+    guard's own value: the gate demotes Q otherwise, and ``repro
+    certify`` reports the demotion."""
+    from repro.isa.ppc import assemble
+    from repro.models.ppc750 import Ppc750Model
+
+    program = assemble("""
+    .text
+_start:
+    li r0, 0
+    li r3, 0
+    sc
+""")
+    pattern, replacement = KEYED_TEST_MUTATIONS[mutation]
+    real = fuse.generate_stepper
+
+    def miscompiled(state, spec):
+        stepper = real(state, spec)
+        source, n = re.subn(pattern, replacement, stepper.__fused_source__,
+                            count=1)
+        assert n == (state.name == "Q")
+        stepper.__fused_source__ = source
+        return stepper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fuse, "generate_stepper", miscompiled)
+        fuse._TRV_CACHE.clear()
+        try:
+            spec = Ppc750Model(program, perfect_memory=True).spec
+        finally:
+            fuse._TRV_CACHE.clear()
+    assert dict(spec.compile_stats.demoted_states).keys() == {"Q"}
+    found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
+    assert {d.state for d in found} == {"Q"}
+    assert "direct-iu1@1" in found[0].message
 
 
 class TestIsaRuleMutations:

@@ -31,6 +31,10 @@ SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
 #: the model fuses every state)
 PIPELINE5_STATES = ("I", "F", "D", "E", "B", "W")
 
+#: the ppc750 states whose steppers test keyed guards inline: dispatch
+#: (Q) routes on the unit class, issue (R) on the reservation station
+PPC750_STATES = ("Q", "R")
+
 
 def _assert_matches_snapshot(name: str, source: str) -> None:
     normalized = normalize_source(source) + "\n"
@@ -67,6 +71,20 @@ def test_pipeline5_fused_stepper_snapshot(pipeline5_spec, state_name):
         state._fused.__fused_source__)
 
 
+@pytest.fixture(scope="module")
+def ppc750_spec():
+    return build_spec("ppc750")
+
+
+@pytest.mark.parametrize("state_name", PPC750_STATES)
+def test_ppc750_fused_stepper_snapshot(ppc750_spec, state_name):
+    state = ppc750_spec.states[state_name]
+    assert state._fused is not None, f"{state_name}: expected a fused stepper"
+    _assert_matches_snapshot(
+        f"ppc750_{state_name}_stepper.py",
+        state._fused.__fused_source__)
+
+
 def test_arm_execgen_adds_snapshot():
     """One representative execgen closure: a flag-setting ALU op covers
     the register write, the four flag writes and the PC advance."""
@@ -89,6 +107,7 @@ def test_snapshots_contain_no_stale_files():
     """Every committed snapshot is exercised by a test above — a renamed
     state or instruction must not leave orphans behind."""
     expected = {f"pipeline5_{name}_stepper.py" for name in PIPELINE5_STATES}
+    expected |= {f"ppc750_{name}_stepper.py" for name in PPC750_STATES}
     expected.add("arm_adds_executor.py")
     actual = {p.name for p in SNAPSHOT_DIR.glob("*.py")}
     assert actual == expected

@@ -129,6 +129,20 @@ class TestImpureGuard:
         assert unsuppressed(report, "EFF001")
 
 
+    def test_impure_guard_key_is_an_error(self):
+        stage = SlotManager("S")
+
+        def key(osm):
+            osm.tag = "x"
+            return osm.age
+
+        spec = one_edge_spec(
+            Condition([Guard.equals(key, 1, "keyed"), Allocate(stage)]))
+        findings = unsuppressed(effects_spec(spec), "EFF001")
+        assert any("guard 'keyed' key" in d.message
+                   and "osm.tag" in d.message for d in findings)
+
+
 class TestRankStabilityLie:
     """EFF002."""
 

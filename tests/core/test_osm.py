@@ -7,6 +7,7 @@ from repro.core import (
     ALWAYS,
     Allocate,
     Condition,
+    Guard,
     MachineSpec,
     OperationStateMachine,
     Primitive,
@@ -196,3 +197,55 @@ class TestCustomPrimitive:
             assert osm.holds("S") and osm.blocked_on is None
             assert self._step(osm, 2).label == "leave"
             assert osm.in_initial and not osm.token_buffer
+
+
+def _lane(osm):
+    return osm.tag
+
+
+_lane.__fuse_inline__ = "osm.tag"
+
+
+class TestKeyedGuard:
+    """``Guard.equals(key, value)`` holds iff ``key(osm) == value``."""
+
+    @staticmethod
+    def _spec(gate):
+        spec = MachineSpec("keyed")
+        spec.state("I", initial=True)
+        spec.state("P")
+        # lane 0: a pasted key, leading a transactional edge (the custom
+        # primitive); lane 1: a key without __fuse_inline__, native edge
+        spec.edge("I", "P", Condition([Guard.equals(_lane, 0, "lane-0"), gate,
+                                       Allocate(SlotManager("A"))]),
+                  label="enter-0")
+        spec.edge("I", "P", Condition([Guard.equals(lambda osm: osm.tag, 1, "lane-1"),
+                                       Allocate(SlotManager("B"))]),
+                  label="enter-1")
+        spec.edge("P", "I", Condition([Release("A")]), label="leave-0")
+        spec.edge("P", "I", Condition([Release("B")]), label="leave-1")
+        return spec
+
+    def test_keyed_guard_routes_alike_on_both_paths(self):
+        for fused in (False, True):
+            gate = Turnstile()
+            gate.open = True
+            spec = self._spec(gate)
+            if fused:
+                assert fuse_spec(spec) == 2
+                assert certify_fused_states(spec) == []
+            for tag in (0, 1, 2):
+                osm = OperationStateMachine(spec, tag=tag)
+                edge = TestCustomPrimitive._step(osm, 0)
+                assert (edge.label if edge else None) == \
+                    {0: "enter-0", 1: "enter-1", 2: None}[tag]
+                assert osm.blocked_on is None
+
+    def test_fused_stepper_tests_the_key_inline(self):
+        spec = self._spec(Turnstile())
+        fuse_spec(spec)
+        source = spec.states["I"]._fused.__fused_source__
+        # the pasted key comes before the transaction reset it may skip
+        assert source.index("if (osm.tag) != 0:") < source.index("txn.reset(osm)")
+        assert "(osm) != 1:" in source  # the bound key, called in place
+        assert certify_fused_states(spec) == []

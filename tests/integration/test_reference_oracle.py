@@ -61,6 +61,56 @@ def test_reference_run_executes_no_generated_osm_code(model_name):
     assert generated == []
 
 
+def _calls_by_code(model, codes):
+    """``code object -> number of calls`` *model* makes into each of
+    *codes* on its way through gsm_dec."""
+    counts = dict.fromkeys(codes, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        model.run(10_000_000)
+    finally:
+        sys.setprofile(None)
+    assert model.exit_code == 130
+    return counts
+
+
+def _routing_code(model):
+    """Code objects of the guard predicates and keys on ppc750's
+    dispatch (Q) and issue (R) edges."""
+    from repro.core import Guard
+
+    codes = set()
+    for name in ("Q", "R"):
+        for edge in model.spec.states[name].out_edges:
+            for primitive in edge.condition.primitives:
+                if isinstance(primitive, Guard):
+                    codes.add(primitive.predicate.__code__)
+                    if getattr(primitive, "key", None) is not None:
+                        codes.add(primitive.key.__code__)
+    return codes
+
+
+def test_fused_ppc750_tests_routing_keys_inline():
+    """Keyed guards: the fused Q and R steppers compare the unit class
+    and the reservation station inline, so a whole kernel calls no
+    route or station predicate and no key function."""
+    model = _build("ppc750", fused=True)
+    calls = _calls_by_code(model, _routing_code(model))
+    assert sum(calls.values()) == 0, calls
+
+    # positive control: the reference probes every guard through
+    # Guard.probe, which calls its predicate and the predicate its key
+    reference = _build("ppc750", fused=False)
+    reference.director.reference = True
+    calls = _calls_by_code(reference, _routing_code(reference))
+    assert all(calls.values()), calls
+
+
 def _build_unswitched(model_name: str):
     from repro.isa.arm import assemble
 

@@ -76,8 +76,8 @@ class TestSuperscalar:
 
         add = decode(0, encode.x_form(ppc_isa.XO_ADD, 1, 2, 3))
         mul = decode(0, encode.x_form(ppc_isa.XO_MULLW, 1, 2, 3))
-        assert unit_routes(add) == (ppc_isa.UNIT_IU2, ppc_isa.UNIT_IU1)
-        assert unit_routes(mul) == (ppc_isa.UNIT_IU1,)
+        assert unit_routes(add.unit) == (ppc_isa.UNIT_IU2, ppc_isa.UNIT_IU1)
+        assert unit_routes(mul.unit) == (ppc_isa.UNIT_IU1,)
 
 
 class TestInOrderDiscipline:
