@@ -13,7 +13,8 @@ certificates through the shared diagnostics schema.
 Rules
 -----
 TRV001  fused stepper ↔ edge primitives equivalence (symbolic replay
-        of both edge forms, native and transactional)
+        of the one generated edge form; manager emitter bodies are
+        admitted as vocabulary zones)
 TRV002  ``__fuse_inline__`` expression/footprint agreement
 TRV004  execgen closure write-set covers the semantics write-set
 TRV005  compiled ISS blocks carry store guards at instruction bounds

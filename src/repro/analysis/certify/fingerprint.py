@@ -2,7 +2,8 @@
 
 A fuse certificate is only as good as the generator that produced the
 code it certifies: if :mod:`repro.core.fuse` (or any of the other code
-generators) changes after a certificate was stamped, the certificate is
+generators, or a model module registering a manager emitter) changes
+after a certificate was stamped, the certificate is
 *stale* — it vouches for code the current generator would no longer
 emit.  :func:`generator_fingerprint` hashes the source text of every
 generator module, and :func:`repro.core.fuse.enable_fusion` embeds the
@@ -30,12 +31,17 @@ import importlib
 import os
 from typing import Dict, Iterable, Optional, Tuple
 
-#: every module whose output transcheck certifies, in hash order
+#: every module whose output transcheck certifies, in hash order: the
+#: generators, and the model modules whose manager emitters paste code
+#: into fused steppers
 GENERATOR_MODULES: Tuple[str, ...] = (
     "repro.core.fuse",
     "repro.isa.arm.execgen",
     "repro.isa.ppc.execgen",
     "repro.iss.compiled",
+    "repro.models.common",
+    "repro.models.ppc750.managers",
+    "repro.models.strongarm.managers",
 )
 
 _cached: Optional[str] = None

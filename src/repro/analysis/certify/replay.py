@@ -10,14 +10,14 @@ either.  It works in two halves:
    flattened into a linear sequence of *effect events* —
    guard calls, keyed-guard tests, identifier evaluations (a bound call,
    or the AST dump of a pasted ``__fuse_inline__`` expression), blocking
-   refusals, buffer updates, holder flips, counter bumps, transaction
-   appends, transition bookkeeping.  Bound constants
+   refusals, buffer updates, holder flips, counter bumps, manager
+   bookkeeping, transition bookkeeping.  Bound constants
    (managers, slots, edge objects, predicates) are resolved through the
    function's ``__defaults__`` so events carry the real objects, and the
-   token-buffer / transaction aliases are tracked through local
-   assignments.  Every statement must classify: any write or call the
-   extractor cannot place in its vocabulary raises
-   :class:`ExtractionError`, which the caller reports as a conservative
+   token-buffer alias is tracked through local assignments.  Every
+   statement must classify: any write or call the extractor cannot
+   place in its vocabulary raises :class:`ExtractionError`, which the
+   caller reports as a conservative
    certification failure — unknown effects are treated as wrong, never
    ignored.  The same holds for loops: a ``for`` statement replays once,
    so its iterable must have one of the shapes the generators emit (see
@@ -36,18 +36,20 @@ either.  It works in two halves:
    test must compare against the guard's own value.  Matching uses
    small regex-like combinators (:class:`_One`, :class:`_Zone`,
    :class:`_Rep`) with backtracking; manager-internal bookkeeping
-   (free-counters, writer lists, ready bitmaps) is admitted through
-   bounded zones that still *require* the reference counter updates.
+   (free-counters, writer and order lists, ready bitmaps, the in-order
+   queue's release budget, the rename manager's register stamp and
+   producer chains) is admitted through bounded zones that still
+   *require* the reference counter updates.
 
-A fused edge may legitimately compile to either the native inline form
-or the transactional form (each primitive's probe body against
-``osm._txn``, then ``txn.commit``); the replayer accepts whichever of
-the two expected shapes matches.
+The manager emitters whose bodies fill those zones are trusted code:
+the zones pin their vocabulary, not their logic, which the differential
+emitter test checks against each manager's TMI methods.
 
 Soundness caveat (documented in ``docs/static-analysis.md``): the replay
 is *linear* — it checks that every effect the generated code can perform
 appears in the reference order with the reference operands, and that
-every refusal path escapes the attempt (``break`` / ``return False``),
+every refusal path escapes the attempt (``break``, or an ok-flag clear
+before one),
 but it does not model arbitrary branch interleavings.  The generators
 only emit straight-line code with single-level refusal branches, so the
 linearization is faithful for everything they produce today; code
@@ -81,22 +83,15 @@ ANY = object()
 #: builtins the generators call for bookkeeping, never for effects
 _PURE_BUILTINS = frozenset({
     "any", "enumerate", "id", "isinstance", "len", "list", "sorted", "str",
-    "tuple", "type",
+    "type",
 })
 
-#: effect-free methods (reads / local-list plumbing)
-_IGNORED_METHODS = frozenset({"get", "items", "keys", "values", "startswith"})
+#: effect-free methods (reads)
+_IGNORED_METHODS = frozenset({"get", "items", "startswith"})
 
 
 class ExtractionError(Exception):
     """Generated code contains a statement the replayer cannot classify."""
-
-
-def _callable_key(fn) -> Tuple:
-    """Identity key robust to bound-method re-creation: accessing
-    ``primitive.probe`` twice yields two distinct bound-method objects
-    wrapping the same function and receiver."""
-    return (getattr(fn, "__func__", fn), getattr(fn, "__self__", None))
 
 
 # --------------------------------------------------------------------------
@@ -135,7 +130,7 @@ class _Extractor:
 
     def _resolve(self, node) -> Optional[Tuple]:
         """Binding for *node*: ("obj", o) | ("osm",) | ("clock",) |
-        ("txn",) | ("buffer",) | ("ident",) (an evaluated identifier) |
+        ("buffer",) | ("ident",) (an evaluated identifier) |
         ("list",) (a local list) | ("local",) | None (unresolvable)."""
         if isinstance(node, ast.Name):
             return self.env.get(node.id)
@@ -152,7 +147,7 @@ class _Extractor:
         return None
 
     def _slot(self, node):
-        """The slot-string operand of a buffer/txn operation, or ANY."""
+        """The slot-string operand of a buffer operation, or ANY."""
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             return node.value
         value = self._obj(node)
@@ -168,8 +163,8 @@ class _Extractor:
             self._stmt(stmt)
             # Refusal structure: a blocking assignment must be followed,
             # in the same suite, by an escape from the attempt — break,
-            # ``return False`` or an ok-flag clear.  This is what makes
-            # a refused probe actually short-circuit.
+            # or an ok-flag clear.  This is what makes a refused probe
+            # actually short-circuit.
             if any(e[0] == "blocked" for e in self.events[before:]) and \
                     self._direct_blocked(stmt):
                 if not any(self._is_escape(s) for s in body[index + 1:]):
@@ -189,8 +184,6 @@ class _Extractor:
     def _is_escape(stmt) -> bool:
         if isinstance(stmt, ast.Break):
             return True
-        if isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Constant):
-            return stmt.value.value is False
         if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
                 and isinstance(stmt.targets[0], ast.Name)
                 and isinstance(stmt.value, ast.Constant)
@@ -223,11 +216,8 @@ class _Extractor:
                 raise ExtractionError(
                     f"loop over an unrecognized iterable {ast.unparse(stmt.iter)}")
             self._scan(stmt.iter)
-            iterable = stmt.iter
-            if isinstance(iterable, ast.Call):  # enumerate(...)
-                iterable = iterable.args[0]
-            if isinstance(iterable, ast.BoolOp):  # <idents> or ()
-                self._ident_eval(iterable.values[0])
+            if isinstance(stmt.iter, ast.BoolOp):  # <idents> or ()
+                self._ident_eval(stmt.iter.values[0])
             self._mark_local(stmt.target)
             self.run(stmt.body)
             if stmt.orelse:
@@ -303,28 +293,24 @@ class _Extractor:
                 and self._is_kind(node.args[0].func.value, "buffer"))
 
     def _known_iterable(self, node) -> bool:
-        """True for the loop iterables the generators emit: the ident
-        local; ``<idents>(osm) or ()``, optionally under ``enumerate``;
-        ``list(buffer.items())``; a bound token list or ``upd[ident]``;
-        and a local commit list, optionally under ``enumerate``."""
+        """True for the loop iterables the generator emits: the ident
+        local; ``<idents>(osm) or ()``; ``list(buffer.items())``; a
+        bound token list, ``upd[ident]`` or a local bound to a token
+        list; and a local commit list, optionally under ``enumerate``."""
         enumerated = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                       and node.func.id == "enumerate" and len(node.args) == 1
                       and not node.keywords)
         if enumerated:
             node = node.args[0]
+            return isinstance(node, ast.Name) and self._is_kind(node, "list")
         if isinstance(node, ast.BoolOp):
             return (isinstance(node.op, ast.Or) and len(node.values) == 2
                     and self._is_ident_expr(node.values[0])
                     and isinstance(node.values[1], ast.Tuple)
                     and not node.values[1].elts)
         if isinstance(node, ast.Name):
-            if self._is_kind(node, "list"):
-                return True
-            return not enumerated and (
-                self._is_kind(node, "ident")
-                or isinstance(self._obj(node), (list, tuple)))
-        if enumerated:
-            return False
+            return (self._is_kind(node, "list") or self._is_kind(node, "ident")
+                    or isinstance(self._obj(node), (list, tuple)))
         if isinstance(node, ast.Subscript):
             return (self._is_kind(node.value, "obj")
                     and (isinstance(node.slice, ast.Name)
@@ -345,10 +331,6 @@ class _Extractor:
         if value is None or (isinstance(value, ast.Constant)
                              and value.value is None):
             self.emit("return_none")
-        elif isinstance(value, ast.Constant) and value.value is False:
-            pass  # refusal escape — checked structurally, not an effect
-        elif isinstance(value, ast.Constant) and value.value is True:
-            self.emit("return_true")
         else:
             obj = self._obj(value)
             if obj is None:
@@ -374,13 +356,10 @@ class _Extractor:
             raise ExtractionError("unsupported assignment target")
 
     def _assign_name(self, name: str, value) -> None:
-        if isinstance(value, ast.Attribute) and self._is_kind(value.value, "osm"):
-            if value.attr == "token_buffer":
-                self.env[name] = ("buffer",)
-                return
-            if value.attr == "_txn":
-                self.env[name] = ("txn",)
-                return
+        if (isinstance(value, ast.Attribute) and self._is_kind(value.value, "osm")
+                and value.attr == "token_buffer"):
+            self.env[name] = ("buffer",)
+            return
         if isinstance(value, ast.Name):
             self.env[name] = self._resolve(value) or ("local",)
             return
@@ -396,6 +375,15 @@ class _Extractor:
 
     def _assign_attr(self, target, value) -> None:
         attr = target.attr
+        if attr == "value" and self._is_kind(target.value, "local"):
+            # the rename manager's allocate stamps the free buffer it
+            # offers with the register it would rename: the evaluated
+            # identifier, or a static register number
+            if not (self._is_kind(value, "local") or self._is_kind(value, "ident")
+                    or type(const_value(value)) is int):
+                raise ExtractionError("token stamped with a non-ident value")
+            self.emit("stamp")
+            return
         if attr == "holder":
             if isinstance(value, ast.Constant) and value.value is None:
                 self.emit("holder_none")
@@ -437,8 +425,6 @@ class _Extractor:
             else:
                 raise ExtractionError(f"write to osm.{attr}")
             return
-        if self._is_kind(target.value, "txn") and attr == "dirty":
-            return  # transaction-internal flag
         raise ExtractionError(f"unclassifiable attribute write .{attr}")
 
     def _augassign(self, stmt) -> None:
@@ -503,17 +489,7 @@ class _Extractor:
         if len(args) == 1 and self._is_kind(args[0], "osm"):
             self.emit("call1", obj)
         elif len(args) == 2 and self._is_kind(args[0], "osm"):
-            if self._is_kind(args[1], "txn"):
-                self.emit("txn_probe", _callable_key(obj))
-            else:
-                self.emit("call2", obj)
-        elif (len(args) == 3 and self._is_kind(args[0], "osm")
-              and self._is_kind(args[2], "txn")):
-            owner = getattr(obj, "__self__", None)
-            name = getattr(getattr(obj, "__func__", obj), "__name__", "")
-            if owner is None:
-                raise ExtractionError("3-arg call to an unbound callable")
-            self.emit("mgr_call", name, owner)
+            self.emit("call2", obj)
         else:
             raise ExtractionError("call with an unrecognized signature")
 
@@ -521,39 +497,17 @@ class _Extractor:
         method = func.attr
         if method in _IGNORED_METHODS:
             return
-        if method == "append":
-            base = func.value
-            if (isinstance(base, ast.Attribute)
-                    and self._is_kind(base.value, "txn")):
-                self._txn_append(base.attr, call)
-                return
+        if method in ("append", "remove"):
             if any(self._is_kind(a, "osm") for a in call.args):
-                self.emit("writers_append")
+                self.emit(f"writers_{method}")  # writer / grant-order lists
                 return
-            if isinstance(base, ast.Name) and self._is_kind(base, "list"):
+            if len(call.args) == 1 and self._is_operation(call.args[0]):
+                self.emit(f"producers_{method}")  # rename producer chains
+                return
+            if (method == "append" and isinstance(func.value, ast.Name)
+                    and self._is_kind(func.value, "list")):
                 return  # building a local list
-            raise ExtractionError("append to an unclassifiable list")
-        if method == "add":
-            base = func.value
-            if (isinstance(base, ast.Attribute)
-                    and self._is_kind(base.value, "txn")
-                    and base.attr == "_granted_ids"):
-                return
-            raise ExtractionError("set add outside the transaction")
-        if method == "remove":
-            if any(self._is_kind(a, "osm") for a in call.args):
-                self.emit("writers_remove")
-                return
-            raise ExtractionError("remove of a non-osm value")
-        if method in ("reset", "is_tentatively_released"):
-            if self._is_kind(func.value, "txn"):
-                return  # transaction-internal reset / pure query
-            raise ExtractionError(f"{method} outside the transaction")
-        if method == "commit":
-            if self._is_kind(func.value, "txn"):
-                self.emit("txn_commit")
-                return
-            raise ExtractionError("commit outside the transaction")
+            raise ExtractionError(f"{method} of an unclassifiable value")
         if method == "release":
             self.emit("release_call")
             return
@@ -571,23 +525,10 @@ class _Extractor:
             raise ExtractionError("write call outside a register backing")
         raise ExtractionError(f"unclassifiable method call .{method}")
 
-    def _txn_append(self, collection: str, call) -> None:
-        arg = call.args[0] if len(call.args) == 1 else None
-        elts = arg.elts if isinstance(arg, ast.Tuple) else []
-        if collection == "grants":
-            slot = self._slot(elts[0]) if elts else ANY
-            self.emit("t_grant", slot)
-        elif collection == "inquiries":
-            mgr = self._obj(elts[0]) if elts else None
-            self.emit("t_inq", mgr)
-        elif collection == "releases":
-            slot = self._slot(elts[2]) if len(elts) > 2 else ANY
-            self.emit("t_rel", slot)
-        elif collection == "discards":
-            slot = self._slot(elts[1]) if len(elts) > 1 else ANY
-            self.emit("t_disc", slot)
-        else:
-            raise ExtractionError(f"append to txn.{collection}")
+    def _is_operation(self, node) -> bool:
+        """``osm.operation``."""
+        return (isinstance(node, ast.Attribute) and node.attr == "operation"
+                and self._is_kind(node.value, "osm"))
 
 
 def _is_literal_node(node) -> bool:
@@ -748,7 +689,8 @@ def _slot_arg(slot) -> Any:
 #: counter vocabulary of the manager emitters, nothing else
 _REL_COMMIT_ALLOWED = (
     ("ctr", ("n_releases", "+")), ("ctr", ("_n_free", "+")),
-    ("ctr", ("_outstanding", "-")), ("writers_remove", ()),
+    ("ctr", ("_outstanding", "-")), ("ctr", ("_released_this_cycle", "+")),
+    ("writers_remove", ()), ("producers_remove", ()),
     ("backing_write", ()), ("sub_set", ()), ("on_release_commit", ()),
 )
 #: any-of evidence the release actually committed
@@ -759,12 +701,18 @@ _REL_COMMIT_REQUIRED = (
 #: templates admitted inside a grant-commit zone
 _GRANT_ALLOWED = (
     ("ctr", ("n_allocates", "+")), ("ctr", ("_n_free", "-")),
-    ("ctr", ("_outstanding", "+")), ("writers_append", ()), ("sub_set", ()),
+    ("ctr", ("_outstanding", "+")), ("writers_append", ()),
+    ("producers_append", ()), ("sub_set", ()),
 )
 #: any-of evidence the grant was counted
 _GRANT_REQUIRED = (
     ("ctr", ("n_allocates", "+")), ("ctr", ("_n_free", "-")),
 )
+
+
+#: what an allocate may do before its refusal test: the rename
+#: manager's two ``TokenError`` raises and its register stamp
+_ALLOCATE_PROBE = _Zone((("raise", ()), ("stamp", ())))
 
 
 def _release_probe_zone(p, many: bool) -> _Zone:
@@ -774,9 +722,9 @@ def _release_probe_zone(p, many: bool) -> _Zone:
     return _Zone(allowed, minimum=1, required=(("blocked", (None,)),))
 
 
-def _native_expected(edge) -> Optional[List]:
-    """Matchers for the native inline form, or None when the condition
-    contains a primitive the native emitter cannot express."""
+def _edge_expected(edge) -> Optional[List]:
+    """Matchers for the generated edge attempt, or None when the
+    condition contains a primitive the generator cannot express."""
     primitives = edge.condition.primitives if edge.condition is not None else []
     sequence: List = []
     grants: List[Tuple[bool, Any]] = []
@@ -789,11 +737,11 @@ def _native_expected(edge) -> Optional[List]:
         elif kind is Allocate:
             if p._dynamic:
                 sequence.append(_ident_expected(p.ident))
-            sequence.append(_One("blocked", p.manager))
+            sequence.extend([_ALLOCATE_PROBE, _One("blocked", p.manager)])
             grants.append((False, p))
         elif kind is AllocateMany:
             sequence.append(_ident_expected(p.idents))
-            sequence.append(_One("blocked", p.manager))
+            sequence.extend([_ALLOCATE_PROBE, _One("blocked", p.manager)])
             grants.append((True, p))
         elif kind is Inquire:
             group = [_One("blocked", p.manager), _One("inq_count", p.manager)]
@@ -814,7 +762,7 @@ def _native_expected(edge) -> Optional[List]:
         elif kind is Discard:
             discards.append(p)
         else:
-            return None  # custom primitive: never emitted natively
+            return None  # custom primitive: its state is never fused
     # commit, in Transaction.commit order: releases, discards, grants
     for many, p in releases:
         slot = ANY if many else _slot_arg(p.slot)
@@ -834,62 +782,6 @@ def _native_expected(edge) -> Optional[List]:
                               required=_GRANT_REQUIRED))
     sequence.extend(_bookkeeping_expected(edge))
     return sequence
-
-
-def _txn_expected(edge) -> List:
-    """Matchers for the transactional form: each primitive's probe body
-    against the transaction, then ``txn.commit()``, then bookkeeping."""
-    primitives = edge.condition.primitives if edge.condition is not None else []
-    sequence: List = []
-    for p in primitives:
-        kind = type(p)
-        if kind is Guard:
-            sequence.extend(_guard_expected(p))
-        elif kind is Allocate:
-            if p._dynamic:
-                sequence.append(_ident_expected(p.ident))
-            sequence.extend([
-                _One("mgr_call", "allocate", p.manager),
-                _One("blocked", p.manager),
-                _One("t_grant", _slot_arg(p.slot)),
-            ])
-        elif kind is AllocateMany:
-            sequence.append(_ident_expected(p.idents))
-            sequence.extend([
-                _One("mgr_call", "allocate", p.manager),
-                _One("blocked", p.manager),
-                _One("t_grant", ANY),
-            ])
-        elif kind is Inquire:
-            group = [
-                _One("mgr_call", "inquire", p.manager),
-                _One("blocked", p.manager),
-                _One("t_inq", p.manager),
-                _One("inq_count", p.manager),
-            ]
-            if p._dynamic:
-                sequence.append(_ident_expected(p.ident))
-                sequence.append(_Rep(group, 2, 2))
-            elif isinstance(p.ident, (list, tuple)):
-                n = len(p.ident)
-                sequence.append(_Rep(group, n, n))
-            else:
-                sequence.extend(group)
-        elif kind in (Release, ReleaseMany):
-            many = kind is ReleaseMany
-            allowed = [("raise", ()), ("release_call", ()), ("blocked", (None,))]
-            if p.value is not None:
-                allowed.append(("call2" if many else "call1", (p.value,)))
-            sequence.append(_Zone(allowed, minimum=1,
-                                  required=(("release_call", ()),)))
-            sequence.append(_One("t_rel", ANY if many else _slot_arg(p.slot)))
-        elif kind is Discard:
-            sequence.append(
-                _One("t_disc", _slot_arg(p.slot) if p.slot is not None else ANY))
-        else:  # custom primitive: its bound probe(osm, txn), called in place
-            sequence.append(_One("txn_probe", _callable_key(p.probe)))
-    sequence.append(_One("txn_commit"))
-    return sequence + _bookkeeping_expected(edge)
 
 
 def _bookkeeping_expected(edge) -> List:
@@ -981,10 +873,8 @@ def replay_stepper(state, spec) -> List[str]:
         except ExtractionError as exc:
             problems.append(f"{edge.qualname}: {exc}")
             continue
-        native = _native_expected(edge)
-        if native is not None and _matches(native, extractor.events):
-            continue
-        if _matches(_txn_expected(edge), extractor.events):
+        expected = _edge_expected(edge)
+        if expected is not None and _matches(expected, extractor.events):
             continue
         problems.append(
             f"{edge.qualname}: generated effects do not replay against the "

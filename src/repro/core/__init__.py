@@ -16,6 +16,7 @@ from .errors import (
 from .token import Token, TokenIdentifier, resolve_identifier
 from .transaction import Transaction
 from .manager import (
+    InOrderPoolManager,
     PoolManager,
     RegisterFileManager,
     ResetManager,
@@ -58,6 +59,7 @@ __all__ = [
     "Discard",
     "Edge",
     "Guard",
+    "InOrderPoolManager",
     "Inquire",
     "MachineSpec",
     "ManagerEmitter",

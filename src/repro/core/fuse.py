@@ -11,21 +11,17 @@ otherwise — the interpreted reference, which probes each primitive
 through its own ``probe`` method — so fused and unfused states
 interleave freely within one model.
 
-Two generation forms per edge, decided statically:
-
-* **native** — every primitive's manager has a registered
-  :class:`ManagerEmitter` for its *exact* class, so the manager probe
-  *and* commit-hook bodies are inlined; the transaction object is
-  replaced by local tentative-grant/release tracking.  Release/
-  ReleaseMany never block native mode: tokens carry their manager, so
-  the generic virtual ``release``/``on_release_commit`` calls are exact
-  (with an inline fast path when every candidate manager shares one
-  emitter-backed class).
-* **transactional** — anything else (custom managers, custom
-  primitives): each primitive's ``probe`` body is inlined, calling its
-  manager's TMI against ``osm._txn``, and the edge commits via
-  :meth:`Transaction.commit`, exactly like ``try_transition``.  Custom
-  primitives are called through their bound ``probe`` method in place.
+There is one generated form.  Every manager an edge allocates from or
+inquires of has a registered :class:`ManagerEmitter` for its *exact*
+class, so the manager probe *and* commit-hook bodies are inlined and the
+transaction object is replaced by local tentative-grant/release
+tracking.  Release/ReleaseMany never block fusion: tokens carry their
+manager, so the generic virtual ``release``/``on_release_commit`` calls
+are exact (with an inline fast path when every candidate manager shares
+one emitter-backed class).  A state with an edge the emitters cannot
+express — a custom primitive, or a manager class without an emitter —
+is not fused: it runs the interpreted reference, and the census names
+the blocker.
 
 **Soundness.** A fused stepper must be bit-identical to
 ``try_transition`` over the same edges: every manager call, counter
@@ -37,7 +33,10 @@ fused at all is decided by the effectcheck compilability report
 certified states, then translation-validates every stepper with
 transcheck and demotes the ones that fail.  Everything else — and any
 codegen failure — runs the interpreted reference, with the outcome
-recorded per state in the spec's :class:`CompileStats`.
+recorded per state in the spec's :class:`CompileStats`.  The emitter
+bodies themselves are trusted code: transcheck replays them only as
+vocabulary zones, and a differential property test drives each
+registered emitter against its manager's TMI methods.
 
 Steppers bake per-edge constants (actions, ``on_enter`` hooks,
 destination states); ``MachineSpec.edge()`` invalidates ``State._fused``
@@ -48,11 +47,13 @@ edge callables in place after fusion is outside the contract.
 from __future__ import annotations
 
 import ast
+import functools
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import TokenError
-from .manager import PoolManager, RegisterFileManager, ResetManager, SlotManager
+from .manager import (InOrderPoolManager, PoolManager, RegisterFileManager,
+                      ResetManager, SlotManager)
 from .primitives import (Allocate, AllocateMany, Discard, Guard, Inquire,
                          Release, ReleaseMany)
 
@@ -150,7 +151,6 @@ class _Codegen:
         self.env: Dict[str, Any] = {"TokenError": TokenError}
         self.params: List[str] = []
         self._bound: Dict[int, str] = {}
-        self._methods: Dict[Tuple[int, str], Any] = {}
         self._n = 0
 
     def bind(self, hint: str, obj: Any) -> str:
@@ -163,16 +163,6 @@ class _Codegen:
         self.params.append(name)
         self._bound[id(obj)] = name
         return name
-
-    def method(self, hint: str, obj: Any, name: str) -> str:
-        """Bind the bound method ``obj.<name>`` once per function (every
-        attribute access makes a new bound method, which :meth:`bind`
-        cannot recognise as a repeat)."""
-        key = (id(obj), name)
-        bound = self._methods.get(key)
-        if bound is None:
-            bound = self._methods[key] = getattr(obj, name)
-        return self.bind(hint, bound)
 
     def fresh(self, hint: str) -> str:
         self._n += 1
@@ -240,10 +230,12 @@ def _ident_call(g: _Codegen, hint: str, fn: Any) -> str:
     return f"{g.bind(hint, fn)}(osm)"
 
 
-def _avoid_cond(tok_expr: str, scalars: List[str], lists: List[str]) -> str:
-    """Extra availability terms excluding tokens tentatively granted
+def grantable(tok_expr: str, avoid: Tuple[List[str], List[str]]) -> str:
+    """The test that *tok_expr* is free and not tentatively granted
     earlier in the same condition (mirrors ``txn._granted_ids``)."""
-    parts = [f"{tok_expr} is not {s}" for s in scalars]
+    scalars, lists = avoid
+    parts = [f"{tok_expr}.holder is None"]
+    parts += [f"{tok_expr} is not {s}" for s in scalars]
     parts += [f"{tok_expr} not in {l}" for l in lists]
     return " and ".join(parts)
 
@@ -273,7 +265,7 @@ class _Rel:
 
 
 class _EdgeCtx:
-    """Tentative-effect tracking for one native edge (the txn replacement)."""
+    """Tentative-effect tracking for one edge (the txn replacement)."""
 
     def __init__(self):
         self.grants: List[_Grant] = []
@@ -305,12 +297,13 @@ class _EdgeCtx:
 class ManagerEmitter:
     """Native code emitters for one *exact* token-manager class.
 
-    Each method mirrors the corresponding TMI method or commit hook in
-    :mod:`repro.core.manager` exactly — identical checks, counter
-    updates and error messages.  Registration is by exact type (no MRO
-    walk): a manager subclass gets native code only when it registers
-    its own emitter via :func:`register_native_emitter`, otherwise its
-    edges run in transaction mode.
+    Each method mirrors the corresponding TMI method or commit hook of
+    the manager class exactly — identical checks, counter updates and
+    error messages.  Registration is by exact type (no MRO walk): a
+    manager subclass gets native code only when it registers its own
+    emitter via :func:`register_native_emitter`, otherwise the states
+    whose edges allocate from or inquire of it run the interpreted
+    reference.
 
     ``allocate``/``inquire``/``allocate_commit`` are always invoked with
     the concrete manager instance (the primitive names it), so they may
@@ -319,10 +312,6 @@ class ManagerEmitter:
     (``token.manager``) guarded by an exact-type test, so they must use
     attribute access.
     """
-
-    can_allocate = False
-    can_inquire = False
-    can_release = False
 
     def allocate(self, g: _Codegen, w: _Writer, mgr, out: str, ident_expr: str,
                  avoid: Tuple[List[str], List[str]]) -> None:
@@ -349,15 +338,9 @@ class ManagerEmitter:
 
 
 class SlotManagerEmitter(ManagerEmitter):
-    can_allocate = can_inquire = can_release = True
-
     def allocate(self, g, w, mgr, out, ident_expr, avoid):
         tok = g.bind("slot_tok", mgr.token)
-        cond = f"{tok}.holder is None"
-        extra = _avoid_cond(tok, *avoid)
-        if extra:
-            cond = f"{cond} and {extra}"
-        w(f"{out} = {tok} if {cond} else None")
+        w(f"{out} = {tok} if {grantable(tok, avoid)} else None")
 
     def allocate_commit(self, g, w, mgr, tok):
         m = g.bind("mgr", mgr)
@@ -383,20 +366,14 @@ class SlotManagerEmitter(ManagerEmitter):
 
 
 class PoolManagerEmitter(ManagerEmitter):
-    can_allocate = can_inquire = can_release = True
-
     def allocate(self, g, w, mgr, out, ident_expr, avoid):
         m = g.bind("mgr", mgr)
         toks = g.bind("pool", mgr.tokens)
         w(f"{out} = None")
         with w.block(f"if {m}._n_free != 0:"):
             tv = g.fresh("_pt")
-            cond = f"{tv}.holder is None"
-            extra = _avoid_cond(tv, *avoid)
-            if extra:
-                cond = f"{cond} and {extra}"
             with w.block(f"for {tv} in {toks}:"):
-                with w.block(f"if {cond}:"):
+                with w.block(f"if {grantable(tv, avoid)}:"):
                     w(f"{out} = {tv}")
                     w("break")
 
@@ -409,19 +386,16 @@ class PoolManagerEmitter(ManagerEmitter):
         m = g.bind("mgr", mgr)
         toks = g.bind("pool", mgr.tokens)
         nf = g.fresh("_nf")
-        w(f"{nf} = {m}._n_free")
-        with w.block(f"if {nf} == 0:"):
-            fail()
-        # n_free > len(txn.grants) -> available; otherwise scan for a free
-        # token not tentatively granted in this condition
         tv = g.fresh("_pt")
-        cond = f"{tv}.holder is None"
-        extra = _avoid_cond(tv, *ctx.avoid(mgr))
-        if extra:
-            cond = f"{cond} and {extra}"
-        with w.block(f"if {nf} <= {ctx.grant_count_expr()}:"):
-            with w.block(f"if not any({cond} for {tv} in {toks}):"):
-                fail()
+        w(f"{nf} = {m}._n_free")
+        # none free -> refused; more free than tentative grants in this
+        # condition -> available; otherwise scan for a free token not
+        # tentatively granted (one refusal site, as TRV001 requires)
+        refused = (f"{nf} == 0 or ({nf} <= {ctx.grant_count_expr()}"
+                   f" and not any({grantable(tv, ctx.avoid(mgr))}"
+                   f" for {tv} in {toks}))")
+        with w.block(f"if {refused}:"):
+            fail()
 
     def release_check(self, g, w, mgr_expr, tok, fail):
         # token.manager is this manager by dispatch; the interpreted
@@ -437,9 +411,31 @@ class PoolManagerEmitter(ManagerEmitter):
         w(f"{mgr_expr}._n_free += 1")
 
 
-class RegisterFileManagerEmitter(ManagerEmitter):
-    can_allocate = can_inquire = can_release = True
+class InOrderPoolManagerEmitter(PoolManagerEmitter):
+    """:class:`InOrderPoolManager`: the pool bodies plus the grant-order
+    list and the per-cycle release budget."""
 
+    def allocate_commit(self, g, w, mgr, tok):
+        super().allocate_commit(g, w, mgr, tok)
+        w(f"{g.bind('order', mgr._order)}.append(osm)")
+
+    def release_check(self, g, w, mgr_expr, tok, fail):
+        with w.block(f"if {tok}.holder is not osm:"):
+            w(f"raise TokenError('%s: %r does not hold %r'"
+              f" % ({mgr_expr}.name, osm, {tok}))")
+        refused = (f"{mgr_expr}.hold_release"
+                   f" or {mgr_expr}._released_this_cycle >= {mgr_expr}.width"
+                   f" or not {mgr_expr}._order or {mgr_expr}._order[0] is not osm")
+        with w.block(f"if {refused}:"):
+            fail()
+
+    def release_commit(self, g, w, mgr_expr, tok, value_expr):
+        super().release_commit(g, w, mgr_expr, tok, value_expr)
+        w(f"{mgr_expr}._order.remove(osm)")
+        w(f"{mgr_expr}._released_this_cycle += 1")
+
+
+class RegisterFileManagerEmitter(ManagerEmitter):
     def allocate(self, g, w, mgr, out, ident_expr, avoid):
         m = g.bind("mgr", mgr)
         upd = g.bind("upd", mgr.update_tokens)
@@ -452,12 +448,8 @@ class RegisterFileManagerEmitter(ManagerEmitter):
                 f" and len({wr}[{ident_expr}]) < {m}.updates_per_reg")
         with w.block(f"if {gate}:"):
             tv = g.fresh("_rt")
-            cond = f"{tv}.holder is None"
-            extra = _avoid_cond(tv, *avoid)
-            if extra:
-                cond = f"{cond} and {extra}"
             with w.block(f"for {tv} in {upd}[{ident_expr}]:"):
-                with w.block(f"if {cond}:"):
+                with w.block(f"if {grantable(tv, avoid)}:"):
                     w(f"{out} = {tv}")
                     w("break")
 
@@ -493,8 +485,6 @@ class RegisterFileManagerEmitter(ManagerEmitter):
 
 
 class ResetManagerEmitter(ManagerEmitter):
-    can_allocate = can_inquire = can_release = True
-
     def allocate(self, g, w, mgr, out, ident_expr, avoid):
         w(f"{out} = None")  # the reset manager owns no allocatable tokens
 
@@ -523,15 +513,17 @@ def register_native_emitter(manager_class: type, emitter: ManagerEmitter) -> Non
     """Register native codegen for *manager_class* (exact type match).
 
     Model layers with custom manager subclasses call this at import time
-    so their specs fuse to fully native steppers; unregistered classes
-    simply keep their edges in transaction mode — never unsound, only
-    slower.
+    so their specs fuse; a state that allocates from or inquires of an
+    unregistered class runs the interpreted reference — never unsound,
+    only slower.  Every registered emitter needs a case in the
+    differential emitter test (``tests/property/test_emitters.py``).
     """
     _EMITTERS[manager_class] = emitter
 
 
 register_native_emitter(SlotManager, SlotManagerEmitter())
 register_native_emitter(PoolManager, PoolManagerEmitter())
+register_native_emitter(InOrderPoolManager, InOrderPoolManagerEmitter())
 register_native_emitter(RegisterFileManager, RegisterFileManagerEmitter())
 register_native_emitter(ResetManager, ResetManagerEmitter())
 
@@ -540,23 +532,23 @@ register_native_emitter(ResetManager, ResetManagerEmitter())
 # per-edge emission
 
 
-def _edge_native_blocker(edge) -> Optional[str]:
-    """None when every primitive of *edge* can be emitted natively, else
-    the reason the edge must run in transaction mode."""
-    for p in edge.condition.primitives:
-        t = type(p)
-        if t is Guard or t is Discard or t is Release or t is ReleaseMany:
-            continue
-        if t is Allocate or t is AllocateMany:
-            em = _EMITTERS.get(type(p.manager))
-            if em is None or not em.can_allocate:
-                return f"no native allocate for {type(p.manager).__name__}"
-        elif t is Inquire:
-            em = _EMITTERS.get(type(p.manager))
-            if em is None or not em.can_inquire:
-                return f"no native inquire for {type(p.manager).__name__}"
-        else:
-            return f"custom primitive {type(p).__name__}"
+def _native_blocker(state) -> Optional[str]:
+    """None when every out-edge of *state* can be generated, else the
+    census reason naming what keeps the state on the interpreted
+    reference: a custom primitive, or a manager class with no
+    registered emitter."""
+    for edge in state.out_edges:
+        for p in edge.condition.primitives:
+            t = type(p)
+            if t is Guard or t is Discard or t is Release or t is ReleaseMany:
+                continue
+            if t is Allocate or t is AllocateMany or t is Inquire:
+                if type(p.manager) in _EMITTERS:
+                    continue
+                blocker = f"no native emitter for {type(p.manager).__name__}"
+            else:
+                blocker = f"custom primitive {type(p).__name__}"
+            return f"reference: {blocker} on edge {edge.qualname}"
     return None
 
 
@@ -601,9 +593,7 @@ def _uniform_dispatch(mgrs):
         return None
     cls = types.pop()
     em = _EMITTERS.get(cls)
-    if em is None or not em.can_release:
-        return None
-    return cls, em
+    return None if em is None else (cls, em)
 
 
 def _emit_release_check(g, w, dispatch, mv, tok, slot_expr, fail):
@@ -884,189 +874,9 @@ def _emit_native_edge(g, w, edge, slot_cands):
             _nat_release_many(g, w, p, idx, ctx, slot_cands)
         elif t is Discard:
             _nat_discard(g, w, p, idx, ctx)
-        else:  # unreachable behind _edge_native_blocker
+        else:  # unreachable behind _native_blocker
             raise TypeError(f"non-native primitive {type(p).__name__}")
     _emit_native_commit(g, w, ctx)
-
-
-# Transactional form: each emitter mirrors the ``probe`` body of its
-# primitive in :mod:`repro.core.primitives` against the stepper's
-# ``txn = osm._txn``; a refusal notes ``osm.blocked_on`` and leaves the
-# edge attempt (loops through an ok-flag, as in the native form).
-
-
-def _txn_refuse(w, mgr_expr: str, ident_expr: str, ok: Optional[str] = None) -> None:
-    w(f"osm.blocked_on = ({mgr_expr}, {ident_expr})")
-    if ok is not None:
-        w(f"{ok} = False")
-    w("break")
-
-
-def _txn_grant(w, slot_expr: str, tok: str) -> None:
-    w("txn.dirty = True")
-    w(f"txn.grants.append(({slot_expr}, {tok}))")
-    w(f"txn._granted_ids.add(id({tok}))")
-
-
-def _txn_allocate(g, w, p, idx):
-    alloc = g.method(f"a{idx}alloc", p.manager, "allocate")
-    m = g.bind("mgr", p.manager)
-    slot = _expr(g, f"a{idx}slot", p.slot)
-    tv = g.fresh(f"a{idx}t")
-
-    def body(ident):
-        w(f"{tv} = {alloc}(osm, {ident}, txn)")
-        with w.block(f"if {tv} is None:"):
-            _txn_refuse(w, m, ident)
-        _txn_grant(w, slot, tv)
-
-    if p._dynamic:
-        iv = g.fresh(f"a{idx}i")
-        w(f"{iv} = {_ident_call(g, f'a{idx}ident', p.ident)}")
-        with w.block(f"if {iv} is not None:"):
-            body(iv)
-    else:
-        body(_expr(g, f"a{idx}ident", p.ident))
-
-
-def _txn_allocate_many(g, w, p, idx):
-    alloc = g.method(f"m{idx}alloc", p.manager, "allocate")
-    m = g.bind("mgr", p.manager)
-    slot = _expr(g, f"m{idx}slot", p.slot)
-    idents_call = _ident_call(g, f"m{idx}idents", p.idents)
-    ok, ix, iv, tv = (g.fresh(f"m{idx}{s}") for s in ("ok", "x", "i", "t"))
-    w(f"{ok} = True")
-    with w.block(f"for {ix}, {iv} in enumerate({idents_call} or ()):"):
-        w(f"{tv} = {alloc}(osm, {iv}, txn)")
-        with w.block(f"if {tv} is None:"):
-            _txn_refuse(w, m, iv, ok)
-        _txn_grant(w, f"{slot} + str({ix})", tv)
-    with w.block(f"if not {ok}:"):
-        w("break")
-
-
-def _txn_inquire(g, w, p, idx):
-    inq = g.method(f"i{idx}inq", p.manager, "inquire")
-    m = g.bind("mgr", p.manager)
-
-    def check(ident, ok=None):
-        with w.block(f"if not {inq}(osm, {ident}, txn):"):
-            _txn_refuse(w, m, ident, ok)
-        w("txn.dirty = True")
-        w(f"txn.inquiries.append(({m}, {ident}))")
-        w(f"{m}.n_inquiries += 1")
-
-    if p._dynamic:
-        iv = g.fresh(f"i{idx}v")
-        w(f"{iv} = {_ident_call(g, f'i{idx}ident', p.ident)}")
-        with w.block(f"if {iv} is not None:"):
-            with w.block(f"if not isinstance({iv}, (list, tuple)):"):
-                check(iv)
-            with w.block("else:"):
-                ok = g.fresh(f"i{idx}ok")
-                sv = g.fresh(f"i{idx}s")
-                w(f"{ok} = True")
-                with w.block(f"for {sv} in {iv}:"):
-                    check(sv, ok)
-                with w.block(f"if not {ok}:"):
-                    w("break")
-    elif isinstance(p.ident, (list, tuple)):
-        for j, element in enumerate(p.ident):
-            check(_expr(g, f"i{idx}e{j}", element))
-    else:
-        check(_expr(g, f"i{idx}ident", p.ident))
-
-
-def _txn_release(g, w, p, idx, may_have_releases):
-    slot = _expr(g, f"r{idx}slot", p.slot)
-    tv = g.fresh(f"r{idx}t")
-    mv = g.fresh(f"r{idx}m")
-    w(f"{tv} = buffer.get({slot})")
-    with w.block(f"if {tv} is not None:"):
-        if may_have_releases:
-            with w.block(f"if txn.releases and txn.is_tentatively_released({tv}):"):
-                w("raise TokenError("
-                  f"'double release of slot %r in one condition' % ({slot},))")
-        w(f"{mv} = {tv}.manager")
-        with w.block(f"if not {mv}.release(osm, {tv}, txn):"):
-            _txn_refuse(w, mv, slot)
-        value = "None" if p.value is None else f"{g.bind(f'r{idx}value', p.value)}(osm)"
-        w("txn.dirty = True")
-        w(f"txn.releases.append(({tv}, {value}, {slot}))")
-
-
-def _txn_release_many(g, w, p, idx):
-    prefix = _expr(g, f"r{idx}prefix", p.prefix)
-    ok, sv, tv, mv = (g.fresh(f"r{idx}{s}") for s in ("ok", "s", "t", "m"))
-    w(f"{ok} = True")
-    with w.block(f"for {sv}, {tv} in list(buffer.items()):"):
-        with w.block(f"if not {sv}.startswith({prefix}):"):
-            w("continue")
-        w(f"{mv} = {tv}.manager")
-        with w.block(f"if not {mv}.release(osm, {tv}, txn):"):
-            _txn_refuse(w, mv, sv, ok)
-        value = ("None" if p.value is None
-                 else f"{g.bind(f'r{idx}value', p.value)}(osm, {tv})")
-        w("txn.dirty = True")
-        w(f"txn.releases.append(({tv}, {value}, {sv}))")
-    with w.block(f"if not {ok}:"):
-        w("break")
-
-
-def _txn_discard(g, w, p, idx):
-    if p.slot is not None:
-        slot = _expr(g, f"d{idx}slot", p.slot)
-        dv = g.fresh(f"d{idx}t")
-        w(f"{dv} = buffer.get({slot})")
-        with w.block(f"if {dv} is not None:"):
-            w("txn.dirty = True")
-            w(f"txn.discards.append(({dv}, {slot}))")
-    else:
-        sv = g.fresh(f"d{idx}s")
-        dv = g.fresh(f"d{idx}t")
-        with w.block(f"for {sv}, {dv} in list(buffer.items()):"):
-            w("txn.dirty = True")
-            w(f"txn.discards.append(({dv}, {sv}))")
-
-
-def _emit_txn_edge(g, w, edge):
-    primitives = edge.condition.primitives
-    # A leading keyed guard touches neither the transaction nor
-    # osm.blocked_on, so it may run before the reset: a non-matching
-    # edge then costs the one comparison.
-    lead = int(bool(primitives) and type(primitives[0]) is Guard
-               and primitives[0].key is not None)
-    if lead:
-        _nat_guard(g, w, primitives[0], 0, None)
-    with w.block("if txn.dirty:"):
-        w("txn.reset(osm)")
-    # True once an earlier primitive may already have appended to
-    # txn.releases — only then can a Release hit the double-release check
-    may_have_releases = False
-    for idx, p in enumerate(primitives[lead:], start=lead):
-        t = type(p)
-        if t is Guard:
-            _nat_guard(g, w, p, idx, None)
-        elif t is Allocate:
-            _txn_allocate(g, w, p, idx)
-        elif t is AllocateMany:
-            _txn_allocate_many(g, w, p, idx)
-        elif t is Inquire:
-            _txn_inquire(g, w, p, idx)
-        elif t is Release:
-            _txn_release(g, w, p, idx, may_have_releases)
-            may_have_releases = True
-        elif t is ReleaseMany:
-            _txn_release_many(g, w, p, idx)
-            may_have_releases = True
-        elif t is Discard:
-            _txn_discard(g, w, p, idx)
-        else:  # custom primitive: its own probe, called in place
-            probe = g.method(f"p{idx}probe", p, "probe")
-            with w.block(f"if not {probe}(osm, txn):"):
-                w("break")
-            may_have_releases = True
-    w("txn.commit()")
 
 
 def _emit_bookkeeping(g, w, edge):
@@ -1091,6 +901,15 @@ def _emit_bookkeeping(g, w, edge):
     w(f"return {ename}")
 
 
+@functools.lru_cache(maxsize=256)
+def _compile(src: str, filename: str):
+    """``compile`` memoized on the source text and filename: every model
+    build regenerates its steppers, and a rebuilt spec of the same
+    structure generates the same text (its constants are bound per
+    build, as parameter defaults, so the code object is shared)."""
+    return compile(src, filename, "exec")
+
+
 def generate_stepper(state, spec) -> Callable:
     """Generate the fused ``step(osm, clock) -> Edge | None`` for *state*.
 
@@ -1100,23 +919,16 @@ def generate_stepper(state, spec) -> Callable:
     g = _Codegen()
     w = _Writer()
     slot_cands = _slot_candidates(spec)
-    native = [_edge_native_blocker(edge) is None for edge in state.out_edges]
     w("osm.blocked_on = None")
     w("buffer = osm.token_buffer")
-    if not all(native):
-        w("txn = osm._txn")
-    for edge, is_native in zip(state.out_edges, native):
+    for edge in state.out_edges:
         with w.block("while True:"):
-            if is_native:
-                _emit_native_edge(g, w, edge, slot_cands)
-            else:
-                _emit_txn_edge(g, w, edge)
+            _emit_native_edge(g, w, edge, slot_cands)
             _emit_bookkeeping(g, w, edge)
     w("return None")
     sig = "".join(f", {n}={n}" for n in g.params)
     src = f"def _fused_step(osm, clock{sig}):\n" + "\n".join(w.lines)
-    code = compile(src, f"<fused:{spec.name}.{state.name}>", "exec")
-    exec(code, g.env)
+    exec(_compile(src, f"<fused:{spec.name}.{state.name}>"), g.env)
     fn = g.env["_fused_step"]
     fn.__fused_source__ = src  # debugging / test introspection
     return fn
@@ -1131,10 +943,11 @@ def fuse_spec(spec, states=None) -> int:
     ``State._fused``.
 
     *states* restricts fusion to the named states (the certified-fusable
-    set from effectcheck); others are recorded as policy fallbacks.  Any
-    generation failure is caught, recorded in ``spec.compile_stats`` and
-    leaves that state on the interpreted reference.  Returns the number
-    of states fused.
+    set from effectcheck); others are recorded as policy fallbacks.  A
+    state with an edge no emitter can express (:func:`_native_blocker`)
+    and any generation failure are recorded in ``spec.compile_stats``
+    and leave that state on the interpreted reference.  Returns the
+    number of states fused.
     """
     stats = spec.compile_stats
     fused = 0
@@ -1142,6 +955,11 @@ def fuse_spec(spec, states=None) -> int:
         if states is not None and state.name not in states:
             state._fused = None
             stats.record_state(state, "policy: not certified fusable")
+            continue
+        blocker = _native_blocker(state)
+        if blocker is not None:
+            state._fused = None
+            stats.record_state(state, blocker)
             continue
         try:
             stepper = generate_stepper(state, spec)

@@ -9,16 +9,18 @@ the four primitives of the transaction language; modules that do not
 interact with operations (caches, TLBs, the bus) live purely in the
 hardware layer and need no TMI.
 
-This module provides the abstract :class:`TokenManager` plus the two
+This module provides the abstract :class:`TokenManager` plus the
 reusable concrete managers that cover most structure resources:
 
 * :class:`SlotManager` — a single occupancy token (a pipeline-stage slot);
-* :class:`PoolManager` — a pool of interchangeable tokens (a fetch queue,
-  reservation-station entries, rename buffers, a completion queue).
+* :class:`PoolManager` — a pool of interchangeable tokens (reservation-
+  station entries, the issue slots of a wide stage);
+* :class:`InOrderPoolManager` — a pool whose tokens leave in grant order,
+  a bounded number per cycle (a fetch queue, a completion queue).
 
 The paper notes that *"TMIs of the same nature are very much alike and code
-reuse can be exploited to a great extent"*; these two classes are that
-reuse, shared across the pipeline5, StrongARM and PPC-750 models.
+reuse can be exploited to a great extent"*; these classes are that reuse,
+shared across the pipeline5, StrongARM, PPC-750 and Section-6 models.
 """
 
 from __future__ import annotations
@@ -169,11 +171,10 @@ class SlotManager(TokenManager):
 class PoolManager(TokenManager):
     """TMI controlling a pool of interchangeable tokens.
 
-    Covers queues and buffer files: the PPC-750 fetch queue (6 entries),
-    reservation stations, rename buffers and the completion queue are all
-    pools.  ``ident`` is ignored for plain pools; subclasses may interpret
-    it (e.g. :class:`~repro.models.ppc750.managers.CompletionQueueManager`
-    enforces in-order retirement by refusing out-of-order releases).
+    Covers buffer files: reservation stations and the issue slots of a
+    wide stage are pools.  ``ident`` is ignored for plain pools;
+    subclasses may add a release policy (:class:`InOrderPoolManager`
+    refuses out-of-order releases).
     """
 
     def __init__(self, name: str, size: int):
@@ -252,6 +253,58 @@ class PoolManager(TokenManager):
 
     def resync_from_holders(self) -> None:
         self._n_free = sum(1 for t in self.tokens if t.holder is None)
+
+
+class InOrderPoolManager(PoolManager):
+    """TMI for an ordered queue: a pool whose tokens leave in grant order.
+
+    Entries are granted in request order and a release is accepted only
+    from the oldest holder, at most ``width`` per cycle; the owning
+    hardware module calls :meth:`new_cycle` at each cycle boundary.  The
+    PPC-750 fetch queue (in-order dual dispatch) and completion queue
+    (in-order retirement, the reorder-buffer discipline expressed as a
+    token-release policy) are both this manager.
+    """
+
+    def __init__(self, name: str, size: int, width: int):
+        super().__init__(name, size)
+        self.width = width
+        #: holders in grant order
+        self._order: List[Any] = []
+        self._released_this_cycle = 0
+
+    def new_cycle(self) -> None:
+        self._released_this_cycle = 0
+
+    def budget_was_used(self) -> bool:
+        return self._released_this_cycle > 0
+
+    def holders_of(self, ident) -> List[Any]:
+        """Wait-for precision for deadlock analysis: a refused release
+        only ever waits on the queue head — never on the other queued
+        operations."""
+        return [self._order[0]] if self._order else []
+
+    def release(self, osm, token: Token, txn: Transaction) -> bool:
+        if not super().release(osm, token, txn):
+            return False
+        if self._released_this_cycle >= self.width:
+            return False
+        return bool(self._order) and self._order[0] is osm
+
+    def on_allocate_commit(self, osm, token: Token) -> None:
+        super().on_allocate_commit(osm, token)
+        self._order.append(osm)
+
+    def on_release_commit(self, osm, token: Token, value: Any) -> None:
+        super().on_release_commit(osm, token, value)
+        self._order.remove(osm)
+        self._released_this_cycle += 1
+
+    def on_discard(self, osm, token: Token) -> None:
+        super().on_discard(osm, token)
+        if osm in self._order:
+            self._order.remove(osm)
 
 
 class RegisterFileManager(TokenManager):

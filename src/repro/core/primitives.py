@@ -41,8 +41,9 @@ class Primitive:
         These methods are the interpreted reference:
         :meth:`~repro.core.osm.OperationStateMachine.try_transition`
         calls them directly, and the fused steppers of
-        :mod:`repro.core.fuse` inline the built-in primitives' bodies
-        (custom primitives keep calling their own ``probe``)."""
+        :mod:`repro.core.fuse` inline the built-in primitives' bodies.
+        A state with a custom primitive is not fused: it keeps running
+        the reference, which calls the primitive's own ``probe``."""
         raise NotImplementedError
 
     def __and__(self, other: "Primitive") -> "Condition":

@@ -11,9 +11,10 @@ This model implements fine-grained (round-robin) multithreading over the
 * each thread has its own architectural state and its own register-file
   TMI — value/update identifiers are implicitly thread-qualified because
   the per-thread manager instance *is* part of the identifier;
-* the shared fetch stage arbitrates by tag: its TMI prefers the
-  round-robin thread but grants the slot to any ready thread whose
-  pipeline is not stalled, which is how MT hides memory latency;
+* the shared fetch stage arbitrates by tag: the fetch edge's guard
+  prefers the round-robin thread but admits any ready thread whose
+  pipeline is not stalled to the fetch slot, which is how MT hides
+  memory latency;
 * ranking is (age, tag) so interleaved threads stay deterministic.
 
 Long-latency stalls (D-cache misses) in one thread leave the shared
@@ -103,15 +104,16 @@ class ThreadContext:
 class ThreadedFetchUnit(HardwareModule):
     """Shared fetch stage with per-tag arbitration.
 
-    The TMI checks the identity (tag) of the requesting OSM — exactly the
-    Section-6 recipe — and grants the slot round-robin among threads that
+    The fetch edge's guard checks the identity (tag) of the requesting
+    OSM — the Section-6 recipe — through :meth:`thread_may_fetch`, which
+    admits threads to the plain fetch slot round-robin among those that
     can fetch this cycle.
     """
 
     def __init__(self, threads: Sequence[ThreadContext]):
         super().__init__("m_f")
         self.threads = list(threads)
-        self.manager = _ThreadedFetchManager("m_f", self)
+        self.manager = SlotManager("m_f")
         self._turn = 0
         self._seq = 0
         self.fetched_per_thread = [0] * len(self.threads)
@@ -146,17 +148,6 @@ class ThreadedFetchUnit(HardwareModule):
                 thread.fetch_pc = thread.redirect_pending
                 thread.redirect_pending = None
                 self.notify()  # the thread may fetch again
-
-
-class _ThreadedFetchManager(SlotManager):
-    def __init__(self, name: str, unit: ThreadedFetchUnit):
-        super().__init__(name)
-        self._unit = unit
-
-    def allocate(self, osm, ident, txn):
-        if not self._unit.thread_may_fetch(osm.tag):
-            return None
-        return super().allocate(osm, ident, txn)
 
 
 class MultithreadModel:
@@ -207,10 +198,6 @@ class MultithreadModel:
         )
         self.kernel.stop_condition = self._finished
 
-    #: kept as an attribute for back-compat with code referencing
-    #: ``MultithreadModel._rank``
-    _rank = staticmethod(_mt_rank)
-
     def _build_spec(self) -> MachineSpec:
         spec = MachineSpec("mt5")
         for name in "IFDEBW":
@@ -227,7 +214,10 @@ class MultithreadModel:
         sources.__fuse_inline__ = "osm.operation.instr.src_regs"
         dests.__fuse_inline__ = "osm.operation.instr.dst_regs"
 
-        spec.edge("I", "F", Condition([Allocate(self.fetch.manager, slot="m_f")]),
+        spec.edge("I", "F",
+                  Condition([Guard(lambda osm: self.fetch.thread_may_fetch(osm.tag),
+                                   "fetch-turn"),
+                             Allocate(self.fetch.manager, slot="m_f")]),
                   action=self.fetch.fetch_into, label="fetch")
         spec.edge("F", "D",
                   Condition([Allocate(self.decode_stage.manager, slot="m_d"),

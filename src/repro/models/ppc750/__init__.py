@@ -1,7 +1,7 @@
 """PowerPC-750 out-of-order superscalar case-study model (Section 5.2)."""
 
 from .branch import BranchHistoryTable, BranchPredictor, BranchTargetCache
-from .managers import CompletionQueueManager, FetchQueueManager, RegisterRenameManager
+from .managers import RegisterRenameManager
 from .model import (
     CLOCK_HZ,
     OooOperation,
@@ -16,8 +16,6 @@ __all__ = [
     "BranchPredictor",
     "BranchTargetCache",
     "CLOCK_HZ",
-    "CompletionQueueManager",
-    "FetchQueueManager",
     "OooOperation",
     "Ppc750Model",
     "RegisterRenameManager",

@@ -4,8 +4,9 @@ Section 5.2: "a 6-entry fetch queue, 6 function units with 6 independent
 reservation stations, 5 register files with renaming buffers, and a
 6-entry completion queue".  The TMI-enabled modules of this model:
 
-* 1 fetch-queue manager (6 entries, in-order dual dispatch),
+* 1 fetch-queue manager (6 entries, in-order dual dispatch) and
 * 1 completion-queue manager (6 entries, in-order retirement, 2/cycle),
+  both a core :class:`~repro.core.manager.InOrderPoolManager`,
 * 6 function-unit managers (IU1, IU2, SRU, LSU, FPU, BPU),
 * 6 reservation-station managers (one per unit),
 * 1 register-rename manager containing the 5 register files with their
@@ -15,7 +16,8 @@ reservation stations, 5 register files with renaming buffers, and a
 
 The branch history table, the branch target instruction cache and the
 memory subsystem are implemented purely in the hardware layer, per the
-paper.
+paper.  The rename manager registers a native emitter, so every ppc750
+state fuses.
 """
 
 from __future__ import annotations
@@ -23,110 +25,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ...core.errors import TokenError
-from ...core.manager import PoolManager, TokenManager
+from ...core.fuse import ManagerEmitter, grantable, register_native_emitter
+from ...core.manager import TokenManager
 from ...core.token import Token
 from ...core.transaction import Transaction
 from ...isa.ppc.isa import CR0_REG, CTR_REG, LR_REG
-
-
-class FetchQueueManager(PoolManager):
-    """The 6-entry fetch (instruction) queue.
-
-    Tokens are granted in fetch order; releases — i.e. dispatches — are
-    accepted only in that same order, so operations leave the queue in
-    program order.  The per-cycle dual-dispatch budget is enforced here
-    too; the owning hardware module resets it each cycle.
-    """
-
-    def __init__(self, name: str = "m_fq", size: int = 6, dispatch_width: int = 2):
-        super().__init__(name, size)
-        self.dispatch_width = dispatch_width
-        self._order: List[Any] = []  # OSMs in allocation (fetch) order
-        self._dispatched_this_cycle = 0
-
-    def new_cycle(self) -> None:
-        self._dispatched_this_cycle = 0
-
-    def budget_was_used(self) -> bool:
-        return self._dispatched_this_cycle > 0
-
-    def holders_of(self, ident) -> List[Any]:
-        """Wait-for precision for deadlock analysis: a refused dispatch is
-        only ever waiting on the queue head (in-order release) — never on
-        its fellow queued operations."""
-        return [self._order[0]] if self._order else []
-
-    def release(self, osm, token: Token, txn: Transaction) -> bool:
-        if not super().release(osm, token, txn):
-            return False
-        if self._dispatched_this_cycle >= self.dispatch_width:
-            return False
-        # In-order dispatch: only the oldest queued operation may leave.
-        return bool(self._order) and self._order[0] is osm
-
-    def on_allocate_commit(self, osm, token: Token) -> None:
-        super().on_allocate_commit(osm, token)
-        self._order.append(osm)
-
-    def on_release_commit(self, osm, token: Token, value: Any) -> None:
-        super().on_release_commit(osm, token, value)
-        self._order.remove(osm)
-        self._dispatched_this_cycle += 1
-
-    def on_discard(self, osm, token: Token) -> None:
-        super().on_discard(osm, token)
-        if osm in self._order:
-            self._order.remove(osm)
-
-
-class CompletionQueueManager(PoolManager):
-    """The 6-entry completion queue: in-order retirement, 2 per cycle.
-
-    Entries are allocated at dispatch (program order, because dispatch is
-    in-order) and released at retirement; a release is accepted only for
-    the oldest outstanding entry — the reorder-buffer discipline expressed
-    as a token-release policy.
-    """
-
-    def __init__(self, name: str = "m_cq", size: int = 6, retire_width: int = 2):
-        super().__init__(name, size)
-        self.retire_width = retire_width
-        self._order: List[Any] = []
-        self._retired_this_cycle = 0
-
-    def new_cycle(self) -> None:
-        self._retired_this_cycle = 0
-
-    def budget_was_used(self) -> bool:
-        return self._retired_this_cycle > 0
-
-    def head(self):
-        return self._order[0] if self._order else None
-
-    def holders_of(self, ident) -> List[Any]:
-        """A refused retirement waits only on the completion-queue head."""
-        return [self._order[0]] if self._order else []
-
-    def release(self, osm, token: Token, txn: Transaction) -> bool:
-        if not super().release(osm, token, txn):
-            return False
-        if self._retired_this_cycle >= self.retire_width:
-            return False
-        return bool(self._order) and self._order[0] is osm
-
-    def on_allocate_commit(self, osm, token: Token) -> None:
-        super().on_allocate_commit(osm, token)
-        self._order.append(osm)
-
-    def on_release_commit(self, osm, token: Token, value: Any) -> None:
-        super().on_release_commit(osm, token, value)
-        self._order.remove(osm)
-        self._retired_this_cycle += 1
-
-    def on_discard(self, osm, token: Token) -> None:
-        super().on_discard(osm, token)
-        if osm in self._order:
-            self._order.remove(osm)
 
 
 class RegisterRenameManager(TokenManager):
@@ -185,9 +88,6 @@ class RegisterRenameManager(TokenManager):
             return "ctr"
         raise TokenError(f"unknown architectural register {reg}")
 
-    def free_buffers(self, file_name: str) -> int:
-        return sum(1 for t in self.pools[file_name] if t.holder is None)
-
     def last_producer(self, reg: int):
         chain = self.producers[reg]
         return chain[-1] if chain else None
@@ -231,3 +131,70 @@ class RegisterRenameManager(TokenManager):
     def on_discard(self, osm, token: Token) -> None:
         super().on_discard(osm, token)
         self._drop_producer(token, osm)
+
+
+class RegisterRenameEmitter(ManagerEmitter):
+    """Native fusion codegen mirroring :class:`RegisterRenameManager`'s
+    TMI exactly, including the ``token.value`` stamp its allocate writes
+    while probing (a free buffer records the register it would rename,
+    whether or not the edge then commits)."""
+
+    def allocate(self, g, w, mgr, out, ident_expr, avoid):
+        m = g.bind("mgr", mgr)
+        with w.block(f"if not isinstance({ident_expr}, int):"):
+            w(f"raise TokenError('%s: bad rename identifier %r'"
+              f" % ({m}.name, {ident_expr}))")
+        pool = g.fresh("_rp")
+        # file_of, one branch per register file
+        branches = [(f"{ident_expr} < 32", "gpr"),
+                    (f"{ident_expr} == {CR0_REG!r}", "cr"),
+                    (f"{ident_expr} == {LR_REG!r}", "lr"),
+                    (f"{ident_expr} == {CTR_REG!r}", "ctr")]
+        for keyword, (test, file_name) in zip(("if", "elif", "elif", "elif"),
+                                              branches):
+            with w.block(f"{keyword} {test}:"):
+                w(f"{pool} = {g.bind('pool', mgr.pools[file_name])}")
+        with w.block("else:"):
+            w(f"raise TokenError('unknown architectural register %s'"
+              f" % ({ident_expr},))")
+        tv = g.fresh("_rt")
+        w(f"{out} = None")
+        with w.block(f"for {tv} in {pool}:"):
+            with w.block(f"if {grantable(tv, avoid)}:"):
+                w(f"{tv}.value = {ident_expr}")
+                w(f"{out} = {tv}")
+                w("break")
+
+    def allocate_commit(self, g, w, mgr, tok):
+        m = g.bind("mgr", mgr)
+        w(f"{m}.n_allocates += 1")
+        w(f"{g.bind('producers', mgr.producers)}[{tok}.value].append(osm.operation)")
+
+    def inquire(self, g, w, mgr, ident_expr, ctx, fail):
+        producers = g.bind("producers", mgr.producers)
+        ok = g.fresh("_rok")
+        with w.block(f"if isinstance({ident_expr}, int):"):
+            chain = g.fresh("_rc")
+            w(f"{chain} = {producers}[{ident_expr}]")
+            w(f"{ok} = not {chain} or {chain}[-1] is None or {chain}[-1].done")
+        with w.block("else:"):
+            w(f"{ok} = {ident_expr}.done")
+        with w.block(f"if not {ok}:"):
+            fail()
+
+    def release_check(self, g, w, mgr_expr, tok, fail):
+        # always accepts; the foreign-manager check is vacuously
+        # satisfied under token.manager dispatch
+        with w.block(f"if {tok}.holder is not osm:"):
+            w(f"raise TokenError('%s: invalid release of %r'"
+              f" % ({mgr_expr}.name, {tok}))")
+
+    def release_commit(self, g, w, mgr_expr, tok, value_expr):
+        chain = g.fresh("_rc")
+        w(f"{mgr_expr}.n_releases += 1")
+        w(f"{chain} = {mgr_expr}.producers.get({tok}.value)")
+        with w.block(f"if {chain} is not None and osm.operation in {chain}:"):
+            w(f"{chain}.remove(osm.operation)")
+
+
+register_native_emitter(RegisterRenameManager, RegisterRenameEmitter())

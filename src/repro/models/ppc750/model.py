@@ -35,9 +35,11 @@ from ...core import (
     Director,
     Discard,
     Guard,
+    InOrderPoolManager,
     Inquire,
     MachineSpec,
     OperationStateMachine,
+    PoolManager,
     Release,
     ReleaseMany,
     SimulationStats,
@@ -52,7 +54,7 @@ from ...iss.oracle import ExecRecord, Oracle
 from ...memory.cache import Cache
 from ..common import ResetUnit, StageUnit
 from .branch import BranchPredictor
-from .managers import CompletionQueueManager, FetchQueueManager, RegisterRenameManager
+from .managers import RegisterRenameManager
 
 CLOCK_HZ = 300_000_000  # a typical PPC-750 part of the era
 
@@ -256,14 +258,14 @@ class Ppc750Model:
                                  icache, fetch_width)
         self.dcache = dcache
 
-        self.fq = FetchQueueManager(size=fq_size, dispatch_width=dispatch_width)
-        self.cq = CompletionQueueManager(size=cq_size, retire_width=retire_width)
+        # in-order dual dispatch from the fetch queue, in-order
+        # retirement from the completion queue
+        self.fq = InOrderPoolManager("m_fq", fq_size, dispatch_width)
+        self.cq = InOrderPoolManager("m_cq", cq_size, retire_width)
         self.rename = RegisterRenameManager(gpr_buffers=gpr_rename_buffers)
         self.units: Dict[str, StageUnit] = {
             name: StageUnit(f"m_{name}") for name in UNIT_NAMES
         }
-        from ...core import PoolManager
-
         self.stations: Dict[str, PoolManager] = {
             name: PoolManager(f"m_rs_{name}", 1) for name in UNIT_NAMES
         }

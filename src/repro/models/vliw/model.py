@@ -28,6 +28,7 @@ from ...core import (
     CycleDrivenKernel,
     Director,
     Discard,
+    Guard,
     Inquire,
     MachineSpec,
     OperationStateMachine,
@@ -72,27 +73,18 @@ class WideStageUnit(HardwareModule):
 class WideFetchUnit(FetchUnit):
     """Fetch unit issuing up to ``width`` sequential operations per cycle.
 
-    The fetch TMI controls ``width`` slot tokens; the per-cycle budget
-    follows from the slot pool itself (an OSM transitions once per step,
-    so at most ``width`` fresh operations can claim slots each cycle).
+    The fetch TMI is a plain pool of ``width`` slot tokens behind the
+    fetch edge's ``fetch-ready`` guard (:meth:`can_accept`); the
+    per-cycle budget follows from the slot pool itself (an OSM
+    transitions once per step, so at most ``width`` fresh operations can
+    claim slots each cycle).
     """
 
     def __init__(self, decode_at, entry: int, width: int,
                  icache: Optional[Cache] = None,
                  cache=None):
         super().__init__(decode_at, entry, icache, None, cache=cache)
-        self.manager = _WideFetchManager("m_f", self, width)
-
-
-class _WideFetchManager(PoolManager):
-    def __init__(self, name: str, unit: WideFetchUnit, width: int):
-        super().__init__(name, width)
-        self._unit = unit
-
-    def allocate(self, osm, ident, txn):
-        if not self._unit.can_accept():
-            return None
-        return super().allocate(osm, ident, txn)
+        self.manager = PoolManager("m_f", width)
 
 
 class VliwModel:
@@ -143,7 +135,9 @@ class VliwModel:
         spec = MachineSpec(f"vliw{self.width}")
         for name in "IFDEBW":
             spec.state(name, initial=(name == "I"))
-        spec.edge("I", "F", Condition([Allocate(self.fetch.manager, slot="m_f")]),
+        spec.edge("I", "F",
+                  Condition([Guard(lambda osm: self.fetch.can_accept(), "fetch-ready"),
+                             Allocate(self.fetch.manager, slot="m_f")]),
                   action=self.fetch.fetch_into, label="fetch")
         spec.edge("F", "D",
                   Condition([Allocate(self.decode_stage.manager, slot="m_d"),

@@ -1,7 +1,6 @@
-def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7=dst_7, action_8=action_8, i1inq_9=i1inq_9, mgr_10=mgr_10, a2alloc_14=a2alloc_14, mgr_15=mgr_15, edge_19=edge_19, dst_20=dst_20, action_21=action_21, a2alloc_25=a2alloc_25, mgr_26=mgr_26, edge_30=edge_30, action_31=action_31, a2alloc_35=a2alloc_35, mgr_36=mgr_36, edge_40=edge_40, action_41=action_41, a2alloc_45=a2alloc_45, mgr_46=mgr_46, edge_50=edge_50, action_51=action_51, a2alloc_55=a2alloc_55, mgr_56=mgr_56, edge_60=edge_60, action_61=action_61, a2alloc_65=a2alloc_65, mgr_66=mgr_66, edge_70=edge_70, action_71=action_71):
+def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7=dst_7, action_8=action_8, mgr_9=mgr_9, producers_11=producers_11, mgr_18=mgr_18, slot_tok_20=slot_tok_20, cls_23=cls_23, edge_24=edge_24, dst_25=dst_25, action_26=action_26, mgr_34=mgr_34, slot_tok_36=slot_tok_36, edge_39=edge_39, action_40=action_40, mgr_48=mgr_48, slot_tok_50=slot_tok_50, edge_53=edge_53, action_54=action_54, mgr_62=mgr_62, slot_tok_64=slot_tok_64, edge_67=edge_67, action_68=action_68, mgr_76=mgr_76, slot_tok_78=slot_tok_78, edge_81=edge_81, action_82=action_82, mgr_90=mgr_90, slot_tok_92=slot_tok_92, edge_95=edge_95, action_96=action_96):
     osm.blocked_on = None
     buffer = osm.token_buffer
-    txn = osm._txn
     while True:
         if id(osm) not in doomed_2:
             osm.blocked_on = (mgr_1, None)
@@ -24,283 +23,373 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.rs_unit != 'iu1':
             break
-        if txn.dirty:
-            txn.reset(osm)
-        i1v11 = osm.operation.src_deps
-        if i1v11 is not None:
-            if not isinstance(i1v11, (list, tuple)):
-                if not i1inq_9(osm, i1v11, txn):
-                    osm.blocked_on = (mgr_10, i1v11)
+        i1v10 = osm.operation.src_deps
+        if i1v10 is not None:
+            if not isinstance(i1v10, (list, tuple)):
+                if isinstance(i1v10, int):
+                    _rc13 = producers_11[i1v10]
+                    _rok12 = not _rc13 or _rc13[-1] is None or _rc13[-1].done
+                else:
+                    _rok12 = i1v10.done
+                if not _rok12:
+                    osm.blocked_on = (mgr_9, i1v10)
                     break
-                txn.dirty = True
-                txn.inquiries.append((mgr_10, i1v11))
-                mgr_10.n_inquiries += 1
+                mgr_9.n_inquiries += 1
             else:
-                i1ok12 = True
-                for i1s13 in i1v11:
-                    if not i1inq_9(osm, i1s13, txn):
-                        osm.blocked_on = (mgr_10, i1s13)
-                        i1ok12 = False
+                i1ok14 = True
+                for i1s15 in i1v10:
+                    if isinstance(i1s15, int):
+                        _rc17 = producers_11[i1s15]
+                        _rok16 = not _rc17 or _rc17[-1] is None or _rc17[-1].done
+                    else:
+                        _rok16 = i1s15.done
+                    if not _rok16:
+                        osm.blocked_on = (mgr_9, i1s15)
+                        i1ok14 = False
                         break
-                    txn.dirty = True
-                    txn.inquiries.append((mgr_10, i1s13))
-                    mgr_10.n_inquiries += 1
-                if not i1ok12:
+                    mgr_9.n_inquiries += 1
+                if not i1ok14:
                     break
-        a2t16 = a2alloc_14(osm, None, txn)
-        if a2t16 is None:
-            osm.blocked_on = (mgr_15, None)
+        a2t19 = slot_tok_20 if slot_tok_20.holder is None else None
+        if a2t19 is None:
+            osm.blocked_on = (mgr_18, None)
             break
-        txn.dirty = True
-        txn.grants.append(('unit', a2t16))
-        txn._granted_ids.add(id(a2t16))
-        r3t17 = buffer.get('rs')
-        if r3t17 is not None:
-            r3m18 = r3t17.manager
-            if not r3m18.release(osm, r3t17, txn):
-                osm.blocked_on = (r3m18, 'rs')
+        r3t21 = buffer.get('rs')
+        if r3t21 is not None:
+            r3m22 = r3t21.manager
+            if type(r3m22) is cls_23:
+                if r3t21.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r3m22.name, osm, r3t21))
+                if r3m22.hold_release:
+                    osm.blocked_on = (r3m22, 'rs')
+                    break
+            elif not r3m22.release(osm, r3t21, osm._txn):
+                osm.blocked_on = (r3m22, 'rs')
                 break
-            txn.dirty = True
-            txn.releases.append((r3t17, None, 'rs'))
-        txn.commit()
-        osm.current = dst_20
-        osm.last_edge = edge_19
+        if r3t21 is not None:
+            del buffer['rs']
+            r3t21.holder = None
+            if type(r3m22) is cls_23:
+                r3m22.n_releases += 1
+                r3m22._n_free += 1
+            else:
+                r3m22.on_release_commit(osm, r3t21, None)
+        a2t19.holder = osm
+        buffer['unit'] = a2t19
+        mgr_18.n_allocates += 1
+        osm.current = dst_25
+        osm.last_edge = edge_24
         osm.n_transitions += 1
-        action_21(osm)
-        return edge_19
+        action_26(osm)
+        return edge_24
     while True:
         if osm.operation.rs_unit != 'iu2':
             break
-        if txn.dirty:
-            txn.reset(osm)
-        i1v22 = osm.operation.src_deps
-        if i1v22 is not None:
-            if not isinstance(i1v22, (list, tuple)):
-                if not i1inq_9(osm, i1v22, txn):
-                    osm.blocked_on = (mgr_10, i1v22)
+        i1v27 = osm.operation.src_deps
+        if i1v27 is not None:
+            if not isinstance(i1v27, (list, tuple)):
+                if isinstance(i1v27, int):
+                    _rc29 = producers_11[i1v27]
+                    _rok28 = not _rc29 or _rc29[-1] is None or _rc29[-1].done
+                else:
+                    _rok28 = i1v27.done
+                if not _rok28:
+                    osm.blocked_on = (mgr_9, i1v27)
                     break
-                txn.dirty = True
-                txn.inquiries.append((mgr_10, i1v22))
-                mgr_10.n_inquiries += 1
+                mgr_9.n_inquiries += 1
             else:
-                i1ok23 = True
-                for i1s24 in i1v22:
-                    if not i1inq_9(osm, i1s24, txn):
-                        osm.blocked_on = (mgr_10, i1s24)
-                        i1ok23 = False
+                i1ok30 = True
+                for i1s31 in i1v27:
+                    if isinstance(i1s31, int):
+                        _rc33 = producers_11[i1s31]
+                        _rok32 = not _rc33 or _rc33[-1] is None or _rc33[-1].done
+                    else:
+                        _rok32 = i1s31.done
+                    if not _rok32:
+                        osm.blocked_on = (mgr_9, i1s31)
+                        i1ok30 = False
                         break
-                    txn.dirty = True
-                    txn.inquiries.append((mgr_10, i1s24))
-                    mgr_10.n_inquiries += 1
-                if not i1ok23:
+                    mgr_9.n_inquiries += 1
+                if not i1ok30:
                     break
-        a2t27 = a2alloc_25(osm, None, txn)
-        if a2t27 is None:
-            osm.blocked_on = (mgr_26, None)
+        a2t35 = slot_tok_36 if slot_tok_36.holder is None else None
+        if a2t35 is None:
+            osm.blocked_on = (mgr_34, None)
             break
-        txn.dirty = True
-        txn.grants.append(('unit', a2t27))
-        txn._granted_ids.add(id(a2t27))
-        r3t28 = buffer.get('rs')
-        if r3t28 is not None:
-            r3m29 = r3t28.manager
-            if not r3m29.release(osm, r3t28, txn):
-                osm.blocked_on = (r3m29, 'rs')
+        r3t37 = buffer.get('rs')
+        if r3t37 is not None:
+            r3m38 = r3t37.manager
+            if type(r3m38) is cls_23:
+                if r3t37.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r3m38.name, osm, r3t37))
+                if r3m38.hold_release:
+                    osm.blocked_on = (r3m38, 'rs')
+                    break
+            elif not r3m38.release(osm, r3t37, osm._txn):
+                osm.blocked_on = (r3m38, 'rs')
                 break
-            txn.dirty = True
-            txn.releases.append((r3t28, None, 'rs'))
-        txn.commit()
-        osm.current = dst_20
-        osm.last_edge = edge_30
+        if r3t37 is not None:
+            del buffer['rs']
+            r3t37.holder = None
+            if type(r3m38) is cls_23:
+                r3m38.n_releases += 1
+                r3m38._n_free += 1
+            else:
+                r3m38.on_release_commit(osm, r3t37, None)
+        a2t35.holder = osm
+        buffer['unit'] = a2t35
+        mgr_34.n_allocates += 1
+        osm.current = dst_25
+        osm.last_edge = edge_39
         osm.n_transitions += 1
-        action_31(osm)
-        return edge_30
+        action_40(osm)
+        return edge_39
     while True:
         if osm.operation.rs_unit != 'sru':
             break
-        if txn.dirty:
-            txn.reset(osm)
-        i1v32 = osm.operation.src_deps
-        if i1v32 is not None:
-            if not isinstance(i1v32, (list, tuple)):
-                if not i1inq_9(osm, i1v32, txn):
-                    osm.blocked_on = (mgr_10, i1v32)
+        i1v41 = osm.operation.src_deps
+        if i1v41 is not None:
+            if not isinstance(i1v41, (list, tuple)):
+                if isinstance(i1v41, int):
+                    _rc43 = producers_11[i1v41]
+                    _rok42 = not _rc43 or _rc43[-1] is None or _rc43[-1].done
+                else:
+                    _rok42 = i1v41.done
+                if not _rok42:
+                    osm.blocked_on = (mgr_9, i1v41)
                     break
-                txn.dirty = True
-                txn.inquiries.append((mgr_10, i1v32))
-                mgr_10.n_inquiries += 1
+                mgr_9.n_inquiries += 1
             else:
-                i1ok33 = True
-                for i1s34 in i1v32:
-                    if not i1inq_9(osm, i1s34, txn):
-                        osm.blocked_on = (mgr_10, i1s34)
-                        i1ok33 = False
+                i1ok44 = True
+                for i1s45 in i1v41:
+                    if isinstance(i1s45, int):
+                        _rc47 = producers_11[i1s45]
+                        _rok46 = not _rc47 or _rc47[-1] is None or _rc47[-1].done
+                    else:
+                        _rok46 = i1s45.done
+                    if not _rok46:
+                        osm.blocked_on = (mgr_9, i1s45)
+                        i1ok44 = False
                         break
-                    txn.dirty = True
-                    txn.inquiries.append((mgr_10, i1s34))
-                    mgr_10.n_inquiries += 1
-                if not i1ok33:
+                    mgr_9.n_inquiries += 1
+                if not i1ok44:
                     break
-        a2t37 = a2alloc_35(osm, None, txn)
-        if a2t37 is None:
-            osm.blocked_on = (mgr_36, None)
+        a2t49 = slot_tok_50 if slot_tok_50.holder is None else None
+        if a2t49 is None:
+            osm.blocked_on = (mgr_48, None)
             break
-        txn.dirty = True
-        txn.grants.append(('unit', a2t37))
-        txn._granted_ids.add(id(a2t37))
-        r3t38 = buffer.get('rs')
-        if r3t38 is not None:
-            r3m39 = r3t38.manager
-            if not r3m39.release(osm, r3t38, txn):
-                osm.blocked_on = (r3m39, 'rs')
+        r3t51 = buffer.get('rs')
+        if r3t51 is not None:
+            r3m52 = r3t51.manager
+            if type(r3m52) is cls_23:
+                if r3t51.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r3m52.name, osm, r3t51))
+                if r3m52.hold_release:
+                    osm.blocked_on = (r3m52, 'rs')
+                    break
+            elif not r3m52.release(osm, r3t51, osm._txn):
+                osm.blocked_on = (r3m52, 'rs')
                 break
-            txn.dirty = True
-            txn.releases.append((r3t38, None, 'rs'))
-        txn.commit()
-        osm.current = dst_20
-        osm.last_edge = edge_40
+        if r3t51 is not None:
+            del buffer['rs']
+            r3t51.holder = None
+            if type(r3m52) is cls_23:
+                r3m52.n_releases += 1
+                r3m52._n_free += 1
+            else:
+                r3m52.on_release_commit(osm, r3t51, None)
+        a2t49.holder = osm
+        buffer['unit'] = a2t49
+        mgr_48.n_allocates += 1
+        osm.current = dst_25
+        osm.last_edge = edge_53
         osm.n_transitions += 1
-        action_41(osm)
-        return edge_40
+        action_54(osm)
+        return edge_53
     while True:
         if osm.operation.rs_unit != 'lsu':
             break
-        if txn.dirty:
-            txn.reset(osm)
-        i1v42 = osm.operation.src_deps
-        if i1v42 is not None:
-            if not isinstance(i1v42, (list, tuple)):
-                if not i1inq_9(osm, i1v42, txn):
-                    osm.blocked_on = (mgr_10, i1v42)
+        i1v55 = osm.operation.src_deps
+        if i1v55 is not None:
+            if not isinstance(i1v55, (list, tuple)):
+                if isinstance(i1v55, int):
+                    _rc57 = producers_11[i1v55]
+                    _rok56 = not _rc57 or _rc57[-1] is None or _rc57[-1].done
+                else:
+                    _rok56 = i1v55.done
+                if not _rok56:
+                    osm.blocked_on = (mgr_9, i1v55)
                     break
-                txn.dirty = True
-                txn.inquiries.append((mgr_10, i1v42))
-                mgr_10.n_inquiries += 1
+                mgr_9.n_inquiries += 1
             else:
-                i1ok43 = True
-                for i1s44 in i1v42:
-                    if not i1inq_9(osm, i1s44, txn):
-                        osm.blocked_on = (mgr_10, i1s44)
-                        i1ok43 = False
+                i1ok58 = True
+                for i1s59 in i1v55:
+                    if isinstance(i1s59, int):
+                        _rc61 = producers_11[i1s59]
+                        _rok60 = not _rc61 or _rc61[-1] is None or _rc61[-1].done
+                    else:
+                        _rok60 = i1s59.done
+                    if not _rok60:
+                        osm.blocked_on = (mgr_9, i1s59)
+                        i1ok58 = False
                         break
-                    txn.dirty = True
-                    txn.inquiries.append((mgr_10, i1s44))
-                    mgr_10.n_inquiries += 1
-                if not i1ok43:
+                    mgr_9.n_inquiries += 1
+                if not i1ok58:
                     break
-        a2t47 = a2alloc_45(osm, None, txn)
-        if a2t47 is None:
-            osm.blocked_on = (mgr_46, None)
+        a2t63 = slot_tok_64 if slot_tok_64.holder is None else None
+        if a2t63 is None:
+            osm.blocked_on = (mgr_62, None)
             break
-        txn.dirty = True
-        txn.grants.append(('unit', a2t47))
-        txn._granted_ids.add(id(a2t47))
-        r3t48 = buffer.get('rs')
-        if r3t48 is not None:
-            r3m49 = r3t48.manager
-            if not r3m49.release(osm, r3t48, txn):
-                osm.blocked_on = (r3m49, 'rs')
+        r3t65 = buffer.get('rs')
+        if r3t65 is not None:
+            r3m66 = r3t65.manager
+            if type(r3m66) is cls_23:
+                if r3t65.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r3m66.name, osm, r3t65))
+                if r3m66.hold_release:
+                    osm.blocked_on = (r3m66, 'rs')
+                    break
+            elif not r3m66.release(osm, r3t65, osm._txn):
+                osm.blocked_on = (r3m66, 'rs')
                 break
-            txn.dirty = True
-            txn.releases.append((r3t48, None, 'rs'))
-        txn.commit()
-        osm.current = dst_20
-        osm.last_edge = edge_50
+        if r3t65 is not None:
+            del buffer['rs']
+            r3t65.holder = None
+            if type(r3m66) is cls_23:
+                r3m66.n_releases += 1
+                r3m66._n_free += 1
+            else:
+                r3m66.on_release_commit(osm, r3t65, None)
+        a2t63.holder = osm
+        buffer['unit'] = a2t63
+        mgr_62.n_allocates += 1
+        osm.current = dst_25
+        osm.last_edge = edge_67
         osm.n_transitions += 1
-        action_51(osm)
-        return edge_50
+        action_68(osm)
+        return edge_67
     while True:
         if osm.operation.rs_unit != 'fpu':
             break
-        if txn.dirty:
-            txn.reset(osm)
-        i1v52 = osm.operation.src_deps
-        if i1v52 is not None:
-            if not isinstance(i1v52, (list, tuple)):
-                if not i1inq_9(osm, i1v52, txn):
-                    osm.blocked_on = (mgr_10, i1v52)
+        i1v69 = osm.operation.src_deps
+        if i1v69 is not None:
+            if not isinstance(i1v69, (list, tuple)):
+                if isinstance(i1v69, int):
+                    _rc71 = producers_11[i1v69]
+                    _rok70 = not _rc71 or _rc71[-1] is None or _rc71[-1].done
+                else:
+                    _rok70 = i1v69.done
+                if not _rok70:
+                    osm.blocked_on = (mgr_9, i1v69)
                     break
-                txn.dirty = True
-                txn.inquiries.append((mgr_10, i1v52))
-                mgr_10.n_inquiries += 1
+                mgr_9.n_inquiries += 1
             else:
-                i1ok53 = True
-                for i1s54 in i1v52:
-                    if not i1inq_9(osm, i1s54, txn):
-                        osm.blocked_on = (mgr_10, i1s54)
-                        i1ok53 = False
+                i1ok72 = True
+                for i1s73 in i1v69:
+                    if isinstance(i1s73, int):
+                        _rc75 = producers_11[i1s73]
+                        _rok74 = not _rc75 or _rc75[-1] is None or _rc75[-1].done
+                    else:
+                        _rok74 = i1s73.done
+                    if not _rok74:
+                        osm.blocked_on = (mgr_9, i1s73)
+                        i1ok72 = False
                         break
-                    txn.dirty = True
-                    txn.inquiries.append((mgr_10, i1s54))
-                    mgr_10.n_inquiries += 1
-                if not i1ok53:
+                    mgr_9.n_inquiries += 1
+                if not i1ok72:
                     break
-        a2t57 = a2alloc_55(osm, None, txn)
-        if a2t57 is None:
-            osm.blocked_on = (mgr_56, None)
+        a2t77 = slot_tok_78 if slot_tok_78.holder is None else None
+        if a2t77 is None:
+            osm.blocked_on = (mgr_76, None)
             break
-        txn.dirty = True
-        txn.grants.append(('unit', a2t57))
-        txn._granted_ids.add(id(a2t57))
-        r3t58 = buffer.get('rs')
-        if r3t58 is not None:
-            r3m59 = r3t58.manager
-            if not r3m59.release(osm, r3t58, txn):
-                osm.blocked_on = (r3m59, 'rs')
+        r3t79 = buffer.get('rs')
+        if r3t79 is not None:
+            r3m80 = r3t79.manager
+            if type(r3m80) is cls_23:
+                if r3t79.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r3m80.name, osm, r3t79))
+                if r3m80.hold_release:
+                    osm.blocked_on = (r3m80, 'rs')
+                    break
+            elif not r3m80.release(osm, r3t79, osm._txn):
+                osm.blocked_on = (r3m80, 'rs')
                 break
-            txn.dirty = True
-            txn.releases.append((r3t58, None, 'rs'))
-        txn.commit()
-        osm.current = dst_20
-        osm.last_edge = edge_60
+        if r3t79 is not None:
+            del buffer['rs']
+            r3t79.holder = None
+            if type(r3m80) is cls_23:
+                r3m80.n_releases += 1
+                r3m80._n_free += 1
+            else:
+                r3m80.on_release_commit(osm, r3t79, None)
+        a2t77.holder = osm
+        buffer['unit'] = a2t77
+        mgr_76.n_allocates += 1
+        osm.current = dst_25
+        osm.last_edge = edge_81
         osm.n_transitions += 1
-        action_61(osm)
-        return edge_60
+        action_82(osm)
+        return edge_81
     while True:
         if osm.operation.rs_unit != 'bpu':
             break
-        if txn.dirty:
-            txn.reset(osm)
-        i1v62 = osm.operation.src_deps
-        if i1v62 is not None:
-            if not isinstance(i1v62, (list, tuple)):
-                if not i1inq_9(osm, i1v62, txn):
-                    osm.blocked_on = (mgr_10, i1v62)
+        i1v83 = osm.operation.src_deps
+        if i1v83 is not None:
+            if not isinstance(i1v83, (list, tuple)):
+                if isinstance(i1v83, int):
+                    _rc85 = producers_11[i1v83]
+                    _rok84 = not _rc85 or _rc85[-1] is None or _rc85[-1].done
+                else:
+                    _rok84 = i1v83.done
+                if not _rok84:
+                    osm.blocked_on = (mgr_9, i1v83)
                     break
-                txn.dirty = True
-                txn.inquiries.append((mgr_10, i1v62))
-                mgr_10.n_inquiries += 1
+                mgr_9.n_inquiries += 1
             else:
-                i1ok63 = True
-                for i1s64 in i1v62:
-                    if not i1inq_9(osm, i1s64, txn):
-                        osm.blocked_on = (mgr_10, i1s64)
-                        i1ok63 = False
+                i1ok86 = True
+                for i1s87 in i1v83:
+                    if isinstance(i1s87, int):
+                        _rc89 = producers_11[i1s87]
+                        _rok88 = not _rc89 or _rc89[-1] is None or _rc89[-1].done
+                    else:
+                        _rok88 = i1s87.done
+                    if not _rok88:
+                        osm.blocked_on = (mgr_9, i1s87)
+                        i1ok86 = False
                         break
-                    txn.dirty = True
-                    txn.inquiries.append((mgr_10, i1s64))
-                    mgr_10.n_inquiries += 1
-                if not i1ok63:
+                    mgr_9.n_inquiries += 1
+                if not i1ok86:
                     break
-        a2t67 = a2alloc_65(osm, None, txn)
-        if a2t67 is None:
-            osm.blocked_on = (mgr_66, None)
+        a2t91 = slot_tok_92 if slot_tok_92.holder is None else None
+        if a2t91 is None:
+            osm.blocked_on = (mgr_90, None)
             break
-        txn.dirty = True
-        txn.grants.append(('unit', a2t67))
-        txn._granted_ids.add(id(a2t67))
-        r3t68 = buffer.get('rs')
-        if r3t68 is not None:
-            r3m69 = r3t68.manager
-            if not r3m69.release(osm, r3t68, txn):
-                osm.blocked_on = (r3m69, 'rs')
+        r3t93 = buffer.get('rs')
+        if r3t93 is not None:
+            r3m94 = r3t93.manager
+            if type(r3m94) is cls_23:
+                if r3t93.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r3m94.name, osm, r3t93))
+                if r3m94.hold_release:
+                    osm.blocked_on = (r3m94, 'rs')
+                    break
+            elif not r3m94.release(osm, r3t93, osm._txn):
+                osm.blocked_on = (r3m94, 'rs')
                 break
-            txn.dirty = True
-            txn.releases.append((r3t68, None, 'rs'))
-        txn.commit()
-        osm.current = dst_20
-        osm.last_edge = edge_70
+        if r3t93 is not None:
+            del buffer['rs']
+            r3t93.holder = None
+            if type(r3m94) is cls_23:
+                r3m94.n_releases += 1
+                r3m94._n_free += 1
+            else:
+                r3m94.on_release_commit(osm, r3t93, None)
+        a2t91.holder = osm
+        buffer['unit'] = a2t91
+        mgr_90.n_allocates += 1
+        osm.current = dst_25
+        osm.last_edge = edge_95
         osm.n_transitions += 1
-        action_71(osm)
-        return edge_70
+        action_96(osm)
+        return edge_95
     return None

@@ -20,6 +20,7 @@ import pytest
 
 from repro.analysis.audit.targets import available_targets
 from repro.analysis.certify import (
+    GENERATOR_MODULES,
     ISA_CODES,
     SPEC_CODES,
     certify_fused_states,
@@ -69,6 +70,25 @@ def test_every_spec_certifies_clean(name):
     assert list(report.passes_run) == list(SPEC_CODES)
     assert report.ok, report.render_text()
     assert not _errors(report)
+
+
+@pytest.mark.parametrize("name", available_specs())
+def test_every_spec_fuses_every_state(name):
+    """Every bundled manager has a native emitter, so no registered spec
+    leaves a state on the interpreted reference."""
+    spec = build_spec(name)
+    census = spec.compile_stats
+    assert census.fused_fallback_states == 0, census.fallback_states
+    assert census.fused_states == len(spec.states)
+
+
+def test_generator_fingerprint_covers_every_emitter_module():
+    """Emitter bodies are pasted into fused steppers, so editing one must
+    change the fingerprint fuse certificates carry (TRV008)."""
+    for name in available_specs():
+        build_spec(name)  # imports every model module and its emitters
+    modules = {type(emitter).__module__ for emitter in fuse._EMITTERS.values()}
+    assert modules - set(GENERATOR_MODULES) == set()
 
 
 @pytest.mark.parametrize("target", available_targets())
@@ -139,15 +159,17 @@ class TestSpecRuleMutations:
         assert found, "TRV001 must fire on a pasted ident the declaration denies"
         assert {d.state for d in found} == {state.name}
 
-    def test_trv001_fires_on_corrupted_txn_edge(self):
+    def test_trv001_fires_on_dropped_cq_grant(self):
+        """A ppc750 dispatch edge whose commit forgets to put its
+        completion-queue grant into the token buffer."""
         spec = build_spec("ppc750")
         state = spec.states["Q"]
-        source = state._fused.__fused_source__
-        assert "txn.grants.append(('cq'" in source
-        state._fused.__fused_source__ = re.sub(
-            r"txn\.grants\.append\(\('cq', \w+\)\)", "pass", source, count=1)
+        state._fused.__fused_source__, n = re.subn(
+            r"buffer\['cq'\] = \w+", "pass", state._fused.__fused_source__,
+            count=1)
+        assert n == 1
         found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
-        assert found, "TRV001 must fire when a transactional edge drops a grant"
+        assert found, "TRV001 must fire when an edge drops its cq grant"
         assert {d.state for d in found} == {"Q"}
 
     def test_trv007_fires_on_census_drift(self):
@@ -184,6 +206,39 @@ class TestSpecRuleMutations:
         assert found and "certificate covers states" in found[0].message
 
 
+#: corruptions of the stepper vocabulary the in-order queue and rename
+#: emitters add, one per new event: (ppc750 state, source pattern,
+#: replacement).  TRV001 admits each event only in its reference shape.
+NEW_EVENT_MUTATIONS = {
+    # the in-order queue's release budget counts up, never down
+    "release-budget-bump": ("W", r"(\w+)\._released_this_cycle \+= 1",
+                            r"\1._released_this_cycle -= 1"),
+    # a probed rename buffer is stamped with the register it renames
+    "rename-stamp": ("Q", r"(_rt\d+)\.value = \w+", r"\1.value = None"),
+    # the two allocate raises may not become effects
+    "bad-ident-raise": ("Q", r"raise TokenError\('%s: bad rename identifier.*",
+                        "osm.age = -1"),
+    "unknown-register-raise": ("Q", r"raise TokenError\('unknown architectural.*",
+                               "osm.age = -1"),
+    # producer chains hold operations, not other OSM fields
+    "producer-append": ("Q", r"\.append\(osm\.operation\)", r".append(osm.current)"),
+    "producer-remove": ("W", r"\.remove\(osm\.operation\)", r".remove(osm.current)"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(NEW_EVENT_MUTATIONS))
+def test_trv001_pins_in_order_queue_and_rename_events(mutation):
+    spec = build_spec("ppc750")
+    name, pattern, replacement = NEW_EVENT_MUTATIONS[mutation]
+    fn = spec.states[name]._fused
+    fn.__fused_source__, n = re.subn(pattern, replacement,
+                                     fn.__fused_source__, count=1)
+    assert n == 1
+    found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
+    assert found, f"TRV001 must fire on a corrupted {mutation}"
+    assert {d.state for d in found} == {name}
+
+
 def _slice_loop(spec, pattern, replacement):
     """Rewrite the iterable of the first fused ``for`` loop whose
     iterable matches *pattern* (the way a miscompiled loop silently skips
@@ -205,11 +260,10 @@ def _slice_loop(spec, pattern, replacement):
 #: its first element: (spec, iterable pattern, sliced replacement)
 LOOP_SLICES = {
     "ident-local": ("pipeline5", r"i\d+v\d+", r"\2[:1]"),
+    # ppc750's inquiry loop over the rename manager's source registers
     "ident-local-transactional": ("ppc750", r"i\d+v\d+", r"\2[:1]"),
     "idents-or-empty": ("pipeline5", r"\(osm\.operation\.instr\.dst_regs\) or \(\)",
                         r"(\2)[:1]"),
-    "enumerated-idents-or-empty": ("ppc750", r"enumerate\((.+ or \(\))\)",
-                                   r"enumerate((\3)[:1])"),
     "buffer-snapshot": ("pipeline5", r"list\(buffer\.items\(\)\)", r"\2[:1]"),
     "bound-token-list": ("vliw", r"pool_\d+", r"\2[:1]"),
     "register-update-tokens": ("pipeline5", r"upd_\d+\[\w+\]", r"\2[:1]"),
@@ -232,7 +286,7 @@ def test_trv001_fires_on_sliced_loop_iterable(shape):
 
 
 def test_build_gate_demotes_ppc750_q_on_partial_inquiry(monkeypatch):
-    """A transactional inquiry loop that checks only the first source
+    """A rename inquiry loop that checks only the first source
     register (a miscompile that shifts ppc750's cycle counts while the
     reference path still agrees with itself) must not survive the build
     gate: state Q is demoted and ``repro certify`` reports it."""

@@ -111,6 +111,40 @@ def test_fused_ppc750_tests_routing_keys_inline():
     assert all(calls.values()), calls
 
 
+def _probe_code():
+    """Code objects of every TMI probe method (``allocate``, ``inquire``,
+    ``release``) of every token-manager class, and of every function of
+    the transaction module."""
+    from repro.core import TokenManager, transaction
+
+    classes, stack = [], [TokenManager]
+    while stack:
+        cls = stack.pop()
+        classes.append(cls)
+        stack.extend(cls.__subclasses__())
+    codes = {cls.__dict__[name].__code__ for cls in classes
+             for name in ("allocate", "inquire", "release") if name in cls.__dict__}
+    for obj in vars(transaction.Transaction).values():
+        if hasattr(obj, "__code__"):
+            codes.add(obj.__code__)
+    return codes
+
+
+def test_fused_ppc750_makes_no_transaction_or_tmi_probe_calls():
+    """Every ppc750 manager has a native emitter: a fused gsm_dec run
+    never touches a transaction and never probes a manager through its
+    TMI methods."""
+    model = _build("ppc750", fused=True)
+    calls = _calls_by_code(model, _probe_code())
+    assert {code.co_name: n for code, n in calls.items() if n} == {}
+
+    # positive control: the reference probes through the TMI
+    reference = _build("ppc750", fused=False)
+    reference.director.reference = True
+    calls = _calls_by_code(reference, _probe_code())
+    assert sum(calls.values()) > 0
+
+
 def _build_unswitched(model_name: str):
     from repro.isa.arm import assemble
 

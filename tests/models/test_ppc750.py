@@ -30,8 +30,8 @@ class TestSuperscalar:
     def test_in_order_single_issue_equivalent_is_slower(self):
         wide = run(IND)
         narrow = build(IND)
-        narrow.fq.dispatch_width = 1
-        narrow.cq.retire_width = 1
+        narrow.fq.width = 1
+        narrow.cq.width = 1
         narrow.run()
         assert narrow.cycles > wide.cycles
 

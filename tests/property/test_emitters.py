@@ -1,0 +1,367 @@
+"""Differential test of the native manager emitters.
+
+Emitters are trusted code: transcheck (TRV001) replays the manager
+bodies they paste into fused steppers only as vocabulary zones.  This
+test checks their logic.  For every registered emitter class it builds a
+small spec twice — fused, and on the interpreted reference
+(``try_transition``) — and drives the same random token traffic through
+both in lockstep: allocate, allocate-many, inquire, release, discard,
+holds, new cycles, producer ``done`` flips and dooms.  After every
+action it compares the edge taken (or the error raised), ``blocked_on``,
+token holders and values, token buffers, and every manager's counters
+and internal bookkeeping.
+"""
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+
+from repro.analysis.certify import certify_fused_states
+from repro.core import (
+    ALWAYS,
+    Allocate,
+    AllocateMany,
+    Condition,
+    Discard,
+    Guard,
+    InOrderPoolManager,
+    Inquire,
+    MachineSpec,
+    OperationStateMachine,
+    PoolManager,
+    RegisterFileManager,
+    Release,
+    ReleaseMany,
+    ResetManager,
+    SlotManager,
+    Token,
+    TokenManager,
+    fuse,
+    fuse_spec,
+)
+from repro.models.common import FetchUnit, _FetchSlotManager
+from repro.models.ppc750.managers import RegisterRenameManager
+from repro.models.strongarm.managers import ForwardingRegisterFileManager
+
+N_OSMS = 3
+
+
+class Op:
+    """An operation payload: register identifiers, captured producers
+    and a completion flag."""
+
+    __slots__ = ("seq", "src", "dst", "reg", "deps", "done")
+
+    def __init__(self, seq, src, dst, reg, deps):
+        self.seq = seq
+        self.src = src
+        self.dst = dst
+        self.reg = reg
+        self.deps = deps
+        self.done = False
+
+    def __repr__(self) -> str:
+        return f"Op#{self.seq}"
+
+
+class Backing:
+    def __init__(self, n_regs):
+        self.values = [0] * n_regs
+
+    def write(self, reg, value):
+        self.values[reg] = value
+
+
+def has_op(osm):
+    return osm.operation is not None
+
+
+def src_of(osm):
+    return osm.operation.src
+
+
+def dst_of(osm):
+    return osm.operation.dst
+
+
+def reg_of(osm):
+    return osm.operation.reg
+
+
+def deps_of(osm):
+    return osm.operation.deps
+
+
+def seq_value(osm):
+    return osm.operation.seq
+
+
+def token_value(osm, token):
+    return token.index * 10 + osm.operation.seq
+
+
+# -- one small spec per emitter class -----------------------------------------
+#
+# Each builder returns the managers it made (the first is the one under
+# test) and the out-edges of the three-state spec I -> A -> B -> I as
+# ``{(src, dst): [condition primitives, ...]}`` in priority order.  Every
+# spec also gets reset edges A -> I and B -> I (an inquiry of the world's
+# reset manager, then a full discard).
+
+def _slot(world):
+    m, m2 = SlotManager("s"), SlotManager("t")
+    return [m, m2], {
+        ("I", "A"): [[Guard(has_op), Allocate(m, slot="s")],
+                     [Guard(has_op), Allocate(m2, slot="t"), Allocate(m2, slot="t2")]],
+        ("A", "B"): [[Inquire(m2), Allocate(m2, slot="t"), Release("s")]],
+        ("B", "I"): [[Release("t")]],
+    }
+
+
+def _pool(world):
+    m = PoolManager("p", 3)
+    return [m], {
+        ("I", "A"): [[Guard(has_op), Allocate(m, slot="p"),
+                      AllocateMany(m, dst_of, "q")]],
+        ("A", "B"): [[Allocate(m, slot="r"), Inquire(m), Release("p")]],
+        ("B", "I"): [[Release("r"), ReleaseMany("q")]],
+    }
+
+
+def _in_order_pool(world):
+    m, m2 = InOrderPoolManager("o", 3, 2), InOrderPoolManager("c", 2, 1)
+    return [m, m2], {
+        ("I", "A"): [[Guard(has_op), Allocate(m, slot="o")]],
+        ("A", "B"): [[Inquire(m2), Allocate(m2, slot="c"), Release("o")]],
+        ("B", "I"): [[Release("c")]],
+    }
+
+
+def _register_file(world, cls=RegisterFileManager):
+    if cls is RegisterFileManager:
+        m = cls("r", 4, Backing(4), updates_per_reg=2, n_update_tokens=3)
+    else:
+        m = cls("r", 4, Backing(4))
+    return [m], {
+        ("I", "A"): [[Guard(has_op), Inquire(m, src_of), AllocateMany(m, dst_of, "u")]],
+        ("A", "B"): [[Inquire(m, reg_of), Allocate(m, reg_of, slot="w")]],
+        ("B", "I"): [[Release("w", value=seq_value), ReleaseMany("u", value=token_value)]],
+    }
+
+
+def _forwarding_register_file(world):
+    return _register_file(world, ForwardingRegisterFileManager)
+
+
+def _reset(world):
+    m = SlotManager("s")
+    return [world.reset, m], {
+        ("I", "A"): [[Guard(has_op), Inquire(world.reset), Allocate(m, slot="s")],
+                     [Guard(has_op), Allocate(world.reset, slot="never")],
+                     [Guard(has_op), Allocate(m, slot="s")]],
+        ("A", "B"): [[Release("s")]],
+        ("B", "I"): [[]],
+    }
+
+
+def _fetch_slot(world):
+    unit = FetchUnit(lambda pc: None, 0)
+    world.fetch = unit
+    m = unit.manager
+    return [m], {
+        ("I", "A"): [[Guard(has_op), Allocate(m, slot="f")]],
+        ("A", "B"): [[Release("f")]],
+        ("B", "I"): [[Inquire(m)]],
+    }
+
+
+def _register_rename(world):
+    m = RegisterRenameManager(gpr_buffers=2)
+    return [m], {
+        ("I", "A"): [[Guard(has_op), Inquire(m, src_of), AllocateMany(m, dst_of, "ren")]],
+        ("A", "B"): [[Inquire(m, deps_of), Allocate(m, reg_of, slot="one")]],
+        ("B", "I"): [[ReleaseMany("ren"), Release("one")]],
+    }
+
+
+#: manager class -> (spec builder, register identifiers drawn by index)
+CASES = {
+    SlotManager: (_slot, (0,)),
+    PoolManager: (_pool, (0,)),
+    InOrderPoolManager: (_in_order_pool, (0,)),
+    RegisterFileManager: (_register_file, (0, 1, 2, 3, 0, 1, None, 2)),
+    ResetManager: (_reset, (0,)),
+    _FetchSlotManager: (_fetch_slot, (0,)),
+    ForwardingRegisterFileManager: (_forwarding_register_file, (0, 1, 2, 3, 0, 1, 2, 3)),
+    # 40 and "x" take the rename allocate's two TokenError raises
+    RegisterRenameManager: (_register_rename, (0, 1, 0, 1, 32, 34, 40, "x")),
+}
+
+
+class World:
+    """One copy of a case: managers, spec and OSMs, fused or not."""
+
+    def __init__(self, cls, fused: bool):
+        build, self.regs = CASES[cls]
+        self.fused = fused
+        self.fetch = None
+        self.reset = ResetManager()
+        self.managers, edges = build(self)
+        if self.reset not in self.managers:
+            self.managers.append(self.reset)
+        spec = MachineSpec("emitter")
+        for name in "IAB":
+            spec.state(name, initial=(name == "I"))
+        for (src, dst), conditions in edges.items():
+            for primitives in conditions:
+                spec.edge(src, dst, Condition(primitives) if primitives else ALWAYS)
+        for name in "AB":
+            spec.edge(name, "I", Condition([Inquire(self.reset), Discard()]),
+                      priority=10, label=f"reset-{name}")
+        spec.validate()
+        if fused:
+            assert fuse_spec(spec) == len(spec.states), spec.compile_stats.fallback_states
+        self.spec = spec
+        self.osms = [OperationStateMachine(spec, name=f"osm{i}") for i in range(N_OSMS)]
+        self.ops = []
+        self.clock = 0
+        self.tokens = sorted(
+            {id(t): t for m in self.managers for t in _tokens(vars(m))}.values(),
+            key=lambda t: t.name)
+
+    # -- traffic -----------------------------------------------------------
+
+    def step(self, index):
+        osm = self.osms[index]
+        try:
+            if self.fused:
+                edge = osm.current._fused(osm, self.clock)
+            else:
+                edge = osm.try_transition(self.clock)
+        except Exception as exc:  # both paths must fail alike
+            return ("raise", type(exc).__name__, str(exc))
+        return ("edge", None if edge is None else edge.qualname)
+
+    def apply(self, action):
+        kind, a, b, c, d = action
+        osm = self.osms[a % N_OSMS]
+        if kind == "step":
+            return self.step(a % N_OSMS)
+        in_flight = [o.operation for o in self.osms if o.operation is not None]
+        if kind == "load" and osm.operation is None:
+            # captured producers: operations now in flight
+            deps = tuple(in_flight[i % len(in_flight)] for i in d) if in_flight else ()
+            regs = self.regs
+            osm.operation = Op(len(self.ops), tuple(regs[i % len(regs)] for i in b),
+                               tuple(regs[i % len(regs)] for i in c),
+                               regs[a % len(regs)], deps)
+            self.ops.append(osm.operation)
+        elif kind == "cycle":
+            self.clock += 1
+            self.reset.latch()
+            for m in self.managers:
+                if isinstance(m, InOrderPoolManager):
+                    m.new_cycle()
+        elif kind == "hold":
+            holdable = [m for m in self.managers if hasattr(m, "hold_release")]
+            if holdable:
+                holdable[a % len(holdable)].hold_release = bool(b)
+        elif kind == "done" and in_flight:
+            in_flight[a % len(in_flight)].done = True
+        elif kind == "doom":
+            (self.reset.doom_now if b else self.reset.doom)(osm)
+        elif kind == "poke":
+            for m in self.managers:
+                if isinstance(m, ForwardingRegisterFileManager):
+                    m.mark_ready(a % m.n_regs, osm if b else None)
+            if self.fetch is not None:
+                self.fetch.halted = bool(b and c)
+                self.fetch._redirect_pending = 0x100 if b and not c else None
+        return None
+
+    # -- comparison --------------------------------------------------------
+
+    def snapshot(self):
+        by_id = {id(osm): osm.name for osm in self.osms}
+
+        def norm(obj):
+            if obj is None or isinstance(obj, (bool, int, str)):
+                return obj
+            if isinstance(obj, OperationStateMachine):
+                return ("osm", obj.name)
+            if isinstance(obj, Op):
+                return ("op", obj.seq)
+            if isinstance(obj, Token):
+                return ("token", obj.name)
+            if isinstance(obj, TokenManager):
+                return ("manager", obj.name)
+            if isinstance(obj, Backing):
+                return ("backing", obj.values)
+            if isinstance(obj, dict):
+                return sorted((repr(norm(k)), norm(v)) for k, v in obj.items())
+            if isinstance(obj, (list, tuple)):
+                return [norm(x) for x in obj]
+            if isinstance(obj, set):  # OSM ids (reset manager dooms)
+                return sorted(by_id[x] for x in obj)
+            if isinstance(obj, FetchUnit):
+                return ("fetch", obj.halted, obj._redirect_pending)
+            raise TypeError(f"no snapshot for {type(obj).__name__}")
+
+        return {
+            "osms": [(osm.name, osm.current.name, norm(osm.token_buffer),
+                      norm(osm.blocked_on), osm.n_transitions, osm.age,
+                      norm(osm.operation),
+                      None if osm.last_edge is None else osm.last_edge.qualname)
+                     for osm in self.osms],
+            "tokens": [(t.name, norm(t.holder), norm(t.value)) for t in self.tokens],
+            "managers": [sorted((k, norm(v)) for k, v in vars(m).items())
+                         for m in self.managers],
+            "ops": [(op.seq, op.done) for op in self.ops],
+        }
+
+
+def _tokens(obj):
+    if isinstance(obj, Token):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _tokens(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _tokens(value)
+
+
+_INDEX = st.integers(0, 7)
+#: (kind, a, b, c, d): a picks an OSM, op or register; "load" reads b
+#: and c as source and destination register indices and d as captured
+#: producers; "hold", "doom" and "poke" read b and c as flags
+ACTION = st.tuples(
+    st.sampled_from(["step"] * 6 + ["load"] * 2 + ["cycle", "hold", "done", "doom", "poke"]),
+    _INDEX,
+    st.lists(_INDEX, max_size=2),
+    st.lists(_INDEX, max_size=3),
+    st.lists(_INDEX, max_size=2),
+)
+
+
+def test_every_registered_emitter_has_a_case():
+    """A newly registered emitter must be added to CASES."""
+    assert set(fuse._EMITTERS) == set(CASES)
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_case_spec_certifies(cls):
+    world = World(cls, fused=True)
+    assert certify_fused_states(world.spec) == []
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(actions=st.lists(ACTION, min_size=20, max_size=80))
+def test_fused_emitter_matches_reference(cls, actions):
+    fused, reference = World(cls, fused=True), World(cls, fused=False)
+    assert fused.snapshot() == reference.snapshot()
+    for action in actions:
+        outcome = fused.apply(action)
+        assert outcome == reference.apply(action), action
+        assert fused.snapshot() == reference.snapshot(), action
