@@ -186,6 +186,7 @@ class SynthesizedModel:
         # it came from, so analysis diagnostics over the generated spec
         # can be remapped onto the description (see repro.analysis.adl)
         spec.source_unit = unit
+        spec.source_text = repr(self.processor)
         for state in machine.states:
             declared = spec.state(state.name, initial=state.initial)
             if state.lineno is not None:

@@ -41,10 +41,8 @@ from .engine import (  # noqa: F401
     default_isa_passes,
     default_spec_passes,
 )
-from .fingerprint import GENERATOR_MODULES, generator_fingerprint  # noqa: F401
 
 __all__ = [
-    "GENERATOR_MODULES",
     "ISA_CODES",
     "SPEC_CODES",
     "IsaCertifyContext",
@@ -54,5 +52,4 @@ __all__ = [
     "certify_spec",
     "default_isa_passes",
     "default_spec_passes",
-    "generator_fingerprint",
 ]

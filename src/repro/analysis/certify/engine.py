@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..diagnostics import (AnalysisPass, Diagnostic, Report, Severity,
                            allow_lookup, run_passes, spec_allow)
-from .fingerprint import generator_fingerprint
+from ...contentstore import generator_fingerprint
 from .replay import replay_stepper
 
 __all__ = [

@@ -469,6 +469,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
     per_workload = []
     mismatches = []
     compile_stats = None
+    verdict = None
     cache_counts = {"block_hits": 0, "block_misses": 0,
                     "entry_invalidations": 0, "block_invalidations": 0}
     for name in names:
@@ -476,6 +477,10 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
             program = _assemble(isa, source_of(name))
         with agg.time_phase("build"):
             model = _build_model(model_name, program, isa, fused=fused)
+        if compile_stats is None:
+            # the row's first build is the one that can pay the fusion gate
+            certificate = getattr(model.spec, "fuse_certificate", None)
+            verdict = (certificate or {}).get("verdict")
         gc_was_enabled = gc.isenabled()
         gc.collect()
         gc.disable()
@@ -547,6 +552,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         "fused_fallback_states": (
             compile_stats.fused_fallback_states if compile_stats else 0
         ),
+        "verdict": verdict,
         "decode_cache": {**cache_counts, "block_hit_rate": block_hit_rate},
     }
 
@@ -559,8 +565,9 @@ def _print_bench_row(row: dict, verify: bool) -> None:
           f"{row['events_per_second']:,.0f} events/sec")
     for name in sorted(row["phase_seconds"]):
         print(f"  phase {name:<9}: {row['phase_seconds'][name]:.3f}s")
+    verdict = f", verdict from {row['verdict']}" if row["verdict"] else ""
     print(f"  fused states: {row['fused_states']} "
-          f"({row['fused_fallback_states']} fallback)")
+          f"({row['fused_fallback_states']} fallback{verdict})")
     cache = row["decode_cache"]
     if cache["block_hit_rate"] is not None:
         print(f"  block cache: {cache['block_hits']} hits / "
@@ -622,7 +629,10 @@ def cmd_bench(args) -> int:
     Emits one JSON row per model with cycles/s, events/s (committed OSM
     transitions per second), the per-phase wall-time breakdown from the
     phase-attributed stats layer, the whole-model specialization
-    counters (``fused_states``/``fused_fallback_states``) and the
+    counters (``fused_states``/``fused_fallback_states``), where the
+    first build's fusion verdict came from (``verdict``: ``"cache"``
+    when the verdict store held it, ``"gate"`` when the build ran the
+    analyses, null unfused) and the
     ISS block-cache hit rate.  ``--model cases`` benches every case-study
     model (StrongARM and PPC 750).  ``--out`` holds a JSON array and is
     *merged*, not overwritten: rows are keyed by (bench, model, quick,

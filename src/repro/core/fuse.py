@@ -31,7 +31,9 @@ mirrored from :mod:`repro.core.primitives` / :mod:`repro.core.manager` /
 fused at all is decided by the effectcheck compilability report
 (:mod:`repro.analysis.effects`): :func:`enable_fusion` fuses only the
 certified states, then translation-validates every stepper with
-transcheck and demotes the ones that fail.  Everything else — and any
+transcheck and demotes the ones that fail.  For a spec of package code
+both verdicts persist across processes in a :class:`VerdictStore` keyed
+on the exact sources (and stepper text) they certify.  Everything else — and any
 codegen failure — runs the interpreted reference, with the outcome
 recorded per state in the spec's :class:`CompileStats`.  The emitter
 bodies themselves are trusted code: transcheck replays them only as
@@ -48,9 +50,16 @@ from __future__ import annotations
 
 import ast
 import functools
+import gc
+import os
+import sys
 from contextlib import contextmanager
+from types import FunctionType, MethodType, ModuleType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..contentstore import (PACKAGE_ROOT, ResultCache, content_key,
+                            generator_fingerprint, package_fingerprint,
+                            user_cache_dir)
 from .errors import TokenError
 from .manager import (InOrderPoolManager, PoolManager, RegisterFileManager,
                       ResetManager, SlotManager)
@@ -1003,81 +1012,300 @@ def demote_states(spec, failures) -> int:
     return demoted
 
 
-def _structure_key(spec) -> tuple:
-    """Cache key for the effectcheck verdict: the spec's structure plus
-    the identity (qualname) of every live edge callable."""
-    def qn(obj):
-        return getattr(obj, "__qualname__", None)
+# --------------------------------------------------------------------------
+# the verdict store
 
-    parts: List[Any] = [spec.name, tuple(getattr(spec, "lint_allow", ()))]
+
+_PACKAGE_PREFIX = os.path.join(PACKAGE_ROOT, "")
+
+#: operand types described by value, with no definition to fingerprint
+_ATOMS = frozenset((type(None), bool, int, float, str))
+
+#: ``type.__flags__`` bit of a class created at run time (by a ``class``
+#: statement, or a C extension type made by ``PyType_FromSpec``) rather
+#: than a static C type
+_HEAPTYPE = 1 << 9
+
+
+@functools.lru_cache(maxsize=None)
+def _in_package(path: Optional[str]) -> bool:
+    """Whether source file *path* lies inside the ``repro`` package,
+    every file of which the verdict key covers."""
+    return path is not None and os.path.abspath(path).startswith(_PACKAGE_PREFIX)
+
+
+@functools.lru_cache(maxsize=None)
+def _class_in_package(kind: type) -> Optional[bool]:
+    """True for a class defined in a package file, False for any other
+    run-time class, None for a static C type (whose behaviour the Python
+    version fixes and whose code the effect analysis cannot read)."""
+    if not kind.__flags__ & _HEAPTYPE:
+        return None
+    return _in_package(getattr(sys.modules.get(kind.__module__), "__file__", None))
+
+
+def _package_only(roots) -> bool:
+    """Whether all code reachable from *roots* is package code.
+
+    The walk follows what the effect analysis can follow: closure cells
+    of functions, receivers of bound methods and the attributes of
+    objects (the analysis resolves attribute chains on live objects, not
+    container items).  It fails on a function, class or module
+    defined anywhere but a package file: a test-local or user spec, a
+    helper module, a user subclass handed to a bundled model, code built
+    by ``exec``.  Static C types are opaque to the analysis and end the
+    walk.
+    """
+    seen: Dict[int, Any] = {}
+    stack = list(roots)
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind in _ATOMS or id(value) in seen:
+            continue
+        seen[id(value)] = value
+        if kind is FunctionType:
+            # a stepper this module generated (a fused state's) counts
+            # as package code; the analysis never reads it
+            if not (_in_package(value.__code__.co_filename)
+                    or hasattr(value, "__fused_source__")):
+                return False
+            for cell in value.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # an unfilled cell
+                    pass
+        elif kind is MethodType:
+            stack += (value.__self__, value.__func__)
+        elif kind is ModuleType:
+            if not _in_package(getattr(value, "__file__", None)):
+                return False
+        else:
+            where = _class_in_package(value if isinstance(value, type) else kind)
+            if where is False:
+                return False
+            if where and not isinstance(value, type):
+                # the attribute values, from the collector rather than
+                # ``__dict__``: reading that makes CPython build a real
+                # dict for the object, and the simulator's hot objects
+                # would then pay a slower attribute lookup (about 20%
+                # of ppc750's simulation speed)
+                for ref in gc.get_referents(value):
+                    if type(ref) is dict:  # instance dict or dict attribute
+                        stack.extend(ref.values())
+                    else:
+                        stack.append(ref)
+    return True
+
+
+def _structure(spec) -> Tuple[List[str], bool]:
+    """One walk over *spec*: its fusion structure, and whether all of
+    its code is package code (:func:`_package_only`, from every value
+    the structure names).
+
+    The structure is one line per state and per edge: names, priorities,
+    and every primitive's kind and operands — literals (slot names,
+    static idents, keyed-guard values) by value, functions by module,
+    qualified name and first line, bound methods with their receiver's
+    class, other objects (managers) by class and name.  No line depends
+    on object identity or on where the package is installed.
+    """
+    seen: Dict[int, str] = {}
+    roots: List[Any] = []
+
+    def describe(value) -> str:
+        if type(value) in _ATOMS:
+            return repr(value)
+        text = seen.get(id(value))
+        if text is not None:
+            return text
+        roots.append(value)
+        if isinstance(value, (list, tuple)):
+            text = f"{type(value).__name__}({','.join(map(describe, value))})"
+        elif isinstance(value, type):
+            text = f"{value.__module__}.{value.__qualname__}"
+        elif getattr(value, "__func__", None) is not None:  # bound method
+            text = f"{describe(type(value.__self__))}>{describe(value.__func__)}"
+        elif getattr(value, "__code__", None) is not None:  # function
+            text = (f"{value.__module__}.{value.__qualname__}"
+                    f":{value.__code__.co_firstlineno}")
+        else:
+            name = getattr(value, "name", None)
+            text = f"{describe(type(value))}:{name if isinstance(name, str) else ''}"
+        seen[id(value)] = text
+        return text
+
+    lines = [f"spec {spec.name} {getattr(spec, 'lint_allow', ())!r} "
+             f"{describe(getattr(spec, 'analysis_rank_key', None))}"]
+    for state in spec.states.values():
+        lines.append(f"state {state.name} {state.is_initial} "
+                     f"{describe(state.on_enter)}")
     for edge in spec.edges:
-        prims = tuple(
-            (type(p).__name__,
-             type(getattr(p, "manager", None)).__name__,
-             qn(getattr(p, "predicate", None)),
-             qn(getattr(p, "key", None)),
-             qn(getattr(p, "ident", None)),
-             qn(getattr(p, "idents", None)),
-             qn(getattr(p, "value", None)))
-            for p in edge.condition.primitives
-        )
-        parts.append((edge.qualname, edge.src.name, edge.dst.name,
-                      tuple(edge.lint_allow), qn(edge.action), prims))
-    parts.append(qn(getattr(spec, "analysis_rank_key", None)))
-    return tuple(parts)
+        prims = ";".join(
+            ",".join([describe(type(p))] + [describe(getattr(p, attr, None))
+                                            for attr in getattr(type(p), "__slots__", ())])
+            for p in edge.condition.primitives)
+        lines.append(f"edge {edge.qualname} {edge.src.name} {edge.dst.name} "
+                     f"{edge.priority} {edge.lint_allow!r} "
+                     f"{describe(edge.action)} [{prims}]")
+    persistent = _package_only(roots)
+    # describe() is a closure over itself, a cycle only the collector
+    # frees: let it hold no reference to the model
+    roots.clear()
+    return lines, persistent
 
 
-#: structure key -> frozenset of the state names effectcheck certifies
-#: fusable
-_CERT_CACHE: Dict[tuple, frozenset] = {}
+def _verdict_key(spec) -> Tuple[str, bool]:
+    """Content key of *spec*'s effectcheck verdict, and whether the
+    verdict may persist across processes.
 
-#: (structure key, generator fingerprint) -> tuple of (state, reason)
-#: transcheck demotions — empty for a generator that certifies clean
-_TRV_CACHE: Dict[tuple, tuple] = {}
+    The key covers every ``.py`` file of the package (so also this
+    module's entry layout), the Python version, the spec's
+    :func:`_structure` and the source description of a synthesized (ADL)
+    spec.  That determines the verdict only for a spec whose reachable
+    code is all package code; any other spec (test-local and user specs,
+    bundled models given user subclasses) is keyed apart and its
+    verdicts stay in the process, as the files its code lives in are
+    not part of the key.
+    """
+    lines, persistent = _structure(spec)
+    return content_key([
+        ("python", sys.version),
+        ("package", package_fingerprint("repro")),
+        ("structure", "\n".join(lines)),
+        ("description", getattr(spec, "source_text", None) or ""),
+        ("scope", "store" if persistent else "process"),
+    ]), persistent
+
+
+def _stepper_key(spec, key: str) -> str:
+    """Content key of the TRV001 verdict: the spec's verdict *key* plus
+    the exact ``__fused_source__`` of every installed stepper — the code
+    the replay certifies."""
+    return content_key([("spec", key)] + [
+        (name, getattr(state._fused, "__fused_source__", None) or "\x00missing")
+        for name, state in spec.states.items() if state._fused is not None
+    ])
+
+
+class VerdictStore:
+    """The fusion gate's verdicts, content-addressed: an in-process memo
+    in front of a :class:`~repro.contentstore.ResultCache` under
+    ``user_cache_dir()/fusion``.
+
+    Entries are JSON verdicts only — state names and demotion reasons,
+    never code.  Only *persistent* entries (specs of package code) touch
+    the directory.  A missing or corrupt entry is a miss, and an
+    unwritable directory leaves the memo as the only store: either way
+    the caller runs the gate and puts the entry again.
+    """
+
+    def __init__(self):
+        self._memo: Dict[str, Any] = {}
+
+    @staticmethod
+    def _disk() -> Optional[ResultCache]:
+        try:
+            return ResultCache(os.path.join(user_cache_dir(), "fusion"))
+        except OSError:
+            return None
+
+    def get(self, key: str, persistent: bool) -> Any:
+        """The entry stored under *key*, or None."""
+        entry = self._memo.get(key)
+        if entry is None and persistent:
+            disk = self._disk()
+            entry = disk.get(key) if disk is not None else None
+            if entry is not None:
+                self._memo[key] = entry
+        return entry
+
+    def put(self, key: str, entry: Dict[str, Any], persistent: bool) -> None:
+        """Memoise *entry*, and write it to disk when *persistent* and
+        the directory allows."""
+        self._memo[key] = entry
+        disk = self._disk() if persistent else None
+        if disk is not None:
+            try:
+                disk.put(key, entry)
+            except OSError:
+                pass
+
+
+def _stored_fusable(entry) -> Optional[frozenset]:
+    """The fusable-state set of a stored effectcheck verdict, or None
+    when *entry* is missing or malformed."""
+    names = entry.get("fusable") if isinstance(entry, dict) else None
+    if isinstance(names, list) and all(isinstance(n, str) for n in names):
+        return frozenset(names)
+    return None
+
+
+def _stored_demotions(entry) -> Optional[list]:
+    """The ``[state, reason]`` pairs of a stored TRV001 verdict, or None
+    when *entry* is missing or malformed."""
+    pairs = entry.get("demoted") if isinstance(entry, dict) else None
+    if isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+            for p in pairs):
+        return pairs
+    return None
+
+
+#: the process's verdict store
+_VERDICTS = VerdictStore()
 
 
 def enable_fusion(spec) -> int:
     """Certify *spec* with effectcheck and fuse the certified states.
 
     The gated entry point used by model constructors: runs the effect
-    analysis (cached per spec structure, so repeated model builds pay it
-    once per process) and fuses exactly the states the compilability
-    report deems fusable.  The generated steppers are then
-    translation-validated by transcheck (:mod:`repro.analysis.certify`,
-    cached per structure + generator fingerprint): a state whose stepper
-    fails certification is demoted back to the interpreted reference by
-    :func:`demote_states`.  The surviving set is stamped on
-    ``spec.fuse_certificate`` together with the generator fingerprint so
-    ``repro certify`` can flag stale certificates (TRV008).  Analysis
-    failures degrade to no fusion and are recorded in
-    ``spec.compile_stats``.  Returns the number of states fused.
+    analysis and fuses exactly the states the compilability report
+    deems fusable.  The generated steppers are then
+    translation-validated by transcheck (:mod:`repro.analysis.certify`):
+    a state whose stepper fails certification is demoted back to the
+    interpreted reference by :func:`demote_states`.  Both verdicts come
+    from the :class:`VerdictStore` when it holds them — the effectcheck
+    verdict under :func:`_verdict_key`, the TRV001 verdict under
+    :func:`_stepper_key`, so a stored demotion is reused only for
+    byte-identical stepper text — and neither analysis (nor
+    ``repro.analysis``) is imported then.  The surviving set is stamped
+    on ``spec.fuse_certificate`` together with the generator fingerprint
+    so ``repro certify`` can flag stale certificates (TRV008), and with
+    where the verdicts came from (``"verdict"``: ``"cache"`` or
+    ``"gate"``).  Analysis failures degrade to no fusion and are
+    recorded in ``spec.compile_stats``.  Returns the number of states
+    fused.
     """
     try:
-        key = _structure_key(spec)
-        fusable = _CERT_CACHE.get(key)
+        verdict = "cache"
+        key, persistent = _verdict_key(spec)
+        fusable = _stored_fusable(_VERDICTS.get(key, persistent))
         if fusable is None:
             # Imported lazily: repro.analysis imports the model registry,
             # which imports the models, which import repro.core — a
             # module-level import here would be circular.
             from ..analysis.effects import compilability_report, effects_spec
             comp = compilability_report(spec, effects_spec(spec))
-            fusable = _CERT_CACHE[key] = frozenset(comp.fusable_states)
+            fusable = frozenset(comp.fusable_states)
+            _VERDICTS.put(key, {"fusable": sorted(fusable)}, persistent)
+            verdict = "gate"
         fused = fuse_spec(spec, states=fusable)
 
-        from ..analysis.certify import (certify_fused_states,
-                                        generator_fingerprint)
-        fingerprint = generator_fingerprint()
-        trv_key = (key, fingerprint)
-        uncertified = _TRV_CACHE.get(trv_key)
-        if uncertified is None:
-            uncertified = tuple(certify_fused_states(spec))
-            _TRV_CACHE[trv_key] = uncertified
-        fused -= demote_states(spec, uncertified)
+        trv_key = _stepper_key(spec, key)
+        demoted = _stored_demotions(_VERDICTS.get(trv_key, persistent))
+        if demoted is None:
+            from ..analysis.certify import certify_fused_states
+            demoted = [list(pair) for pair in certify_fused_states(spec)]
+            _VERDICTS.put(trv_key, {"demoted": demoted}, persistent)
+            verdict = "gate"
+        fused -= demote_states(spec, demoted)
         spec.fuse_certificate = {
-            "generator": fingerprint,
+            "generator": generator_fingerprint(),
             "fused_states": sorted(
                 name for name, state in spec.states.items()
                 if state._fused is not None),
+            "verdict": verdict,
         }
         return fused
     except Exception as exc:  # analysis failure: degrade to unfused

@@ -145,6 +145,9 @@ class MachineSpec:
         #: (``None`` for hand-written models); states/edges carry the
         #: per-declaration ``source_span`` counterpart
         self.source_unit: Optional[str] = None
+        #: canonical text of that description (``repr`` of its parsed
+        #: declaration); the fusion verdict store keys on it
+        self.source_text: Optional[str] = None
 
     def allow_lint(self, *codes: str) -> "MachineSpec":
         """Suppress the given lint-rule codes everywhere in this spec."""

@@ -10,7 +10,8 @@ deterministic — the property `tests/integration/test_fastpath_determinism.py`
 pins; see ``docs/fleet.md`` for the full argument.
 """
 
-from .cache import MemoryCache, ResultCache, open_cache
+from ..contentstore import ResultCache
+from .cache import MemoryCache, open_cache
 from .jobs import (
     DEFAULT_MAX_CYCLES,
     RESULT_SCHEMA,

@@ -8,20 +8,18 @@ determinism tests assert.  Two backends share one interface:
 * :class:`MemoryCache` — a per-process dict; the default for one-shot
   sweeps and benchmarks, where cross-run persistence would make the
   numbers lie.
-* :class:`ResultCache` — a directory of JSON files sharded by the first
-  two key hex digits (``ab/abcdef....json``).  Writes go through a
-  temporary file and ``os.replace`` so concurrent workers/servers never
-  observe a torn entry; unreadable or corrupt entries degrade to a miss
-  (and are dropped) rather than poisoning results.
+* :class:`~repro.contentstore.ResultCache` — a directory of JSON files,
+  written atomically, with corrupt entries read as misses; the fusion
+  gate's verdict store uses the same class.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 from typing import Any, Dict, Optional
+
+from ..contentstore import ResultCache
 
 
 class MemoryCache:
@@ -51,63 +49,6 @@ class MemoryCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-class ResultCache:
-    """Directory-backed content-addressed cache (process-safe)."""
-
-    persistent = True
-
-    def __init__(self, root: str):
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, key: str) -> str:
-        if len(key) < 3 or any(c not in "0123456789abcdef" for c in key):
-            raise ValueError(f"malformed cache key {key!r}")
-        return os.path.join(self.root, key[:2], key + ".json")
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            # missing, unreadable or torn: a miss either way; drop a
-            # corrupt file so it cannot keep masking fresh results
-            if os.path.exists(path):
-                try:
-                    os.unlink(path)
-                except OSError:  # pragma: no cover - racing cleanup
-                    pass
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
-
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
-        path = self._path(key)
-        shard = os.path.dirname(path)
-        os.makedirs(shard, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def __len__(self) -> int:
-        count = 0
-        for dirpath, _dirnames, filenames in os.walk(self.root):
-            count += sum(1 for name in filenames if name.endswith(".json"))
-        return count
 
 
 def open_cache(cache_dir: Optional[str]):

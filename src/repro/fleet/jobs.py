@@ -12,11 +12,10 @@ content-addressed result cache sound.
 The cache key (:func:`job_key`) is the sha256 of:
 
 * the **model implementation fingerprint** — source hashes of every
-  package the model's simulation semantics depend on, via the
-  transcheck fingerprint machinery
-  (:mod:`repro.analysis.certify.fingerprint`).  Editing any file in the
-  closure changes the key, so stale results can never be served across
-  a code change;
+  package the model's simulation semantics depend on
+  (:func:`repro.contentstore.combined_fingerprint`).  Editing any file
+  in the closure changes the key, so stale results can never be served
+  across a code change;
 * the **workload bytes** — the resolved assembly source text, not the
   workload's name, so renaming a workload cannot alias two different
   programs (and two names for the same program share cache entries);
@@ -34,6 +33,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
+
+from ..contentstore import combined_fingerprint
 
 #: bump when the result payload layout changes — old cache entries
 #: stop matching instead of being misread
@@ -208,8 +209,6 @@ def model_fingerprint(model: str) -> str:
     re-simulation; under-invalidating would serve a stale result after a
     semantics change.
     """
-    from ..analysis.certify.fingerprint import combined_fingerprint
-
     try:
         model_packages = _MODEL_PACKAGES[model]
     except KeyError:

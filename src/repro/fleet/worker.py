@@ -15,10 +15,18 @@ Cross-process hazards audited for this contract (and why each is safe):
   module import, so a spawned worker sees the same registry — but the
   worker does not consult it at all: models are built from
   :data:`_BUILDERS` below, keyed only by job fields.
-* ``repro.core.fuse._CERT_CACHE``/``_TRV_CACHE`` memoise effectcheck /
-  transcheck verdicts per spec *structure* (qualnames, not object
-  identities), so a fresh process recomputes the same verdict it would
-  inherit under ``fork``.
+* ``repro.core.fuse``'s verdict store hands a build the effectcheck and
+  TRV001 verdicts from memory or from disk (``~/.cache/repro/fusion``),
+  shared by every worker and process.  Reading it is sound because an
+  entry's key covers everything the verdict is a function of: every
+  ``.py`` file of the package, the Python version, the spec's
+  structure and literal operands (never object identities), and — for
+  the TRV001 verdict — the exact text of every stepper it certified;
+  and only a spec whose reachable code is all package code is written
+  to disk.  So a worker only ever reads the verdict the gate would
+  compute for the code it runs.  Entries hold
+  state names and demotion reasons, never code, and a corrupt entry
+  or an unwritable directory only means the worker runs the gate.
 * transactions are per-OSM state (``osm._txn``), created fresh with
   every model build, so no probe state crosses jobs.
 * ``repro.iss.decode_cache.DecodeCache`` is per-``MainMemory`` instance

@@ -20,13 +20,11 @@ import pytest
 
 from repro.analysis.audit.targets import available_targets
 from repro.analysis.certify import (
-    GENERATOR_MODULES,
     ISA_CODES,
     SPEC_CODES,
     certify_fused_states,
     certify_isa,
     certify_spec,
-    generator_fingerprint,
 )
 from repro.analysis.certify.engine import (
     Trv002InlineContract,
@@ -35,9 +33,12 @@ from repro.analysis.certify.engine import (
     Trv006PageMapCoverage,
 )
 from repro.analysis.registry import available_specs, build_spec
+from repro.contentstore import GENERATOR_MODULES, generator_fingerprint
 from repro.core import fuse
-from repro.core.fuse import demote_states
+from repro.core.fuse import demote_states, enable_fusion
 from repro.models.pipeline5 import model as p5model
+
+from ..conftest import keyed_toy
 
 
 def _errors(report, code=None):
@@ -311,11 +312,7 @@ _start:
 
     with monkeypatch.context() as patch:
         patch.setattr(fuse, "generate_stepper", partial)
-        fuse._TRV_CACHE.clear()
-        try:
-            spec = Ppc750Model(program, perfect_memory=True).spec
-        finally:
-            fuse._TRV_CACHE.clear()
+        spec = Ppc750Model(program, perfect_memory=True).spec
     assert "Q" not in spec.fuse_certificate["fused_states"]
     assert "Q" in dict(spec.compile_stats.demoted_states)
     # repro certify reports the demotion, not a clean spec
@@ -362,11 +359,7 @@ _start:
 
     with monkeypatch.context() as patch:
         patch.setattr(fuse, "generate_stepper", miscompiled)
-        fuse._TRV_CACHE.clear()
-        try:
-            spec = Ppc750Model(program, perfect_memory=True).spec
-        finally:
-            fuse._TRV_CACHE.clear()
+        spec = Ppc750Model(program, perfect_memory=True).spec
     assert dict(spec.compile_stats.demoted_states).keys() == {"Q"}
     found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
     assert {d.state for d in found} == {"Q"}
@@ -481,21 +474,44 @@ _start:
 """)
         with monkeypatch.context() as patch:
             patch.setattr(fuse, "generate_stepper", corrupted)
-            fuse._TRV_CACHE.clear()
-            try:
-                model = Pipeline5Model(program, fused=True)
-                stats = model.spec.compile_stats
-                assert stats.fused_states == 0
-                assert stats.fused_fallback_states > 0
-                # every unfused state is a transcheck demotion
-                demoted = [name for name, _ in stats.demoted_states]
-                assert demoted == [name for name, _ in stats.fallback_states]
-            finally:
-                fuse._TRV_CACHE.clear()
+            model = Pipeline5Model(program, fused=True)
+        stats = model.spec.compile_stats
+        assert stats.fused_states == 0
+        assert stats.fused_fallback_states > 0
+        # every unfused state is a transcheck demotion
+        demoted = [name for name, _ in stats.demoted_states]
+        assert demoted == [name for name, _ in stats.fallback_states]
 
         # a healthy rebuild recovers full fusion
         model = Pipeline5Model(program, fused=True)
         assert model.spec.compile_stats.fused_fallback_states == 0
+
+
+def test_trv_verdict_is_not_shared_by_specs_of_one_structure(monkeypatch):
+    """Two specs that differ only in a keyed-guard value and a slot name
+    generate different steppers, so they must not share a TRV001
+    verdict: a miscompile of the second is demoted although the first
+    certified clean."""
+    clean = keyed_toy(0, "a")
+    enable_fusion(clean)
+    assert clean.compile_stats.demoted_states == []
+    target = keyed_toy(1, "b")
+    real = fuse.generate_stepper
+
+    def miscompiled(state, spec):
+        stepper = real(state, spec)
+        if spec is target and state.name == "I":
+            source, n = re.subn(r"\(osm\.tag\) != 1:", "(osm.tag) != 0:",
+                                stepper.__fused_source__)
+            assert n == 1
+            stepper.__fused_source__ = source
+        return stepper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fuse, "generate_stepper", miscompiled)
+        enable_fusion(target)
+    assert dict(target.compile_stats.demoted_states).keys() == {"I"}
+    assert target.fuse_certificate["fused_states"] == ["P"]
 
 
 class TestDemotionPlumbing:

@@ -41,3 +41,27 @@ _start:
     sc
 {data_section}
 """
+
+
+def _toy_lane(osm):
+    return osm.tag
+
+
+_toy_lane.__fuse_inline__ = "osm.tag"
+
+
+def keyed_toy(value, slot, priority=0):
+    """``I --enter--> P --leave--> I``, entering on ``osm.tag == value``
+    into buffer slot *slot*: specs of one structure that generate
+    different stepper text."""
+    from repro.core import (Allocate, Condition, Guard, MachineSpec,
+                            Release, SlotManager)
+
+    spec = MachineSpec("keyed-toy")
+    spec.state("I", initial=True)
+    spec.state("P")
+    spec.edge("I", "P", Condition([Guard.equals(_toy_lane, value, "lane"),
+                                   Allocate(SlotManager("S"), slot=slot)]),
+              priority=priority, label="enter")
+    spec.edge("P", "I", Condition([Release(slot)]), label="leave")
+    return spec

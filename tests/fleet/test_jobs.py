@@ -1,7 +1,12 @@
 """Job model, workload resolution and content-addressed keys."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.fleet import (
     Job,
     canonical_json,
@@ -148,6 +153,23 @@ class TestModelFingerprint:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             model_fingerprint("alpha21264")
+
+    def test_keying_a_job_imports_no_analysis_module(self):
+        """Job keys hash source files found on disk, so ``repro serve``
+        never loads the analysis package just to key a job."""
+        code = (
+            "import sys\n"
+            "from repro.fleet.jobs import Job, job_key\n"
+            "job_key(Job.from_dict({'model': 'ppc750', 'workload':"
+            " {'kind': 'mediabench', 'name': 'gsm_dec'}}))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestCanonicalJson:
