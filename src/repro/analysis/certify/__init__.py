@@ -14,7 +14,8 @@ Rules
 -----
 TRV001  fused stepper ↔ edge primitives equivalence (symbolic replay
         of the one generated edge form; manager emitter bodies are
-        admitted as vocabulary zones)
+        admitted as vocabulary zones), and wake test ↔ park points and
+        refusal records
 TRV002  ``__fuse_inline__`` expression/footprint agreement
 TRV004  execgen closure write-set covers the semantics write-set
 TRV005  compiled ISS blocks carry store guards at instruction bounds
@@ -25,9 +26,11 @@ TRV008  generator-version drift (stale fuse certificates)
 TRV001–002 and TRV007–008 are per-spec; TRV004–006 are per-ISA.
 TRV003 (the replay of per-edge compiled probes, which no longer exist)
 is retired and its number is not reused.  The TRV001 check also gates
-fusion at model-build time through :func:`certify_fused_states`,
-consumed by :func:`repro.core.fuse.enable_fusion` /
-:func:`repro.core.fuse.demote_states`.
+fusion at model-build time through :func:`certify_fused_states` and
+:func:`certify_wake_tests`, consumed by
+:func:`repro.core.fuse.enable_fusion` /
+:func:`repro.core.fuse.demote_states` /
+:func:`repro.core.fuse.unpark_states`.
 """
 
 from .engine import (  # noqa: F401
@@ -38,6 +41,7 @@ from .engine import (  # noqa: F401
     certify_fused_states,
     certify_isa,
     certify_spec,
+    certify_wake_tests,
     default_isa_passes,
     default_spec_passes,
 )
@@ -50,6 +54,7 @@ __all__ = [
     "certify_fused_states",
     "certify_isa",
     "certify_spec",
+    "certify_wake_tests",
     "default_isa_passes",
     "default_spec_passes",
 ]

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..diagnostics import (AnalysisPass, Diagnostic, Report, Severity,
                            allow_lookup, run_passes, spec_allow)
 from ...contentstore import generator_fingerprint
-from .replay import replay_stepper
+from .replay import replay_stepper, replay_wake
 
 __all__ = [
     "ISA_CODES",
@@ -30,6 +30,7 @@ __all__ = [
     "IsaCertifyContext",
     "SpecCertifyContext",
     "certify_fused_states",
+    "certify_wake_tests",
     "certify_isa",
     "certify_spec",
     "default_isa_passes",
@@ -146,12 +147,26 @@ class Trv001FusedReplay(AnalysisPass):
                     f"fused stepper diverges from the edge plan: {problem}",
                     state=state.name,
                 )
-        # a stepper the build-time gate demoted failed this same replay
+            for problem in replay_wake(state, ctx.spec)[:MAX_PER_ANCHOR]:
+                yield self.diag(
+                    ctx,
+                    f"wake test diverges from the edges: {problem}",
+                    state=state.name,
+                )
+        # a stepper the build-time gate demoted, or a wake test it
+        # dropped, failed this same replay
         stats = getattr(ctx.spec, "compile_stats", None)
         for name, reason in stats.demoted_states if stats is not None else ():
             yield self.diag(
                 ctx,
                 f"fused stepper for state {name!r} was demoted at model "
+                f"build: {reason}",
+                state=name,
+            )
+        for name, reason in stats.unparked_states if stats is not None else ():
+            yield self.diag(
+                ctx,
+                f"wake test for state {name!r} was dropped at model "
                 f"build: {reason}",
                 state=name,
             )
@@ -560,6 +575,19 @@ def certify_fused_states(spec) -> List[Tuple[str, str]]:
             failures.append((state.name, "no __fused_source__ hook"))
             continue
         problems = replay_stepper(state, spec)
+        if problems:
+            failures.append((state.name, problems[0]))
+    return failures
+
+
+def certify_wake_tests(spec) -> List[Tuple[str, str]]:
+    """Replay every installed wake test; returns ``(state name,
+    reason)`` for each one that fails.  The caller drops them via
+    :func:`repro.core.fuse.unpark_states`: the state stays fused, and
+    its operations are probed as if it had no wake test."""
+    failures: List[Tuple[str, str]] = []
+    for state in spec.states.values():
+        problems = replay_wake(state, spec)
         if problems:
             failures.append((state.name, problems[0]))
     return failures

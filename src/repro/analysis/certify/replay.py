@@ -59,6 +59,7 @@ outside that shape fails extraction rather than passing silently.
 from __future__ import annotations
 
 import ast
+import itertools
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...core.primitives import (
@@ -75,6 +76,7 @@ from .astnorm import const_value, parse_function
 __all__ = [
     "ExtractionError",
     "replay_stepper",
+    "replay_wake",
 ]
 
 #: wildcard for matcher operands
@@ -880,3 +882,291 @@ def replay_stepper(state, spec) -> List[str]:
             f"{edge.qualname}: generated effects do not replay against the "
             f"edge plan (events: {[e[0] for e in extractor.events]})")
     return problems
+
+
+# --------------------------------------------------------------------------
+# wake tests
+
+
+#: a key value equal to no guard value of the key
+_NO_VALUE = object()
+
+#: most key-value combinations a wake test's record may depend on: the
+#: replay tries every one, and fails a wake test with more
+MAX_WAKE_COMBINATIONS = 4096
+
+#: placeholder locals of a check template (the token and its manager)
+_PLACEHOLDERS = ("T", "M")
+
+
+def _wake_edges(state):
+    """Per out-edge of *state*: its leading keyed guards and its first
+    primitive past them; raises when an edge has no such primitive."""
+    edges = []
+    for edge in state.out_edges:
+        guards = []
+        for p in edge.condition.primitives:
+            if type(p) is not Guard:
+                break
+            if p.key is None:
+                raise ExtractionError(
+                    f"{edge.qualname}: a predicate guard comes before its park point")
+            guards.append(p)
+        else:
+            raise ExtractionError(f"{edge.qualname}: no primitive past the guards")
+        edges.append((guards, p))
+    return edges
+
+
+def _same_ast(actual, expected, env, bound, rename) -> bool:
+    """Whether *actual* is the *expected* node, where a placeholder name
+    binds to a fresh local on first use (recorded in *rename*), a name
+    of *bound* must be a parameter bound to that object, ``osm`` the
+    OSM, and any other name the same unbound (builtin) name."""
+    if isinstance(expected, ast.Name):
+        if not isinstance(actual, ast.Name):
+            return False
+        binding = env.get(actual.id)
+        if expected.id in _PLACEHOLDERS:
+            if expected.id not in rename and binding is None \
+                    and actual.id not in rename.values():
+                rename[expected.id] = actual.id
+            return rename.get(expected.id) == actual.id
+        if expected.id in bound:
+            return binding is not None and binding[0] == "obj" \
+                and binding[1] is bound[expected.id]
+        if expected.id == "osm":
+            return binding == ("osm",)
+        return actual.id == expected.id and binding is None
+    if type(actual) is not type(expected):
+        return False
+    for field, want in ast.iter_fields(expected):
+        if field in ("ctx", "type_comment"):
+            continue
+        got = getattr(actual, field, None)
+        wants, gots = (want, got) if isinstance(want, list) else ([want], [got])
+        if not isinstance(gots, list) or len(gots) != len(wants):
+            return False
+        for g, e in zip(gots, wants):
+            if isinstance(e, ast.AST):
+                if not (isinstance(g, ast.AST) and _same_ast(g, e, env, bound, rename)):
+                    return False
+            elif type(g) is not type(e) or g != e:
+                return False
+    return True
+
+
+def _check_template(p, fuse, slot_cands):
+    """The statements that must check park point *p*: its emitter's
+    refusal expression over the placeholder locals, in the shape
+    ``if not (<refusal>): return True`` (for a release, after reading
+    the slot, waking on an empty one and loading its manager), and the
+    objects the template's bound names stand for."""
+    g = fuse._Codegen()
+    if type(p) is Release:
+        dispatch = fuse._release_dispatch(slot_cands, p.slot)
+        refusal = dispatch and dispatch[1].release_refusal(g, "M", "T")
+        if refusal is None:
+            raise ExtractionError(f"Release({p.slot!r}) is no park point")
+        text = (f"T = osm.token_buffer.get({p.slot!r})\n"
+                "if T is None:\n    return True\n"
+                "M = T.manager\n"
+                f"if type(M) is not {g.bind('cls', dispatch[0])} or not ({refusal}):\n"
+                "    return True\n")
+    else:
+        em = fuse._EMITTERS.get(type(getattr(p, "manager", None)))
+        refusal = None
+        if type(p) is Inquire and em is not None and not p._dynamic \
+                and not isinstance(p.ident, (list, tuple)):
+            refusal = em.inquire_refusal(g, p.manager, fuse._expr(g, "ident", p.ident))
+        if refusal is None:
+            raise ExtractionError(f"{type(p).__name__} on edge is no park point")
+        text = f"if not ({refusal}):\n    return True\n"
+    return ast.parse(text).body, g.env
+
+
+def _key_matches(node, key, env) -> bool:
+    """Whether *node* evaluates guard key *key*: its declared inline
+    expression when the generator pastes it, else its bound call."""
+    from ...core.fuse import safe_inline_expr
+    inline = getattr(key, "__fuse_inline__", None)
+    if inline is not None and safe_inline_expr(inline):
+        return ast.dump(node) == ast.dump(ast.parse(inline, mode="eval").body)
+    return (isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords
+            and env.get(getattr(node.func, "id", None)) == ("obj", key)
+            and env.get(getattr(node.args[0], "id", None)) == ("osm",))
+
+
+def _value_of(node, env):
+    value = const_value(node)
+    if value is ...:
+        binding = env.get(node.id) if isinstance(node, ast.Name) else None
+        if binding is None or binding[0] != "obj":
+            raise ExtractionError(f"unresolvable operand {ast.unparse(node)}")
+        value = binding[1]
+    return value
+
+
+def _records(body, env, keys, managers, values):
+    """The refusal records *body* writes while each key local has its
+    value in *values*: None, ``("park", index, slot)`` through a park
+    point's manager local, or ``("mgr", manager, ident)``."""
+    written = []
+
+    def holds(test):
+        if isinstance(test, ast.BoolOp):
+            results = [holds(v) for v in test.values]
+            return any(results) if isinstance(test.op, ast.Or) else all(results)
+        if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
+                and test.left.id in keys and len(test.ops) == 1
+                and isinstance(test.ops[0], ast.Eq)):
+            got = values[keys[test.left.id]]
+            return got is not _NO_VALUE and got == _value_of(test.comparators[0], env)
+        raise ExtractionError(f"unrecognized record test {ast.unparse(test)}")
+
+    def record(node):
+        if isinstance(node, ast.Constant) and node.value is None:
+            return None
+        if not (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                and isinstance(node.elts[0], ast.Name)):
+            raise ExtractionError(f"unrecognized record {ast.unparse(node)}")
+        head, ident = node.elts[0].id, _value_of(node.elts[1], env)
+        if head in managers:
+            return ("park", managers[head], ident)
+        return ("mgr", _value_of(node.elts[0], env), ident)
+
+    def run(stmts):
+        for stmt in stmts:
+            if isinstance(stmt, ast.If):
+                run(stmt.body if holds(stmt.test) else stmt.orelse)
+            elif (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                  and isinstance(stmt.targets[0], ast.Attribute)
+                  and stmt.targets[0].attr == "blocked_on"
+                  and env.get(getattr(stmt.targets[0].value, "id", None)) == ("osm",)):
+                written.append(record(stmt.value))
+            else:
+                raise ExtractionError(
+                    f"unclassifiable statement {ast.unparse(stmt)[:60]}")
+
+    run(body)
+    return written
+
+
+def _returns(body, value) -> bool:
+    """``return <value>`` and nothing else."""
+    return (len(body) == 1 and isinstance(body[0], ast.Return)
+            and isinstance(body[0].value, ast.Constant)
+            and body[0].value.value is value)
+
+
+def _same_record(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    return (got[0] == want[0] and (got[1] is want[1] or got[1] == want[1])
+            and type(got[2]) is type(want[2]) and got[2] == want[2])
+
+
+def replay_wake(state, spec) -> List[str]:
+    """Validate *state*'s wake test against its out-edges (TRV001).
+
+    The test must check exactly the state's distinct park points, in
+    edge order, each with its emitter's refusal expression followed by
+    ``return True``; evaluate each distinct guard key once; and, for
+    every value of every key (each guard value, and none), write the
+    refusal record the stepper would — the park point's of the last
+    edge whose keyed guards hold, or the stepper's clear — then return
+    False.  Returns problem strings; empty means it replays clean.
+    """
+    from ...core import fuse
+
+    fn = getattr(state, "_wake", None)
+    if fn is None:
+        return []
+    source = getattr(fn, "__fused_source__", None)
+    if source is None:
+        return [f"wake test for {state.name} carries no __fused_source__"]
+    try:
+        node = parse_function(source, "_wake")
+        env = _param_env(node, fn)
+        if not node.args.args:
+            raise ExtractionError("no osm parameter")
+        env[node.args.args[0].arg] = ("osm",)
+        return _replay_wake(state, fuse._slot_candidates(spec), fuse,
+                            node.body, env)
+    except (ValueError, SyntaxError, ExtractionError) as exc:
+        return [f"{state.name}: wake test: {exc}"]
+
+
+def _replay_wake(state, slot_cands, fuse, body, env) -> List[str]:
+    edges = _wake_edges(state)
+    points: List[Any] = []
+    for _guards, p in edges:
+        if not any(fuse._same_park_point(p, q) for q in points):
+            points.append(p)
+    at = 0
+    managers: Dict[str, int] = {}  # park point manager local -> point index
+    for index, p in enumerate(points):
+        template, bound = _check_template(p, fuse, slot_cands)
+        rename: Dict[str, str] = {}
+        checks = body[at:at + len(template)]
+        if len(checks) != len(template) or not all(
+                _same_ast(a, e, env, bound, rename) for a, e in zip(checks, template)):
+            raise ExtractionError(
+                f"check {index + 1} is not the emitter's refusal check of "
+                f"park point {type(p).__name__} (edge order)")
+        for local in rename.values():
+            env[local] = ("local",)
+        if "M" in rename:
+            managers[rename["M"]] = index
+        at += len(template)
+    keys_wanted: List[Any] = []
+    for guards, _p in edges:
+        for guard in guards:
+            if not any(guard.key is k for k in keys_wanted):
+                keys_wanted.append(guard.key)
+    keys: Dict[str, int] = {}  # key local -> index into keys_wanted
+    while len(keys) < len(keys_wanted) and at < len(body):
+        stmt = body[at]
+        k = next((k for k, key in enumerate(keys_wanted)
+                  if k not in keys.values() and isinstance(stmt, ast.Assign)
+                  and len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name)
+                  and _key_matches(stmt.value, key, env)), None)
+        if k is None:
+            break
+        keys[stmt.targets[0].id] = k
+        at += 1
+    if len(keys) != len(keys_wanted):
+        raise ExtractionError("each guard key must be evaluated once, after the checks")
+    if not _returns(body[-1:], False) or at >= len(body):
+        raise ExtractionError("does not end in `return False`")
+    domains = []
+    for key in keys_wanted:
+        seen: List[Any] = []
+        for guards, _p in edges:
+            for guard in guards:
+                if guard.key is key and not any(v is guard.value or v == guard.value
+                                                 for v in seen):
+                    seen.append(guard.value)
+        domains.append(seen + [_NO_VALUE])
+    combinations = 1
+    for domain in domains:
+        combinations *= len(domain)
+    if combinations > MAX_WAKE_COMBINATIONS:
+        raise ExtractionError(f"{combinations} key combinations, too many to replay")
+    position = {id(key): k for k, key in enumerate(keys_wanted)}
+    for values in itertools.product(*domains):
+        want = None  # the stepper's clear
+        for guards, p in edges:
+            if all(values[position[id(g.key)]] is not _NO_VALUE
+                   and values[position[id(g.key)]] == g.value for g in guards):
+                index = next(i for i, q in enumerate(points)
+                             if fuse._same_park_point(p, q))
+                want = (("park", index, p.slot) if type(p) is Release
+                        else ("mgr", p.manager, p.ident))
+        got = _records(body[at:-1], env, keys, managers, values)
+        if len(got) != 1 or not _same_record(got[0], want):
+            shown = {getattr(keys_wanted[k], "__name__", repr(keys_wanted[k])):
+                     None if v is _NO_VALUE else v for k, v in enumerate(values)}
+            return [f"{state.name}: wake test writes {got} where the edges "
+                    f"record {want} (keys {shown})"]
+    return []

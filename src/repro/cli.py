@@ -506,6 +506,8 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         agg.cycles += stats.cycles
         agg.instructions += stats.instructions
         agg.transitions += stats.transitions
+        agg.control_step_passes += stats.control_step_passes
+        agg.parked_skips += stats.parked_skips
         agg.wall_seconds += stats.wall_seconds
         agg.record_phase("simulate", stats.phase_seconds.get("simulate", 0.0))
         if not args.no_verify:
@@ -526,10 +528,11 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
                 mismatches.append(
                     {"workload": name, "fast": result, "reference": reference}
                 )
-    probes = cache_counts["block_hits"] + cache_counts["block_misses"]
+    lookups = cache_counts["block_hits"] + cache_counts["block_misses"]
     block_hit_rate = (
-        round(cache_counts["block_hits"] / probes, 4) if probes else None
+        round(cache_counts["block_hits"] / lookups, 4) if lookups else None
     )
+    failed_probes = agg.control_step_passes - agg.transitions
     return {
         "bench": "speed",
         "model": model_name,
@@ -543,6 +546,13 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         "wall_seconds": round(agg.wall_seconds, 4),
         "cycles_per_second": round(agg.cycles_per_second, 1),
         "events_per_second": round(agg.transitions_per_second, 1),
+        # exact work counters of the fast path (not of the verify runs);
+        # row-level, as the unfused rows count differently
+        "probes": agg.control_step_passes,
+        "parked_skips": agg.parked_skips,
+        "failed_probes_per_commit": (
+            round(failed_probes / agg.transitions, 4) if agg.transitions else None
+        ),
         "phase_seconds": {
             name: round(seconds, 4) for name, seconds in agg.phase_seconds.items()
         },
@@ -568,6 +578,8 @@ def _print_bench_row(row: dict, verify: bool) -> None:
     verdict = f", verdict from {row['verdict']}" if row["verdict"] else ""
     print(f"  fused states: {row['fused_states']} "
           f"({row['fused_fallback_states']} fallback{verdict})")
+    print(f"  probes: {row['probes']} ({row['failed_probes_per_commit']} failed "
+          f"per commit), parked skips: {row['parked_skips']}")
     cache = row["decode_cache"]
     if cache["block_hit_rate"] is not None:
         print(f"  block cache: {cache['block_hits']} hits / "
@@ -627,8 +639,10 @@ def cmd_bench(args) -> int:
     """Benchmark models over the MediaBench workloads.
 
     Emits one JSON row per model with cycles/s, events/s (committed OSM
-    transitions per second), the per-phase wall-time breakdown from the
-    phase-attributed stats layer, the whole-model specialization
+    transitions per second), the exact work counters of the fast path
+    (``probes``, ``parked_skips`` and ``failed_probes_per_commit``), the
+    per-phase wall-time breakdown from the phase-attributed stats layer,
+    the whole-model specialization
     counters (``fused_states``/``fused_fallback_states``), where the
     first build's fusion verdict came from (``verdict``: ``"cache"``
     when the verdict store held it, ``"gate"`` when the build ran the
@@ -641,8 +655,9 @@ def cmd_bench(args) -> int:
     director's reference scheduling loop and the simulation results
     (cycles, instructions, transitions, exit code) are compared — a
     mismatch fails the bench with exit status 1.  CI's perf-smoke job
-    runs ``bench --quick`` fused and unfused and fails only on result
-    mismatches, never on speed.
+    runs ``bench --quick`` fused and unfused and fails on result
+    mismatches and on the fused ppc750 row's ``failed_probes_per_commit``
+    above 1.0, never on speed.
     """
     import json
 

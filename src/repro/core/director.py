@@ -220,7 +220,14 @@ class Director:
         stamps, and stamps trailing idle peers with the observable version
         so the scan reruns only after something observable changes.  Every
         probe happens against the same OSM in the same order as the
-        reference loop would produce.
+        reference loop would produce, except the probes parking skips: an
+        OSM whose probe failed in a state with a wake test
+        (:func:`repro.core.fuse.generate_wake`) is *parked*, and while
+        it stays parked the scan calls the wake test in place of the
+        stepper.  A False answer means the probe would refuse every edge
+        with no effect but the refusal record, which the test wrote, so
+        the OSM is skipped as if the probe had failed.  Any commit
+        unparks it.
         """
         if self.reference:
             return self._control_step_reference()
@@ -248,6 +255,7 @@ class Director:
         version = self.version  # mirrored to self.version on every change
         transitions = 0
         probed = 0
+        parked = 0
         i = 0
         n = len(order)
         while i < n:
@@ -255,16 +263,25 @@ class Director:
             if osm._stepped == step_id or osm._fail_version == version:
                 i += 1
                 continue
-            # Dispatch point: fused whole-state stepper when the current
-            # state carries one (see repro.core.fuse), the interpreted
-            # reference otherwise.  Both produce the identical Edge-or-None
-            # outcome.
-            stepper = osm.current._fused
-            if stepper is not None:
-                edge = stepper(osm, clock)
+            current = osm.current
+            if osm._parked is current and not current._wake(osm):
+                # Parked, and the state's wake test found every edge
+                # refusing at a keyed guard or its park point: the probe
+                # would fail with no effect but the refusal record, which
+                # the test wrote.
+                edge = None
+                parked += 1
             else:
-                edge = osm.try_transition(clock)
-            probed += 1
+                # Dispatch point: fused whole-state stepper when the
+                # current state carries one (see repro.core.fuse), the
+                # interpreted reference otherwise.  Both produce the
+                # identical Edge-or-None outcome.
+                stepper = current._fused
+                if stepper is not None:
+                    edge = stepper(osm, clock)
+                else:
+                    edge = osm.try_transition(clock)
+                probed += 1
             if version != self.version:
                 # an edge action called notify(): pick up the new version
                 version = self.version
@@ -277,6 +294,7 @@ class Director:
                 # Stamped: not scheduled again this control step (the
                 # reference loop pops it from the pending list).
                 osm._stepped = step_id
+                osm._parked = None
                 if not rank_stable or edge.src.is_initial or edge.dst.is_initial:
                     # The committed transition may have changed this OSM's
                     # rank (operation assigned/cleared, age stamped).
@@ -295,6 +313,8 @@ class Director:
                     i += 1
             else:
                 osm._fail_version = version
+                if current._wake is not None:
+                    osm._parked = current
                 if osm.operation is None:
                     # Idle OSMs of the same machine and thread share the
                     # fetch edge: once one fails, its not-yet-transitioned
@@ -316,8 +336,9 @@ class Director:
         if boundary:
             self._apply_boundary(boundary, rank_key)
         stats.control_step_passes += probed
+        stats.parked_skips += parked
         stats.transitions += transitions
-        if transitions == 0 and probed and self.deadlock_check:
+        if transitions == 0 and (probed or parked) and self.deadlock_check:
             if self._deadlock_version != version:
                 # The wait graph is a pure function of the observable
                 # version: holders change only with transitions and

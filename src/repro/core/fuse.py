@@ -40,10 +40,19 @@ bodies themselves are trusted code: transcheck replays them only as
 vocabulary zones, and a differential property test drives each
 registered emitter against its manager's TMI methods.
 
+A fused state may also get a **wake test** (:func:`generate_wake`,
+installed on ``State._wake``): a cheap check of the state's *park
+points*, the first non-guard primitive of each out-edge.  When it
+returns False a probe would refuse every edge, so the director skips the
+probe of a parked operation.  TRV001 replays wake tests as well, and the
+gate drops one that fails (:func:`unpark_states`) while the state stays
+fused.
+
 Steppers bake per-edge constants (actions, ``on_enter`` hooks,
 destination states); ``MachineSpec.edge()`` invalidates ``State._fused``
-so mutated specs regenerate lazily via :func:`fuse_spec` — mutating
-edge callables in place after fusion is outside the contract.
+and ``State._wake`` so mutated specs regenerate lazily via
+:func:`fuse_spec` — mutating edge callables in place after fusion is
+outside the contract.
 """
 
 from __future__ import annotations
@@ -81,9 +90,17 @@ class CompileStats:
 
     def __init__(self):
         self.states: Dict[str, Optional[str]] = {}
+        #: state name -> None while its wake test is installed (the
+        #: director parks operations there), else why it was dropped;
+        #: states that never got a wake test have no entry
+        self.parking: Dict[str, Optional[str]] = {}
 
     def record_state(self, state, reason: Optional[str] = None) -> None:
         self.states[state.name] = reason
+        self.parking.pop(state.name, None)
+
+    def record_wake(self, state, reason: Optional[str] = None) -> None:
+        self.parking[state.name] = reason
 
     @property
     def fused_states(self) -> int:
@@ -112,6 +129,18 @@ class CompileStats:
             if reason.startswith(CERTIFY_PREFIX)
         ]
 
+    @property
+    def parked_states(self) -> List[str]:
+        """States whose wake test is installed."""
+        return sorted(name for name, reason in self.parking.items()
+                      if reason is None)
+
+    @property
+    def unparked_states(self) -> List[Tuple[str, str]]:
+        """``(state name, reason)`` for every dropped wake test."""
+        return sorted((name, reason) for name, reason in self.parking.items()
+                      if reason is not None)
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "fused_states": self.fused_states,
@@ -119,6 +148,11 @@ class CompileStats:
             "fallback_states": [
                 {"state": name, "reason": reason}
                 for name, reason in self.fallback_states
+            ],
+            "parked_states": self.parked_states,
+            "unparked_states": [
+                {"state": name, "reason": reason}
+                for name, reason in self.unparked_states
             ],
         }
 
@@ -345,6 +379,20 @@ class ManagerEmitter:
                        value_expr: str) -> None:
         raise NotImplementedError
 
+    # A wake test (:func:`generate_wake`) asks for a park point's refusal
+    # as one expression.  None means the manager never refuses cleanly,
+    # so the primitive is no park point.
+
+    def release_refusal(self, g: _Codegen, mgr_expr: str, tok: str) -> Optional[str]:
+        """An expression that holds exactly when :meth:`release_check`
+        refuses *tok* without raising."""
+        return None
+
+    def inquire_refusal(self, g: _Codegen, mgr, ident_expr: str) -> Optional[str]:
+        """An expression that holds exactly when :meth:`inquire` of the
+        static *ident_expr* refuses."""
+        return None
+
 
 class SlotManagerEmitter(ManagerEmitter):
     def allocate(self, g, w, mgr, out, ident_expr, avoid):
@@ -372,6 +420,10 @@ class SlotManagerEmitter(ManagerEmitter):
 
     def release_commit(self, g, w, mgr_expr, tok, value_expr):
         w(f"{mgr_expr}.n_releases += 1")
+
+    def release_refusal(self, g, mgr_expr, tok):
+        return (f"{tok} is {mgr_expr}.token and {tok}.holder is osm"
+                f" and {mgr_expr}.hold_release")
 
 
 class PoolManagerEmitter(ManagerEmitter):
@@ -419,6 +471,9 @@ class PoolManagerEmitter(ManagerEmitter):
         w(f"{mgr_expr}.n_releases += 1")
         w(f"{mgr_expr}._n_free += 1")
 
+    def release_refusal(self, g, mgr_expr, tok):
+        return f"{tok}.holder is osm and {mgr_expr}.hold_release"
+
 
 class InOrderPoolManagerEmitter(PoolManagerEmitter):
     """:class:`InOrderPoolManager`: the pool bodies plus the grant-order
@@ -428,20 +483,26 @@ class InOrderPoolManagerEmitter(PoolManagerEmitter):
         super().allocate_commit(g, w, mgr, tok)
         w(f"{g.bind('order', mgr._order)}.append(osm)")
 
+    @staticmethod
+    def _refused(mgr_expr):
+        return (f"{mgr_expr}.hold_release"
+                f" or {mgr_expr}._released_this_cycle >= {mgr_expr}.width"
+                f" or not {mgr_expr}._order or {mgr_expr}._order[0] is not osm")
+
     def release_check(self, g, w, mgr_expr, tok, fail):
         with w.block(f"if {tok}.holder is not osm:"):
             w(f"raise TokenError('%s: %r does not hold %r'"
               f" % ({mgr_expr}.name, osm, {tok}))")
-        refused = (f"{mgr_expr}.hold_release"
-                   f" or {mgr_expr}._released_this_cycle >= {mgr_expr}.width"
-                   f" or not {mgr_expr}._order or {mgr_expr}._order[0] is not osm")
-        with w.block(f"if {refused}:"):
+        with w.block(f"if {self._refused(mgr_expr)}:"):
             fail()
 
     def release_commit(self, g, w, mgr_expr, tok, value_expr):
         super().release_commit(g, w, mgr_expr, tok, value_expr)
         w(f"{mgr_expr}._order.remove(osm)")
         w(f"{mgr_expr}._released_this_cycle += 1")
+
+    def release_refusal(self, g, mgr_expr, tok):
+        return f"{tok}.holder is osm and ({self._refused(mgr_expr)})"
 
 
 class RegisterFileManagerEmitter(ManagerEmitter):
@@ -502,9 +563,11 @@ class ResetManagerEmitter(ManagerEmitter):
         w(f"{m}.n_allocates += 1")
 
     def inquire(self, g, w, mgr, ident_expr, ctx, fail):
-        doomed = g.bind("doomed", mgr._doomed)
-        with w.block(f"if id(osm) not in {doomed}:"):
+        with w.block(f"if {self.inquire_refusal(g, mgr, ident_expr)}:"):
             fail()
+
+    def inquire_refusal(self, g, mgr, ident_expr):
+        return f"id(osm) not in {g.bind('doomed', mgr._doomed)}"
 
     def release_check(self, g, w, mgr_expr, tok, fail):
         w(f"raise TokenError('%s manages no releasable tokens'"
@@ -944,6 +1007,145 @@ def generate_stepper(state, spec) -> Callable:
 
 
 # --------------------------------------------------------------------------
+# wake tests
+
+
+def _same_park_point(p, q) -> bool:
+    """Whether park points *p* and *q* are one check: releases of one
+    slot, or inquiries of one manager with equal identifiers."""
+    if type(p) is Release:
+        return type(q) is Release and q.slot == p.slot
+    return (type(q) is Inquire and q.manager is p.manager
+            and type(q.ident) is type(p.ident) and q.ident == p.ident)
+
+
+def _park_plan(state, slot_cands):
+    """The park points of *state*, or None when it gets no wake test.
+
+    An edge's *park point* is its first primitive that is not a guard,
+    when only keyed guards come before it and it is either a
+    ``Release`` whose slot has one emitter-backed manager class that can
+    refuse it, or an ``Inquire`` with a static scalar literal identifier
+    of a manager whose emitter can refuse one (the reset inquiry).
+    Returns ``(points, edges)``: the distinct park points in edge order,
+    each ``(primitive, (class, emitter))``, and per out-edge its keyed
+    guards ``[(key, value)]`` and the index of its park point.
+    """
+    probe = _Codegen()
+    points: List[Tuple[Any, Tuple[type, ManagerEmitter]]] = []
+    edges: List[Tuple[List[Tuple[Any, Any]], int]] = []
+    for edge in state.out_edges:
+        guards = []
+        for p in edge.condition.primitives:
+            if type(p) is not Guard:
+                break
+            if p.key is None:
+                return None
+            guards.append((p.key, p.value))
+        else:
+            return None  # no primitive past the guards
+        if type(p) is Release:
+            dispatch = _release_dispatch(slot_cands, p.slot)
+            if dispatch is None or dispatch[1].release_refusal(probe, "m", "t") is None:
+                return None
+        elif (type(p) is Inquire and not p._dynamic and _is_literal(p.ident)
+              and not isinstance(p.ident, tuple)):
+            dispatch = (type(p.manager), _EMITTERS.get(type(p.manager)))
+            if dispatch[1] is None or dispatch[1].inquire_refusal(
+                    probe, p.manager, repr(p.ident)) is None:
+                return None
+        else:
+            return None
+        index = next((j for j, (q, _) in enumerate(points)
+                      if _same_park_point(p, q)), len(points))
+        if index == len(points):
+            points.append((p, dispatch))
+        edges.append((guards, index))
+    return points, edges
+
+
+def generate_wake(state, spec) -> Optional[Callable]:
+    """Generate the wake test ``wake(osm) -> bool`` of *state*, or None
+    when some out-edge has no park point (:func:`_park_plan`).
+
+    The test checks each distinct park point once, in edge order, with
+    its emitter's refusal expression, and returns True as soon as one
+    would pass, a release would be vacuous (empty slot) or its probe
+    would raise.  When every park point refuses, a probe of the state
+    would refuse every edge — at a keyed guard or at its park point —
+    and its one effect would be the ``blocked_on`` record.  The test
+    writes that record (the park point's of the last edge whose keyed
+    guards hold, each distinct key evaluated once; the stepper's clear
+    when none hold) and returns False, and the director skips the probe.
+    Raises on a generation problem, like :func:`generate_stepper`.
+    """
+    plan = _park_plan(state, _slot_candidates(spec))
+    if plan is None:
+        return None
+    points, edges = plan
+    g = _Codegen()
+    w = _Writer()
+    records = []
+    for p, (cls, em) in points:
+        if type(p) is Release:
+            slot = _expr(g, "slot", p.slot)
+            tv, mv = g.fresh("_wt"), g.fresh("_wm")
+            w(f"{tv} = osm.token_buffer.get({slot})")
+            with w.block(f"if {tv} is None:"):
+                w("return True")
+            w(f"{mv} = {tv}.manager")
+            with w.block(f"if type({mv}) is not {g.bind('cls', cls)}"
+                         f" or not ({em.release_refusal(g, mv, tv)}):"):
+                w("return True")
+            records.append(f"({mv}, {slot})")
+        else:
+            ident = _expr(g, "ident", p.ident)
+            with w.block(f"if not ({em.inquire_refusal(g, p.manager, ident)}):"):
+                w("return True")
+            records.append(f"({g.bind('mgr', p.manager)}, {ident})")
+    keys: Dict[int, str] = {}
+    for guards, _ in edges:
+        for key, _ in guards:
+            if id(key) not in keys:
+                keys[id(key)] = kv = g.fresh("_wk")
+                w(f"{kv} = {_ident_call(g, 'key', key)}")
+    # The record of the last edge whose keyed guards hold: walk the
+    # edges backwards, merging neighbours with the same record, down to
+    # the first edge without guards, or else to the stepper's clear.
+    chain: List[List[Any]] = []  # [disjuncts or None (always), record]
+    for guards, j in reversed(edges):
+        if not chain or chain[-1][1] != records[j]:
+            chain.append([[], records[j]])
+        if not guards:
+            chain[-1][0] = None
+            break
+        chain[-1][0].append(" and ".join(
+            f"{keys[id(key)]} == {_expr(g, 'value', value)}" for key, value in guards))
+    else:
+        chain.append([None, "None"])
+    for n, (tests, record) in enumerate(chain):
+        if tests is None:
+            if n == 0:
+                w(f"osm.blocked_on = {record}")
+            else:
+                with w.block("else:"):
+                    w(f"osm.blocked_on = {record}")
+            break
+        tests = list(dict.fromkeys(reversed(tests)))  # in edge order
+        test = " or ".join(f"({t})" if " and " in t and len(tests) > 1 else t
+                           for t in tests)
+        with w.block(f"{'elif' if n else 'if'} {test}:"):
+            w(f"osm.blocked_on = {record}")
+    w("return False")
+    sig = "".join(f", {n}={n}" for n in g.params)
+    src = "def _wake(osm" + sig + "):\n" + "\n".join(w.lines)
+    exec(_compile(src, f"<fused:{spec.name}.{state.name}.wake>"), g.env)
+    fn = g.env["_wake"]
+    fn.__fused_source__ = src
+    return fn
+
+
+# --------------------------------------------------------------------------
 # spec-level entry points
 
 
@@ -961,6 +1163,7 @@ def fuse_spec(spec, states=None) -> int:
     stats = spec.compile_stats
     fused = 0
     for state in spec.states.values():
+        state._wake = None
         if states is not None and state.name not in states:
             state._fused = None
             stats.record_state(state, "policy: not certified fusable")
@@ -979,6 +1182,13 @@ def fuse_spec(spec, states=None) -> int:
             state._fused = stepper
             stats.record_state(state, None)
             fused += 1
+            try:
+                state._wake = generate_wake(state, spec)
+            except Exception as exc:  # the state stays fused, unparked
+                stats.record_wake(state, f"codegen: {type(exc).__name__}: {exc}")
+            else:
+                if state._wake is not None:
+                    stats.record_wake(state)
     return fused
 
 
@@ -990,7 +1200,9 @@ def defuse_spec(spec) -> None:
     an earlier fused build never leak into an unfused one."""
     for state in spec.states.values():
         state._fused = None
+        state._wake = None
     spec.compile_stats.states.clear()
+    spec.compile_stats.parking.clear()
     if getattr(spec, "fuse_certificate", None) is not None:
         spec.fuse_certificate = None
 
@@ -1007,9 +1219,27 @@ def demote_states(spec, failures) -> int:
         if state is None:
             continue
         state._fused = None
+        state._wake = None
         spec.compile_stats.record_state(state, CERTIFY_PREFIX + reason)
         demoted += 1
     return demoted
+
+
+def unpark_states(spec, failures) -> int:
+    """Drop the wake test of every ``(state name, reason)`` pair in
+    *failures* (transcheck verdicts on wake tests).  The state keeps its
+    fused stepper and is probed as if it had no wake test; the census
+    records the reason with :data:`CERTIFY_PREFIX`.  Returns the number
+    of wake tests dropped."""
+    dropped = 0
+    for name, reason in failures:
+        state = spec.states.get(name)
+        if state is None or state._wake is None:
+            continue
+        state._wake = None
+        spec.compile_stats.record_wake(state, CERTIFY_PREFIX + reason)
+        dropped += 1
+    return dropped
 
 
 # --------------------------------------------------------------------------
@@ -1180,12 +1410,15 @@ def _verdict_key(spec) -> Tuple[str, bool]:
 
 def _stepper_key(spec, key: str) -> str:
     """Content key of the TRV001 verdict: the spec's verdict *key* plus
-    the exact ``__fused_source__`` of every installed stepper — the code
-    the replay certifies."""
-    return content_key([("spec", key)] + [
-        (name, getattr(state._fused, "__fused_source__", None) or "\x00missing")
-        for name, state in spec.states.items() if state._fused is not None
-    ])
+    the exact ``__fused_source__`` of every installed stepper and wake
+    test — the code the replay certifies."""
+    parts = [("spec", key)]
+    for name, state in spec.states.items():
+        for suffix, fn in (("", state._fused), (":wake", state._wake)):
+            if fn is not None:
+                parts.append((name + suffix, getattr(fn, "__fused_source__", None)
+                              or "\x00missing"))
+    return content_key(parts)
 
 
 class VerdictStore:
@@ -1241,15 +1474,19 @@ def _stored_fusable(entry) -> Optional[frozenset]:
     return None
 
 
-def _stored_demotions(entry) -> Optional[list]:
-    """The ``[state, reason]`` pairs of a stored TRV001 verdict, or None
-    when *entry* is missing or malformed."""
-    pairs = entry.get("demoted") if isinstance(entry, dict) else None
-    if isinstance(pairs, list) and all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
-            for p in pairs):
-        return pairs
-    return None
+def _stored_replay(entry) -> Optional[Tuple[list, list]]:
+    """The ``[state, reason]`` pairs of a stored TRV001 verdict — the
+    demoted steppers and the dropped wake tests — or None when *entry*
+    is missing or malformed."""
+    if not isinstance(entry, dict):
+        return None
+    verdict = entry.get("demoted"), entry.get("unparked")
+    for pairs in verdict:
+        if not (isinstance(pairs, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+                for p in pairs)):
+            return None
+    return verdict
 
 
 #: the process's verdict store
@@ -1264,16 +1501,17 @@ def enable_fusion(spec) -> int:
     deems fusable.  The generated steppers are then
     translation-validated by transcheck (:mod:`repro.analysis.certify`):
     a state whose stepper fails certification is demoted back to the
-    interpreted reference by :func:`demote_states`.  Both verdicts come
-    from the :class:`VerdictStore` when it holds them — the effectcheck
-    verdict under :func:`_verdict_key`, the TRV001 verdict under
-    :func:`_stepper_key`, so a stored demotion is reused only for
-    byte-identical stepper text — and neither analysis (nor
-    ``repro.analysis``) is imported then.  The surviving set is stamped
-    on ``spec.fuse_certificate`` together with the generator fingerprint
-    so ``repro certify`` can flag stale certificates (TRV008), and with
-    where the verdicts came from (``"verdict"``: ``"cache"`` or
-    ``"gate"``).  Analysis failures degrade to no fusion and are
+    interpreted reference by :func:`demote_states`, and a wake test that
+    fails its replay is dropped by :func:`unpark_states`.  Both verdicts
+    come from the :class:`VerdictStore` when it holds them — the
+    effectcheck verdict under :func:`_verdict_key`, the TRV001 verdict
+    under :func:`_stepper_key`, so a stored verdict is reused only for
+    byte-identical stepper and wake-test text — and neither analysis
+    (nor ``repro.analysis``) is imported then.  The surviving set and the
+    parked states are stamped on ``spec.fuse_certificate`` together with
+    the generator fingerprint so ``repro certify`` can flag stale
+    certificates (TRV008), and with where the verdicts came from
+    (``"verdict"``: ``"cache"`` or ``"gate"``).  Analysis failures degrade to no fusion and are
     recorded in ``spec.compile_stats``.  Returns the number of states
     fused.
     """
@@ -1293,24 +1531,29 @@ def enable_fusion(spec) -> int:
         fused = fuse_spec(spec, states=fusable)
 
         trv_key = _stepper_key(spec, key)
-        demoted = _stored_demotions(_VERDICTS.get(trv_key, persistent))
-        if demoted is None:
-            from ..analysis.certify import certify_fused_states
-            demoted = [list(pair) for pair in certify_fused_states(spec)]
-            _VERDICTS.put(trv_key, {"demoted": demoted}, persistent)
+        replay = _stored_replay(_VERDICTS.get(trv_key, persistent))
+        if replay is None:
+            from ..analysis.certify import certify_fused_states, certify_wake_tests
+            replay = ([list(pair) for pair in certify_fused_states(spec)],
+                      [list(pair) for pair in certify_wake_tests(spec)])
+            _VERDICTS.put(trv_key, {"demoted": replay[0], "unparked": replay[1]},
+                          persistent)
             verdict = "gate"
-        fused -= demote_states(spec, demoted)
+        fused -= demote_states(spec, replay[0])
+        unpark_states(spec, replay[1])
         spec.fuse_certificate = {
             "generator": generator_fingerprint(),
             "fused_states": sorted(
                 name for name, state in spec.states.items()
                 if state._fused is not None),
+            "parked_states": spec.compile_stats.parked_states,
             "verdict": verdict,
         }
         return fused
     except Exception as exc:  # analysis failure: degrade to unfused
         for state in spec.states.values():
             state._fused = None
+            state._wake = None
             spec.compile_stats.record_state(
                 state, f"analysis: {type(exc).__name__}: {exc}")
         return 0

@@ -30,7 +30,7 @@ class State:
     """A named state in a machine specification."""
 
     __slots__ = ("name", "is_initial", "on_enter", "out_edges", "spec",
-                 "source_span", "_fused")
+                 "source_span", "_fused", "_wake")
 
     def __init__(self, name: str, is_initial: bool = False, on_enter: Optional[Action] = None):
         self.name = name
@@ -51,6 +51,10 @@ class State:
         #: :meth:`OperationStateMachine.try_transition`" (the interpreted
         #: reference, always available)
         self._fused: Optional[Callable] = None
+        #: generated wake test ``wake(osm) -> bool`` of a fused state
+        #: (:func:`repro.core.fuse.generate_wake`): False means a probe
+        #: would refuse every edge, and the test wrote its refusal record
+        self._wake: Optional[Callable] = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"State({self.name!r})"
@@ -191,10 +195,13 @@ class MachineSpec:
         # keep outgoing edges sorted: highest static priority first, then
         # declaration order (stable sort) for determinism among equals
         out.sort(key=lambda edge: -edge.priority)
-        source._fused = None  # drop any fused stepper baked on the old edge set
-        # the fusion census entry described the old edge set; drop it so
-        # a later rebuild (or none) never reports a stale fused state
+        # drop any fused stepper and wake test baked on the old edge set
+        source._fused = None
+        source._wake = None
+        # the fusion census entries described the old edge set; drop them
+        # so a later rebuild (or none) never reports a stale fused state
         self.compile_stats.states.pop(source.name, None)
+        self.compile_stats.parking.pop(source.name, None)
         return e
 
     def validate(self) -> None:
@@ -246,7 +253,7 @@ class OperationStateMachine:
 
     __slots__ = ("spec", "name", "serial", "tag", "current", "token_buffer",
                  "operation", "age", "blocked_on", "n_transitions",
-                 "last_edge", "_fail_version", "_stepped", "_txn")
+                 "last_edge", "_fail_version", "_stepped", "_parked", "_txn")
 
     _next_serial = 0
 
@@ -279,6 +286,10 @@ class OperationStateMachine:
         #: director bookkeeping: control-step id of the last committed
         #: transition (an OSM transitions at most once per control step)
         self._stepped = -1
+        #: director bookkeeping: the state whose wake test the director
+        #: calls before probing this OSM again (set by a failed probe in
+        #: a state with a wake test, cleared by a commit)
+        self._parked: Optional[State] = None
         #: the OSM's private reusable transaction: probe traffic is always
         #: sequential per OSM, so one lazily-reset object serves every
         #: try_transition call without pool traffic

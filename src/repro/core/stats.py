@@ -42,7 +42,11 @@ class SimulationStats:
     def __init__(self):
         self.cycles = 0
         self.transitions = 0
+        #: probes: fused-stepper or ``try_transition`` calls
         self.control_step_passes = 0
+        #: probes the director skipped because a wake test showed they
+        #: would fail (see ``Director.control_step``)
+        self.parked_skips = 0
         self.instructions = 0
         #: per-state occupancy histogram: state name -> OSM-cycles spent
         self.state_occupancy: Dict[str, int] = {}

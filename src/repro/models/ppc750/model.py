@@ -332,7 +332,13 @@ class Ppc750Model:
         ).allow_lint("EFF001", "EFF008")
 
         # Dispatch edges, one per (unit class, acceptable unit) of
-        # unit_routes, each keyed on the operation's unit class.
+        # unit_routes, each keyed on the operation's unit class.  The
+        # in-order fetch-queue release comes first: a condition is a
+        # conjunction and commits releases before grants, so the order
+        # changes only what a refused probe records.  An operation behind
+        # the queue head then refuses on the queue it is waiting for,
+        # before any operand or allocation check, and parks there (see
+        # Director.control_step).
         # Direct-to-unit (Figure 2's e2) outranks dispatch-to-reservation-
         # station (e1); every class's first choice outranks the
         # alternates, in decreasing static priority.
@@ -348,11 +354,11 @@ class Ppc750Model:
                     "Q", "X",
                     Condition([
                         Guard.equals(unit_of, cls, f"route-{name}"),
+                        Release("fq"),
                         Inquire(self.rename, src_idents),
                         Allocate(self.units[unit_name].manager, slot="unit"),
                         Allocate(self.cq, slot="cq"),
                         AllocateMany(self.rename, dst_idents, slot="ren"),
-                        Release("fq"),
                     ]),
                     priority=priority,
                     action=self._dispatch_execute,
@@ -367,10 +373,10 @@ class Ppc750Model:
                 "Q", "R",
                 Condition([
                     Guard.equals(unit_of, cls, f"rsroute-{unit_name}"),
+                    Release("fq"),
                     Allocate(self.stations[unit_name], slot="rs"),
                     Allocate(self.cq, slot="cq"),
                     AllocateMany(self.rename, dst_idents, slot="ren"),
-                    Release("fq"),
                 ]),
                 priority=priority,
                 action=self._dispatch_to_station(unit_name),

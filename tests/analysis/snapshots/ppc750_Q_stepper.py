@@ -1,4 +1,4 @@
-def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7=dst_7, action_8=action_8, mgr_9=mgr_9, producers_11=producers_11, mgr_18=mgr_18, slot_tok_20=slot_tok_20, mgr_21=mgr_21, pool_23=pool_23, pool_30=pool_30, pool_31=pool_31, pool_32=pool_32, pool_33=pool_33, cls_37=cls_37, order_38=order_38, edge_41=edge_41, dst_42=dst_42, action_43=action_43, mgr_51=mgr_51, slot_tok_53=slot_tok_53, edge_66=edge_66, action_67=action_67, mgr_75=mgr_75, slot_tok_77=slot_tok_77, edge_90=edge_90, action_91=action_91, mgr_99=mgr_99, slot_tok_101=slot_tok_101, edge_114=edge_114, action_115=action_115, mgr_123=mgr_123, slot_tok_125=slot_tok_125, edge_138=edge_138, action_139=action_139, mgr_147=mgr_147, slot_tok_149=slot_tok_149, edge_162=edge_162, action_163=action_163, edge_184=edge_184, action_185=action_185, mgr_186=mgr_186, pool_188=pool_188, edge_202=edge_202, dst_203=dst_203, action_204=action_204, mgr_205=mgr_205, pool_207=pool_207, edge_221=edge_221, action_222=action_222, mgr_223=mgr_223, pool_225=pool_225, edge_239=edge_239, action_240=action_240, mgr_241=mgr_241, pool_243=pool_243, edge_257=edge_257, action_258=action_258, mgr_259=mgr_259, pool_261=pool_261, edge_275=edge_275, action_276=action_276, mgr_277=mgr_277, pool_279=pool_279, edge_293=edge_293, action_294=action_294):
+def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7=dst_7, action_8=action_8, cls_11=cls_11, mgr_12=mgr_12, producers_14=producers_14, mgr_21=mgr_21, slot_tok_23=slot_tok_23, mgr_24=mgr_24, pool_26=pool_26, pool_33=pool_33, pool_34=pool_34, pool_35=pool_35, pool_36=pool_36, order_38=order_38, edge_41=edge_41, dst_42=dst_42, action_43=action_43, mgr_53=mgr_53, slot_tok_55=slot_tok_55, edge_66=edge_66, action_67=action_67, mgr_77=mgr_77, slot_tok_79=slot_tok_79, edge_90=edge_90, action_91=action_91, mgr_101=mgr_101, slot_tok_103=slot_tok_103, edge_114=edge_114, action_115=action_115, mgr_125=mgr_125, slot_tok_127=slot_tok_127, edge_138=edge_138, action_139=action_139, mgr_149=mgr_149, slot_tok_151=slot_tok_151, edge_162=edge_162, action_163=action_163, edge_184=edge_184, action_185=action_185, mgr_188=mgr_188, pool_190=pool_190, edge_202=edge_202, dst_203=dst_203, action_204=action_204, mgr_207=mgr_207, pool_209=pool_209, edge_221=edge_221, action_222=action_222, mgr_225=mgr_225, pool_227=pool_227, edge_239=edge_239, action_240=action_240, mgr_243=mgr_243, pool_245=pool_245, edge_257=edge_257, action_258=action_258, mgr_261=mgr_261, pool_263=pool_263, edge_275=edge_275, action_276=action_276, mgr_279=mgr_279, pool_281=pool_281, edge_293=edge_293, action_294=action_294):
     osm.blocked_on = None
     buffer = osm.token_buffer
     while True:
@@ -23,109 +23,109 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'iu1':
             break
-        i1v10 = osm.operation.instr.src_regs
-        if i1v10 is not None:
-            if not isinstance(i1v10, (list, tuple)):
-                if isinstance(i1v10, int):
-                    _rc13 = producers_11[i1v10]
-                    _rok12 = not _rc13 or _rc13[-1] is None or _rc13[-1].done
+        r1t9 = buffer.get('fq')
+        if r1t9 is not None:
+            r1m10 = r1t9.manager
+            if type(r1m10) is cls_11:
+                if r1t9.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m10.name, osm, r1t9))
+                if r1m10.hold_release or r1m10._released_this_cycle >= r1m10.width or (not r1m10._order) or (r1m10._order[0] is not osm):
+                    osm.blocked_on = (r1m10, 'fq')
+                    break
+            elif not r1m10.release(osm, r1t9, osm._txn):
+                osm.blocked_on = (r1m10, 'fq')
+                break
+        i2v13 = osm.operation.instr.src_regs
+        if i2v13 is not None:
+            if not isinstance(i2v13, (list, tuple)):
+                if isinstance(i2v13, int):
+                    _rc16 = producers_14[i2v13]
+                    _rok15 = not _rc16 or _rc16[-1] is None or _rc16[-1].done
                 else:
-                    _rok12 = i1v10.done
-                if not _rok12:
-                    osm.blocked_on = (mgr_9, i1v10)
+                    _rok15 = i2v13.done
+                if not _rok15:
+                    osm.blocked_on = (mgr_12, i2v13)
                     break
-                mgr_9.n_inquiries += 1
+                mgr_12.n_inquiries += 1
             else:
-                i1ok14 = True
-                for i1s15 in i1v10:
-                    if isinstance(i1s15, int):
-                        _rc17 = producers_11[i1s15]
-                        _rok16 = not _rc17 or _rc17[-1] is None or _rc17[-1].done
+                i2ok17 = True
+                for i2s18 in i2v13:
+                    if isinstance(i2s18, int):
+                        _rc20 = producers_14[i2s18]
+                        _rok19 = not _rc20 or _rc20[-1] is None or _rc20[-1].done
                     else:
-                        _rok16 = i1s15.done
-                    if not _rok16:
-                        osm.blocked_on = (mgr_9, i1s15)
-                        i1ok14 = False
+                        _rok19 = i2s18.done
+                    if not _rok19:
+                        osm.blocked_on = (mgr_12, i2s18)
+                        i2ok17 = False
                         break
-                    mgr_9.n_inquiries += 1
-                if not i1ok14:
+                    mgr_12.n_inquiries += 1
+                if not i2ok17:
                     break
-        a2t19 = slot_tok_20 if slot_tok_20.holder is None else None
-        if a2t19 is None:
-            osm.blocked_on = (mgr_18, None)
-            break
-        a3t22 = None
-        if mgr_21._n_free != 0:
-            for _pt24 in pool_23:
-                if _pt24.holder is None:
-                    a3t22 = _pt24
-                    break
+        a3t22 = slot_tok_23 if slot_tok_23.holder is None else None
         if a3t22 is None:
             osm.blocked_on = (mgr_21, None)
             break
-        m4l25 = []
-        m4ok26 = True
-        for m4i27 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m4i27, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m4i27))
-            if m4i27 < 32:
-                _rp29 = pool_30
-            elif m4i27 == 32:
-                _rp29 = pool_31
-            elif m4i27 == 33:
-                _rp29 = pool_32
-            elif m4i27 == 34:
-                _rp29 = pool_33
-            else:
-                raise TokenError('unknown architectural register %s' % (m4i27,))
-            m4t28 = None
-            for _rt34 in _rp29:
-                if _rt34.holder is None and _rt34 not in m4l25:
-                    _rt34.value = m4i27
-                    m4t28 = _rt34
+        a4t25 = None
+        if mgr_24._n_free != 0:
+            for _pt27 in pool_26:
+                if _pt27.holder is None:
+                    a4t25 = _pt27
                     break
-            if m4t28 is None:
-                osm.blocked_on = (mgr_9, m4i27)
-                m4ok26 = False
-                break
-            m4l25.append(m4t28)
-        if not m4ok26:
+        if a4t25 is None:
+            osm.blocked_on = (mgr_24, None)
             break
-        r5t35 = buffer.get('fq')
-        if r5t35 is not None:
-            r5m36 = r5t35.manager
-            if type(r5m36) is cls_37:
-                if r5t35.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r5m36.name, osm, r5t35))
-                if r5m36.hold_release or r5m36._released_this_cycle >= r5m36.width or (not r5m36._order) or (r5m36._order[0] is not osm):
-                    osm.blocked_on = (r5m36, 'fq')
-                    break
-            elif not r5m36.release(osm, r5t35, osm._txn):
-                osm.blocked_on = (r5m36, 'fq')
-                break
-        if r5t35 is not None:
-            del buffer['fq']
-            r5t35.holder = None
-            if type(r5m36) is cls_37:
-                r5m36.n_releases += 1
-                r5m36._n_free += 1
-                r5m36._order.remove(osm)
-                r5m36._released_this_cycle += 1
+        m5l28 = []
+        m5ok29 = True
+        for m5i30 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m5i30, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m5i30))
+            if m5i30 < 32:
+                _rp32 = pool_33
+            elif m5i30 == 32:
+                _rp32 = pool_34
+            elif m5i30 == 33:
+                _rp32 = pool_35
+            elif m5i30 == 34:
+                _rp32 = pool_36
             else:
-                r5m36.on_release_commit(osm, r5t35, None)
-        a2t19.holder = osm
-        buffer['unit'] = a2t19
-        mgr_18.n_allocates += 1
+                raise TokenError('unknown architectural register %s' % (m5i30,))
+            m5t31 = None
+            for _rt37 in _rp32:
+                if _rt37.holder is None and _rt37 not in m5l28:
+                    _rt37.value = m5i30
+                    m5t31 = _rt37
+                    break
+            if m5t31 is None:
+                osm.blocked_on = (mgr_12, m5i30)
+                m5ok29 = False
+                break
+            m5l28.append(m5t31)
+        if not m5ok29:
+            break
+        if r1t9 is not None:
+            del buffer['fq']
+            r1t9.holder = None
+            if type(r1m10) is cls_11:
+                r1m10.n_releases += 1
+                r1m10._n_free += 1
+                r1m10._order.remove(osm)
+                r1m10._released_this_cycle += 1
+            else:
+                r1m10.on_release_commit(osm, r1t9, None)
         a3t22.holder = osm
-        buffer['cq'] = a3t22
+        buffer['unit'] = a3t22
         mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+        a4t25.holder = osm
+        buffer['cq'] = a4t25
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi39, _gt40 in enumerate(m4l25):
+        for _gi39, _gt40 in enumerate(m5l28):
             _gt40.holder = osm
             buffer['ren' + str(_gi39)] = _gt40
-            mgr_9.n_allocates += 1
-            producers_11[_gt40.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt40.value].append(osm.operation)
         osm.current = dst_42
         osm.last_edge = edge_41
         osm.n_transitions += 1
@@ -134,109 +134,109 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'iu2':
             break
-        i1v44 = osm.operation.instr.src_regs
-        if i1v44 is not None:
-            if not isinstance(i1v44, (list, tuple)):
-                if isinstance(i1v44, int):
-                    _rc46 = producers_11[i1v44]
-                    _rok45 = not _rc46 or _rc46[-1] is None or _rc46[-1].done
+        r1t44 = buffer.get('fq')
+        if r1t44 is not None:
+            r1m45 = r1t44.manager
+            if type(r1m45) is cls_11:
+                if r1t44.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m45.name, osm, r1t44))
+                if r1m45.hold_release or r1m45._released_this_cycle >= r1m45.width or (not r1m45._order) or (r1m45._order[0] is not osm):
+                    osm.blocked_on = (r1m45, 'fq')
+                    break
+            elif not r1m45.release(osm, r1t44, osm._txn):
+                osm.blocked_on = (r1m45, 'fq')
+                break
+        i2v46 = osm.operation.instr.src_regs
+        if i2v46 is not None:
+            if not isinstance(i2v46, (list, tuple)):
+                if isinstance(i2v46, int):
+                    _rc48 = producers_14[i2v46]
+                    _rok47 = not _rc48 or _rc48[-1] is None or _rc48[-1].done
                 else:
-                    _rok45 = i1v44.done
-                if not _rok45:
-                    osm.blocked_on = (mgr_9, i1v44)
+                    _rok47 = i2v46.done
+                if not _rok47:
+                    osm.blocked_on = (mgr_12, i2v46)
                     break
-                mgr_9.n_inquiries += 1
+                mgr_12.n_inquiries += 1
             else:
-                i1ok47 = True
-                for i1s48 in i1v44:
-                    if isinstance(i1s48, int):
-                        _rc50 = producers_11[i1s48]
-                        _rok49 = not _rc50 or _rc50[-1] is None or _rc50[-1].done
+                i2ok49 = True
+                for i2s50 in i2v46:
+                    if isinstance(i2s50, int):
+                        _rc52 = producers_14[i2s50]
+                        _rok51 = not _rc52 or _rc52[-1] is None or _rc52[-1].done
                     else:
-                        _rok49 = i1s48.done
-                    if not _rok49:
-                        osm.blocked_on = (mgr_9, i1s48)
-                        i1ok47 = False
+                        _rok51 = i2s50.done
+                    if not _rok51:
+                        osm.blocked_on = (mgr_12, i2s50)
+                        i2ok49 = False
                         break
-                    mgr_9.n_inquiries += 1
-                if not i1ok47:
+                    mgr_12.n_inquiries += 1
+                if not i2ok49:
                     break
-        a2t52 = slot_tok_53 if slot_tok_53.holder is None else None
-        if a2t52 is None:
-            osm.blocked_on = (mgr_51, None)
-            break
-        a3t54 = None
-        if mgr_21._n_free != 0:
-            for _pt55 in pool_23:
-                if _pt55.holder is None:
-                    a3t54 = _pt55
-                    break
+        a3t54 = slot_tok_55 if slot_tok_55.holder is None else None
         if a3t54 is None:
-            osm.blocked_on = (mgr_21, None)
+            osm.blocked_on = (mgr_53, None)
             break
-        m4l56 = []
-        m4ok57 = True
-        for m4i58 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m4i58, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m4i58))
-            if m4i58 < 32:
-                _rp60 = pool_30
-            elif m4i58 == 32:
-                _rp60 = pool_31
-            elif m4i58 == 33:
-                _rp60 = pool_32
-            elif m4i58 == 34:
-                _rp60 = pool_33
+        a4t56 = None
+        if mgr_24._n_free != 0:
+            for _pt57 in pool_26:
+                if _pt57.holder is None:
+                    a4t56 = _pt57
+                    break
+        if a4t56 is None:
+            osm.blocked_on = (mgr_24, None)
+            break
+        m5l58 = []
+        m5ok59 = True
+        for m5i60 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m5i60, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m5i60))
+            if m5i60 < 32:
+                _rp62 = pool_33
+            elif m5i60 == 32:
+                _rp62 = pool_34
+            elif m5i60 == 33:
+                _rp62 = pool_35
+            elif m5i60 == 34:
+                _rp62 = pool_36
             else:
-                raise TokenError('unknown architectural register %s' % (m4i58,))
-            m4t59 = None
-            for _rt61 in _rp60:
-                if _rt61.holder is None and _rt61 not in m4l56:
-                    _rt61.value = m4i58
-                    m4t59 = _rt61
+                raise TokenError('unknown architectural register %s' % (m5i60,))
+            m5t61 = None
+            for _rt63 in _rp62:
+                if _rt63.holder is None and _rt63 not in m5l58:
+                    _rt63.value = m5i60
+                    m5t61 = _rt63
                     break
-            if m4t59 is None:
-                osm.blocked_on = (mgr_9, m4i58)
-                m4ok57 = False
+            if m5t61 is None:
+                osm.blocked_on = (mgr_12, m5i60)
+                m5ok59 = False
                 break
-            m4l56.append(m4t59)
-        if not m4ok57:
+            m5l58.append(m5t61)
+        if not m5ok59:
             break
-        r5t62 = buffer.get('fq')
-        if r5t62 is not None:
-            r5m63 = r5t62.manager
-            if type(r5m63) is cls_37:
-                if r5t62.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r5m63.name, osm, r5t62))
-                if r5m63.hold_release or r5m63._released_this_cycle >= r5m63.width or (not r5m63._order) or (r5m63._order[0] is not osm):
-                    osm.blocked_on = (r5m63, 'fq')
-                    break
-            elif not r5m63.release(osm, r5t62, osm._txn):
-                osm.blocked_on = (r5m63, 'fq')
-                break
-        if r5t62 is not None:
+        if r1t44 is not None:
             del buffer['fq']
-            r5t62.holder = None
-            if type(r5m63) is cls_37:
-                r5m63.n_releases += 1
-                r5m63._n_free += 1
-                r5m63._order.remove(osm)
-                r5m63._released_this_cycle += 1
+            r1t44.holder = None
+            if type(r1m45) is cls_11:
+                r1m45.n_releases += 1
+                r1m45._n_free += 1
+                r1m45._order.remove(osm)
+                r1m45._released_this_cycle += 1
             else:
-                r5m63.on_release_commit(osm, r5t62, None)
-        a2t52.holder = osm
-        buffer['unit'] = a2t52
-        mgr_51.n_allocates += 1
+                r1m45.on_release_commit(osm, r1t44, None)
         a3t54.holder = osm
-        buffer['cq'] = a3t54
-        mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+        buffer['unit'] = a3t54
+        mgr_53.n_allocates += 1
+        a4t56.holder = osm
+        buffer['cq'] = a4t56
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi64, _gt65 in enumerate(m4l56):
+        for _gi64, _gt65 in enumerate(m5l58):
             _gt65.holder = osm
             buffer['ren' + str(_gi64)] = _gt65
-            mgr_9.n_allocates += 1
-            producers_11[_gt65.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt65.value].append(osm.operation)
         osm.current = dst_42
         osm.last_edge = edge_66
         osm.n_transitions += 1
@@ -245,109 +245,109 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'sru':
             break
-        i1v68 = osm.operation.instr.src_regs
-        if i1v68 is not None:
-            if not isinstance(i1v68, (list, tuple)):
-                if isinstance(i1v68, int):
-                    _rc70 = producers_11[i1v68]
-                    _rok69 = not _rc70 or _rc70[-1] is None or _rc70[-1].done
+        r1t68 = buffer.get('fq')
+        if r1t68 is not None:
+            r1m69 = r1t68.manager
+            if type(r1m69) is cls_11:
+                if r1t68.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m69.name, osm, r1t68))
+                if r1m69.hold_release or r1m69._released_this_cycle >= r1m69.width or (not r1m69._order) or (r1m69._order[0] is not osm):
+                    osm.blocked_on = (r1m69, 'fq')
+                    break
+            elif not r1m69.release(osm, r1t68, osm._txn):
+                osm.blocked_on = (r1m69, 'fq')
+                break
+        i2v70 = osm.operation.instr.src_regs
+        if i2v70 is not None:
+            if not isinstance(i2v70, (list, tuple)):
+                if isinstance(i2v70, int):
+                    _rc72 = producers_14[i2v70]
+                    _rok71 = not _rc72 or _rc72[-1] is None or _rc72[-1].done
                 else:
-                    _rok69 = i1v68.done
-                if not _rok69:
-                    osm.blocked_on = (mgr_9, i1v68)
+                    _rok71 = i2v70.done
+                if not _rok71:
+                    osm.blocked_on = (mgr_12, i2v70)
                     break
-                mgr_9.n_inquiries += 1
+                mgr_12.n_inquiries += 1
             else:
-                i1ok71 = True
-                for i1s72 in i1v68:
-                    if isinstance(i1s72, int):
-                        _rc74 = producers_11[i1s72]
-                        _rok73 = not _rc74 or _rc74[-1] is None or _rc74[-1].done
+                i2ok73 = True
+                for i2s74 in i2v70:
+                    if isinstance(i2s74, int):
+                        _rc76 = producers_14[i2s74]
+                        _rok75 = not _rc76 or _rc76[-1] is None or _rc76[-1].done
                     else:
-                        _rok73 = i1s72.done
-                    if not _rok73:
-                        osm.blocked_on = (mgr_9, i1s72)
-                        i1ok71 = False
+                        _rok75 = i2s74.done
+                    if not _rok75:
+                        osm.blocked_on = (mgr_12, i2s74)
+                        i2ok73 = False
                         break
-                    mgr_9.n_inquiries += 1
-                if not i1ok71:
+                    mgr_12.n_inquiries += 1
+                if not i2ok73:
                     break
-        a2t76 = slot_tok_77 if slot_tok_77.holder is None else None
-        if a2t76 is None:
-            osm.blocked_on = (mgr_75, None)
-            break
-        a3t78 = None
-        if mgr_21._n_free != 0:
-            for _pt79 in pool_23:
-                if _pt79.holder is None:
-                    a3t78 = _pt79
-                    break
+        a3t78 = slot_tok_79 if slot_tok_79.holder is None else None
         if a3t78 is None:
-            osm.blocked_on = (mgr_21, None)
+            osm.blocked_on = (mgr_77, None)
             break
-        m4l80 = []
-        m4ok81 = True
-        for m4i82 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m4i82, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m4i82))
-            if m4i82 < 32:
-                _rp84 = pool_30
-            elif m4i82 == 32:
-                _rp84 = pool_31
-            elif m4i82 == 33:
-                _rp84 = pool_32
-            elif m4i82 == 34:
-                _rp84 = pool_33
+        a4t80 = None
+        if mgr_24._n_free != 0:
+            for _pt81 in pool_26:
+                if _pt81.holder is None:
+                    a4t80 = _pt81
+                    break
+        if a4t80 is None:
+            osm.blocked_on = (mgr_24, None)
+            break
+        m5l82 = []
+        m5ok83 = True
+        for m5i84 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m5i84, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m5i84))
+            if m5i84 < 32:
+                _rp86 = pool_33
+            elif m5i84 == 32:
+                _rp86 = pool_34
+            elif m5i84 == 33:
+                _rp86 = pool_35
+            elif m5i84 == 34:
+                _rp86 = pool_36
             else:
-                raise TokenError('unknown architectural register %s' % (m4i82,))
-            m4t83 = None
-            for _rt85 in _rp84:
-                if _rt85.holder is None and _rt85 not in m4l80:
-                    _rt85.value = m4i82
-                    m4t83 = _rt85
+                raise TokenError('unknown architectural register %s' % (m5i84,))
+            m5t85 = None
+            for _rt87 in _rp86:
+                if _rt87.holder is None and _rt87 not in m5l82:
+                    _rt87.value = m5i84
+                    m5t85 = _rt87
                     break
-            if m4t83 is None:
-                osm.blocked_on = (mgr_9, m4i82)
-                m4ok81 = False
+            if m5t85 is None:
+                osm.blocked_on = (mgr_12, m5i84)
+                m5ok83 = False
                 break
-            m4l80.append(m4t83)
-        if not m4ok81:
+            m5l82.append(m5t85)
+        if not m5ok83:
             break
-        r5t86 = buffer.get('fq')
-        if r5t86 is not None:
-            r5m87 = r5t86.manager
-            if type(r5m87) is cls_37:
-                if r5t86.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r5m87.name, osm, r5t86))
-                if r5m87.hold_release or r5m87._released_this_cycle >= r5m87.width or (not r5m87._order) or (r5m87._order[0] is not osm):
-                    osm.blocked_on = (r5m87, 'fq')
-                    break
-            elif not r5m87.release(osm, r5t86, osm._txn):
-                osm.blocked_on = (r5m87, 'fq')
-                break
-        if r5t86 is not None:
+        if r1t68 is not None:
             del buffer['fq']
-            r5t86.holder = None
-            if type(r5m87) is cls_37:
-                r5m87.n_releases += 1
-                r5m87._n_free += 1
-                r5m87._order.remove(osm)
-                r5m87._released_this_cycle += 1
+            r1t68.holder = None
+            if type(r1m69) is cls_11:
+                r1m69.n_releases += 1
+                r1m69._n_free += 1
+                r1m69._order.remove(osm)
+                r1m69._released_this_cycle += 1
             else:
-                r5m87.on_release_commit(osm, r5t86, None)
-        a2t76.holder = osm
-        buffer['unit'] = a2t76
-        mgr_75.n_allocates += 1
+                r1m69.on_release_commit(osm, r1t68, None)
         a3t78.holder = osm
-        buffer['cq'] = a3t78
-        mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+        buffer['unit'] = a3t78
+        mgr_77.n_allocates += 1
+        a4t80.holder = osm
+        buffer['cq'] = a4t80
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi88, _gt89 in enumerate(m4l80):
+        for _gi88, _gt89 in enumerate(m5l82):
             _gt89.holder = osm
             buffer['ren' + str(_gi88)] = _gt89
-            mgr_9.n_allocates += 1
-            producers_11[_gt89.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt89.value].append(osm.operation)
         osm.current = dst_42
         osm.last_edge = edge_90
         osm.n_transitions += 1
@@ -356,109 +356,109 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'lsu':
             break
-        i1v92 = osm.operation.instr.src_regs
-        if i1v92 is not None:
-            if not isinstance(i1v92, (list, tuple)):
-                if isinstance(i1v92, int):
-                    _rc94 = producers_11[i1v92]
-                    _rok93 = not _rc94 or _rc94[-1] is None or _rc94[-1].done
+        r1t92 = buffer.get('fq')
+        if r1t92 is not None:
+            r1m93 = r1t92.manager
+            if type(r1m93) is cls_11:
+                if r1t92.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m93.name, osm, r1t92))
+                if r1m93.hold_release or r1m93._released_this_cycle >= r1m93.width or (not r1m93._order) or (r1m93._order[0] is not osm):
+                    osm.blocked_on = (r1m93, 'fq')
+                    break
+            elif not r1m93.release(osm, r1t92, osm._txn):
+                osm.blocked_on = (r1m93, 'fq')
+                break
+        i2v94 = osm.operation.instr.src_regs
+        if i2v94 is not None:
+            if not isinstance(i2v94, (list, tuple)):
+                if isinstance(i2v94, int):
+                    _rc96 = producers_14[i2v94]
+                    _rok95 = not _rc96 or _rc96[-1] is None or _rc96[-1].done
                 else:
-                    _rok93 = i1v92.done
-                if not _rok93:
-                    osm.blocked_on = (mgr_9, i1v92)
+                    _rok95 = i2v94.done
+                if not _rok95:
+                    osm.blocked_on = (mgr_12, i2v94)
                     break
-                mgr_9.n_inquiries += 1
+                mgr_12.n_inquiries += 1
             else:
-                i1ok95 = True
-                for i1s96 in i1v92:
-                    if isinstance(i1s96, int):
-                        _rc98 = producers_11[i1s96]
-                        _rok97 = not _rc98 or _rc98[-1] is None or _rc98[-1].done
+                i2ok97 = True
+                for i2s98 in i2v94:
+                    if isinstance(i2s98, int):
+                        _rc100 = producers_14[i2s98]
+                        _rok99 = not _rc100 or _rc100[-1] is None or _rc100[-1].done
                     else:
-                        _rok97 = i1s96.done
-                    if not _rok97:
-                        osm.blocked_on = (mgr_9, i1s96)
-                        i1ok95 = False
+                        _rok99 = i2s98.done
+                    if not _rok99:
+                        osm.blocked_on = (mgr_12, i2s98)
+                        i2ok97 = False
                         break
-                    mgr_9.n_inquiries += 1
-                if not i1ok95:
+                    mgr_12.n_inquiries += 1
+                if not i2ok97:
                     break
-        a2t100 = slot_tok_101 if slot_tok_101.holder is None else None
-        if a2t100 is None:
-            osm.blocked_on = (mgr_99, None)
-            break
-        a3t102 = None
-        if mgr_21._n_free != 0:
-            for _pt103 in pool_23:
-                if _pt103.holder is None:
-                    a3t102 = _pt103
-                    break
+        a3t102 = slot_tok_103 if slot_tok_103.holder is None else None
         if a3t102 is None:
-            osm.blocked_on = (mgr_21, None)
+            osm.blocked_on = (mgr_101, None)
             break
-        m4l104 = []
-        m4ok105 = True
-        for m4i106 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m4i106, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m4i106))
-            if m4i106 < 32:
-                _rp108 = pool_30
-            elif m4i106 == 32:
-                _rp108 = pool_31
-            elif m4i106 == 33:
-                _rp108 = pool_32
-            elif m4i106 == 34:
-                _rp108 = pool_33
+        a4t104 = None
+        if mgr_24._n_free != 0:
+            for _pt105 in pool_26:
+                if _pt105.holder is None:
+                    a4t104 = _pt105
+                    break
+        if a4t104 is None:
+            osm.blocked_on = (mgr_24, None)
+            break
+        m5l106 = []
+        m5ok107 = True
+        for m5i108 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m5i108, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m5i108))
+            if m5i108 < 32:
+                _rp110 = pool_33
+            elif m5i108 == 32:
+                _rp110 = pool_34
+            elif m5i108 == 33:
+                _rp110 = pool_35
+            elif m5i108 == 34:
+                _rp110 = pool_36
             else:
-                raise TokenError('unknown architectural register %s' % (m4i106,))
-            m4t107 = None
-            for _rt109 in _rp108:
-                if _rt109.holder is None and _rt109 not in m4l104:
-                    _rt109.value = m4i106
-                    m4t107 = _rt109
+                raise TokenError('unknown architectural register %s' % (m5i108,))
+            m5t109 = None
+            for _rt111 in _rp110:
+                if _rt111.holder is None and _rt111 not in m5l106:
+                    _rt111.value = m5i108
+                    m5t109 = _rt111
                     break
-            if m4t107 is None:
-                osm.blocked_on = (mgr_9, m4i106)
-                m4ok105 = False
+            if m5t109 is None:
+                osm.blocked_on = (mgr_12, m5i108)
+                m5ok107 = False
                 break
-            m4l104.append(m4t107)
-        if not m4ok105:
+            m5l106.append(m5t109)
+        if not m5ok107:
             break
-        r5t110 = buffer.get('fq')
-        if r5t110 is not None:
-            r5m111 = r5t110.manager
-            if type(r5m111) is cls_37:
-                if r5t110.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r5m111.name, osm, r5t110))
-                if r5m111.hold_release or r5m111._released_this_cycle >= r5m111.width or (not r5m111._order) or (r5m111._order[0] is not osm):
-                    osm.blocked_on = (r5m111, 'fq')
-                    break
-            elif not r5m111.release(osm, r5t110, osm._txn):
-                osm.blocked_on = (r5m111, 'fq')
-                break
-        if r5t110 is not None:
+        if r1t92 is not None:
             del buffer['fq']
-            r5t110.holder = None
-            if type(r5m111) is cls_37:
-                r5m111.n_releases += 1
-                r5m111._n_free += 1
-                r5m111._order.remove(osm)
-                r5m111._released_this_cycle += 1
+            r1t92.holder = None
+            if type(r1m93) is cls_11:
+                r1m93.n_releases += 1
+                r1m93._n_free += 1
+                r1m93._order.remove(osm)
+                r1m93._released_this_cycle += 1
             else:
-                r5m111.on_release_commit(osm, r5t110, None)
-        a2t100.holder = osm
-        buffer['unit'] = a2t100
-        mgr_99.n_allocates += 1
+                r1m93.on_release_commit(osm, r1t92, None)
         a3t102.holder = osm
-        buffer['cq'] = a3t102
-        mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+        buffer['unit'] = a3t102
+        mgr_101.n_allocates += 1
+        a4t104.holder = osm
+        buffer['cq'] = a4t104
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi112, _gt113 in enumerate(m4l104):
+        for _gi112, _gt113 in enumerate(m5l106):
             _gt113.holder = osm
             buffer['ren' + str(_gi112)] = _gt113
-            mgr_9.n_allocates += 1
-            producers_11[_gt113.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt113.value].append(osm.operation)
         osm.current = dst_42
         osm.last_edge = edge_114
         osm.n_transitions += 1
@@ -467,109 +467,109 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'fpu':
             break
-        i1v116 = osm.operation.instr.src_regs
-        if i1v116 is not None:
-            if not isinstance(i1v116, (list, tuple)):
-                if isinstance(i1v116, int):
-                    _rc118 = producers_11[i1v116]
-                    _rok117 = not _rc118 or _rc118[-1] is None or _rc118[-1].done
+        r1t116 = buffer.get('fq')
+        if r1t116 is not None:
+            r1m117 = r1t116.manager
+            if type(r1m117) is cls_11:
+                if r1t116.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m117.name, osm, r1t116))
+                if r1m117.hold_release or r1m117._released_this_cycle >= r1m117.width or (not r1m117._order) or (r1m117._order[0] is not osm):
+                    osm.blocked_on = (r1m117, 'fq')
+                    break
+            elif not r1m117.release(osm, r1t116, osm._txn):
+                osm.blocked_on = (r1m117, 'fq')
+                break
+        i2v118 = osm.operation.instr.src_regs
+        if i2v118 is not None:
+            if not isinstance(i2v118, (list, tuple)):
+                if isinstance(i2v118, int):
+                    _rc120 = producers_14[i2v118]
+                    _rok119 = not _rc120 or _rc120[-1] is None or _rc120[-1].done
                 else:
-                    _rok117 = i1v116.done
-                if not _rok117:
-                    osm.blocked_on = (mgr_9, i1v116)
+                    _rok119 = i2v118.done
+                if not _rok119:
+                    osm.blocked_on = (mgr_12, i2v118)
                     break
-                mgr_9.n_inquiries += 1
+                mgr_12.n_inquiries += 1
             else:
-                i1ok119 = True
-                for i1s120 in i1v116:
-                    if isinstance(i1s120, int):
-                        _rc122 = producers_11[i1s120]
-                        _rok121 = not _rc122 or _rc122[-1] is None or _rc122[-1].done
+                i2ok121 = True
+                for i2s122 in i2v118:
+                    if isinstance(i2s122, int):
+                        _rc124 = producers_14[i2s122]
+                        _rok123 = not _rc124 or _rc124[-1] is None or _rc124[-1].done
                     else:
-                        _rok121 = i1s120.done
-                    if not _rok121:
-                        osm.blocked_on = (mgr_9, i1s120)
-                        i1ok119 = False
+                        _rok123 = i2s122.done
+                    if not _rok123:
+                        osm.blocked_on = (mgr_12, i2s122)
+                        i2ok121 = False
                         break
-                    mgr_9.n_inquiries += 1
-                if not i1ok119:
+                    mgr_12.n_inquiries += 1
+                if not i2ok121:
                     break
-        a2t124 = slot_tok_125 if slot_tok_125.holder is None else None
-        if a2t124 is None:
-            osm.blocked_on = (mgr_123, None)
-            break
-        a3t126 = None
-        if mgr_21._n_free != 0:
-            for _pt127 in pool_23:
-                if _pt127.holder is None:
-                    a3t126 = _pt127
-                    break
+        a3t126 = slot_tok_127 if slot_tok_127.holder is None else None
         if a3t126 is None:
-            osm.blocked_on = (mgr_21, None)
+            osm.blocked_on = (mgr_125, None)
             break
-        m4l128 = []
-        m4ok129 = True
-        for m4i130 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m4i130, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m4i130))
-            if m4i130 < 32:
-                _rp132 = pool_30
-            elif m4i130 == 32:
-                _rp132 = pool_31
-            elif m4i130 == 33:
-                _rp132 = pool_32
-            elif m4i130 == 34:
-                _rp132 = pool_33
+        a4t128 = None
+        if mgr_24._n_free != 0:
+            for _pt129 in pool_26:
+                if _pt129.holder is None:
+                    a4t128 = _pt129
+                    break
+        if a4t128 is None:
+            osm.blocked_on = (mgr_24, None)
+            break
+        m5l130 = []
+        m5ok131 = True
+        for m5i132 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m5i132, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m5i132))
+            if m5i132 < 32:
+                _rp134 = pool_33
+            elif m5i132 == 32:
+                _rp134 = pool_34
+            elif m5i132 == 33:
+                _rp134 = pool_35
+            elif m5i132 == 34:
+                _rp134 = pool_36
             else:
-                raise TokenError('unknown architectural register %s' % (m4i130,))
-            m4t131 = None
-            for _rt133 in _rp132:
-                if _rt133.holder is None and _rt133 not in m4l128:
-                    _rt133.value = m4i130
-                    m4t131 = _rt133
+                raise TokenError('unknown architectural register %s' % (m5i132,))
+            m5t133 = None
+            for _rt135 in _rp134:
+                if _rt135.holder is None and _rt135 not in m5l130:
+                    _rt135.value = m5i132
+                    m5t133 = _rt135
                     break
-            if m4t131 is None:
-                osm.blocked_on = (mgr_9, m4i130)
-                m4ok129 = False
+            if m5t133 is None:
+                osm.blocked_on = (mgr_12, m5i132)
+                m5ok131 = False
                 break
-            m4l128.append(m4t131)
-        if not m4ok129:
+            m5l130.append(m5t133)
+        if not m5ok131:
             break
-        r5t134 = buffer.get('fq')
-        if r5t134 is not None:
-            r5m135 = r5t134.manager
-            if type(r5m135) is cls_37:
-                if r5t134.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r5m135.name, osm, r5t134))
-                if r5m135.hold_release or r5m135._released_this_cycle >= r5m135.width or (not r5m135._order) or (r5m135._order[0] is not osm):
-                    osm.blocked_on = (r5m135, 'fq')
-                    break
-            elif not r5m135.release(osm, r5t134, osm._txn):
-                osm.blocked_on = (r5m135, 'fq')
-                break
-        if r5t134 is not None:
+        if r1t116 is not None:
             del buffer['fq']
-            r5t134.holder = None
-            if type(r5m135) is cls_37:
-                r5m135.n_releases += 1
-                r5m135._n_free += 1
-                r5m135._order.remove(osm)
-                r5m135._released_this_cycle += 1
+            r1t116.holder = None
+            if type(r1m117) is cls_11:
+                r1m117.n_releases += 1
+                r1m117._n_free += 1
+                r1m117._order.remove(osm)
+                r1m117._released_this_cycle += 1
             else:
-                r5m135.on_release_commit(osm, r5t134, None)
-        a2t124.holder = osm
-        buffer['unit'] = a2t124
-        mgr_123.n_allocates += 1
+                r1m117.on_release_commit(osm, r1t116, None)
         a3t126.holder = osm
-        buffer['cq'] = a3t126
-        mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+        buffer['unit'] = a3t126
+        mgr_125.n_allocates += 1
+        a4t128.holder = osm
+        buffer['cq'] = a4t128
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi136, _gt137 in enumerate(m4l128):
+        for _gi136, _gt137 in enumerate(m5l130):
             _gt137.holder = osm
             buffer['ren' + str(_gi136)] = _gt137
-            mgr_9.n_allocates += 1
-            producers_11[_gt137.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt137.value].append(osm.operation)
         osm.current = dst_42
         osm.last_edge = edge_138
         osm.n_transitions += 1
@@ -578,109 +578,109 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'bpu':
             break
-        i1v140 = osm.operation.instr.src_regs
-        if i1v140 is not None:
-            if not isinstance(i1v140, (list, tuple)):
-                if isinstance(i1v140, int):
-                    _rc142 = producers_11[i1v140]
-                    _rok141 = not _rc142 or _rc142[-1] is None or _rc142[-1].done
+        r1t140 = buffer.get('fq')
+        if r1t140 is not None:
+            r1m141 = r1t140.manager
+            if type(r1m141) is cls_11:
+                if r1t140.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m141.name, osm, r1t140))
+                if r1m141.hold_release or r1m141._released_this_cycle >= r1m141.width or (not r1m141._order) or (r1m141._order[0] is not osm):
+                    osm.blocked_on = (r1m141, 'fq')
+                    break
+            elif not r1m141.release(osm, r1t140, osm._txn):
+                osm.blocked_on = (r1m141, 'fq')
+                break
+        i2v142 = osm.operation.instr.src_regs
+        if i2v142 is not None:
+            if not isinstance(i2v142, (list, tuple)):
+                if isinstance(i2v142, int):
+                    _rc144 = producers_14[i2v142]
+                    _rok143 = not _rc144 or _rc144[-1] is None or _rc144[-1].done
                 else:
-                    _rok141 = i1v140.done
-                if not _rok141:
-                    osm.blocked_on = (mgr_9, i1v140)
+                    _rok143 = i2v142.done
+                if not _rok143:
+                    osm.blocked_on = (mgr_12, i2v142)
                     break
-                mgr_9.n_inquiries += 1
+                mgr_12.n_inquiries += 1
             else:
-                i1ok143 = True
-                for i1s144 in i1v140:
-                    if isinstance(i1s144, int):
-                        _rc146 = producers_11[i1s144]
-                        _rok145 = not _rc146 or _rc146[-1] is None or _rc146[-1].done
+                i2ok145 = True
+                for i2s146 in i2v142:
+                    if isinstance(i2s146, int):
+                        _rc148 = producers_14[i2s146]
+                        _rok147 = not _rc148 or _rc148[-1] is None or _rc148[-1].done
                     else:
-                        _rok145 = i1s144.done
-                    if not _rok145:
-                        osm.blocked_on = (mgr_9, i1s144)
-                        i1ok143 = False
+                        _rok147 = i2s146.done
+                    if not _rok147:
+                        osm.blocked_on = (mgr_12, i2s146)
+                        i2ok145 = False
                         break
-                    mgr_9.n_inquiries += 1
-                if not i1ok143:
+                    mgr_12.n_inquiries += 1
+                if not i2ok145:
                     break
-        a2t148 = slot_tok_149 if slot_tok_149.holder is None else None
-        if a2t148 is None:
-            osm.blocked_on = (mgr_147, None)
-            break
-        a3t150 = None
-        if mgr_21._n_free != 0:
-            for _pt151 in pool_23:
-                if _pt151.holder is None:
-                    a3t150 = _pt151
-                    break
+        a3t150 = slot_tok_151 if slot_tok_151.holder is None else None
         if a3t150 is None:
-            osm.blocked_on = (mgr_21, None)
+            osm.blocked_on = (mgr_149, None)
             break
-        m4l152 = []
-        m4ok153 = True
-        for m4i154 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m4i154, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m4i154))
-            if m4i154 < 32:
-                _rp156 = pool_30
-            elif m4i154 == 32:
-                _rp156 = pool_31
-            elif m4i154 == 33:
-                _rp156 = pool_32
-            elif m4i154 == 34:
-                _rp156 = pool_33
+        a4t152 = None
+        if mgr_24._n_free != 0:
+            for _pt153 in pool_26:
+                if _pt153.holder is None:
+                    a4t152 = _pt153
+                    break
+        if a4t152 is None:
+            osm.blocked_on = (mgr_24, None)
+            break
+        m5l154 = []
+        m5ok155 = True
+        for m5i156 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m5i156, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m5i156))
+            if m5i156 < 32:
+                _rp158 = pool_33
+            elif m5i156 == 32:
+                _rp158 = pool_34
+            elif m5i156 == 33:
+                _rp158 = pool_35
+            elif m5i156 == 34:
+                _rp158 = pool_36
             else:
-                raise TokenError('unknown architectural register %s' % (m4i154,))
-            m4t155 = None
-            for _rt157 in _rp156:
-                if _rt157.holder is None and _rt157 not in m4l152:
-                    _rt157.value = m4i154
-                    m4t155 = _rt157
+                raise TokenError('unknown architectural register %s' % (m5i156,))
+            m5t157 = None
+            for _rt159 in _rp158:
+                if _rt159.holder is None and _rt159 not in m5l154:
+                    _rt159.value = m5i156
+                    m5t157 = _rt159
                     break
-            if m4t155 is None:
-                osm.blocked_on = (mgr_9, m4i154)
-                m4ok153 = False
+            if m5t157 is None:
+                osm.blocked_on = (mgr_12, m5i156)
+                m5ok155 = False
                 break
-            m4l152.append(m4t155)
-        if not m4ok153:
+            m5l154.append(m5t157)
+        if not m5ok155:
             break
-        r5t158 = buffer.get('fq')
-        if r5t158 is not None:
-            r5m159 = r5t158.manager
-            if type(r5m159) is cls_37:
-                if r5t158.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r5m159.name, osm, r5t158))
-                if r5m159.hold_release or r5m159._released_this_cycle >= r5m159.width or (not r5m159._order) or (r5m159._order[0] is not osm):
-                    osm.blocked_on = (r5m159, 'fq')
-                    break
-            elif not r5m159.release(osm, r5t158, osm._txn):
-                osm.blocked_on = (r5m159, 'fq')
-                break
-        if r5t158 is not None:
+        if r1t140 is not None:
             del buffer['fq']
-            r5t158.holder = None
-            if type(r5m159) is cls_37:
-                r5m159.n_releases += 1
-                r5m159._n_free += 1
-                r5m159._order.remove(osm)
-                r5m159._released_this_cycle += 1
+            r1t140.holder = None
+            if type(r1m141) is cls_11:
+                r1m141.n_releases += 1
+                r1m141._n_free += 1
+                r1m141._order.remove(osm)
+                r1m141._released_this_cycle += 1
             else:
-                r5m159.on_release_commit(osm, r5t158, None)
-        a2t148.holder = osm
-        buffer['unit'] = a2t148
-        mgr_147.n_allocates += 1
+                r1m141.on_release_commit(osm, r1t140, None)
         a3t150.holder = osm
-        buffer['cq'] = a3t150
-        mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+        buffer['unit'] = a3t150
+        mgr_149.n_allocates += 1
+        a4t152.holder = osm
+        buffer['cq'] = a4t152
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi160, _gt161 in enumerate(m4l152):
+        for _gi160, _gt161 in enumerate(m5l154):
             _gt161.holder = osm
             buffer['ren' + str(_gi160)] = _gt161
-            mgr_9.n_allocates += 1
-            producers_11[_gt161.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt161.value].append(osm.operation)
         osm.current = dst_42
         osm.last_edge = edge_162
         osm.n_transitions += 1
@@ -689,109 +689,109 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'iu2':
             break
-        i1v164 = osm.operation.instr.src_regs
-        if i1v164 is not None:
-            if not isinstance(i1v164, (list, tuple)):
-                if isinstance(i1v164, int):
-                    _rc166 = producers_11[i1v164]
-                    _rok165 = not _rc166 or _rc166[-1] is None or _rc166[-1].done
+        r1t164 = buffer.get('fq')
+        if r1t164 is not None:
+            r1m165 = r1t164.manager
+            if type(r1m165) is cls_11:
+                if r1t164.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m165.name, osm, r1t164))
+                if r1m165.hold_release or r1m165._released_this_cycle >= r1m165.width or (not r1m165._order) or (r1m165._order[0] is not osm):
+                    osm.blocked_on = (r1m165, 'fq')
+                    break
+            elif not r1m165.release(osm, r1t164, osm._txn):
+                osm.blocked_on = (r1m165, 'fq')
+                break
+        i2v166 = osm.operation.instr.src_regs
+        if i2v166 is not None:
+            if not isinstance(i2v166, (list, tuple)):
+                if isinstance(i2v166, int):
+                    _rc168 = producers_14[i2v166]
+                    _rok167 = not _rc168 or _rc168[-1] is None or _rc168[-1].done
                 else:
-                    _rok165 = i1v164.done
-                if not _rok165:
-                    osm.blocked_on = (mgr_9, i1v164)
+                    _rok167 = i2v166.done
+                if not _rok167:
+                    osm.blocked_on = (mgr_12, i2v166)
                     break
-                mgr_9.n_inquiries += 1
+                mgr_12.n_inquiries += 1
             else:
-                i1ok167 = True
-                for i1s168 in i1v164:
-                    if isinstance(i1s168, int):
-                        _rc170 = producers_11[i1s168]
-                        _rok169 = not _rc170 or _rc170[-1] is None or _rc170[-1].done
+                i2ok169 = True
+                for i2s170 in i2v166:
+                    if isinstance(i2s170, int):
+                        _rc172 = producers_14[i2s170]
+                        _rok171 = not _rc172 or _rc172[-1] is None or _rc172[-1].done
                     else:
-                        _rok169 = i1s168.done
-                    if not _rok169:
-                        osm.blocked_on = (mgr_9, i1s168)
-                        i1ok167 = False
+                        _rok171 = i2s170.done
+                    if not _rok171:
+                        osm.blocked_on = (mgr_12, i2s170)
+                        i2ok169 = False
                         break
-                    mgr_9.n_inquiries += 1
-                if not i1ok167:
+                    mgr_12.n_inquiries += 1
+                if not i2ok169:
                     break
-        a2t171 = slot_tok_20 if slot_tok_20.holder is None else None
-        if a2t171 is None:
-            osm.blocked_on = (mgr_18, None)
-            break
-        a3t172 = None
-        if mgr_21._n_free != 0:
-            for _pt173 in pool_23:
-                if _pt173.holder is None:
-                    a3t172 = _pt173
-                    break
-        if a3t172 is None:
+        a3t173 = slot_tok_23 if slot_tok_23.holder is None else None
+        if a3t173 is None:
             osm.blocked_on = (mgr_21, None)
             break
-        m4l174 = []
-        m4ok175 = True
-        for m4i176 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m4i176, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m4i176))
-            if m4i176 < 32:
-                _rp178 = pool_30
-            elif m4i176 == 32:
-                _rp178 = pool_31
-            elif m4i176 == 33:
-                _rp178 = pool_32
-            elif m4i176 == 34:
-                _rp178 = pool_33
-            else:
-                raise TokenError('unknown architectural register %s' % (m4i176,))
-            m4t177 = None
-            for _rt179 in _rp178:
-                if _rt179.holder is None and _rt179 not in m4l174:
-                    _rt179.value = m4i176
-                    m4t177 = _rt179
+        a4t174 = None
+        if mgr_24._n_free != 0:
+            for _pt175 in pool_26:
+                if _pt175.holder is None:
+                    a4t174 = _pt175
                     break
-            if m4t177 is None:
-                osm.blocked_on = (mgr_9, m4i176)
-                m4ok175 = False
-                break
-            m4l174.append(m4t177)
-        if not m4ok175:
+        if a4t174 is None:
+            osm.blocked_on = (mgr_24, None)
             break
-        r5t180 = buffer.get('fq')
-        if r5t180 is not None:
-            r5m181 = r5t180.manager
-            if type(r5m181) is cls_37:
-                if r5t180.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r5m181.name, osm, r5t180))
-                if r5m181.hold_release or r5m181._released_this_cycle >= r5m181.width or (not r5m181._order) or (r5m181._order[0] is not osm):
-                    osm.blocked_on = (r5m181, 'fq')
-                    break
-            elif not r5m181.release(osm, r5t180, osm._txn):
-                osm.blocked_on = (r5m181, 'fq')
-                break
-        if r5t180 is not None:
-            del buffer['fq']
-            r5t180.holder = None
-            if type(r5m181) is cls_37:
-                r5m181.n_releases += 1
-                r5m181._n_free += 1
-                r5m181._order.remove(osm)
-                r5m181._released_this_cycle += 1
+        m5l176 = []
+        m5ok177 = True
+        for m5i178 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m5i178, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m5i178))
+            if m5i178 < 32:
+                _rp180 = pool_33
+            elif m5i178 == 32:
+                _rp180 = pool_34
+            elif m5i178 == 33:
+                _rp180 = pool_35
+            elif m5i178 == 34:
+                _rp180 = pool_36
             else:
-                r5m181.on_release_commit(osm, r5t180, None)
-        a2t171.holder = osm
-        buffer['unit'] = a2t171
-        mgr_18.n_allocates += 1
-        a3t172.holder = osm
-        buffer['cq'] = a3t172
+                raise TokenError('unknown architectural register %s' % (m5i178,))
+            m5t179 = None
+            for _rt181 in _rp180:
+                if _rt181.holder is None and _rt181 not in m5l176:
+                    _rt181.value = m5i178
+                    m5t179 = _rt181
+                    break
+            if m5t179 is None:
+                osm.blocked_on = (mgr_12, m5i178)
+                m5ok177 = False
+                break
+            m5l176.append(m5t179)
+        if not m5ok177:
+            break
+        if r1t164 is not None:
+            del buffer['fq']
+            r1t164.holder = None
+            if type(r1m165) is cls_11:
+                r1m165.n_releases += 1
+                r1m165._n_free += 1
+                r1m165._order.remove(osm)
+                r1m165._released_this_cycle += 1
+            else:
+                r1m165.on_release_commit(osm, r1t164, None)
+        a3t173.holder = osm
+        buffer['unit'] = a3t173
         mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+        a4t174.holder = osm
+        buffer['cq'] = a4t174
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi182, _gt183 in enumerate(m4l174):
+        for _gi182, _gt183 in enumerate(m5l176):
             _gt183.holder = osm
             buffer['ren' + str(_gi182)] = _gt183
-            mgr_9.n_allocates += 1
-            producers_11[_gt183.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt183.value].append(osm.operation)
         osm.current = dst_42
         osm.last_edge = edge_184
         osm.n_transitions += 1
@@ -800,88 +800,88 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'iu1':
             break
-        a1t187 = None
-        if mgr_186._n_free != 0:
-            for _pt189 in pool_188:
-                if _pt189.holder is None:
-                    a1t187 = _pt189
+        r1t186 = buffer.get('fq')
+        if r1t186 is not None:
+            r1m187 = r1t186.manager
+            if type(r1m187) is cls_11:
+                if r1t186.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m187.name, osm, r1t186))
+                if r1m187.hold_release or r1m187._released_this_cycle >= r1m187.width or (not r1m187._order) or (r1m187._order[0] is not osm):
+                    osm.blocked_on = (r1m187, 'fq')
                     break
-        if a1t187 is None:
-            osm.blocked_on = (mgr_186, None)
-            break
-        a2t190 = None
-        if mgr_21._n_free != 0:
-            for _pt191 in pool_23:
+            elif not r1m187.release(osm, r1t186, osm._txn):
+                osm.blocked_on = (r1m187, 'fq')
+                break
+        a2t189 = None
+        if mgr_188._n_free != 0:
+            for _pt191 in pool_190:
                 if _pt191.holder is None:
-                    a2t190 = _pt191
+                    a2t189 = _pt191
                     break
-        if a2t190 is None:
-            osm.blocked_on = (mgr_21, None)
+        if a2t189 is None:
+            osm.blocked_on = (mgr_188, None)
             break
-        m3l192 = []
-        m3ok193 = True
-        for m3i194 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m3i194, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m3i194))
-            if m3i194 < 32:
-                _rp196 = pool_30
-            elif m3i194 == 32:
-                _rp196 = pool_31
-            elif m3i194 == 33:
-                _rp196 = pool_32
-            elif m3i194 == 34:
-                _rp196 = pool_33
+        a3t192 = None
+        if mgr_24._n_free != 0:
+            for _pt193 in pool_26:
+                if _pt193.holder is None:
+                    a3t192 = _pt193
+                    break
+        if a3t192 is None:
+            osm.blocked_on = (mgr_24, None)
+            break
+        m4l194 = []
+        m4ok195 = True
+        for m4i196 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m4i196, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m4i196))
+            if m4i196 < 32:
+                _rp198 = pool_33
+            elif m4i196 == 32:
+                _rp198 = pool_34
+            elif m4i196 == 33:
+                _rp198 = pool_35
+            elif m4i196 == 34:
+                _rp198 = pool_36
             else:
-                raise TokenError('unknown architectural register %s' % (m3i194,))
-            m3t195 = None
-            for _rt197 in _rp196:
-                if _rt197.holder is None and _rt197 not in m3l192:
-                    _rt197.value = m3i194
-                    m3t195 = _rt197
+                raise TokenError('unknown architectural register %s' % (m4i196,))
+            m4t197 = None
+            for _rt199 in _rp198:
+                if _rt199.holder is None and _rt199 not in m4l194:
+                    _rt199.value = m4i196
+                    m4t197 = _rt199
                     break
-            if m3t195 is None:
-                osm.blocked_on = (mgr_9, m3i194)
-                m3ok193 = False
+            if m4t197 is None:
+                osm.blocked_on = (mgr_12, m4i196)
+                m4ok195 = False
                 break
-            m3l192.append(m3t195)
-        if not m3ok193:
+            m4l194.append(m4t197)
+        if not m4ok195:
             break
-        r4t198 = buffer.get('fq')
-        if r4t198 is not None:
-            r4m199 = r4t198.manager
-            if type(r4m199) is cls_37:
-                if r4t198.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r4m199.name, osm, r4t198))
-                if r4m199.hold_release or r4m199._released_this_cycle >= r4m199.width or (not r4m199._order) or (r4m199._order[0] is not osm):
-                    osm.blocked_on = (r4m199, 'fq')
-                    break
-            elif not r4m199.release(osm, r4t198, osm._txn):
-                osm.blocked_on = (r4m199, 'fq')
-                break
-        if r4t198 is not None:
+        if r1t186 is not None:
             del buffer['fq']
-            r4t198.holder = None
-            if type(r4m199) is cls_37:
-                r4m199.n_releases += 1
-                r4m199._n_free += 1
-                r4m199._order.remove(osm)
-                r4m199._released_this_cycle += 1
+            r1t186.holder = None
+            if type(r1m187) is cls_11:
+                r1m187.n_releases += 1
+                r1m187._n_free += 1
+                r1m187._order.remove(osm)
+                r1m187._released_this_cycle += 1
             else:
-                r4m199.on_release_commit(osm, r4t198, None)
-        a1t187.holder = osm
-        buffer['rs'] = a1t187
-        mgr_186.n_allocates += 1
-        mgr_186._n_free -= 1
-        a2t190.holder = osm
-        buffer['cq'] = a2t190
-        mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+                r1m187.on_release_commit(osm, r1t186, None)
+        a2t189.holder = osm
+        buffer['rs'] = a2t189
+        mgr_188.n_allocates += 1
+        mgr_188._n_free -= 1
+        a3t192.holder = osm
+        buffer['cq'] = a3t192
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi200, _gt201 in enumerate(m3l192):
+        for _gi200, _gt201 in enumerate(m4l194):
             _gt201.holder = osm
             buffer['ren' + str(_gi200)] = _gt201
-            mgr_9.n_allocates += 1
-            producers_11[_gt201.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt201.value].append(osm.operation)
         osm.current = dst_203
         osm.last_edge = edge_202
         osm.n_transitions += 1
@@ -890,88 +890,88 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'iu2':
             break
-        a1t206 = None
-        if mgr_205._n_free != 0:
-            for _pt208 in pool_207:
-                if _pt208.holder is None:
-                    a1t206 = _pt208
+        r1t205 = buffer.get('fq')
+        if r1t205 is not None:
+            r1m206 = r1t205.manager
+            if type(r1m206) is cls_11:
+                if r1t205.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m206.name, osm, r1t205))
+                if r1m206.hold_release or r1m206._released_this_cycle >= r1m206.width or (not r1m206._order) or (r1m206._order[0] is not osm):
+                    osm.blocked_on = (r1m206, 'fq')
                     break
-        if a1t206 is None:
-            osm.blocked_on = (mgr_205, None)
-            break
-        a2t209 = None
-        if mgr_21._n_free != 0:
-            for _pt210 in pool_23:
+            elif not r1m206.release(osm, r1t205, osm._txn):
+                osm.blocked_on = (r1m206, 'fq')
+                break
+        a2t208 = None
+        if mgr_207._n_free != 0:
+            for _pt210 in pool_209:
                 if _pt210.holder is None:
-                    a2t209 = _pt210
+                    a2t208 = _pt210
                     break
-        if a2t209 is None:
-            osm.blocked_on = (mgr_21, None)
+        if a2t208 is None:
+            osm.blocked_on = (mgr_207, None)
             break
-        m3l211 = []
-        m3ok212 = True
-        for m3i213 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m3i213, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m3i213))
-            if m3i213 < 32:
-                _rp215 = pool_30
-            elif m3i213 == 32:
-                _rp215 = pool_31
-            elif m3i213 == 33:
-                _rp215 = pool_32
-            elif m3i213 == 34:
-                _rp215 = pool_33
+        a3t211 = None
+        if mgr_24._n_free != 0:
+            for _pt212 in pool_26:
+                if _pt212.holder is None:
+                    a3t211 = _pt212
+                    break
+        if a3t211 is None:
+            osm.blocked_on = (mgr_24, None)
+            break
+        m4l213 = []
+        m4ok214 = True
+        for m4i215 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m4i215, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m4i215))
+            if m4i215 < 32:
+                _rp217 = pool_33
+            elif m4i215 == 32:
+                _rp217 = pool_34
+            elif m4i215 == 33:
+                _rp217 = pool_35
+            elif m4i215 == 34:
+                _rp217 = pool_36
             else:
-                raise TokenError('unknown architectural register %s' % (m3i213,))
-            m3t214 = None
-            for _rt216 in _rp215:
-                if _rt216.holder is None and _rt216 not in m3l211:
-                    _rt216.value = m3i213
-                    m3t214 = _rt216
+                raise TokenError('unknown architectural register %s' % (m4i215,))
+            m4t216 = None
+            for _rt218 in _rp217:
+                if _rt218.holder is None and _rt218 not in m4l213:
+                    _rt218.value = m4i215
+                    m4t216 = _rt218
                     break
-            if m3t214 is None:
-                osm.blocked_on = (mgr_9, m3i213)
-                m3ok212 = False
+            if m4t216 is None:
+                osm.blocked_on = (mgr_12, m4i215)
+                m4ok214 = False
                 break
-            m3l211.append(m3t214)
-        if not m3ok212:
+            m4l213.append(m4t216)
+        if not m4ok214:
             break
-        r4t217 = buffer.get('fq')
-        if r4t217 is not None:
-            r4m218 = r4t217.manager
-            if type(r4m218) is cls_37:
-                if r4t217.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r4m218.name, osm, r4t217))
-                if r4m218.hold_release or r4m218._released_this_cycle >= r4m218.width or (not r4m218._order) or (r4m218._order[0] is not osm):
-                    osm.blocked_on = (r4m218, 'fq')
-                    break
-            elif not r4m218.release(osm, r4t217, osm._txn):
-                osm.blocked_on = (r4m218, 'fq')
-                break
-        if r4t217 is not None:
+        if r1t205 is not None:
             del buffer['fq']
-            r4t217.holder = None
-            if type(r4m218) is cls_37:
-                r4m218.n_releases += 1
-                r4m218._n_free += 1
-                r4m218._order.remove(osm)
-                r4m218._released_this_cycle += 1
+            r1t205.holder = None
+            if type(r1m206) is cls_11:
+                r1m206.n_releases += 1
+                r1m206._n_free += 1
+                r1m206._order.remove(osm)
+                r1m206._released_this_cycle += 1
             else:
-                r4m218.on_release_commit(osm, r4t217, None)
-        a1t206.holder = osm
-        buffer['rs'] = a1t206
-        mgr_205.n_allocates += 1
-        mgr_205._n_free -= 1
-        a2t209.holder = osm
-        buffer['cq'] = a2t209
-        mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+                r1m206.on_release_commit(osm, r1t205, None)
+        a2t208.holder = osm
+        buffer['rs'] = a2t208
+        mgr_207.n_allocates += 1
+        mgr_207._n_free -= 1
+        a3t211.holder = osm
+        buffer['cq'] = a3t211
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi219, _gt220 in enumerate(m3l211):
+        for _gi219, _gt220 in enumerate(m4l213):
             _gt220.holder = osm
             buffer['ren' + str(_gi219)] = _gt220
-            mgr_9.n_allocates += 1
-            producers_11[_gt220.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt220.value].append(osm.operation)
         osm.current = dst_203
         osm.last_edge = edge_221
         osm.n_transitions += 1
@@ -980,88 +980,88 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'sru':
             break
-        a1t224 = None
-        if mgr_223._n_free != 0:
-            for _pt226 in pool_225:
-                if _pt226.holder is None:
-                    a1t224 = _pt226
+        r1t223 = buffer.get('fq')
+        if r1t223 is not None:
+            r1m224 = r1t223.manager
+            if type(r1m224) is cls_11:
+                if r1t223.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m224.name, osm, r1t223))
+                if r1m224.hold_release or r1m224._released_this_cycle >= r1m224.width or (not r1m224._order) or (r1m224._order[0] is not osm):
+                    osm.blocked_on = (r1m224, 'fq')
                     break
-        if a1t224 is None:
-            osm.blocked_on = (mgr_223, None)
-            break
-        a2t227 = None
-        if mgr_21._n_free != 0:
-            for _pt228 in pool_23:
+            elif not r1m224.release(osm, r1t223, osm._txn):
+                osm.blocked_on = (r1m224, 'fq')
+                break
+        a2t226 = None
+        if mgr_225._n_free != 0:
+            for _pt228 in pool_227:
                 if _pt228.holder is None:
-                    a2t227 = _pt228
+                    a2t226 = _pt228
                     break
-        if a2t227 is None:
-            osm.blocked_on = (mgr_21, None)
+        if a2t226 is None:
+            osm.blocked_on = (mgr_225, None)
             break
-        m3l229 = []
-        m3ok230 = True
-        for m3i231 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m3i231, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m3i231))
-            if m3i231 < 32:
-                _rp233 = pool_30
-            elif m3i231 == 32:
-                _rp233 = pool_31
-            elif m3i231 == 33:
-                _rp233 = pool_32
-            elif m3i231 == 34:
-                _rp233 = pool_33
+        a3t229 = None
+        if mgr_24._n_free != 0:
+            for _pt230 in pool_26:
+                if _pt230.holder is None:
+                    a3t229 = _pt230
+                    break
+        if a3t229 is None:
+            osm.blocked_on = (mgr_24, None)
+            break
+        m4l231 = []
+        m4ok232 = True
+        for m4i233 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m4i233, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m4i233))
+            if m4i233 < 32:
+                _rp235 = pool_33
+            elif m4i233 == 32:
+                _rp235 = pool_34
+            elif m4i233 == 33:
+                _rp235 = pool_35
+            elif m4i233 == 34:
+                _rp235 = pool_36
             else:
-                raise TokenError('unknown architectural register %s' % (m3i231,))
-            m3t232 = None
-            for _rt234 in _rp233:
-                if _rt234.holder is None and _rt234 not in m3l229:
-                    _rt234.value = m3i231
-                    m3t232 = _rt234
+                raise TokenError('unknown architectural register %s' % (m4i233,))
+            m4t234 = None
+            for _rt236 in _rp235:
+                if _rt236.holder is None and _rt236 not in m4l231:
+                    _rt236.value = m4i233
+                    m4t234 = _rt236
                     break
-            if m3t232 is None:
-                osm.blocked_on = (mgr_9, m3i231)
-                m3ok230 = False
+            if m4t234 is None:
+                osm.blocked_on = (mgr_12, m4i233)
+                m4ok232 = False
                 break
-            m3l229.append(m3t232)
-        if not m3ok230:
+            m4l231.append(m4t234)
+        if not m4ok232:
             break
-        r4t235 = buffer.get('fq')
-        if r4t235 is not None:
-            r4m236 = r4t235.manager
-            if type(r4m236) is cls_37:
-                if r4t235.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r4m236.name, osm, r4t235))
-                if r4m236.hold_release or r4m236._released_this_cycle >= r4m236.width or (not r4m236._order) or (r4m236._order[0] is not osm):
-                    osm.blocked_on = (r4m236, 'fq')
-                    break
-            elif not r4m236.release(osm, r4t235, osm._txn):
-                osm.blocked_on = (r4m236, 'fq')
-                break
-        if r4t235 is not None:
+        if r1t223 is not None:
             del buffer['fq']
-            r4t235.holder = None
-            if type(r4m236) is cls_37:
-                r4m236.n_releases += 1
-                r4m236._n_free += 1
-                r4m236._order.remove(osm)
-                r4m236._released_this_cycle += 1
+            r1t223.holder = None
+            if type(r1m224) is cls_11:
+                r1m224.n_releases += 1
+                r1m224._n_free += 1
+                r1m224._order.remove(osm)
+                r1m224._released_this_cycle += 1
             else:
-                r4m236.on_release_commit(osm, r4t235, None)
-        a1t224.holder = osm
-        buffer['rs'] = a1t224
-        mgr_223.n_allocates += 1
-        mgr_223._n_free -= 1
-        a2t227.holder = osm
-        buffer['cq'] = a2t227
-        mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+                r1m224.on_release_commit(osm, r1t223, None)
+        a2t226.holder = osm
+        buffer['rs'] = a2t226
+        mgr_225.n_allocates += 1
+        mgr_225._n_free -= 1
+        a3t229.holder = osm
+        buffer['cq'] = a3t229
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi237, _gt238 in enumerate(m3l229):
+        for _gi237, _gt238 in enumerate(m4l231):
             _gt238.holder = osm
             buffer['ren' + str(_gi237)] = _gt238
-            mgr_9.n_allocates += 1
-            producers_11[_gt238.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt238.value].append(osm.operation)
         osm.current = dst_203
         osm.last_edge = edge_239
         osm.n_transitions += 1
@@ -1070,88 +1070,88 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'lsu':
             break
-        a1t242 = None
-        if mgr_241._n_free != 0:
-            for _pt244 in pool_243:
-                if _pt244.holder is None:
-                    a1t242 = _pt244
+        r1t241 = buffer.get('fq')
+        if r1t241 is not None:
+            r1m242 = r1t241.manager
+            if type(r1m242) is cls_11:
+                if r1t241.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m242.name, osm, r1t241))
+                if r1m242.hold_release or r1m242._released_this_cycle >= r1m242.width or (not r1m242._order) or (r1m242._order[0] is not osm):
+                    osm.blocked_on = (r1m242, 'fq')
                     break
-        if a1t242 is None:
-            osm.blocked_on = (mgr_241, None)
-            break
-        a2t245 = None
-        if mgr_21._n_free != 0:
-            for _pt246 in pool_23:
+            elif not r1m242.release(osm, r1t241, osm._txn):
+                osm.blocked_on = (r1m242, 'fq')
+                break
+        a2t244 = None
+        if mgr_243._n_free != 0:
+            for _pt246 in pool_245:
                 if _pt246.holder is None:
-                    a2t245 = _pt246
+                    a2t244 = _pt246
                     break
-        if a2t245 is None:
-            osm.blocked_on = (mgr_21, None)
+        if a2t244 is None:
+            osm.blocked_on = (mgr_243, None)
             break
-        m3l247 = []
-        m3ok248 = True
-        for m3i249 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m3i249, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m3i249))
-            if m3i249 < 32:
-                _rp251 = pool_30
-            elif m3i249 == 32:
-                _rp251 = pool_31
-            elif m3i249 == 33:
-                _rp251 = pool_32
-            elif m3i249 == 34:
-                _rp251 = pool_33
+        a3t247 = None
+        if mgr_24._n_free != 0:
+            for _pt248 in pool_26:
+                if _pt248.holder is None:
+                    a3t247 = _pt248
+                    break
+        if a3t247 is None:
+            osm.blocked_on = (mgr_24, None)
+            break
+        m4l249 = []
+        m4ok250 = True
+        for m4i251 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m4i251, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m4i251))
+            if m4i251 < 32:
+                _rp253 = pool_33
+            elif m4i251 == 32:
+                _rp253 = pool_34
+            elif m4i251 == 33:
+                _rp253 = pool_35
+            elif m4i251 == 34:
+                _rp253 = pool_36
             else:
-                raise TokenError('unknown architectural register %s' % (m3i249,))
-            m3t250 = None
-            for _rt252 in _rp251:
-                if _rt252.holder is None and _rt252 not in m3l247:
-                    _rt252.value = m3i249
-                    m3t250 = _rt252
+                raise TokenError('unknown architectural register %s' % (m4i251,))
+            m4t252 = None
+            for _rt254 in _rp253:
+                if _rt254.holder is None and _rt254 not in m4l249:
+                    _rt254.value = m4i251
+                    m4t252 = _rt254
                     break
-            if m3t250 is None:
-                osm.blocked_on = (mgr_9, m3i249)
-                m3ok248 = False
+            if m4t252 is None:
+                osm.blocked_on = (mgr_12, m4i251)
+                m4ok250 = False
                 break
-            m3l247.append(m3t250)
-        if not m3ok248:
+            m4l249.append(m4t252)
+        if not m4ok250:
             break
-        r4t253 = buffer.get('fq')
-        if r4t253 is not None:
-            r4m254 = r4t253.manager
-            if type(r4m254) is cls_37:
-                if r4t253.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r4m254.name, osm, r4t253))
-                if r4m254.hold_release or r4m254._released_this_cycle >= r4m254.width or (not r4m254._order) or (r4m254._order[0] is not osm):
-                    osm.blocked_on = (r4m254, 'fq')
-                    break
-            elif not r4m254.release(osm, r4t253, osm._txn):
-                osm.blocked_on = (r4m254, 'fq')
-                break
-        if r4t253 is not None:
+        if r1t241 is not None:
             del buffer['fq']
-            r4t253.holder = None
-            if type(r4m254) is cls_37:
-                r4m254.n_releases += 1
-                r4m254._n_free += 1
-                r4m254._order.remove(osm)
-                r4m254._released_this_cycle += 1
+            r1t241.holder = None
+            if type(r1m242) is cls_11:
+                r1m242.n_releases += 1
+                r1m242._n_free += 1
+                r1m242._order.remove(osm)
+                r1m242._released_this_cycle += 1
             else:
-                r4m254.on_release_commit(osm, r4t253, None)
-        a1t242.holder = osm
-        buffer['rs'] = a1t242
-        mgr_241.n_allocates += 1
-        mgr_241._n_free -= 1
-        a2t245.holder = osm
-        buffer['cq'] = a2t245
-        mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+                r1m242.on_release_commit(osm, r1t241, None)
+        a2t244.holder = osm
+        buffer['rs'] = a2t244
+        mgr_243.n_allocates += 1
+        mgr_243._n_free -= 1
+        a3t247.holder = osm
+        buffer['cq'] = a3t247
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi255, _gt256 in enumerate(m3l247):
+        for _gi255, _gt256 in enumerate(m4l249):
             _gt256.holder = osm
             buffer['ren' + str(_gi255)] = _gt256
-            mgr_9.n_allocates += 1
-            producers_11[_gt256.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt256.value].append(osm.operation)
         osm.current = dst_203
         osm.last_edge = edge_257
         osm.n_transitions += 1
@@ -1160,88 +1160,88 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'fpu':
             break
-        a1t260 = None
-        if mgr_259._n_free != 0:
-            for _pt262 in pool_261:
-                if _pt262.holder is None:
-                    a1t260 = _pt262
+        r1t259 = buffer.get('fq')
+        if r1t259 is not None:
+            r1m260 = r1t259.manager
+            if type(r1m260) is cls_11:
+                if r1t259.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m260.name, osm, r1t259))
+                if r1m260.hold_release or r1m260._released_this_cycle >= r1m260.width or (not r1m260._order) or (r1m260._order[0] is not osm):
+                    osm.blocked_on = (r1m260, 'fq')
                     break
-        if a1t260 is None:
-            osm.blocked_on = (mgr_259, None)
-            break
-        a2t263 = None
-        if mgr_21._n_free != 0:
-            for _pt264 in pool_23:
+            elif not r1m260.release(osm, r1t259, osm._txn):
+                osm.blocked_on = (r1m260, 'fq')
+                break
+        a2t262 = None
+        if mgr_261._n_free != 0:
+            for _pt264 in pool_263:
                 if _pt264.holder is None:
-                    a2t263 = _pt264
+                    a2t262 = _pt264
                     break
-        if a2t263 is None:
-            osm.blocked_on = (mgr_21, None)
+        if a2t262 is None:
+            osm.blocked_on = (mgr_261, None)
             break
-        m3l265 = []
-        m3ok266 = True
-        for m3i267 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m3i267, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m3i267))
-            if m3i267 < 32:
-                _rp269 = pool_30
-            elif m3i267 == 32:
-                _rp269 = pool_31
-            elif m3i267 == 33:
-                _rp269 = pool_32
-            elif m3i267 == 34:
-                _rp269 = pool_33
+        a3t265 = None
+        if mgr_24._n_free != 0:
+            for _pt266 in pool_26:
+                if _pt266.holder is None:
+                    a3t265 = _pt266
+                    break
+        if a3t265 is None:
+            osm.blocked_on = (mgr_24, None)
+            break
+        m4l267 = []
+        m4ok268 = True
+        for m4i269 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m4i269, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m4i269))
+            if m4i269 < 32:
+                _rp271 = pool_33
+            elif m4i269 == 32:
+                _rp271 = pool_34
+            elif m4i269 == 33:
+                _rp271 = pool_35
+            elif m4i269 == 34:
+                _rp271 = pool_36
             else:
-                raise TokenError('unknown architectural register %s' % (m3i267,))
-            m3t268 = None
-            for _rt270 in _rp269:
-                if _rt270.holder is None and _rt270 not in m3l265:
-                    _rt270.value = m3i267
-                    m3t268 = _rt270
+                raise TokenError('unknown architectural register %s' % (m4i269,))
+            m4t270 = None
+            for _rt272 in _rp271:
+                if _rt272.holder is None and _rt272 not in m4l267:
+                    _rt272.value = m4i269
+                    m4t270 = _rt272
                     break
-            if m3t268 is None:
-                osm.blocked_on = (mgr_9, m3i267)
-                m3ok266 = False
+            if m4t270 is None:
+                osm.blocked_on = (mgr_12, m4i269)
+                m4ok268 = False
                 break
-            m3l265.append(m3t268)
-        if not m3ok266:
+            m4l267.append(m4t270)
+        if not m4ok268:
             break
-        r4t271 = buffer.get('fq')
-        if r4t271 is not None:
-            r4m272 = r4t271.manager
-            if type(r4m272) is cls_37:
-                if r4t271.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r4m272.name, osm, r4t271))
-                if r4m272.hold_release or r4m272._released_this_cycle >= r4m272.width or (not r4m272._order) or (r4m272._order[0] is not osm):
-                    osm.blocked_on = (r4m272, 'fq')
-                    break
-            elif not r4m272.release(osm, r4t271, osm._txn):
-                osm.blocked_on = (r4m272, 'fq')
-                break
-        if r4t271 is not None:
+        if r1t259 is not None:
             del buffer['fq']
-            r4t271.holder = None
-            if type(r4m272) is cls_37:
-                r4m272.n_releases += 1
-                r4m272._n_free += 1
-                r4m272._order.remove(osm)
-                r4m272._released_this_cycle += 1
+            r1t259.holder = None
+            if type(r1m260) is cls_11:
+                r1m260.n_releases += 1
+                r1m260._n_free += 1
+                r1m260._order.remove(osm)
+                r1m260._released_this_cycle += 1
             else:
-                r4m272.on_release_commit(osm, r4t271, None)
-        a1t260.holder = osm
-        buffer['rs'] = a1t260
-        mgr_259.n_allocates += 1
-        mgr_259._n_free -= 1
-        a2t263.holder = osm
-        buffer['cq'] = a2t263
-        mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+                r1m260.on_release_commit(osm, r1t259, None)
+        a2t262.holder = osm
+        buffer['rs'] = a2t262
+        mgr_261.n_allocates += 1
+        mgr_261._n_free -= 1
+        a3t265.holder = osm
+        buffer['cq'] = a3t265
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi273, _gt274 in enumerate(m3l265):
+        for _gi273, _gt274 in enumerate(m4l267):
             _gt274.holder = osm
             buffer['ren' + str(_gi273)] = _gt274
-            mgr_9.n_allocates += 1
-            producers_11[_gt274.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt274.value].append(osm.operation)
         osm.current = dst_203
         osm.last_edge = edge_275
         osm.n_transitions += 1
@@ -1250,88 +1250,88 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
     while True:
         if osm.operation.instr.unit != 'bpu':
             break
-        a1t278 = None
-        if mgr_277._n_free != 0:
-            for _pt280 in pool_279:
-                if _pt280.holder is None:
-                    a1t278 = _pt280
+        r1t277 = buffer.get('fq')
+        if r1t277 is not None:
+            r1m278 = r1t277.manager
+            if type(r1m278) is cls_11:
+                if r1t277.holder is not osm:
+                    raise TokenError('%s: %r does not hold %r' % (r1m278.name, osm, r1t277))
+                if r1m278.hold_release or r1m278._released_this_cycle >= r1m278.width or (not r1m278._order) or (r1m278._order[0] is not osm):
+                    osm.blocked_on = (r1m278, 'fq')
                     break
-        if a1t278 is None:
-            osm.blocked_on = (mgr_277, None)
-            break
-        a2t281 = None
-        if mgr_21._n_free != 0:
-            for _pt282 in pool_23:
+            elif not r1m278.release(osm, r1t277, osm._txn):
+                osm.blocked_on = (r1m278, 'fq')
+                break
+        a2t280 = None
+        if mgr_279._n_free != 0:
+            for _pt282 in pool_281:
                 if _pt282.holder is None:
-                    a2t281 = _pt282
+                    a2t280 = _pt282
                     break
-        if a2t281 is None:
-            osm.blocked_on = (mgr_21, None)
+        if a2t280 is None:
+            osm.blocked_on = (mgr_279, None)
             break
-        m3l283 = []
-        m3ok284 = True
-        for m3i285 in osm.operation.instr.dst_regs or ():
-            if not isinstance(m3i285, int):
-                raise TokenError('%s: bad rename identifier %r' % (mgr_9.name, m3i285))
-            if m3i285 < 32:
-                _rp287 = pool_30
-            elif m3i285 == 32:
-                _rp287 = pool_31
-            elif m3i285 == 33:
-                _rp287 = pool_32
-            elif m3i285 == 34:
-                _rp287 = pool_33
+        a3t283 = None
+        if mgr_24._n_free != 0:
+            for _pt284 in pool_26:
+                if _pt284.holder is None:
+                    a3t283 = _pt284
+                    break
+        if a3t283 is None:
+            osm.blocked_on = (mgr_24, None)
+            break
+        m4l285 = []
+        m4ok286 = True
+        for m4i287 in osm.operation.instr.dst_regs or ():
+            if not isinstance(m4i287, int):
+                raise TokenError('%s: bad rename identifier %r' % (mgr_12.name, m4i287))
+            if m4i287 < 32:
+                _rp289 = pool_33
+            elif m4i287 == 32:
+                _rp289 = pool_34
+            elif m4i287 == 33:
+                _rp289 = pool_35
+            elif m4i287 == 34:
+                _rp289 = pool_36
             else:
-                raise TokenError('unknown architectural register %s' % (m3i285,))
-            m3t286 = None
-            for _rt288 in _rp287:
-                if _rt288.holder is None and _rt288 not in m3l283:
-                    _rt288.value = m3i285
-                    m3t286 = _rt288
+                raise TokenError('unknown architectural register %s' % (m4i287,))
+            m4t288 = None
+            for _rt290 in _rp289:
+                if _rt290.holder is None and _rt290 not in m4l285:
+                    _rt290.value = m4i287
+                    m4t288 = _rt290
                     break
-            if m3t286 is None:
-                osm.blocked_on = (mgr_9, m3i285)
-                m3ok284 = False
+            if m4t288 is None:
+                osm.blocked_on = (mgr_12, m4i287)
+                m4ok286 = False
                 break
-            m3l283.append(m3t286)
-        if not m3ok284:
+            m4l285.append(m4t288)
+        if not m4ok286:
             break
-        r4t289 = buffer.get('fq')
-        if r4t289 is not None:
-            r4m290 = r4t289.manager
-            if type(r4m290) is cls_37:
-                if r4t289.holder is not osm:
-                    raise TokenError('%s: %r does not hold %r' % (r4m290.name, osm, r4t289))
-                if r4m290.hold_release or r4m290._released_this_cycle >= r4m290.width or (not r4m290._order) or (r4m290._order[0] is not osm):
-                    osm.blocked_on = (r4m290, 'fq')
-                    break
-            elif not r4m290.release(osm, r4t289, osm._txn):
-                osm.blocked_on = (r4m290, 'fq')
-                break
-        if r4t289 is not None:
+        if r1t277 is not None:
             del buffer['fq']
-            r4t289.holder = None
-            if type(r4m290) is cls_37:
-                r4m290.n_releases += 1
-                r4m290._n_free += 1
-                r4m290._order.remove(osm)
-                r4m290._released_this_cycle += 1
+            r1t277.holder = None
+            if type(r1m278) is cls_11:
+                r1m278.n_releases += 1
+                r1m278._n_free += 1
+                r1m278._order.remove(osm)
+                r1m278._released_this_cycle += 1
             else:
-                r4m290.on_release_commit(osm, r4t289, None)
-        a1t278.holder = osm
-        buffer['rs'] = a1t278
-        mgr_277.n_allocates += 1
-        mgr_277._n_free -= 1
-        a2t281.holder = osm
-        buffer['cq'] = a2t281
-        mgr_21.n_allocates += 1
-        mgr_21._n_free -= 1
+                r1m278.on_release_commit(osm, r1t277, None)
+        a2t280.holder = osm
+        buffer['rs'] = a2t280
+        mgr_279.n_allocates += 1
+        mgr_279._n_free -= 1
+        a3t283.holder = osm
+        buffer['cq'] = a3t283
+        mgr_24.n_allocates += 1
+        mgr_24._n_free -= 1
         order_38.append(osm)
-        for _gi291, _gt292 in enumerate(m3l283):
+        for _gi291, _gt292 in enumerate(m4l285):
             _gt292.holder = osm
             buffer['ren' + str(_gi291)] = _gt292
-            mgr_9.n_allocates += 1
-            producers_11[_gt292.value].append(osm.operation)
+            mgr_12.n_allocates += 1
+            producers_14[_gt292.value].append(osm.operation)
         osm.current = dst_203
         osm.last_edge = edge_293
         osm.n_transitions += 1

@@ -25,6 +25,7 @@ from repro.analysis.certify import (
     certify_fused_states,
     certify_isa,
     certify_spec,
+    certify_wake_tests,
 )
 from repro.analysis.certify.engine import (
     Trv002InlineContract,
@@ -364,6 +365,83 @@ _start:
     found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
     assert {d.state for d in found} == {"Q"}
     assert "direct-iu1@1" in found[0].message
+
+
+#: miscompiles of ppc750's Q wake test: (source pattern, replacement)
+WAKE_MUTATIONS = {
+    # the reset inquiry's check is gone: a doomed operation would park
+    "omitted-check": (r"    if not \(id\(osm\) not in doomed_\d+\):\n        return True\n",
+                      ""),
+    # a passing reset inquiry reports "every edge refuses"
+    "false-on-pass": (r"return True", "return False"),
+    # a branch unit's operation records the reset refusal, not the queue
+    "wrong-record": (r" or _wk\d+ == 'bpu'", ""),
+    # the queue refuses every holder, not only those behind the head
+    "stronger-refusal": (r"\._order\[0\] is not osm", "._order[0] is not None"),
+}
+
+
+def _ppc750_with_wake_mutation(monkeypatch, mutation):
+    from repro.isa.ppc import assemble
+    from repro.models.ppc750 import Ppc750Model
+
+    program = assemble("""
+    .text
+_start:
+    li r0, 0
+    li r3, 0
+    sc
+""")
+    pattern, replacement = WAKE_MUTATIONS[mutation]
+    real = fuse.generate_wake
+
+    def miscompiled(state, spec):
+        wake = real(state, spec)
+        if state.name == "Q":
+            wake.__fused_source__, n = re.subn(
+                pattern, replacement, wake.__fused_source__, count=1)
+            assert n == 1
+        return wake
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fuse, "generate_wake", miscompiled)
+        return Ppc750Model(program, perfect_memory=True).spec
+
+
+@pytest.mark.parametrize("mutation", sorted(WAKE_MUTATIONS))
+def test_build_gate_drops_ppc750_q_wake_test(monkeypatch, mutation):
+    """TRV001 replays the wake tests: a miscompiled one is dropped at
+    model build while Q stays fused, the census says why, and ``repro
+    certify`` reports the drop."""
+    spec = _ppc750_with_wake_mutation(monkeypatch, mutation)
+    assert "Q" in spec.fuse_certificate["fused_states"]
+    assert spec.fuse_certificate["parked_states"] == ["W", "X"]
+    assert spec.states["Q"]._fused is not None and spec.states["Q"]._wake is None
+    assert [name for name, _ in spec.compile_stats.unparked_states] == ["Q"]
+    assert spec.compile_stats.demoted_states == []
+    found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
+    assert {d.state for d in found} == {"Q"}
+    assert all("wake test" in d.message for d in found)
+
+
+@pytest.mark.parametrize("mutation", sorted(WAKE_MUTATIONS))
+def test_trv001_fires_on_miscompiled_wake_test(mutation):
+    spec = build_spec("ppc750")
+    wake = spec.states["Q"]._wake
+    pattern, replacement = WAKE_MUTATIONS[mutation]
+    wake.__fused_source__, n = re.subn(pattern, replacement,
+                                       wake.__fused_source__, count=1)
+    assert n == 1
+    assert certify_wake_tests(spec) != []
+    found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
+    assert {d.state for d in found} == {"Q"}
+
+
+def test_trv001_fires_on_wake_test_of_a_state_without_park_points():
+    spec = build_spec("ppc750")
+    spec.states["R"]._wake = spec.states["Q"]._wake
+    found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
+    assert {d.state for d in found} == {"R"}
 
 
 class TestIsaRuleMutations:

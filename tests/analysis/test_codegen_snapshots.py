@@ -35,6 +35,11 @@ PIPELINE5_STATES = ("I", "F", "D", "E", "B", "W")
 #: (Q) routes on the unit class, issue (R) on the reservation station
 PPC750_STATES = ("Q", "R")
 
+#: the ppc750 states with a wake test: dispatch (Q) parks at the
+#: fetch-queue release, execution (X) at the unit release, retirement
+#: (W) at the completion-queue release
+PPC750_WAKE_STATES = ("Q", "W", "X")
+
 
 def _assert_matches_snapshot(name: str, source: str) -> None:
     normalized = normalize_source(source) + "\n"
@@ -85,6 +90,20 @@ def test_ppc750_fused_stepper_snapshot(ppc750_spec, state_name):
         state._fused.__fused_source__)
 
 
+@pytest.mark.parametrize("state_name", PPC750_WAKE_STATES)
+def test_ppc750_wake_test_snapshot(ppc750_spec, state_name):
+    state = ppc750_spec.states[state_name]
+    assert state._wake is not None, f"{state_name}: expected a wake test"
+    _assert_matches_snapshot(
+        f"ppc750_{state_name}_wake.py", state._wake.__fused_source__)
+
+
+def test_ppc750_parks_exactly_the_wake_states(ppc750_spec):
+    parked = [name for name, state in ppc750_spec.states.items()
+              if state._wake is not None]
+    assert sorted(parked) == sorted(PPC750_WAKE_STATES)
+
+
 def test_arm_execgen_adds_snapshot():
     """One representative execgen closure: a flag-setting ALU op covers
     the register write, the four flag writes and the PC advance."""
@@ -108,6 +127,7 @@ def test_snapshots_contain_no_stale_files():
     state or instruction must not leave orphans behind."""
     expected = {f"pipeline5_{name}_stepper.py" for name in PIPELINE5_STATES}
     expected |= {f"ppc750_{name}_stepper.py" for name in PPC750_STATES}
+    expected |= {f"ppc750_{name}_wake.py" for name in PPC750_WAKE_STATES}
     expected.add("arm_adds_executor.py")
     actual = {p.name for p in SNAPSHOT_DIR.glob("*.py")}
     assert actual == expected

@@ -365,6 +365,41 @@ def test_stored_demotion_is_reused_only_for_its_stepper_text(monkeypatch):
     assert again.compile_stats.demoted_states == broken.compile_stats.demoted_states
 
 
+def test_stored_wake_verdict_is_reused_only_for_its_wake_text(monkeypatch):
+    """The TRV001 verdict covers the wake tests too: a build whose wake
+    test text differs, with the same stepper text, misses the stored
+    verdict and runs the replay."""
+    real = fuse.generate_wake
+
+    def miscompiled(state, spec):
+        wake = real(state, spec)
+        if state.name == "P":
+            wake.__fused_source__ = wake.__fused_source__.replace(
+                "return True", "return False", 1)
+        return wake
+
+    def build(generator):
+        spec = keyed_toy(6, "e")
+        with monkeypatch.context() as patch:
+            patch.setattr(fuse, "generate_wake", generator)
+            enable_fusion(spec)
+        return spec
+
+    broken = build(miscompiled)
+    assert broken.fuse_certificate["verdict"] == "gate"
+    assert dict(broken.compile_stats.unparked_states).keys() == {"P"}
+    assert broken.fuse_certificate["parked_states"] == []
+    healthy = build(real)
+    assert all(healthy.states[n]._fused.__fused_source__
+               == broken.states[n]._fused.__fused_source__ for n in "IP")
+    assert healthy.fuse_certificate["verdict"] == "gate"
+    assert healthy.fuse_certificate["parked_states"] == ["P"]
+    assert healthy.compile_stats.unparked_states == []
+    again = build(miscompiled)
+    assert again.fuse_certificate["verdict"] == "cache"
+    assert again.compile_stats.unparked_states == broken.compile_stats.unparked_states
+
+
 # -- one fingerprint module ------------------------------------------------------
 
 def test_old_fingerprint_module_is_gone():

@@ -17,17 +17,17 @@ from repro.workloads import mediabench
 GENERATED_OSM = ("<fused:", "<edge-condition")
 
 
-def _build(model_name: str, fused: bool):
+def _build(model_name: str, fused: bool, kernel: str = "gsm_dec"):
     if model_name == "strongarm":
         from repro.isa.arm import assemble
         from repro.models.strongarm import StrongArmModel
 
-        return StrongArmModel(assemble(mediabench.arm_source("gsm_dec")),
+        return StrongArmModel(assemble(mediabench.arm_source(kernel)),
                               fused=fused)
     from repro.isa.ppc import assemble
     from repro.models.ppc750 import Ppc750Model
 
-    return Ppc750Model(assemble(mediabench.ppc_source("gsm_dec")), fused=fused)
+    return Ppc750Model(assemble(mediabench.ppc_source(kernel)), fused=fused)
 
 
 def _executed_files(model):
@@ -50,15 +50,66 @@ def _executed_files(model):
 
 @pytest.mark.parametrize("model_name", ["strongarm", "ppc750"])
 def test_reference_run_executes_no_generated_osm_code(model_name):
-    # positive control: the profiler does see the fused steppers run
+    # positive control: the profiler does see the fused steppers run,
+    # and on ppc750 (the generic scan) the wake tests too
     fused = _executed_files(_build(model_name, fused=True))
     assert any(f.startswith("<fused:") for f in fused)
+    if model_name == "ppc750":
+        assert {f for f in fused if f.endswith(".wake>")} == {
+            f"<fused:ppc750.{name}.wake>" for name in "QWX"}
 
     model = _build(model_name, fused=False)
     model.director.reference = True
     generated = sorted(
         f for f in _executed_files(model) if f.startswith(GENERATED_OSM))
     assert generated == []
+
+
+def test_unfused_build_parks_nothing():
+    """Without steppers there are no wake tests: the fast-path scan of a
+    ``fused=False`` build probes every blocked operation, as before."""
+    model = _build("ppc750", fused=False)
+    assert all(state._wake is None for state in model.spec.states.values())
+    assert model.spec.compile_stats.parked_states == []
+    stats = model.run(10_000_000)
+    assert model.exit_code == 130
+    assert stats.parked_skips == 0
+    assert all(osm._parked is None for osm in model.osms)
+
+
+@pytest.mark.parametrize("kernel", mediabench.MEDIABENCH_NAMES)
+def test_every_parked_skip_is_a_failing_probe(kernel):
+    """Each time a wake test returns False the director skips the probe;
+    here the real stepper runs right after it, and must fail and leave
+    the refusal record the wake test wrote."""
+    model = _build("ppc750", fused=True, kernel=kernel)
+    skips = {}
+
+    def checked(state, wake, stepper):
+        def wrapper(osm):
+            if wake(osm):
+                return True
+            record = osm.blocked_on
+            assert stepper(osm, model.director.clock) is None, (state.name, osm)
+            assert osm.blocked_on == record, (state.name, osm.blocked_on, record)
+            skips[state.name] = skips.get(state.name, 0) + 1
+            return False
+        return wrapper
+
+    for state in model.spec.states.values():
+        if state._wake is not None:
+            state._wake = checked(state, state._wake, state._fused)
+    stats = model.run(10_000_000)
+    assert (stats.cycles, stats.instructions, model.exit_code) == \
+        _pinned("ppc750", kernel)
+    assert sum(skips.values()) == stats.parked_skips > 0
+    assert skips.keys() <= {"Q", "W", "X"}
+
+
+def _pinned(model_name, kernel):
+    from .test_case_study_results import EXPECTED
+
+    return EXPECTED[model_name][kernel]
 
 
 def _calls_by_code(model, codes):

@@ -10,12 +10,17 @@ holds, new cycles, producer ``done`` flips and dooms.  After every
 action it compares the edge taken (or the error raised), ``blocked_on``,
 token holders and values, token buffers, and every manager's counters
 and internal bookkeeping.
+
+The wake tests (:func:`repro.core.fuse.generate_wake`) get the same
+treatment, one small spec per park-point kind: whenever a fused state's
+wake test returns False, the reference copy's probe must fail and write
+the same ``blocked_on``, and the wake test must change nothing else.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from repro.analysis.certify import certify_fused_states
+from repro.analysis.certify import certify_fused_states, certify_wake_tests
 from repro.core import (
     ALWAYS,
     Allocate,
@@ -97,6 +102,18 @@ def seq_value(osm):
 
 def token_value(osm, token):
     return token.index * 10 + osm.operation.seq
+
+
+# wake-test guard keys: one called, one pasted inline
+def lane_of(osm):
+    return osm.operation.seq % 2
+
+
+def tag_of(osm):
+    return osm.tag
+
+
+tag_of.__fuse_inline__ = "osm.tag"
 
 
 # -- one small spec per emitter class -----------------------------------------
@@ -200,8 +217,8 @@ CASES = {
 class World:
     """One copy of a case: managers, spec and OSMs, fused or not."""
 
-    def __init__(self, cls, fused: bool):
-        build, self.regs = CASES[cls]
+    def __init__(self, case, fused: bool):
+        build, self.regs = case
         self.fused = fused
         self.fetch = None
         self.reset = ResetManager()
@@ -214,14 +231,15 @@ class World:
         for (src, dst), conditions in edges.items():
             for primitives in conditions:
                 spec.edge(src, dst, Condition(primitives) if primitives else ALWAYS)
-        for name in "AB":
+        for name in getattr(build, "resets", "AB"):
             spec.edge(name, "I", Condition([Inquire(self.reset), Discard()]),
                       priority=10, label=f"reset-{name}")
         spec.validate()
         if fused:
             assert fuse_spec(spec) == len(spec.states), spec.compile_stats.fallback_states
         self.spec = spec
-        self.osms = [OperationStateMachine(spec, name=f"osm{i}") for i in range(N_OSMS)]
+        self.osms = [OperationStateMachine(spec, name=f"osm{i}", tag=i)
+                     for i in range(N_OSMS)]
         self.ops = []
         self.clock = 0
         self.tokens = sorted(
@@ -269,6 +287,8 @@ class World:
             in_flight[a % len(in_flight)].done = True
         elif kind == "doom":
             (self.reset.doom_now if b else self.reset.doom)(osm)
+        elif kind == "retag":
+            osm.tag = (b + [a])[0] % 3
         elif kind == "poke":
             for m in self.managers:
                 if isinstance(m, ForwardingRegisterFileManager):
@@ -307,7 +327,7 @@ class World:
             raise TypeError(f"no snapshot for {type(obj).__name__}")
 
         return {
-            "osms": [(osm.name, osm.current.name, norm(osm.token_buffer),
+            "osms": [(osm.name, osm.tag, osm.current.name, norm(osm.token_buffer),
                       norm(osm.blocked_on), osm.n_transitions, osm.age,
                       norm(osm.operation),
                       None if osm.last_edge is None else osm.last_edge.qualname)
@@ -333,9 +353,11 @@ def _tokens(obj):
 _INDEX = st.integers(0, 7)
 #: (kind, a, b, c, d): a picks an OSM, op or register; "load" reads b
 #: and c as source and destination register indices and d as captured
-#: producers; "hold", "doom" and "poke" read b and c as flags
+#: producers; "hold", "doom" and "poke" read b and c as flags, "retag"
+#: b (or a) as the OSM's new tag
 ACTION = st.tuples(
-    st.sampled_from(["step"] * 6 + ["load"] * 2 + ["cycle", "hold", "done", "doom", "poke"]),
+    st.sampled_from(["step"] * 6 + ["load"] * 2
+                    + ["cycle", "hold", "done", "doom", "poke", "retag"]),
     _INDEX,
     st.lists(_INDEX, max_size=2),
     st.lists(_INDEX, max_size=3),
@@ -350,7 +372,7 @@ def test_every_registered_emitter_has_a_case():
 
 @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
 def test_case_spec_certifies(cls):
-    world = World(cls, fused=True)
+    world = World(CASES[cls], fused=True)
     assert certify_fused_states(world.spec) == []
 
 
@@ -359,9 +381,162 @@ def test_case_spec_certifies(cls):
           suppress_health_check=[HealthCheck.too_slow])
 @given(actions=st.lists(ACTION, min_size=20, max_size=80))
 def test_fused_emitter_matches_reference(cls, actions):
-    fused, reference = World(cls, fused=True), World(cls, fused=False)
+    fused, reference = World(CASES[cls], fused=True), World(CASES[cls], fused=False)
     assert fused.snapshot() == reference.snapshot()
     for action in actions:
+        outcome = fused.apply(action)
+        assert outcome == reference.apply(action), action
+        assert fused.snapshot() == reference.snapshot(), action
+
+
+# -- wake tests: one small spec per park-point kind -------------------------------
+#
+# State A parks on the case's kind behind keyed guards — some edges
+# whose keys an operation matches, some it never does — after the reset
+# inquiry, which is a park point of its own.  State B has no reset edge
+# and keys every edge on the tag: an OSM whose tag matches none records
+# the stepper's clear until a "retag" action frees it.
+
+def _b_edges(slot):
+    return [[Guard.equals(tag_of, 0), Release(slot)],
+            [Guard.equals(tag_of, 1), Guard.equals(lane_of, 1), Release(slot)],
+            [Guard.equals(tag_of, 1), Release(slot)]]
+
+
+def _wake_slot(world):
+    m, m2 = SlotManager("s"), SlotManager("t")
+    return [m, m2], {
+        ("I", "A"): [[Guard(has_op), Allocate(m, slot="s")]],
+        ("A", "B"): [[Guard.equals(lane_of, 0), Release("s"), Allocate(m2, slot="t")],
+                     [Guard.equals(lane_of, 1), Guard.equals(tag_of, 1), Release("s"),
+                      Allocate(m2, slot="t")],
+                     [Guard.equals(tag_of, 7), Release("s")]],
+        ("B", "I"): _b_edges("t"),
+    }
+
+
+def _wake_pool(world):
+    m = PoolManager("p", 2)
+    return [m], {
+        ("I", "A"): [[Guard(has_op), Allocate(m, slot="p")]],
+        ("A", "B"): [[Guard.equals(tag_of, 2), Release("p"), Allocate(m, slot="q")],
+                     [Guard.equals(lane_of, 0), Release("p"), Allocate(m, slot="q")],
+                     [Guard.equals(lane_of, 1), Release("p")]],
+        ("B", "I"): _b_edges("q") + [[Guard.equals(tag_of, 2), Release("q")]],
+    }
+
+
+def _wake_in_order_pool(world):
+    m, m2 = InOrderPoolManager("o", 3, 1), InOrderPoolManager("c", 2, 1)
+    return [m, m2], {
+        ("I", "A"): [[Guard(has_op), Allocate(m, slot="o"), Allocate(m2, slot="c")]],
+        ("A", "B"): [[Guard.equals(lane_of, 0), Release("o")],
+                     [Guard.equals(lane_of, 1), Guard.equals(tag_of, 5), Release("o")],
+                     [Guard.equals(lane_of, 1), Release("o")]],
+        ("B", "I"): _b_edges("c"),
+    }
+
+
+def _wake_fetch_slot(world):
+    unit = FetchUnit(lambda pc: None, 0)
+    world.fetch = unit
+    m, m2 = unit.manager, SlotManager("t")
+    return [m, m2], {
+        ("I", "A"): [[Guard(has_op), Allocate(m, slot="f")]],
+        ("A", "B"): [[Guard.equals(lane_of, 1), Release("f"), Allocate(m2, slot="t")],
+                     [Guard.equals(tag_of, 0), Release("f"), Allocate(m2, slot="t")]],
+        ("B", "I"): _b_edges("t"),
+    }
+
+
+def _wake_reset(world):
+    """The reset inquiry as the park point of keyed edges too: it shares
+    one check with the reset edge, while the records differ by edge."""
+    m = SlotManager("s")
+    return [m], {
+        ("I", "A"): [[Guard(has_op), Allocate(m, slot="s")]],
+        ("A", "B"): [[Guard.equals(lane_of, 0), Release("s")],
+                     [Guard.equals(tag_of, 1), Inquire(world.reset), Release("s")],
+                     [Guard.equals(lane_of, 1), Guard.equals(tag_of, 2), Release("s")]],
+        ("B", "I"): [[Guard.equals(tag_of, 0), Inquire(world.reset)],
+                     [Guard.equals(tag_of, 1), Inquire(world.reset)],
+                     [Guard.equals(tag_of, 2), Inquire(world.reset)]],
+    }
+
+
+for _build in (_wake_slot, _wake_pool, _wake_in_order_pool, _wake_fetch_slot,
+               _wake_reset):
+    _build.resets = "A"
+
+#: park-point kind -> (spec builder, register identifiers)
+WAKE_CASES = {
+    ("Release", SlotManager): (_wake_slot, (0,)),
+    ("Release", PoolManager): (_wake_pool, (0,)),
+    ("Release", InOrderPoolManager): (_wake_in_order_pool, (0,)),
+    ("Release", _FetchSlotManager): (_wake_fetch_slot, (0,)),
+    ("Inquire", ResetManager): (_wake_reset, (0,)),
+}
+
+
+def test_every_park_point_kind_has_a_wake_case():
+    """A park-point kind the generator accepts — a manager class whose
+    emitter can express a release or inquiry refusal — must be added to
+    WAKE_CASES."""
+    kinds = set()
+    for cls, emitter in fuse._EMITTERS.items():
+        for primitive, method in (("Release", "release_refusal"),
+                                  ("Inquire", "inquire_refusal")):
+            if getattr(type(emitter), method) is not getattr(fuse.ManagerEmitter, method):
+                kinds.add((primitive, cls))
+    assert kinds == set(WAKE_CASES)
+
+
+@pytest.mark.parametrize("kind", list(WAKE_CASES), ids=lambda k: f"{k[0]}-{k[1].__name__}")
+def test_wake_case_parks_and_certifies(kind):
+    world = World(WAKE_CASES[kind], fused=True)
+    assert sorted(world.spec.compile_stats.parked_states) == ["A", "B"]
+    assert certify_wake_tests(world.spec) == []
+
+
+def test_a_release_that_never_refuses_is_no_park_point():
+    """A register-file release always accepts, so a state parked on one
+    would always wake: it gets no wake test."""
+    def build(world):
+        m = RegisterFileManager("r", 4, Backing(4))
+        return [m], {
+            ("I", "A"): [[Guard(has_op), Allocate(m, reg_of, slot="w")]],
+            ("A", "B"): [[Guard.equals(tag_of, 0), Release("w")]],
+            ("B", "I"): [[]],
+        }
+
+    world = World((build, (0, 1)), fused=True)
+    assert world.spec.states["A"]._fused is not None
+    assert world.spec.compile_stats.parked_states == []
+
+
+@pytest.mark.parametrize("kind", list(WAKE_CASES), ids=lambda k: f"{k[0]}-{k[1].__name__}")
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(actions=st.lists(ACTION, min_size=20, max_size=80))
+def test_wake_false_means_the_probe_fails(kind, actions):
+    """Lockstep with the reference: a step whose wake test returns False
+    is skipped, as the director skips it, and the reference probe of the
+    same step must fail and leave both copies identical — the wake test
+    wrote the same ``blocked_on`` and changed nothing else."""
+    fused = World(WAKE_CASES[kind], fused=True)
+    reference = World(WAKE_CASES[kind], fused=False)
+    for action in actions:
+        osm = fused.osms[action[1] % N_OSMS]
+        wake = osm.current._wake
+        if action[0] == "step" and wake is not None:
+            before = fused.snapshot()
+            if not wake(osm):
+                assert reference.apply(action) == ("edge", None), action
+                after = fused.snapshot()
+                assert {k: v for k, v in after.items() if k != "osms"} == \
+                    {k: v for k, v in before.items() if k != "osms"}, action
+                assert after == reference.snapshot(), action
+                continue
         outcome = fused.apply(action)
         assert outcome == reference.apply(action), action
         assert fused.snapshot() == reference.snapshot(), action
