@@ -47,6 +47,10 @@ def run_ab():
         total_fused = total_plain = 0.0
         for name in WORKLOADS:
             program = assemble(source_of(name))
+            # one untimed run per side: block code compiles once per
+            # process, so the side timed second would otherwise skip it
+            _run(model_class, program, True)
+            _run(model_class, program, False)
             result_fused, seconds_fused = _run(model_class, program, True)
             result_plain, seconds_plain = _run(model_class, program, False)
             # The specialization must be invisible in the results.

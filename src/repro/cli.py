@@ -457,6 +457,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
     """
     import gc
 
+    from . import codecache
     from .core.stats import SimulationStats
     from .workloads import mediabench
 
@@ -472,9 +473,14 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
     verdict = None
     cache_counts = {"block_hits": 0, "block_misses": 0,
                     "entry_invalidations": 0, "block_invalidations": 0}
+    # process code-cache counter deltas: the timed builds and runs, and
+    # the verify re-runs, which repeat a program this process just ran
+    timed_code = {"hits": 0, "misses": 0}
+    verify_code = {"hits": 0, "misses": 0}
     for name in names:
         with agg.time_phase("assemble"):
             program = _assemble(isa, source_of(name))
+        code_before = codecache.stats()
         with agg.time_phase("build"):
             model = _build_model(model_name, program, isa, fused=fused)
         if compile_stats is None:
@@ -489,6 +495,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         finally:
             if gc_was_enabled:
                 gc.enable()
+        _add_code_counts(timed_code, code_before, codecache.stats())
         compile_stats = model.spec.compile_stats
         cache = _model_decode_cache(model)
         if cache is not None:
@@ -514,10 +521,12 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
             # re-run under the reference scheduling loop: the fast path
             # must be result-identical, not merely faster
             with agg.time_phase("verify"):
+                code_before = codecache.stats()
                 with agg.time_phase("build"):
                     ref_model = _build_model(model_name, program, isa, fused=fused)
                 ref_model.director.reference = True
                 ref_stats = ref_model.run(args.max_cycles)
+                _add_code_counts(verify_code, code_before, codecache.stats())
             reference = {
                 "cycles": ref_stats.cycles,
                 "instructions": ref_stats.instructions,
@@ -564,7 +573,15 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         ),
         "verdict": verdict,
         "decode_cache": {**cache_counts, "block_hit_rate": block_hit_rate},
+        "code_cache": timed_code,
+        "verify_code_cache": None if args.no_verify else verify_code,
     }
+
+
+def _add_code_counts(total: dict, before: dict, after: dict) -> None:
+    """Add one span's code-cache counter deltas to *total*."""
+    for key in total:
+        total[key] += after[key] - before[key]
 
 
 def _print_bench_row(row: dict, verify: bool) -> None:
@@ -587,9 +604,14 @@ def _print_bench_row(row: dict, verify: bool) -> None:
               f"(hit rate {cache['block_hit_rate']:.2%}, "
               f"{cache['entry_invalidations']}+"
               f"{cache['block_invalidations']} invalidated)")
+    code = row["code_cache"]
+    print(f"  code cache: {code['hits']} hits / {code['misses']} misses")
     if verify:
         state = "ok" if not row["mismatches"] else "MISMATCH"
         print(f"  reference-loop verification: {state}")
+        code = row["verify_code_cache"]
+        print(f"  code cache (verify re-runs): {code['hits']} hits / "
+              f"{code['misses']} misses")
 
 
 def _bench_row_key(row):
@@ -646,8 +668,11 @@ def cmd_bench(args) -> int:
     counters (``fused_states``/``fused_fallback_states``), where the
     first build's fusion verdict came from (``verdict``: ``"cache"``
     when the verdict store held it, ``"gate"`` when the build ran the
-    analyses, null unfused) and the
-    ISS block-cache hit rate.  ``--model cases`` benches every case-study
+    analyses, null unfused), the
+    ISS block-cache hit rate, and the process code cache's hits and
+    misses (:mod:`repro.codecache`) over the timed builds and runs
+    (``code_cache``) and over the verify re-runs
+    (``verify_code_cache``).  ``--model cases`` benches every case-study
     model (StrongARM and PPC 750).  ``--out`` holds a JSON array and is
     *merged*, not overwritten: rows are keyed by (bench, model, quick,
     fused), so partial reruns replace only their own rows.  Unless
@@ -656,8 +681,9 @@ def cmd_bench(args) -> int:
     (cycles, instructions, transitions, exit code) are compared — a
     mismatch fails the bench with exit status 1.  CI's perf-smoke job
     runs ``bench --quick`` fused and unfused and fails on result
-    mismatches and on the fused ppc750 row's ``failed_probes_per_commit``
-    above 1.0, never on speed.
+    mismatches, on the fused ppc750 row's ``failed_probes_per_commit``
+    above 1.0 and on any code-cache miss in a verify re-run, never on
+    speed.
     """
     import json
 

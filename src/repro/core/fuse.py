@@ -66,6 +66,7 @@ from contextlib import contextmanager
 from types import FunctionType, MethodType, ModuleType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..codecache import compile_cached
 from ..contentstore import (PACKAGE_ROOT, ResultCache, content_key,
                             generator_fingerprint, package_fingerprint,
                             user_cache_dir)
@@ -246,8 +247,14 @@ def safe_inline_expr(expr: Any) -> bool:
     function's footprint) are rejected; the fuser then demotes the site
     to a dynamic call instead of pasting the expression (and transcheck
     rule TRV002 reports the broken declaration)."""
-    if not isinstance(expr, str):
-        return False
+    return isinstance(expr, str) and _safe_inline_text(expr)
+
+
+@functools.lru_cache(maxsize=256)
+def _safe_inline_text(expr: str) -> bool:
+    """:func:`safe_inline_expr` of a string, parsed once per process:
+    declarations are literals in source (the bundled models have six
+    distinct ones), and every build reads them."""
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError:
@@ -973,15 +980,6 @@ def _emit_bookkeeping(g, w, edge):
     w(f"return {ename}")
 
 
-@functools.lru_cache(maxsize=256)
-def _compile(src: str, filename: str):
-    """``compile`` memoized on the source text and filename: every model
-    build regenerates its steppers, and a rebuilt spec of the same
-    structure generates the same text (its constants are bound per
-    build, as parameter defaults, so the code object is shared)."""
-    return compile(src, filename, "exec")
-
-
 def generate_stepper(state, spec) -> Callable:
     """Generate the fused ``step(osm, clock) -> Edge | None`` for *state*.
 
@@ -1000,7 +998,10 @@ def generate_stepper(state, spec) -> Callable:
     w("return None")
     sig = "".join(f", {n}={n}" for n in g.params)
     src = f"def _fused_step(osm, clock{sig}):\n" + "\n".join(w.lines)
-    exec(_compile(src, f"<fused:{spec.name}.{state.name}>"), g.env)
+    # a rebuilt spec of the same structure generates the same text (its
+    # constants are bound per build, as parameter defaults), so the
+    # code object is shared and only the function is per build
+    exec(compile_cached(src, f"<fused:{spec.name}.{state.name}>"), g.env)
     fn = g.env["_fused_step"]
     fn.__fused_source__ = src  # debugging / test introspection
     return fn
@@ -1139,7 +1140,7 @@ def generate_wake(state, spec) -> Optional[Callable]:
     w("return False")
     sig = "".join(f", {n}={n}" for n in g.params)
     src = "def _wake(osm" + sig + "):\n" + "\n".join(w.lines)
-    exec(_compile(src, f"<fused:{spec.name}.{state.name}.wake>"), g.env)
+    exec(compile_cached(src, f"<fused:{spec.name}.{state.name}.wake>"), g.env)
     fn = g.env["_wake"]
     fn.__fused_source__ = src
     return fn

@@ -31,6 +31,15 @@ Cross-process hazards audited for this contract (and why each is safe):
   every model build, so no probe state crosses jobs.
 * ``repro.iss.decode_cache.DecodeCache`` is per-``MainMemory`` instance
   state, created fresh with every model build.
+* ``repro.codecache`` keeps the code objects of generated ISS blocks and
+  steppers for the life of the process, so a worker compiles a block
+  its earlier jobs compiled only once.  Sharing them across jobs is
+  sound because a code object is immutable and a pure function of its
+  key (the exact source text and filename): each build still runs it
+  with ``exec`` in a namespace of its own, so no block, manager or
+  model of one job is reachable from another, and the result is what a
+  fresh ``compile()`` would give.  The cache lives in memory only and
+  is never shared between processes.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ instructions of a freshly-discovered basic block, it translates each one
 to a dedicated Python function ``fn(state) -> ExecInfo`` — register
 numbers, immediates, shift amounts, condition tests and the sequential
 PC become literals — compiles the whole block's functions as *one*
-compile unit (amortising ``compile()`` over the block), and attaches
-them as ``instr.exec_fn``.
+compile unit (amortising ``compile()`` over the block, and paying it once
+per process for each distinct block text, see :mod:`repro.codecache`),
+and attaches them as ``instr.exec_fn``.
 
 Each executor mirrors :func:`repro.isa.arm.semantics.execute` exactly,
 including the ExecInfo protocol (``next_pc``/``taken``/``mem_addr``/
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ...codecache import compile_cached
 from ..bits import add_carries, sub_borrows
 from .decode import ArmInstruction
 from .isa import PC
@@ -380,8 +382,7 @@ def bind_block(instrs: List[ArmInstruction]) -> None:
     if not bound:
         return
     namespace = {"ExecInfo": ExecInfo, "_add": add_carries, "_sub": sub_borrows}
-    code = compile("\n".join(sources),
-                   f"<execgen arm block {instrs[0].addr:#x}>", "exec")
-    exec(code, namespace)
+    exec(compile_cached("\n".join(sources),
+                        f"<execgen arm block {instrs[0].addr:#x}>"), namespace)
     for instr, name in bound:
         instr.exec_fn = namespace[name]

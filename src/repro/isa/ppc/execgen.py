@@ -4,8 +4,9 @@ The PPC counterpart of :mod:`repro.isa.arm.execgen`: :func:`bind_block`
 translates each instruction of a freshly-discovered basic block into a
 dedicated ``fn(state) -> ExecInfo`` function — register numbers,
 immediates, shift/rotate amounts, BO/BI branch conditions and ``rlwinm``
-masks become literals — compiles the block's functions as one unit, and
-attaches them as ``instr.exec_fn``.  Every executor mirrors
+masks become literals — compiles the block's functions as one unit
+(through the process code cache, :mod:`repro.codecache`), and attaches
+them as ``instr.exec_fn``.  Every executor mirrors
 :func:`repro.isa.ppc.semantics.execute` exactly (including the CTR
 decrement side effect of branch conditions); ``illegal`` encodings keep
 ``exec_fn = None`` and fall back to the interpreter's error path.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ...codecache import compile_cached
 from .decode import PpcInstruction
 from .isa import CR_EQ, CR_GT, CR_LT, SPR_LR
 from .semantics import ExecInfo, _div_trunc, _mask, _rotl32
@@ -330,8 +332,7 @@ def bind_block(instrs: List[PpcInstruction]) -> None:
     if not bound:
         return
     namespace = {"ExecInfo": ExecInfo, "_div": _div_trunc}
-    code = compile("\n".join(sources),
-                   f"<execgen ppc block {instrs[0].addr:#x}>", "exec")
-    exec(code, namespace)
+    exec(compile_cached("\n".join(sources),
+                        f"<execgen ppc block {instrs[0].addr:#x}>"), namespace)
     for instr, name in bound:
         instr.exec_fn = namespace[name]

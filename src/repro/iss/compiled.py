@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
+from ..codecache import compile_cached
 from ..isa.arm.decode import ArmInstruction
 from ..isa.arm.isa import PC
 from ..isa.program import Program
@@ -421,7 +422,9 @@ class CompiledArmInterpreter:
     DecodeCache` (discovered at fetch time, invalidated by overlapping
     writes), and each block's translation is cached *on the block
     object* — so a store over translated code drops the stale
-    translation together with the stale decode.
+    translation together with the stale decode.  Only the code object
+    is shared, through :mod:`repro.codecache`: the function, and the
+    ``_b`` its store guards test, belong to the one block.
     """
 
     def __init__(self, program: Program, stdin: bytes = b"", stack_top: int = 0x80000):
@@ -458,7 +461,7 @@ class CompiledArmInterpreter:
         entry = block.entry
         source = translator.build(entry, count, return_expr)
         namespace = {"_add": _add, "_sub": _sub, "_b": block}
-        exec(compile(source, f"<block {entry:#x}>", "exec"), namespace)
+        exec(compile_cached(source, f"<block {entry:#x}>"), namespace)
         fn = namespace[f"_block_{entry:x}"]
         fn.__block_source__ = source  # transcheck introspection (TRV005)
         return fn

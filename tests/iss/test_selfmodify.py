@@ -5,8 +5,18 @@ never invalidated the cache, so a program that stored over its own text
 kept executing the stale decode.  These tests pin the fixed contract: a
 memory write overlapping a cached instruction's bytes drops the entry and
 the next fetch re-decodes.
+
+Every scenario that builds an ISS also runs with the process code cache
+(:mod:`repro.codecache`) already warm from the same program: the
+``*Warm`` classes at the end re-run the scenario classes after a
+throwaway ISS has run the program to completion.  A store over
+translated code must still drop it and re-translate, then from code
+compiled by the throwaway run.
 """
 
+import pytest
+
+from repro import codecache
 from repro.isa.arm import assemble as asm_arm
 from repro.isa.ppc import assemble as asm_ppc
 from repro.iss import ArmInterpreter, CompiledArmInterpreter, PpcInterpreter
@@ -31,7 +41,20 @@ def _ppc_encoding(instruction: str) -> int:
     return memory.read_word(program.entry)
 
 
-class TestArmSelfModify:
+class _Scenarios:
+    #: run each program once in a throwaway ISS before the scenario's
+    #: own, so every block it translates is in the code cache
+    warm = False
+
+    def iss(self, iss_class, program):
+        """The scenario's ISS of *iss_class* over *program*."""
+        if self.warm:
+            iss_class(program).run()
+            self.misses_when_warm = codecache.stats()["misses"]
+        return iss_class(program)
+
+
+class TestArmSelfModify(_Scenarios):
     def test_store_over_executed_instruction_redecodes(self):
         # `target` executes once (priming the decode cache), is then
         # overwritten with `mov r0, #42`, and executes again.  With a
@@ -53,7 +76,7 @@ target:
     b    loop
 done:
 """, data=f"patch: .word {patch_word:#010x}")
-        interpreter = ArmInterpreter(asm_arm(source))
+        interpreter = self.iss(ArmInterpreter, asm_arm(source))
         assert interpreter.run(10_000) == 42
         assert interpreter.decode_cache.invalidations >= 1
 
@@ -75,11 +98,11 @@ target:
     b    loop
 done:
 """)
-        interpreter = ArmInterpreter(asm_arm(source))
+        interpreter = self.iss(ArmInterpreter, asm_arm(source))
         assert interpreter.run(10_000) == 7
 
     def test_unmodified_code_still_cached(self):
-        interpreter = ArmInterpreter(asm_arm(arm_program("    mov r0, #3")))
+        interpreter = self.iss(ArmInterpreter, asm_arm(arm_program("    mov r0, #3")))
         entry = interpreter.program.entry
         first = interpreter.fetch_decode(entry)
         assert interpreter.fetch_decode(entry) is first
@@ -91,7 +114,7 @@ done:
         assert interpreter.fetch_decode(entry) is not first
 
 
-class TestPpcSelfModify:
+class TestPpcSelfModify(_Scenarios):
     def test_store_over_executed_instruction_redecodes(self):
         patch_word = _ppc_encoding("    li r3, 42")
         source = ppc_program(f"""
@@ -109,7 +132,7 @@ target:
     b     loop
 done:
 """, data=f"patch: .word {patch_word:#010x}")
-        interpreter = PpcInterpreter(asm_ppc(source))
+        interpreter = self.iss(PpcInterpreter, asm_ppc(source))
         assert interpreter.run(10_000) == 42
         assert interpreter.decode_cache.invalidations >= 1
 
@@ -182,28 +205,28 @@ target:
 """, data=f"patch: .word {patch_word:#010x}")
 
 
-class TestBlockSelfModify:
+class TestBlockSelfModify(_Scenarios):
     """The basic-block layer: stores into cached blocks must drop them
     (and their bound executors) wherever in the block they land."""
 
     def test_arm_store_into_middle_of_cached_block(self):
-        interpreter = ArmInterpreter(asm_arm(_arm_midblock_source()))
+        interpreter = self.iss(ArmInterpreter, asm_arm(_arm_midblock_source()))
         assert interpreter.run(10_000) == 42
         assert interpreter.decode_cache.block_invalidations >= 1
 
     def test_arm_store_guard_stops_current_block(self):
         # The store and its victim share a block: the run loop must stop
         # at the instruction boundary instead of finishing the stale tail.
-        interpreter = ArmInterpreter(asm_arm(_arm_sameblock_source()))
+        interpreter = self.iss(ArmInterpreter, asm_arm(_arm_sameblock_source()))
         assert interpreter.run(10_000) == 42
 
     def test_ppc_store_into_middle_of_cached_block(self):
-        interpreter = PpcInterpreter(asm_ppc(_ppc_midblock_source()))
+        interpreter = self.iss(PpcInterpreter, asm_ppc(_ppc_midblock_source()))
         assert interpreter.run(10_000) == 42
         assert interpreter.decode_cache.block_invalidations >= 1
 
     def test_ppc_store_guard_stops_current_block(self):
-        interpreter = PpcInterpreter(asm_ppc(_ppc_sameblock_source()))
+        interpreter = self.iss(PpcInterpreter, asm_ppc(_ppc_sameblock_source()))
         assert interpreter.run(10_000) == 42
 
     def test_arm_write_straddling_two_blocks_drops_both(self):
@@ -218,7 +241,7 @@ second:
 third:
     mov  r0, #3
 """)
-        interpreter = ArmInterpreter(asm_arm(source))
+        interpreter = self.iss(ArmInterpreter, asm_arm(source))
         cache = interpreter.decode_cache
         entry = interpreter.program.entry
         block_a = cache.fetch_block(entry + 4)
@@ -245,7 +268,7 @@ second:
 third:
     li   r3, 3
 """)
-        interpreter = PpcInterpreter(asm_ppc(source))
+        interpreter = self.iss(PpcInterpreter, asm_ppc(source))
         cache = interpreter.decode_cache
         entry = interpreter.program.entry
         block_a = cache.fetch_block(entry + 4)
@@ -284,17 +307,17 @@ class TestWideWriteInvalidation:
         assert cache.fetch(entry + 3 * page) is kept_high
 
 
-class TestCompiledSelfModify:
+class TestCompiledSelfModify(_Scenarios):
     """The dynamically-compiling ISS shares the decode cache, so stores
     over translated code must drop the stale translation too — including
     a store whose victim is later in the currently-running block.  (The
     PPC programs run on the specialised interpreter above.)"""
 
     def test_arm_compiled_store_over_cached_block(self):
-        assert CompiledArmInterpreter(asm_arm(_arm_midblock_source())).run() == 42
+        assert self.iss(CompiledArmInterpreter, asm_arm(_arm_midblock_source())).run() == 42
 
     def test_arm_compiled_store_guard_same_block(self):
-        assert CompiledArmInterpreter(asm_arm(_arm_sameblock_source())).run() == 42
+        assert self.iss(CompiledArmInterpreter, asm_arm(_arm_sameblock_source())).run() == 42
 
 
 class TestWriteHookPlumbing:
@@ -320,3 +343,31 @@ class TestWriteHookPlumbing:
         memory.remove_write_hook(hook)
         memory.write_byte(0, 2)
         assert spans == [(0, 1)]
+
+
+class _WarmCache:
+    """Runs a scenario class with the code cache warm from the same
+    program; the scenario itself must then compile nothing."""
+
+    warm = True
+
+    @pytest.fixture(autouse=True)
+    def _scenario_compiles_nothing(self):
+        yield
+        assert codecache.stats()["misses"] == self.misses_when_warm
+
+
+class TestArmSelfModifyWarm(_WarmCache, TestArmSelfModify):
+    pass
+
+
+class TestPpcSelfModifyWarm(_WarmCache, TestPpcSelfModify):
+    pass
+
+
+class TestBlockSelfModifyWarm(_WarmCache, TestBlockSelfModify):
+    pass
+
+
+class TestCompiledSelfModifyWarm(_WarmCache, TestCompiledSelfModify):
+    pass
