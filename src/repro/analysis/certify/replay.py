@@ -971,7 +971,7 @@ def _check_template(p, fuse, slot_cands):
         text = (f"T = osm.token_buffer.get({p.slot!r})\n"
                 "if T is None:\n    return True\n"
                 "M = T.manager\n"
-                f"if type(M) is not {g.bind('cls', dispatch[0])} or not ({refusal}):\n"
+                f"if type(M) is not {g.operand('cls', dispatch[0])} or not ({refusal}):\n"
                 "    return True\n")
     else:
         em = fuse._EMITTERS.get(type(getattr(p, "manager", None)))

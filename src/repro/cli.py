@@ -106,15 +106,27 @@ MODEL_DEFAULT_ISA = {
 
 
 def cmd_run(args) -> int:
+    import json
+
+    from . import codecache
+
     source = _read_source(args.file)
     isa = args.isa or MODEL_DEFAULT_ISA.get(args.model, "arm")
     program = _assemble(isa, source)
+    code = {"hits": 0, "misses": 0}
+    code_before = codecache.stats()
     model = _build_model(args.model, program, isa)
 
     if args.model == "iss":
         exit_code = model.run(args.max_cycles)
-        print(f"exit={exit_code} instructions={model.steps}")
         output = model.syscalls.output_text
+        if args.json:
+            _add_counts(code, code_before, codecache.stats())
+            print(json.dumps({"model": "iss", "exit_code": exit_code,
+                              "instructions": model.steps, "code_cache": code,
+                              "output": output}, indent=2))
+            return 0
+        print(f"exit={exit_code} instructions={model.steps}")
         if output:
             print(f"output: {output!r}")
         return 0
@@ -125,9 +137,29 @@ def cmd_run(args) -> int:
 
         tracer = PipelineTracer(model)
     stats = model.run(args.max_cycles)
+    output = getattr(model, "output_text", "")
+    if args.json:
+        _add_counts(code, code_before, codecache.stats())
+        certificate = getattr(model.spec, "fuse_certificate", None)
+        print(json.dumps({
+            "model": args.model,
+            "exit_code": model.exit_code,
+            "cycles": stats.cycles,
+            "instructions": stats.instructions,
+            "ipc": round(stats.ipc, 6),
+            "transitions": stats.transitions,
+            "probes": stats.control_step_passes,
+            "parked_skips": stats.parked_skips,
+            "failed_probes_per_commit": _failed_probes_per_commit(stats),
+            "fusion": None if certificate is None else {
+                key: certificate[key]
+                for key in ("verdict", "plan", "fused_states", "parked_states")},
+            "code_cache": code,
+            "output": output,
+        }, indent=2))
+        return 0
     print(f"exit={model.exit_code} cycles={stats.cycles} "
           f"instructions={stats.instructions} IPC={stats.ipc:.3f}")
-    output = getattr(model, "output_text", "")
     if output:
         print(f"output: {output!r}")
     if tracer is not None:
@@ -458,6 +490,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
     import gc
 
     from . import codecache
+    from .core.fuse import plan_stats
     from .core.stats import SimulationStats
     from .workloads import mediabench
 
@@ -473,16 +506,21 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
     verdict = None
     cache_counts = {"block_hits": 0, "block_misses": 0,
                     "entry_invalidations": 0, "block_invalidations": 0}
-    # process code-cache counter deltas: the timed builds and runs, and
-    # the verify re-runs, which repeat a program this process just ran
+    # process code-cache and build-plan counter deltas: the timed builds
+    # and runs, and the verify re-runs, which repeat a program this
+    # process just ran
     timed_code = {"hits": 0, "misses": 0}
     verify_code = {"hits": 0, "misses": 0}
+    timed_plans = {"reused": 0, "generated": 0, "unplannable": 0}
+    verify_plans = dict(timed_plans)
     for name in names:
         with agg.time_phase("assemble"):
             program = _assemble(isa, source_of(name))
         code_before = codecache.stats()
+        plans_before = plan_stats()
         with agg.time_phase("build"):
             model = _build_model(model_name, program, isa, fused=fused)
+        _add_counts(timed_plans, plans_before, plan_stats())
         if compile_stats is None:
             # the row's first build is the one that can pay the fusion gate
             certificate = getattr(model.spec, "fuse_certificate", None)
@@ -495,7 +533,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        _add_code_counts(timed_code, code_before, codecache.stats())
+        _add_counts(timed_code, code_before, codecache.stats())
         compile_stats = model.spec.compile_stats
         cache = _model_decode_cache(model)
         if cache is not None:
@@ -522,11 +560,13 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
             # must be result-identical, not merely faster
             with agg.time_phase("verify"):
                 code_before = codecache.stats()
+                plans_before = plan_stats()
                 with agg.time_phase("build"):
                     ref_model = _build_model(model_name, program, isa, fused=fused)
+                _add_counts(verify_plans, plans_before, plan_stats())
                 ref_model.director.reference = True
                 ref_stats = ref_model.run(args.max_cycles)
-                _add_code_counts(verify_code, code_before, codecache.stats())
+                _add_counts(verify_code, code_before, codecache.stats())
             reference = {
                 "cycles": ref_stats.cycles,
                 "instructions": ref_stats.instructions,
@@ -541,7 +581,6 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
     block_hit_rate = (
         round(cache_counts["block_hits"] / lookups, 4) if lookups else None
     )
-    failed_probes = agg.control_step_passes - agg.transitions
     return {
         "bench": "speed",
         "model": model_name,
@@ -559,9 +598,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         # row-level, as the unfused rows count differently
         "probes": agg.control_step_passes,
         "parked_skips": agg.parked_skips,
-        "failed_probes_per_commit": (
-            round(failed_probes / agg.transitions, 4) if agg.transitions else None
-        ),
+        "failed_probes_per_commit": _failed_probes_per_commit(agg),
         "phase_seconds": {
             name: round(seconds, 4) for name, seconds in agg.phase_seconds.items()
         },
@@ -575,11 +612,20 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         "decode_cache": {**cache_counts, "block_hit_rate": block_hit_rate},
         "code_cache": timed_code,
         "verify_code_cache": None if args.no_verify else verify_code,
+        "fusion_plans": timed_plans,
+        "verify_fusion_plans": None if args.no_verify else verify_plans,
     }
 
 
-def _add_code_counts(total: dict, before: dict, after: dict) -> None:
-    """Add one span's code-cache counter deltas to *total*."""
+def _failed_probes_per_commit(stats) -> Optional[float]:
+    """Probes that committed nothing, per committed transition."""
+    if not stats.transitions:
+        return None
+    return round((stats.control_step_passes - stats.transitions) / stats.transitions, 4)
+
+
+def _add_counts(total: dict, before: dict, after: dict) -> None:
+    """Add one span's process-counter deltas to *total*."""
     for key in total:
         total[key] += after[key] - before[key]
 
@@ -606,12 +652,20 @@ def _print_bench_row(row: dict, verify: bool) -> None:
               f"{cache['block_invalidations']} invalidated)")
     code = row["code_cache"]
     print(f"  code cache: {code['hits']} hits / {code['misses']} misses")
+    print(f"  fusion plans: {_plan_counts(row['fusion_plans'])}")
     if verify:
         state = "ok" if not row["mismatches"] else "MISMATCH"
         print(f"  reference-loop verification: {state}")
         code = row["verify_code_cache"]
         print(f"  code cache (verify re-runs): {code['hits']} hits / "
               f"{code['misses']} misses")
+        print(f"  fusion plans (verify re-runs): "
+              f"{_plan_counts(row['verify_fusion_plans'])}")
+
+
+def _plan_counts(plans: dict) -> str:
+    return (f"{plans['reused']} reused / {plans['generated']} generated / "
+            f"{plans['unplannable']} unplannable")
 
 
 def _bench_row_key(row):
@@ -672,8 +726,11 @@ def cmd_bench(args) -> int:
     ISS block-cache hit rate, and the process code cache's hits and
     misses (:mod:`repro.codecache`) over the timed builds and runs
     (``code_cache``) and over the verify re-runs
-    (``verify_code_cache``).  ``--model cases`` benches every case-study
-    model (StrongARM and PPC 750).  ``--out`` holds a JSON array and is
+    (``verify_code_cache``), and what the builds did with their fusion
+    build plans (``fusion_plans`` and ``verify_fusion_plans``: how many
+    reused one, generated their text, or were unplannable; see
+    :func:`repro.core.fuse.plan_stats`).  ``--model cases`` benches
+    every case-study model (StrongARM and PPC 750).  ``--out`` holds a JSON array and is
     *merged*, not overwritten: rows are keyed by (bench, model, quick,
     fused), so partial reruns replace only their own rows.  Unless
     ``--no-verify`` is given, every workload is re-run under the
@@ -682,7 +739,8 @@ def cmd_bench(args) -> int:
     mismatch fails the bench with exit status 1.  CI's perf-smoke job
     runs ``bench --quick`` fused and unfused and fails on result
     mismatches, on the fused ppc750 row's ``failed_probes_per_commit``
-    above 1.0 and on any code-cache miss in a verify re-run, never on
+    above 1.0, on any code-cache miss in a verify re-run and on any
+    fused verify re-run build that did not reuse its plan, never on
     speed.
     """
     import json
@@ -920,7 +978,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model", default="strongarm",
                      choices=sorted(MODEL_DEFAULT_ISA))
     run.add_argument("--isa", choices=("arm", "ppc"))
-    run.add_argument("--trace", action="store_true", help="print a pipeline chart")
+    shown = run.add_mutually_exclusive_group()
+    shown.add_argument("--trace", action="store_true", help="print a pipeline chart")
+    shown.add_argument("--json", action="store_true",
+                       help="print one JSON object: the result, the fast "
+                            "path's work counters, the fusion certificate "
+                            "and the code-cache counters")
     run.add_argument("--trace-ops", type=int, default=40)
     run.add_argument("--max-cycles", type=int, default=10_000_000)
     run.set_defaults(func=cmd_run)

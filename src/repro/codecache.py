@@ -15,9 +15,10 @@ Sharing is exact.  A code object is immutable and a pure function of its
 source, filename, mode and compiler flags: the key is the first two, the
 mode is always ``"exec"``, and the flags are those of this module (the
 ``annotations`` future import, like every call site's module).  Each
-call site still runs the shared code object with ``exec`` in a fresh
-namespace of its own, so per-build constants (the execgen helpers, the
-compiled ISS's block ``_b``, a stepper's parameter defaults) stay per
+call site still makes functions of its own from the shared code object
+(with ``exec`` in a fresh namespace, or a stepper from its inner code
+with its own parameter defaults), so per-build constants (the execgen
+helpers, the compiled ISS's block ``_b``, a stepper's defaults) stay per
 build, nothing ties a cached code object to a block, model or manager,
 and a store over translated code still drops its block, whose
 re-translation compiles (or finds) the new text.

@@ -48,6 +48,18 @@ probe of a parked operation.  TRV001 replays wake tests as well, and the
 gate drops one that fails (:func:`unpark_states`) while the state stays
 fused.
 
+The text of every stepper and wake test is a function of the spec's
+structure, not of the build, so a process generates it once per
+structure: the gated build records a **build plan** (:class:`_Plan`)
+holding, per state, the census outcome, the text, the shared code
+object and a binding recipe — one structural path per parameter, such
+as ``edges[7].condition.primitives[3].manager.tokens``.  A later build
+of that structure resolves the paths on its own spec and makes each
+function from the shared code with its own parameter defaults
+(:func:`_install`).  An emitter names what it binds
+(:meth:`_Codegen.bind_field`); a spec with a bind no path names
+generates per build.
+
 Steppers bake per-edge constants (actions, ``on_enter`` hooks,
 destination states); ``MachineSpec.edge()`` invalidates ``State._fused``
 and ``State._wake`` so mutated specs regenerate lazily via
@@ -58,12 +70,14 @@ outside the contract.
 from __future__ import annotations
 
 import ast
+import builtins
 import functools
 import gc
 import os
 import sys
+from collections import OrderedDict
 from contextlib import contextmanager
-from types import FunctionType, MethodType, ModuleType
+from types import CodeType, FunctionType, MethodType, ModuleType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..codecache import compile_cached
@@ -189,28 +203,100 @@ class _Writer:
 class _Codegen:
     """Constant binding (constants as parameter defaults, so the hot
     path pays local-variable loads) plus a shared counter for fresh
-    local names."""
+    local names.
 
-    def __init__(self):
+    Given *paths* — per object of the spec, by id, its recipe path
+    ``(walk path, ())`` (:func:`_install`) — it records the function's
+    binding recipe for a build plan: the structural path of every
+    parameter's object, and every other path a later bind reached one
+    of them by.  The generator binds the spec's own objects with
+    :meth:`operand`.  An emitter binds the manager it was handed with
+    :meth:`bind` and that manager's members with :meth:`bind_field`;
+    anything else it binds has no path, and ``unnamed`` keeps the hint
+    of the first such bind.
+    """
+
+    def __init__(self, paths: Optional[Dict[int, Tuple[tuple, tuple]]] = None):
         self.env: Dict[str, Any] = {"TokenError": TokenError}
         self.params: List[str] = []
-        self._bound: Dict[int, str] = {}
+        self._bound: Dict[int, int] = {}  # id -> parameter index
         self._n = 0
+        self._paths = paths or {}
+        #: the manager the emitter being called was handed (:meth:`handing`)
+        self.handed: Any = None
+        #: per parameter, ``(walk path, member steps)`` of its object
+        self.recipe: List[Optional[Tuple[tuple, tuple]]] = []
+        #: ``(path, parameter index)`` of each bind that reached an
+        #: already-bound object by another path
+        self.aliases: List[Tuple[Tuple[tuple, tuple], int]] = []
+        self.unnamed: Optional[str] = None
+
+    def operand(self, hint: str, obj: Any) -> str:
+        """Bind an object of the spec: an edge, a state, a primitive's
+        operand, or a class among them."""
+        return self._bind(hint, obj, self._paths.get(id(obj)))
 
     def bind(self, hint: str, obj: Any) -> str:
-        name = self._bound.get(id(obj))
-        if name is not None and self.env[name] is obj:
-            return name
+        """Bind *obj*: for an emitter, the manager it was handed."""
+        return self._bind(hint, obj, self._paths.get(id(obj)) if obj is self.handed else None)
+
+    def bind_field(self, hint: str, owner: Any, attr: str, *keys: Any) -> str:
+        """Bind ``owner.<attr>[key]...``, a member of the manager an
+        emitter was handed, named so a build plan finds it again on the
+        spec of a later build."""
+        obj = getattr(owner, attr)
+        for key in keys:
+            obj = obj[key]
+        base = self._paths.get(id(owner)) if owner is self.handed else None
+        return self._bind(hint, obj, base and (base[0], (attr,) + tuple((key,) for key in keys)))
+
+    @contextmanager
+    def handing(self, mgr):
+        """Emitter calls in the body are handed the concrete *mgr*."""
+        self.handed = mgr
+        try:
+            yield
+        finally:
+            self.handed = None
+
+    def _bind(self, hint: str, obj: Any, path) -> str:
+        if path is None and self.unnamed is None:
+            self.unnamed = hint
+        index = self._bound.get(id(obj))
+        if index is not None and self.env[self.params[index]] is obj:
+            if path is not None and path != self.recipe[index]:
+                self.aliases.append((path, index))
+            return self.params[index]
         self._n += 1
         name = f"{hint}_{self._n}"
         self.env[name] = obj
+        self._bound[id(obj)] = len(self.params)
         self.params.append(name)
-        self._bound[id(obj)] = name
+        self.recipe.append(path)
         return name
 
     def fresh(self, hint: str) -> str:
         self._n += 1
         return f"{hint}{self._n}"
+
+    def function(self, source: str, filename: str) -> Callable:
+        """The function *source* defines, compiled once per process
+        (:func:`~repro.codecache.compile_cached`), with the bound objects
+        as its parameter defaults."""
+        module = compile_cached(source, filename)
+        code = next(c for c in module.co_consts if isinstance(c, CodeType))
+        return _function(code, source, tuple([self.env[name] for name in self.params]))
+
+
+#: the globals of every generated function, which reads no global name
+#: but ``TokenError`` and builtins (its constants are parameters)
+_GLOBALS = {"TokenError": TokenError, "__builtins__": builtins}
+
+
+def _function(code, source: str, defaults: tuple) -> Callable:
+    fn = FunctionType(code, _GLOBALS, None, defaults)
+    fn.__fused_source__ = source  # TRV001 replays it; debugging too
+    return fn
 
 
 def _is_literal(value: Any) -> bool:
@@ -226,7 +312,7 @@ def _expr(g: _Codegen, hint: str, value: Any) -> str:
     else a bound parameter."""
     if _is_literal(value):
         return repr(value)
-    return g.bind(hint, value)
+    return g.operand(hint, value)
 
 
 #: AST node types an inline ident expression may contain — pure data
@@ -277,7 +363,7 @@ def _ident_call(g: _Codegen, hint: str, fn: Any) -> str:
     inline = getattr(fn, "__fuse_inline__", None)
     if inline is not None and safe_inline_expr(inline):
         return f"({inline})"
-    return f"{g.bind(hint, fn)}(osm)"
+    return f"{g.operand(hint, fn)}(osm)"
 
 
 def grantable(tok_expr: str, avoid: Tuple[List[str], List[str]]) -> str:
@@ -355,12 +441,14 @@ class ManagerEmitter:
     whose edges allocate from or inquire of it run the interpreted
     reference.
 
-    ``allocate``/``inquire``/``allocate_commit`` are always invoked with
-    the concrete manager instance (the primitive names it), so they may
-    bind its internals as constants.  ``release_check``/
-    ``release_commit`` are invoked with a *runtime* manager expression
-    (``token.manager``) guarded by an exact-type test, so they must use
-    attribute access.
+    ``allocate``/``inquire``/``allocate_commit``/``inquire_refusal`` are
+    always invoked with the concrete manager instance (the primitive
+    names it), so they may bind it (``g.bind``) and its members
+    (``g.bind_field(hint, mgr, attr, *keys)``) as constants.  The text
+    may depend on the manager's class only, never on its state.
+    ``release_check``/``release_commit`` are invoked with a *runtime*
+    manager expression (``token.manager``) guarded by an exact-type
+    test, so they must use attribute access.
     """
 
     def allocate(self, g: _Codegen, w: _Writer, mgr, out: str, ident_expr: str,
@@ -403,7 +491,7 @@ class ManagerEmitter:
 
 class SlotManagerEmitter(ManagerEmitter):
     def allocate(self, g, w, mgr, out, ident_expr, avoid):
-        tok = g.bind("slot_tok", mgr.token)
+        tok = g.bind_field("slot_tok", mgr, "token")
         w(f"{out} = {tok} if {grantable(tok, avoid)} else None")
 
     def allocate_commit(self, g, w, mgr, tok):
@@ -411,7 +499,7 @@ class SlotManagerEmitter(ManagerEmitter):
         w(f"{m}.n_allocates += 1")
 
     def inquire(self, g, w, mgr, ident_expr, ctx, fail):
-        tok = g.bind("slot_tok", mgr.token)
+        tok = g.bind_field("slot_tok", mgr, "token")
         with w.block(f"if {tok}.holder is not None:"):
             fail()
 
@@ -436,7 +524,7 @@ class SlotManagerEmitter(ManagerEmitter):
 class PoolManagerEmitter(ManagerEmitter):
     def allocate(self, g, w, mgr, out, ident_expr, avoid):
         m = g.bind("mgr", mgr)
-        toks = g.bind("pool", mgr.tokens)
+        toks = g.bind_field("pool", mgr, "tokens")
         w(f"{out} = None")
         with w.block(f"if {m}._n_free != 0:"):
             tv = g.fresh("_pt")
@@ -452,7 +540,7 @@ class PoolManagerEmitter(ManagerEmitter):
 
     def inquire(self, g, w, mgr, ident_expr, ctx, fail):
         m = g.bind("mgr", mgr)
-        toks = g.bind("pool", mgr.tokens)
+        toks = g.bind_field("pool", mgr, "tokens")
         nf = g.fresh("_nf")
         tv = g.fresh("_pt")
         w(f"{nf} = {m}._n_free")
@@ -488,7 +576,7 @@ class InOrderPoolManagerEmitter(PoolManagerEmitter):
 
     def allocate_commit(self, g, w, mgr, tok):
         super().allocate_commit(g, w, mgr, tok)
-        w(f"{g.bind('order', mgr._order)}.append(osm)")
+        w(f"{g.bind_field('order', mgr, '_order')}.append(osm)")
 
     @staticmethod
     def _refused(mgr_expr):
@@ -515,8 +603,8 @@ class InOrderPoolManagerEmitter(PoolManagerEmitter):
 class RegisterFileManagerEmitter(ManagerEmitter):
     def allocate(self, g, w, mgr, out, ident_expr, avoid):
         m = g.bind("mgr", mgr)
-        upd = g.bind("upd", mgr.update_tokens)
-        wr = g.bind("writers", mgr._writers)
+        upd = g.bind_field("upd", mgr, "update_tokens")
+        wr = g.bind_field("writers", mgr, "_writers")
         mo = g.fresh("_mo")
         w(f"{out} = None")
         w(f"{mo} = {m}.max_outstanding")
@@ -532,13 +620,13 @@ class RegisterFileManagerEmitter(ManagerEmitter):
 
     def allocate_commit(self, g, w, mgr, tok):
         m = g.bind("mgr", mgr)
-        wr = g.bind("writers", mgr._writers)
+        wr = g.bind_field("writers", mgr, "_writers")
         w(f"{m}.n_allocates += 1")
         w(f"{m}._outstanding += 1")
         w(f"{wr}[{tok}.index].append(osm)")
 
     def inquire(self, g, w, mgr, ident_expr, ctx, fail):
-        wr = g.bind("writers", mgr._writers)
+        wr = g.bind_field("writers", mgr, "_writers")
         with w.block(f"if {ident_expr} is not None and {wr}[{ident_expr}]:"):
             fail()
 
@@ -574,7 +662,7 @@ class ResetManagerEmitter(ManagerEmitter):
             fail()
 
     def inquire_refusal(self, g, mgr, ident_expr):
-        return f"id(osm) not in {g.bind('doomed', mgr._doomed)}"
+        return f"id(osm) not in {g.bind_field('doomed', mgr, '_doomed')}"
 
     def release_check(self, g, w, mgr_expr, tok, fail):
         w(f"raise TokenError('%s manages no releasable tokens'"
@@ -587,6 +675,11 @@ class ResetManagerEmitter(ManagerEmitter):
 #: exact manager class -> emitter
 _EMITTERS: Dict[type, ManagerEmitter] = {}
 
+#: the process's build plans (:class:`_Plan`, or why a structure has
+#: none) by (verdict key, fusable states), least recently used first;
+#: every update is one dict operation, as builds may run on threads
+_PLANS: "OrderedDict[Tuple[str, frozenset], Any]" = OrderedDict()
+
 
 def register_native_emitter(manager_class: type, emitter: ManagerEmitter) -> None:
     """Register native codegen for *manager_class* (exact type match).
@@ -596,7 +689,13 @@ def register_native_emitter(manager_class: type, emitter: ManagerEmitter) -> Non
     unregistered class runs the interpreted reference — never unsound,
     only slower.  Every registered emitter needs a case in the
     differential emitter test (``tests/property/test_emitters.py``).
+    A spec's structure says which of its manager classes have an
+    emitter, so registering a new class keys its specs apart; replacing
+    the emitter of a class may change any plan's text, so it drops them
+    all.
     """
+    if manager_class in _EMITTERS:
+        _PLANS.clear()
     _EMITTERS[manager_class] = emitter
 
 
@@ -685,7 +784,7 @@ def _emit_release_check(g, w, dispatch, mv, tok, slot_expr, fail):
         generic()
     else:
         cls, em = dispatch
-        cname = g.bind("cls", cls)
+        cname = g.operand("cls", cls)
         with w.block(f"if type({mv}) is {cname}:"):
             em.release_check(g, w, mv, tok, fail)
         with w.block("else:"):
@@ -698,7 +797,7 @@ def _emit_release_hook(g, w, dispatch, mv, tok, value_expr):
         w(f"{mv}.on_release_commit(osm, {tok}, {value_expr})")
     else:
         cls, em = dispatch
-        cname = g.bind("cls", cls)
+        cname = g.operand("cls", cls)
         with w.block(f"if type({mv}) is {cname}:"):
             em.release_commit(g, w, mv, tok, value_expr)
         with w.block("else:"):
@@ -713,14 +812,14 @@ def _nat_guard(g, w, p, idx, ctx):
         with w.block(f"if {key} != {_expr(g, f'g{idx}value', p.value)}:"):
             w("break")
         return
-    pred = g.bind(f"g{idx}pred", p.predicate)
+    pred = g.operand(f"g{idx}pred", p.predicate)
     with w.block(f"if not {pred}(osm):"):
         w("break")
 
 
 def _nat_allocate(g, w, p, idx, ctx):
     em = _EMITTERS[type(p.manager)]
-    m = g.bind("mgr", p.manager)
+    m = g.operand("mgr", p.manager)
     slot = _expr(g, f"a{idx}slot", p.slot)
     out = g.fresh(f"a{idx}t")
     if p._dynamic:
@@ -728,14 +827,16 @@ def _nat_allocate(g, w, p, idx, ctx):
         w(f"{iv} = {_ident_call(g, f'a{idx}ident', p.ident)}")
         w(f"{out} = None")
         with w.block(f"if {iv} is not None:"):
-            em.allocate(g, w, p.manager, out, iv, ctx.avoid(p.manager))
+            with g.handing(p.manager):
+                em.allocate(g, w, p.manager, out, iv, ctx.avoid(p.manager))
             with w.block(f"if {out} is None:"):
                 w(f"osm.blocked_on = ({m}, {iv})")
                 w("break")
         conditional = True  # None past this point means vacuous, not refused
     else:
         ident = _expr(g, f"a{idx}ident", p.ident)
-        em.allocate(g, w, p.manager, out, ident, ctx.avoid(p.manager))
+        with g.handing(p.manager):
+            em.allocate(g, w, p.manager, out, ident, ctx.avoid(p.manager))
         with w.block(f"if {out} is None:"):
             w(f"osm.blocked_on = ({m}, {ident})")
             w("break")
@@ -745,7 +846,7 @@ def _nat_allocate(g, w, p, idx, ctx):
 
 def _nat_allocate_many(g, w, p, idx, ctx):
     em = _EMITTERS[type(p.manager)]
-    m = g.bind("mgr", p.manager)
+    m = g.operand("mgr", p.manager)
     slot = _expr(g, f"m{idx}slot", p.slot)
     idents_call = _ident_call(g, f"m{idx}idents", p.idents)
     lst = g.fresh(f"m{idx}l")
@@ -757,7 +858,8 @@ def _nat_allocate_many(g, w, p, idx, ctx):
     # the in-progress list participates in its own dedup scans
     ctx.grants.append(_Grant(p.manager, em, lst, slot, True, False))
     with w.block(f"for {iv} in {idents_call} or ():"):
-        em.allocate(g, w, p.manager, tv, iv, ctx.avoid(p.manager))
+        with g.handing(p.manager):
+            em.allocate(g, w, p.manager, tv, iv, ctx.avoid(p.manager))
         with w.block(f"if {tv} is None:"):
             w(f"osm.blocked_on = ({m}, {iv})")
             w(f"{ok} = False")
@@ -769,10 +871,11 @@ def _nat_allocate_many(g, w, p, idx, ctx):
 
 def _nat_inquire(g, w, p, idx, ctx):
     em = _EMITTERS[type(p.manager)]
-    m = g.bind("mgr", p.manager)
+    m = g.operand("mgr", p.manager)
 
     def check(ident_expr, fail):
-        em.inquire(g, w, p.manager, ident_expr, ctx, fail)
+        with g.handing(p.manager):
+            em.inquire(g, w, p.manager, ident_expr, ctx, fail)
         w(f"{m}.n_inquiries += 1")
 
     def scalar_fail(ident_expr):
@@ -833,7 +936,7 @@ def _nat_release(g, w, p, idx, ctx, slot_cands):
 
         _emit_release_check(g, w, dispatch, mv, tv, slot, fail)
         if p.value is not None:
-            vf = g.bind(f"r{idx}value", p.value)
+            vf = g.operand(f"r{idx}value", p.value)
             vv = g.fresh(f"r{idx}v")
             w(f"{vv} = {vf}(osm)")
     ctx.releases.append(_Rel(False, tv, mv, slot, vv, dispatch))
@@ -862,7 +965,7 @@ def _nat_release_many(g, w, p, idx, ctx, slot_cands):
 
         _emit_release_check(g, w, dispatch, mv, tv, sv, fail)
         if p.value is not None:
-            vf = g.bind(f"r{idx}value", p.value)
+            vf = g.operand(f"r{idx}value", p.value)
             w(f"{lst}.append(({sv}, {tv}, {mv}, {vf}(osm, {tv})))")
         else:
             w(f"{lst}.append(({sv}, {tv}, {mv}, None))")
@@ -916,6 +1019,11 @@ def _emit_native_commit(g, w, ctx):
                 w(f"del buffer[{sv}]")
                 w(f"{tv}.holder = None")
                 w(f"{tv}.manager.on_discard(osm, {tv})")
+
+    def allocate_commit(gr, tok):
+        with g.handing(gr.mgr):
+            gr.emitter.allocate_commit(g, w, gr.mgr, tok)
+
     for gr in ctx.grants:
         if gr.many:
             ix = g.fresh("_gi")
@@ -923,16 +1031,16 @@ def _emit_native_commit(g, w, ctx):
             with w.block(f"for {ix}, {tv} in enumerate({gr.var}):"):
                 w(f"{tv}.holder = osm")
                 w(f"buffer[{gr.slot} + str({ix})] = {tv}")
-                gr.emitter.allocate_commit(g, w, gr.mgr, tv)
+                allocate_commit(gr, tv)
         elif gr.conditional:
             with w.block(f"if {gr.var} is not None:"):
                 w(f"{gr.var}.holder = osm")
                 w(f"buffer[{gr.slot}] = {gr.var}")
-                gr.emitter.allocate_commit(g, w, gr.mgr, gr.var)
+                allocate_commit(gr, gr.var)
         else:
             w(f"{gr.var}.holder = osm")
             w(f"buffer[{gr.slot}] = {gr.var}")
-            gr.emitter.allocate_commit(g, w, gr.mgr, gr.var)
+            allocate_commit(gr, gr.var)
 
 
 def _emit_native_edge(g, w, edge, slot_cands):
@@ -961,16 +1069,16 @@ def _emit_native_edge(g, w, edge, slot_cands):
 def _emit_bookkeeping(g, w, edge):
     """Post-commit OSM state update, mirroring ``try_transition``."""
     dst = edge.dst
-    ename = g.bind("edge", edge)
-    w(f"osm.current = {g.bind('dst', dst)}")
+    ename = g.operand("edge", edge)
+    w(f"osm.current = {g.operand('dst', dst)}")
     w(f"osm.last_edge = {ename}")
     w("osm.n_transitions += 1")
     if edge.src.is_initial:
         w("osm.age = clock")
     if edge.action is not None:
-        w(f"{g.bind('action', edge.action)}(osm)")
+        w(f"{g.operand('action', edge.action)}(osm)")
     if dst.on_enter is not None:
-        w(f"{g.bind('on_enter', dst.on_enter)}(osm)")
+        w(f"{g.operand('on_enter', dst.on_enter)}(osm)")
     if dst.is_initial:
         with w.block("if buffer:"):
             w("raise TokenError('%s: returned to initial state still "
@@ -986,9 +1094,11 @@ def generate_stepper(state, spec) -> Callable:
     Raises on any generation problem; callers (:func:`fuse_spec`) catch
     and leave the state on the interpreted reference.
     """
-    g = _Codegen()
+    return _make_stepper(state, spec, _slot_candidates(spec), _Codegen())
+
+
+def _make_stepper(state, spec, slot_cands, g: _Codegen) -> Callable:
     w = _Writer()
-    slot_cands = _slot_candidates(spec)
     w("osm.blocked_on = None")
     w("buffer = osm.token_buffer")
     for edge in state.out_edges:
@@ -998,13 +1108,7 @@ def generate_stepper(state, spec) -> Callable:
     w("return None")
     sig = "".join(f", {n}={n}" for n in g.params)
     src = f"def _fused_step(osm, clock{sig}):\n" + "\n".join(w.lines)
-    # a rebuilt spec of the same structure generates the same text (its
-    # constants are bound per build, as parameter defaults), so the
-    # code object is shared and only the function is per build
-    exec(compile_cached(src, f"<fused:{spec.name}.{state.name}>"), g.env)
-    fn = g.env["_fused_step"]
-    fn.__fused_source__ = src  # debugging / test introspection
-    return fn
+    return g.function(src, f"<fused:{spec.name}.{state.name}>")
 
 
 # --------------------------------------------------------------------------
@@ -1080,11 +1184,14 @@ def generate_wake(state, spec) -> Optional[Callable]:
     when none hold) and returns False, and the director skips the probe.
     Raises on a generation problem, like :func:`generate_stepper`.
     """
-    plan = _park_plan(state, _slot_candidates(spec))
-    if plan is None:
+    return _make_wake(state, spec, _slot_candidates(spec), _Codegen())
+
+
+def _make_wake(state, spec, slot_cands, g: _Codegen) -> Optional[Callable]:
+    park = _park_plan(state, slot_cands)
+    if park is None:
         return None
-    points, edges = plan
-    g = _Codegen()
+    points, edges = park
     w = _Writer()
     records = []
     for p, (cls, em) in points:
@@ -1095,15 +1202,17 @@ def generate_wake(state, spec) -> Optional[Callable]:
             with w.block(f"if {tv} is None:"):
                 w("return True")
             w(f"{mv} = {tv}.manager")
-            with w.block(f"if type({mv}) is not {g.bind('cls', cls)}"
+            with w.block(f"if type({mv}) is not {g.operand('cls', cls)}"
                          f" or not ({em.release_refusal(g, mv, tv)}):"):
                 w("return True")
             records.append(f"({mv}, {slot})")
         else:
             ident = _expr(g, "ident", p.ident)
-            with w.block(f"if not ({em.inquire_refusal(g, p.manager, ident)}):"):
+            with g.handing(p.manager):
+                refusal = em.inquire_refusal(g, p.manager, ident)
+            with w.block(f"if not ({refusal}):"):
                 w("return True")
-            records.append(f"({g.bind('mgr', p.manager)}, {ident})")
+            records.append(f"({g.operand('mgr', p.manager)}, {ident})")
     keys: Dict[int, str] = {}
     for guards, _ in edges:
         for key, _ in guards:
@@ -1140,10 +1249,12 @@ def generate_wake(state, spec) -> Optional[Callable]:
     w("return False")
     sig = "".join(f", {n}={n}" for n in g.params)
     src = "def _wake(osm" + sig + "):\n" + "\n".join(w.lines)
-    exec(compile_cached(src, f"<fused:{spec.name}.{state.name}.wake>"), g.env)
-    fn = g.env["_wake"]
-    fn.__fused_source__ = src
-    return fn
+    return g.function(src, f"<fused:{spec.name}.{state.name}.wake>")
+
+
+#: the generators a build plan records; a build under any other (a
+#: patched ``generate_stepper`` or ``generate_wake``) plans nothing
+_OWN_GENERATORS = (generate_stepper, generate_wake)
 
 
 # --------------------------------------------------------------------------
@@ -1161,36 +1272,52 @@ def fuse_spec(spec, states=None) -> int:
     and leave that state on the interpreted reference.  Returns the
     number of states fused.
     """
+    return _fuse(spec, states)[0]
+
+
+def _fuse(spec, states=None, paths=None):
+    """:func:`fuse_spec`, returning ``(states fused, codegens)``.
+
+    *codegens* holds, per state, the :class:`_Codegen` of its stepper
+    and of its wake test, which record binding recipes when *paths* is
+    given: what a build plan needs besides the installed functions and
+    the census.  It is None when a generation failed, and under a
+    generator that is not this module's own (:data:`_OWN_GENERATORS`).
+    """
+    own = (generate_stepper, generate_wake) == _OWN_GENERATORS
+    slot_cands = _slot_candidates(spec) if own else None
     stats = spec.compile_stats
     fused = 0
+    codegens: Optional[list] = [] if own else None
     for state in spec.states.values():
-        state._wake = None
+        state._fused = state._wake = None
         if states is not None and state.name not in states:
-            state._fused = None
-            stats.record_state(state, "policy: not certified fusable")
-            continue
-        blocker = _native_blocker(state)
-        if blocker is not None:
-            state._fused = None
-            stats.record_state(state, blocker)
-            continue
-        try:
-            stepper = generate_stepper(state, spec)
-        except Exception as exc:  # degrade, never break model build
-            state._fused = None
-            stats.record_state(state, f"codegen: {type(exc).__name__}: {exc}")
+            reason = "policy: not certified fusable"
         else:
-            state._fused = stepper
-            stats.record_state(state, None)
+            reason = _native_blocker(state)
+        gs = (_Codegen(paths), _Codegen(paths)) if own else None
+        if reason is None:
+            try:
+                state._fused = (_make_stepper(state, spec, slot_cands, gs[0]) if own
+                                else generate_stepper(state, spec))
+            except Exception as exc:  # degrade, never break model build
+                reason = f"codegen: {type(exc).__name__}: {exc}"
+                codegens = None
+        stats.record_state(state, reason)
+        if state._fused is not None:
             fused += 1
             try:
-                state._wake = generate_wake(state, spec)
+                state._wake = (_make_wake(state, spec, slot_cands, gs[1]) if own
+                               else generate_wake(state, spec))
             except Exception as exc:  # the state stays fused, unparked
                 stats.record_wake(state, f"codegen: {type(exc).__name__}: {exc}")
+                codegens = None
             else:
                 if state._wake is not None:
                     stats.record_wake(state)
-    return fused
+        if codegens is not None:
+            codegens.append(gs)
+    return fused, codegens
 
 
 def defuse_spec(spec) -> None:
@@ -1329,84 +1456,102 @@ def _package_only(roots) -> bool:
     return True
 
 
-def _structure(spec) -> Tuple[List[str], bool]:
-    """One walk over *spec*: its fusion structure, and whether all of
-    its code is package code (:func:`_package_only`, from every value
-    the structure names).
+class _Walk:
+    """One walk over a spec, behind everything keyed on its structure.
 
-    The structure is one line per state and per edge: names, priorities,
-    and every primitive's kind and operands — literals (slot names,
-    static idents, keyed-guard values) by value, functions by module,
-    qualified name and first line, bound methods with their receiver's
-    class, other objects (managers) by class and name.  No line depends
-    on object identity or on where the package is installed.
+    ``lines`` is the spec's fusion structure: one line per state and per
+    edge, with names, priorities, and every primitive's kind and
+    operands — literals (slot names, static idents, keyed-guard values)
+    by value, functions by module, qualified name and first line, bound
+    methods with their receiver's class, other objects (managers) by
+    class and name, classes with whether they have a registered
+    emitter, each callable with its ``__fuse_inline__``
+    declaration, and every distinct object numbered in walk order, so
+    which operands are one object shows too.  No line depends on where
+    the package is installed.
+
+    ``key`` is the content key of the effectcheck verdict.  It covers
+    every ``.py`` file of the package (so also this module's entry
+    layout), the Python version, ``lines`` and the source description of
+    a synthesized (ADL) spec.  That determines the verdict, and the text
+    of every stepper and wake test, only for a spec whose reachable code
+    is all package code (``persistent``, :func:`_package_only`); any
+    other spec (test-local and user specs, bundled models given user
+    subclasses) is keyed apart and its verdicts stay in the process, as
+    the files its code lives in are not part of the key.
+
+    ``objects`` maps the structural path of every state, edge and
+    distinct value the walk visited (the first path it met the value
+    by) to the object.  A path is a tuple of steps from the spec: a
+    ``str`` reads that attribute, a 1-tuple ``(k,)`` takes item ``k``.
     """
-    seen: Dict[int, str] = {}
-    roots: List[Any] = []
 
-    def describe(value) -> str:
+    def __init__(self, spec):
+        self._seen: Dict[int, str] = {}
+        self._roots: List[Any] = []
+        self.objects: Dict[tuple, Any] = {}
+        rank = self._describe(getattr(spec, "analysis_rank_key", None), (), "analysis_rank_key")
+        lines = [f"spec {spec.name} {getattr(spec, 'lint_allow', ())!r} {rank}"]
+        for state in spec.states.values():
+            at = ("states", (state.name,))
+            self.objects[at] = state
+            lines.append(f"state {state.name} {state.is_initial} "
+                         f"{self._describe(state.on_enter, at, 'on_enter')}")
+        for index, edge in enumerate(spec.edges):
+            at = ("edges", (index,))
+            self.objects[at] = edge
+            prims = []
+            for k, p in enumerate(edge.condition.primitives):
+                here = at + ("condition", "primitives", (k,))
+                prims.append(",".join(
+                    [self._describe(type(p), here, "__class__")]
+                    + [self._describe(getattr(p, attr, None), here, attr)
+                       for attr in getattr(type(p), "__slots__", ())]))
+            lines.append(f"edge {edge.qualname} {edge.src.name} {edge.dst.name} "
+                         f"{edge.priority} {edge.lint_allow!r} "
+                         f"{self._describe(edge.action, at, 'action')} [{';'.join(prims)}]")
+        self.lines = lines
+        self.persistent = _package_only(self._roots)
+        self.key = content_key([
+            ("python", sys.version),
+            ("package", package_fingerprint("repro")),
+            ("structure", "\n".join(lines)),
+            ("description", getattr(spec, "source_text", None) or ""),
+            ("scope", "store" if self.persistent else "process"),
+        ])
+
+    def _describe(self, value, parent: tuple, step) -> str:
         if type(value) in _ATOMS:
             return repr(value)
-        text = seen.get(id(value))
+        text = self._seen.get(id(value))
         if text is not None:
             return text
-        roots.append(value)
+        at = parent + (step,)
+        self.objects[at] = value
+        self._roots.append(value)
         if isinstance(value, (list, tuple)):
-            text = f"{type(value).__name__}({','.join(map(describe, value))})"
+            items = [self._describe(item, at, (j,)) for j, item in enumerate(value)]
+            text = f"{type(value).__name__}({','.join(items)})"
         elif isinstance(value, type):
             text = f"{value.__module__}.{value.__qualname__}"
+            if value in _EMITTERS:
+                text += " native"
         elif getattr(value, "__func__", None) is not None:  # bound method
-            text = f"{describe(type(value.__self__))}>{describe(value.__func__)}"
+            text = (f"{self._describe(type(value.__self__), at + ('__self__',), '__class__')}"
+                    f">{self._describe(value.__func__, at, '__func__')}")
         elif getattr(value, "__code__", None) is not None:  # function
             text = (f"{value.__module__}.{value.__qualname__}"
                     f":{value.__code__.co_firstlineno}")
         else:
             name = getattr(value, "name", None)
-            text = f"{describe(type(value))}:{name if isinstance(name, str) else ''}"
-        seen[id(value)] = text
+            text = (f"{self._describe(type(value), at, '__class__')}"
+                    f":{name if isinstance(name, str) else ''}")
+        inline = getattr(value, "__fuse_inline__", None)
+        if isinstance(inline, str):  # pasted in place of a call
+            text += f" inline {inline!r}"
+        text += f"#{len(self._seen)}"  # which operands are one object
+        self._seen[id(value)] = text
         return text
-
-    lines = [f"spec {spec.name} {getattr(spec, 'lint_allow', ())!r} "
-             f"{describe(getattr(spec, 'analysis_rank_key', None))}"]
-    for state in spec.states.values():
-        lines.append(f"state {state.name} {state.is_initial} "
-                     f"{describe(state.on_enter)}")
-    for edge in spec.edges:
-        prims = ";".join(
-            ",".join([describe(type(p))] + [describe(getattr(p, attr, None))
-                                            for attr in getattr(type(p), "__slots__", ())])
-            for p in edge.condition.primitives)
-        lines.append(f"edge {edge.qualname} {edge.src.name} {edge.dst.name} "
-                     f"{edge.priority} {edge.lint_allow!r} "
-                     f"{describe(edge.action)} [{prims}]")
-    persistent = _package_only(roots)
-    # describe() is a closure over itself, a cycle only the collector
-    # frees: let it hold no reference to the model
-    roots.clear()
-    return lines, persistent
-
-
-def _verdict_key(spec) -> Tuple[str, bool]:
-    """Content key of *spec*'s effectcheck verdict, and whether the
-    verdict may persist across processes.
-
-    The key covers every ``.py`` file of the package (so also this
-    module's entry layout), the Python version, the spec's
-    :func:`_structure` and the source description of a synthesized (ADL)
-    spec.  That determines the verdict only for a spec whose reachable
-    code is all package code; any other spec (test-local and user specs,
-    bundled models given user subclasses) is keyed apart and its
-    verdicts stay in the process, as the files its code lives in are
-    not part of the key.
-    """
-    lines, persistent = _structure(spec)
-    return content_key([
-        ("python", sys.version),
-        ("package", package_fingerprint("repro")),
-        ("structure", "\n".join(lines)),
-        ("description", getattr(spec, "source_text", None) or ""),
-        ("scope", "store" if persistent else "process"),
-    ]), persistent
 
 
 def _stepper_key(spec, key: str) -> str:
@@ -1494,6 +1639,148 @@ def _stored_replay(entry) -> Optional[Tuple[list, list]]:
 _VERDICTS = VerdictStore()
 
 
+# --------------------------------------------------------------------------
+# build plans
+
+
+#: build plans kept.  A plan holds text, code and paths only: ppc750's,
+#: the largest, about 75 KB of text and as much code, the same objects
+#: the code cache holds.  A process needs one per spec structure it
+#: builds: the seven registered specs have seven, and every config of
+#: the fleet-bench, E1 and E2 sweeps builds its model's one structure.
+MAX_PLANS = 64
+
+#: gated builds of this process by what their plan did
+_PLAN_COUNTS = {"reused": 0, "generated": 0, "unplannable": 0}
+
+
+def plan_stats() -> Dict[str, int]:
+    """The process counters: how many gated builds reused a build plan,
+    generated their text (recording a plan when they could), or had an
+    unplannable spec."""
+    return dict(_PLAN_COUNTS)
+
+
+class _Unit:
+    """One generated function of a build plan: its text, its code and
+    its binding recipe — for each parameter the index of its path in the
+    plan's path table, and ``(path index, parameter index)`` for each
+    other path the generator reached a parameter's object by."""
+
+    __slots__ = ("source", "code", "params", "aliases")
+
+    def __init__(self, fn, g: _Codegen, index: Callable[[Any], int]):
+        self.source = fn.__fused_source__
+        self.code = fn.__code__
+        self.params = tuple(index(path) for path in g.recipe)
+        self.aliases = tuple(dict.fromkeys((index(path), j) for path, j in g.aliases))
+
+    def make(self, values: List[Any]) -> Callable:
+        """The function over the objects *values* at the plan's paths.
+        Raises LookupError when those objects are not shared as they
+        were when the text was generated (its binds would dedup
+        otherwise)."""
+        defaults = tuple([values[i] for i in self.params])
+        if len(set(map(id, defaults))) != len(defaults) or any(
+                values[i] is not defaults[j] for i, j in self.aliases):
+            raise LookupError("objects shared otherwise than in the plan")
+        return _function(self.code, self.source, defaults)
+
+
+class _Plan:
+    """What the gated build of one spec structure installs, for every
+    later build of that structure in the process: per state its census
+    reason and its stepper and wake-test :class:`_Unit`, the structural
+    paths (``(walk path, member steps)``) the units bind, and the
+    TRV001 verdict key of the text.  It holds strings, numbers and code
+    objects, never an object of a build."""
+
+    __slots__ = ("paths", "states", "trv_key")
+
+    def __init__(self, spec, codegens, trv_key: str):
+        table: Dict[Tuple[tuple, tuple], int] = {}
+
+        def index(path) -> int:
+            return table.setdefault(path, len(table))
+
+        self.states = tuple(
+            (spec.compile_stats.states[state.name],
+             *(None if fn is None else _Unit(fn, g, index)
+               for fn, g in zip((state._fused, state._wake), gs)))
+            for state, gs in zip(spec.states.values(), codegens))
+        self.paths = tuple(table)
+        self.trv_key = trv_key
+
+    def install(self, spec, objects: Dict[tuple, Any]) -> Optional[int]:
+        """Install the plan's steppers and wake tests on *spec*, bound to
+        the objects at its paths in *objects* (its walk's), and record
+        the census.  Returns the number of states fused, or None, with
+        nothing installed, when the paths do not resolve alike."""
+        values = []
+        try:
+            for base, members in self.paths:
+                value = objects[base]
+                for step in members:
+                    value = getattr(value, step) if type(step) is str else value[step[0]]
+                values.append(value)
+            made = [[unit and unit.make(values) for unit in units]
+                    for _, *units in self.states]
+        except (LookupError, AttributeError, TypeError):
+            return None
+        stats = spec.compile_stats
+        for state, (reason, _, _), (stepper, wake) in zip(
+                spec.states.values(), self.states, made):
+            state._fused, state._wake = stepper, wake
+            stats.record_state(state, reason)
+            if wake is not None:
+                stats.record_wake(state)
+        return sum(1 for stepper, _ in made if stepper is not None)
+
+
+def _install(spec, walk: _Walk, fusable: frozenset) -> Tuple[int, str, str]:
+    """Install the steppers and wake tests of *spec*'s *fusable* states.
+
+    A build whose structure (``walk.key``) and fusable set the process
+    has built before installs from that build's plan; any other
+    generates the text, and records a plan when every bind is named.
+    Returns the number of states fused, the TRV001 verdict key and the
+    census note: ``"reused"``, ``"generated"`` or ``"unplannable:
+    <why>"``.
+    """
+    key = (walk.key, fusable)
+    own = (generate_stepper, generate_wake) == _OWN_GENERATORS
+    plan = _PLANS.pop(key, None) if own else None
+    if isinstance(plan, _Plan):
+        fused = plan.install(spec, walk.objects)
+        if fused is not None:
+            _PLANS[key] = plan  # most recently used
+            _PLAN_COUNTS["reused"] += 1
+            return fused, plan.trv_key, "reused"
+    if isinstance(plan, str):  # unplannable: generate as usual
+        fused, codegens = _fuse(spec, fusable)
+        note = plan
+    else:
+        # each object's first path: a later one is the same object in
+        # every spec of this key
+        paths = {id(obj): (path, ()) for path, obj in reversed(walk.objects.items())}
+        fused, codegens = _fuse(spec, fusable, paths if own else None)
+        note = "generated"
+        if own:
+            why = "a generator raised" if codegens is None else next(
+                (f"{spec.name}.{state.name} binds {g.unnamed} by no path"
+                 for state, gs in zip(spec.states.values(), codegens)
+                 for g in gs if g.unnamed is not None), None)
+            if why is not None:
+                note = f"unplannable: {why}"
+    trv_key = _stepper_key(spec, walk.key)
+    if own:
+        _PLANS[key] = _Plan(spec, codegens, trv_key) if note == "generated" else note
+        while len(_PLANS) > MAX_PLANS:
+            _PLANS.popitem(last=False)
+    _PLAN_COUNTS[note.split(":")[0]] += 1
+    return fused, trv_key, note
+
+
 def enable_fusion(spec) -> int:
     """Certify *spec* with effectcheck and fuse the certified states.
 
@@ -1505,20 +1792,25 @@ def enable_fusion(spec) -> int:
     interpreted reference by :func:`demote_states`, and a wake test that
     fails its replay is dropped by :func:`unpark_states`.  Both verdicts
     come from the :class:`VerdictStore` when it holds them — the
-    effectcheck verdict under :func:`_verdict_key`, the TRV001 verdict
-    under :func:`_stepper_key`, so a stored verdict is reused only for
-    byte-identical stepper and wake-test text — and neither analysis
-    (nor ``repro.analysis``) is imported then.  The surviving set and the
-    parked states are stamped on ``spec.fuse_certificate`` together with
-    the generator fingerprint so ``repro certify`` can flag stale
-    certificates (TRV008), and with where the verdicts came from
-    (``"verdict"``: ``"cache"`` or ``"gate"``).  Analysis failures degrade to no fusion and are
-    recorded in ``spec.compile_stats``.  Returns the number of states
-    fused.
+    effectcheck verdict under the spec's structure key (:class:`_Walk`),
+    the TRV001 verdict under :func:`_stepper_key`, so a stored verdict is
+    reused only for byte-identical stepper and wake-test text — and
+    neither analysis (nor ``repro.analysis``) is imported then.  The
+    steppers and wake tests come from the process's build plan for the
+    structure when an earlier build recorded one (:func:`_install`).
+    The surviving set and the parked states are stamped on
+    ``spec.fuse_certificate`` together with the generator fingerprint so
+    ``repro certify`` can flag stale certificates (TRV008), with where
+    the verdicts came from (``"verdict"``: ``"cache"`` or ``"gate"``)
+    and with what the build plan did (``"plan"``: ``"reused"``,
+    ``"generated"`` or ``"unplannable: <why>"``).  Analysis failures
+    degrade to no fusion and are recorded in ``spec.compile_stats``.
+    Returns the number of states fused.
     """
     try:
         verdict = "cache"
-        key, persistent = _verdict_key(spec)
+        walk = _Walk(spec)
+        key, persistent = walk.key, walk.persistent
         fusable = _stored_fusable(_VERDICTS.get(key, persistent))
         if fusable is None:
             # Imported lazily: repro.analysis imports the model registry,
@@ -1529,9 +1821,7 @@ def enable_fusion(spec) -> int:
             fusable = frozenset(comp.fusable_states)
             _VERDICTS.put(key, {"fusable": sorted(fusable)}, persistent)
             verdict = "gate"
-        fused = fuse_spec(spec, states=fusable)
-
-        trv_key = _stepper_key(spec, key)
+        fused, trv_key, plan = _install(spec, walk, fusable)
         replay = _stored_replay(_VERDICTS.get(trv_key, persistent))
         if replay is None:
             from ..analysis.certify import certify_fused_states, certify_wake_tests
@@ -1549,6 +1839,7 @@ def enable_fusion(spec) -> int:
                 if state._fused is not None),
             "parked_states": spec.compile_stats.parked_states,
             "verdict": verdict,
+            "plan": plan,
         }
         return fused
     except Exception as exc:  # analysis failure: degrade to unfused

@@ -210,6 +210,8 @@ class FleetRunner:
                                            "message": "no outcome"})
         if outcome.get("seconds") is not None and not cached and not dedup:
             record["seconds"] = outcome["seconds"]
+            if "phases" in outcome:
+                record["phases"] = outcome["phases"]
         return record
 
     # -- batch convenience --------------------------------------------------

@@ -20,7 +20,8 @@ Cross-process hazards audited for this contract (and why each is safe):
   shared by every worker and process.  Reading it is sound because an
   entry's key covers everything the verdict is a function of: every
   ``.py`` file of the package, the Python version, the spec's
-  structure and literal operands (never object identities), and — for
+  structure, literal operands and inline declarations, which operands
+  are one object (numbered in walk order, never by address), and — for
   the TRV001 verdict — the exact text of every stepper it certified;
   and only a spec whose reachable code is all package code is written
   to disk.  So a worker only ever reads the verdict the gate would
@@ -31,12 +32,24 @@ Cross-process hazards audited for this contract (and why each is safe):
   every model build, so no probe state crosses jobs.
 * ``repro.iss.decode_cache.DecodeCache`` is per-``MainMemory`` instance
   state, created fresh with every model build.
+* ``repro.core.fuse`` keeps a build plan per spec structure for the
+  life of the process, so a worker generates the text of a model's
+  steppers and wake tests once, and its later builds of that structure
+  install from the plan.  Sharing it across jobs is sound because a
+  plan holds only text, code objects and structural paths (no object
+  of any build), its key covers everything the text is a function of
+  (the verdict key, which object identities the spec shares, every
+  inline declaration, the fusable states, and the generators and
+  emitters in force), and each build resolves the paths on its own
+  spec and gets functions of its own whose defaults are its own
+  objects, the same ones a fresh generation would bind.
 * ``repro.codecache`` keeps the code objects of generated ISS blocks and
   steppers for the life of the process, so a worker compiles a block
   its earlier jobs compiled only once.  Sharing them across jobs is
   sound because a code object is immutable and a pure function of its
-  key (the exact source text and filename): each build still runs it
-  with ``exec`` in a namespace of its own, so no block, manager or
+  key (the exact source text and filename): each build still makes its
+  own functions from it, with a namespace or parameter defaults of its
+  own, so no block, manager or
   model of one job is reachable from another, and the result is what a
   fresh ``compile()`` would give.  The cache lives in memory only and
   is never shared between processes.
@@ -155,16 +168,25 @@ def _memory_metrics(model) -> Dict[str, Any]:
 def run_job(job_dict: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one job description; never raises.
 
-    Returns ``{"ok": True, "result": payload}`` or ``{"ok": False,
-    "error": {...}}``.  The ``result`` payload is the deterministic,
-    cacheable part; timing lives in the envelope the runner adds.
+    Returns ``{"ok": True, "result": payload, "phases": seconds}`` or
+    ``{"ok": False, "error": {...}}``.  The ``result`` payload is the
+    deterministic, cacheable part; timing lives in the envelope: the
+    wall seconds of each phase (``assemble``, resolving the workload
+    too, ``build`` and ``simulate``) here, the job's total in the one
+    the runner adds.
     """
+    import time
+
     try:
         job = Job.from_dict(job_dict)
+        start = time.perf_counter()
         source = resolve_workload(job.workload, job.isa, job.seed)
         program = _assemble(job.isa, source)
+        assembled = time.perf_counter()
         model = _BUILDERS[job.model](program, job.config)
+        built = time.perf_counter()
         stats = model.run(job.max_cycles)
+        simulated = time.perf_counter()
         metrics = {
             "cycles": stats.cycles,
             "instructions": stats.instructions,
@@ -181,6 +203,11 @@ def run_job(job_dict: Dict[str, Any]) -> Dict[str, Any]:
                 "isa": job.isa,
                 "seed": job.seed,
                 "metrics": metrics,
+            },
+            "phases": {
+                "assemble": round(assembled - start, 6),
+                "build": round(built - assembled, 6),
+                "simulate": round(simulated - built, 6),
             },
         }
     except Exception as exc:

@@ -198,7 +198,7 @@ class _FetchSlotEmitter(SlotManagerEmitter):
     release and the commit hooks are inherited SlotManager behaviour."""
 
     def allocate(self, g, w, mgr, out, ident_expr, avoid):
-        unit = g.bind("fetch_unit", mgr._unit)
+        unit = g.bind_field("fetch_unit", mgr, "_unit")
         w(f"{out} = None")
         gate = f"{unit}.halted or {unit}._redirect_pending is not None"
         with w.block(f"if not ({gate}):"):

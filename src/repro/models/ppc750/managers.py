@@ -153,7 +153,7 @@ class RegisterRenameEmitter(ManagerEmitter):
         for keyword, (test, file_name) in zip(("if", "elif", "elif", "elif"),
                                               branches):
             with w.block(f"{keyword} {test}:"):
-                w(f"{pool} = {g.bind('pool', mgr.pools[file_name])}")
+                w(f"{pool} = {g.bind_field('pool', mgr, 'pools', file_name)}")
         with w.block("else:"):
             w(f"raise TokenError('unknown architectural register %s'"
               f" % ({ident_expr},))")
@@ -168,10 +168,10 @@ class RegisterRenameEmitter(ManagerEmitter):
     def allocate_commit(self, g, w, mgr, tok):
         m = g.bind("mgr", mgr)
         w(f"{m}.n_allocates += 1")
-        w(f"{g.bind('producers', mgr.producers)}[{tok}.value].append(osm.operation)")
+        w(f"{g.bind_field('producers', mgr, 'producers')}[{tok}.value].append(osm.operation)")
 
     def inquire(self, g, w, mgr, ident_expr, ctx, fail):
-        producers = g.bind("producers", mgr.producers)
+        producers = g.bind_field("producers", mgr, "producers")
         ok = g.fresh("_rok")
         with w.block(f"if isinstance({ident_expr}, int):"):
             chain = g.fresh("_rc")

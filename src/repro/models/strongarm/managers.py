@@ -85,8 +85,8 @@ class ForwardingRegisterFileEmitter(RegisterFileManagerEmitter):
     ``on_discard`` path, so only the hook bodies mirrored here matter."""
 
     def inquire(self, g, w, mgr, ident_expr, ctx, fail):
-        wr = g.bind("writers", mgr._writers)
-        ready = g.bind("ready", mgr._ready)
+        wr = g.bind_field("writers", mgr, "_writers")
+        ready = g.bind_field("ready", mgr, "_ready")
         cond = (f"{ident_expr} is not None and {wr}[{ident_expr}]"
                 f" and not {ready}[{ident_expr}]")
         with w.block(f"if {cond}:"):
@@ -94,7 +94,7 @@ class ForwardingRegisterFileEmitter(RegisterFileManagerEmitter):
 
     def allocate_commit(self, g, w, mgr, tok):
         super().allocate_commit(g, w, mgr, tok)
-        ready = g.bind("ready", mgr._ready)
+        ready = g.bind_field("ready", mgr, "_ready")
         w(f"{ready}[{tok}.index] = False")
 
     def release_commit(self, g, w, mgr_expr, tok, value_expr):

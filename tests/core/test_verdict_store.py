@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro.contentstore import GENERATOR_MODULES, generator_fingerprint
 from repro.core import Guard, fuse
-from repro.core.fuse import _structure, _verdict_key, enable_fusion
+from repro.core.fuse import _Walk, enable_fusion
 from repro.isa.arm import assemble
 from repro.memory import Cache
 from repro.models.strongarm import StrongArmModel
@@ -226,12 +226,12 @@ def test_helper_module_edit_reaches_the_gate(tmp_path):
 def test_key_covers_operands_the_qualnames_miss():
     """Keyed-guard values, slot names and priorities are part of the
     structure."""
-    base = _verdict_key(keyed_toy(0, "a"))
-    assert base == _verdict_key(keyed_toy(0, "a"))
+    base, again = _Walk(keyed_toy(0, "a")), _Walk(keyed_toy(0, "a"))
+    assert (base.key, base.persistent) == (again.key, again.persistent)
     for variant in (keyed_toy(1, "a"), keyed_toy(0, "b"),
                     keyed_toy(0, "a", priority=3)):
-        assert _structure(variant)[0] != _structure(keyed_toy(0, "a"))[0]
-        assert _verdict_key(variant)[0] != base[0]
+        assert _Walk(variant).lines != _Walk(keyed_toy(0, "a")).lines
+        assert _Walk(variant).key != base.key
 
 
 def _toy_program():
@@ -243,15 +243,15 @@ def test_only_package_code_is_stored():
     callable or a user subclass handed to a bundled model as a component
     keeps its verdicts in the process, keyed apart from the bundled
     build."""
-    plain = _verdict_key(StrongArmModel(_toy_program()).spec)
-    assert plain[1] is True
-    assert _verdict_key(keyed_toy(0, "a"))[1] is False
+    plain = _Walk(StrongArmModel(_toy_program()).spec)
+    assert plain.persistent is True
+    assert _Walk(keyed_toy(0, "a")).persistent is False
 
     namespace = {}
     exec("def lane(osm):\n    return True\n", namespace)
     spec = keyed_toy(0, "a")
     spec.edges[0].condition.primitives[0] = Guard(namespace["lane"], "exec")
-    assert _verdict_key(spec)[1] is False
+    assert _Walk(spec).persistent is False
 
     class LocalCache(Cache):
         pass
@@ -259,9 +259,9 @@ def test_only_package_code_is_stored():
     dcache = LocalCache("dcache", size=8 * 1024, line_size=32, assoc=32,
                         miss_penalty=26)
     custom = StrongArmModel(_toy_program(), dcache=dcache).spec
-    key, persistent = _verdict_key(custom)
-    assert persistent is False
-    assert key != plain[0]
+    walk = _Walk(custom)
+    assert walk.persistent is False
+    assert walk.key != plain.key
     assert custom.fuse_certificate["verdict"] == "gate"
 
 

@@ -6,6 +6,8 @@ start-up; the multiprocess path is covered by
 ``tests/fleet/test_cross_process.py`` and the server tests.
 """
 
+import json
+
 import pytest
 
 from repro.fleet import FleetRunner, sweep
@@ -86,6 +88,29 @@ class TestDedupe:
         assert warm["cache_hit_rate"] >= 0.9
         assert [r["result"] for r in warm_records] == \
                [r["result"] for r in cold_records]
+
+
+class TestPhases:
+    """Executed records carry the worker's per-phase wall seconds in the
+    envelope, like ``seconds``; no cached payload carries timing."""
+
+    def test_phases_only_on_executed_records(self, tmp_path):
+        with FleetRunner(workers=0, cache_dir=str(tmp_path / "cache")) as runner:
+            (fresh, follower), _ = runner.run_sweep([dict(FAST_JOB), dict(FAST_JOB)])
+            (cached,), _ = runner.run_sweep([dict(FAST_JOB)])
+            stored = runner.cache.get(fresh["key"])
+        phases = fresh["phases"]
+        assert sorted(phases) == ["assemble", "build", "simulate"]
+        assert all(seconds >= 0 for seconds in phases.values())
+        assert sum(phases.values()) <= fresh["seconds"]
+        assert follower["dedup"] and cached["cached"]
+        for record in (follower, cached):
+            assert "phases" not in record and "seconds" not in record
+        assert "phases" not in fresh["result"]
+        payload = json.dumps(fresh["result"], sort_keys=True)
+        assert json.dumps(cached["result"], sort_keys=True) == payload
+        assert json.dumps(stored, sort_keys=True) == payload
+        assert cached["key"] == fresh["key"]
 
 
 class TestErrors:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -48,6 +50,37 @@ class TestRun:
         out = capsys.readouterr().out
         assert "exit=36" in out
         assert "mullw" in out  # trace rows present
+
+    def test_run_json(self, arm_file, capsys):
+        assert main(["run", "--model", "strongarm", arm_file]) == 0
+        text = capsys.readouterr().out
+        assert main(["run", "--model", "strongarm", arm_file, "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert text.startswith(f"exit={row['exit_code']} cycles={row['cycles']} "
+                               f"instructions={row['instructions']} "
+                               f"IPC={row['ipc']:.3f}\n")
+        assert row["exit_code"] == 36
+        assert row["probes"] >= row["transitions"] > 0
+        assert row["failed_probes_per_commit"] == round(
+            (row["probes"] - row["transitions"]) / row["transitions"], 4)
+        assert row["parked_skips"] >= 0
+        fusion = row["fusion"]
+        assert fusion["plan"] == "reused"  # the text run built this structure
+        assert fusion["verdict"] == "cache"
+        assert "W" in fusion["fused_states"]
+        assert set(fusion["parked_states"]) <= set(fusion["fused_states"])
+        assert set(row["code_cache"]) == {"hits", "misses"}
+        assert row["code_cache"]["misses"] == 0  # the text run compiled it all
+
+    def test_run_iss_json(self, ppc_file, capsys):
+        assert main(["run", "--model", "iss", "--isa", "ppc", ppc_file, "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert (row["model"], row["exit_code"], row["instructions"]) == ("iss", 36, 4)
+        assert row["code_cache"]["hits"] + row["code_cache"]["misses"] > 0
+
+    def test_json_excludes_trace(self, arm_file):
+        with pytest.raises(SystemExit):
+            main(["run", arm_file, "--json", "--trace"])
 
     def test_isa_mismatch_rejected(self, arm_file):
         with pytest.raises(SystemExit):

@@ -143,6 +143,19 @@ def _model(model_class, assemble, source_of):
     return build
 
 
+def _reused(model_class, assemble, source_of):
+    """A build that installs its steppers from the plan a throwaway
+    build of the same structure recorded (or reused)."""
+    build = _model(model_class, assemble, source_of)
+
+    def second():
+        build()
+        model = build()
+        assert model.spec.fuse_certificate["plan"] == "reused"
+        return model
+    return second
+
+
 def _generated_functions(sim) -> list:
     """Every function made from generated code that *sim* holds: block
     translations, execgen executors, steppers and wake tests."""
@@ -160,15 +173,19 @@ def _generated_functions(sim) -> list:
 
 
 class TestNothingKeptAlive:
-    """The cache holds code objects and their source keys only: a built
-    and run simulator, and every function it made from generated code,
-    die with the simulator's last reference."""
+    """The cache holds code objects and their source keys only, and a
+    build plan text, code and structural paths: a built and run
+    simulator, and every function it made from generated code, die with
+    the simulator's last reference, also when its build reused a plan."""
 
     @pytest.mark.parametrize("build", [
         _compiled_iss,
         _model(StrongArmModel, asm_arm, mediabench.arm_source),
         _model(Ppc750Model, asm_ppc, mediabench.ppc_source),
-    ], ids=["compiled-arm-iss", "strongarm", "ppc750"])
+        _reused(StrongArmModel, asm_arm, mediabench.arm_source),
+        _reused(Ppc750Model, asm_ppc, mediabench.ppc_source),
+    ], ids=["compiled-arm-iss", "strongarm", "ppc750",
+            "strongarm-plan-reused", "ppc750-plan-reused"])
     def test_collected_after_del(self, build):
         sim = build()
         functions = _generated_functions(sim)
