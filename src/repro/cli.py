@@ -511,7 +511,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
     # process just ran
     timed_code = {"hits": 0, "misses": 0}
     verify_code = {"hits": 0, "misses": 0}
-    timed_plans = {"reused": 0, "generated": 0, "unplannable": 0}
+    timed_plans = {"reused": 0, "generated": 0}
     verify_plans = dict(timed_plans)
     for name in names:
         with agg.time_phase("assemble"):
@@ -664,8 +664,7 @@ def _print_bench_row(row: dict, verify: bool) -> None:
 
 
 def _plan_counts(plans: dict) -> str:
-    return (f"{plans['reused']} reused / {plans['generated']} generated / "
-            f"{plans['unplannable']} unplannable")
+    return f"{plans['reused']} reused / {plans['generated']} generated"
 
 
 def _bench_row_key(row):
@@ -721,14 +720,14 @@ def cmd_bench(args) -> int:
     the whole-model specialization
     counters (``fused_states``/``fused_fallback_states``), where the
     first build's fusion verdict came from (``verdict``: ``"cache"``
-    when the verdict store held it, ``"gate"`` when the build ran the
+    when the fusion store held it, ``"gate"`` when the build ran the
     analyses, null unfused), the
     ISS block-cache hit rate, and the process code cache's hits and
     misses (:mod:`repro.codecache`) over the timed builds and runs
     (``code_cache``) and over the verify re-runs
     (``verify_code_cache``), and what the builds did with their fusion
     build plans (``fusion_plans`` and ``verify_fusion_plans``: how many
-    reused one, generated their text, or were unplannable; see
+    reused one and how many generated their text; see
     :func:`repro.core.fuse.plan_stats`).  ``--model cases`` benches
     every case-study model (StrongARM and PPC 750).  ``--out`` holds a JSON array and is
     *merged*, not overwritten: rows are keyed by (bench, model, quick,

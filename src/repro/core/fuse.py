@@ -32,8 +32,9 @@ fused at all is decided by the effectcheck compilability report
 (:mod:`repro.analysis.effects`): :func:`enable_fusion` fuses only the
 certified states, then translation-validates every stepper with
 transcheck and demotes the ones that fail.  For a spec of package code
-both verdicts persist across processes in a :class:`VerdictStore` keyed
-on the exact sources (and stepper text) they certify.  Everything else — and any
+both verdicts persist across processes in one store entry per spec
+structure, which also holds a digest of the exact text the TRV001
+verdict certified.  Everything else — and any
 codegen failure — runs the interpreted reference, with the outcome
 recorded per state in the spec's :class:`CompileStats`.  The emitter
 bodies themselves are trusted code: transcheck replays them only as
@@ -49,16 +50,17 @@ gate drops one that fails (:func:`unpark_states`) while the state stays
 fused.
 
 The text of every stepper and wake test is a function of the spec's
-structure, not of the build, so a process generates it once per
-structure: the gated build records a **build plan** (:class:`_Plan`)
-holding, per state, the census outcome, the text, the shared code
-object and a binding recipe — one structural path per parameter, such
-as ``edges[7].condition.primitives[3].manager.tokens``.  A later build
-of that structure resolves the paths on its own spec and makes each
-function from the shared code with its own parameter defaults
-(:func:`_install`).  An emitter names what it binds
-(:meth:`_Codegen.bind_field`); a spec with a bind no path names
-generates per build.
+structure, not of the build, so a process generates and gates it once
+per structure: the gated build records a **build plan** (:class:`_Plan`)
+after its gate, holding per state the census outcome and, for each
+function that survived, its text, the shared code object and a binding
+recipe — per parameter, the position of its object in the spec walk's
+visit order (:attr:`_Walk.order`), then any member steps such as
+``tokens``.  A later build of that structure looks the positions up in
+its own walk and makes each function from the shared code with its own
+parameter defaults (:meth:`_Plan.install`).  An emitter names what it
+binds (:meth:`_Codegen.bind_field`); a bind nothing names fails that
+state's generation, and the state runs the reference.
 
 Steppers bake per-edge constants (actions, ``on_enter`` hooks,
 destination states); ``MachineSpec.edge()`` invalidates ``State._fused``
@@ -73,6 +75,7 @@ import ast
 import builtins
 import functools
 import gc
+import math
 import os
 import sys
 from collections import OrderedDict
@@ -205,40 +208,39 @@ class _Codegen:
     path pays local-variable loads) plus a shared counter for fresh
     local names.
 
-    Given *paths* — per object of the spec, by id, its recipe path
-    ``(walk path, ())`` (:func:`_install`) — it records the function's
-    binding recipe for a build plan: the structural path of every
-    parameter's object, and every other path a later bind reached one
-    of them by.  The generator binds the spec's own objects with
-    :meth:`operand`.  An emitter binds the manager it was handed with
-    :meth:`bind` and that manager's members with :meth:`bind_field`;
-    anything else it binds has no path, and ``unnamed`` keeps the hint
-    of the first such bind.
+    Given *names* — per object of the spec, by id, its position in the
+    walk's visit order (:attr:`_Walk.order`) — it records the function's
+    binding recipe for a build plan: per parameter, the *path* of its
+    object (its position, then any member steps), and every other path a
+    later bind reached one of them by.  The generator binds the spec's
+    own objects with :meth:`operand`.  An emitter binds the manager it
+    was handed with :meth:`bind` and that manager's members with
+    :meth:`bind_field`; a bind of anything else has no path, and raises
+    while a recipe is being recorded.
     """
 
-    def __init__(self, paths: Optional[Dict[int, Tuple[tuple, tuple]]] = None):
+    def __init__(self, names: Optional[Dict[int, int]] = None):
         self.env: Dict[str, Any] = {"TokenError": TokenError}
         self.params: List[str] = []
         self._bound: Dict[int, int] = {}  # id -> parameter index
         self._n = 0
-        self._paths = paths or {}
+        self._names = names
         #: the manager the emitter being called was handed (:meth:`handing`)
         self.handed: Any = None
-        #: per parameter, ``(walk path, member steps)`` of its object
-        self.recipe: List[Optional[Tuple[tuple, tuple]]] = []
+        #: per parameter, the path of its object
+        self.recipe: List[Optional[tuple]] = []
         #: ``(path, parameter index)`` of each bind that reached an
         #: already-bound object by another path
-        self.aliases: List[Tuple[Tuple[tuple, tuple], int]] = []
-        self.unnamed: Optional[str] = None
+        self.aliases: List[Tuple[tuple, int]] = []
 
     def operand(self, hint: str, obj: Any) -> str:
         """Bind an object of the spec: an edge, a state, a primitive's
         operand, or a class among them."""
-        return self._bind(hint, obj, self._paths.get(id(obj)))
+        return self._bind(hint, obj, self._path(obj))
 
     def bind(self, hint: str, obj: Any) -> str:
         """Bind *obj*: for an emitter, the manager it was handed."""
-        return self._bind(hint, obj, self._paths.get(id(obj)) if obj is self.handed else None)
+        return self._bind(hint, obj, self._path(obj) if obj is self.handed else None)
 
     def bind_field(self, hint: str, owner: Any, attr: str, *keys: Any) -> str:
         """Bind ``owner.<attr>[key]...``, a member of the manager an
@@ -247,8 +249,8 @@ class _Codegen:
         obj = getattr(owner, attr)
         for key in keys:
             obj = obj[key]
-        base = self._paths.get(id(owner)) if owner is self.handed else None
-        return self._bind(hint, obj, base and (base[0], (attr,) + tuple((key,) for key in keys)))
+        base = self._path(owner) if owner is self.handed else None
+        return self._bind(hint, obj, base and base + (attr,) + tuple((key,) for key in keys))
 
     @contextmanager
     def handing(self, mgr):
@@ -259,12 +261,16 @@ class _Codegen:
         finally:
             self.handed = None
 
+    def _path(self, obj: Any) -> Optional[tuple]:
+        position = self._names.get(id(obj)) if self._names is not None else None
+        return None if position is None else (position,)
+
     def _bind(self, hint: str, obj: Any, path) -> str:
-        if path is None and self.unnamed is None:
-            self.unnamed = hint
+        if path is None and self._names is not None:
+            raise LookupError(f"binds {hint!r} by no path")
         index = self._bound.get(id(obj))
         if index is not None and self.env[self.params[index]] is obj:
-            if path is not None and path != self.recipe[index]:
+            if path != self.recipe[index]:
                 self.aliases.append((path, index))
             return self.params[index]
         self._n += 1
@@ -302,6 +308,8 @@ def _function(code, source: str, defaults: tuple) -> Callable:
 def _is_literal(value: Any) -> bool:
     if value is None or isinstance(value, (bool, int, str)):
         return True
+    if isinstance(value, float):  # nan and inf have no literal
+        return math.isfinite(value)
     if isinstance(value, tuple):
         return all(_is_literal(v) for v in value)
     return False
@@ -675,10 +683,10 @@ class ResetManagerEmitter(ManagerEmitter):
 #: exact manager class -> emitter
 _EMITTERS: Dict[type, ManagerEmitter] = {}
 
-#: the process's build plans (:class:`_Plan`, or why a structure has
-#: none) by (verdict key, fusable states), least recently used first;
-#: every update is one dict operation, as builds may run on threads
-_PLANS: "OrderedDict[Tuple[str, frozenset], Any]" = OrderedDict()
+#: the process's build plans (:class:`_Plan`) by structure key
+#: (:attr:`_Walk.key`), least recently used first; every update is one
+#: dict operation, as builds may run on threads
+_PLANS: "OrderedDict[str, _Plan]" = OrderedDict()
 
 
 def register_native_emitter(manager_class: type, emitter: ManagerEmitter) -> None:
@@ -1088,16 +1096,17 @@ def _emit_bookkeeping(g, w, edge):
     w(f"return {ename}")
 
 
-def generate_stepper(state, spec) -> Callable:
+def generate_stepper(state, spec, slot_cands=None, g: Optional[_Codegen] = None) -> Callable:
     """Generate the fused ``step(osm, clock) -> Edge | None`` for *state*.
 
-    Raises on any generation problem; callers (:func:`fuse_spec`) catch
-    and leave the state on the interpreted reference.
+    A spec-wide build passes *spec*'s :func:`_slot_candidates` and the
+    :class:`_Codegen` that records the binding recipe.  Raises on any
+    generation problem; callers (:func:`fuse_spec`) catch and leave the
+    state on the interpreted reference.
     """
-    return _make_stepper(state, spec, _slot_candidates(spec), _Codegen())
-
-
-def _make_stepper(state, spec, slot_cands, g: _Codegen) -> Callable:
+    if slot_cands is None:
+        slot_cands = _slot_candidates(spec)
+    g = g or _Codegen()
     w = _Writer()
     w("osm.blocked_on = None")
     w("buffer = osm.token_buffer")
@@ -1169,7 +1178,8 @@ def _park_plan(state, slot_cands):
     return points, edges
 
 
-def generate_wake(state, spec) -> Optional[Callable]:
+def generate_wake(state, spec, slot_cands=None,
+                  g: Optional[_Codegen] = None) -> Optional[Callable]:
     """Generate the wake test ``wake(osm) -> bool`` of *state*, or None
     when some out-edge has no park point (:func:`_park_plan`).
 
@@ -1182,16 +1192,13 @@ def generate_wake(state, spec) -> Optional[Callable]:
     writes that record (the park point's of the last edge whose keyed
     guards hold, each distinct key evaluated once; the stepper's clear
     when none hold) and returns False, and the director skips the probe.
-    Raises on a generation problem, like :func:`generate_stepper`.
+    Takes and raises like :func:`generate_stepper`.
     """
-    return _make_wake(state, spec, _slot_candidates(spec), _Codegen())
-
-
-def _make_wake(state, spec, slot_cands, g: _Codegen) -> Optional[Callable]:
-    park = _park_plan(state, slot_cands)
+    park = _park_plan(state, _slot_candidates(spec) if slot_cands is None else slot_cands)
     if park is None:
         return None
     points, edges = park
+    g = g or _Codegen()
     w = _Writer()
     records = []
     for p, (cls, em) in points:
@@ -1252,11 +1259,6 @@ def _make_wake(state, spec, slot_cands, g: _Codegen) -> Optional[Callable]:
     return g.function(src, f"<fused:{spec.name}.{state.name}.wake>")
 
 
-#: the generators a build plan records; a build under any other (a
-#: patched ``generate_stepper`` or ``generate_wake``) plans nothing
-_OWN_GENERATORS = (generate_stepper, generate_wake)
-
-
 # --------------------------------------------------------------------------
 # spec-level entry points
 
@@ -1275,48 +1277,41 @@ def fuse_spec(spec, states=None) -> int:
     return _fuse(spec, states)[0]
 
 
-def _fuse(spec, states=None, paths=None):
+def _fuse(spec, states=None, names=None):
     """:func:`fuse_spec`, returning ``(states fused, codegens)``.
 
     *codegens* holds, per state, the :class:`_Codegen` of its stepper
-    and of its wake test, which record binding recipes when *paths* is
-    given: what a build plan needs besides the installed functions and
-    the census.  It is None when a generation failed, and under a
-    generator that is not this module's own (:data:`_OWN_GENERATORS`).
+    and of its wake test, which record binding recipes when *names* is
+    given (:class:`_Codegen`): what a build plan needs besides the
+    installed functions and the census.
     """
-    own = (generate_stepper, generate_wake) == _OWN_GENERATORS
-    slot_cands = _slot_candidates(spec) if own else None
+    slot_cands = _slot_candidates(spec)
     stats = spec.compile_stats
     fused = 0
-    codegens: Optional[list] = [] if own else None
+    codegens = []
     for state in spec.states.values():
         state._fused = state._wake = None
         if states is not None and state.name not in states:
             reason = "policy: not certified fusable"
         else:
             reason = _native_blocker(state)
-        gs = (_Codegen(paths), _Codegen(paths)) if own else None
+        gs = _Codegen(names), _Codegen(names)
+        codegens.append(gs)
         if reason is None:
             try:
-                state._fused = (_make_stepper(state, spec, slot_cands, gs[0]) if own
-                                else generate_stepper(state, spec))
+                state._fused = generate_stepper(state, spec, slot_cands, gs[0])
             except Exception as exc:  # degrade, never break model build
                 reason = f"codegen: {type(exc).__name__}: {exc}"
-                codegens = None
         stats.record_state(state, reason)
         if state._fused is not None:
             fused += 1
             try:
-                state._wake = (_make_wake(state, spec, slot_cands, gs[1]) if own
-                               else generate_wake(state, spec))
+                state._wake = generate_wake(state, spec, slot_cands, gs[1])
             except Exception as exc:  # the state stays fused, unparked
                 stats.record_wake(state, f"codegen: {type(exc).__name__}: {exc}")
-                codegens = None
             else:
                 if state._wake is not None:
                     stats.record_wake(state)
-        if codegens is not None:
-            codegens.append(gs)
     return fused, codegens
 
 
@@ -1371,7 +1366,7 @@ def unpark_states(spec, failures) -> int:
 
 
 # --------------------------------------------------------------------------
-# the verdict store
+# the fusion store
 
 
 _PACKAGE_PREFIX = os.path.join(PACKAGE_ROOT, "")
@@ -1388,7 +1383,7 @@ _HEAPTYPE = 1 << 9
 @functools.lru_cache(maxsize=None)
 def _in_package(path: Optional[str]) -> bool:
     """Whether source file *path* lies inside the ``repro`` package,
-    every file of which the verdict key covers."""
+    every file of which the structure key covers."""
     return path is not None and os.path.abspath(path).startswith(_PACKAGE_PREFIX)
 
 
@@ -1470,48 +1465,42 @@ class _Walk:
     which operands are one object shows too.  No line depends on where
     the package is installed.
 
-    ``key`` is the content key of the effectcheck verdict.  It covers
-    every ``.py`` file of the package (so also this module's entry
-    layout), the Python version, ``lines`` and the source description of
-    a synthesized (ADL) spec.  That determines the verdict, and the text
-    of every stepper and wake test, only for a spec whose reachable code
-    is all package code (``persistent``, :func:`_package_only`); any
-    other spec (test-local and user specs, bundled models given user
-    subclasses) is keyed apart and its verdicts stay in the process, as
-    the files its code lives in are not part of the key.
+    ``key`` is the content key of everything the process and the store
+    keep per structure.  It covers every ``.py`` file of the package (so
+    also this module's entry layout), the Python version, ``lines`` and
+    the source description of a synthesized (ADL) spec.  That determines
+    the effectcheck verdict, and the text of every stepper and wake
+    test, only for a spec whose reachable code is all package code
+    (``persistent``, :func:`_package_only`); any other spec (test-local
+    and user specs, bundled models given user subclasses) is keyed apart
+    and never stored, as the files its code lives in are not part of
+    the key.
 
-    ``objects`` maps the structural path of every state, edge and
-    distinct value the walk visited (the first path it met the value
-    by) to the object.  A path is a tuple of steps from the spec: a
-    ``str`` reads that attribute, a 1-tuple ``(k,)`` takes item ``k``.
+    ``order`` lists what the walk visited: the states, the edges, then
+    every distinct value in the order it was first met.  Specs of one
+    key visit alike, so a position in ``order`` names the same role in
+    each.
     """
 
     def __init__(self, spec):
         self._seen: Dict[int, str] = {}
-        self._roots: List[Any] = []
-        self.objects: Dict[tuple, Any] = {}
-        rank = self._describe(getattr(spec, "analysis_rank_key", None), (), "analysis_rank_key")
+        self._values: List[Any] = []
+        rank = self._describe(getattr(spec, "analysis_rank_key", None))
         lines = [f"spec {spec.name} {getattr(spec, 'lint_allow', ())!r} {rank}"]
         for state in spec.states.values():
-            at = ("states", (state.name,))
-            self.objects[at] = state
             lines.append(f"state {state.name} {state.is_initial} "
-                         f"{self._describe(state.on_enter, at, 'on_enter')}")
-        for index, edge in enumerate(spec.edges):
-            at = ("edges", (index,))
-            self.objects[at] = edge
-            prims = []
-            for k, p in enumerate(edge.condition.primitives):
-                here = at + ("condition", "primitives", (k,))
-                prims.append(",".join(
-                    [self._describe(type(p), here, "__class__")]
-                    + [self._describe(getattr(p, attr, None), here, attr)
-                       for attr in getattr(type(p), "__slots__", ())]))
+                         f"{self._describe(state.on_enter)}")
+        for edge in spec.edges:
+            prims = [",".join([self._describe(type(p))]
+                              + [self._describe(getattr(p, attr, None))
+                                 for attr in getattr(type(p), "__slots__", ())])
+                     for p in edge.condition.primitives]
             lines.append(f"edge {edge.qualname} {edge.src.name} {edge.dst.name} "
                          f"{edge.priority} {edge.lint_allow!r} "
-                         f"{self._describe(edge.action, at, 'action')} [{';'.join(prims)}]")
+                         f"{self._describe(edge.action)} [{';'.join(prims)}]")
         self.lines = lines
-        self.persistent = _package_only(self._roots)
+        self.order = [*spec.states.values(), *spec.edges, *self._values]
+        self.persistent = _package_only(self._values)
         self.key = content_key([
             ("python", sys.version),
             ("package", package_fingerprint("repro")),
@@ -1520,31 +1509,35 @@ class _Walk:
             ("scope", "store" if self.persistent else "process"),
         ])
 
-    def _describe(self, value, parent: tuple, step) -> str:
+    def names(self) -> Dict[int, int]:
+        """Per object of the walk, by id, its first position in ``order``."""
+        names: Dict[int, int] = {}
+        for position, obj in enumerate(self.order):
+            names.setdefault(id(obj), position)
+        return names
+
+    def _describe(self, value) -> str:
         if type(value) in _ATOMS:
             return repr(value)
         text = self._seen.get(id(value))
         if text is not None:
             return text
-        at = parent + (step,)
-        self.objects[at] = value
-        self._roots.append(value)
+        self._values.append(value)
         if isinstance(value, (list, tuple)):
-            items = [self._describe(item, at, (j,)) for j, item in enumerate(value)]
-            text = f"{type(value).__name__}({','.join(items)})"
+            text = f"{type(value).__name__}({','.join(map(self._describe, value))})"
         elif isinstance(value, type):
             text = f"{value.__module__}.{value.__qualname__}"
             if value in _EMITTERS:
                 text += " native"
         elif getattr(value, "__func__", None) is not None:  # bound method
-            text = (f"{self._describe(type(value.__self__), at + ('__self__',), '__class__')}"
-                    f">{self._describe(value.__func__, at, '__func__')}")
+            text = (f"{self._describe(type(value.__self__))}"
+                    f">{self._describe(value.__func__)}")
         elif getattr(value, "__code__", None) is not None:  # function
             text = (f"{value.__module__}.{value.__qualname__}"
                     f":{value.__code__.co_firstlineno}")
         else:
             name = getattr(value, "name", None)
-            text = (f"{self._describe(type(value), at, '__class__')}"
+            text = (f"{self._describe(type(value))}"
                     f":{name if isinstance(name, str) else ''}")
         inline = getattr(value, "__fuse_inline__", None)
         if isinstance(inline, str):  # pasted in place of a call
@@ -1554,110 +1547,55 @@ class _Walk:
         return text
 
 
-def _stepper_key(spec, key: str) -> str:
-    """Content key of the TRV001 verdict: the spec's verdict *key* plus
-    the exact ``__fused_source__`` of every installed stepper and wake
-    test — the code the replay certifies."""
-    parts = [("spec", key)]
+def _text_digest(spec) -> str:
+    """Digest of the exact ``__fused_source__`` of every installed
+    stepper and wake test: the code a TRV001 verdict certifies."""
+    parts = []
     for name, state in spec.states.items():
         for suffix, fn in (("", state._fused), (":wake", state._wake)):
             if fn is not None:
-                parts.append((name + suffix, getattr(fn, "__fused_source__", None)
-                              or "\x00missing"))
+                parts.append((name + suffix, fn.__fused_source__))
     return content_key(parts)
 
 
-class VerdictStore:
-    """The fusion gate's verdicts, content-addressed: an in-process memo
-    in front of a :class:`~repro.contentstore.ResultCache` under
-    ``user_cache_dir()/fusion``.
-
-    Entries are JSON verdicts only — state names and demotion reasons,
-    never code.  Only *persistent* entries (specs of package code) touch
-    the directory.  A missing or corrupt entry is a miss, and an
-    unwritable directory leaves the memo as the only store: either way
-    the caller runs the gate and puts the entry again.
-    """
-
-    def __init__(self):
-        self._memo: Dict[str, Any] = {}
-
-    @staticmethod
-    def _disk() -> Optional[ResultCache]:
-        try:
-            return ResultCache(os.path.join(user_cache_dir(), "fusion"))
-        except OSError:
-            return None
-
-    def get(self, key: str, persistent: bool) -> Any:
-        """The entry stored under *key*, or None."""
-        entry = self._memo.get(key)
-        if entry is None and persistent:
-            disk = self._disk()
-            entry = disk.get(key) if disk is not None else None
-            if entry is not None:
-                self._memo[key] = entry
-        return entry
-
-    def put(self, key: str, entry: Dict[str, Any], persistent: bool) -> None:
-        """Memoise *entry*, and write it to disk when *persistent* and
-        the directory allows."""
-        self._memo[key] = entry
-        disk = self._disk() if persistent else None
-        if disk is not None:
-            try:
-                disk.put(key, entry)
-            except OSError:
-                pass
-
-
-def _stored_fusable(entry) -> Optional[frozenset]:
-    """The fusable-state set of a stored effectcheck verdict, or None
-    when *entry* is missing or malformed."""
-    names = entry.get("fusable") if isinstance(entry, dict) else None
-    if isinstance(names, list) and all(isinstance(n, str) for n in names):
-        return frozenset(names)
-    return None
-
-
-def _stored_replay(entry) -> Optional[Tuple[list, list]]:
-    """The ``[state, reason]`` pairs of a stored TRV001 verdict — the
-    demoted steppers and the dropped wake tests — or None when *entry*
-    is missing or malformed."""
-    if not isinstance(entry, dict):
+def _store() -> Optional[ResultCache]:
+    """The fusion store, ``user_cache_dir()/fusion``: one JSON entry per
+    spec structure of package code, holding state names, reasons and a
+    digest, never code.  None when the directory cannot be made."""
+    try:
+        return ResultCache(os.path.join(user_cache_dir(), "fusion"))
+    except OSError:
         return None
-    verdict = entry.get("demoted"), entry.get("unparked")
-    for pairs in verdict:
-        if not (isinstance(pairs, list) and all(
-                isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
-                for p in pairs)):
-            return None
-    return verdict
 
 
-#: the process's verdict store
-_VERDICTS = VerdictStore()
+def _strings_ok(values) -> bool:
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+
+def _pairs_ok(pairs) -> bool:
+    return isinstance(pairs, list) and all(
+        isinstance(p, list) and len(p) == 2 and _strings_ok(p) for p in pairs)
 
 
 # --------------------------------------------------------------------------
 # build plans
 
 
-#: build plans kept.  A plan holds text, code and paths only: ppc750's,
-#: the largest, about 75 KB of text and as much code, the same objects
-#: the code cache holds.  A process needs one per spec structure it
-#: builds: the seven registered specs have seven, and every config of
-#: the fleet-bench, E1 and E2 sweeps builds its model's one structure.
+#: build plans kept.  A plan holds a census, text, code and paths
+#: only: ppc750's, the largest, about 75 KB of text and as much code,
+#: the same objects the code cache holds.  A process needs one per spec
+#: structure it builds: the seven registered specs have seven, and
+#: every config of the fleet-bench, E1 and E2 sweeps builds its model's
+#: one structure.
 MAX_PLANS = 64
 
 #: gated builds of this process by what their plan did
-_PLAN_COUNTS = {"reused": 0, "generated": 0, "unplannable": 0}
+_PLAN_COUNTS = {"reused": 0, "generated": 0}
 
 
 def plan_stats() -> Dict[str, int]:
-    """The process counters: how many gated builds reused a build plan,
-    generated their text (recording a plan when they could), or had an
-    unplannable spec."""
+    """The process counters: how many gated builds reused a build plan
+    and how many generated (and gated) their text."""
     return dict(_PLAN_COUNTS)
 
 
@@ -1688,38 +1626,40 @@ class _Unit:
 
 
 class _Plan:
-    """What the gated build of one spec structure installs, for every
-    later build of that structure in the process: per state its census
-    reason and its stepper and wake-test :class:`_Unit`, the structural
-    paths (``(walk path, member steps)``) the units bind, and the
-    TRV001 verdict key of the text.  It holds strings, numbers and code
-    objects, never an object of a build."""
+    """What the gated build of one spec structure installed once its
+    gate had run, for every later build of that structure in the
+    process: per state its census reason and the :class:`_Unit` of its
+    stepper and of its wake test when they survived, the parking census,
+    and the paths (``(walk position, member steps...)``) the units bind.
+    It holds strings, numbers and code objects, never an object of a
+    build."""
 
-    __slots__ = ("paths", "states", "trv_key")
+    __slots__ = ("paths", "states", "parking")
 
-    def __init__(self, spec, codegens, trv_key: str):
-        table: Dict[Tuple[tuple, tuple], int] = {}
+    def __init__(self, spec, codegens):
+        table: Dict[tuple, int] = {}
 
         def index(path) -> int:
             return table.setdefault(path, len(table))
 
+        stats = spec.compile_stats
         self.states = tuple(
-            (spec.compile_stats.states[state.name],
+            (stats.states[state.name],
              *(None if fn is None else _Unit(fn, g, index)
                for fn, g in zip((state._fused, state._wake), gs)))
             for state, gs in zip(spec.states.values(), codegens))
+        self.parking = dict(stats.parking)
         self.paths = tuple(table)
-        self.trv_key = trv_key
 
-    def install(self, spec, objects: Dict[tuple, Any]) -> Optional[int]:
+    def install(self, spec, order: List[Any]) -> Optional[int]:
         """Install the plan's steppers and wake tests on *spec*, bound to
-        the objects at its paths in *objects* (its walk's), and record
+        the objects at its paths in *order* (its walk's), and record
         the census.  Returns the number of states fused, or None, with
         nothing installed, when the paths do not resolve alike."""
         values = []
         try:
-            for base, members in self.paths:
-                value = objects[base]
+            for position, *members in self.paths:
+                value = order[position]
                 for step in members:
                     value = getattr(value, step) if type(step) is str else value[step[0]]
                 values.append(value)
@@ -1732,53 +1672,48 @@ class _Plan:
                 spec.states.values(), self.states, made):
             state._fused, state._wake = stepper, wake
             stats.record_state(state, reason)
-            if wake is not None:
-                stats.record_wake(state)
+        stats.parking.update(self.parking)
         return sum(1 for stepper, _ in made if stepper is not None)
 
 
-def _install(spec, walk: _Walk, fusable: frozenset) -> Tuple[int, str, str]:
-    """Install the steppers and wake tests of *spec*'s *fusable* states.
+def _gate(spec, walk: _Walk) -> Tuple[_Plan, int, str]:
+    """Generate, gate and install *spec*'s steppers and wake tests.
 
-    A build whose structure (``walk.key``) and fusable set the process
-    has built before installs from that build's plan; any other
-    generates the text, and records a plan when every bind is named.
-    Returns the number of states fused, the TRV001 verdict key and the
-    census note: ``"reused"``, ``"generated"`` or ``"unplannable:
-    <why>"``.
+    The verdicts come from the structure's store entry when it holds
+    them: the effectcheck verdict (the fusable states) whenever the
+    entry is sound, the TRV001 verdict only when its digest is that of
+    the text just generated (:func:`_text_digest`).  Whatever is missing
+    runs its analysis, and a persistent spec's entry is rewritten.
+    Returns the build plan, the number of states fused and where the
+    verdicts came from: ``"cache"`` or ``"gate"``.
     """
-    key = (walk.key, fusable)
-    own = (generate_stepper, generate_wake) == _OWN_GENERATORS
-    plan = _PLANS.pop(key, None) if own else None
-    if isinstance(plan, _Plan):
-        fused = plan.install(spec, walk.objects)
-        if fused is not None:
-            _PLANS[key] = plan  # most recently used
-            _PLAN_COUNTS["reused"] += 1
-            return fused, plan.trv_key, "reused"
-    if isinstance(plan, str):  # unplannable: generate as usual
-        fused, codegens = _fuse(spec, fusable)
-        note = plan
-    else:
-        # each object's first path: a later one is the same object in
-        # every spec of this key
-        paths = {id(obj): (path, ()) for path, obj in reversed(walk.objects.items())}
-        fused, codegens = _fuse(spec, fusable, paths if own else None)
-        note = "generated"
-        if own:
-            why = "a generator raised" if codegens is None else next(
-                (f"{spec.name}.{state.name} binds {g.unnamed} by no path"
-                 for state, gs in zip(spec.states.values(), codegens)
-                 for g in gs if g.unnamed is not None), None)
-            if why is not None:
-                note = f"unplannable: {why}"
-    trv_key = _stepper_key(spec, walk.key)
-    if own:
-        _PLANS[key] = _Plan(spec, codegens, trv_key) if note == "generated" else note
-        while len(_PLANS) > MAX_PLANS:
-            _PLANS.popitem(last=False)
-    _PLAN_COUNTS[note.split(":")[0]] += 1
-    return fused, trv_key, note
+    store = _store() if walk.persistent else None
+    entry = store.get(walk.key) if store is not None else None
+    if not isinstance(entry, dict) or not _strings_ok(entry.get("fusable")):
+        # Imported lazily: repro.analysis imports the model registry,
+        # which imports the models, which import repro.core — a
+        # module-level import here would be circular.
+        from ..analysis.effects import compilability_report, effects_spec
+        comp = compilability_report(spec, effects_spec(spec))
+        entry = {"fusable": sorted(comp.fusable_states)}
+    fused, codegens = _fuse(spec, frozenset(entry["fusable"]), walk.names())
+    text = _text_digest(spec)
+    verdict = "cache"
+    if (entry.get("text") != text or not _pairs_ok(entry.get("demoted"))
+            or not _pairs_ok(entry.get("unparked"))):
+        from ..analysis.certify import certify_fused_states, certify_wake_tests
+        entry = {"fusable": entry["fusable"], "text": text,
+                 "demoted": [list(pair) for pair in certify_fused_states(spec)],
+                 "unparked": [list(pair) for pair in certify_wake_tests(spec)]}
+        verdict = "gate"
+        if store is not None:
+            try:
+                store.put(walk.key, entry)
+            except OSError:
+                pass
+    fused -= demote_states(spec, entry["demoted"])
+    unpark_states(spec, entry["unparked"])
+    return _Plan(spec, codegens), fused, verdict
 
 
 def enable_fusion(spec) -> int:
@@ -1790,48 +1725,36 @@ def enable_fusion(spec) -> int:
     translation-validated by transcheck (:mod:`repro.analysis.certify`):
     a state whose stepper fails certification is demoted back to the
     interpreted reference by :func:`demote_states`, and a wake test that
-    fails its replay is dropped by :func:`unpark_states`.  Both verdicts
-    come from the :class:`VerdictStore` when it holds them — the
-    effectcheck verdict under the spec's structure key (:class:`_Walk`),
-    the TRV001 verdict under :func:`_stepper_key`, so a stored verdict is
-    reused only for byte-identical stepper and wake-test text — and
-    neither analysis (nor ``repro.analysis``) is imported then.  The
-    steppers and wake tests come from the process's build plan for the
-    structure when an earlier build recorded one (:func:`_install`).
-    The surviving set and the parked states are stamped on
-    ``spec.fuse_certificate`` together with the generator fingerprint so
-    ``repro certify`` can flag stale certificates (TRV008), with where
-    the verdicts came from (``"verdict"``: ``"cache"`` or ``"gate"``)
-    and with what the build plan did (``"plan"``: ``"reused"``,
-    ``"generated"`` or ``"unplannable: <why>"``).  Analysis failures
-    degrade to no fusion and are recorded in ``spec.compile_stats``.
-    Returns the number of states fused.
+    fails its replay is dropped by :func:`unpark_states`.  Everything is
+    keyed on the spec's structure (:class:`_Walk`): a build of a
+    structure this process has built installs the build plan that
+    build recorded after its gate (:meth:`_Plan.install`), and runs no
+    analysis; any other build generates its text and gates it
+    (:func:`_gate`), reading both verdicts from the structure's store
+    entry when it holds them — the TRV001 verdict only for
+    byte-identical stepper and wake-test text — and neither analysis
+    (nor ``repro.analysis``) is imported then.  The surviving set and
+    the parked states are stamped on ``spec.fuse_certificate`` together
+    with the generator fingerprint so ``repro certify`` can flag stale
+    certificates (TRV008), with where the verdicts came from
+    (``"verdict"``: ``"cache"`` or ``"gate"``) and with what the build
+    plan did (``"plan"``: ``"reused"`` or ``"generated"``).  Analysis
+    failures degrade to no fusion and are recorded in
+    ``spec.compile_stats``.  Returns the number of states fused.
     """
     try:
-        verdict = "cache"
         walk = _Walk(spec)
-        key, persistent = walk.key, walk.persistent
-        fusable = _stored_fusable(_VERDICTS.get(key, persistent))
-        if fusable is None:
-            # Imported lazily: repro.analysis imports the model registry,
-            # which imports the models, which import repro.core — a
-            # module-level import here would be circular.
-            from ..analysis.effects import compilability_report, effects_spec
-            comp = compilability_report(spec, effects_spec(spec))
-            fusable = frozenset(comp.fusable_states)
-            _VERDICTS.put(key, {"fusable": sorted(fusable)}, persistent)
-            verdict = "gate"
-        fused, trv_key, plan = _install(spec, walk, fusable)
-        replay = _stored_replay(_VERDICTS.get(trv_key, persistent))
-        if replay is None:
-            from ..analysis.certify import certify_fused_states, certify_wake_tests
-            replay = ([list(pair) for pair in certify_fused_states(spec)],
-                      [list(pair) for pair in certify_wake_tests(spec)])
-            _VERDICTS.put(trv_key, {"demoted": replay[0], "unparked": replay[1]},
-                          persistent)
-            verdict = "gate"
-        fused -= demote_states(spec, replay[0])
-        unpark_states(spec, replay[1])
+        plan = _PLANS.pop(walk.key, None)
+        fused = None if plan is None else plan.install(spec, walk.order)
+        if fused is None:
+            plan, fused, verdict = _gate(spec, walk)
+            note = "generated"
+        else:
+            verdict, note = "cache", "reused"
+        _PLANS[walk.key] = plan  # most recently used
+        while len(_PLANS) > MAX_PLANS:
+            _PLANS.popitem(last=False)
+        _PLAN_COUNTS[note] += 1
         spec.fuse_certificate = {
             "generator": generator_fingerprint(),
             "fused_states": sorted(
@@ -1839,7 +1762,7 @@ def enable_fusion(spec) -> int:
                 if state._fused is not None),
             "parked_states": spec.compile_stats.parked_states,
             "verdict": verdict,
-            "plan": plan,
+            "plan": note,
         }
         return fused
     except Exception as exc:  # analysis failure: degrade to unfused

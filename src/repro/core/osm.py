@@ -150,7 +150,7 @@ class MachineSpec:
         #: per-declaration ``source_span`` counterpart
         self.source_unit: Optional[str] = None
         #: canonical text of that description (``repr`` of its parsed
-        #: declaration); the fusion verdict store keys on it
+        #: declaration); the fusion store keys on it
         self.source_text: Optional[str] = None
 
     def allow_lint(self, *codes: str) -> "MachineSpec":

@@ -10,7 +10,7 @@ determinism tests assert.  Two backends share one interface:
   numbers lie.
 * :class:`~repro.contentstore.ResultCache` — a directory of JSON files,
   written atomically, with corrupt entries read as misses; the fusion
-  gate's verdict store uses the same class.
+  store (``repro.core.fuse``) uses the same class.
 """
 
 from __future__ import annotations

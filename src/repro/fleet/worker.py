@@ -15,34 +15,38 @@ Cross-process hazards audited for this contract (and why each is safe):
   module import, so a spawned worker sees the same registry — but the
   worker does not consult it at all: models are built from
   :data:`_BUILDERS` below, keyed only by job fields.
-* ``repro.core.fuse``'s verdict store hands a build the effectcheck and
-  TRV001 verdicts from memory or from disk (``~/.cache/repro/fusion``),
-  shared by every worker and process.  Reading it is sound because an
-  entry's key covers everything the verdict is a function of: every
-  ``.py`` file of the package, the Python version, the spec's
-  structure, literal operands and inline declarations, which operands
-  are one object (numbered in walk order, never by address), and — for
-  the TRV001 verdict — the exact text of every stepper it certified;
+* ``repro.core.fuse``'s fusion store hands a build the effectcheck and
+  TRV001 verdicts from disk (``~/.cache/repro/fusion``, one entry per
+  spec structure), shared by every worker and process; nothing keeps
+  them in memory but the build plans below.  Reading it is sound
+  because an entry's key covers everything the effectcheck verdict is
+  a function of: every ``.py`` file of the package, the Python version,
+  the spec's structure, literal operands and inline declarations, and
+  which operands are one object (numbered in walk order, never by
+  address); the TRV001 verdict is applied only when the entry's digest
+  of the text it certified is that of the text the build generated;
   and only a spec whose reachable code is all package code is written
   to disk.  So a worker only ever reads the verdict the gate would
   compute for the code it runs.  Entries hold
-  state names and demotion reasons, never code, and a corrupt entry
-  or an unwritable directory only means the worker runs the gate.
+  state names, demotion reasons and a digest, never code, and a
+  corrupt entry or an unwritable directory only means the worker runs
+  the gate.
 * transactions are per-OSM state (``osm._txn``), created fresh with
   every model build, so no probe state crosses jobs.
 * ``repro.iss.decode_cache.DecodeCache`` is per-``MainMemory`` instance
   state, created fresh with every model build.
 * ``repro.core.fuse`` keeps a build plan per spec structure for the
-  life of the process, so a worker generates the text of a model's
-  steppers and wake tests once, and its later builds of that structure
-  install from the plan.  Sharing it across jobs is sound because a
-  plan holds only text, code objects and structural paths (no object
-  of any build), its key covers everything the text is a function of
-  (the verdict key, which object identities the spec shares, every
-  inline declaration, the fusable states, and the generators and
-  emitters in force), and each build resolves the paths on its own
-  spec and gets functions of its own whose defaults are its own
-  objects, the same ones a fresh generation would bind.
+  life of the process, recorded after the gate, so a worker generates
+  and gates the text of a model's steppers and wake tests once, and its
+  later builds of that structure install from the plan.  Sharing it
+  across jobs is sound because a plan holds only the census, text,
+  code objects and walk positions (no object of any build), its key
+  (the store's) covers everything the text and the verdicts are a
+  function of (replacing an emitter drops every plan, and which
+  manager members are one object is checked on install), and each
+  build looks the positions up in its own spec walk and gets functions
+  of its own whose defaults are its own objects, the same ones a fresh
+  generation would bind.
 * ``repro.codecache`` keeps the code objects of generated ISS blocks and
   steppers for the life of the process, so a worker compiles a block
   its earlier jobs compiled only once.  Sharing them across jobs is

@@ -287,7 +287,7 @@ def test_trv001_fires_on_sliced_loop_iterable(shape):
     assert state.name in {d.state for d in found}
 
 
-def test_build_gate_demotes_ppc750_q_on_partial_inquiry(monkeypatch):
+def test_build_gate_demotes_ppc750_q_on_partial_inquiry(fresh_plans):
     """A rename inquiry loop that checks only the first source
     register (a miscompile that shifts ppc750's cycle counts while the
     reference path still agrees with itself) must not survive the build
@@ -304,15 +304,14 @@ _start:
 """)
     real = fuse.generate_stepper
 
-    def partial(state, spec):
-        stepper = real(state, spec)
+    def partial(state, spec, *args):
+        stepper = real(state, spec, *args)
         stepper.__fused_source__ = re.sub(
             r"(for i\d+s\d+ in )(i\d+v\d+):", r"\1\2[:1]:",
             stepper.__fused_source__)
         return stepper
 
-    with monkeypatch.context() as patch:
-        patch.setattr(fuse, "generate_stepper", partial)
+    with fresh_plans(generate_stepper=partial):
         spec = Ppc750Model(program, perfect_memory=True).spec
     assert "Q" not in spec.fuse_certificate["fused_states"]
     assert "Q" in dict(spec.compile_stats.demoted_states)
@@ -333,7 +332,7 @@ KEYED_TEST_MUTATIONS = {
 
 
 @pytest.mark.parametrize("mutation", sorted(KEYED_TEST_MUTATIONS))
-def test_build_gate_demotes_ppc750_q_on_wrong_keyed_test(monkeypatch, mutation):
+def test_build_gate_demotes_ppc750_q_on_wrong_keyed_test(fresh_plans, mutation):
     """A keyed test must compare the declared key expression against the
     guard's own value: the gate demotes Q otherwise, and ``repro
     certify`` reports the demotion."""
@@ -350,16 +349,15 @@ _start:
     pattern, replacement = KEYED_TEST_MUTATIONS[mutation]
     real = fuse.generate_stepper
 
-    def miscompiled(state, spec):
-        stepper = real(state, spec)
+    def miscompiled(state, spec, *args):
+        stepper = real(state, spec, *args)
         source, n = re.subn(pattern, replacement, stepper.__fused_source__,
                             count=1)
         assert n == (state.name == "Q")
         stepper.__fused_source__ = source
         return stepper
 
-    with monkeypatch.context() as patch:
-        patch.setattr(fuse, "generate_stepper", miscompiled)
+    with fresh_plans(generate_stepper=miscompiled):
         spec = Ppc750Model(program, perfect_memory=True).spec
     assert dict(spec.compile_stats.demoted_states).keys() == {"Q"}
     found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
@@ -381,7 +379,7 @@ WAKE_MUTATIONS = {
 }
 
 
-def _ppc750_with_wake_mutation(monkeypatch, mutation):
+def _ppc750_with_wake_mutation(fresh_plans, mutation):
     from repro.isa.ppc import assemble
     from repro.models.ppc750 import Ppc750Model
 
@@ -395,25 +393,24 @@ _start:
     pattern, replacement = WAKE_MUTATIONS[mutation]
     real = fuse.generate_wake
 
-    def miscompiled(state, spec):
-        wake = real(state, spec)
+    def miscompiled(state, spec, *args):
+        wake = real(state, spec, *args)
         if state.name == "Q":
             wake.__fused_source__, n = re.subn(
                 pattern, replacement, wake.__fused_source__, count=1)
             assert n == 1
         return wake
 
-    with monkeypatch.context() as patch:
-        patch.setattr(fuse, "generate_wake", miscompiled)
+    with fresh_plans(generate_wake=miscompiled):
         return Ppc750Model(program, perfect_memory=True).spec
 
 
 @pytest.mark.parametrize("mutation", sorted(WAKE_MUTATIONS))
-def test_build_gate_drops_ppc750_q_wake_test(monkeypatch, mutation):
+def test_build_gate_drops_ppc750_q_wake_test(fresh_plans, mutation):
     """TRV001 replays the wake tests: a miscompiled one is dropped at
     model build while Q stays fused, the census says why, and ``repro
     certify`` reports the drop."""
-    spec = _ppc750_with_wake_mutation(monkeypatch, mutation)
+    spec = _ppc750_with_wake_mutation(fresh_plans, mutation)
     assert "Q" in spec.fuse_certificate["fused_states"]
     assert spec.fuse_certificate["parked_states"] == ["W", "X"]
     assert spec.states["Q"]._fused is not None and spec.states["Q"]._wake is None
@@ -528,7 +525,7 @@ class TestBuildGate:
         failures = certify_fused_states(spec)
         assert [name for name, _ in failures] == [state.name]
 
-    def test_corrupted_generator_demotes_at_model_build(self, monkeypatch):
+    def test_corrupted_generator_demotes_at_model_build(self, fresh_plans):
         """End to end: a generator emitting uncertifiable code loses the
         fused stepper at ``enable_fusion`` time, and the demotion is
         counted as a transcheck demotion in the compile stats (the
@@ -538,8 +535,8 @@ class TestBuildGate:
 
         real = fuse.generate_stepper
 
-        def corrupted(state, spec):
-            stepper = real(state, spec)
+        def corrupted(state, spec, *args):
+            stepper = real(state, spec, *args)
             stepper.__fused_source__ = stepper.__fused_source__.replace(
                 "osm.n_transitions += 1", "pass", 1)
             return stepper
@@ -550,8 +547,7 @@ _start:
     mov r0, #0
     swi #0
 """)
-        with monkeypatch.context() as patch:
-            patch.setattr(fuse, "generate_stepper", corrupted)
+        with fresh_plans(generate_stepper=corrupted):
             model = Pipeline5Model(program, fused=True)
         stats = model.spec.compile_stats
         assert stats.fused_states == 0
@@ -565,7 +561,7 @@ _start:
         assert model.spec.compile_stats.fused_fallback_states == 0
 
 
-def test_trv_verdict_is_not_shared_by_specs_of_one_structure(monkeypatch):
+def test_trv_verdict_is_not_shared_by_specs_of_one_structure(fresh_plans):
     """Two specs that differ only in a keyed-guard value and a slot name
     generate different steppers, so they must not share a TRV001
     verdict: a miscompile of the second is demoted although the first
@@ -576,8 +572,8 @@ def test_trv_verdict_is_not_shared_by_specs_of_one_structure(monkeypatch):
     target = keyed_toy(1, "b")
     real = fuse.generate_stepper
 
-    def miscompiled(state, spec):
-        stepper = real(state, spec)
+    def miscompiled(state, spec, *args):
+        stepper = real(state, spec, *args)
         if spec is target and state.name == "I":
             source, n = re.subn(r"\(osm\.tag\) != 1:", "(osm.tag) != 0:",
                                 stepper.__fused_source__)
@@ -585,8 +581,7 @@ def test_trv_verdict_is_not_shared_by_specs_of_one_structure(monkeypatch):
             stepper.__fused_source__ = source
         return stepper
 
-    with monkeypatch.context() as patch:
-        patch.setattr(fuse, "generate_stepper", miscompiled)
+    with fresh_plans(generate_stepper=miscompiled):
         enable_fusion(target)
     assert dict(target.compile_stats.demoted_states).keys() == {"I"}
     assert target.fuse_certificate["fused_states"] == ["P"]

@@ -2,7 +2,29 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from contextlib import contextmanager
+
 import pytest
+
+
+@pytest.fixture()
+def fresh_plans(monkeypatch):
+    """A context manager for builds under patched fusion generators:
+    inside it, ``repro.core.fuse`` has a fresh table of build plans and
+    the given attributes replaced (``generate_stepper=...``), so the
+    builds neither reuse a plan of the process nor leave one behind."""
+    from repro.core import fuse
+
+    @contextmanager
+    def fresh(**replacements):
+        with monkeypatch.context() as patch:
+            patch.setattr(fuse, "_PLANS", OrderedDict())
+            for name, value in replacements.items():
+                patch.setattr(fuse, name, value)
+            yield
+
+    return fresh
 
 
 @pytest.fixture()

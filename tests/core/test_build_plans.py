@@ -1,13 +1,15 @@
 """Build plans: each spec structure's steppers are generated once per process.
 
-The gated build (``enable_fusion``) of a structure records a plan — the
-text, the shared code object and a binding recipe of structural paths —
+The gated build (``enable_fusion``) of a structure records a plan once
+its gate has run — the census, and the text, the shared code object and
+a binding recipe of walk positions of every function that survived —
 and every later build of that structure installs from it.  These tests
 pin what makes that exact: a build that reused a plan carries the text
 and the bound objects of a from-scratch generation, for every registered
 spec and every sweep config of the case studies; everything the text
-depends on keys a plan apart; and a bind no path names makes a spec
-unplannable rather than wrongly bound.
+depends on keys a plan apart; a plan re-installs what its gate demoted;
+and a bind no path names keeps its state on the reference rather than
+binding it wrongly.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from repro.fleet.bench import bench_jobs
 from repro.fleet.worker import _BUILDERS
 from repro.isa.arm import assemble as asm_arm
 from repro.isa.ppc import assemble as asm_ppc
+
+from ..conftest import keyed_toy
 
 PROGRAMS = {
     "strongarm": lambda: asm_arm(".text\n_start:\n mov r0, #0\n swi #0\n"),
@@ -154,6 +158,7 @@ VARIANTS = {
     "slot name": ({"slot": "a"}, {"slot": "z"}),
     "static ident": ({"ident": 1}, {"ident": 2}),
     "keyed-guard value": ({"value": 0}, {"value": 1}),
+    "float keyed-guard value": ({"value": 0.5}, {"value": 1.5}),
 }
 
 
@@ -161,13 +166,14 @@ VARIANTS = {
 def test_what_the_text_depends_on_misses(variant):
     """The first spec's plan exists (its second build reuses it); the
     variant, of the same edges, managers, labels and functions, misses
-    and generates text equal to a fresh generation."""
+    and generates text equal to a fresh generation, every state fused."""
     base, other = VARIANTS[variant]
     name = "plan-key-" + variant.replace(" ", "-")
     _built(_toy(name, **base))
     assert plan_of(_built(_toy(name, **base))) == "reused"
     spec = _built(_toy(name, **other))
     assert plan_of(spec) == "generated"
+    assert spec.compile_stats.fallback_states == []
     assert_fresh(spec)
     texts = {state.name: state._fused.__fused_source__
              for state in spec.states.values() if state._fused is not None}
@@ -308,21 +314,24 @@ def _trace(spec, gate, reference):
     return trace, [osm.current.name for osm in osms]
 
 
-def test_an_unnamed_bind_is_unplannable_and_still_exact(monkeypatch):
+def test_an_unnamed_bind_keeps_its_state_on_the_reference(monkeypatch):
+    """The emitter binds its manager's gate as a plain object, which no
+    path names: generating state I fails, so I runs the reference, the
+    census names the bind, and the build runs exactly like the reference
+    loop.  A rebuild reuses the plan, census and all."""
     monkeypatch.setattr(fuse, "_EMITTERS", dict(fuse._EMITTERS))
     register_native_emitter(_GatedSlot, _GatedSlotEmitter())
     gate = _Gate()
-    spec = _gated(gate)
-    enable_fusion(spec)
-    assert plan_of(spec) == "unplannable: plan-unnamed.I binds gate by no path"
-    assert spec.states["I"]._fused is not None
+    spec = _built(_gated(gate))
+    assert spec.states["I"]._fused is None
+    assert "binds 'gate' by no path" in spec.compile_stats.states["I"]
+    assert spec.compile_stats.fallback_states == [("I", spec.compile_stats.states["I"])]
     fused = _trace(spec, gate, reference=False)
 
     again_gate = _Gate()
-    again = _gated(again_gate)
-    enable_fusion(again)
-    assert plan_of(again) == plan_of(spec)  # generated per build, as it says
-    assert any(d is again_gate for d in again.states["I"]._fused.__defaults__)
+    again = _built(_gated(again_gate))
+    assert plan_of(again) == "reused"
+    assert again.compile_stats.to_dict() == spec.compile_stats.to_dict()
     assert_fresh(again)
 
     oracle_gate = _Gate()
@@ -348,17 +357,26 @@ def test_a_plain_bind_never_names_an_object_by_where_else_it_is(monkeypatch):
     """The emitter binds its manager's gate as a plain object.  In the
     first spec that gate is also a spec operand, which the structural
     key cannot tell from a spec where it is not: naming the bind by the
-    operand's path would bind the second spec's operand in place of its
-    gate.  So the first spec is unplannable too, and the second build
-    generates its own text."""
+    operand's walk position would bind the second spec's operand in
+    place of its gate.  So state I runs the reference in both builds,
+    the census names the bind, and each runs like the reference loop."""
     monkeypatch.setattr(fuse, "_EMITTERS", dict(fuse._EMITTERS))
     register_native_emitter(_GatedSlot, _GatedSlotEmitter())
     gate = _Gate()
     first = _built(_aliased(gate, gate))
-    assert plan_of(first).startswith("unplannable: plan-aliased.I binds gate")
-    second = _built(_aliased(_Gate(), _Gate()))
-    assert plan_of(second) == plan_of(first)
+    member = _Gate()
+    second = _built(_aliased(_Gate(), member))
+    assert plan_of(second) == "reused"
+    for spec in (first, second):
+        assert spec.states["I"]._fused is None
+        assert "binds 'gate' by no path" in spec.compile_stats.states["I"]
     assert_fresh(second)
+    oracle_member = _Gate()
+    oracle = _aliased(_Gate(), oracle_member)
+    defuse_spec(oracle)
+    trace = _trace(second, member, reference=False)
+    assert trace == _trace(oracle, oracle_member, reference=True)
+    assert trace[0], "the ring moved"
 
 
 def test_registering_a_new_class_misses(monkeypatch):
@@ -375,3 +393,47 @@ def test_registering_a_new_class_misses(monkeypatch):
     assert after.states["I"]._fused is not None
     assert_fresh(after)
     assert plan_of(_built(_gated(_Gate(), name))) == "reused"
+
+
+# -- the plan is recorded after the gate ----------------------------------------
+
+def test_a_plan_reinstalls_what_its_gate_demoted(fresh_plans, monkeypatch):
+    """A build whose gate demoted a stepper and dropped a wake test
+    records that census in its plan: a rebuild installs exactly it, with
+    no analysis run (each is patched to raise)."""
+    real_stepper, real_wake = fuse.generate_stepper, fuse.generate_wake
+
+    def stepper(state, spec, *args):
+        fn = real_stepper(state, spec, *args)
+        if state.name == "I":
+            fn.__fused_source__ = fn.__fused_source__.replace(
+                "osm.n_transitions += 1", "pass", 1)
+        return fn
+
+    def wake(state, spec, *args):
+        fn = real_wake(state, spec, *args)
+        if fn is not None and state.name == "P":
+            fn.__fused_source__ = fn.__fused_source__.replace(
+                "return True", "return False", 1)
+        return fn
+
+    def analysis(*args, **kwargs):
+        raise AssertionError("a reusing build ran an analysis")
+
+    from repro.analysis import certify, effects
+
+    with fresh_plans(generate_stepper=stepper, generate_wake=wake):
+        first = _built(keyed_toy(3, "g"))
+        stats = first.compile_stats
+        assert dict(stats.demoted_states).keys() == {"I"}
+        assert dict(stats.unparked_states).keys() == {"P"}
+        monkeypatch.setattr(effects, "compilability_report", analysis)
+        monkeypatch.setattr(certify, "certify_fused_states", analysis)
+        monkeypatch.setattr(certify, "certify_wake_tests", analysis)
+        again = _built(keyed_toy(3, "g"))
+    assert (plan_of(again), again.fuse_certificate["verdict"]) == ("reused", "cache")
+    assert again.compile_stats.to_dict() == stats.to_dict()
+    assert again.fuse_certificate == first.fuse_certificate | {"plan": "reused",
+                                                               "verdict": "cache"}
+    assert again.states["I"]._fused is None
+    assert again.states["P"]._fused is not None and again.states["P"]._wake is None

@@ -1,13 +1,14 @@
-"""The fusion gate's verdict store (``repro.core.fuse.VerdictStore``).
+"""The fusion store: one entry per spec structure (``repro.core.fuse``).
 
-A model build reads the effectcheck and TRV001 verdicts from the store
-and runs neither analysis on a hit.  These tests pin what makes that
-sound: a hit in a fresh process changes nothing but where the verdict
-came from; any edit to the sources a verdict depends on misses; a spec
-with code outside the package is never stored; and a corrupt entry, an
-unwritable cache directory or a changed stepper text runs the full
-gate.  Each runs against its own ``XDG_CACHE_HOME``, and in subprocesses
-where the in-process memo would mask the result.
+A model build reads the effectcheck and TRV001 verdicts from its
+structure's entry and runs neither analysis on a hit.  These tests pin
+what makes that sound: a hit in a fresh process changes nothing but
+where the verdict came from; any edit to the sources a verdict depends
+on misses; a spec with code outside the package is never stored; and a
+corrupt entry, an unwritable cache directory or a changed stepper text
+runs the full gate.  Each runs against its own ``XDG_CACHE_HOME``, and
+in subprocesses or under a fresh plan table where the process's build
+plans would mask the result.
 """
 
 import importlib.util
@@ -114,13 +115,35 @@ def test_warm_build_in_a_fresh_process_skips_the_analyses(tmp_path):
     assert warm["fingerprint"] == generator_fingerprint()
 
 
-def test_in_process_rebuild_reads_the_memo():
+def test_in_process_rebuild_reuses_the_plan():
     spec = keyed_toy(7, "m")
     enable_fusion(spec)
     again = keyed_toy(7, "m")
     enable_fusion(again)
+    assert again.fuse_certificate["plan"] == "reused"
     assert again.fuse_certificate["verdict"] == "cache"
     assert again.compile_stats.to_dict() == spec.compile_stats.to_dict()
+
+
+def test_one_entry_per_structure_written_once(tmp_path):
+    """A cold build writes its structure's one entry; a warm build in a
+    fresh process writes nothing and imports no analysis."""
+    cold = _build(tmp_path, "strongarm")
+    assert cold["strongarm"]["verdict"] == "gate"
+    entries = _entries(tmp_path)
+    assert len(entries) == 1
+
+    def files():
+        return {path: (os.stat(path).st_ino, os.stat(path).st_mtime_ns)
+                for d, _, names in os.walk(tmp_path)
+                for path in (os.path.join(d, f) for f in names)}
+
+    before = files()
+    warm = _build(tmp_path, "strongarm")
+    assert warm["strongarm"]["verdict"] == "cache"
+    assert warm["analysis_modules"] == []
+    assert files() == before
+    _same_build(cold["strongarm"], warm["strongarm"])
 
 
 # -- every edit a verdict depends on misses -------------------------------------
@@ -185,7 +208,7 @@ def test_each_source_edit_misses(tmp_path):
     first = _build(cache, *args, src=str(src))
     assert first["repro"].startswith(str(src))
     assert (first["strongarm"]["verdict"], first["local"]["verdict"]) == ("gate", "gate")
-    assert len(_entries(cache)) == 2  # strongarm's two verdicts, nothing local
+    assert len(_entries(cache)) == 1  # strongarm's one entry, nothing local
     warm = _build(cache, *args, src=str(src))
     assert (warm["strongarm"]["verdict"], warm["local"]["verdict"]) == ("cache", "gate")
 
@@ -300,7 +323,7 @@ def test_package_fingerprint_skips_what_is_not_a_regular_file(tmp_path):
 def test_truncated_entry_runs_the_gate_and_is_rewritten(tmp_path):
     first = _build(tmp_path, "strongarm")
     entries = _entries(tmp_path)
-    assert len(entries) == 2  # the effectcheck and the TRV001 verdict
+    assert len(entries) == 1  # the structure's one entry
     for path in entries:
         with open(path) as handle:
             text = handle.read()
@@ -337,67 +360,81 @@ def test_unwritable_cache_dir_runs_the_gate(tmp_path, kind):
     _same_build(built, reference)
 
 
-def test_stored_demotion_is_reused_only_for_its_stepper_text(monkeypatch):
-    real = fuse.generate_stepper
+def _strongarm_builds(monkeypatch, tmp_path, fresh_plans, name, mutate):
+    """Build strongarm (a spec of package code, so stored) against the
+    store under *tmp_path*, each build under a fresh plan table: with
+    ``build(True)`` the generator *name* passes its functions through
+    *mutate* first."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    real = getattr(fuse, name)
 
-    def miscompiled(state, spec):
-        stepper = real(state, spec)
-        if state.name == "I":
+    def miscompiled(state, spec, *args):
+        return mutate(state, real(state, spec, *args))
+
+    def build(broken):
+        with fresh_plans(**{name: miscompiled if broken else real}):
+            return StrongArmModel(_toy_program()).spec
+
+    return build
+
+
+def test_stored_demotion_is_reused_only_for_its_stepper_text(monkeypatch, tmp_path,
+                                                             fresh_plans):
+    """The entry's TRV001 verdict is applied only to the exact text it
+    certified: a build that generates other stepper text runs the
+    replay and rewrites the entry for its own text."""
+    def mutate(state, stepper):
+        if state.name == "F":
             stepper.__fused_source__ = stepper.__fused_source__.replace(
                 "osm.n_transitions += 1", "pass", 1)
         return stepper
 
-    def build(generator):
-        spec = keyed_toy(5, "d")
-        with monkeypatch.context() as patch:
-            patch.setattr(fuse, "generate_stepper", generator)
-            enable_fusion(spec)
-        return spec
-
-    broken = build(miscompiled)
-    assert dict(broken.compile_stats.demoted_states).keys() == {"I"}
-    assert broken.fuse_certificate["verdict"] == "gate"
-    healthy = build(real)
+    build = _strongarm_builds(monkeypatch, tmp_path, fresh_plans,
+                              "generate_stepper", mutate)
+    healthy = build(False)
+    assert healthy.fuse_certificate["verdict"] == "gate"
     assert healthy.compile_stats.demoted_states == []
-    assert healthy.fuse_certificate["fused_states"] == ["I", "P"]
-    again = build(miscompiled)
+    broken = build(True)
+    assert broken.fuse_certificate["verdict"] == "gate"
+    assert dict(broken.compile_stats.demoted_states).keys() == {"F"}
+    again = build(True)
     assert again.fuse_certificate["verdict"] == "cache"
     assert again.compile_stats.demoted_states == broken.compile_stats.demoted_states
+    healthy = build(False)
+    assert healthy.fuse_certificate["verdict"] == "gate"
+    assert healthy.compile_stats.demoted_states == []
+    assert "F" in healthy.fuse_certificate["fused_states"]
+    assert len(_entries(tmp_path)) == 1
 
 
-def test_stored_wake_verdict_is_reused_only_for_its_wake_text(monkeypatch):
+def test_stored_wake_verdict_is_reused_only_for_its_wake_text(monkeypatch, tmp_path,
+                                                              fresh_plans):
     """The TRV001 verdict covers the wake tests too: a build whose wake
     test text differs, with the same stepper text, misses the stored
     verdict and runs the replay."""
-    real = fuse.generate_wake
-
-    def miscompiled(state, spec):
-        wake = real(state, spec)
-        if state.name == "P":
+    def mutate(state, wake):
+        if state.name == "W":
             wake.__fused_source__ = wake.__fused_source__.replace(
                 "return True", "return False", 1)
         return wake
 
-    def build(generator):
-        spec = keyed_toy(6, "e")
-        with monkeypatch.context() as patch:
-            patch.setattr(fuse, "generate_wake", generator)
-            enable_fusion(spec)
-        return spec
-
-    broken = build(miscompiled)
+    build = _strongarm_builds(monkeypatch, tmp_path, fresh_plans,
+                              "generate_wake", mutate)
+    healthy = build(False)
+    assert healthy.fuse_certificate["parked_states"] == ["W"]
+    broken = build(True)
     assert broken.fuse_certificate["verdict"] == "gate"
-    assert dict(broken.compile_stats.unparked_states).keys() == {"P"}
+    assert dict(broken.compile_stats.unparked_states).keys() == {"W"}
     assert broken.fuse_certificate["parked_states"] == []
-    healthy = build(real)
     assert all(healthy.states[n]._fused.__fused_source__
-               == broken.states[n]._fused.__fused_source__ for n in "IP")
-    assert healthy.fuse_certificate["verdict"] == "gate"
-    assert healthy.fuse_certificate["parked_states"] == ["P"]
-    assert healthy.compile_stats.unparked_states == []
-    again = build(miscompiled)
+               == broken.states[n]._fused.__fused_source__ for n in healthy.states)
+    again = build(True)
     assert again.fuse_certificate["verdict"] == "cache"
     assert again.compile_stats.unparked_states == broken.compile_stats.unparked_states
+    healthy = build(False)
+    assert healthy.fuse_certificate["verdict"] == "gate"
+    assert healthy.fuse_certificate["parked_states"] == ["W"]
+    assert healthy.compile_stats.unparked_states == []
 
 
 # -- one fingerprint module ------------------------------------------------------

@@ -174,7 +174,7 @@ def _generated_functions(sim) -> list:
 
 class TestNothingKeptAlive:
     """The cache holds code objects and their source keys only, and a
-    build plan text, code and structural paths: a built and run
+    build plan text, code and walk positions: a built and run
     simulator, and every function it made from generated code, die with
     the simulator's last reference, also when its build reused a plan."""
 
