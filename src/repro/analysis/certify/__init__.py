@@ -22,12 +22,15 @@ TRV005  compiled ISS blocks carry store guards at instruction bounds
 TRV006  no block translation escapes the decode-cache page map
 TRV007  fused-fallback consistency with the effectcheck verdict
 TRV008  generator-version drift (stale fuse certificates)
+TRV009  wake completeness: a wake test may put operations to sleep only
+        where every write of a field its refusals read wakes them
 
-TRV001–002 and TRV007–008 are per-spec; TRV004–006 are per-ISA.
+TRV001–002 and TRV007–009 are per-spec; TRV004–006 are per-ISA.
 TRV003 (the replay of per-edge compiled probes, which no longer exist)
 is retired and its number is not reused.  The TRV001 check also gates
 fusion at model-build time through :func:`certify_fused_states` and
-:func:`certify_wake_tests`, consumed by
+:func:`certify_wake_tests`, and TRV009 through :func:`awake_states`,
+consumed by
 :func:`repro.core.fuse.enable_fusion` /
 :func:`repro.core.fuse.demote_states` /
 :func:`repro.core.fuse.unpark_states`.
@@ -38,6 +41,7 @@ from .engine import (  # noqa: F401
     SPEC_CODES,
     IsaCertifyContext,
     SpecCertifyContext,
+    awake_states,
     certify_fused_states,
     certify_isa,
     certify_spec,
@@ -51,6 +55,7 @@ __all__ = [
     "SPEC_CODES",
     "IsaCertifyContext",
     "SpecCertifyContext",
+    "awake_states",
     "certify_fused_states",
     "certify_isa",
     "certify_spec",

@@ -2,7 +2,7 @@
 
 The TRV rules are :class:`~repro.analysis.diagnostics.AnalysisPass`
 passes run by the shared driver: :func:`certify_spec` over model specs
-(rules TRV001–TRV002/TRV007–TRV008, suppressed through
+(rules TRV001–TRV002/TRV007–TRV009, suppressed through
 ``spec.lint_allow`` / ``edge.lint_allow``) and :func:`certify_isa` over
 ISA targets (rules TRV004–TRV006, suppressed through ``target.allow``).
 
@@ -12,7 +12,9 @@ installed stepper (the TRV001 check) and returns the states whose
 generated code failed validation, so the model demotes them back to the
 interpreted reference before the first cycle runs.  It deliberately touches
 nothing beyond the replayer — no audit targets, no ISS drivers — to
-stay cheap on the model-construction path.
+stay cheap on the model-construction path.  The gate's other half,
+:func:`~repro.analysis.certify.wakes.awake_states` (TRV009), names the
+states whose operations must not sleep.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ from ..diagnostics import (AnalysisPass, Diagnostic, Report, Severity,
                            allow_lookup, run_passes, spec_allow)
 from ...contentstore import generator_fingerprint
 from .replay import replay_stepper, replay_wake
+from .wakes import awake_states
 
 __all__ = [
     "ISA_CODES",
     "SPEC_CODES",
     "IsaCertifyContext",
     "SpecCertifyContext",
+    "awake_states",
     "certify_fused_states",
     "certify_wake_tests",
     "certify_isa",
@@ -39,7 +43,7 @@ __all__ = [
 
 #: rule codes that run per model spec / per ISA target (TRV003, the
 #: retired per-edge probe replay, is not reused)
-SPEC_CODES = ("TRV001", "TRV002", "TRV007", "TRV008")
+SPEC_CODES = ("TRV001", "TRV002", "TRV007", "TRV008", "TRV009")
 ISA_CODES = ("TRV004", "TRV005", "TRV006")
 
 #: cap on repeated findings per (pass, anchor): keeps a systematically
@@ -302,6 +306,24 @@ class Trv008GeneratorDrift(AnalysisPass):
             )
 
 
+class Trv009WakeCompleteness(AnalysisPass):
+    """A wake test may put operations to sleep only where every write
+    of a field its refusals read wakes them
+    (:mod:`repro.analysis.certify.wakes`)."""
+
+    code = "TRV009"
+    rule = "wake-completeness"
+
+    def run(self, ctx) -> Iterator[Diagnostic]:
+        for name, reason in awake_states(ctx.spec):
+            yield self.diag(
+                ctx,
+                f"operations of state {name!r} cannot sleep: {reason}; "
+                "the build gate keeps them awake",
+                state=name,
+            )
+
+
 # -- ISA-side rules ----------------------------------------------------------
 
 class Trv004ExecgenWriteSet(AnalysisPass):
@@ -509,6 +531,7 @@ def default_spec_passes() -> List[AnalysisPass]:
         Trv002InlineContract(),
         Trv007FallbackConsistency(),
         Trv008GeneratorDrift(),
+        Trv009WakeCompleteness(),
     ]
 
 

@@ -39,7 +39,9 @@ either.  It works in two halves:
    (free-counters, writer and order lists, ready bitmaps, the in-order
    queue's release budget, the rename manager's register stamp and
    producer chains) is admitted through bounded zones that still
-   *require* the reference counter updates.
+   *require* the reference counter updates.  A release into a manager
+   whose emitter keeps the wake contract must also wake the new queue
+   head right after its commit body (``<m>._order[0]._asleep = False``).
 
 The manager emitters whose bodies fill those zones are trusted code:
 the zones pin their vocabulary, not their logic, which the differential
@@ -377,6 +379,17 @@ class _Extractor:
 
     def _assign_attr(self, target, value) -> None:
         attr = target.attr
+        if attr == "_asleep":
+            # the wake contract: a release commit wakes the queue head
+            head = target.value
+            if not (isinstance(value, ast.Constant) and value.value is False
+                    and isinstance(head, ast.Subscript)
+                    and _const_int(head.slice) == 0
+                    and isinstance(head.value, ast.Attribute)
+                    and head.value.attr == "_order"):
+                raise ExtractionError(f"unrecognized wake {ast.unparse(target)}")
+            self.emit("wake_head")
+            return
         if attr == "value" and self._is_kind(target.value, "local"):
             # the rename manager's allocate stamps the free buffer it
             # offers with the register it would rename: the evaluated
@@ -724,9 +737,13 @@ def _release_probe_zone(p, many: bool) -> _Zone:
     return _Zone(allowed, minimum=1, required=(("blocked", (None,)),))
 
 
-def _edge_expected(edge) -> Optional[List]:
+def _edge_expected(edge, slot_cands) -> Optional[List]:
     """Matchers for the generated edge attempt, or None when the
-    condition contains a primitive the generator cannot express."""
+    condition contains a primitive the generator cannot express.
+    *slot_cands* are the spec's :func:`repro.core.fuse._slot_candidates`,
+    which say how the generator dispatches each release."""
+    from ...core import fuse
+
     primitives = edge.condition.primitives if edge.condition is not None else []
     sequence: List = []
     grants: List[Tuple[bool, Any]] = []
@@ -772,6 +789,13 @@ def _edge_expected(edge) -> Optional[List]:
         sequence.append(_One("holder_none"))
         sequence.append(_Zone(_REL_COMMIT_ALLOWED, minimum=1,
                               required=_REL_COMMIT_REQUIRED))
+        dispatch = (fuse._release_many_dispatch(slot_cands, p.prefix) if many
+                    else fuse._release_dispatch(slot_cands, p.slot))
+        if dispatch is not None and dispatch[1].wakes:
+            # the emitter's commit body ends in the head wake; then the
+            # generic hook of the dispatch's other branch
+            sequence.append(_One("wake_head"))
+            sequence.append(_One("on_release_commit"))
     for p in discards:
         sequence.append(_One("buf_del", _slot_arg(p.slot) if p.slot is not None else ANY))
         sequence.append(_One("holder_none"))
@@ -815,6 +839,8 @@ def replay_stepper(state, spec) -> List[str]:
     Returns a list of problem strings; empty means the stepper replays
     clean (TRV001 passes for this state).
     """
+    from ...core import fuse
+
     fn = state._fused
     if fn is None:
         return []
@@ -858,6 +884,7 @@ def replay_stepper(state, spec) -> List[str]:
         problems.append(f"{state.name}: stepper tail is not `return None`")
 
     edges = state.out_edges
+    slot_cands = fuse._slot_candidates(spec)
     if len(body) != len(edges):
         problems.append(
             f"{state.name}: {len(body)} edge attempts generated for "
@@ -875,7 +902,7 @@ def replay_stepper(state, spec) -> List[str]:
         except ExtractionError as exc:
             problems.append(f"{edge.qualname}: {exc}")
             continue
-        expected = _edge_expected(edge)
+        expected = _edge_expected(edge, slot_cands)
         if expected is not None and _matches(expected, extractor.events):
             continue
         problems.append(
@@ -1052,6 +1079,25 @@ def _records(body, env, keys, managers, values):
     return written
 
 
+def _puts_to_sleep(stmt, env) -> bool:
+    """``osm._asleep = True``."""
+    return (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Attribute)
+            and stmt.targets[0].attr == "_asleep"
+            and env.get(getattr(stmt.targets[0].value, "id", None)) == ("osm",)
+            and isinstance(stmt.value, ast.Constant) and stmt.value.value is True)
+
+
+def _park_emitters(points, fuse, slot_cands):
+    """The emitter of each park point in *points*."""
+    for p in points:
+        if type(p) is Release:
+            dispatch = fuse._release_dispatch(slot_cands, p.slot)
+            yield dispatch[1] if dispatch is not None else fuse.ManagerEmitter()
+        else:
+            yield fuse._EMITTERS.get(type(p.manager), fuse.ManagerEmitter())
+
+
 def _returns(body, value) -> bool:
     """``return <value>`` and nothing else."""
     return (len(body) == 1 and isinstance(body[0], ast.Return)
@@ -1075,7 +1121,9 @@ def replay_wake(state, spec) -> List[str]:
     every value of every key (each guard value, and none), write the
     refusal record the stepper would — the park point's of the last
     edge whose keyed guards hold, or the stepper's clear — then return
-    False.  Returns problem strings; empty means it replays clean.
+    False.  It may put the operation to sleep (``osm._asleep = True``)
+    just before, but only when every park point's emitter keeps the wake
+    contract.  Returns problem strings; empty means it replays clean.
     """
     from ...core import fuse
 
@@ -1139,6 +1187,14 @@ def _replay_wake(state, slot_cands, fuse, body, env) -> List[str]:
         raise ExtractionError("each guard key must be evaluated once, after the checks")
     if not _returns(body[-1:], False) or at >= len(body):
         raise ExtractionError("does not end in `return False`")
+    end = len(body) - 1
+    if _puts_to_sleep(body[-2] if end > at else None, env):
+        # sound only when every refusal can flip at a write that wakes
+        if not all(em.wakes for em in _park_emitters(points, fuse, slot_cands)):
+            raise ExtractionError(
+                "puts the operation to sleep at a park point whose emitter "
+                "keeps no wake contract")
+        end -= 1
     domains = []
     for key in keys_wanted:
         seen: List[Any] = []
@@ -1163,7 +1219,7 @@ def _replay_wake(state, slot_cands, fuse, body, env) -> List[str]:
                              if fuse._same_park_point(p, q))
                 want = (("park", index, p.slot) if type(p) is Release
                         else ("mgr", p.manager, p.ident))
-        got = _records(body[at:-1], env, keys, managers, values)
+        got = _records(body[at:end], env, keys, managers, values)
         if len(got) != 1 or not _same_record(got[0], want):
             shown = {getattr(keys_wanted[k], "__name__", repr(keys_wanted[k])):
                      None if v is _NO_VALUE else v for k, v in enumerate(values)}

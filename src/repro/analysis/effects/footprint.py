@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import ast
 import dis
+import functools
 import inspect
 import textwrap
 from dataclasses import dataclass, field
@@ -250,13 +251,25 @@ def _analyze(fn, bindings: List[_Ref], depth: int, active: Set[int]) -> Footprin
 
 
 def _function_node(fn):
-    """The ``ast`` node of *fn*'s definition, or None when unparseable."""
+    """The ``ast`` node of *fn*'s definition, or None when unparseable.
+    Parsed once per code object (the visitors only read it)."""
+    code = getattr(fn, "__code__", None)
+    if code is None:
+        return _parse_function(fn, fn.__name__)
+    return _code_node(code, fn.__name__)
+
+
+@functools.lru_cache(maxsize=4096)
+def _code_node(code, name):
+    return _parse_function(code, name)
+
+
+def _parse_function(fn, name):
     try:
         source = textwrap.dedent(inspect.getsource(fn))
         tree = ast.parse(source)
     except (OSError, TypeError, SyntaxError, IndentationError, ValueError):
         return None
-    name = fn.__name__
     lambdas = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
@@ -264,7 +277,7 @@ def _function_node(fn):
         if isinstance(node, ast.Lambda):
             lambdas.append(node)
     if name == "<lambda>":
-        code = fn.__code__
+        code = getattr(fn, "__code__", fn)
         want = tuple(code.co_varnames[: code.co_argcount])
         matches = [
             lam for lam in lambdas

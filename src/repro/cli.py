@@ -150,10 +150,13 @@ def cmd_run(args) -> int:
             "transitions": stats.transitions,
             "probes": stats.control_step_passes,
             "parked_skips": stats.parked_skips,
+            "wake_calls": stats.wake_calls,
             "failed_probes_per_commit": _failed_probes_per_commit(stats),
+            "generated_calls_per_commit": _generated_calls_per_commit(stats),
             "fusion": None if certificate is None else {
                 key: certificate[key]
-                for key in ("verdict", "plan", "fused_states", "parked_states")},
+                for key in ("verdict", "plan", "fused_states", "parked_states",
+                            "sleeping_states")},
             "code_cache": code,
             "output": output,
         }, indent=2))
@@ -553,6 +556,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         agg.transitions += stats.transitions
         agg.control_step_passes += stats.control_step_passes
         agg.parked_skips += stats.parked_skips
+        agg.wake_calls += stats.wake_calls
         agg.wall_seconds += stats.wall_seconds
         agg.record_phase("simulate", stats.phase_seconds.get("simulate", 0.0))
         if not args.no_verify:
@@ -598,7 +602,9 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         # row-level, as the unfused rows count differently
         "probes": agg.control_step_passes,
         "parked_skips": agg.parked_skips,
+        "wake_calls": agg.wake_calls,
         "failed_probes_per_commit": _failed_probes_per_commit(agg),
+        "generated_calls_per_commit": _generated_calls_per_commit(agg),
         "phase_seconds": {
             name: round(seconds, 4) for name, seconds in agg.phase_seconds.items()
         },
@@ -624,6 +630,14 @@ def _failed_probes_per_commit(stats) -> Optional[float]:
     return round((stats.control_step_passes - stats.transitions) / stats.transitions, 4)
 
 
+def _generated_calls_per_commit(stats) -> Optional[float]:
+    """Probes plus wake tests the director ran, per committed transition
+    (with fused steppers, the generated calls of the scan)."""
+    if not stats.transitions:
+        return None
+    return round((stats.control_step_passes + stats.wake_calls) / stats.transitions, 4)
+
+
 def _add_counts(total: dict, before: dict, after: dict) -> None:
     """Add one span's process-counter deltas to *total*."""
     for key in total:
@@ -642,7 +656,9 @@ def _print_bench_row(row: dict, verify: bool) -> None:
     print(f"  fused states: {row['fused_states']} "
           f"({row['fused_fallback_states']} fallback{verdict})")
     print(f"  probes: {row['probes']} ({row['failed_probes_per_commit']} failed "
-          f"per commit), parked skips: {row['parked_skips']}")
+          f"per commit), parked skips: {row['parked_skips']}, wake calls: "
+          f"{row['wake_calls']} ({row['generated_calls_per_commit']} generated "
+          f"calls per commit)")
     cache = row["decode_cache"]
     if cache["block_hit_rate"] is not None:
         print(f"  block cache: {cache['block_hits']} hits / "
@@ -715,7 +731,8 @@ def cmd_bench(args) -> int:
 
     Emits one JSON row per model with cycles/s, events/s (committed OSM
     transitions per second), the exact work counters of the fast path
-    (``probes``, ``parked_skips`` and ``failed_probes_per_commit``), the
+    (``probes``, ``parked_skips``, ``wake_calls``,
+    ``failed_probes_per_commit`` and ``generated_calls_per_commit``), the
     per-phase wall-time breakdown from the phase-attributed stats layer,
     the whole-model specialization
     counters (``fused_states``/``fused_fallback_states``), where the
@@ -738,7 +755,8 @@ def cmd_bench(args) -> int:
     mismatch fails the bench with exit status 1.  CI's perf-smoke job
     runs ``bench --quick`` fused and unfused and fails on result
     mismatches, on the fused ppc750 row's ``failed_probes_per_commit``
-    above 1.0, on any code-cache miss in a verify re-run and on any
+    above 0.65 or ``generated_calls_per_commit`` above 3.1, on any
+    code-cache miss in a verify re-run and on any
     fused verify re-run build that did not reuse its plan, never on
     speed.
     """

@@ -188,6 +188,10 @@ class Director:
         self._idle_fail_version = -1
         #: observable version already cleared by the cyclic-wait analysis
         self._deadlock_version = -1
+        #: the generic scan may have parked OSMs (or put them to sleep)
+        #: since the split scan or the reference loop last ran, which
+        #: keep no parking state: they clear it first
+        self._parking = False
 
     def add(self, *osms: OperationStateMachine) -> None:
         """Register OSMs with the director."""
@@ -196,6 +200,8 @@ class Director:
         for osm in osms:
             osm._fail_version = -1
             osm._stepped = -1
+            osm._parked = None
+            osm._asleep = False
             # Analysis breadcrumb: record which rank key schedules this
             # spec's OSMs so `repro effects` can audit its
             # rank_stable_in_flight mark (EFF002) without a live model.
@@ -221,15 +227,21 @@ class Director:
         so the scan reruns only after something observable changes.  Every
         probe happens against the same OSM in the same order as the
         reference loop would produce, except the probes parking skips: an
-        OSM whose probe failed in a state with a wake test
-        (:func:`repro.core.fuse.generate_wake`) is *parked*, and while
-        it stays parked the scan calls the wake test in place of the
-        stepper.  A False answer means the probe would refuse every edge
-        with no effect but the refusal record, which the test wrote, so
-        the OSM is skipped as if the probe had failed.  Any commit
-        unparks it.
+        OSM whose probe failed in, or whose commit entered, a state with
+        a wake test (:func:`repro.core.fuse.generate_wake`) is *parked*,
+        and while it stays parked the scan calls the wake test in place
+        of the stepper.  A False answer means the probe would refuse
+        every edge with no effect but the refusal record, which the test
+        wrote, so the OSM is skipped as if the probe had failed.  A test
+        whose park points all keep a wake contract also puts the OSM
+        *asleep*, and the scan skips it without calling the test until
+        a manager wakes it (``osm._asleep``): only those writes can flip
+        its refusal.  A parked OSM of a state that has since lost its
+        wake test is probed as unparked.
         """
         if self.reference:
+            if self._parking:
+                self._forget_parking()
             return self._control_step_reference()
         rank_key = self.rank_key
         if rank_key is not self._order_key:
@@ -237,7 +249,10 @@ class Director:
         if self._rank_dirty:
             self._rebuild_order(rank_key)
         if self._inc_active and self._uniform_pool and not self.restart:
+            if self._parking:
+                self._forget_parking()
             return self._control_step_split(rank_key)
+        self._parking = True
         if self._order_stale:
             self._order = self._flight + self._idle
             self._order_stale = False
@@ -256,6 +271,7 @@ class Director:
         transitions = 0
         probed = 0
         parked = 0
+        woken = 0
         i = 0
         n = len(order)
         while i < n:
@@ -264,14 +280,7 @@ class Director:
                 i += 1
                 continue
             current = osm.current
-            if osm._parked is current and not current._wake(osm):
-                # Parked, and the state's wake test found every edge
-                # refusing at a keyed guard or its park point: the probe
-                # would fail with no effect but the refusal record, which
-                # the test wrote.
-                edge = None
-                parked += 1
-            else:
+            if osm._parked is not current:
                 # Dispatch point: fused whole-state stepper when the
                 # current state carries one (see repro.core.fuse), the
                 # interpreted reference otherwise.  Both produce the
@@ -282,6 +291,33 @@ class Director:
                 else:
                     edge = osm.try_transition(clock)
                 probed += 1
+            else:
+                wake = current._wake
+                if wake is None:
+                    # the state lost its wake test (defused, or an edge
+                    # was added): probe the OSM as unparked
+                    osm._parked = None
+                    osm._asleep = False
+                    skip = False
+                elif osm._asleep:
+                    skip = True
+                else:
+                    woken += 1
+                    skip = not wake(osm)
+                if skip:
+                    # Asleep, or the state's wake test found every edge
+                    # refusing at a keyed guard or its park point: the
+                    # probe would fail with no effect but the refusal
+                    # record, which the test wrote.
+                    edge = None
+                    parked += 1
+                else:
+                    stepper = current._fused
+                    if stepper is not None:
+                        edge = stepper(osm, clock)
+                    else:
+                        edge = osm.try_transition(clock)
+                    probed += 1
             if version != self.version:
                 # an edge action called notify(): pick up the new version
                 version = self.version
@@ -294,7 +330,13 @@ class Director:
                 # Stamped: not scheduled again this control step (the
                 # reference loop pops it from the pending list).
                 osm._stepped = step_id
-                osm._parked = None
+                dst = edge.dst
+                if dst._wake is not None:
+                    # parked on arrival: the next visit asks the wake test
+                    osm._parked = dst
+                    osm._asleep = False
+                else:
+                    osm._parked = None
                 if not rank_stable or edge.src.is_initial or edge.dst.is_initial:
                     # The committed transition may have changed this OSM's
                     # rank (operation assigned/cleared, age stamped).
@@ -313,8 +355,9 @@ class Director:
                     i += 1
             else:
                 osm._fail_version = version
-                if current._wake is not None:
+                if osm._parked is not current and current._wake is not None:
                     osm._parked = current
+                    osm._asleep = False
                 if osm.operation is None:
                     # Idle OSMs of the same machine and thread share the
                     # fetch edge: once one fails, its not-yet-transitioned
@@ -337,6 +380,7 @@ class Director:
             self._apply_boundary(boundary, rank_key)
         stats.control_step_passes += probed
         stats.parked_skips += parked
+        stats.wake_calls += woken
         stats.transitions += transitions
         if transitions == 0 and (probed or parked) and self.deadlock_check:
             if self._deadlock_version != version:
@@ -558,6 +602,15 @@ class Director:
     def _degrade_inc(self) -> None:
         self._inc_active = False
         self._rank_dirty = True
+
+    def _forget_parking(self) -> None:
+        """Unpark every OSM: the split scan and the reference loop probe
+        without parking, so an OSM they move would otherwise keep a
+        stale parked state, or sleep, when it returns to it."""
+        for osm in self.osms:
+            osm._parked = None
+            osm._asleep = False
+        self._parking = False
 
     def _control_step_reference(self) -> int:
         """The original scheduling loop (paper Fig. 3, directly transcribed).

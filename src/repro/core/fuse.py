@@ -45,9 +45,13 @@ A fused state may also get a **wake test** (:func:`generate_wake`,
 installed on ``State._wake``): a cheap check of the state's *park
 points*, the first non-guard primitive of each out-edge.  When it
 returns False a probe would refuse every edge, so the director skips the
-probe of a parked operation.  TRV001 replays wake tests as well, and the
-gate drops one that fails (:func:`unpark_states`) while the state stays
-fused.
+probe of a parked operation.  When every park point's emitter keeps a
+wake contract (:attr:`ManagerEmitter.wakes`), a refusing test also puts
+the operation to sleep (``osm._asleep``): the director skips it without
+asking until its manager wakes it.  TRV001 replays wake tests as well,
+and the gate drops one that fails (:func:`unpark_states`) while the
+state stays fused; TRV009 checks the wake contracts' write sites, and
+the gate keeps a state awake where one does not wake.
 
 The text of every stepper and wake test is a function of the spec's
 structure, not of the build, so a process generates and gates it once
@@ -112,13 +116,20 @@ class CompileStats:
         #: director parks operations there), else why it was dropped;
         #: states that never got a wake test have no entry
         self.parking: Dict[str, Optional[str]] = {}
+        #: state name -> None while its installed wake test puts
+        #: operations to sleep, else why the gate keeps them awake;
+        #: states whose park points keep no wake contract have no entry
+        self.sleeping: Dict[str, Optional[str]] = {}
 
     def record_state(self, state, reason: Optional[str] = None) -> None:
         self.states[state.name] = reason
         self.parking.pop(state.name, None)
+        self.sleeping.pop(state.name, None)
 
     def record_wake(self, state, reason: Optional[str] = None) -> None:
         self.parking[state.name] = reason
+        if reason is not None:
+            self.sleeping.pop(state.name, None)
 
     @property
     def fused_states(self) -> int:
@@ -159,6 +170,18 @@ class CompileStats:
         return sorted((name, reason) for name, reason in self.parking.items()
                       if reason is not None)
 
+    @property
+    def sleeping_states(self) -> List[str]:
+        """States whose wake test puts operations to sleep."""
+        return sorted(name for name, reason in self.sleeping.items()
+                      if reason is None)
+
+    @property
+    def awake_states(self) -> List[Tuple[str, str]]:
+        """``(state name, reason)`` for every state the gate keeps awake."""
+        return sorted((name, reason) for name, reason in self.sleeping.items()
+                      if reason is not None)
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "fused_states": self.fused_states,
@@ -171,6 +194,11 @@ class CompileStats:
             "unparked_states": [
                 {"state": name, "reason": reason}
                 for name, reason in self.unparked_states
+            ],
+            "sleeping_states": self.sleeping_states,
+            "awake_states": [
+                {"state": name, "reason": reason}
+                for name, reason in self.awake_states
             ],
         }
 
@@ -459,6 +487,17 @@ class ManagerEmitter:
     test, so they must use attribute access.
     """
 
+    #: The wake contract.  True declares that every write of a manager
+    #: field this emitter's refusal expressions read wakes
+    #: (``osm._asleep = False``) each operation whose refusal the write
+    #: can flip: in the manager's methods (``__init__`` aside) and in
+    #: the commit code this emitter generates.  Only then may a wake
+    #: test put an operation to sleep at its park points.  TRV001
+    #: requires the generated release-commit wake, and the gate rule
+    #: TRV009 checks the manager's methods and the model's code; a state
+    #: with a write site that does not wake is kept awake.
+    wakes = False
+
     def allocate(self, g: _Codegen, w: _Writer, mgr, out: str, ident_expr: str,
                  avoid: Tuple[List[str], List[str]]) -> None:
         """Assign the grantable token (or None) to local *out*."""
@@ -580,7 +619,11 @@ class PoolManagerEmitter(ManagerEmitter):
 
 class InOrderPoolManagerEmitter(PoolManagerEmitter):
     """:class:`InOrderPoolManager`: the pool bodies plus the grant-order
-    list and the per-cycle release budget."""
+    list and the per-cycle release budget.  It keeps the wake contract:
+    a release commit wakes the new queue head while the budget lasts
+    (the grantee of an allocate commit is the committing operation)."""
+
+    wakes = True
 
     def allocate_commit(self, g, w, mgr, tok):
         super().allocate_commit(g, w, mgr, tok)
@@ -588,7 +631,7 @@ class InOrderPoolManagerEmitter(PoolManagerEmitter):
 
     @staticmethod
     def _refused(mgr_expr):
-        return (f"{mgr_expr}.hold_release"
+        return (f"{mgr_expr}._hold_release"
                 f" or {mgr_expr}._released_this_cycle >= {mgr_expr}.width"
                 f" or not {mgr_expr}._order or {mgr_expr}._order[0] is not osm")
 
@@ -603,6 +646,9 @@ class InOrderPoolManagerEmitter(PoolManagerEmitter):
         super().release_commit(g, w, mgr_expr, tok, value_expr)
         w(f"{mgr_expr}._order.remove(osm)")
         w(f"{mgr_expr}._released_this_cycle += 1")
+        with w.block(f"if {mgr_expr}._order"
+                     f" and {mgr_expr}._released_this_cycle < {mgr_expr}.width:"):
+            w(f"{mgr_expr}._order[0]._asleep = False")
 
     def release_refusal(self, g, mgr_expr, tok):
         return f"{tok}.holder is osm and ({self._refused(mgr_expr)})"
@@ -658,6 +704,11 @@ class RegisterFileManagerEmitter(ManagerEmitter):
 
 
 class ResetManagerEmitter(ManagerEmitter):
+    """:class:`ResetManager`, which keeps the wake contract: its
+    generated code writes no doom."""
+
+    wakes = True
+
     def allocate(self, g, w, mgr, out, ident_expr, avoid):
         w(f"{out} = None")  # the reset manager owns no allocatable tokens
 
@@ -1178,8 +1229,16 @@ def _park_plan(state, slot_cands):
     return points, edges
 
 
+def sleeps(state, slot_cands) -> bool:
+    """Whether *state*'s wake test may put operations to sleep: it has
+    park points (:func:`_park_plan`) and each one's emitter keeps the
+    wake contract (:attr:`ManagerEmitter.wakes`)."""
+    park = _park_plan(state, slot_cands)
+    return park is not None and all(em.wakes for _, (_, em) in park[0])
+
+
 def generate_wake(state, spec, slot_cands=None,
-                  g: Optional[_Codegen] = None) -> Optional[Callable]:
+                  g: Optional[_Codegen] = None, sleep: bool = True) -> Optional[Callable]:
     """Generate the wake test ``wake(osm) -> bool`` of *state*, or None
     when some out-edge has no park point (:func:`_park_plan`).
 
@@ -1192,6 +1251,9 @@ def generate_wake(state, spec, slot_cands=None,
     writes that record (the park point's of the last edge whose keyed
     guards hold, each distinct key evaluated once; the stepper's clear
     when none hold) and returns False, and the director skips the probe.
+    With *sleep* and when every park point's emitter keeps the wake
+    contract, it also sets ``osm._asleep`` before returning False: the
+    refusal can then flip only at a write that wakes the operation.
     Takes and raises like :func:`generate_stepper`.
     """
     park = _park_plan(state, _slot_candidates(spec) if slot_cands is None else slot_cands)
@@ -1253,6 +1315,8 @@ def generate_wake(state, spec, slot_cands=None,
                            for t in tests)
         with w.block(f"{'elif' if n else 'if'} {test}:"):
             w(f"osm.blocked_on = {record}")
+    if sleep and all(em.wakes for _, (_, em) in points):
+        w("osm._asleep = True")
     w("return False")
     sig = "".join(f", {n}={n}" for n in g.params)
     src = "def _wake(osm" + sig + "):\n" + "\n".join(w.lines)
@@ -1277,14 +1341,17 @@ def fuse_spec(spec, states=None) -> int:
     return _fuse(spec, states)[0]
 
 
-def _fuse(spec, states=None, names=None):
+def _fuse(spec, states=None, names=None, awake=None):
     """:func:`fuse_spec`, returning ``(states fused, codegens)``.
 
     *codegens* holds, per state, the :class:`_Codegen` of its stepper
     and of its wake test, which record binding recipes when *names* is
     given (:class:`_Codegen`): what a build plan needs besides the
-    installed functions and the census.
+    installed functions and the census.  *awake* maps each state whose
+    wake test must not put operations to sleep to the reason (TRV009's
+    verdict).
     """
+    awake = awake or {}
     slot_cands = _slot_candidates(spec)
     stats = spec.compile_stats
     fused = 0
@@ -1306,12 +1373,15 @@ def _fuse(spec, states=None, names=None):
         if state._fused is not None:
             fused += 1
             try:
-                state._wake = generate_wake(state, spec, slot_cands, gs[1])
+                state._wake = generate_wake(state, spec, slot_cands, gs[1],
+                                            state.name not in awake)
             except Exception as exc:  # the state stays fused, unparked
                 stats.record_wake(state, f"codegen: {type(exc).__name__}: {exc}")
             else:
                 if state._wake is not None:
                     stats.record_wake(state)
+                    if sleeps(state, slot_cands):
+                        stats.sleeping[state.name] = awake.get(state.name)
     return fused, codegens
 
 
@@ -1326,6 +1396,7 @@ def defuse_spec(spec) -> None:
         state._wake = None
     spec.compile_stats.states.clear()
     spec.compile_stats.parking.clear()
+    spec.compile_stats.sleeping.clear()
     if getattr(spec, "fuse_certificate", None) is not None:
         spec.fuse_certificate = None
 
@@ -1629,12 +1700,12 @@ class _Plan:
     """What the gated build of one spec structure installed once its
     gate had run, for every later build of that structure in the
     process: per state its census reason and the :class:`_Unit` of its
-    stepper and of its wake test when they survived, the parking census,
-    and the paths (``(walk position, member steps...)``) the units bind.
+    stepper and of its wake test when they survived, the parking and
+    sleeping census, and the paths (``(walk position, member steps...)``) the units bind.
     It holds strings, numbers and code objects, never an object of a
     build."""
 
-    __slots__ = ("paths", "states", "parking")
+    __slots__ = ("paths", "states", "parking", "sleeping")
 
     def __init__(self, spec, codegens):
         table: Dict[tuple, int] = {}
@@ -1649,6 +1720,7 @@ class _Plan:
                for fn, g in zip((state._fused, state._wake), gs)))
             for state, gs in zip(spec.states.values(), codegens))
         self.parking = dict(stats.parking)
+        self.sleeping = dict(stats.sleeping)
         self.paths = tuple(table)
 
     def install(self, spec, order: List[Any]) -> Optional[int]:
@@ -1673,6 +1745,7 @@ class _Plan:
             state._fused, state._wake = stepper, wake
             stats.record_state(state, reason)
         stats.parking.update(self.parking)
+        stats.sleeping.update(self.sleeping)
         return sum(1 for stepper, _ in made if stepper is not None)
 
 
@@ -1680,12 +1753,13 @@ def _gate(spec, walk: _Walk) -> Tuple[_Plan, int, str]:
     """Generate, gate and install *spec*'s steppers and wake tests.
 
     The verdicts come from the structure's store entry when it holds
-    them: the effectcheck verdict (the fusable states) whenever the
-    entry is sound, the TRV001 verdict only when its digest is that of
-    the text just generated (:func:`_text_digest`).  Whatever is missing
-    runs its analysis, and a persistent spec's entry is rewritten.
-    Returns the build plan, the number of states fused and where the
-    verdicts came from: ``"cache"`` or ``"gate"``.
+    them: the effectcheck verdict (the fusable states) and the TRV009
+    verdict (the states kept awake) whenever the entry is sound, the
+    TRV001 verdict only when its digest is that of the text just
+    generated (:func:`_text_digest`).  Whatever is missing runs its
+    analysis, and a persistent spec's entry is rewritten.  Returns the
+    build plan, the number of states fused and where the verdicts came
+    from: ``"cache"`` or ``"gate"``.
     """
     store = _store() if walk.persistent else None
     entry = store.get(walk.key) if store is not None else None
@@ -1696,13 +1770,18 @@ def _gate(spec, walk: _Walk) -> Tuple[_Plan, int, str]:
         from ..analysis.effects import compilability_report, effects_spec
         comp = compilability_report(spec, effects_spec(spec))
         entry = {"fusable": sorted(comp.fusable_states)}
-    fused, codegens = _fuse(spec, frozenset(entry["fusable"]), walk.names())
+    if not _pairs_ok(entry.get("awake")):
+        from ..analysis.certify import awake_states
+        entry = {"fusable": entry["fusable"],
+                 "awake": [list(pair) for pair in awake_states(spec)]}
+    fused, codegens = _fuse(spec, frozenset(entry["fusable"]), walk.names(),
+                            dict(entry["awake"]))
     text = _text_digest(spec)
     verdict = "cache"
     if (entry.get("text") != text or not _pairs_ok(entry.get("demoted"))
             or not _pairs_ok(entry.get("unparked"))):
         from ..analysis.certify import certify_fused_states, certify_wake_tests
-        entry = {"fusable": entry["fusable"], "text": text,
+        entry = {"fusable": entry["fusable"], "awake": entry["awake"], "text": text,
                  "demoted": [list(pair) for pair in certify_fused_states(spec)],
                  "unparked": [list(pair) for pair in certify_wake_tests(spec)]}
         verdict = "gate"
@@ -1726,15 +1805,16 @@ def enable_fusion(spec) -> int:
     a state whose stepper fails certification is demoted back to the
     interpreted reference by :func:`demote_states`, and a wake test that
     fails its replay is dropped by :func:`unpark_states`.  Everything is
-    keyed on the spec's structure (:class:`_Walk`): a build of a
+    keyed on the spec's structure (:class:`_Walk`), and so is the TRV009
+    verdict that keeps a state's operations awake: a build of a
     structure this process has built installs the build plan that
     build recorded after its gate (:meth:`_Plan.install`), and runs no
     analysis; any other build generates its text and gates it
-    (:func:`_gate`), reading both verdicts from the structure's store
+    (:func:`_gate`), reading the verdicts from the structure's store
     entry when it holds them — the TRV001 verdict only for
-    byte-identical stepper and wake-test text — and neither analysis
-    (nor ``repro.analysis``) is imported then.  The surviving set and
-    the parked states are stamped on ``spec.fuse_certificate`` together
+    byte-identical stepper and wake-test text — and no analysis (nor
+    ``repro.analysis``) is imported then.  The surviving set and the
+    parked and sleeping states are stamped on ``spec.fuse_certificate`` together
     with the generator fingerprint so ``repro certify`` can flag stale
     certificates (TRV008), with where the verdicts came from
     (``"verdict"``: ``"cache"`` or ``"gate"``) and with what the build
@@ -1761,6 +1841,7 @@ def enable_fusion(spec) -> int:
                 name for name, state in spec.states.items()
                 if state._fused is not None),
             "parked_states": spec.compile_stats.parked_states,
+            "sleeping_states": spec.compile_stats.sleeping_states,
             "verdict": verdict,
             "plan": note,
         }

@@ -264,7 +264,17 @@ class InOrderPoolManager(PoolManager):
     PPC-750 fetch queue (in-order dual dispatch) and completion queue
     (in-order retirement, the reorder-buffer discipline expressed as a
     token-release policy) are both this manager.
+
+    **Wake contract.**  A parked operation may sleep on a refused
+    release here (``osm._asleep``, see :func:`repro.core.fuse.generate_wake`)
+    because every write of a field the refusal reads wakes the one
+    operation whose answer can flip, the queue head: when the head
+    leaves (release, discard), when :meth:`new_cycle` resets a used
+    budget, and when :attr:`hold_release` clears.
     """
+
+    #: backing field of :attr:`hold_release`
+    _hold_release = False
 
     def __init__(self, name: str, size: int, width: int):
         super().__init__(name, size)
@@ -273,8 +283,21 @@ class InOrderPoolManager(PoolManager):
         self._order: List[Any] = []
         self._released_this_cycle = 0
 
+    @property
+    def hold_release(self) -> bool:
+        return self._hold_release
+
+    @hold_release.setter
+    def hold_release(self, value: bool) -> None:
+        if self._hold_release and not value and self._order:
+            self._order[0]._asleep = False
+        self._hold_release = value
+
     def new_cycle(self) -> None:
-        self._released_this_cycle = 0
+        if self._released_this_cycle:
+            self._released_this_cycle = 0
+            if self._order:
+                self._order[0]._asleep = False
 
     def budget_was_used(self) -> bool:
         return self._released_this_cycle > 0
@@ -295,16 +318,24 @@ class InOrderPoolManager(PoolManager):
     def on_allocate_commit(self, osm, token: Token) -> None:
         super().on_allocate_commit(osm, token)
         self._order.append(osm)
+        if self._order[0] is osm:
+            osm._asleep = False  # the grantee heads the queue
 
     def on_release_commit(self, osm, token: Token, value: Any) -> None:
         super().on_release_commit(osm, token, value)
         self._order.remove(osm)
         self._released_this_cycle += 1
+        if self._order and self._released_this_cycle < self.width:
+            self._order[0]._asleep = False
 
     def on_discard(self, osm, token: Token) -> None:
         super().on_discard(osm, token)
-        if osm in self._order:
-            self._order.remove(osm)
+        order = self._order
+        if osm in order:
+            head = order[0] is osm
+            order.remove(osm)
+            if head and order:
+                order[0]._asleep = False
 
 
 class RegisterFileManager(TokenManager):
@@ -431,12 +462,20 @@ class ResetManager(TokenManager):
     accepts them from OSMs marked speculative-dead after a branch
     mispredict resolves, causing those OSMs to take their (higher-priority)
     reset edges, discard all tokens and return to state I.
+
+    **Wake contract.**  An operation may sleep on a refused inquiry here
+    (see :class:`InOrderPoolManager`): every method that changes whether
+    an OSM is doomed wakes that OSM, so a doom taking effect
+    (:meth:`doom_now`, :meth:`latch`) frees it.  Pending dooms keep
+    their OSMs for that.
     """
 
     def __init__(self, name: str = "m_reset"):
         super().__init__(name)
+        #: ids of the OSMs whose reset inquiry passes
         self._doomed: set = set()
-        self._pending: set = set()
+        #: id -> OSM of the dooms that take effect at :meth:`latch`
+        self._pending: Dict[int, Any] = {}
 
     @property
     def capacity(self) -> int:
@@ -450,21 +489,26 @@ class ResetManager(TokenManager):
         boundary via :meth:`latch` (call it from a hardware module's
         ``end_cycle``).
         """
-        self._pending.add(id(osm))
+        self._pending[id(osm)] = osm
 
     def doom_now(self, osm) -> None:
         """Mark *osm* for reset effective immediately (same control step)."""
         self._doomed.add(id(osm))
+        osm._asleep = False
 
     def latch(self) -> None:
         """Activate pending dooms (cycle-boundary behaviour)."""
-        if self._pending:
-            self._doomed |= self._pending
-            self._pending.clear()
+        pending = self._pending
+        if pending:
+            self._doomed.update(pending)
+            for osm in pending.values():
+                osm._asleep = False
+            pending.clear()
 
     def pardon(self, osm) -> None:
         self._doomed.discard(id(osm))
-        self._pending.discard(id(osm))
+        self._pending.pop(id(osm), None)
+        osm._asleep = False
 
     def is_doomed(self, osm) -> bool:
         return id(osm) in self._doomed or id(osm) in self._pending
@@ -481,3 +525,4 @@ class ResetManager(TokenManager):
     def acknowledge(self, osm) -> None:
         """Called by the reset edge's action once the OSM has been killed."""
         self._doomed.discard(id(osm))
+        osm._asleep = False

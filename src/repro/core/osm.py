@@ -202,6 +202,7 @@ class MachineSpec:
         # so a later rebuild (or none) never reports a stale fused state
         self.compile_stats.states.pop(source.name, None)
         self.compile_stats.parking.pop(source.name, None)
+        self.compile_stats.sleeping.pop(source.name, None)
         return e
 
     def validate(self) -> None:
@@ -253,7 +254,8 @@ class OperationStateMachine:
 
     __slots__ = ("spec", "name", "serial", "tag", "current", "token_buffer",
                  "operation", "age", "blocked_on", "n_transitions",
-                 "last_edge", "_fail_version", "_stepped", "_parked", "_txn")
+                 "last_edge", "_fail_version", "_stepped", "_parked", "_asleep",
+                 "_txn")
 
     _next_serial = 0
 
@@ -287,9 +289,13 @@ class OperationStateMachine:
         #: transition (an OSM transitions at most once per control step)
         self._stepped = -1
         #: director bookkeeping: the state whose wake test the director
-        #: calls before probing this OSM again (set by a failed probe in
-        #: a state with a wake test, cleared by a commit)
+        #: calls before probing this OSM again (set by a failed probe in,
+        #: or a commit into, a state with a wake test)
         self._parked: Optional[State] = None
+        #: set by a refusing wake test whose park points all keep a wake
+        #: contract, cleared by the managers when the refusal can flip:
+        #: while set, the director skips the parked OSM without asking
+        self._asleep = False
         #: the OSM's private reusable transaction: probe traffic is always
         #: sequential per OSM, so one lazily-reset object serves every
         #: try_transition call without pool traffic

@@ -44,9 +44,12 @@ class SimulationStats:
         self.transitions = 0
         #: probes: fused-stepper or ``try_transition`` calls
         self.control_step_passes = 0
-        #: probes the director skipped because a wake test showed they
-        #: would fail (see ``Director.control_step``)
+        #: probes the director skipped because they would fail: the
+        #: OSM was asleep, or its wake test refused (see
+        #: ``Director.control_step``)
         self.parked_skips = 0
+        #: wake tests the director called
+        self.wake_calls = 0
         self.instructions = 0
         #: per-state occupancy histogram: state name -> OSM-cycles spent
         self.state_occupancy: Dict[str, int] = {}

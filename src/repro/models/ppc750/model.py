@@ -322,11 +322,12 @@ class Ppc750Model:
         # append records (effectcheck sees shared writes / opaque calls).
         # The extension is pure memoization — record(i) is idempotent and
         # its value never changes once computed — so probe frequency
-        # cannot affect results.
+        # cannot affect results.  The fetch-queue allocation comes first:
+        # a full queue refuses before can_accept() runs the lookahead.
         spec.edge(
             "I", "Q",
-            Condition([Guard(lambda osm: self.fetch.can_accept(), "fetch-ready"),
-                       Allocate(self.fq, slot="fq")]),
+            Condition([Allocate(self.fq, slot="fq"),
+                       Guard(lambda osm: self.fetch.can_accept(), "fetch-ready")]),
             action=self.fetch.fetch_into,
             label="fetch",
         ).allow_lint("EFF001", "EFF008")

@@ -29,7 +29,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m10) is cls_11:
                 if r1t9.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m10.name, osm, r1t9))
-                if r1m10.hold_release or r1m10._released_this_cycle >= r1m10.width or (not r1m10._order) or (r1m10._order[0] is not osm):
+                if r1m10._hold_release or r1m10._released_this_cycle >= r1m10.width or (not r1m10._order) or (r1m10._order[0] is not osm):
                     osm.blocked_on = (r1m10, 'fq')
                     break
             elif not r1m10.release(osm, r1t9, osm._txn):
@@ -111,6 +111,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m10._n_free += 1
                 r1m10._order.remove(osm)
                 r1m10._released_this_cycle += 1
+                if r1m10._order and r1m10._released_this_cycle < r1m10.width:
+                    r1m10._order[0]._asleep = False
             else:
                 r1m10.on_release_commit(osm, r1t9, None)
         a3t22.holder = osm
@@ -140,7 +142,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m45) is cls_11:
                 if r1t44.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m45.name, osm, r1t44))
-                if r1m45.hold_release or r1m45._released_this_cycle >= r1m45.width or (not r1m45._order) or (r1m45._order[0] is not osm):
+                if r1m45._hold_release or r1m45._released_this_cycle >= r1m45.width or (not r1m45._order) or (r1m45._order[0] is not osm):
                     osm.blocked_on = (r1m45, 'fq')
                     break
             elif not r1m45.release(osm, r1t44, osm._txn):
@@ -222,6 +224,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m45._n_free += 1
                 r1m45._order.remove(osm)
                 r1m45._released_this_cycle += 1
+                if r1m45._order and r1m45._released_this_cycle < r1m45.width:
+                    r1m45._order[0]._asleep = False
             else:
                 r1m45.on_release_commit(osm, r1t44, None)
         a3t54.holder = osm
@@ -251,7 +255,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m69) is cls_11:
                 if r1t68.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m69.name, osm, r1t68))
-                if r1m69.hold_release or r1m69._released_this_cycle >= r1m69.width or (not r1m69._order) or (r1m69._order[0] is not osm):
+                if r1m69._hold_release or r1m69._released_this_cycle >= r1m69.width or (not r1m69._order) or (r1m69._order[0] is not osm):
                     osm.blocked_on = (r1m69, 'fq')
                     break
             elif not r1m69.release(osm, r1t68, osm._txn):
@@ -333,6 +337,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m69._n_free += 1
                 r1m69._order.remove(osm)
                 r1m69._released_this_cycle += 1
+                if r1m69._order and r1m69._released_this_cycle < r1m69.width:
+                    r1m69._order[0]._asleep = False
             else:
                 r1m69.on_release_commit(osm, r1t68, None)
         a3t78.holder = osm
@@ -362,7 +368,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m93) is cls_11:
                 if r1t92.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m93.name, osm, r1t92))
-                if r1m93.hold_release or r1m93._released_this_cycle >= r1m93.width or (not r1m93._order) or (r1m93._order[0] is not osm):
+                if r1m93._hold_release or r1m93._released_this_cycle >= r1m93.width or (not r1m93._order) or (r1m93._order[0] is not osm):
                     osm.blocked_on = (r1m93, 'fq')
                     break
             elif not r1m93.release(osm, r1t92, osm._txn):
@@ -444,6 +450,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m93._n_free += 1
                 r1m93._order.remove(osm)
                 r1m93._released_this_cycle += 1
+                if r1m93._order and r1m93._released_this_cycle < r1m93.width:
+                    r1m93._order[0]._asleep = False
             else:
                 r1m93.on_release_commit(osm, r1t92, None)
         a3t102.holder = osm
@@ -473,7 +481,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m117) is cls_11:
                 if r1t116.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m117.name, osm, r1t116))
-                if r1m117.hold_release or r1m117._released_this_cycle >= r1m117.width or (not r1m117._order) or (r1m117._order[0] is not osm):
+                if r1m117._hold_release or r1m117._released_this_cycle >= r1m117.width or (not r1m117._order) or (r1m117._order[0] is not osm):
                     osm.blocked_on = (r1m117, 'fq')
                     break
             elif not r1m117.release(osm, r1t116, osm._txn):
@@ -555,6 +563,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m117._n_free += 1
                 r1m117._order.remove(osm)
                 r1m117._released_this_cycle += 1
+                if r1m117._order and r1m117._released_this_cycle < r1m117.width:
+                    r1m117._order[0]._asleep = False
             else:
                 r1m117.on_release_commit(osm, r1t116, None)
         a3t126.holder = osm
@@ -584,7 +594,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m141) is cls_11:
                 if r1t140.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m141.name, osm, r1t140))
-                if r1m141.hold_release or r1m141._released_this_cycle >= r1m141.width or (not r1m141._order) or (r1m141._order[0] is not osm):
+                if r1m141._hold_release or r1m141._released_this_cycle >= r1m141.width or (not r1m141._order) or (r1m141._order[0] is not osm):
                     osm.blocked_on = (r1m141, 'fq')
                     break
             elif not r1m141.release(osm, r1t140, osm._txn):
@@ -666,6 +676,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m141._n_free += 1
                 r1m141._order.remove(osm)
                 r1m141._released_this_cycle += 1
+                if r1m141._order and r1m141._released_this_cycle < r1m141.width:
+                    r1m141._order[0]._asleep = False
             else:
                 r1m141.on_release_commit(osm, r1t140, None)
         a3t150.holder = osm
@@ -695,7 +707,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m165) is cls_11:
                 if r1t164.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m165.name, osm, r1t164))
-                if r1m165.hold_release or r1m165._released_this_cycle >= r1m165.width or (not r1m165._order) or (r1m165._order[0] is not osm):
+                if r1m165._hold_release or r1m165._released_this_cycle >= r1m165.width or (not r1m165._order) or (r1m165._order[0] is not osm):
                     osm.blocked_on = (r1m165, 'fq')
                     break
             elif not r1m165.release(osm, r1t164, osm._txn):
@@ -777,6 +789,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m165._n_free += 1
                 r1m165._order.remove(osm)
                 r1m165._released_this_cycle += 1
+                if r1m165._order and r1m165._released_this_cycle < r1m165.width:
+                    r1m165._order[0]._asleep = False
             else:
                 r1m165.on_release_commit(osm, r1t164, None)
         a3t173.holder = osm
@@ -806,7 +820,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m187) is cls_11:
                 if r1t186.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m187.name, osm, r1t186))
-                if r1m187.hold_release or r1m187._released_this_cycle >= r1m187.width or (not r1m187._order) or (r1m187._order[0] is not osm):
+                if r1m187._hold_release or r1m187._released_this_cycle >= r1m187.width or (not r1m187._order) or (r1m187._order[0] is not osm):
                     osm.blocked_on = (r1m187, 'fq')
                     break
             elif not r1m187.release(osm, r1t186, osm._txn):
@@ -866,6 +880,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m187._n_free += 1
                 r1m187._order.remove(osm)
                 r1m187._released_this_cycle += 1
+                if r1m187._order and r1m187._released_this_cycle < r1m187.width:
+                    r1m187._order[0]._asleep = False
             else:
                 r1m187.on_release_commit(osm, r1t186, None)
         a2t189.holder = osm
@@ -896,7 +912,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m206) is cls_11:
                 if r1t205.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m206.name, osm, r1t205))
-                if r1m206.hold_release or r1m206._released_this_cycle >= r1m206.width or (not r1m206._order) or (r1m206._order[0] is not osm):
+                if r1m206._hold_release or r1m206._released_this_cycle >= r1m206.width or (not r1m206._order) or (r1m206._order[0] is not osm):
                     osm.blocked_on = (r1m206, 'fq')
                     break
             elif not r1m206.release(osm, r1t205, osm._txn):
@@ -956,6 +972,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m206._n_free += 1
                 r1m206._order.remove(osm)
                 r1m206._released_this_cycle += 1
+                if r1m206._order and r1m206._released_this_cycle < r1m206.width:
+                    r1m206._order[0]._asleep = False
             else:
                 r1m206.on_release_commit(osm, r1t205, None)
         a2t208.holder = osm
@@ -986,7 +1004,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m224) is cls_11:
                 if r1t223.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m224.name, osm, r1t223))
-                if r1m224.hold_release or r1m224._released_this_cycle >= r1m224.width or (not r1m224._order) or (r1m224._order[0] is not osm):
+                if r1m224._hold_release or r1m224._released_this_cycle >= r1m224.width or (not r1m224._order) or (r1m224._order[0] is not osm):
                     osm.blocked_on = (r1m224, 'fq')
                     break
             elif not r1m224.release(osm, r1t223, osm._txn):
@@ -1046,6 +1064,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m224._n_free += 1
                 r1m224._order.remove(osm)
                 r1m224._released_this_cycle += 1
+                if r1m224._order and r1m224._released_this_cycle < r1m224.width:
+                    r1m224._order[0]._asleep = False
             else:
                 r1m224.on_release_commit(osm, r1t223, None)
         a2t226.holder = osm
@@ -1076,7 +1096,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m242) is cls_11:
                 if r1t241.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m242.name, osm, r1t241))
-                if r1m242.hold_release or r1m242._released_this_cycle >= r1m242.width or (not r1m242._order) or (r1m242._order[0] is not osm):
+                if r1m242._hold_release or r1m242._released_this_cycle >= r1m242.width or (not r1m242._order) or (r1m242._order[0] is not osm):
                     osm.blocked_on = (r1m242, 'fq')
                     break
             elif not r1m242.release(osm, r1t241, osm._txn):
@@ -1136,6 +1156,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m242._n_free += 1
                 r1m242._order.remove(osm)
                 r1m242._released_this_cycle += 1
+                if r1m242._order and r1m242._released_this_cycle < r1m242.width:
+                    r1m242._order[0]._asleep = False
             else:
                 r1m242.on_release_commit(osm, r1t241, None)
         a2t244.holder = osm
@@ -1166,7 +1188,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m260) is cls_11:
                 if r1t259.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m260.name, osm, r1t259))
-                if r1m260.hold_release or r1m260._released_this_cycle >= r1m260.width or (not r1m260._order) or (r1m260._order[0] is not osm):
+                if r1m260._hold_release or r1m260._released_this_cycle >= r1m260.width or (not r1m260._order) or (r1m260._order[0] is not osm):
                     osm.blocked_on = (r1m260, 'fq')
                     break
             elif not r1m260.release(osm, r1t259, osm._txn):
@@ -1226,6 +1248,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m260._n_free += 1
                 r1m260._order.remove(osm)
                 r1m260._released_this_cycle += 1
+                if r1m260._order and r1m260._released_this_cycle < r1m260.width:
+                    r1m260._order[0]._asleep = False
             else:
                 r1m260.on_release_commit(osm, r1t259, None)
         a2t262.holder = osm
@@ -1256,7 +1280,7 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
             if type(r1m278) is cls_11:
                 if r1t277.holder is not osm:
                     raise TokenError('%s: %r does not hold %r' % (r1m278.name, osm, r1t277))
-                if r1m278.hold_release or r1m278._released_this_cycle >= r1m278.width or (not r1m278._order) or (r1m278._order[0] is not osm):
+                if r1m278._hold_release or r1m278._released_this_cycle >= r1m278.width or (not r1m278._order) or (r1m278._order[0] is not osm):
                     osm.blocked_on = (r1m278, 'fq')
                     break
             elif not r1m278.release(osm, r1t277, osm._txn):
@@ -1316,6 +1340,8 @@ def _fused_step(osm, clock, mgr_1=mgr_1, doomed_2=doomed_2, edge_6=edge_6, dst_7
                 r1m278._n_free += 1
                 r1m278._order.remove(osm)
                 r1m278._released_this_cycle += 1
+                if r1m278._order and r1m278._released_this_cycle < r1m278.width:
+                    r1m278._order[0]._asleep = False
             else:
                 r1m278.on_release_commit(osm, r1t277, None)
         a2t280.holder = osm

@@ -5,11 +5,12 @@ def _wake(osm, doomed_1=doomed_1, mgr_2=mgr_2, cls_5=cls_5):
     if _wt3 is None:
         return True
     _wm4 = _wt3.manager
-    if type(_wm4) is not cls_5 or not (_wt3.holder is osm and (_wm4.hold_release or _wm4._released_this_cycle >= _wm4.width or (not _wm4._order) or (_wm4._order[0] is not osm))):
+    if type(_wm4) is not cls_5 or not (_wt3.holder is osm and (_wm4._hold_release or _wm4._released_this_cycle >= _wm4.width or (not _wm4._order) or (_wm4._order[0] is not osm))):
         return True
     _wk6 = osm.operation.instr.unit
     if _wk6 == 'iu1' or _wk6 == 'iu2' or _wk6 == 'sru' or (_wk6 == 'lsu') or (_wk6 == 'fpu') or (_wk6 == 'bpu'):
         osm.blocked_on = (_wm4, 'fq')
     else:
         osm.blocked_on = (mgr_2, None)
+    osm._asleep = True
     return False

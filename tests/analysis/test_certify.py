@@ -6,9 +6,10 @@ Three layers of coverage:
 * **Clean certification**: every registered spec and both ISA targets
   certify with zero errors — the generated fused steppers, execgen
   closures and ISS blocks all agree with their reference sources.
-* **Mutation harness**: each rule TRV001–TRV008 (and the build-time
+* **Mutation harness**: each rule TRV001–TRV009 (and the build-time
   gate) demonstrably *fires* when the corresponding generator output is
-  corrupted.  A validator that never fails validates nothing.
+  corrupted, or (TRV009) a write site of a refusal field does not wake.
+  A validator that never fails validates nothing.
 * **Demotion plumbing**: a TRV-failing state is demoted by
   ``demote_states`` with the fallback counted in ``CompileStats``
   (the counters the bench JSON row reports).
@@ -22,6 +23,7 @@ from repro.analysis.audit.targets import available_targets
 from repro.analysis.certify import (
     ISA_CODES,
     SPEC_CODES,
+    awake_states,
     certify_fused_states,
     certify_isa,
     certify_spec,
@@ -37,9 +39,11 @@ from repro.analysis.registry import available_specs, build_spec
 from repro.contentstore import GENERATOR_MODULES, generator_fingerprint
 from repro.core import fuse
 from repro.core.fuse import demote_states, enable_fusion
+from repro.de.module import HardwareModule
 from repro.models.pipeline5 import model as p5model
 
-from ..conftest import keyed_toy
+from ..conftest import (keyed_toy, queue_toy, resets_budget,
+                        resets_budget_and_wakes)
 
 
 def _errors(report, code=None):
@@ -225,6 +229,9 @@ NEW_EVENT_MUTATIONS = {
     # producer chains hold operations, not other OSM fields
     "producer-append": ("Q", r"\.append\(osm\.operation\)", r".append(osm.current)"),
     "producer-remove": ("W", r"\.remove\(osm\.operation\)", r".remove(osm.current)"),
+    # a completion-queue release commit must wake the new queue head
+    "head-wake": ("W", r"\n *if (\w+)\._order and \1\._released_this_cycle < \1\.width:"
+                       r"\n *\1\._order\[0\]\._asleep = False", ""),
 }
 
 
@@ -730,3 +737,85 @@ def test_certificate_matches_current_generators():
     assert cert["fused_states"] == sorted(
         name for name, state in spec.states.items()
         if state._fused is not None)
+
+
+# -- sleeping: TRV001's sleep marks and TRV009's write sites ---------------------
+
+def test_ppc750_sleeps_at_its_queues():
+    """Q and W park only at the in-order queues and the reset inquiry,
+    whose emitters keep the wake contract, and every write site of their
+    refusal fields wakes: both sleep.  X parks at a unit's slot, whose
+    emitter keeps none."""
+    spec = build_spec("ppc750")
+    stats = spec.compile_stats
+    assert stats.sleeping_states == ["Q", "W"]
+    assert stats.awake_states == []
+    assert awake_states(spec) == []
+    for name in "QWX":
+        marks = "osm._asleep = True" in spec.states[name]._wake.__fused_source__
+        assert marks == (name in "QW"), name
+
+
+def test_trv001_fires_on_a_sleep_without_a_wake_contract():
+    spec = build_spec("ppc750")
+    wake = spec.states["X"]._wake
+    wake.__fused_source__, n = re.subn(
+        r"\n(\s+)return False", r"\n\1osm._asleep = True\n\1return False",
+        wake.__fused_source__)
+    assert n == 1
+    found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
+    assert {d.state for d in found} == {"X"}
+    assert "no wake contract" in found[0].message
+
+
+def _noop_action(queue):
+    def leave(osm):
+        pass
+    return leave
+
+
+class _UnwokenQueueUnit(HardwareModule):
+    """A queue's cycle hook that resets the release budget without
+    waking the head.  No model builds one: TRV009 finds it by its class,
+    defined in a module the spec's code comes from."""
+
+    def __init__(self, queue):
+        super().__init__("unwoken")
+        self.queue = queue
+
+    def begin_cycle(self, cycle):
+        self.queue._released_this_cycle = 0
+
+
+def test_trv009_keeps_a_state_awake_on_an_unwoken_write(fresh_plans):
+    """An edge action that writes a refusal field without a wake: the
+    gate keeps Q awake (its wake test still runs, with no sleep mark),
+    the census says why, and ``repro certify`` reports TRV009."""
+    spec = queue_toy(resets_budget)
+    with fresh_plans():
+        enable_fusion(spec)
+    stats = spec.compile_stats
+    assert stats.parked_states == ["Q"]
+    assert stats.sleeping_states == []
+    [(name, reason)] = stats.awake_states
+    assert name == "Q" and "'_released_this_cycle'" in reason
+    assert "_asleep" not in spec.states["Q"]._wake.__fused_source__
+    found = _errors(certify_spec(spec, codes=["TRV009"]), "TRV009")
+    assert {d.state for d in found} == {"Q"}
+
+
+def test_trv009_accepts_a_waking_write(fresh_plans):
+    spec = queue_toy(resets_budget_and_wakes)
+    with fresh_plans():
+        enable_fusion(spec)
+    assert spec.compile_stats.sleeping_states == ["Q"]
+    assert _errors(certify_spec(spec, codes=["TRV009"]), "TRV009") == []
+
+
+def test_trv009_scans_hardware_modules_by_class():
+    """The spec's action comes from this module, which defines a hardware
+    module writing the budget unwoken: Q stays awake although no such
+    module exists."""
+    spec = queue_toy(_noop_action)
+    [(name, reason)] = awake_states(spec)
+    assert name == "Q" and reason.startswith("_UnwokenQueueUnit.begin_cycle")

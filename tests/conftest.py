@@ -87,3 +87,37 @@ def keyed_toy(value, slot, priority=0):
               priority=priority, label="enter")
     spec.edge("P", "I", Condition([Release(slot)]), label="leave")
     return spec
+
+
+def queue_toy(make_action):
+    """``I --enter--> Q --leave--> I`` through an in-order queue: Q parks
+    at the queue's release, and sleeps there unless a write of the
+    queue's refusal fields does not wake.  *make_action(queue)* gives
+    the leave edge's action."""
+    from repro.core import (Allocate, Condition, InOrderPoolManager,
+                            MachineSpec, Release)
+
+    queue = InOrderPoolManager("q", 2, 1)
+    spec = MachineSpec("queue-toy")
+    spec.state("I", initial=True)
+    spec.state("Q")
+    spec.edge("I", "Q", Condition([Allocate(queue, slot="q")]), label="enter")
+    spec.edge("Q", "I", Condition([Release("q")]), action=make_action(queue),
+              label="leave")
+    return spec
+
+
+def resets_budget(queue):
+    """An action resetting *queue*'s release budget without a wake."""
+    def reset_budget(osm):
+        queue._released_this_cycle = 0
+    return reset_budget
+
+
+def resets_budget_and_wakes(queue):
+    """An action resetting *queue*'s release budget and waking its head."""
+    def reset_budget(osm):
+        queue._released_this_cycle = 0
+        if queue._order:
+            queue._order[0]._asleep = False
+    return reset_budget

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from repro.core import OperationStateMachine
 from repro.workloads import mediabench
 
 #: ``co_filename`` prefixes of generated OSM code
@@ -77,13 +78,83 @@ def test_unfused_build_parks_nothing():
     assert all(osm._parked is None for osm in model.osms)
 
 
-@pytest.mark.parametrize("kernel", mediabench.MEDIABENCH_NAMES)
-def test_every_parked_skip_is_a_failing_probe(kernel):
-    """Each time a wake test returns False the director skips the probe;
-    here the real stepper runs right after it, and must fail and leave
-    the refusal record the wake test wrote."""
-    model = _build("ppc750", fused=True, kernel=kernel)
-    skips = {}
+@pytest.mark.parametrize("change", ["defuse", "add-edge"])
+def test_parked_operations_of_a_state_that_lost_its_wake_test_are_probed(change):
+    """A spec defused, or given a new edge, mid-run loses its wake
+    tests while operations are parked, some asleep, in their states:
+    the scan probes them as unparked, and the run ends as it would
+    have."""
+    from repro.core import Condition, Guard, defuse_spec
+
+    model = _build("ppc750", fused=True)
+    for _ in range(200):
+        model.kernel.step()
+    parked = [osm for osm in model.osms if osm._parked is osm.current]
+    assert {osm.current.name for osm in parked if osm._asleep} & {"Q", "W"}
+    if change == "defuse":
+        defuse_spec(model.spec)
+    else:
+        model.spec.edge("Q", "I", Condition([Guard(lambda osm: False, "never")]),
+                        priority=-1, label="never")
+        assert model.spec.states["Q"]._wake is None
+    stats = model.run(10_000_000)
+    assert (stats.cycles, stats.instructions, model.exit_code) == \
+        _pinned("ppc750", "gsm_dec")
+
+
+#: the member descriptor of the OSM's ``_asleep`` slot
+_ASLEEP = OperationStateMachine.__dict__["_asleep"]
+
+
+class _CheckedOsm(OperationStateMachine):
+    """An OSM whose asleep skips are checked as they happen: the
+    director reads ``_asleep`` of a parked OSM only to skip it, so each
+    True read runs the real stepper, which must fail and leave the
+    refusal record the OSM fell asleep with."""
+
+    director = None
+    skips = None
+
+    @property
+    def _asleep(self):
+        asleep = _ASLEEP.__get__(self)
+        if asleep:
+            record = self.blocked_on
+            assert self.current._fused(self, self.director.clock) is None, \
+                ("asleep", self.current.name, self)
+            assert self.blocked_on == record, (self.current.name, self.blocked_on, record)
+            self.skips["asleep"] += 1
+        return asleep
+
+    @_asleep.setter
+    def _asleep(self, value):
+        _ASLEEP.__set__(self, value)
+
+
+#: ppc750 configurations: the default one on every kernel (with pinned
+#: results), and the fleet-bench single-dispatch one (checked against the
+#: reference loop)
+SKIP_CASES = [(kernel, {}) for kernel in mediabench.MEDIABENCH_NAMES] + [
+    ("gsm_dec", {"perfect_memory": True, "dispatch_width": 1, "retire_width": 1}),
+]
+
+
+@pytest.mark.parametrize("kernel,config", SKIP_CASES,
+                         ids=[k + ("-single-dispatch" if c else "") for k, c in SKIP_CASES])
+def test_every_parked_skip_is_a_failing_probe(kernel, config, monkeypatch):
+    """Each time a wake test returns False, and each time the OSM is
+    asleep, the director skips the probe; here the real stepper runs
+    right there, and must fail and leave the refusal record the wake
+    test wrote.  The checked skips are all the parked skips."""
+    from repro.isa.ppc import assemble
+    from repro.models.ppc750 import Ppc750Model, model as ppc750_model
+
+    monkeypatch.setattr(ppc750_model, "OperationStateMachine", _CheckedOsm)
+    program = assemble(mediabench.ppc_source(kernel))
+    model = Ppc750Model(program, **config)
+    skips = {"wake": 0, "asleep": 0}
+    monkeypatch.setattr(_CheckedOsm, "director", model.director)
+    monkeypatch.setattr(_CheckedOsm, "skips", skips)
 
     def checked(state, wake, stepper):
         def wrapper(osm):
@@ -92,7 +163,7 @@ def test_every_parked_skip_is_a_failing_probe(kernel):
             record = osm.blocked_on
             assert stepper(osm, model.director.clock) is None, (state.name, osm)
             assert osm.blocked_on == record, (state.name, osm.blocked_on, record)
-            skips[state.name] = skips.get(state.name, 0) + 1
+            skips["wake"] += 1
             return False
         return wrapper
 
@@ -100,10 +171,17 @@ def test_every_parked_skip_is_a_failing_probe(kernel):
         if state._wake is not None:
             state._wake = checked(state, state._wake, state._fused)
     stats = model.run(10_000_000)
-    assert (stats.cycles, stats.instructions, model.exit_code) == \
-        _pinned("ppc750", kernel)
-    assert sum(skips.values()) == stats.parked_skips > 0
-    assert skips.keys() <= {"Q", "W", "X"}
+    got = (stats.cycles, stats.instructions, model.exit_code)
+    if config:
+        reference = Ppc750Model(program, fused=False, **config)
+        reference.director.reference = True
+        ref = reference.run(10_000_000)
+        assert got == (ref.cycles, ref.instructions, reference.exit_code)
+    else:
+        assert got == _pinned("ppc750", kernel)
+    assert skips["wake"] + skips["asleep"] == stats.parked_skips
+    assert skips["wake"] > 0 and skips["asleep"] > 0
+    assert stats.wake_calls >= skips["wake"]
 
 
 def _pinned(model_name, kernel):

@@ -300,7 +300,7 @@ class World:
 
     # -- comparison --------------------------------------------------------
 
-    def snapshot(self):
+    def snapshot(self, asleep=False):
         by_id = {id(osm): osm.name for osm in self.osms}
 
         def norm(obj):
@@ -316,6 +316,10 @@ class World:
                 return ("manager", obj.name)
             if isinstance(obj, Backing):
                 return ("backing", obj.values)
+            if isinstance(obj, dict) and obj and all(
+                    isinstance(v, OperationStateMachine) and k == id(v)
+                    for k, v in obj.items()):  # pending dooms: id -> OSM
+                return sorted(v.name for v in obj.values())
             if isinstance(obj, dict):
                 return sorted((repr(norm(k)), norm(v)) for k, v in obj.items())
             if isinstance(obj, (list, tuple)):
@@ -331,6 +335,7 @@ class World:
                       norm(osm.blocked_on), osm.n_transitions, osm.age,
                       norm(osm.operation),
                       None if osm.last_edge is None else osm.last_edge.qualname)
+                     + ((osm._asleep,) if asleep else ())
                      for osm in self.osms],
             "tokens": [(t.name, norm(t.holder), norm(t.value)) for t in self.tokens],
             "managers": [sorted((k, norm(v)) for k, v in vars(m).items())
@@ -381,12 +386,20 @@ def test_case_spec_certifies(cls):
           suppress_health_check=[HealthCheck.too_slow])
 @given(actions=st.lists(ACTION, min_size=20, max_size=80))
 def test_fused_emitter_matches_reference(cls, actions):
+    """Lockstep with the reference.  Before each action every OSM but a
+    stepping one (the director probes no sleeper) is put to sleep, so
+    the snapshots also show that the generated commit code wakes the
+    OSMs the manager methods wake."""
     fused, reference = World(CASES[cls], fused=True), World(CASES[cls], fused=False)
     assert fused.snapshot() == reference.snapshot()
     for action in actions:
+        stepping = fused.osms[action[1] % N_OSMS] if action[0] == "step" else None
+        for world in (fused, reference):
+            for osm in world.osms:
+                osm._asleep = osm.name != getattr(stepping, "name", None)
         outcome = fused.apply(action)
         assert outcome == reference.apply(action), action
-        assert fused.snapshot() == reference.snapshot(), action
+        assert fused.snapshot(asleep=True) == reference.snapshot(asleep=True), action
 
 
 # -- wake tests: one small spec per park-point kind -------------------------------
@@ -519,18 +532,28 @@ def test_a_release_that_never_refuses_is_no_park_point():
           suppress_health_check=[HealthCheck.too_slow])
 @given(actions=st.lists(ACTION, min_size=20, max_size=80))
 def test_wake_false_means_the_probe_fails(kind, actions):
-    """Lockstep with the reference: a step whose wake test returns False
-    is skipped, as the director skips it, and the reference probe of the
-    same step must fail and leave both copies identical — the wake test
-    wrote the same ``blocked_on`` and changed nothing else."""
+    """Lockstep with the reference: a step whose wake test returns False,
+    or whose OSM is asleep in its state (the wake contract: only a
+    manager's wake ends a sleep), is skipped, as the director skips it,
+    and the reference probe of the same step must fail and leave both
+    copies identical — the wake test wrote the same ``blocked_on`` and
+    changed nothing else."""
     fused = World(WAKE_CASES[kind], fused=True)
     reference = World(WAKE_CASES[kind], fused=False)
+    slept = {}  # OSM name -> the state it fell asleep in
     for action in actions:
         osm = fused.osms[action[1] % N_OSMS]
         wake = osm.current._wake
         if action[0] == "step" and wake is not None:
             before = fused.snapshot()
-            if not wake(osm):
+            if osm._asleep and slept.get(osm.name) is osm.current:
+                skipped = True
+            else:
+                osm._asleep = False
+                skipped = not wake(osm)
+                if osm._asleep:
+                    slept[osm.name] = osm.current
+            if skipped:
                 assert reference.apply(action) == ("edge", None), action
                 after = fused.snapshot()
                 assert {k: v for k, v in after.items() if k != "osms"} == \
