@@ -5,8 +5,9 @@ effectcheck): instead of trusting the code generators that power the
 simulation fast path — fused per-state steppers
 (:mod:`repro.core.fuse`, the only generated OSM code), per-ISA
 ``exec_fn`` closures (:mod:`repro.isa.arm.execgen` /
-:mod:`repro.isa.ppc.execgen`) and whole-block ISS translations
-(:mod:`repro.iss.compiled`) — transcheck statically validates each
+:mod:`repro.isa.ppc.execgen`) and the block functions the ISS run loop
+executes (:mod:`repro.iss.compiled` / ``execgen.block_source``) —
+transcheck statically validates each
 generated artifact against its *reference* source and emits
 certificates through the shared diagnostics schema.
 
@@ -18,7 +19,7 @@ TRV001  fused stepper ↔ edge primitives equivalence (symbolic replay
         refusal records
 TRV002  ``__fuse_inline__`` expression/footprint agreement
 TRV004  execgen closure write-set covers the semantics write-set
-TRV005  compiled ISS blocks carry store guards at instruction bounds
+TRV005  ISS block functions (both ISAs) guard every store
 TRV006  no block translation escapes the decode-cache page map
 TRV007  fused-fallback consistency with the effectcheck verdict
 TRV008  generator-version drift (stale fuse certificates)

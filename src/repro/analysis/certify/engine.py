@@ -94,7 +94,7 @@ class SpecCertifyContext:
 
 class IsaCertifyContext:
     """Per-run shared facts for the ISA-side rules: the audit lattice
-    runs (reference semantics traffic) and the compiling-ISS driver."""
+    runs (reference semantics traffic) and the ISS driver run."""
 
     def __init__(self, target):
         self.target = target
@@ -113,9 +113,9 @@ class IsaCertifyContext:
 
     @property
     def iss(self):
-        """The ISS after running the bundled driver program (the
-        compiling ISS on ARM, the specialised interpreter on PPC), or
-        None for targets without one (e.g. toy test targets)."""
+        """The ISS after ``run()`` over the bundled driver program, its
+        decode cache holding the block functions it compiled, or None
+        for targets without one (e.g. toy test targets)."""
         if not self._iss_built:
             from .isachecks import run_arm_driver, run_ppc_driver
             if self.target.name == "arm":
@@ -402,12 +402,12 @@ class Trv004ExecgenWriteSet(AnalysisPass):
 
 
 class Trv005BlockStoreGuards(AnalysisPass):
-    """Compiled ARM blocks must guard every store with ``_b.valid``.
+    """Block functions must guard every store with ``_block.valid``.
 
-    Only the ARM target translates whole blocks to source; the PPC ISS
-    runs the per-instruction execgen executors and emits no block source
-    (documented exemption in docs/static-analysis.md).  *interpreter*
-    and *mutate* are injectable for the mutation tests.
+    Both targets' ISS run loops execute compiled block functions (ARM's
+    from the ``BlockTranslator``, PPC's composed from its execgen
+    emitters); each carries its source as ``__block_source__``.
+    *interpreter* and *mutate* are injectable for the mutation tests.
     """
 
     code = "TRV005"
@@ -422,8 +422,6 @@ class Trv005BlockStoreGuards(AnalysisPass):
 
         interpreter = self._interpreter
         if interpreter is None:
-            if ctx.target.name != "arm":
-                return
             interpreter = ctx.iss
         if interpreter is None:
             return

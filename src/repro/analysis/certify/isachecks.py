@@ -3,8 +3,9 @@ page-map coverage (rules TRV004–TRV006).
 
 The spec-side rules replay generated OSM code against the primitive
 plan; the ISA-side rules validate the *other* two generators — the
-per-instruction executor closures (``execgen``) and the whole-block ISS
-translations (:mod:`repro.iss.compiled`) — against their references:
+per-instruction executor closures (``execgen``) and the block functions
+the ISS run loop executes (ARM: :mod:`repro.iss.compiled`; PPC:
+:func:`repro.isa.ppc.execgen.block_source`) — against their references:
 
 * TRV004 compares the **static may-write set** extracted from a
   generated executor's source against the traffic the reference
@@ -12,16 +13,18 @@ translations (:mod:`repro.iss.compiled`) — against their references:
   shadow-state runs).  Soundness direction: observed ⊆ static — the
   generated code must account for every architectural write the
   reference performs; extra static writes are fine (a may-set).
-* TRV005 checks that every memory store in a compiled ARM block is
-  followed by the ``if not _b.valid:`` self-modification guard before
-  any later instruction's memory access or control flow.
+* TRV005 checks that every memory store in a block function, on both
+  targets, is followed by the ``if not _block.valid:`` self-modification
+  guard before any later instruction's memory access or control flow.
+  ``_block`` is a name the execgen bodies never bind (PPC's use ``_b``
+  as an operand temporary).
 * TRV006 checks the decode cache's page index: every live block must be
   registered under every page its address range spans, else a store to
   a middle page would miss the invalidation.
 
 TRV005/TRV006 need *artifacts*, so the ISA context runs a small driver
-program under the compiling ISS and inspects the decode cache it leaves
-behind.  The drivers exercise plain stores, conditional stores, a block
+program through the ISS's ``run()`` and inspects the decode cache it
+leaves behind.  The drivers exercise plain stores, conditional stores, a block
 store (``stm``) and a straight-line run long enough to span a decode
 page (256 bytes).
 """
@@ -110,7 +113,7 @@ def _classify_write(target: ast.AST, out: StaticWrites) -> None:
             _classify_write(element, out)
 
 
-# -- TRV005: store guards in compiled ARM blocks ----------------------------
+# -- TRV005: store guards in block functions ---------------------------------
 
 def _contains_store(node: ast.AST) -> bool:
     for sub in ast.walk(node):
@@ -129,7 +132,7 @@ def _contains_mem_read(node: ast.AST) -> bool:
 
 
 def _is_valid_guard(stmt: ast.AST) -> bool:
-    """``if not _b.valid:`` with a body ending in an early return."""
+    """``if not _block.valid:`` with a body ending in an early return."""
     if not isinstance(stmt, ast.If) or stmt.orelse:
         return False
     test = stmt.test
@@ -137,7 +140,7 @@ def _is_valid_guard(stmt: ast.AST) -> bool:
         return False
     inner = test.operand
     if not (isinstance(inner, ast.Attribute) and inner.attr == "valid"
-            and isinstance(inner.value, ast.Name) and inner.value.id == "_b"):
+            and isinstance(inner.value, ast.Name) and inner.value.id == "_block"):
         return False
     return bool(stmt.body) and isinstance(stmt.body[-1], ast.Return)
 
@@ -164,23 +167,23 @@ def _guard_problems(suite: List[ast.stmt], trailer: List[ast.stmt],
                 break
             if isinstance(follower, (ast.If, ast.For, ast.While, ast.Return)):
                 problems.append(
-                    "store not followed by a _b.valid guard before "
+                    "store not followed by a _block.valid guard before "
                     f"control flow ({ast.unparse(follower.test) if isinstance(follower, (ast.If, ast.While)) else type(follower).__name__})"
                 )
                 found = True
                 break
             if _contains_mem_read(follower):
                 problems.append(
-                    "store not followed by a _b.valid guard before a "
+                    "store not followed by a _block.valid guard before a "
                     "later memory access")
                 found = True
                 break
         if not found:
-            problems.append("store without a trailing _b.valid guard")
+            problems.append("store without a trailing _block.valid guard")
 
 
 def check_store_guards(source: str) -> List[str]:
-    """TRV005 problems in one compiled ARM block's source, or []."""
+    """TRV005 problems in one block function's source, or []."""
     tree = ast.parse(source)
     if len(tree.body) != 1 or not isinstance(tree.body[0], ast.FunctionDef):
         return ["block source is not a single function definition"]
@@ -261,19 +264,19 @@ buffer:
 
 
 def run_arm_driver():
-    """Run the ARM driver under the compiling ISS; returns the
-    interpreter with its populated decode cache and compiled blocks."""
+    """Run the ARM driver through ``run()``; returns the interpreter
+    with its populated decode cache and block functions."""
     from ...isa.arm import assemble
-    from ...iss import CompiledArmInterpreter
+    from ...iss import ArmInterpreter
 
-    interpreter = CompiledArmInterpreter(assemble(_ARM_DRIVER))
+    interpreter = ArmInterpreter(assemble(_ARM_DRIVER))
     interpreter.run()
     return interpreter
 
 
 def run_ppc_driver():
-    """Run the PPC driver under the specialised interpreter, whose
-    block-at-a-time loop fills the decode cache's block layer."""
+    """Run the PPC driver through ``run()``; returns the interpreter
+    with its populated decode cache and block functions."""
     from ...isa.ppc import assemble
     from ...iss import PpcInterpreter
 

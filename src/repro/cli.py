@@ -122,8 +122,15 @@ def cmd_run(args) -> int:
         output = model.syscalls.output_text
         if args.json:
             _add_counts(code, code_before, codecache.stats())
+            cache = model.decode_cache
             print(json.dumps({"model": "iss", "exit_code": exit_code,
-                              "instructions": model.steps, "code_cache": code,
+                              "instructions": model.steps,
+                              "decode_cache": {
+                                  "blocks_built": cache.block_misses,
+                                  "block_reentries": cache.block_hits,
+                                  "block_invalidations": cache.block_invalidations,
+                              },
+                              "code_cache": code,
                               "output": output}, indent=2))
             return 0
         print(f"exit={exit_code} instructions={model.steps}")

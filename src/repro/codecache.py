@@ -2,12 +2,12 @@
 
 The simulator generates Python source at run time in three places: the
 ARM and PPC execgen bind a specialised executor to each instruction of
-a newly discovered basic block, the compiled ARM ISS translates a whole
-block to one function, and the fusion generator writes one stepper (and
-maybe one wake test) per OSM state.  Every fresh decode cache and every
+a newly discovered basic block, the ISS run loop compiles each basic
+block it dispatches to one function, and the fusion generator writes
+one stepper (and maybe one wake test) per OSM state.  Every fresh decode cache and every
 model build regenerates that text, and a process that runs a program a
 second time (a fleet worker under a sweep, ``repro bench``'s verify
-re-runs) generates byte-identical text again.  All five call sites
+re-runs) generates byte-identical text again.  All four call sites
 compile through :func:`compile_cached`, so the ``compile()`` is paid
 once per distinct text per process.
 
@@ -18,7 +18,7 @@ mode is always ``"exec"``, and the flags are those of this module (the
 call site still makes functions of its own from the shared code object
 (with ``exec`` in a fresh namespace, or a stepper from its inner code
 with its own parameter defaults), so per-build constants (the execgen
-helpers, the compiled ISS's block ``_b``, a stepper's defaults) stay per
+helpers, a block function's ``_block``, a stepper's defaults) stay per
 build, nothing ties a cached code object to a block, model or manager,
 and a store over translated code still drops its block, whose
 re-translation compiles (or finds) the new text.

@@ -1,7 +1,8 @@
 """Specialised per-instruction executors for the ARM-like target.
 
-:func:`bind_block` is the decode cache's block-bind hook: given the
-instructions of a freshly-discovered basic block, it translates each one
+:func:`bind_block` runs when the interpreter's fetch path
+(``fetch_decode``, which ``step()`` and the timing models use) builds a
+basic block: given the block's instructions, it translates each one
 to a dedicated Python function ``fn(state) -> ExecInfo`` — register
 numbers, immediates, shift amounts, condition tests and the sequential
 PC become literals — compiles the whole block's functions as *one*

@@ -1,15 +1,30 @@
-"""Specialised per-instruction executors for the PowerPC-like target.
+"""Generated code for the PowerPC-like target, in two forms.
 
-The PPC counterpart of :mod:`repro.isa.arm.execgen`: :func:`bind_block`
-translates each instruction of a freshly-discovered basic block into a
-dedicated ``fn(state) -> ExecInfo`` function — register numbers,
-immediates, shift/rotate amounts, BO/BI branch conditions and ``rlwinm``
-masks become literals — compiles the block's functions as one unit
-(through the process code cache, :mod:`repro.codecache`), and attaches
-them as ``instr.exec_fn``.  Every executor mirrors
+One set of emitters writes both.  Register numbers, immediates,
+shift/rotate amounts, BO/BI branch conditions and ``rlwinm`` masks become
+literals, and each emitted body mirrors
 :func:`repro.isa.ppc.semantics.execute` exactly (including the CTR
-decrement side effect of branch conditions); ``illegal`` encodings keep
-``exec_fn = None`` and fall back to the interpreter's error path.
+decrement side effect of branch conditions).
+
+* **Executors.**  :func:`bind_block` translates each instruction of a
+  basic block into a dedicated ``fn(state) -> ExecInfo`` function,
+  compiles the block's functions as one unit (through the process code
+  cache, :mod:`repro.codecache`), and attaches them as ``instr.exec_fn``.
+  ``step()``, the ppc750 oracle and every timing model dispatch through
+  them, because they need the :class:`ExecInfo` record per instruction.
+* **Block functions.**  :func:`block_source` composes the same bodies
+  into one ``fn(state, syscalls) -> next_pc`` for a whole basic block,
+  the function the ISS run loop executes
+  (:meth:`repro.iss.interpreter.BaseInterpreter.run`).  CR0 and memory
+  live in locals, no :class:`ExecInfo` is written, the PC is written only
+  at block exits, and every store is followed by an ``if not
+  _block.valid:`` guard (``_block`` is the block itself, a name the
+  bodies never bind), so a store over the running block stops at the
+  next instruction boundary.
+
+``illegal`` encodings get neither form: they keep ``exec_fn = None`` and
+a block ends before them, so both paths raise through the reference
+semantics.
 """
 
 from __future__ import annotations
@@ -21,8 +36,11 @@ from .decode import PpcInstruction
 from .isa import CR_EQ, CR_GT, CR_LT, SPR_LR
 from .semantics import ExecInfo, _div_trunc, _mask, _rotl32
 
-#: CR0 bit -> architectural flag attribute (LT/GT/EQ; SO reads as 0)
-_CR0_ATTR = {CR_LT: "state.flag_n", CR_GT: "state.flag_c", CR_EQ: "state.flag_z"}
+#: CR0 bit -> the flag an executor reads and writes (LT/GT/EQ; SO reads
+#: as 0) ...
+_CR0_STATE = {CR_LT: "state.flag_n", CR_GT: "state.flag_c", CR_EQ: "state.flag_z"}
+#: ... and the local a block function keeps it in
+_CR0_LOCAL = {CR_LT: "lt", CR_GT: "gt", CR_EQ: "eq"}
 
 
 def ends_block(instr) -> bool:
@@ -31,29 +49,42 @@ def ends_block(instr) -> bool:
 
 
 class _Emitter:
-    def __init__(self, name: str, instr: PpcInstruction):
+    """Accumulates one instruction's body, for an executor or (*block*)
+    for its part of a block function."""
+
+    def __init__(self, instr: PpcInstruction, block: bool = False):
         self.instr = instr
         self.seq = (instr.addr + 4) & 0xFFFFFFFF
-        self._lines: List[str] = [f"def {name}(state):", "    r = state.regs.values"]
+        self.block = block
+        self.lines: List[str] = []
+        self.memory = "memory" if block else "state.memory"
+        self._cr0 = _CR0_LOCAL if block else _CR0_STATE
+        #: True once the body reads or writes CR0
+        self.uses_cr = False
+        #: executor: True when the instruction computes next_pc at run time
         self.dynamic_pc = False
+        #: block function: the next-pc expression of a branch
+        self.exit: Optional[str] = None
 
     def emit(self, text: str) -> None:
-        self._lines.append("    " + text)
+        self.lines.append("    " + text)
 
-    def source(self) -> str:
-        if self.dynamic_pc:
-            self.emit("state.pc = info.next_pc")
-        else:
-            self.emit(f"state.pc = {self.seq}")
-        self.emit("return info")
-        return "\n".join(self._lines)
+    def info(self, text: str) -> None:
+        """Emit an :class:`ExecInfo` field write (executors only)."""
+        if not self.block:
+            self.emit(text)
+
+    def cr0(self, bit: int) -> Optional[str]:
+        """The flag holding CR0 *bit* (None for SO, which reads as 0)."""
+        self.uses_cr = True
+        return self._cr0.get(bit)
 
 
 def _emit_cr0(e: _Emitter, value: str) -> None:
     """Mirror of ``semantics._set_cr0`` over a masked 32-bit value."""
-    e.emit(f"state.flag_n = ({value} >> 31) & 1")
-    e.emit(f"state.flag_c = 1 if ({value} != 0 and not ({value} >> 31)) else 0")
-    e.emit(f"state.flag_z = 1 if {value} == 0 else 0")
+    e.emit(f"{e.cr0(CR_LT)} = ({value} >> 31) & 1")
+    e.emit(f"{e.cr0(CR_GT)} = 1 if ({value} != 0 and not ({value} >> 31)) else 0")
+    e.emit(f"{e.cr0(CR_EQ)} = 1 if {value} == 0 else 0")
 
 
 def _emit_branch_condition(e: _Emitter, instr: PpcInstruction) -> Optional[str]:
@@ -65,7 +96,7 @@ def _emit_branch_condition(e: _Emitter, instr: PpcInstruction) -> Optional[str]:
         e.emit("state.ctr = (state.ctr - 1) & 0xFFFFFFFF")
         parts.append("state.ctr == 0" if bo & 0b00010 else "state.ctr != 0")
     if not (bo & 0b10000):
-        attr = _CR0_ATTR.get(instr.bi)
+        attr = e.cr0(instr.bi)
         want = 1 if bo & 0b01000 else 0
         if attr is None:  # SO: reads as 0
             if want == 1:
@@ -87,8 +118,7 @@ def _emit_branch(e: _Emitter, instr: PpcInstruction) -> None:
         e.emit(f"state.lr = {e.seq}")
     if kind == "b":
         target = instr.imm if instr.aa else instr.addr + instr.imm
-        e.emit(f"info.next_pc = {target & 0xFFFFFFFF}")
-        e.emit("info.taken = True")
+        _emit_jump(e, str(target & 0xFFFFFFFF), None)
         return
     guard = _emit_branch_condition(e, instr)
     if kind == "bc":
@@ -98,12 +128,19 @@ def _emit_branch(e: _Emitter, instr: PpcInstruction) -> None:
         target_expr = "_t"
     else:  # bcctr
         target_expr = "state.ctr & 0xFFFFFFFC"
-    if guard is None:
-        e.emit(f"info.next_pc = {target_expr}")
+    _emit_jump(e, target_expr, guard)
+
+
+def _emit_jump(e: _Emitter, target: str, guard: Optional[str]) -> None:
+    """Control goes to *target* (when *guard* holds, if one is given)."""
+    if e.block:
+        e.exit = target if guard is None else f"{target} if {guard} else {e.seq}"
+    elif guard is None:
+        e.emit(f"info.next_pc = {target}")
         e.emit("info.taken = True")
     else:
         e.emit(f"if {guard}:")
-        e.emit(f"    info.next_pc = {target_expr}")
+        e.emit(f"    info.next_pc = {target}")
         e.emit("    info.taken = True")
 
 
@@ -154,9 +191,9 @@ def _emit_cmp(e: _Emitter, instr: PpcInstruction) -> None:
     left = "(_a - 0x100000000 if _a & 0x80000000 else _a)" if signed else "_a"
     e.emit(f"_l = {left}")
     e.emit(f"_r = {right}")
-    e.emit("state.flag_n = 1 if _l < _r else 0")
-    e.emit("state.flag_c = 1 if _l > _r else 0")
-    e.emit("state.flag_z = 1 if _l == _r else 0")
+    e.emit(f"{e.cr0(CR_LT)} = 1 if _l < _r else 0")
+    e.emit(f"{e.cr0(CR_GT)} = 1 if _l > _r else 0")
+    e.emit(f"{e.cr0(CR_EQ)} = 1 if _l == _r else 0")
 
 
 def _emit_mem(e: _Emitter, instr: PpcInstruction) -> None:
@@ -165,30 +202,30 @@ def _emit_mem(e: _Emitter, instr: PpcInstruction) -> None:
         e.emit(f"_a = ({base} + {instr.imm}) & 0xFFFFFFFF")
     else:
         e.emit(f"_a = ({base} + r[{instr.rb}]) & 0xFFFFFFFF")
-    e.emit("info.mem_addr = _a")
+    e.info("info.mem_addr = _a")
     mnemonic = instr.mnemonic
     byte = mnemonic in ("lbz", "stb", "lbzx", "stbx")
     half = mnemonic in ("lhz", "lha", "sth")
     if instr.is_load:
         if byte:
-            e.emit("_t = state.memory.read_byte(_a)")
+            e.emit(f"_t = {e.memory}.read_byte(_a)")
         elif half:
-            e.emit("_t = state.memory.read_half(_a & 0xFFFFFFFE)")
+            e.emit(f"_t = {e.memory}.read_half(_a & 0xFFFFFFFE)")
             if mnemonic == "lha":
                 e.emit("if _t & 0x8000:")
                 e.emit("    _t |= 0xFFFF0000")
         else:
-            e.emit("_t = state.memory.read_word(_a & 0xFFFFFFFC)")
+            e.emit(f"_t = {e.memory}.read_word(_a & 0xFFFFFFFC)")
         e.emit(f"r[{instr.rt}] = _t")
     else:
-        e.emit("info.mem_is_store = True")
+        e.info("info.mem_is_store = True")
         value = f"r[{instr.rt}]"
         if byte:
-            e.emit(f"state.memory.write_byte(_a, {value} & 0xFF)")
+            e.emit(f"{e.memory}.write_byte(_a, {value} & 0xFF)")
         elif half:
-            e.emit(f"state.memory.write_half(_a & 0xFFFFFFFE, {value} & 0xFFFF)")
+            e.emit(f"{e.memory}.write_half(_a & 0xFFFFFFFE, {value} & 0xFFFF)")
         else:
-            e.emit(f"state.memory.write_word(_a & 0xFFFFFFFC, {value})")
+            e.emit(f"{e.memory}.write_word(_a & 0xFFFFFFFC, {value})")
 
 
 def _emit_xalu(e: _Emitter, instr: PpcInstruction) -> None:
@@ -236,29 +273,28 @@ def _emit_xalu(e: _Emitter, instr: PpcInstruction) -> None:
         e.emit("_t = _b - _a")
     elif mnemonic == "mullw":
         e.emit(f"_t = {signed_a} * {signed_b}")
-        e.emit("info.mul_operand = _b")
+        e.info("info.mul_operand = _b")
     elif mnemonic == "mulhw":
         e.emit(f"_t = ({signed_a} * {signed_b}) >> 32")
-        e.emit("info.mul_operand = _b")
+        e.info("info.mul_operand = _b")
     elif mnemonic == "divw":
         e.emit(f"_d = {signed_b}")
         e.emit(f"_t = 0 if _d == 0 else _div({signed_a}, _d)")
-        e.emit("info.mul_operand = _b")
+        e.info("info.mul_operand = _b")
     else:  # divwu
         e.emit("_t = 0 if _b == 0 else _a // _b")
-        e.emit("info.mul_operand = _b")
+        e.info("info.mul_operand = _b")
     e.emit("_t &= 0xFFFFFFFF")
     e.emit(f"r[{instr.rt}] = _t")
     if instr.rc:
         _emit_cr0(e, "_t")
 
 
-def _translate(instr: PpcInstruction, name: str) -> Optional[str]:
+def _emit_body(e: _Emitter) -> bool:
+    """Emit *e*'s instruction; False when it has no translation
+    (``illegal``)."""
+    instr = e.instr
     kind = instr.kind
-    if kind == "illegal":
-        return None
-    e = _Emitter(name, instr)
-    e.emit(f"info = ExecInfo(True, {e.seq})")
     if kind == "dalu":
         _emit_dalu(e, instr)
     elif kind in ("cmp", "cmpi"):
@@ -311,8 +347,19 @@ def _translate(instr: PpcInstruction, name: str) -> Optional[str]:
     elif kind == "sc":
         e.emit("state.syscalls.handle(state, r[0])")
     else:
+        return False
+    return True
+
+
+def _translate(instr: PpcInstruction, name: str) -> Optional[str]:
+    """Source of the executor for *instr*, or None when unsupported."""
+    e = _Emitter(instr)
+    e.emit(f"info = ExecInfo(True, {e.seq})")
+    if not _emit_body(e):
         return None
-    return e.source()
+    pc = "info.next_pc" if e.dynamic_pc else str(e.seq)
+    return "\n".join([f"def {name}(state):", "    r = state.regs.values",
+                      *e.lines, f"    state.pc = {pc}", "    return info"])
 
 
 def bind_block(instrs: List[PpcInstruction]) -> None:
@@ -336,3 +383,51 @@ def bind_block(instrs: List[PpcInstruction]) -> None:
                         f"<execgen ppc block {instrs[0].addr:#x}>"), namespace)
     for instr, name in bound:
         instr.exec_fn = namespace[name]
+
+
+#: globals a block function reads besides ``_block``
+BLOCK_GLOBALS = {"_div": _div_trunc}
+
+
+def block_source(instrs: List[PpcInstruction], name: str) -> str:
+    """Source of ``name(state, syscalls) -> next_pc``, which runs
+    *instrs* (a basic block's leading instructions, none ``illegal``)
+    back to back and returns where control goes next.
+
+    CR0 lives in the locals ``lt``/``gt``/``eq`` when the block touches
+    it, and is written back at every exit and before a syscall, which
+    also sees the PC and ``instret`` an executor would (a raising
+    syscall leaves the reference's state).
+    """
+    parts = []
+    for instr in instrs:
+        e = _Emitter(instr, block=True)
+        if not _emit_body(e):
+            raise ValueError(f"no block form for {instr.text!r} at {instr.addr:#x}")
+        parts.append(e)
+    spill = []
+    lines = [f"def {name}(state, syscalls):", "    r = state.regs.values"]
+    if any(instr.kind in ("mem", "memx") for instr in instrs):
+        lines.append("    memory = state.memory")
+    if any(e.uses_cr for e in parts):
+        lines.append("    lt = state.flag_n; gt = state.flag_c; eq = state.flag_z")
+        spill = ["state.flag_n = lt; state.flag_c = gt; state.flag_z = eq"]
+    counted = 0  # instructions already added to instret
+
+    def leave(count: int, pc, indent: str) -> List[str]:
+        return [indent + text for text in
+                spill + [f"state.instret += {count - counted}", f"return {pc}"]]
+
+    for count, e in enumerate(parts, 1):
+        if e.instr.kind == "sc":
+            lines += ["    " + text for text in spill]
+            lines.append(f"    state.pc = {e.instr.addr}")
+            lines.append(f"    state.instret += {count - 1 - counted}")
+            counted = count - 1
+        lines += e.lines
+        if e.instr.is_store:
+            lines.append("    if not _block.valid:")
+            lines += leave(count, e.seq, "        ")
+    last = parts[-1]
+    lines += leave(len(parts), last.exit or last.seq, "    ")
+    return "\n".join(lines)

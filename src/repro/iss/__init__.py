@@ -1,12 +1,12 @@
 """Instruction-set simulators and the functional oracle.
 
 Per ISA, the plain interpreter (``specialize=False``) is the reference;
-the default specialised interpreter runs execgen executors block at a
-time, and on ARM the dynamically-compiling ISS translates whole blocks
-to Python source.
+the default specialised interpreter's run loop executes each basic block
+as one compiled function (dynamic compilation, Section 1), and its
+``step()`` binds per-instruction execgen executors for the timing
+models.
 """
 
-from .compiled import CompiledArmInterpreter
 from .decode_cache import DecodeCache, DecodedBlock
 from .interpreter import ArmInterpreter, BaseInterpreter, IssError, PpcInterpreter
 from .oracle import ExecRecord, Oracle
@@ -16,7 +16,6 @@ from .syscalls import SyscallError, SyscallHandler
 __all__ = [
     "ArchState",
     "ArmInterpreter",
-    "CompiledArmInterpreter",
     "DecodeCache",
     "DecodedBlock",
     "BaseInterpreter",

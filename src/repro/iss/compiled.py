@@ -1,43 +1,39 @@
-"""Dynamically-compiled instruction-set simulation.
+"""Whole-block translation for the ARM-like target.
 
 Section 1 of the paper classifies fast ISS techniques: interpreted
 simulation, statically-compiled simulation [Pees et al.] and
-dynamically-compiled simulation [Shade].  :class:`CompiledArmInterpreter`
-implements the dynamic variant over the shared decode cache's basic-block
-layer: the first time control reaches an address, the block starting
-there is translated to a specialised function and cached on the
-:class:`~repro.iss.decode_cache.DecodedBlock`; subsequent visits run the
-function directly, eliminating per-instruction decode and dispatch, and
-a store over translated code invalidates decode and translation together.
+dynamically-compiled simulation [Shade].  The ISS run loop
+(:meth:`repro.iss.interpreter.BaseInterpreter.run`) is the dynamic
+variant for both targets: the first time control reaches an address, the
+basic block starting there (from the shared decode cache) becomes one
+function, cached on the :class:`~repro.iss.decode_cache.DecodedBlock`;
+later visits call it directly, and a store over translated code drops
+decode and translation together.
 
-The translation (:class:`BlockTranslator`) emits whole-block Python
-source: register numbers, immediates, shift amounts and condition tests
-become literals, and NZCV flags live in local variables across the
-block, spilling only at block exit.  Blocks end at control transfers
-(branches, mov-to-pc, swi) or after ``MAX_BLOCK_LEN`` instructions.
+This module writes the ARM block functions.  :class:`BlockTranslator`
+emits whole-block Python source: register numbers, immediates, shift
+amounts and condition tests become literals, and NZCV flags live in
+local variables across the block, spilling at block exits and before a
+syscall.  It is a translator of its own rather than a composition of the
+execgen executors' bodies (:mod:`repro.isa.arm.execgen`), because a
+sizing prototype's block composed from those bodies ran about 1.25x
+slower.  The PPC block
+functions are composed from its execgen emitters
+(:func:`repro.isa.ppc.execgen.block_source`), which already write the
+same literals; an earlier measurement that PPC "ran no faster" chained
+the execgen executor closures under a block loop, not whole-block code.
 
-The PPC target has no compiled ISS: its specialised interpreter
-(:class:`~repro.iss.interpreter.PpcInterpreter`) already runs
-block-at-a-time over the execgen executors, and chaining the same
-executors under a compiled-ISS loop measured no faster.
-
-The compiled ISS is drop-in compatible with its interpreter (same
-architectural state, same syscalls) and is differentially tested
-against it; the speed ratio is reported by
+Every translation is checked against the reference semantics by the
+differential tests in ``tests/iss/``; the speed ratio is reported by
 ``benchmarks/bench_compiled_iss.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..codecache import compile_cached
 from ..isa.arm.decode import ArmInstruction
 from ..isa.arm.isa import PC
-from ..isa.program import Program
-from .interpreter import ArmInterpreter, IssError
-
-MAX_BLOCK_LEN = 64
 
 #: condition-code test expressions over the local flag variables n,z,c,v
 _COND_EXPR = {
@@ -57,9 +53,6 @@ _COND_EXPR = {
     0xD: "z == 1 or n != v",
 }
 
-_LOGICAL = frozenset(("and", "eor", "tst", "teq", "orr", "mov", "bic", "mvn"))
-
-
 class BlockTranslator:
     """Translates one basic block to a Python function."""
 
@@ -70,10 +63,13 @@ class BlockTranslator:
         #: emitting early returns (the footer's accounting must not be
         #: skipped)
         self.instr_count = 0
+        #: instructions already added to ``state.instret`` (before a
+        #: syscall)
+        self._counted = 0
 
     def emit_early_return(self, expression: str) -> None:
         self.emit("state.flag_n, state.flag_z, state.flag_c, state.flag_v = n, z, c, v")
-        self.emit(f"state.instret += {self.instr_count}")
+        self.emit(f"state.instret += {self.instr_count - self._counted}")
         self.emit(f"return {expression}")
 
     def emit(self, text: str) -> None:
@@ -124,10 +120,10 @@ class BlockTranslator:
         The decode cache flips ``valid`` on the block object when a write
         overlaps it, so self-modifying code stops at the next instruction
         boundary and the dispatch loop re-fetches — the same contract the
-        interpreted block loop honors.  ``_b`` is bound to the block at
-        translation time.
+        reference honors at every instruction boundary.  ``_block`` is
+        bound to the block at translation time.
         """
-        self.emit("if not _b.valid:")
+        self.emit("if not _block.valid:")
         self._indent += 1
         self.emit_early_return(str((instr.addr + 4) & 0xFFFFFFFF))
         self._indent -= 1
@@ -136,33 +132,26 @@ class BlockTranslator:
         """Emit statements for *instr*; returns a 'return' expression when
         the instruction ends the block (control transfer), else None."""
         guard = _COND_EXPR.get(instr.cond)
-        if guard is not None and instr.kind in ("branch", "bx", "swi"):
-            # conditional block-enders handled by their emitters
-            pass
-        elif guard is not None:
+        if instr.kind in ("branch", "bx", "swi"):
+            return self._emit_block_ender(instr, guard)
+        if instr.writes_pc:
+            # dp, ldr or ldm writing the PC: the body leaves it in _t
+            if guard is None:
+                self._emit_body(instr)
+                return "_t & 0xFFFFFFFC"
+            self.emit(f"if {guard}:")
+            self._indent += 1
+            self._emit_body(instr)
+            self.emit_early_return("_t & 0xFFFFFFFC")
+            self._indent -= 1
+            return str((instr.addr + 4) & 0xFFFFFFFF)
+        if guard is None:
+            self._emit_body(instr)
+        else:
             self.emit(f"if {guard}:")
             self._indent += 1
             self._emit_body(instr)
             self._indent -= 1
-            if instr.is_store:
-                self.emit_store_guard(instr)
-            return None
-        if instr.kind == "ldm" and instr.writes_pc:
-            if guard:
-                # the whole transfer is conditional, not just the jump
-                self.emit(f"if {guard}:")
-                self._indent += 1
-                self._emit_block_transfer(instr, load_pc=True)
-                self.emit_early_return("_t & 0xFFFFFFFC")
-                self._indent -= 1
-                return str((instr.addr + 4) & 0xFFFFFFFF)
-            self._emit_block_transfer(instr, load_pc=True)
-            return "_t & 0xFFFFFFFC"
-        if instr.kind in ("branch", "bx", "swi") or (
-            instr.kind in ("dp", "ldst") and instr.writes_pc
-        ):
-            return self._emit_block_ender(instr, guard)
-        self._emit_body(instr)
         if instr.is_store:
             self.emit_store_guard(instr)
         return None
@@ -178,9 +167,9 @@ class BlockTranslator:
         elif kind == "ldst":
             self._emit_ldst(instr)
         elif kind == "ldm":
-            self._emit_block_transfer(instr, load_pc=False)
+            self._emit_block_transfer(instr)
         else:
-            raise IssError(f"cannot compile {instr.text!r} at {instr.addr:#x}")
+            raise ValueError(f"no block form for {instr.text!r} at {instr.addr:#x}")
 
     def _emit_dp(self, instr: ArmInstruction) -> None:
         mnemonic = instr.mnemonic
@@ -227,7 +216,7 @@ class BlockTranslator:
         if instr.sets_flags:
             self.emit(f"n = ({value} >> 31) & 1")
             self.emit(f"z = 1 if {value} == 0 else 0")
-        if has_dest:
+        if has_dest and instr.rd != PC:
             self.emit(f"r[{instr.rd}] = {value}")
 
     def _emit_mul(self, instr: ArmInstruction) -> None:
@@ -270,10 +259,11 @@ class BlockTranslator:
             offset = value if instr.up else f"-({value})"
         self.emit(f"_a = ({base} + {offset}) & 0xFFFFFFFF")
         if instr.is_load:
+            dest = "_t" if instr.rd == PC else f"r[{instr.rd}]"
             if instr.byte:
-                self.emit(f"r[{instr.rd}] = memory.read_byte(_a)")
+                self.emit(f"{dest} = memory.read_byte(_a)")
             else:
-                self.emit(f"r[{instr.rd}] = memory.read_word(_a & 0xFFFFFFFC)")
+                self.emit(f"{dest} = memory.read_word(_a & 0xFFFFFFFC)")
         else:
             source = self._reg(instr.rd, instr.addr)
             if instr.byte:
@@ -281,7 +271,7 @@ class BlockTranslator:
             else:
                 self.emit(f"memory.write_word(_a & 0xFFFFFFFC, {source})")
 
-    def _emit_block_transfer(self, instr: ArmInstruction, load_pc: bool) -> None:
+    def _emit_block_transfer(self, instr: ArmInstruction) -> None:
         """LDM/STM unrolled at translation time (the register list and
         addressing mode are static)."""
         registers = [r for r in range(16) if instr.reglist & (1 << r)]
@@ -355,49 +345,33 @@ class BlockTranslator:
             if guard:
                 return f"({expression}) if {guard} else {sequential}"
             return expression
-        if instr.kind == "swi":
-            # spill flags, call the handler, re-enter the dispatch loop
-            self.emit("state.flag_n, state.flag_z, state.flag_c, state.flag_v = n, z, c, v")
-            call = f"syscalls.handle(state, {instr.swi_number})"
-            if guard:
-                self.emit(f"if {guard}:")
-                self.emit(f"    {call}")
-            else:
-                self.emit(call)
-            self.emit("n, z, c, v = state.flag_n, state.flag_z, state.flag_c, state.flag_v")
-            return str(sequential)
-        # dp/ldst writing the PC
-        if instr.kind == "ldst":
-            self._emit_ldst_to_pc(instr)
-            expression = "_t & 0xFFFFFFFC"
-        else:
-            operand2, _ = self._shifter(instr, False)
-            if instr.mnemonic == "mov":
-                expression = f"{operand2} & 0xFFFFFFFC"
-            else:
-                rn = self._reg(instr.rn, instr.addr)
-                expression = f"(({rn} + {operand2}) & 0xFFFFFFFC)"
+        # swi: the handler sees the flags, PC and instret an executor
+        # would, so a raising syscall leaves the reference's state
+        self.emit("state.flag_n, state.flag_z, state.flag_c, state.flag_v = n, z, c, v")
+        self.emit(f"state.pc = {instr.addr}")
+        self.emit(f"state.instret += {self.instr_count - 1 - self._counted}")
+        self._counted = self.instr_count - 1
+        call = f"syscalls.handle(state, {instr.swi_number})"
         if guard:
-            return f"({expression}) if {guard} else {sequential}"
-        return expression
-
-    def _emit_ldst_to_pc(self, instr: ArmInstruction) -> None:
-        base = self._reg(instr.rn, instr.addr)
-        offset = str(instr.imm) if instr.has_imm else self._shifter_mem(instr)[0]
-        self.emit(f"_t = memory.read_word(({base} + {offset}) & 0xFFFFFFFC)")
+            self.emit(f"if {guard}:")
+            self.emit(f"    {call}")
+        else:
+            self.emit(call)
+        self.emit("n, z, c, v = state.flag_n, state.flag_z, state.flag_c, state.flag_v")
+        return str(sequential)
 
     # -- assembly of the function -------------------------------------------------
 
-    def build(self, entry: int, n_instrs: int, return_expr: str) -> str:
+    def build(self, name: str, n_instrs: int, return_expr: str) -> str:
         header = [
-            f"def _block_{entry:x}(state, syscalls):",
+            f"def {name}(state, syscalls):",
             "    r = state.regs.values",
             "    memory = state.memory",
             "    n = state.flag_n; z = state.flag_z; c = state.flag_c; v = state.flag_v",
         ]
         footer = [
             "    state.flag_n, state.flag_z, state.flag_c, state.flag_v = n, z, c, v",
-            f"    state.instret += {n_instrs}",
+            f"    state.instret += {n_instrs - self._counted}",
             f"    return {return_expr}",
         ]
         return "\n".join(header + self._lines + footer)
@@ -415,77 +389,21 @@ def _sub(a: int, b: int, carry: int = 1):
     return _add(a, (~b) & 0xFFFFFFFF, carry)
 
 
-class CompiledArmInterpreter:
-    """Shade-style dynamically-compiling ISS for the ARM-like target.
+#: globals a block function reads besides ``_block``
+BLOCK_GLOBALS = {"_add": _add, "_sub": _sub}
 
-    Basic blocks come from the shared :class:`~repro.iss.decode_cache.
-    DecodeCache` (discovered at fetch time, invalidated by overlapping
-    writes), and each block's translation is cached *on the block
-    object* — so a store over translated code drops the stale
-    translation together with the stale decode.  Only the code object
-    is shared, through :mod:`repro.codecache`: the function, and the
-    ``_b`` its store guards test, belong to the one block.
-    """
 
-    def __init__(self, program: Program, stdin: bytes = b"", stack_top: int = 0x80000):
-        # the plain interpreter supplies state, syscalls and the decode
-        # cache; whole-block translation makes execgen executors redundant
-        interpreter = ArmInterpreter(program, stdin=stdin, stack_top=stack_top,
-                                     specialize=False)
-        self.state = interpreter.state
-        self.syscalls = interpreter.syscalls
-        self.decode_cache = interpreter.decode_cache
-        self.program = program
-        self.blocks_compiled = 0
-        self.block_runs = 0
-
-    # -- translation -----------------------------------------------------------
-
-    def _translate_block(self, block) -> Callable:
-        """``fn(state, syscalls) -> next_pc`` for *block*, compiled from
-        :class:`BlockTranslator` source."""
-        translator = BlockTranslator()
-        count = 0
-        return_expr: Optional[str] = None
-        for instr in block.instrs:
-            if instr.kind == "udf":
-                raise IssError(
-                    f"undefined instruction at {instr.addr:#x}: {instr.word:#010x}")
-            count += 1
-            translator.instr_count = count
-            return_expr = translator.translate(instr)
-        if return_expr is None:
-            # block-length limit (or decode ran off memory): continue at
-            # the next sequential address
-            return_expr = str(block.end & 0xFFFFFFFF)
-        entry = block.entry
-        source = translator.build(entry, count, return_expr)
-        namespace = {"_add": _add, "_sub": _sub, "_b": block}
-        exec(compile_cached(source, f"<block {entry:#x}>"), namespace)
-        fn = namespace[f"_block_{entry:x}"]
-        fn.__block_source__ = source  # transcheck introspection (TRV005)
-        return fn
-
-    # -- execution ----------------------------------------------------------------
-
-    def run(self, max_blocks: int = 10_000_000) -> int:
-        """Run to the exit syscall; returns the exit code."""
-        state = self.state
-        syscalls = self.syscalls
-        fetch_block = self.decode_cache.fetch_block
-        while not state.halted:
-            if self.block_runs >= max_blocks:
-                raise IssError(f"program exceeded {max_blocks} blocks")
-            block = fetch_block(state.pc)
-            fn = block.compiled
-            if fn is None:
-                fn = self._translate_block(block)
-                block.compiled = fn
-                self.blocks_compiled += 1
-            state.pc = fn(state, syscalls)
-            self.block_runs += 1
-        return state.exit_code
-
-    @property
-    def steps(self) -> int:
-        return self.state.instret
+def block_source(instrs: List[ArmInstruction], name: str) -> str:
+    """Source of ``name(state, syscalls) -> next_pc``, which runs
+    *instrs* (a basic block's leading instructions, none ``udf``) back
+    to back and returns where control goes next."""
+    translator = BlockTranslator()
+    return_expr: Optional[str] = None
+    for count, instr in enumerate(instrs, 1):
+        translator.instr_count = count
+        return_expr = translator.translate(instr)
+    if return_expr is None:
+        # block-length limit, or the block goes on with an instruction
+        # that has no block form: continue at the next address
+        return_expr = str((instrs[-1].addr + 4) & 0xFFFFFFFF)
+    return translator.build(name, len(instrs), return_expr)

@@ -15,9 +15,10 @@ On top of it, :meth:`fetch_block` discovers basic-block boundaries at
 fetch time: starting from an entry address it decodes forward until a
 control transfer (``is_branch`` / ``writes_pc``) or a system instruction
 ends the block, and memoises the resulting :class:`DecodedBlock`.  The
-run loops of the interpreted and dynamically-compiled ISSs execute whole
-blocks between cache probes, and the per-ISA execgen binds specialised
-executor closures to a block's instructions when it is first built.
+ISS run loop executes each block as one compiled function between cache
+probes (cached on the block as ``compiled``), and the interpreter's
+fetch path for ``step()`` and the timing models binds per-instruction
+executor closures to a block's instructions when it builds the block.
 
 Both layers honor the write-invalidation contract.  A write hook on the
 backing :class:`MainMemory` consults a 256-byte *page map* — page index
@@ -26,8 +27,9 @@ O(pages touched) when nothing is cached nearby, instead of the previous
 O(write length) per-byte scan; wide block writes (``write_block``) no
 longer walk every byte of their span.  A store that overlaps a cached
 instruction drops the entry *and* every block containing it; dropped
-blocks are flagged ``valid = False`` so a run loop mid-way through one
-stops at the next instruction boundary and re-fetches.
+blocks are flagged ``valid = False`` and lose their block function, so
+a block function that stores over its own block returns right after
+the store and the run loop re-fetches.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ INSTR_BYTES = 4
 #: page granularity of the invalidation index (2**8 = 256 bytes)
 PAGE_SHIFT = 8
 
-#: longest basic block discovered at fetch time (matches the compiled
-#: ISS's translation limit; longer straight-line runs chain blocks)
+#: longest basic block discovered at fetch time (longer straight-line
+#: runs chain blocks)
 MAX_BLOCK_LEN = 64
 
 
@@ -62,12 +64,12 @@ def _default_ends_block(instr) -> bool:
 class DecodedBlock:
     """A decoded basic block: ``instrs[i]`` is at ``entry + 4*i``.
 
-    ``valid`` flips to False when a store overlaps ``[entry, end)``; run
-    loops check it at instruction boundaries so self-modifying code
-    re-fetches mid-block.  ``compiled`` caches the dynamically-compiled
-    translation of the block (see :mod:`repro.iss.compiled`); it dies
-    with the block, which is what ties block translations to the
-    write-invalidation contract.
+    ``valid`` flips to False when a store overlaps ``[entry, end)``; a
+    block function tests it after every store so self-modifying code
+    re-fetches mid-block.  ``compiled`` caches the block function the ISS
+    run loop executes (see :meth:`repro.iss.interpreter.BaseInterpreter.
+    run`); a store over the block clears it, which is what ties block
+    functions to the write-invalidation contract.
     """
 
     __slots__ = ("entry", "end", "instrs", "valid", "compiled")
@@ -101,19 +103,14 @@ class DecodeCache:
     ends_block:
         Predicate deciding where fetch-time block discovery stops; the
         default works for both targets from the hazard metadata alone.
-    bind_block:
-        Optional ``bind_block(instrs) -> None`` hook, called once per
-        newly-built block — the per-ISA execgen uses it to attach
-        specialised ``exec_fn`` closures to the block's instructions.
     """
 
     __slots__ = ("entries", "blocks", "_decode", "_read_word", "_ends_block",
-                 "_bind_block", "_pages", "_block_pages", "invalidations",
+                 "_pages", "_block_pages", "invalidations",
                  "block_hits", "block_misses", "block_invalidations")
 
     def __init__(self, memory: MainMemory, decode: Callable[[int, int], Any],
-                 ends_block: Optional[Callable[[Any], bool]] = None,
-                 bind_block: Optional[Callable[[List[Any]], None]] = None):
+                 ends_block: Optional[Callable[[Any], bool]] = None):
         #: addr -> decoded instruction (exposed so the hot fetch path can
         #: do the dict probe without an extra call; see fetch_decode)
         self.entries: Dict[int, Any] = {}
@@ -122,7 +119,6 @@ class DecodeCache:
         self._decode = decode
         self._read_word = memory.read_word
         self._ends_block = ends_block or _default_ends_block
-        self._bind_block = bind_block
         #: page index -> addresses of cached entries on that page
         self._pages: Dict[int, Set[int]] = {}
         #: page index -> blocks overlapping that page
@@ -176,8 +172,6 @@ class DecodeCache:
         for page in range(entry >> PAGE_SHIFT,
                           ((block.end - 1) >> PAGE_SHIFT) + 1):
             self._block_pages.setdefault(page, set()).add(block)
-        if self._bind_block is not None:
-            self._bind_block(instrs)
         return block
 
     # -- invalidation ---------------------------------------------------------

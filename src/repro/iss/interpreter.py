@@ -8,9 +8,12 @@ functional execution, while the OSM models own the timing.
 
 from __future__ import annotations
 
+from typing import Callable
+
+from ..codecache import compile_cached
 from ..isa.program import Program
 from ..memory.mainmem import MainMemory
-from .decode_cache import DecodeCache
+from .decode_cache import DecodeCache, DecodedBlock
 from .state import ArchState
 from .syscalls import SyscallHandler
 
@@ -22,18 +25,25 @@ class IssError(Exception):
 class BaseInterpreter:
     """Shared machinery: decode cache, run loop, instruction budget.
 
-    With ``specialize`` (the default), instruction fetches that miss the
-    decode cache build whole basic blocks, and the per-ISA execgen binds
-    a specialised executor closure to every supported instruction
-    (``instr.exec_fn``); :meth:`run` executes block-at-a-time and both
-    :meth:`step` and the timing models dispatch through ``exec_fn`` when
-    present.  ``specialize=False`` keeps the pure per-instruction
-    interpreter — the reference the specialised path is differentially
-    tested against.
+    With ``specialize`` (the default) the decode cache builds whole basic
+    blocks, and each path gets the generated code it needs:
+
+    * :meth:`run` executes each block as one compiled function
+      (``block.compiled``), built on the block's first dispatch;
+    * :meth:`step` and the timing models, which need an ``ExecInfo``
+      record per instruction, fetch through :meth:`fetch_decode`, whose
+      block builds bind a specialised executor closure to every
+      supported instruction (``instr.exec_fn``, the per-ISA execgen).
+
+    ``specialize=False`` keeps the pure per-instruction interpreter — the
+    reference both paths are differentially tested against.
     """
 
     #: subclasses set: ISA hooks
     n_regs = 16
+    #: the instruction kind with no block form (undefined encodings): a
+    #: block function stops before it and the reference executes it
+    undefined_kind = ""
 
     def __init__(self, program: Program, stdin: bytes = b"", stack_top: int = 0x80000,
                  specialize: bool = True):
@@ -48,10 +58,7 @@ class BaseInterpreter:
         #: shared decoded-operation cache: the timing models fetch through
         #: :meth:`fetch_decode` too, so functional and timing layers see
         #: one consistent, write-invalidated view of the text
-        self.decode_cache = DecodeCache(
-            memory, self._decode,
-            bind_block=self._bind_block if specialize else None,
-        )
+        self.decode_cache = DecodeCache(memory, self._decode)
         self.steps = 0
 
     # -- ISA hooks ------------------------------------------------------------
@@ -70,6 +77,11 @@ class BaseInterpreter:
 
     def _bind_block(self, instrs) -> None:
         """Attach specialised executors to a new block (per-ISA execgen)."""
+        raise NotImplementedError
+
+    def _block_source(self, instrs, name: str):
+        """``(source, globals)`` of the block function ``name(state,
+        syscalls) -> next_pc`` running *instrs* (per-ISA)."""
         raise NotImplementedError
 
     # -- execution --------------------------------------------------------------
@@ -98,7 +110,9 @@ class BaseInterpreter:
         if instr is not None:
             return instr
         if self.specialize:
-            return cache.fetch_block(addr).instrs[0]
+            instrs = cache.fetch_block(addr).instrs
+            self._bind_block(instrs)
+            return instrs[0]
         return cache.fetch(addr)
 
     def step(self):
@@ -114,48 +128,86 @@ class BaseInterpreter:
         return instr, info
 
     def run(self, max_steps: int = 50_000_000) -> int:
-        """Run to the exit syscall; returns the exit code."""
+        """Run to the exit syscall; returns the exit code.
+
+        Specialised, whole blocks run as compiled functions until the
+        machine halts or the next block could overrun *max_steps*; the
+        reference loop below runs the rest (all of it when not
+        specialising), so the budget is met exactly and an instruction
+        that raises leaves the reference's state.
+        """
         state = self.state
-        if not self.specialize:
-            while not state.halted:
-                if self.steps >= max_steps:
-                    raise IssError(f"program exceeded {max_steps} instructions")
-                self.step()
-            return state.exit_code
-        # Block-at-a-time loop: one cache probe per basic block, then the
-        # pre-bound executors back to back.  ``block.valid`` is checked at
-        # every instruction boundary so a store into the *currently
-        # executing* block stops before the next stale instruction.
-        fetch_block = self.decode_cache.fetch_block
-        execute = self._execute
-        steps = self.steps
+        start = state.instret
+        # instret at which the budget is spent
+        limit = start + max_steps - self.steps
         try:
+            if self.specialize:
+                self._run_blocks(limit)
+            fetch = self.decode_cache.fetch
+            execute = self._execute
             while not state.halted:
-                block = fetch_block(state.pc)
-                for instr in block.instrs:
-                    if not block.valid:
-                        break
-                    if steps >= max_steps:
-                        raise IssError(
-                            f"program exceeded {max_steps} instructions")
-                    fn = instr.exec_fn
-                    if fn is not None:
-                        fn(state)
-                    else:
-                        execute(instr)
-                    state.instret += 1
-                    steps += 1
-                    if state.halted:
-                        break
+                if state.instret >= limit:
+                    raise IssError(f"program exceeded {max_steps} instructions")
+                execute(fetch(state.pc))
+                state.instret += 1
         finally:
-            self.steps = steps
+            self.steps += state.instret - start
         return state.exit_code
+
+    def _run_blocks(self, limit: int) -> None:
+        """Run compiled blocks while the machine runs and each whole
+        block fits below *limit*."""
+        state = self.state
+        syscalls = self.syscalls
+        fetch_block = self.decode_cache.fetch_block
+        compile_block = self._compile_block
+        while not state.halted:
+            block = fetch_block(state.pc)
+            fn = block.compiled
+            if fn is None:
+                fn = block.compiled = compile_block(block)
+            if state.instret + len(block.instrs) > limit:
+                return
+            state.pc = fn(state, syscalls)
+
+    def _compile_block(self, block: DecodedBlock) -> Callable:
+        """``fn(state, syscalls) -> next_pc`` for *block*: its leading
+        instructions up to the first of :attr:`undefined_kind`, compiled
+        once per process per text (:mod:`repro.codecache`) under a
+        ``<block …>`` filename.  ``_block``, the block its store guards
+        test, belongs to this block alone."""
+        instrs = block.instrs
+        count = 0
+        while count < len(instrs) and instrs[count].kind != self.undefined_kind:
+            count += 1
+        if not count:
+            return self._reference_block(instrs[0])
+        entry = block.entry
+        name = f"_block_{entry:x}"
+        source, helpers = self._block_source(instrs[:count], name)
+        namespace = dict(helpers, _block=block)
+        exec(compile_cached(source, f"<block {entry:#x}>"), namespace)
+        fn = namespace[name]
+        fn.__block_source__ = source  # transcheck introspection (TRV005)
+        return fn
+
+    def _reference_block(self, instr) -> Callable:
+        """A block function for an instruction with no block form: the
+        reference semantics execute it (and raise for it)."""
+        execute = self._execute
+
+        def reference(state, syscalls):
+            execute(instr)
+            state.instret += 1
+            return state.pc
+        return reference
 
 
 class ArmInterpreter(BaseInterpreter):
     """ISS for the ARM-like target."""
 
     n_regs = 16
+    undefined_kind = "udf"
 
     def _make_syscalls(self, stdin: bytes) -> SyscallHandler:
         return SyscallHandler(arg_regs=(0, 1, 2), ret_reg=0, stdin=stdin)
@@ -180,11 +232,17 @@ class ArmInterpreter(BaseInterpreter):
 
         bind_block(instrs)
 
+    def _block_source(self, instrs, name: str):
+        from .compiled import BLOCK_GLOBALS, block_source
+
+        return block_source(instrs, name), BLOCK_GLOBALS
+
 
 class PpcInterpreter(BaseInterpreter):
     """ISS for the PowerPC-like target."""
 
     n_regs = 32
+    undefined_kind = "illegal"
 
     def _make_syscalls(self, stdin: bytes) -> SyscallHandler:
         return SyscallHandler(arg_regs=(3, 4, 5), ret_reg=3, stdin=stdin)
@@ -206,3 +264,8 @@ class PpcInterpreter(BaseInterpreter):
         from ..isa.ppc.execgen import bind_block
 
         bind_block(instrs)
+
+    def _block_source(self, instrs, name: str):
+        from ..isa.ppc.execgen import BLOCK_GLOBALS, block_source
+
+        return block_source(instrs, name), BLOCK_GLOBALS

@@ -467,27 +467,25 @@ class TestIsaRuleMutations:
         assert "never writes" in found[0].message
 
     def test_trv005_fires_on_stripped_store_guards(self, arm_iss):
-        def strip_guards(source):
-            out, skip_indent = [], None
-            for line in source.splitlines():
-                stripped = line.strip()
-                indent = len(line) - len(line.lstrip())
-                if skip_indent is not None:
-                    if stripped and indent > skip_indent:
-                        continue
-                    skip_indent = None
-                if "_b.valid" in stripped:
-                    skip_indent = indent
-                    continue
-                out.append(line)
-            return "\n".join(out)
-
         report = certify_isa(
             "arm",
             passes=[Trv005BlockStoreGuards(
-                interpreter=arm_iss, mutate=strip_guards)])
+                interpreter=arm_iss, mutate=_strip_guards)])
         found = _errors(report, "TRV005")
         assert found, "TRV005 must fire when store guards are stripped"
+
+    def test_trv005_fires_on_stripped_ppc_store_guards(self):
+        from repro.analysis.certify.isachecks import run_ppc_driver
+
+        ppc_iss = run_ppc_driver()
+        assert certify_isa("ppc", passes=[
+            Trv005BlockStoreGuards(interpreter=ppc_iss)]).diagnostics == []
+        report = certify_isa(
+            "ppc",
+            passes=[Trv005BlockStoreGuards(
+                interpreter=ppc_iss, mutate=_strip_guards)])
+        found = _errors(report, "TRV005")
+        assert found, "TRV005 must fire when PPC store guards are stripped"
 
     def test_trv005_fires_on_missing_block_source(self, arm_iss):
         entry, block = next(iter(arm_iss.decode_cache.blocks.items()))
@@ -511,6 +509,23 @@ class TestIsaRuleMutations:
         finally:
             cache._block_pages[page] = saved
         assert _errors(report, "TRV006"), report.render_text()
+
+
+def _strip_guards(source):
+    """*source* without its ``_block.valid`` guards."""
+    out, skip_indent = [], None
+    for line in source.splitlines():
+        stripped = line.strip()
+        indent = len(line) - len(line.lstrip())
+        if skip_indent is not None:
+            if stripped and indent > skip_indent:
+                continue
+            skip_indent = None
+        if "_block.valid" in stripped:
+            skip_indent = indent
+            continue
+        out.append(line)
+    return "\n".join(out)
 
 
 @pytest.fixture(scope="module")

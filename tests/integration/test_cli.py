@@ -77,6 +77,9 @@ class TestRun:
         row = json.loads(capsys.readouterr().out)
         assert (row["model"], row["exit_code"], row["instructions"]) == ("iss", 36, 4)
         assert row["code_cache"]["hits"] + row["code_cache"]["misses"] > 0
+        # the four instructions are one block, entered once
+        assert row["decode_cache"] == {"blocks_built": 1, "block_reentries": 0,
+                                       "block_invalidations": 0}
 
     def test_json_excludes_trace(self, arm_file):
         with pytest.raises(SystemExit):

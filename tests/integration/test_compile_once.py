@@ -1,7 +1,7 @@
 """Generated code compiles once per process.
 
-Every ISS block binder, the compiled ARM ISS and the fusion generator
-compile through :func:`repro.codecache.compile_cached`, keyed on the
+Every execgen block binder, the ISS run loop's block functions and the
+fusion generator compile through :func:`repro.codecache.compile_cached`, keyed on the
 exact source text and filename.  These tests pin what that must and must
 not change: a second run of a program compiles nothing and produces the
 same complete result; a cached code object equals a fresh compile; no
@@ -23,7 +23,7 @@ from repro import codecache
 from repro.codecache import compile_cached
 from repro.isa.arm import assemble as asm_arm
 from repro.isa.ppc import assemble as asm_ppc
-from repro.iss import ArmInterpreter, CompiledArmInterpreter, PpcInterpreter
+from repro.iss import ArmInterpreter, PpcInterpreter
 from repro.models.ppc750 import Ppc750Model
 from repro.models.strongarm import StrongArmModel
 from repro.workloads import mediabench
@@ -60,8 +60,6 @@ def _run_model(model_class, assemble, source):
 RUNS = {
     "arm-iss": lambda: _run_iss(ArmInterpreter, asm_arm, mediabench.arm_source(WORKLOAD)),
     "ppc-iss": lambda: _run_iss(PpcInterpreter, asm_ppc, mediabench.ppc_source(WORKLOAD)),
-    "compiled-arm-iss": lambda: _run_iss(CompiledArmInterpreter, asm_arm,
-                                         mediabench.arm_source(WORKLOAD)),
     "strongarm": lambda: _run_model(StrongArmModel, asm_arm,
                                     mediabench.arm_source(WORKLOAD)),
     "ppc750": lambda: _run_model(Ppc750Model, asm_ppc, mediabench.ppc_source(WORKLOAD)),
@@ -102,35 +100,46 @@ class TestCachedCode:
 
     def test_each_run_gets_its_own_functions(self):
         # the code object is shared; the functions, and the namespaces
-        # holding per-build constants, are not
-        a = ArmInterpreter(asm_arm(mediabench.arm_source(WORKLOAD)))
-        b = ArmInterpreter(asm_arm(mediabench.arm_source(WORKLOAD)))
-        a.run()
-        b.run()
+        # holding per-build constants, are not: run()'s block functions
+        # and step()'s executors alike
+        a, b = _compiled_iss(), _compiled_iss()
         entry = a.program.entry
-        fa = a.decode_cache.entries[entry].exec_fn
-        fb = b.decode_cache.entries[entry].exec_fn
-        assert fa is not fb and fa.__globals__ is not fb.__globals__
-        assert fa.__code__ is fb.__code__
+        fa = a.decode_cache.blocks[entry].compiled
+        fb = b.decode_cache.blocks[entry].compiled
+        c = ArmInterpreter(asm_arm(mediabench.arm_source(WORKLOAD)))
+        d = ArmInterpreter(asm_arm(mediabench.arm_source(WORKLOAD)))
+        c.step()
+        d.step()
+        ea = c.decode_cache.entries[entry].exec_fn
+        eb = d.decode_cache.entries[entry].exec_fn
+        for one, two in ((fa, fb), (ea, eb)):
+            assert one is not two and one.__globals__ is not two.__globals__
+            assert one.__code__ is two.__code__
 
     def test_translated_blocks_guard_their_own_block(self):
-        # the compiled ISS's store guard reads ``_b.valid``: each
+        # a block function's store guard reads ``_block.valid``: each
         # translation must test the block it was made for, not the one
         # an earlier ISS compiled the same text for
-        runs = [_compiled_iss(), _compiled_iss()]
-        for iss in runs:
-            for block in iss.decode_cache.blocks.values():
-                if block.compiled is not None:
-                    assert block.compiled.__globals__["_b"] is block
-        codes = [{entry: block.compiled.__code__
-                  for entry, block in iss.decode_cache.blocks.items()
-                  if block.compiled is not None} for iss in runs]
-        assert codes[0] == codes[1] and codes[0]
-        assert all(codes[1][entry] is code for entry, code in codes[0].items())
+        for build in (_compiled_iss, _compiled_ppc_iss):
+            runs = [build(), build()]
+            for iss in runs:
+                for block in iss.decode_cache.blocks.values():
+                    assert block.compiled.__globals__["_block"] is block
+            codes = [{entry: block.compiled.__code__
+                      for entry, block in iss.decode_cache.blocks.items()}
+                     for iss in runs]
+            assert codes[0] == codes[1] and codes[0]
+            assert all(codes[1][entry] is code for entry, code in codes[0].items())
 
 
 def _compiled_iss():
-    iss = CompiledArmInterpreter(asm_arm(mediabench.arm_source(WORKLOAD)))
+    iss = ArmInterpreter(asm_arm(mediabench.arm_source(WORKLOAD)))
+    iss.run()
+    return iss
+
+
+def _compiled_ppc_iss():
+    iss = PpcInterpreter(asm_ppc(mediabench.ppc_source(WORKLOAD)))
     iss.run()
     return iss
 
@@ -180,11 +189,12 @@ class TestNothingKeptAlive:
 
     @pytest.mark.parametrize("build", [
         _compiled_iss,
+        _compiled_ppc_iss,
         _model(StrongArmModel, asm_arm, mediabench.arm_source),
         _model(Ppc750Model, asm_ppc, mediabench.ppc_source),
         _reused(StrongArmModel, asm_arm, mediabench.arm_source),
         _reused(Ppc750Model, asm_ppc, mediabench.ppc_source),
-    ], ids=["compiled-arm-iss", "strongarm", "ppc750",
+    ], ids=["compiled-arm-iss", "compiled-ppc-iss", "strongarm", "ppc750",
             "strongarm-plan-reused", "ppc750-plan-reused"])
     def test_collected_after_del(self, build):
         sim = build()

@@ -4,19 +4,20 @@ import pytest
 
 from repro.baselines.simplescalar import SimpleScalarArm
 from repro.isa.arm import assemble, decode, encode
-from repro.iss import ArmInterpreter, CompiledArmInterpreter
+from repro.iss import ArmInterpreter
 from repro.models.strongarm import StrongArmModel
 
 from ..conftest import arm_program
 
 
 def run_everywhere(body: str, data: str = ""):
-    """Run through ISS, compiled ISS, OSM model and the hand-coded
-    baseline; assert full agreement; return the interpreter."""
+    """Run through the plain ISS, the compiled ISS (``run()``'s block
+    functions), OSM model and the hand-coded baseline; assert full
+    agreement; return the interpreter."""
     source = arm_program(body, data)
-    iss = ArmInterpreter(assemble(source))
+    iss = ArmInterpreter(assemble(source), specialize=False)
     iss.run(200_000)
-    compiled = CompiledArmInterpreter(assemble(source))
+    compiled = ArmInterpreter(assemble(source))
     compiled.run()
     model = StrongArmModel(assemble(source), perfect_memory=True)
     model.run()

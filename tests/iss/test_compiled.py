@@ -1,24 +1,44 @@
-"""Tests for the dynamically-compiled ISS."""
+"""Tests for the dynamically-compiled ISS: ``run()`` executing each basic
+block as one compiled function, against the plain interpreter."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.arm import assemble
-from repro.iss import ArmInterpreter, CompiledArmInterpreter, IssError
+from repro.isa.ppc import assemble as assemble_ppc
+from repro.iss import ArmInterpreter, IssError, PpcInterpreter
 
-from ..conftest import arm_program
+from ..conftest import arm_program, ppc_program
+
+
+def _same_state(compiled, interpreted):
+    for iss in (compiled, interpreted):
+        assert iss.state.halted
+    assert compiled.state.exit_code == interpreted.state.exit_code
+    assert compiled.state.regs.values == interpreted.state.regs.values
+    assert compiled.state.pc == interpreted.state.pc
+    assert compiled.state.flags_word == interpreted.state.flags_word
+    assert compiled.state.instret == interpreted.state.instret
+    assert compiled.syscalls.output == interpreted.syscalls.output
 
 
 def differential(body: str, data: str = "", stdin: bytes = b""):
     source = arm_program(body, data)
-    interpreted = ArmInterpreter(assemble(source), stdin=stdin)
+    interpreted = ArmInterpreter(assemble(source), stdin=stdin, specialize=False)
     interpreted.run(500_000)
-    compiled = CompiledArmInterpreter(assemble(source), stdin=stdin)
+    compiled = ArmInterpreter(assemble(source), stdin=stdin)
     compiled.run()
-    assert compiled.state.exit_code == interpreted.state.exit_code
-    assert compiled.state.regs.values == interpreted.state.regs.values
-    assert compiled.state.instret == interpreted.state.instret
-    assert compiled.syscalls.output == interpreted.syscalls.output
+    _same_state(compiled, interpreted)
+    return compiled
+
+
+def differential_ppc(body: str):
+    source = ppc_program(body)
+    interpreted = PpcInterpreter(assemble_ppc(source), specialize=False)
+    interpreted.run(500_000)
+    compiled = PpcInterpreter(assemble_ppc(source))
+    compiled.run()
+    _same_state(compiled, interpreted)
     return compiled
 
 
@@ -74,7 +94,9 @@ lp:
     blt lp
     mov r0, r1
 """)
-        assert compiled.block_runs > compiled.blocks_compiled
+        cache = compiled.decode_cache
+        assert cache.block_hits > cache.block_misses
+        assert all(block.compiled is not None for block in cache.blocks.values())
 
     def test_calls_and_long_multiply(self):
         differential("""
@@ -105,30 +127,33 @@ end:
 _start:
     .word 0xFFFFFFFF
 """
-        compiled = CompiledArmInterpreter(assemble(source))
-        with pytest.raises(IssError):
+        # the plain interpreter raises ValueError for an undefined
+        # encoding, and the compiled run raises exactly what it raises
+        compiled = ArmInterpreter(assemble(source))
+        with pytest.raises(ValueError, match="undefined instruction"):
             compiled.run()
+        assert compiled.state.instret == 0
 
     def test_block_budget(self):
-        compiled = CompiledArmInterpreter(assemble("""
+        compiled = ArmInterpreter(assemble("""
     .text
 _start:
     b _start
 """))
         with pytest.raises(IssError, match="exceeded"):
-            compiled.run(max_blocks=50)
+            compiled.run(max_steps=50)
+        assert compiled.state.instret == 50
 
     @pytest.mark.parametrize("name", ["gsm_dec", "g721_enc", "mpeg2_enc"])
     def test_mediabench_differential(self, name):
         from repro.workloads import mediabench
 
         source = mediabench.arm_source(name)
-        interpreted = ArmInterpreter(assemble(source))
+        interpreted = ArmInterpreter(assemble(source), specialize=False)
         interpreted.run()
-        compiled = CompiledArmInterpreter(assemble(source))
+        compiled = ArmInterpreter(assemble(source))
         compiled.run()
-        assert compiled.state.exit_code == interpreted.state.exit_code
-        assert compiled.state.instret == interpreted.state.instret
+        _same_state(compiled, interpreted)
 
     def test_compiled_is_faster_on_hot_loops(self):
         import time
@@ -136,11 +161,11 @@ _start:
         from repro.workloads import mediabench
 
         source = mediabench.arm_source("gsm_enc", scale=8)
-        interpreted = ArmInterpreter(assemble(source))
+        interpreted = ArmInterpreter(assemble(source), specialize=False)
         start = time.perf_counter()
         interpreted.run()
         interpreted_time = time.perf_counter() - start
-        compiled = CompiledArmInterpreter(assemble(source))
+        compiled = ArmInterpreter(assemble(source))
         start = time.perf_counter()
         compiled.run()
         compiled_time = time.perf_counter() - start
@@ -165,8 +190,50 @@ def straightline(draw):
     return "\n".join(lines)
 
 
+@st.composite
+def straightline_ppc(draw):
+    lines = []
+    for reg in range(4, 8):
+        lines.append(f"    li32 r{reg}, {draw(st.integers(0, 0xFFFFFFFF))}")
+    reg = st.integers(4, 10)
+    ops = st.sampled_from([
+        "add", "add.", "subf", "subf.", "and", "and.", "or", "xor.", "slw",
+        "srw", "sraw.", "mullw", "mulhw", "divw", "divwu", "cmpw", "cmplw",
+        "addi", "andi.", "rlwinm.", "srawi", "extsb.", "cntlzw",
+    ])
+    for _ in range(draw(st.integers(2, 10))):
+        op = draw(ops)
+        rt, ra, rb = draw(reg), draw(reg), draw(reg)
+        if op in ("cmpw", "cmplw"):
+            lines.append(f"    {op} r{ra}, r{rb}")
+        elif op == "addi":
+            lines.append(f"    addi r{rt}, r{ra}, {draw(st.integers(-0x8000, 0x7FFF))}")
+        elif op == "andi.":
+            lines.append(f"    andi. r{rt}, r{ra}, {draw(st.integers(0, 0xFFFF))}")
+        elif op == "rlwinm.":
+            sh, mb, me = (draw(st.integers(0, 31)) for _ in range(3))
+            lines.append(f"    rlwinm. r{rt}, r{ra}, {sh}, {mb}, {me}")
+        elif op == "srawi":
+            lines.append(f"    srawi r{rt}, r{ra}, {draw(st.integers(0, 31))}")
+        elif op in ("extsb.", "cntlzw"):
+            lines.append(f"    {op} r{rt}, r{ra}")
+        else:
+            lines.append(f"    {op} r{rt}, r{ra}, r{rb}")
+    # consume the final CR0 as a register value
+    lines.append("    li r11, 0")
+    lines.append("    beq cr_done")
+    lines.append("    li r11, 1")
+    lines.append("cr_done:")
+    return "\n".join(lines)
+
+
 class TestCompiledProperty:
     @settings(max_examples=25, deadline=None)
     @given(straightline())
     def test_random_alu_blocks_match_interpreter(self, body):
         differential(body + "\n    mov r0, #0")
+
+    @settings(max_examples=25, deadline=None)
+    @given(straightline_ppc())
+    def test_random_ppc_alu_blocks_match_interpreter(self, body):
+        differential_ppc(body + "\n    li r3, 0")

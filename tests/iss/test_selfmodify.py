@@ -19,8 +19,8 @@ import pytest
 from repro import codecache
 from repro.isa.arm import assemble as asm_arm
 from repro.isa.ppc import assemble as asm_ppc
-from repro.iss import ArmInterpreter, CompiledArmInterpreter, PpcInterpreter
-from repro.iss.decode_cache import PAGE_SHIFT
+from repro.iss import ArmInterpreter, PpcInterpreter
+from repro.iss.decode_cache import PAGE_SHIFT, DecodeCache
 from repro.memory.mainmem import MainMemory
 
 from ..conftest import arm_program, ppc_program
@@ -307,17 +307,44 @@ class TestWideWriteInvalidation:
         assert cache.fetch(entry + 3 * page) is kept_high
 
 
+def _record_drops(monkeypatch) -> list:
+    """The block function of every block a store drops, as it was before
+    the drop (which must clear it)."""
+    dropped = []
+    drop = DecodeCache._drop_block
+
+    def recording(cache, block):
+        dropped.append(block.compiled)
+        drop(cache, block)
+        assert block.compiled is None
+
+    monkeypatch.setattr(DecodeCache, "_drop_block", recording)
+    return dropped
+
+
 class TestCompiledSelfModify(_Scenarios):
-    """The dynamically-compiling ISS shares the decode cache, so stores
-    over translated code must drop the stale translation too — including
-    a store whose victim is later in the currently-running block.  (The
-    PPC programs run on the specialised interpreter above.)"""
+    """``run()`` keeps each block's compiled function on the decode
+    cache's block, so stores over translated code must drop the stale
+    translation too — including a store whose victim is later in the
+    currently-running block."""
 
-    def test_arm_compiled_store_over_cached_block(self):
-        assert self.iss(CompiledArmInterpreter, asm_arm(_arm_midblock_source())).run() == 42
+    def _run(self, iss_class, program, monkeypatch):
+        iss = self.iss(iss_class, program)
+        dropped = _record_drops(monkeypatch)
+        assert iss.run(10_000) == 42
+        assert any(fn is not None for fn in dropped)
 
-    def test_arm_compiled_store_guard_same_block(self):
-        assert self.iss(CompiledArmInterpreter, asm_arm(_arm_sameblock_source())).run() == 42
+    def test_arm_compiled_store_over_cached_block(self, monkeypatch):
+        self._run(ArmInterpreter, asm_arm(_arm_midblock_source()), monkeypatch)
+
+    def test_arm_compiled_store_guard_same_block(self, monkeypatch):
+        self._run(ArmInterpreter, asm_arm(_arm_sameblock_source()), monkeypatch)
+
+    def test_ppc_compiled_store_over_cached_block(self, monkeypatch):
+        self._run(PpcInterpreter, asm_ppc(_ppc_midblock_source()), monkeypatch)
+
+    def test_ppc_compiled_store_guard_same_block(self, monkeypatch):
+        self._run(PpcInterpreter, asm_ppc(_ppc_sameblock_source()), monkeypatch)
 
 
 class TestWriteHookPlumbing:

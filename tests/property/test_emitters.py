@@ -17,7 +17,7 @@ wake test returns False, the reference copy's probe must fail and write
 the same ``blocked_on``, and the wake test must change nothing else.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 import pytest
 
 from repro.analysis.certify import certify_fused_states, certify_wake_tests
@@ -381,9 +381,17 @@ def test_case_spec_certifies(cls):
     assert certify_fused_states(world.spec) == []
 
 
+#: settings of the two lockstep properties.  No shrink phase: shrinking a
+#: failing 20-80-action list takes minutes, which makes a broken emitter
+#: look like a hung run; without it the failure prints within seconds,
+#: with the same examples generated and the same checks made.
+LOCKSTEP = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow],
+                    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
+
+
 @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@LOCKSTEP
 @given(actions=st.lists(ACTION, min_size=20, max_size=80))
 def test_fused_emitter_matches_reference(cls, actions):
     """Lockstep with the reference.  Before each action every OSM but a
@@ -528,8 +536,7 @@ def test_a_release_that_never_refuses_is_no_park_point():
 
 
 @pytest.mark.parametrize("kind", list(WAKE_CASES), ids=lambda k: f"{k[0]}-{k[1].__name__}")
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@LOCKSTEP
 @given(actions=st.lists(ACTION, min_size=20, max_size=80))
 def test_wake_false_means_the_probe_fails(kind, actions):
     """Lockstep with the reference: a step whose wake test returns False,
