@@ -6,9 +6,9 @@ simulation [3]" (Shade).  This bench measures, for both ISAs on the
 MediaBench kernel mix, the plain interpreted ISS (``specialize=False``:
 per-instruction decode-cache lookup and semantics dispatch) against
 ``run()``, which executes each basic block as one dynamically-compiled
-function (ARM: the ``BlockTranslator``'s; PPC: composed from its execgen
-emitters) — the technique gap that motivates fast functional backbones
-for micro-architecture simulators.  Programs are assembled before the
+function (composed from the ISA's execgen emitters) — the technique gap
+that motivates fast functional backbones for micro-architecture
+simulators.  Programs are assembled before the
 clock starts; each timed run builds a fresh ISS (so the compiled side
 pays for its block compiles) and runs it to exit.
 """

@@ -3,11 +3,10 @@
 The fifth analysis front end (after osmlint, osmcheck, isaaudit and
 effectcheck): instead of trusting the code generators that power the
 simulation fast path — fused per-state steppers
-(:mod:`repro.core.fuse`, the only generated OSM code), per-ISA
-``exec_fn`` closures (:mod:`repro.isa.arm.execgen` /
-:mod:`repro.isa.ppc.execgen`) and the block functions the ISS run loop
-executes (:mod:`repro.iss.compiled` / ``execgen.block_source``) —
-transcheck statically validates each
+(:mod:`repro.core.fuse`, the only generated OSM code), and the per-ISA
+``exec_fn`` closures and the block functions the ISS run loop executes,
+both written by one emitter set per ISA (:mod:`repro.isa.arm.execgen` /
+:mod:`repro.isa.ppc.execgen`) — transcheck statically validates each
 generated artifact against its *reference* source and emits
 certificates through the shared diagnostics schema.
 

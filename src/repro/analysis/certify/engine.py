@@ -404,9 +404,9 @@ class Trv004ExecgenWriteSet(AnalysisPass):
 class Trv005BlockStoreGuards(AnalysisPass):
     """Block functions must guard every store with ``_block.valid``.
 
-    Both targets' ISS run loops execute compiled block functions (ARM's
-    from the ``BlockTranslator``, PPC's composed from its execgen
-    emitters); each carries its source as ``__block_source__``.
+    Both targets' ISS run loops execute compiled block functions,
+    composed from their execgen emitters; each carries its source as
+    ``__block_source__``.
     *interpreter* and *mutate* are injectable for the mutation tests.
     """
 

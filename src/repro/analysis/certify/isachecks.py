@@ -2,10 +2,10 @@
 page-map coverage (rules TRV004–TRV006).
 
 The spec-side rules replay generated OSM code against the primitive
-plan; the ISA-side rules validate the *other* two generators — the
-per-instruction executor closures (``execgen``) and the block functions
-the ISS run loop executes (ARM: :mod:`repro.iss.compiled`; PPC:
-:func:`repro.isa.ppc.execgen.block_source`) — against their references:
+plan; the ISA-side rules validate the two forms each ISA's execgen
+(:mod:`repro.isa.arm.execgen`, :mod:`repro.isa.ppc.execgen`) writes —
+the per-instruction executor closures and the block functions the ISS
+run loop executes — against their references:
 
 * TRV004 compares the **static may-write set** extracted from a
   generated executor's source against the traffic the reference

@@ -48,7 +48,6 @@ GENERATOR_MODULES: Tuple[str, ...] = (
     "repro.core.fuse",
     "repro.isa.arm.execgen",
     "repro.isa.ppc.execgen",
-    "repro.iss.compiled",
     "repro.models.common",
     "repro.models.ppc750.managers",
     "repro.models.strongarm.managers",

@@ -1,389 +1,473 @@
-"""Specialised per-instruction executors for the ARM-like target.
+"""Generated code for the ARM-like target, in two forms.
 
-:func:`bind_block` runs when the interpreter's fetch path
-(``fetch_decode``, which ``step()`` and the timing models use) builds a
-basic block: given the block's instructions, it translates each one
-to a dedicated Python function ``fn(state) -> ExecInfo`` — register
-numbers, immediates, shift amounts, condition tests and the sequential
-PC become literals — compiles the whole block's functions as *one*
-compile unit (amortising ``compile()`` over the block, and paying it once
-per process for each distinct block text, see :mod:`repro.codecache`),
-and attaches them as ``instr.exec_fn``.
+One set of body emitters (data processing with its shifter carry,
+multiply, long multiply, single and block transfers) writes both.
+Register numbers, immediates, shift amounts, condition tests and the
+sequential PC become literals; operand2 and the shifter carry are inline
+expressions; and each emitted body mirrors
+:func:`repro.isa.arm.semantics.execute` exactly.
 
-Each executor mirrors :func:`repro.isa.arm.semantics.execute` exactly,
-including the ExecInfo protocol (``next_pc``/``taken``/``mem_addr``/
-``mem_addrs``/``mem_is_store``/``mul_operand``) the timing models
-consume, so callers may use ``instr.exec_fn or semantics.execute``
-interchangeably; the semantics module stays the executable reference and
-the differential tests lock the two together.  Instructions the
-translator does not cover (``udf``) keep ``exec_fn = None`` and fall
-back to the interpreter.
+* **Executors.**  :func:`_translate` writes a dedicated ``fn(state) ->
+  ExecInfo`` for one instruction; the interpreter's fetch path compiles
+  a new block's executors as one unit and attaches them as
+  ``instr.exec_fn`` (:meth:`repro.iss.interpreter.BaseInterpreter.
+  fetch_decode`).  ``step()``, the oracle and every timing model dispatch
+  through them, because they need the :class:`ExecInfo` record per
+  instruction.  NZCV and memory are the architectural ``state.flag_*``
+  and ``state.memory``.
+* **Block functions.**  :func:`block_source` composes the same bodies
+  into one ``fn(state, syscalls) -> next_pc`` for a whole basic block,
+  the function the ISS run loop executes
+  (:meth:`repro.iss.interpreter.BaseInterpreter.run`).  NZCV lives in the
+  locals ``n``/``z``/``c``/``v`` and memory in a local, no
+  :class:`ExecInfo` is written, the flags spill only at block exits and
+  around a ``swi``, the PC is written only at exits, and every store is
+  followed by an ``if not _block.valid:`` guard (``_block`` is the block
+  itself, a name the bodies never bind), so a store over the running
+  block stops at the next instruction boundary.
 
-Unlike the whole-block translator in :mod:`repro.iss.compiled`, these
-executors are position-independent (one instruction, flags in
-architectural state), so an instruction shared by two overlapping blocks
-binds once and both blocks reuse it.
+``udf`` encodings get neither form: they keep ``exec_fn = None`` and a
+block function stops before them, so both paths raise through the
+reference semantics.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import re
+from typing import List, Optional, Tuple
 
-from ...codecache import compile_cached
-from ..bits import add_carries, sub_borrows
 from .decode import ArmInstruction
-from .isa import PC
+from .isa import DP_NO_DEST, PC
 from .semantics import ExecInfo
 
-#: condition-code tests over the architectural flags (AL/NV omitted)
-_COND_EXPR = {
-    0x0: "state.flag_z == 1",
-    0x1: "state.flag_z == 0",
-    0x2: "state.flag_c == 1",
-    0x3: "state.flag_c == 0",
-    0x4: "state.flag_n == 1",
-    0x5: "state.flag_n == 0",
-    0x6: "state.flag_v == 1",
-    0x7: "state.flag_v == 0",
-    0x8: "state.flag_c == 1 and state.flag_z == 0",
-    0x9: "state.flag_c == 0 or state.flag_z == 1",
-    0xA: "state.flag_n == state.flag_v",
-    0xB: "state.flag_n != state.flag_v",
-    0xC: "state.flag_z == 0 and state.flag_n == state.flag_v",
-    0xD: "state.flag_z == 1 or state.flag_n != state.flag_v",
+#: the target's name in generated code's filenames
+ISA = "arm"
+
+#: the instruction kind with no translation in either form
+UNDEFINED_KIND = "udf"
+
+#: condition-code tests over a block function's flag locals (AL/NV
+#: omitted) ...
+_COND_LOCAL = {
+    0x0: "z == 1",
+    0x1: "z == 0",
+    0x2: "c == 1",
+    0x3: "c == 0",
+    0x4: "n == 1",
+    0x5: "n == 0",
+    0x6: "v == 1",
+    0x7: "v == 0",
+    0x8: "c == 1 and z == 0",
+    0x9: "c == 0 or z == 1",
+    0xA: "n == v",
+    0xB: "n != v",
+    0xC: "z == 0 and n == v",
+    0xD: "z == 1 or n != v",
+}
+#: ... and over the architectural flags an executor reads
+_COND_STATE = {cond: re.sub(r"\b([nzcv])\b", r"state.flag_\1", test)
+               for cond, test in _COND_LOCAL.items()}
+
+#: per form (block?): the NZCV and memory names and the condition tests
+_FORMS = {
+    True: ("n", "z", "c", "v", "memory", _COND_LOCAL),
+    False: ("state.flag_n", "state.flag_z", "state.flag_c", "state.flag_v",
+            "state.memory", _COND_STATE),
 }
 
-_LOGICAL = frozenset(("and", "eor", "tst", "teq", "orr", "mov", "bic", "mvn"))
-
-
-def ends_block(instr) -> bool:
-    """Block-ender predicate (re-exported for API symmetry; the decode
-    cache's generic metadata predicate makes the same decision)."""
-    return instr.is_branch or instr.writes_pc or instr.unit == "system"
+#: writes the flag locals back to the architectural state
+_SPILL = "state.flag_n, state.flag_z, state.flag_c, state.flag_v = n, z, c, v"
 
 
 class _Emitter:
-    """Accumulates the source of one executor function."""
+    """Accumulates instruction bodies in one form: an executor's, or
+    (*block*) a block function's, which also counts the instructions
+    emitted (``count``) and those already added to ``instret``
+    (``counted``, before a syscall)."""
 
-    def __init__(self, name: str, instr: ArmInstruction):
-        self.instr = instr
-        self.seq = (instr.addr + 4) & 0xFFFFFFFF
-        self._lines: List[str] = [f"def {name}(state):", "    r = state.regs.values"]
-        self._indent = 1
-        #: True when the instruction computes next_pc at run time
-        self.dynamic_pc = False
+    def __init__(self, block: bool):
+        self.block = block
+        self.n, self.z, self.c, self.v, self.memory, self.cond = _FORMS[block]
+        self.lines: List[str] = []
+        self.pad = "    "
+        self.count = 0
+        self.counted = 0
 
     def emit(self, text: str) -> None:
-        self._lines.append("    " * self._indent + text)
+        self.lines.append(self.pad + text)
 
-    def reg(self, reg: int) -> str:
-        """Register-read expression (PC reads as addr+8)."""
-        if reg == PC:
-            return str((self.instr.addr + 8) & 0xFFFFFFFF)
-        return f"r[{reg}]"
+    def info(self, text: str) -> None:
+        """Emit an :class:`ExecInfo` field write (executors only)."""
+        if not self.block:
+            self.lines.append(self.pad + text)
 
-    def source(self) -> str:
-        if self.dynamic_pc:
-            self.emit("state.pc = info.next_pc")
-        self.emit("return info")
-        return "\n".join(self._lines)
+    def leave(self, pc: str) -> None:
+        """A block function's exit to *pc*: spill the flags and count the
+        instructions run."""
+        self.emit(_SPILL)
+        self.emit(f"state.instret += {self.count - self.counted}")
+        self.emit(f"return {pc}")
 
+
+def _reg(reg: int, addr: int) -> str:
+    """Register-read expression (PC reads as addr+8)."""
+    if reg == PC:
+        return f"{(addr + 8) & 0xFFFFFFFF}"
+    return f"r[{reg}]"
+
+
+def _shifter(e: _Emitter, instr: ArmInstruction) -> Tuple[str, Optional[str]]:
+    """(operand2 expression, carry-out expression or None when the carry
+    is unchanged); mirrors ``semantics._shifter_operand``."""
+    if instr.has_imm:
+        if instr.imm > 0xFF:
+            return str(instr.imm), str((instr.imm >> 31) & 1)
+        return str(instr.imm), None
+    value = _reg(instr.rm, instr.addr)
+    amount = instr.shift_amount
+    kind = instr.shift_type
+    if kind == 0:  # LSL
+        if amount == 0:
+            return value, None
+        return (f"(({value} << {amount}) & 0xFFFFFFFF)",
+                f"(({value} >> {32 - amount}) & 1)")
+    if kind == 1:  # LSR (0 encodes 32)
+        amount = amount or 32
+        if amount == 32:
+            return "0", f"(({value} >> 31) & 1)"
+        return f"({value} >> {amount})", f"(({value} >> {amount - 1}) & 1)"
+    if kind == 2:  # ASR (0 encodes 32)
+        amount = amount or 32
+        signed = f"({value} - 0x100000000 if {value} & 0x80000000 else {value})"
+        return (f"(({signed} >> {min(amount, 31)}) & 0xFFFFFFFF)",
+                f"(({signed} >> {min(amount - 1, 31)}) & 1)")
+    # ROR (0 encodes RRX)
+    if amount == 0:
+        return (f"((({e.c} << 31) | ({value} >> 1)) & 0xFFFFFFFF)",
+                f"({value} & 1)")
+    rotated = f"((({value} >> {amount}) | ({value} << {32 - amount})) & 0xFFFFFFFF)"
+    return rotated, f"(({rotated} >> 31) & 1)"
+
+
+def _emit_dp(e: _Emitter, instr: ArmInstruction) -> None:
+    mnemonic = instr.mnemonic
+    operand2, shifter_carry = _shifter(e, instr)
+    rn = _reg(instr.rn, instr.addr)
+    arith = None  # an expression producing (result, carry, overflow)
+    if mnemonic in ("and", "tst"):
+        result = f"({rn} & {operand2})"
+    elif mnemonic in ("eor", "teq"):
+        result = f"({rn} ^ {operand2})"
+    elif mnemonic in ("sub", "cmp"):
+        arith = f"_sub({rn}, {operand2})"
+    elif mnemonic == "rsb":
+        arith = f"_sub({operand2}, {rn})"
+    elif mnemonic in ("add", "cmn"):
+        arith = f"_add({rn}, {operand2})"
+    elif mnemonic == "adc":
+        arith = f"_add({rn}, {operand2}, {e.c})"
+    elif mnemonic == "sbc":
+        arith = f"_sub({rn}, {operand2}, {e.c})"
+    elif mnemonic == "rsc":
+        arith = f"_sub({operand2}, {rn}, {e.c})"
+    elif mnemonic == "orr":
+        result = f"({rn} | {operand2})"
+    elif mnemonic == "mov":
+        result = operand2
+    elif mnemonic == "bic":
+        result = f"({rn} & ~{operand2} & 0xFFFFFFFF)"
+    else:  # mvn
+        result = f"(~{operand2} & 0xFFFFFFFF)"
+
+    if arith is not None:
+        if instr.sets_flags:
+            e.emit(f"_t, {e.c}, {e.v} = {arith}")
+        else:
+            e.emit(f"_t = {arith}[0]")
+    else:
+        e.emit(f"_t = {result} & 0xFFFFFFFF")
+        if instr.sets_flags and shifter_carry is not None:
+            e.emit(f"{e.c} = {shifter_carry}")
+    if instr.sets_flags:
+        e.emit(f"{e.n} = (_t >> 31) & 1")
+        e.emit(f"{e.z} = 1 if _t == 0 else 0")
+    if mnemonic not in DP_NO_DEST and instr.rd != PC:
+        e.emit(f"r[{instr.rd}] = _t")
+
+
+def _emit_mul(e: _Emitter, instr: ArmInstruction) -> None:
+    rm = _reg(instr.rm, instr.addr)
+    rs = _reg(instr.rs, instr.addr)
+    e.info(f"info.mul_operand = {rs}")
+    expression = f"({rm} * {rs}"
+    if instr.accumulate:
+        expression += f" + {_reg(instr.rn, instr.addr)}"
+    e.emit(f"_t = {expression}) & 0xFFFFFFFF")
+    e.emit(f"r[{instr.rd}] = _t")
+    if instr.s:
+        e.emit(f"{e.n} = (_t >> 31) & 1")
+        e.emit(f"{e.z} = 1 if _t == 0 else 0")
+
+
+def _emit_mull(e: _Emitter, instr: ArmInstruction) -> None:
+    rm = _reg(instr.rm, instr.addr)
+    rs = _reg(instr.rs, instr.addr)
+    e.info(f"info.mul_operand = {rs}")
+    if instr.signed_mul:
+        a = f"({rm} - 0x100000000 if {rm} & 0x80000000 else {rm})"
+        b = f"({rs} - 0x100000000 if {rs} & 0x80000000 else {rs})"
+    else:
+        a, b = rm, rs
+    e.emit(f"_p = {a} * {b}")
+    if instr.accumulate:
+        # the sign of a signed accumulator vanishes in the 64-bit mask
+        e.emit(f"_p += (r[{instr.rdhi}] << 32) | r[{instr.rdlo}]")
+    e.emit("_p &= 0xFFFFFFFFFFFFFFFF")
+    e.emit(f"r[{instr.rdlo}] = _p & 0xFFFFFFFF")
+    e.emit(f"r[{instr.rdhi}] = (_p >> 32) & 0xFFFFFFFF")
+    if instr.s:
+        e.emit(f"{e.n} = (_p >> 63) & 1")
+        e.emit(f"{e.z} = 1 if _p == 0 else 0")
+
+
+def _mem_offset(instr: ArmInstruction) -> str:
+    """Offset of a single load/store (the register form shifts by a
+    constant amount; mirrors ``semantics._execute_ldst``)."""
+    if instr.has_imm:
+        return str(instr.imm)
+    value = _reg(instr.rm, instr.addr)
+    amount = instr.shift_amount
+    kind = instr.shift_type
+    if kind == 0 and amount == 0:
+        shifted = value
+    elif kind == 0:
+        shifted = f"(({value} << {amount}) & 0xFFFFFFFF)"
+    elif kind == 1:
+        shifted = f"({value} >> {amount or 32})"
+    elif kind == 2:
+        amount = min(amount or 32, 31)
+        shifted = (f"((({value} - 0x100000000 if {value} & 0x80000000 else {value})"
+                   f" >> {amount}) & 0xFFFFFFFF)")
+    else:
+        shifted = (f"((({value} >> {amount}) | ({value} << {32 - amount}))"
+                   " & 0xFFFFFFFF)")
+    return shifted if instr.up else f"-({shifted})"
+
+
+def _emit_ldst(e: _Emitter, instr: ArmInstruction) -> None:
+    e.emit(f"_a = ({_reg(instr.rn, instr.addr)} + {_mem_offset(instr)}) & 0xFFFFFFFF")
+    e.info("info.mem_addr = _a")
+    if instr.is_load:
+        dest = "_t" if instr.rd == PC else f"r[{instr.rd}]"
+        if instr.byte:
+            e.emit(f"{dest} = {e.memory}.read_byte(_a)")
+        else:
+            e.emit(f"{dest} = {e.memory}.read_word(_a & 0xFFFFFFFC)")
+    else:
+        e.info("info.mem_is_store = True")
+        source = _reg(instr.rd, instr.addr)
+        if instr.byte:
+            e.emit(f"{e.memory}.write_byte(_a, {source} & 0xFF)")
+        else:
+            e.emit(f"{e.memory}.write_word(_a & 0xFFFFFFFC, {source})")
+
+
+def _emit_ldm(e: _Emitter, instr: ArmInstruction) -> None:
+    """LDM/STM unrolled at translation time (the register list and
+    addressing mode are static); lowest register at the lowest address."""
+    registers = [r for r in range(16) if instr.reglist & (1 << r)]
+    count = len(registers)
+    base = _reg(instr.rn, instr.addr)
+    if instr.up:
+        start_off = 4 if instr.pre_index else 0
+        new_base = f"(({base} + {4 * count}) & 0xFFFFFFFF)"
+    else:
+        start_off = -4 * count + (0 if instr.pre_index else 4)
+        new_base = f"(({base} - {4 * count}) & 0xFFFFFFFF)"
+    e.emit(f"_a = ({base} + {start_off}) & 0xFFFFFFFC")
+    if not e.block:
+        # the timing models see the unaligned addresses the reference
+        # reports
+        if count:
+            e.emit(f"info.mem_addr = _u = ({base} + {start_off}) & 0xFFFFFFFF")
+            addrs = ", ".join(["_u"] + [f"(_u + {4 * i}) & 0xFFFFFFFF"
+                                        for i in range(1, count)])
+            e.emit(f"info.mem_addrs = [{addrs}]")
+        else:
+            e.emit("info.mem_addrs = []")
+    memory = e.memory
+    if instr.is_load:
+        for i, reg in enumerate(registers):
+            dest = "_t" if reg == PC else f"r[{reg}]"
+            e.emit(f"{dest} = {memory}.read_word((_a + {4 * i}) & 0xFFFFFFFF)")
+        if instr.writeback and not (instr.reglist & (1 << instr.rn)):
+            e.emit(f"r[{instr.rn}] = {new_base}")
+    else:
+        e.info("info.mem_is_store = True")
+        for i, reg in enumerate(registers):
+            e.emit(f"{memory}.write_word((_a + {4 * i}) & 0xFFFFFFFF, "
+                   f"{_reg(reg, instr.addr)})")
+        if instr.writeback:
+            e.emit(f"r[{instr.rn}] = {new_base}")
+
+
+#: kind -> body emitter; a body that writes the PC leaves the value in ``_t``
+_BODIES = {"dp": _emit_dp, "mul": _emit_mul, "mull": _emit_mull,
+           "ldst": _emit_ldst, "ldm": _emit_ldm}
+
+
+# -- executors ------------------------------------------------------------------
 
 def _translate(instr: ArmInstruction, name: str) -> Optional[str]:
     """Source of the executor for *instr*, or None when unsupported."""
     kind = instr.kind
-    if kind == "udf":
+    body = _BODIES.get(kind)
+    if body is None and kind not in ("branch", "bx", "swi"):
         return None
-    e = _Emitter(name, instr)
-    guard = _COND_EXPR.get(instr.cond)
+    seq = (instr.addr + 4) & 0xFFFFFFFF
+    e = _Emitter(block=False)
+    guard = _COND_STATE.get(instr.cond)
     if guard is not None:
         e.emit(f"if not ({guard}):")
-        e.emit(f"    state.pc = {e.seq}")
-        e.emit(f"    return ExecInfo(False, {e.seq})")
-    e.emit(f"info = ExecInfo(True, {e.seq})")
-    if kind == "dp":
-        _emit_dp(e, instr)
-    elif kind == "mul":
-        _emit_mul(e, instr)
-    elif kind == "mull":
-        _emit_mull(e, instr)
-    elif kind == "ldst":
-        _emit_ldst(e, instr)
-    elif kind == "ldm":
-        _emit_block_transfer(e, instr)
+        e.emit(f"    state.pc = {seq}")
+        e.emit(f"    return ExecInfo(False, {seq})")
+    e.emit(f"info = ExecInfo(True, {seq})")
+    if body is not None:
+        body(e, instr)
+        if instr.writes_pc:
+            e.emit("info.next_pc = _t & 0xFFFFFFFC")
+            e.emit("info.taken = True")
+            e.emit("state.pc = info.next_pc")
+        else:
+            e.emit(f"state.pc = {seq}")
     elif kind == "branch":
         if instr.link:
-            e.emit(f"r[14] = {e.seq}")
+            e.emit(f"r[14] = {seq}")
         target = (instr.addr + 8 + instr.imm) & 0xFFFFFFFF
         e.emit(f"info.next_pc = {target}")
         e.emit("info.taken = True")
         e.emit(f"state.pc = {target}")
     elif kind == "bx":
-        e.emit(f"_t = {e.reg(instr.rm)} & 0xFFFFFFFE")
+        e.emit(f"_t = {_reg(instr.rm, instr.addr)} & 0xFFFFFFFE")
         e.emit("info.next_pc = _t")
         e.emit("info.taken = True")
         e.emit("state.pc = _t")
-    elif kind == "swi":
+    else:  # swi
         e.emit(f"state.syscalls.handle(state, {instr.swi_number})")
-        e.emit(f"state.pc = {e.seq}")
+        e.emit(f"state.pc = {seq}")
+    return "\n".join([f"def {name}(state):", "    r = state.regs.values",
+                      *e.lines, "    return info"])
+
+
+# -- block functions ------------------------------------------------------------
+
+def _block_step(e: _Emitter, instr: ArmInstruction) -> Optional[str]:
+    """Emit *instr*'s part of a block function; returns the next-pc
+    expression when it ends the block (a control transfer), else None."""
+    guard = e.cond.get(instr.cond)
+    kind = instr.kind
+    seq = str((instr.addr + 4) & 0xFFFFFFFF)
+    body = _BODIES.get(kind)
+    if body is None:
+        return _block_ender(e, instr, guard, seq)
+    if guard is not None:
+        e.emit(f"if {guard}:")
+        e.pad += "    "
+    body(e, instr)
+    if instr.writes_pc:
+        # dp, ldr or ldm writing the PC: the body left it in _t
+        if guard is None:
+            return "_t & 0xFFFFFFFC"
+        e.leave("_t & 0xFFFFFFFC")
+        e.pad = e.pad[:-4]
+        return seq
+    if guard is not None:
+        e.pad = e.pad[:-4]
+    if instr.is_store:
+        e.emit("if not _block.valid:")
+        e.pad += "    "
+        e.leave(seq)
+        e.pad = e.pad[:-4]
+    return None
+
+
+def _block_ender(e: _Emitter, instr: ArmInstruction, guard: Optional[str],
+                 seq: str) -> str:
+    kind = instr.kind
+    if kind == "branch":
+        target = str((instr.addr + 8 + instr.imm) & 0xFFFFFFFF)
+        if instr.link:
+            if guard:
+                e.emit(f"if {guard}:")
+                e.pad += "    "
+                e.emit(f"r[14] = {seq}")
+                e.leave(target)
+                e.pad = e.pad[:-4]
+                return seq
+            e.emit(f"r[14] = {seq}")
+            return target
+        if guard:
+            return f"{target} if {guard} else {seq}"
+        return target
+    if kind == "bx":
+        expression = f"{_reg(instr.rm, instr.addr)} & 0xFFFFFFFE"
+        if guard:
+            return f"({expression}) if {guard} else {seq}"
+        return expression
+    if kind != "swi":
+        raise ValueError(f"no block form for {instr.text!r} at {instr.addr:#x}")
+    # swi: the handler sees the flags, PC and instret an executor would,
+    # so a raising syscall leaves the reference's state
+    e.emit(_SPILL)
+    e.emit(f"state.pc = {instr.addr}")
+    e.emit(f"state.instret += {e.count - 1 - e.counted}")
+    e.counted = e.count - 1
+    call = f"syscalls.handle(state, {instr.swi_number})"
+    if guard:
+        e.emit(f"if {guard}:")
+        e.emit(f"    {call}")
     else:
-        return None
-    if kind in ("dp", "mul", "mull", "ldst", "ldm"):
-        if not e.dynamic_pc:
-            e.emit(f"state.pc = {e.seq}")
-    return e.source()
+        e.emit(call)
+    e.emit("n, z, c, v = state.flag_n, state.flag_z, state.flag_c, state.flag_v")
+    return seq
 
 
-def _shifter(e: _Emitter, instr: ArmInstruction):
-    """Emit operand2 into ``_o``; returns the carry-out expression
-    (mirrors ``semantics._shifter_operand``)."""
-    if instr.has_imm:
-        e.emit(f"_o = {instr.imm}")
-        if instr.imm > 0xFF:
-            return str((instr.imm >> 31) & 1)
-        return "state.flag_c"
-    e.emit(f"_m = {e.reg(instr.rm)}")
-    amount = instr.shift_amount
-    shift_type = instr.shift_type
-    if shift_type == 0:  # LSL
-        if amount == 0:
-            e.emit("_o = _m")
-            return "state.flag_c"
-        e.emit(f"_o = (_m << {amount}) & 0xFFFFFFFF")
-        return f"(_m >> {32 - amount}) & 1"
-    if shift_type == 1:  # LSR (amount 0 encodes 32)
-        amount = amount or 32
-        if amount == 32:
-            e.emit("_o = 0")
-        else:
-            e.emit(f"_o = _m >> {amount}")
-        return f"(_m >> {amount - 1}) & 1"
-    if shift_type == 2:  # ASR (amount 0 encodes 32)
-        amount = amount or 32
-        e.emit("_sm = _m - 0x100000000 if _m & 0x80000000 else _m")
-        if amount >= 32:
-            e.emit("_o = 0xFFFFFFFF if _m & 0x80000000 else 0")
-        else:
-            e.emit(f"_o = (_sm >> {amount}) & 0xFFFFFFFF")
-        return f"(_sm >> {min(amount - 1, 31)}) & 1"
-    # ROR (amount 0 encodes RRX)
-    if amount == 0:
-        e.emit("_o = ((state.flag_c << 31) | (_m >> 1)) & 0xFFFFFFFF")
-        return "_m & 1"
-    e.emit(f"_o = ((_m >> {amount}) | (_m << {32 - amount})) & 0xFFFFFFFF")
-    return "(_o >> 31) & 1"
+def block_source(instrs: List[ArmInstruction], name: str) -> str:
+    """Source of ``name(state, syscalls) -> next_pc``, which runs
+    *instrs* (a basic block's leading instructions, none ``udf``) back
+    to back and returns where control goes next."""
+    e = _Emitter(block=True)
+    exit_pc: Optional[str] = None
+    for instr in instrs:
+        e.count += 1
+        exit_pc = _block_step(e, instr)
+    if exit_pc is None:
+        # block-length limit, or the block goes on with an instruction
+        # that has no block form: continue at the next address
+        exit_pc = str((instrs[-1].addr + 4) & 0xFFFFFFFF)
+    e.leave(exit_pc)
+    return "\n".join([
+        f"def {name}(state, syscalls):",
+        "    r = state.regs.values",
+        "    memory = state.memory",
+        "    n = state.flag_n; z = state.flag_z; c = state.flag_c; v = state.flag_v",
+        *e.lines])
 
 
-def _emit_dp(e: _Emitter, instr: ArmInstruction) -> None:
-    mnemonic = instr.mnemonic
-    shifter_carry = _shifter(e, instr)
-    rn = e.reg(instr.rn)
-    arith = None
-    if mnemonic in ("and", "tst"):
-        result = f"{rn} & _o"
-    elif mnemonic in ("eor", "teq"):
-        result = f"{rn} ^ _o"
-    elif mnemonic in ("sub", "cmp"):
-        arith, plain = f"_sub({rn}, _o)", f"{rn} - _o"
-    elif mnemonic == "rsb":
-        arith, plain = f"_sub(_o, {rn})", f"_o - {rn}"
-    elif mnemonic in ("add", "cmn"):
-        arith, plain = f"_add({rn}, _o)", f"{rn} + _o"
-    elif mnemonic == "adc":
-        arith, plain = (f"_add({rn}, _o, state.flag_c)",
-                        f"{rn} + _o + state.flag_c")
-    elif mnemonic == "sbc":
-        arith, plain = (f"_sub({rn}, _o, state.flag_c)",
-                        f"{rn} - _o - 1 + state.flag_c")
-    elif mnemonic == "rsc":
-        arith, plain = (f"_sub(_o, {rn}, state.flag_c)",
-                        f"_o - {rn} - 1 + state.flag_c")
-    elif mnemonic == "orr":
-        result = f"{rn} | _o"
-    elif mnemonic == "mov":
-        result = "_o"
-    elif mnemonic == "bic":
-        result = f"{rn} & ~_o"
-    else:  # mvn
-        result = "~_o"
-
-    if arith is not None:
-        if instr.sets_flags:
-            e.emit(f"_t, _c, _v = {arith}")
-        else:
-            e.emit(f"_t = ({plain}) & 0xFFFFFFFF")
-    else:
-        e.emit(f"_t = ({result}) & 0xFFFFFFFF")
-    if instr.sets_flags:
-        e.emit("state.flag_n = (_t >> 31) & 1")
-        e.emit("state.flag_z = 1 if _t == 0 else 0")
-        if arith is not None:
-            e.emit("state.flag_c = _c")
-            e.emit("state.flag_v = _v")
-        elif mnemonic in _LOGICAL and shifter_carry != "state.flag_c":
-            e.emit(f"state.flag_c = {shifter_carry}")
-    if instr.dst_regs and instr.dst_regs[0] != 16:
-        if instr.rd == PC:
-            e.emit("info.next_pc = _t & 0xFFFFFFFC")
-            e.emit("info.taken = True")
-            e.dynamic_pc = True
-        else:
-            e.emit(f"r[{instr.rd}] = _t")
+def _add(a: int, b: int, carry: int = 0):
+    """32-bit ``a + b + carry`` -> (result, carry out, overflow), for
+    operands already in 32 bits."""
+    total = a + b + carry
+    result = total & 0xFFFFFFFF
+    carry_out = 1 if total > 0xFFFFFFFF else 0
+    overflow = 1 if ((a ^ result) & (b ^ result)) >> 31 & 1 else 0
+    return result, carry_out, overflow
 
 
-def _emit_mul(e: _Emitter, instr: ArmInstruction) -> None:
-    e.emit(f"_s = {e.reg(instr.rs)}")
-    e.emit("info.mul_operand = _s")
-    expr = f"{e.reg(instr.rm)} * _s"
-    if instr.accumulate:
-        expr += f" + {e.reg(instr.rn)}"
-    e.emit(f"_t = ({expr}) & 0xFFFFFFFF")
-    e.emit(f"r[{instr.rd}] = _t")
-    if instr.s:
-        e.emit("state.flag_n = (_t >> 31) & 1")
-        e.emit("state.flag_z = 1 if _t == 0 else 0")
+def _sub(a: int, b: int, carry: int = 1):
+    """ARM-style ``a - b - (1 - carry)``: carry out 1 means no borrow."""
+    return _add(a, (~b) & 0xFFFFFFFF, carry)
 
 
-def _emit_mull(e: _Emitter, instr: ArmInstruction) -> None:
-    e.emit(f"_m = {e.reg(instr.rm)}")
-    e.emit(f"_s = {e.reg(instr.rs)}")
-    e.emit("info.mul_operand = _s")
-    if instr.signed_mul:
-        e.emit("_p = ((_m - 0x100000000 if _m & 0x80000000 else _m)"
-               " * (_s - 0x100000000 if _s & 0x80000000 else _s))")
-    else:
-        e.emit("_p = _m * _s")
-    if instr.accumulate:
-        e.emit(f"_acc = (r[{instr.rdhi}] << 32) | r[{instr.rdlo}]")
-        if instr.signed_mul:
-            e.emit("if _acc & 0x8000000000000000:")
-            e.emit("    _acc -= 0x10000000000000000")
-        e.emit("_p += _acc")
-    e.emit("_p &= 0xFFFFFFFFFFFFFFFF")
-    e.emit(f"r[{instr.rdlo}] = _p & 0xFFFFFFFF")
-    e.emit(f"r[{instr.rdhi}] = (_p >> 32) & 0xFFFFFFFF")
-    if instr.s:
-        e.emit("state.flag_n = (_p >> 63) & 1")
-        e.emit("state.flag_z = 1 if _p == 0 else 0")
-
-
-def _mem_offset(e: _Emitter, instr: ArmInstruction) -> str:
-    """Offset expression for single loads/stores (register form shifts by
-    a constant amount; mirrors ``semantics._execute_ldst``)."""
-    if instr.has_imm:
-        return str(instr.imm)
-    value = e.reg(instr.rm)
-    amount = instr.shift_amount
-    shift_type = instr.shift_type
-    if shift_type == 0:
-        expr = value if amount == 0 else f"(({value} << {amount}) & 0xFFFFFFFF)"
-    elif shift_type == 1:
-        amount = amount or 32
-        expr = "0" if amount == 32 else f"({value} >> {amount})"
-    elif shift_type == 2:
-        amount = amount or 32
-        if amount >= 32:
-            expr = f"(0xFFFFFFFF if {value} & 0x80000000 else 0)"
-        else:
-            expr = (f"((({value} - 0x100000000 if {value} & 0x80000000"
-                    f" else {value}) >> {amount}) & 0xFFFFFFFF)")
-    else:
-        amount = instr.shift_amount & 31
-        if amount == 0:
-            expr = value
-        else:
-            expr = (f"((({value} >> {amount}) | ({value} << {32 - amount}))"
-                    " & 0xFFFFFFFF)")
-    return expr if instr.up else f"-{expr}"
-
-
-def _emit_ldst(e: _Emitter, instr: ArmInstruction) -> None:
-    e.emit(f"_a = ({e.reg(instr.rn)} + {_mem_offset(e, instr)}) & 0xFFFFFFFF")
-    e.emit("info.mem_addr = _a")
-    if instr.is_load:
-        if instr.byte:
-            e.emit("_t = state.memory.read_byte(_a)")
-        else:
-            e.emit("_t = state.memory.read_word(_a & 0xFFFFFFFC)")
-        if instr.rd == PC:
-            e.emit("info.next_pc = _t & 0xFFFFFFFC")
-            e.emit("info.taken = True")
-            e.dynamic_pc = True
-        else:
-            e.emit(f"r[{instr.rd}] = _t")
-    else:
-        e.emit("info.mem_is_store = True")
-        value = e.reg(instr.rd)
-        if instr.byte:
-            e.emit(f"state.memory.write_byte(_a, {value} & 0xFF)")
-        else:
-            e.emit(f"state.memory.write_word(_a & 0xFFFFFFFC, {value})")
-
-
-def _emit_block_transfer(e: _Emitter, instr: ArmInstruction) -> None:
-    """LDM/STM unrolled at translation time (the register list and
-    addressing mode are static); lowest register at the lowest address."""
-    registers = [r for r in range(16) if instr.reglist & (1 << r)]
-    count = len(registers)
-    if count == 0:
-        e.emit("info.mem_addrs = []")
-        return
-    e.emit(f"_b = {e.reg(instr.rn)}")
-    if instr.up:
-        start_off = 4 if instr.pre_index else 0
-        new_base = f"(_b + {4 * count}) & 0xFFFFFFFF"
-    else:
-        start_off = -4 * count + (0 if instr.pre_index else 4)
-        new_base = f"(_b - {4 * count}) & 0xFFFFFFFF"
-    e.emit(f"_a = (_b + {start_off}) & 0xFFFFFFFF")
-    addr_items = ", ".join(
-        "_a" if i == 0 else f"(_a + {4 * i}) & 0xFFFFFFFF" for i in range(count)
-    )
-    e.emit(f"_addrs = [{addr_items}]")
-    e.emit("info.mem_addr = _a")
-    e.emit("info.mem_addrs = _addrs")
-    e.emit("mem = state.memory")
-    if instr.is_load:
-        loads_pc = False
-        for i, reg in enumerate(registers):
-            source = f"mem.read_word(_addrs[{i}] & 0xFFFFFFFC)"
-            if reg == PC:
-                e.emit(f"_t = {source}")
-                loads_pc = True
-            else:
-                e.emit(f"r[{reg}] = {source}")
-        if instr.writeback and not (instr.reglist & (1 << instr.rn)):
-            e.emit(f"r[{instr.rn}] = {new_base}")
-        if loads_pc:
-            e.emit("info.next_pc = _t & 0xFFFFFFFC")
-            e.emit("info.taken = True")
-            e.dynamic_pc = True
-    else:
-        e.emit("info.mem_is_store = True")
-        for i, reg in enumerate(registers):
-            e.emit(f"mem.write_word(_addrs[{i}] & 0xFFFFFFFC, {e.reg(reg)})")
-        if instr.writeback:
-            e.emit(f"r[{instr.rn}] = {new_base}")
-
-
-def bind_block(instrs: List[ArmInstruction]) -> None:
-    """Attach ``exec_fn`` executors to every supported instruction of a
-    basic block, compiling the block's functions as one unit."""
-    sources = []
-    bound = []
-    for index, instr in enumerate(instrs):
-        if instr.exec_fn is not None:
-            continue  # shared with a previously-built overlapping block
-        name = f"_x{index}"
-        source = _translate(instr, name)
-        if source is None:
-            continue
-        sources.append(source)
-        bound.append((instr, name))
-    if not bound:
-        return
-    namespace = {"ExecInfo": ExecInfo, "_add": add_carries, "_sub": sub_borrows}
-    exec(compile_cached("\n".join(sources),
-                        f"<execgen arm block {instrs[0].addr:#x}>"), namespace)
-    for instr, name in bound:
-        instr.exec_fn = namespace[name]
+#: the globals both forms read (a block function also reads ``_block``)
+GLOBALS = {"ExecInfo": ExecInfo, "_add": _add, "_sub": _sub}

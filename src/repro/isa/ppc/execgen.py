@@ -6,12 +6,13 @@ literals, and each emitted body mirrors
 :func:`repro.isa.ppc.semantics.execute` exactly (including the CTR
 decrement side effect of branch conditions).
 
-* **Executors.**  :func:`bind_block` translates each instruction of a
-  basic block into a dedicated ``fn(state) -> ExecInfo`` function,
-  compiles the block's functions as one unit (through the process code
-  cache, :mod:`repro.codecache`), and attaches them as ``instr.exec_fn``.
-  ``step()``, the ppc750 oracle and every timing model dispatch through
-  them, because they need the :class:`ExecInfo` record per instruction.
+* **Executors.**  :func:`_translate` writes a dedicated ``fn(state) ->
+  ExecInfo`` for one instruction; the interpreter's fetch path compiles
+  a new block's executors as one unit and attaches them as
+  ``instr.exec_fn`` (:meth:`repro.iss.interpreter.BaseInterpreter.
+  fetch_decode`).  ``step()``, the ppc750 oracle and every timing model
+  dispatch through them, because they need the :class:`ExecInfo` record
+  per instruction.
 * **Block functions.**  :func:`block_source` composes the same bodies
   into one ``fn(state, syscalls) -> next_pc`` for a whole basic block,
   the function the ISS run loop executes
@@ -31,21 +32,21 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ...codecache import compile_cached
 from .decode import PpcInstruction
 from .isa import CR_EQ, CR_GT, CR_LT, SPR_LR
-from .semantics import ExecInfo, _div_trunc, _mask, _rotl32
+from .semantics import ExecInfo, _div_trunc, _mask
+
+#: the target's name in generated code's filenames
+ISA = "ppc"
+
+#: the instruction kind with no translation in either form
+UNDEFINED_KIND = "illegal"
 
 #: CR0 bit -> the flag an executor reads and writes (LT/GT/EQ; SO reads
 #: as 0) ...
 _CR0_STATE = {CR_LT: "state.flag_n", CR_GT: "state.flag_c", CR_EQ: "state.flag_z"}
 #: ... and the local a block function keeps it in
 _CR0_LOCAL = {CR_LT: "lt", CR_GT: "gt", CR_EQ: "eq"}
-
-
-def ends_block(instr) -> bool:
-    """Block-ender predicate (API symmetry with the ARM execgen)."""
-    return instr.is_branch or instr.writes_pc or instr.unit == "sru"
 
 
 class _Emitter:
@@ -362,33 +363,6 @@ def _translate(instr: PpcInstruction, name: str) -> Optional[str]:
                       *e.lines, f"    state.pc = {pc}", "    return info"])
 
 
-def bind_block(instrs: List[PpcInstruction]) -> None:
-    """Attach ``exec_fn`` executors to every supported instruction of a
-    basic block, compiling the block's functions as one unit."""
-    sources = []
-    bound = []
-    for index, instr in enumerate(instrs):
-        if instr.exec_fn is not None:
-            continue
-        name = f"_x{index}"
-        source = _translate(instr, name)
-        if source is None:
-            continue
-        sources.append(source)
-        bound.append((instr, name))
-    if not bound:
-        return
-    namespace = {"ExecInfo": ExecInfo, "_div": _div_trunc}
-    exec(compile_cached("\n".join(sources),
-                        f"<execgen ppc block {instrs[0].addr:#x}>"), namespace)
-    for instr, name in bound:
-        instr.exec_fn = namespace[name]
-
-
-#: globals a block function reads besides ``_block``
-BLOCK_GLOBALS = {"_div": _div_trunc}
-
-
 def block_source(instrs: List[PpcInstruction], name: str) -> str:
     """Source of ``name(state, syscalls) -> next_pc``, which runs
     *instrs* (a basic block's leading instructions, none ``illegal``)
@@ -431,3 +405,7 @@ def block_source(instrs: List[PpcInstruction], name: str) -> str:
     last = parts[-1]
     lines += leave(len(parts), last.exit or last.seq, "    ")
     return "\n".join(lines)
+
+
+#: the globals both forms read (a block function also reads ``_block``)
+GLOBALS = {"ExecInfo": ExecInfo, "_div": _div_trunc}

@@ -3,8 +3,9 @@
 Per ISA, the plain interpreter (``specialize=False``) is the reference;
 the default specialised interpreter's run loop executes each basic block
 as one compiled function (dynamic compilation, Section 1), and its
-``step()`` binds per-instruction execgen executors for the timing
-models.
+``step()`` binds per-instruction executors for the timing models.  One
+emitter set per ISA (:mod:`repro.isa.arm.execgen`,
+:mod:`repro.isa.ppc.execgen`) writes both forms.
 """
 
 from .decode_cache import DecodeCache, DecodedBlock

@@ -49,8 +49,8 @@ PAGE_SHIFT = 8
 MAX_BLOCK_LEN = 64
 
 
-def _default_ends_block(instr) -> bool:
-    """ISA-generic block-ender predicate over the hazard metadata.
+def _ends_block(instr) -> bool:
+    """Block-ender predicate over the hazard metadata, for both targets.
 
     Control transfers end blocks (``is_branch`` covers branches,
     ``writes_pc`` covers ALU/load writes to the PC), and so do system
@@ -100,17 +100,13 @@ class DecodeCache:
         containing it).
     decode:
         ``decode(addr, word) -> instr`` — the ISA decoder.
-    ends_block:
-        Predicate deciding where fetch-time block discovery stops; the
-        default works for both targets from the hazard metadata alone.
     """
 
-    __slots__ = ("entries", "blocks", "_decode", "_read_word", "_ends_block",
+    __slots__ = ("entries", "blocks", "_decode", "_read_word",
                  "_pages", "_block_pages", "invalidations",
                  "block_hits", "block_misses", "block_invalidations")
 
-    def __init__(self, memory: MainMemory, decode: Callable[[int, int], Any],
-                 ends_block: Optional[Callable[[Any], bool]] = None):
+    def __init__(self, memory: MainMemory, decode: Callable[[int, int], Any]):
         #: addr -> decoded instruction (exposed so the hot fetch path can
         #: do the dict probe without an extra call; see fetch_decode)
         self.entries: Dict[int, Any] = {}
@@ -118,7 +114,6 @@ class DecodeCache:
         self.blocks: Dict[int, DecodedBlock] = {}
         self._decode = decode
         self._read_word = memory.read_word
-        self._ends_block = ends_block or _default_ends_block
         #: page index -> addresses of cached entries on that page
         self._pages: Dict[int, Set[int]] = {}
         #: page index -> blocks overlapping that page
@@ -155,9 +150,8 @@ class DecodeCache:
 
     def _build_block(self, entry: int) -> DecodedBlock:
         instrs = [self.fetch(entry)]
-        ends_block = self._ends_block
         addr = entry
-        while not ends_block(instrs[-1]) and len(instrs) < MAX_BLOCK_LEN:
+        while not _ends_block(instrs[-1]) and len(instrs) < MAX_BLOCK_LEN:
             addr = (addr + INSTR_BYTES) & 0xFFFFFFFF
             try:
                 instrs.append(self.fetch(addr))
@@ -227,15 +221,6 @@ class DecodeCache:
                 blocks_here.discard(block)
                 if not blocks_here:
                     del block_pages[page]
-
-    def clear(self) -> None:
-        self.entries.clear()
-        for block in list(self.blocks.values()):
-            block.valid = False
-            block.compiled = None
-        self.blocks.clear()
-        self._pages.clear()
-        self._block_pages.clear()
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -8,6 +8,7 @@ functional execution, while the OSM models own the timing.
 
 from __future__ import annotations
 
+import importlib
 from typing import Callable
 
 from ..codecache import compile_cached
@@ -33,7 +34,9 @@ class BaseInterpreter:
     * :meth:`step` and the timing models, which need an ``ExecInfo``
       record per instruction, fetch through :meth:`fetch_decode`, whose
       block builds bind a specialised executor closure to every
-      supported instruction (``instr.exec_fn``, the per-ISA execgen).
+      supported instruction (``instr.exec_fn``).
+
+    The ISA's :attr:`execgen` module writes both forms.
 
     ``specialize=False`` keeps the pure per-instruction interpreter — the
     reference both paths are differentially tested against.
@@ -41,9 +44,12 @@ class BaseInterpreter:
 
     #: subclasses set: ISA hooks
     n_regs = 16
-    #: the instruction kind with no block form (undefined encodings): a
-    #: block function stops before it and the reference executes it
-    undefined_kind = ""
+    #: the module name of the ISA's code generator
+    #: (:mod:`repro.isa.arm.execgen`), imported on first use: its
+    #: ``_translate`` writes executors, its ``block_source`` block
+    #: functions, both reading its ``GLOBALS``; neither form covers its
+    #: ``UNDEFINED_KIND``, which the reference executes (and raises for)
+    execgen = ""
 
     def __init__(self, program: Program, stdin: bytes = b"", stack_top: int = 0x80000,
                  specialize: bool = True):
@@ -73,15 +79,6 @@ class BaseInterpreter:
         raise NotImplementedError
 
     def _execute(self, instr):
-        raise NotImplementedError
-
-    def _bind_block(self, instrs) -> None:
-        """Attach specialised executors to a new block (per-ISA execgen)."""
-        raise NotImplementedError
-
-    def _block_source(self, instrs, name: str):
-        """``(source, globals)`` of the block function ``name(state,
-        syscalls) -> next_pc`` running *instrs* (per-ISA)."""
         raise NotImplementedError
 
     # -- execution --------------------------------------------------------------
@@ -114,6 +111,30 @@ class BaseInterpreter:
             self._bind_block(instrs)
             return instrs[0]
         return cache.fetch(addr)
+
+    def _bind_block(self, instrs) -> None:
+        """Attach an ``exec_fn`` executor to every instruction of a new
+        block that has none and a translation, compiling the block's
+        executors as one unit under an ``<execgen …>`` filename."""
+        execgen = importlib.import_module(self.execgen)
+        sources = []
+        bound = []
+        for index, instr in enumerate(instrs):
+            if instr.exec_fn is not None:
+                continue  # shared with an overlapping block built earlier
+            name = f"_x{index}"
+            source = execgen._translate(instr, name)
+            if source is not None:
+                sources.append(source)
+                bound.append((instr, name))
+        if not bound:
+            return
+        namespace = dict(execgen.GLOBALS)
+        exec(compile_cached("\n".join(sources),
+                            f"<execgen {execgen.ISA} block {instrs[0].addr:#x}>"),
+             namespace)
+        for instr, name in bound:
+            instr.exec_fn = namespace[name]
 
     def step(self):
         """Execute one instruction; returns (instr, exec_info)."""
@@ -172,20 +193,21 @@ class BaseInterpreter:
 
     def _compile_block(self, block: DecodedBlock) -> Callable:
         """``fn(state, syscalls) -> next_pc`` for *block*: its leading
-        instructions up to the first of :attr:`undefined_kind`, compiled
-        once per process per text (:mod:`repro.codecache`) under a
-        ``<block …>`` filename.  ``_block``, the block its store guards
+        instructions up to the first the execgen does not translate,
+        compiled once per process per text (:mod:`repro.codecache`) under
+        a ``<block …>`` filename.  ``_block``, the block its store guards
         test, belongs to this block alone."""
+        execgen = importlib.import_module(self.execgen)
         instrs = block.instrs
         count = 0
-        while count < len(instrs) and instrs[count].kind != self.undefined_kind:
+        while count < len(instrs) and instrs[count].kind != execgen.UNDEFINED_KIND:
             count += 1
         if not count:
             return self._reference_block(instrs[0])
         entry = block.entry
         name = f"_block_{entry:x}"
-        source, helpers = self._block_source(instrs[:count], name)
-        namespace = dict(helpers, _block=block)
+        source = execgen.block_source(instrs[:count], name)
+        namespace = dict(execgen.GLOBALS, _block=block)
         exec(compile_cached(source, f"<block {entry:#x}>"), namespace)
         fn = namespace[name]
         fn.__block_source__ = source  # transcheck introspection (TRV005)
@@ -207,7 +229,7 @@ class ArmInterpreter(BaseInterpreter):
     """ISS for the ARM-like target."""
 
     n_regs = 16
-    undefined_kind = "udf"
+    execgen = "repro.isa.arm.execgen"
 
     def _make_syscalls(self, stdin: bytes) -> SyscallHandler:
         return SyscallHandler(arg_regs=(0, 1, 2), ret_reg=0, stdin=stdin)
@@ -227,22 +249,12 @@ class ArmInterpreter(BaseInterpreter):
 
         return execute(self.state, instr)
 
-    def _bind_block(self, instrs) -> None:
-        from ..isa.arm.execgen import bind_block
-
-        bind_block(instrs)
-
-    def _block_source(self, instrs, name: str):
-        from .compiled import BLOCK_GLOBALS, block_source
-
-        return block_source(instrs, name), BLOCK_GLOBALS
-
 
 class PpcInterpreter(BaseInterpreter):
     """ISS for the PowerPC-like target."""
 
     n_regs = 32
-    undefined_kind = "illegal"
+    execgen = "repro.isa.ppc.execgen"
 
     def _make_syscalls(self, stdin: bytes) -> SyscallHandler:
         return SyscallHandler(arg_regs=(3, 4, 5), ret_reg=3, stdin=stdin)
@@ -259,13 +271,3 @@ class PpcInterpreter(BaseInterpreter):
         from ..isa.ppc.semantics import execute
 
         return execute(self.state, instr)
-
-    def _bind_block(self, instrs) -> None:
-        from ..isa.ppc.execgen import bind_block
-
-        bind_block(instrs)
-
-    def _block_source(self, instrs, name: str):
-        from ..isa.ppc.execgen import BLOCK_GLOBALS, block_source
-
-        return block_source(instrs, name), BLOCK_GLOBALS

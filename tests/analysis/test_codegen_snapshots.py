@@ -122,12 +122,72 @@ _start:
     _assert_matches_snapshot("arm_adds_executor.py", source)
 
 
+#: per ISA, a loop whose body block loads, stores (with its guard), sets
+#: the flags or CR0 by a compare and exits on a conditional branch
+BLOCK_LOOPS = {
+    "arm": """
+    .text
+_start:
+    li   r2, buf
+    mov  r4, #3
+loop:
+    ldr  r1, [r2]
+    add  r1, r1, r4, lsl #2
+    str  r1, [r2]
+    sub  r4, r4, #1
+    cmp  r4, #0
+    bne  loop
+    mov  r0, #0
+    swi  #0
+    .data
+buf: .word 0
+""",
+    "ppc": """
+    .text
+_start:
+    li32  r4, buf
+    li    r5, 3
+loop:
+    lwz   r6, 0(r4)
+    add   r6, r6, r5
+    stw   r6, 0(r4)
+    addi  r5, r5, -1
+    cmpwi r5, 0
+    bne   loop
+    li    r0, 0
+    sc
+    .data
+buf: .word 0
+""",
+}
+
+
+@pytest.mark.parametrize("isa", sorted(BLOCK_LOOPS))
+def test_loop_block_function_snapshot(isa):
+    """The block function ``run()`` executes for the loop body: flags or
+    CR0 in locals, operands inline, a guard after the store and the
+    branch as the return expression."""
+    from repro.isa.arm import assemble as asm_arm
+    from repro.isa.ppc import assemble as asm_ppc
+    from repro.iss import ArmInterpreter, PpcInterpreter
+
+    iss_class, assemble = ((ArmInterpreter, asm_arm) if isa == "arm"
+                           else (PpcInterpreter, asm_ppc))
+    program = assemble(BLOCK_LOOPS[isa])
+    iss = iss_class(program)
+    iss.run()
+    block = iss.decode_cache.blocks[program.symbols["loop"]]
+    _assert_matches_snapshot(f"{isa}_loop_block.py",
+                             block.compiled.__block_source__)
+
+
 def test_snapshots_contain_no_stale_files():
     """Every committed snapshot is exercised by a test above — a renamed
     state or instruction must not leave orphans behind."""
     expected = {f"pipeline5_{name}_stepper.py" for name in PIPELINE5_STATES}
     expected |= {f"ppc750_{name}_stepper.py" for name in PPC750_STATES}
     expected |= {f"ppc750_{name}_wake.py" for name in PPC750_WAKE_STATES}
+    expected |= {f"{isa}_loop_block.py" for isa in BLOCK_LOOPS}
     expected.add("arm_adds_executor.py")
     actual = {p.name for p in SNAPSHOT_DIR.glob("*.py")}
     assert actual == expected

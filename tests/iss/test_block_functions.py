@@ -1,9 +1,8 @@
 """The ISS run loop's compiled blocks against the reference interpreter.
 
-``run()`` executes each basic block as one generated function (the ARM
-``BlockTranslator``'s, or one composed from the PPC execgen emitters);
-``specialize=False`` runs the reference semantics one instruction at a
-time.  These tests compare the two on complete results: registers,
+``run()`` executes each basic block as one generated function, composed
+from the ISA's execgen emitters; ``specialize=False`` runs the reference
+semantics one instruction at a time.  These tests compare the two on complete results: registers,
 flags, pc, instret, LR/CTR, the memory image, syscall output, the exit
 code and the raised error, over whole programs, a budget that ends
 inside a block, and instructions that raise right after a store in the

@@ -288,7 +288,11 @@ class World:
         elif kind == "doom":
             (self.reset.doom_now if b else self.reset.doom)(osm)
         elif kind == "retag":
+            # a keyed-guard key changes: a model's keys are fixed fields
+            # of the operation, so this write stands for a new key and,
+            # like every write a wake test reads, it must wake the OSM
             osm.tag = (b + [a])[0] % 3
+            osm._asleep = False
         elif kind == "poke":
             for m in self.managers:
                 if isinstance(m, ForwardingRegisterFileManager):
