@@ -109,12 +109,15 @@ def cmd_run(args) -> int:
     import json
 
     from . import codecache
+    from .iss import translations
 
     source = _read_source(args.file)
     isa = args.isa or MODEL_DEFAULT_ISA.get(args.model, "arm")
     program = _assemble(isa, source)
     code = {"hits": 0, "misses": 0}
+    translated = dict(code)
     code_before = codecache.stats()
+    translated_before = translations.stats()
     model = _build_model(args.model, program, isa)
 
     if args.model == "iss":
@@ -122,6 +125,7 @@ def cmd_run(args) -> int:
         output = model.syscalls.output_text
         if args.json:
             _add_counts(code, code_before, codecache.stats())
+            _add_counts(translated, translated_before, translations.stats())
             cache = model.decode_cache
             print(json.dumps({"model": "iss", "exit_code": exit_code,
                               "instructions": model.steps,
@@ -131,6 +135,7 @@ def cmd_run(args) -> int:
                                   "block_invalidations": cache.block_invalidations,
                               },
                               "code_cache": code,
+                              "translation_cache": translated,
                               "output": output}, indent=2))
             return 0
         print(f"exit={exit_code} instructions={model.steps}")
@@ -147,6 +152,7 @@ def cmd_run(args) -> int:
     output = getattr(model, "output_text", "")
     if args.json:
         _add_counts(code, code_before, codecache.stats())
+        _add_counts(translated, translated_before, translations.stats())
         certificate = getattr(model.spec, "fuse_certificate", None)
         print(json.dumps({
             "model": args.model,
@@ -165,6 +171,7 @@ def cmd_run(args) -> int:
                 for key in ("verdict", "plan", "fused_states", "parked_states",
                             "sleeping_states")},
             "code_cache": code,
+            "translation_cache": translated,
             "output": output,
         }, indent=2))
         return 0
@@ -502,6 +509,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
     from . import codecache
     from .core.fuse import plan_stats
     from .core.stats import SimulationStats
+    from .iss import translations
     from .workloads import mediabench
 
     isa = args.isa or MODEL_DEFAULT_ISA.get(model_name, "arm")
@@ -516,17 +524,20 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
     verdict = None
     cache_counts = {"block_hits": 0, "block_misses": 0,
                     "entry_invalidations": 0, "block_invalidations": 0}
-    # process code-cache and build-plan counter deltas: the timed builds
-    # and runs, and the verify re-runs, which repeat a program this
-    # process just ran
+    # process code-cache, translation-cache and build-plan counter
+    # deltas: the timed builds and runs, and the verify re-runs, which
+    # repeat a program this process just ran
     timed_code = {"hits": 0, "misses": 0}
-    verify_code = {"hits": 0, "misses": 0}
+    verify_code = dict(timed_code)
+    timed_translations = dict(timed_code)
+    verify_translations = dict(timed_code)
     timed_plans = {"reused": 0, "generated": 0}
     verify_plans = dict(timed_plans)
     for name in names:
         with agg.time_phase("assemble"):
             program = _assemble(isa, source_of(name))
         code_before = codecache.stats()
+        translated_before = translations.stats()
         plans_before = plan_stats()
         with agg.time_phase("build"):
             model = _build_model(model_name, program, isa, fused=fused)
@@ -544,6 +555,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
             if gc_was_enabled:
                 gc.enable()
         _add_counts(timed_code, code_before, codecache.stats())
+        _add_counts(timed_translations, translated_before, translations.stats())
         compile_stats = model.spec.compile_stats
         cache = _model_decode_cache(model)
         if cache is not None:
@@ -571,6 +583,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
             # must be result-identical, not merely faster
             with agg.time_phase("verify"):
                 code_before = codecache.stats()
+                translated_before = translations.stats()
                 plans_before = plan_stats()
                 with agg.time_phase("build"):
                     ref_model = _build_model(model_name, program, isa, fused=fused)
@@ -578,6 +591,8 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
                 ref_model.director.reference = True
                 ref_stats = ref_model.run(args.max_cycles)
                 _add_counts(verify_code, code_before, codecache.stats())
+                _add_counts(verify_translations, translated_before,
+                            translations.stats())
             reference = {
                 "cycles": ref_stats.cycles,
                 "instructions": ref_stats.instructions,
@@ -625,6 +640,8 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         "decode_cache": {**cache_counts, "block_hit_rate": block_hit_rate},
         "code_cache": timed_code,
         "verify_code_cache": None if args.no_verify else verify_code,
+        "translation_cache": timed_translations,
+        "verify_translation_cache": None if args.no_verify else verify_translations,
         "fusion_plans": timed_plans,
         "verify_fusion_plans": None if args.no_verify else verify_plans,
     }
@@ -673,17 +690,22 @@ def _print_bench_row(row: dict, verify: bool) -> None:
               f"(hit rate {cache['block_hit_rate']:.2%}, "
               f"{cache['entry_invalidations']}+"
               f"{cache['block_invalidations']} invalidated)")
-    code = row["code_cache"]
-    print(f"  code cache: {code['hits']} hits / {code['misses']} misses")
+    print(f"  code cache: {_hit_counts(row['code_cache'])}")
+    print(f"  translation cache: {_hit_counts(row['translation_cache'])}")
     print(f"  fusion plans: {_plan_counts(row['fusion_plans'])}")
     if verify:
         state = "ok" if not row["mismatches"] else "MISMATCH"
         print(f"  reference-loop verification: {state}")
-        code = row["verify_code_cache"]
-        print(f"  code cache (verify re-runs): {code['hits']} hits / "
-              f"{code['misses']} misses")
+        print(f"  code cache (verify re-runs): "
+              f"{_hit_counts(row['verify_code_cache'])}")
+        print(f"  translation cache (verify re-runs): "
+              f"{_hit_counts(row['verify_translation_cache'])}")
         print(f"  fusion plans (verify re-runs): "
               f"{_plan_counts(row['verify_fusion_plans'])}")
+
+
+def _hit_counts(counts: dict) -> str:
+    return f"{counts['hits']} hits / {counts['misses']} misses"
 
 
 def _plan_counts(plans: dict) -> str:
@@ -746,10 +768,12 @@ def cmd_bench(args) -> int:
     first build's fusion verdict came from (``verdict``: ``"cache"``
     when the fusion store held it, ``"gate"`` when the build ran the
     analyses, null unfused), the
-    ISS block-cache hit rate, and the process code cache's hits and
-    misses (:mod:`repro.codecache`) over the timed builds and runs
-    (``code_cache``) and over the verify re-runs
-    (``verify_code_cache``), and what the builds did with their fusion
+    ISS block-cache hit rate, the hits and misses of the process code
+    cache (:mod:`repro.codecache`) and translation cache
+    (:mod:`repro.iss.translations`) over the timed builds and runs
+    (``code_cache``, ``translation_cache``) and over the verify re-runs
+    (``verify_code_cache``, ``verify_translation_cache``), and what the
+    builds did with their fusion
     build plans (``fusion_plans`` and ``verify_fusion_plans``: how many
     reused one and how many generated their text; see
     :func:`repro.core.fuse.plan_stats`).  ``--model cases`` benches
@@ -763,7 +787,7 @@ def cmd_bench(args) -> int:
     runs ``bench --quick`` fused and unfused and fails on result
     mismatches, on the fused ppc750 row's ``failed_probes_per_commit``
     above 0.65 or ``generated_calls_per_commit`` above 3.1, on any
-    code-cache miss in a verify re-run and on any
+    code-cache or translation-cache miss in a verify re-run and on any
     fused verify re-run build that did not reuse its plan, never on
     speed.
     """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from contextlib import contextmanager
 
@@ -22,6 +23,30 @@ def fresh_plans(monkeypatch):
             patch.setattr(fuse, "_PLANS", OrderedDict())
             for name, value in replacements.items():
                 patch.setattr(fuse, name, value)
+            yield
+
+    return fresh
+
+
+@pytest.fixture()
+def fresh_translations(monkeypatch):
+    """A context manager for ISS runs under patched decoders or
+    generators, or under a small bound: inside it,
+    ``repro.iss.translations`` has empty caches of at most
+    *max_instructions* instructions and *max_blocks* blocks (its own
+    bounds by default), so the runs neither reuse a translation of the
+    process nor leave one behind."""
+    from repro.iss import translations
+
+    @contextmanager
+    def fresh(max_instructions=translations.MAX_INSTRUCTIONS,
+              max_blocks=translations.MAX_BLOCKS):
+        with monkeypatch.context() as patch:
+            for name, size in (("decoded", max_instructions),
+                               ("block_code", max_blocks)):
+                cached = getattr(translations, name)
+                patch.setattr(translations, name,
+                              functools.lru_cache(maxsize=size)(cached.__wrapped__))
             yield
 
     return fresh

@@ -71,12 +71,19 @@ class TestRun:
         assert set(fusion["parked_states"]) <= set(fusion["fused_states"])
         assert set(row["code_cache"]) == {"hits", "misses"}
         assert row["code_cache"]["misses"] == 0  # the text run compiled it all
+        # ... and translated it all
+        assert row["translation_cache"]["misses"] == 0
+        assert row["translation_cache"]["hits"] > 0
 
     def test_run_iss_json(self, ppc_file, capsys):
         assert main(["run", "--model", "iss", "--isa", "ppc", ppc_file, "--json"]) == 0
         row = json.loads(capsys.readouterr().out)
         assert (row["model"], row["exit_code"], row["instructions"]) == ("iss", 36, 4)
         assert row["code_cache"]["hits"] + row["code_cache"]["misses"] > 0
+        assert set(row["translation_cache"]) == {"hits", "misses"}
+        # the block's code, and its four instructions unless an earlier
+        # run of the process decoded them
+        assert sum(row["translation_cache"].values()) >= 5
         # the four instructions are one block, entered once
         assert row["decode_cache"] == {"blocks_built": 1, "block_reentries": 0,
                                        "block_invalidations": 0}

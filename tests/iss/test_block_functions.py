@@ -241,10 +241,12 @@ def _called_files(run) -> set:
 
 class TestEachPathRunsItsCode:
     @pytest.mark.parametrize("isa", sorted(ISAS))
-    def test_run_executes_block_functions_and_no_executor(self, isa):
+    def test_run_executes_block_functions_and_no_executor(self, isa,
+                                                          fresh_translations):
         iss_class, assemble, source_of = ISAS[isa][:3]
-        iss = iss_class(assemble(source_of("gsm_dec")))
-        files = _called_files(iss.run)
+        with fresh_translations():  # no executor bound by an earlier step()
+            iss = iss_class(assemble(source_of("gsm_dec")))
+            files = _called_files(iss.run)
         assert any(name.startswith("<block ") for name in files)
         assert not any(name.startswith("<execgen") for name in files)
         assert all(instr.exec_fn is None for instr in iss.decode_cache.entries.values())

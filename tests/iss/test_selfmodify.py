@@ -7,7 +7,8 @@ memory write overlapping a cached instruction's bytes drops the entry and
 the next fetch re-decodes.
 
 Every scenario that builds an ISS also runs with the process code cache
-(:mod:`repro.codecache`) already warm from the same program: the
+(:mod:`repro.codecache`) and translation cache
+(:mod:`repro.iss.translations`) already warm from the same program: the
 ``*Warm`` classes at the end re-run the scenario classes after a
 throwaway ISS has run the program to completion.  A store over
 translated code must still drop it and re-translate, then from code
@@ -102,16 +103,26 @@ done:
         assert interpreter.run(10_000) == 7
 
     def test_unmodified_code_still_cached(self):
-        interpreter = self.iss(ArmInterpreter, asm_arm(arm_program("    mov r0, #3")))
+        program = asm_arm(arm_program("    mov r0, #3"))
+        interpreter = self.iss(ArmInterpreter, program)
         entry = interpreter.program.entry
         first = interpreter.fetch_decode(entry)
         assert interpreter.fetch_decode(entry) is first
         # a store elsewhere leaves the entry alone
         interpreter.state.memory.write_word(0x7000, 0xDEAD)
         assert interpreter.fetch_decode(entry) is first
-        # a store over it forces a re-decode of identical bytes
+        # a store over it drops the entry; the re-fetch reads identical
+        # bytes, whose translation is the process's
         interpreter.state.memory.write_word(entry, first.word)
-        assert interpreter.fetch_decode(entry) is not first
+        assert entry not in interpreter.decode_cache.entries
+        assert interpreter.decode_cache.invalidations == 1
+        assert interpreter.fetch_decode(entry) is first
+        # the reference shares no translation: it re-decodes them
+        reference = ArmInterpreter(program, specialize=False)
+        plain = reference.fetch_decode(entry)
+        reference.state.memory.write_word(entry, plain.word)
+        again = reference.fetch_decode(entry)
+        assert again is not plain and again.text == plain.text == first.text
 
 
 class TestPpcSelfModify(_Scenarios):
