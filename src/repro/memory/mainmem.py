@@ -107,10 +107,23 @@ class MainMemory:
 
     # -- block accessors --------------------------------------------------------
 
+    @staticmethod
+    def _spans(address: int, length: int):
+        """``(at, start, end)`` per page the *length* bytes at *address*
+        touch: bytes ``[start, end)`` of the span begin at address *at*
+        of that page.  Addresses wrap at 2**32."""
+        done = 0
+        while done < length:
+            at = (address + done) & 0xFFFFFFFF
+            end = min(length, done + PAGE_SIZE - (at & PAGE_MASK))
+            yield at, done, end
+            done = end
+
     def write_block(self, address: int, data: bytes) -> None:
         address &= 0xFFFFFFFF
-        for i, byte in enumerate(data):
-            self._write_byte_raw((address + i) & 0xFFFFFFFF, byte)
+        for at, start, end in self._spans(address, len(data)):
+            offset = at & PAGE_MASK
+            self._page(at)[offset:offset + end - start] = data[start:end]
         if data:
             hooks = self._write_hooks
             if hooks:
@@ -118,7 +131,12 @@ class MainMemory:
                     hook(address, len(data))
 
     def read_block(self, address: int, length: int) -> bytes:
-        return bytes(self.read_byte(address + i) for i in range(length))
+        out = bytearray()
+        for at, start, end in self._spans(address, length):
+            page = self._pages.get(at >> PAGE_BITS)
+            offset = at & PAGE_MASK
+            out += bytes(end - start) if page is None else page[offset:offset + end - start]
+        return bytes(out)
 
     @property
     def pages_allocated(self) -> int:

@@ -7,6 +7,18 @@ from repro.memory.mainmem import PAGE_SIZE
 
 addresses = st.integers(min_value=0, max_value=0xFFFFFFFF)
 words = st.integers(min_value=0, max_value=0xFFFFFFFF)
+#: addresses within a few bytes of a page boundary, the top of the
+#: address space included
+edge_addresses = st.builds(
+    lambda page, delta: (page * PAGE_SIZE + delta) & 0xFFFFFFFF,
+    st.integers(min_value=0, max_value=(1 << 32) // PAGE_SIZE),
+    st.integers(min_value=-40, max_value=40))
+#: block lengths up to a few pages
+blobs = st.binary(max_size=2 * PAGE_SIZE + 64)
+
+
+def _image(memory) -> dict:
+    return {number: bytes(page) for number, page in memory._pages.items()}
 
 
 class TestBasics:
@@ -34,6 +46,16 @@ class TestBasics:
         memory.write_block(PAGE_SIZE - 32, blob)  # straddles a page boundary
         assert memory.read_block(PAGE_SIZE - 32, 64) == blob
         assert memory.pages_allocated == 2
+
+    def test_block_wraps_at_the_top_of_the_address_space(self):
+        memory = MainMemory()
+        spans = []
+        memory.add_write_hook(lambda address, length: spans.append((address, length)))
+        memory.write_block(0xFFFFFFFC, bytes(range(1, 9)))
+        assert spans == [(0xFFFFFFFC, 8)]  # one notification for the span
+        assert memory.read_word(0xFFFFFFFC) == 0x04030201
+        assert memory.read_word(0) == 0x08070605
+        assert memory.read_block(0xFFFFFFFE, 4) == bytes([3, 4, 5, 6])
 
     def test_word_across_page_boundary(self):
         memory = MainMemory()
@@ -67,3 +89,25 @@ class TestProperties:
         memory.write_word(address * 4, value)
         memory.write_word(address * 4 + 0x100000, ~value & 0xFFFFFFFF)
         assert memory.read_word(address * 4) == value
+
+    @given(edge_addresses, blobs)
+    def test_write_block_matches_bytewise_writes(self, address, data):
+        memory, reference = MainMemory(), MainMemory()
+        spans = []
+        memory.add_write_hook(lambda at, length: spans.append((at, length)))
+        memory.write_block(address, data)
+        for i, byte in enumerate(data):
+            reference.write_byte(address + i, byte)
+        assert _image(memory) == _image(reference)
+        assert spans == ([(address, len(data))] if data else [])
+
+    @given(edge_addresses, blobs, st.integers(min_value=-64, max_value=64),
+           st.integers(min_value=0, max_value=2 * PAGE_SIZE + 64))
+    def test_read_block_matches_bytewise_reads(self, address, data, delta, length):
+        memory = MainMemory()
+        memory.write_block(address, data)
+        pages = memory.pages_allocated
+        start = address + delta  # read_block masks its address
+        assert memory.read_block(start, length) == bytes(
+            memory.read_byte(start + i) for i in range(length))
+        assert memory.pages_allocated == pages  # reads allocate nothing
