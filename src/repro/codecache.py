@@ -4,12 +4,21 @@ The simulator generates Python source at run time in three places: the
 ARM and PPC execgen bind a specialised executor to each instruction of
 a newly discovered basic block, the ISS run loop compiles each basic
 block it dispatches to one function, and the fusion generator writes
-one stepper (and maybe one wake test) per OSM state.  Every fresh decode cache and every
-model build regenerates that text, and a process that runs a program a
-second time (a fleet worker under a sweep, ``repro bench``'s verify
-re-runs) generates byte-identical text again.  All four call sites
-compile through :func:`compile_cached`, so the ``compile()`` is paid
-once per distinct text per process.
+one stepper (and maybe one wake test) per OSM state.  All four call
+sites compile through :func:`compile_cached`, so the ``compile()`` is
+paid once per distinct text per process.
+
+Two caches in front of this one keep a process from writing that text
+again at all: the ISS translation cache (:mod:`repro.iss.translations`)
+keeps decoded instructions, with the executors bound to them, and
+block code, keyed on the code bytes, and the fusion build plans
+(:mod:`repro.core.fuse`) keep each spec structure's steppers and wake
+tests.  So a process that runs a program a second time (a fleet worker
+under a sweep, ``repro bench``'s verify re-runs) calls
+:func:`compile_cached` for no text of it.  A call here is for code the
+process has not translated (a new program, a word a store rewrote, a
+translation evicted at its bound), and it hits when the text itself is
+not new, as after an eviction.
 
 Sharing is exact.  A code object is immutable and a pure function of its
 source, filename, mode and compiler flags: the key is the first two, the

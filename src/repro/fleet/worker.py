@@ -57,6 +57,17 @@ Cross-process hazards audited for this contract (and why each is safe):
   model of one job is reachable from another, and the result is what a
   fresh ``compile()`` would give.  The cache lives in memory only and
   is never shared between processes.
+* ``repro.iss.translations`` keeps decoded instructions, with the
+  executors bound to them, and block code for the life of the process,
+  so a worker decodes, writes and compiles the code of a program its
+  earlier jobs ran only once.  Sharing them across jobs is sound
+  because a decode is a pure function of the decoder, address and
+  word, and an executor or a block's code a pure function of its
+  instructions; the cache holds no block, memory, state or model, each
+  job's interpreter makes block functions of its own (with its own
+  ``_block``), and each job's decode cache keeps its own
+  write-invalidation, so a job that stores over its text re-fetches
+  the word it wrote.
 """
 
 from __future__ import annotations
