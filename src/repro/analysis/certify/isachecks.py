@@ -15,9 +15,11 @@ run loop executes — against their references:
   reference performs; extra static writes are fine (a may-set).
 * TRV005 checks that every memory store in a block function, on both
   targets, is followed by the ``if not _block.valid:`` self-modification
-  guard before any later instruction's memory access or control flow.
-  ``_block`` is a name the execgen bodies never bind (PPC's use ``_b``
-  as an operand temporary).
+  guard before any later instruction's memory access (a ``read_*``
+  call, or an inline read of the page map through ``_word``) or control
+  flow, and, in a block that loops in place, before its ``while`` body
+  ends.  ``_block`` is a name the execgen bodies never bind (PPC's use
+  ``_b`` as an operand temporary).
 * TRV006 checks the decode cache's page index: every live block must be
   registered under every page its address range spans, else a store to
   a middle page would miss the invalidation.
@@ -25,14 +27,15 @@ run loop executes — against their references:
 TRV005/TRV006 need *artifacts*, so the ISA context runs a small driver
 program through the ISS's ``run()`` and inspects the decode cache it
 leaves behind.  The drivers exercise plain stores, conditional stores, a block
-store (``stm``) and a straight-line run long enough to span a decode
-page (256 bytes).
+store (``stm``), a block that loops in place with a store followed by a
+load, and a straight-line run long enough to span a decode page (256
+bytes).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set, Tuple
+from typing import List, Set
 
 __all__ = [
     "StaticWrites",
@@ -123,11 +126,18 @@ def _contains_store(node: ast.AST) -> bool:
     return False
 
 
+#: the global a block function reads words from the page map through
+#: (``_word(pages.get(…), …)``, the execgens' inline load)
+_INLINE_READ = "_word"
+
+
 def _contains_mem_read(node: ast.AST) -> bool:
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) \
-                and sub.func.attr.startswith("read_"):
-            return True
+        if isinstance(sub, ast.Call):
+            fn = sub.func
+            if (isinstance(fn, ast.Attribute) and fn.attr.startswith("read_")) \
+                    or (isinstance(fn, ast.Name) and fn.id == _INLINE_READ):
+                return True
     return False
 
 
@@ -148,8 +158,14 @@ def _is_valid_guard(stmt: ast.AST) -> bool:
 def _guard_problems(suite: List[ast.stmt], trailer: List[ast.stmt],
                     problems: List[str]) -> None:
     """Check *suite* (with the enclosing statements *trailer* following
-    it) for the store→guard contract; recurse into nested suites."""
+    it) for the store→guard contract; recurse into nested suites.  A
+    ``while`` body is checked with no trailer: after its last statement
+    the next iteration begins, so each store meets its guard inside."""
     for position, stmt in enumerate(suite):
+        if isinstance(stmt, ast.While):
+            _guard_problems(stmt.body, [], problems)
+            _guard_problems(stmt.orelse, suite[position + 1:] + trailer, problems)
+            continue
         if isinstance(stmt, ast.If) and not _is_valid_guard(stmt):
             # a conditional instruction body: its guard, if any, sits
             # after the If at this level
@@ -165,7 +181,8 @@ def _guard_problems(suite: List[ast.stmt], trailer: List[ast.stmt],
             if _is_valid_guard(follower):
                 found = True
                 break
-            if isinstance(follower, (ast.If, ast.For, ast.While, ast.Return)):
+            if isinstance(follower, (ast.If, ast.For, ast.While, ast.Return,
+                                     ast.Break, ast.Continue)):
                 problems.append(
                     "store not followed by a _block.valid guard before "
                     f"control flow ({ast.unparse(follower.test) if isinstance(follower, (ast.If, ast.While)) else type(follower).__name__})"
@@ -233,6 +250,12 @@ body:
     mov r4, #2
     stmia r1, {{r3, r4}}
     ldr r5, [r1]
+    mov r7, #3
+spin:
+    str r7, [r1, #12]
+    ldr r8, [r1, #12]
+    subs r7, r7, #1
+    bne spin
     mov r0, #0
     swi #0
     .data
@@ -254,6 +277,13 @@ body:
     stw r10, 0(r9)
     stb r10, 4(r9)
     lwz r11, 0(r9)
+    li r12, 3
+spin:
+    stw r12, 4(r9)
+    lwz r11, 4(r9)
+    addi r12, r12, -1
+    cmpwi r12, 0
+    bne spin
     li r0, 0
     li r3, 0
     sc

@@ -168,8 +168,8 @@ def cmd_run(args) -> int:
             "generated_calls_per_commit": _generated_calls_per_commit(stats),
             "fusion": None if certificate is None else {
                 key: certificate[key]
-                for key in ("verdict", "plan", "fused_states", "parked_states",
-                            "sleeping_states")},
+                for key in ("verdict", "plan", "stored", "kept_out_by",
+                            "fused_states", "parked_states", "sleeping_states")},
             "code_cache": code,
             "translation_cache": translated,
             "output": output,

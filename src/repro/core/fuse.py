@@ -1468,17 +1468,18 @@ def _class_in_package(kind: type) -> Optional[bool]:
     return _in_package(getattr(sys.modules.get(kind.__module__), "__file__", None))
 
 
-def _package_only(roots) -> bool:
-    """Whether all code reachable from *roots* is package code.
+def _outsider(roots) -> Any:
+    """The first object reachable from *roots* that is not package code
+    (None when all is).
 
     The walk follows what the effect analysis can follow: closure cells
     of functions, receivers of bound methods and the attributes of
     objects (the analysis resolves attribute chains on live objects, not
-    container items).  It fails on a function, class or module
-    defined anywhere but a package file: a test-local or user spec, a
-    helper module, a user subclass handed to a bundled model, code built
-    by ``exec``.  Static C types are opaque to the analysis and end the
-    walk.
+    container items).  It stops at a function, class or module defined
+    anywhere but a package file, or an object of such a class: a
+    test-local or user spec, a helper module, a user subclass handed to
+    a bundled model, code built by ``exec``.  Static C types are opaque
+    to the analysis and end the walk.
     """
     seen: Dict[int, Any] = {}
     stack = list(roots)
@@ -1493,7 +1494,7 @@ def _package_only(roots) -> bool:
             # as package code; the analysis never reads it
             if not (_in_package(value.__code__.co_filename)
                     or hasattr(value, "__fused_source__")):
-                return False
+                return value
             for cell in value.__closure__ or ():
                 try:
                     stack.append(cell.cell_contents)
@@ -1503,11 +1504,11 @@ def _package_only(roots) -> bool:
             stack += (value.__self__, value.__func__)
         elif kind is ModuleType:
             if not _in_package(getattr(value, "__file__", None)):
-                return False
+                return value
         else:
             where = _class_in_package(value if isinstance(value, type) else kind)
             if where is False:
-                return False
+                return value
             if where and not isinstance(value, type):
                 # the attribute values, from the collector rather than
                 # ``__dict__``: reading that makes CPython build a real
@@ -1519,7 +1520,17 @@ def _package_only(roots) -> bool:
                         stack.extend(ref.values())
                     else:
                         stack.append(ref)
-    return True
+    return None
+
+
+def _qualified_name(value) -> str:
+    """``module.qualname`` of a function, class or module, or of the
+    class of any other object."""
+    if isinstance(value, ModuleType):
+        return value.__name__
+    if not isinstance(value, (FunctionType, type)):
+        value = type(value)
+    return f"{value.__module__}.{value.__qualname__}"
 
 
 class _Walk:
@@ -1542,10 +1553,11 @@ class _Walk:
     the source description of a synthesized (ADL) spec.  That determines
     the effectcheck verdict, and the text of every stepper and wake
     test, only for a spec whose reachable code is all package code
-    (``persistent``, :func:`_package_only`); any other spec (test-local
-    and user specs, bundled models given user subclasses) is keyed apart
-    and never stored, as the files its code lives in are not part of
-    the key.
+    (``persistent``); any other spec (test-local and user specs, bundled
+    models given user subclasses) is keyed apart and never stored, as
+    the files its code lives in are not part of the key.  ``outsider``
+    is then the first object the walk met outside the package
+    (:func:`_outsider`), else None.
 
     ``order`` lists what the walk visited: the states, the edges, then
     every distinct value in the order it was first met.  Specs of one
@@ -1571,7 +1583,8 @@ class _Walk:
                          f"{self._describe(edge.action)} [{';'.join(prims)}]")
         self.lines = lines
         self.order = [*spec.states.values(), *spec.edges, *self._values]
-        self.persistent = _package_only(self._values)
+        self.outsider = _outsider(self._values)
+        self.persistent = self.outsider is None
         self.key = content_key([
             ("python", sys.version),
             ("package", package_fingerprint("repro")),
@@ -1817,8 +1830,11 @@ def enable_fusion(spec) -> int:
     parked and sleeping states are stamped on ``spec.fuse_certificate`` together
     with the generator fingerprint so ``repro certify`` can flag stale
     certificates (TRV008), with where the verdicts came from
-    (``"verdict"``: ``"cache"`` or ``"gate"``) and with what the build
-    plan did (``"plan"``: ``"reused"`` or ``"generated"``).  Analysis
+    (``"verdict"``: ``"cache"`` or ``"gate"``), with what the build
+    plan did (``"plan"``: ``"reused"`` or ``"generated"``) and with
+    whether the structure's verdicts live in the fusion store
+    (``"stored"``), or else ``"kept_out_by"``: the ``module.qualname``
+    of the first object outside the package its walk met.  Analysis
     failures degrade to no fusion and are recorded in
     ``spec.compile_stats``.  Returns the number of states fused.
     """
@@ -1844,6 +1860,9 @@ def enable_fusion(spec) -> int:
             "sleeping_states": spec.compile_stats.sleeping_states,
             "verdict": verdict,
             "plan": note,
+            "stored": walk.persistent,
+            "kept_out_by": (None if walk.persistent
+                            else _qualified_name(walk.outsider)),
         }
         return fused
     except Exception as exc:  # analysis failure: degrade to unfused

@@ -18,15 +18,20 @@ exactly.
   instruction.  NZCV and memory are the architectural ``state.flag_*``
   and ``state.memory``.
 * **Block functions.**  :func:`block_source` composes the same bodies
-  into one ``fn(state, syscalls) -> next_pc`` for a whole basic block,
-  the function the ISS run loop executes
+  into one ``fn(state, syscalls, limit) -> next_pc`` for a whole basic
+  block, the function the ISS run loop executes
   (:meth:`repro.iss.interpreter.BaseInterpreter.run`).  NZCV lives in the
-  locals ``n``/``z``/``c``/``v`` and memory in a local, no
-  :class:`ExecInfo` is written, the flags spill only at block exits and
-  around a ``swi``, the PC is written only at exits, and every store is
-  followed by an ``if not _block.valid:`` guard (``_block`` is the block
-  itself, a name the bodies never bind), so a store over the running
-  block stops at the next instruction boundary.
+  locals ``n``/``z``/``c``/``v``, memory in a local and aligned word loads
+  read the memory's page map inline (``_word(pages.get(…), …)``, see
+  :mod:`repro.memory.mainmem`); no :class:`ExecInfo` is written, the
+  flags spill only at block exits and around a ``swi``, the PC is
+  written only at exits, and every store is followed by an ``if not
+  _block.valid:`` guard (``_block`` is the block itself, a name the
+  bodies never bind), so a store over the running block stops at the
+  next instruction boundary.  A block that ends in a ``b`` without link
+  to its own entry loops in place (``while True:``), counting instret
+  in the local ``_i``, until the branch falls through, a guard fires or
+  another iteration would take instret past *limit*.
 
 ``udf`` encodings get neither form: they keep ``exec_fn = None`` and a
 block function stops before them, so both paths raise through the
@@ -36,8 +41,9 @@ reference semantics.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
+from ...memory.mainmem import PAGE_BITS, PAGE_MASK, ZERO_PAGE, unpack_word
 from .decode import ArmInstruction
 from .isa import DP_NO_DEST, PC
 from .semantics import ExecInfo
@@ -80,12 +86,15 @@ _FORMS = {
 #: writes the flag locals back to the architectural state
 _SPILL = "state.flag_n, state.flag_z, state.flag_c, state.flag_v = n, z, c, v"
 
+#: the locals a block function binds for its bodies when they use them
+_LOCALS = {"memory": "state.memory", "pages": "state.memory._pages"}
+
 
 class _Emitter:
     """Accumulates instruction bodies in one form: an executor's, or
     (*block*) a block function's, which also counts the instructions
     emitted (``count``) and those already added to ``instret``
-    (``counted``, before a syscall)."""
+    (``counted``: before a syscall, or by a loop's iteration)."""
 
     def __init__(self, block: bool):
         self.block = block
@@ -94,6 +103,10 @@ class _Emitter:
         self.pad = "    "
         self.count = 0
         self.counted = 0
+        #: block function: the locals its bodies read (``memory``,
+        #: ``pages``), and whether it loops in place (instret in ``_i``)
+        self.locals: Set[str] = set()
+        self.loop = False
 
     def emit(self, text: str) -> None:
         self.lines.append(self.pad + text)
@@ -103,11 +116,27 @@ class _Emitter:
         if not self.block:
             self.lines.append(self.pad + text)
 
+    def mem(self, call: str) -> str:
+        """*call* (``read_byte(…)``, ``write_word(…)``, …) on the memory."""
+        self.locals.add("memory")
+        return f"{self.memory}.{call}"
+
+    def load_word(self, dest: str, address: str) -> None:
+        """Block form: *dest* = the word at the name *address* (its low
+        two bits ignored), read from the page map inline."""
+        self.locals.add("pages")
+        self.emit(f"{dest} = _word(pages.get({address} >> {PAGE_BITS}, _zero), "
+                  f"{address} & {PAGE_MASK & ~3})[0]")
+
     def leave(self, pc: str) -> None:
         """A block function's exit to *pc*: spill the flags and count the
         instructions run."""
         self.emit(_SPILL)
-        self.emit(f"state.instret += {self.count - self.counted}")
+        ahead = self.count - self.counted
+        if not self.loop:
+            self.emit(f"state.instret += {ahead}")
+        else:
+            self.emit(f"state.instret = _i + {ahead}" if ahead else "state.instret = _i")
         self.emit(f"return {pc}")
 
 
@@ -267,16 +296,18 @@ def _emit_ldst(e: _Emitter, instr: ArmInstruction) -> None:
     if instr.is_load:
         dest = "_t" if instr.rd == PC else f"r[{instr.rd}]"
         if instr.byte:
-            e.emit(f"{dest} = {e.memory}.read_byte(_a)")
+            e.emit(f"{dest} = {e.mem('read_byte(_a)')}")
+        elif e.block:
+            e.load_word(dest, "_a")
         else:
-            e.emit(f"{dest} = {e.memory}.read_word(_a & 0xFFFFFFFC)")
+            e.emit(f"{dest} = {e.mem('read_word(_a & 0xFFFFFFFC)')}")
     else:
         e.info("info.mem_is_store = True")
         source = _reg(instr.rd, instr.addr)
         if instr.byte:
-            e.emit(f"{e.memory}.write_byte(_a, {source} & 0xFF)")
+            e.emit(e.mem(f"write_byte(_a, {source} & 0xFF)"))
         else:
-            e.emit(f"{e.memory}.write_word(_a & 0xFFFFFFFC, {source})")
+            e.emit(e.mem(f"write_word(_a & 0xFFFFFFFC, {source})"))
 
 
 def _emit_ldm(e: _Emitter, instr: ArmInstruction) -> None:
@@ -302,18 +333,23 @@ def _emit_ldm(e: _Emitter, instr: ArmInstruction) -> None:
             e.emit(f"info.mem_addrs = [{addrs}]")
         else:
             e.emit("info.mem_addrs = []")
-    memory = e.memory
     if instr.is_load:
         for i, reg in enumerate(registers):
             dest = "_t" if reg == PC else f"r[{reg}]"
-            e.emit(f"{dest} = {memory}.read_word((_a + {4 * i}) & 0xFFFFFFFF)")
+            if not e.block:
+                e.emit(f"{dest} = {e.mem(f'read_word((_a + {4 * i}) & 0xFFFFFFFF)')}")
+            elif i:
+                e.emit(f"_w = (_a + {4 * i}) & 0xFFFFFFFF")
+                e.load_word(dest, "_w")
+            else:
+                e.load_word(dest, "_a")
         if instr.writeback and not (instr.reglist & (1 << instr.rn)):
             e.emit(f"r[{instr.rn}] = {new_base}")
     else:
         e.info("info.mem_is_store = True")
         for i, reg in enumerate(registers):
-            e.emit(f"{memory}.write_word((_a + {4 * i}) & 0xFFFFFFFF, "
-                   f"{_reg(reg, instr.addr)})")
+            e.emit(e.mem(f"write_word((_a + {4 * i}) & 0xFFFFFFFF, "
+                         f"{_reg(reg, instr.addr)})"))
         if instr.writeback:
             e.emit(f"r[{instr.rn}] = {new_base}")
 
@@ -398,11 +434,15 @@ def _block_step(e: _Emitter, instr: ArmInstruction) -> Optional[str]:
     return None
 
 
+def _branch_target(instr: ArmInstruction) -> int:
+    return (instr.addr + 8 + instr.imm) & 0xFFFFFFFF
+
+
 def _block_ender(e: _Emitter, instr: ArmInstruction, guard: Optional[str],
                  seq: str) -> str:
     kind = instr.kind
     if kind == "branch":
-        target = str((instr.addr + 8 + instr.imm) & 0xFFFFFFFF)
+        target = str(_branch_target(instr))
         if instr.link:
             if guard:
                 e.emit(f"if {guard}:")
@@ -440,25 +480,44 @@ def _block_ender(e: _Emitter, instr: ArmInstruction, guard: Optional[str],
 
 
 def block_source(instrs: List[ArmInstruction], name: str) -> str:
-    """Source of ``name(state, syscalls) -> next_pc``, which runs
+    """Source of ``name(state, syscalls, limit) -> next_pc``, which runs
     *instrs* (a basic block's leading instructions, none ``udf``) back
-    to back and returns where control goes next."""
+    to back and returns where control goes next.
+
+    When the last is a ``b`` without link to the first, the body loops
+    in place while the branch is taken and another iteration keeps
+    instret within *limit* (the caller checks the first).
+    """
+    last = instrs[-1]
     e = _Emitter(block=True)
+    e.loop = (last.kind == "branch" and not last.link
+              and _branch_target(last) == instrs[0].addr)
+    if e.loop:
+        e.pad += "    "
     exit_pc: Optional[str] = None
     for instr in instrs:
         e.count += 1
         exit_pc = _block_step(e, instr)
-    if exit_pc is None:
+    if e.loop:
+        guard = e.cond.get(last.cond)
+        taken = "" if guard is None else f"not ({guard}) or "
+        e.emit(f"_i += {e.count}")
+        e.counted = e.count
+        e.emit(f"if {taken}_i > _last:")
+        e.emit("    break")
+        e.pad = e.pad[:-4]
+    elif exit_pc is None:
         # block-length limit, or the block goes on with an instruction
         # that has no block form: continue at the next address
-        exit_pc = str((instrs[-1].addr + 4) & 0xFFFFFFFF)
+        exit_pc = str((last.addr + 4) & 0xFFFFFFFF)
     e.leave(exit_pc)
-    return "\n".join([
-        f"def {name}(state, syscalls):",
-        "    r = state.regs.values",
-        "    memory = state.memory",
-        "    n = state.flag_n; z = state.flag_z; c = state.flag_c; v = state.flag_v",
-        *e.lines])
+    head = [f"def {name}(state, syscalls, limit):", "    r = state.regs.values"]
+    head += [f"    {local} = {_LOCALS[local]}" for local in sorted(e.locals)]
+    head.append("    n = state.flag_n; z = state.flag_z; c = state.flag_c; v = state.flag_v")
+    if e.loop:
+        head += ["    _i = state.instret", f"    _last = limit - {e.count}",
+                 "    while True:"]
+    return "\n".join(head + e.lines)
 
 
 def _add(a: int, b: int, carry: int = 0):
@@ -483,4 +542,5 @@ def _sub(a: int, b: int, carry: int = 1):
 
 
 #: the globals both forms read (a block function also reads ``_block``)
-GLOBALS = {"ExecInfo": ExecInfo, "_add": _add, "_sub": _sub}
+GLOBALS = {"ExecInfo": ExecInfo, "_add": _add, "_sub": _sub,
+           "_word": unpack_word, "_zero": ZERO_PAGE}

@@ -14,14 +14,19 @@ decrement side effect of branch conditions).
   dispatch through them, because they need the :class:`ExecInfo` record
   per instruction.
 * **Block functions.**  :func:`block_source` composes the same bodies
-  into one ``fn(state, syscalls) -> next_pc`` for a whole basic block,
-  the function the ISS run loop executes
+  into one ``fn(state, syscalls, limit) -> next_pc`` for a whole basic
+  block, the function the ISS run loop executes
   (:meth:`repro.iss.interpreter.BaseInterpreter.run`).  CR0 and memory
-  live in locals, no :class:`ExecInfo` is written, the PC is written only
-  at block exits, and every store is followed by an ``if not
-  _block.valid:`` guard (``_block`` is the block itself, a name the
-  bodies never bind), so a store over the running block stops at the
-  next instruction boundary.
+  live in locals, aligned word loads read the memory's page map inline
+  (``_word(pages.get(…), …)``, see :mod:`repro.memory.mainmem`), no
+  :class:`ExecInfo` is written, the PC is written only at block exits,
+  and every store is followed by an ``if not _block.valid:`` guard
+  (``_block`` is the block itself, a name the bodies never bind), so a
+  store over the running block stops at the next instruction boundary.
+  A block that ends in a ``b`` or ``bc`` without link to its own entry
+  loops in place (``while True:``), counting instret in the local
+  ``_i``, until the branch falls through, a guard fires or another
+  iteration would take instret past *limit*.
 
 ``illegal`` encodings get neither form: they keep ``exec_fn = None`` and
 a block ends before them, so both paths raise through the reference
@@ -30,8 +35,9 @@ semantics.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Set
 
+from ...memory.mainmem import PAGE_BITS, PAGE_MASK, ZERO_PAGE, unpack_word
 from .decode import PpcInstruction
 from .isa import CR_EQ, CR_GT, CR_LT, SPR_LR
 from .semantics import ExecInfo, _div_trunc, _mask
@@ -64,8 +70,12 @@ class _Emitter:
         self.uses_cr = False
         #: executor: True when the instruction computes next_pc at run time
         self.dynamic_pc = False
-        #: block function: the next-pc expression of a branch
-        self.exit: Optional[str] = None
+        #: block function: a branch's target expression and the guard
+        #: it is taken under (None: always)
+        self.target: Optional[str] = None
+        self.guard: Optional[str] = None
+        #: block function: the locals the body reads (``memory``, ``pages``)
+        self.locals: Set[str] = set()
 
     def emit(self, text: str) -> None:
         self.lines.append("    " + text)
@@ -74,6 +84,11 @@ class _Emitter:
         """Emit an :class:`ExecInfo` field write (executors only)."""
         if not self.block:
             self.emit(text)
+
+    def mem(self, call: str) -> str:
+        """*call* (``read_byte(…)``, ``write_word(…)``, …) on the memory."""
+        self.locals.add("memory")
+        return f"{self.memory}.{call}"
 
     def cr0(self, bit: int) -> Optional[str]:
         """The flag holding CR0 *bit* (None for SO, which reads as 0)."""
@@ -135,7 +150,7 @@ def _emit_branch(e: _Emitter, instr: PpcInstruction) -> None:
 def _emit_jump(e: _Emitter, target: str, guard: Optional[str]) -> None:
     """Control goes to *target* (when *guard* holds, if one is given)."""
     if e.block:
-        e.exit = target if guard is None else f"{target} if {guard} else {e.seq}"
+        e.target, e.guard = target, guard
     elif guard is None:
         e.emit(f"info.next_pc = {target}")
         e.emit("info.taken = True")
@@ -209,24 +224,29 @@ def _emit_mem(e: _Emitter, instr: PpcInstruction) -> None:
     half = mnemonic in ("lhz", "lha", "sth")
     if instr.is_load:
         if byte:
-            e.emit(f"_t = {e.memory}.read_byte(_a)")
+            e.emit(f"_t = {e.mem('read_byte(_a)')}")
         elif half:
-            e.emit(f"_t = {e.memory}.read_half(_a & 0xFFFFFFFE)")
+            e.emit(f"_t = {e.mem('read_half(_a & 0xFFFFFFFE)')}")
             if mnemonic == "lha":
                 e.emit("if _t & 0x8000:")
                 e.emit("    _t |= 0xFFFF0000")
+        elif e.block:
+            # the page map, inline (the offset drops the low two bits)
+            e.locals.add("pages")
+            e.emit(f"_t = _word(pages.get(_a >> {PAGE_BITS}, _zero), "
+                   f"_a & {PAGE_MASK & ~3})[0]")
         else:
-            e.emit(f"_t = {e.memory}.read_word(_a & 0xFFFFFFFC)")
+            e.emit(f"_t = {e.mem('read_word(_a & 0xFFFFFFFC)')}")
         e.emit(f"r[{instr.rt}] = _t")
     else:
         e.info("info.mem_is_store = True")
         value = f"r[{instr.rt}]"
         if byte:
-            e.emit(f"{e.memory}.write_byte(_a, {value} & 0xFF)")
+            e.emit(e.mem(f"write_byte(_a, {value} & 0xFF)"))
         elif half:
-            e.emit(f"{e.memory}.write_half(_a & 0xFFFFFFFE, {value} & 0xFFFF)")
+            e.emit(e.mem(f"write_half(_a & 0xFFFFFFFE, {value} & 0xFFFF)"))
         else:
-            e.emit(f"{e.memory}.write_word(_a & 0xFFFFFFFC, {value})")
+            e.emit(e.mem(f"write_word(_a & 0xFFFFFFFC, {value})"))
 
 
 def _emit_xalu(e: _Emitter, instr: PpcInstruction) -> None:
@@ -364,14 +384,17 @@ def _translate(instr: PpcInstruction, name: str) -> Optional[str]:
 
 
 def block_source(instrs: List[PpcInstruction], name: str) -> str:
-    """Source of ``name(state, syscalls) -> next_pc``, which runs
+    """Source of ``name(state, syscalls, limit) -> next_pc``, which runs
     *instrs* (a basic block's leading instructions, none ``illegal``)
     back to back and returns where control goes next.
 
     CR0 lives in the locals ``lt``/``gt``/``eq`` when the block touches
     it, and is written back at every exit and before a syscall, which
     also sees the PC and ``instret`` an executor would (a raising
-    syscall leaves the reference's state).
+    syscall leaves the reference's state).  When the last is a ``b`` or
+    ``bc`` without link to the first, the body loops in place while the
+    branch is taken and another iteration keeps instret within *limit*
+    (the caller checks the first).
     """
     parts = []
     for instr in instrs:
@@ -379,33 +402,55 @@ def block_source(instrs: List[PpcInstruction], name: str) -> str:
         if not _emit_body(e):
             raise ValueError(f"no block form for {instr.text!r} at {instr.addr:#x}")
         parts.append(e)
+    last = parts[-1]
+    loop = (last.instr.kind in ("b", "bc") and not last.instr.lk
+            and last.target == str(instrs[0].addr))
+    pad = "        " if loop else "    "
     spill = []
-    lines = [f"def {name}(state, syscalls):", "    r = state.regs.values"]
-    if any(instr.kind in ("mem", "memx") for instr in instrs):
-        lines.append("    memory = state.memory")
+    lines = [f"def {name}(state, syscalls, limit):", "    r = state.regs.values"]
+    lines += [f"    {local} = {_LOCALS[local]}"
+              for local in sorted(set().union(*(e.locals for e in parts)))]
     if any(e.uses_cr for e in parts):
         lines.append("    lt = state.flag_n; gt = state.flag_c; eq = state.flag_z")
         spill = ["state.flag_n = lt; state.flag_c = gt; state.flag_z = eq"]
+    if loop:
+        lines += ["    _i = state.instret", f"    _last = limit - {len(parts)}",
+                  "    while True:"]
     counted = 0  # instructions already added to instret
 
     def leave(count: int, pc, indent: str) -> List[str]:
-        return [indent + text for text in
-                spill + [f"state.instret += {count - counted}", f"return {pc}"]]
+        if not loop:
+            instret = f"state.instret += {count - counted}"
+        else:
+            instret = f"state.instret = _i + {count}" if count else "state.instret = _i"
+        return [indent + text for text in spill + [instret, f"return {pc}"]]
 
     for count, e in enumerate(parts, 1):
         if e.instr.kind == "sc":
-            lines += ["    " + text for text in spill]
-            lines.append(f"    state.pc = {e.instr.addr}")
-            lines.append(f"    state.instret += {count - 1 - counted}")
+            lines += [pad + text for text in spill]
+            lines.append(f"{pad}state.pc = {e.instr.addr}")
+            lines.append(f"{pad}state.instret += {count - 1 - counted}")
             counted = count - 1
-        lines += e.lines
+        lines += [pad[4:] + line for line in e.lines]
         if e.instr.is_store:
-            lines.append("    if not _block.valid:")
-            lines += leave(count, e.seq, "        ")
-    last = parts[-1]
-    lines += leave(len(parts), last.exit or last.seq, "    ")
+            lines.append(f"{pad}if not _block.valid:")
+            lines += leave(count, e.seq, pad + "    ")
+    exit_pc = last.target or last.seq
+    if last.guard is not None:
+        exit_pc = f"{last.target} if {last.guard} else {last.seq}"
+    if loop:
+        taken = "" if last.guard is None else f"not ({last.guard}) or "
+        lines += [f"{pad}_i += {len(parts)}", f"{pad}if {taken}_i > _last:",
+                  f"{pad}    break"]
+        lines += leave(0, exit_pc, "    ")
+    else:
+        lines += leave(len(parts), exit_pc, "    ")
     return "\n".join(lines)
 
 
+#: the locals a block function binds for its bodies when they use them
+_LOCALS = {"memory": "state.memory", "pages": "state.memory._pages"}
+
 #: the globals both forms read (a block function also reads ``_block``)
-GLOBALS = {"ExecInfo": ExecInfo, "_div": _div_trunc}
+GLOBALS = {"ExecInfo": ExecInfo, "_div": _div_trunc,
+           "_word": unpack_word, "_zero": ZERO_PAGE}

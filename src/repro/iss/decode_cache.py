@@ -33,8 +33,11 @@ O(write length) per-byte scan; wide block writes (``write_block``) no
 longer walk every byte of their span.  A store that overlaps a cached
 instruction drops the entry *and* every block containing it; dropped
 blocks are flagged ``valid = False`` and lose their block function, so
-a block function that stores over its own block returns right after
-the store and the run loop re-fetches.
+a block function that stores over its own block, looping in place or
+not, returns right after the store and the run loop re-fetches.  A
+write that runs past 0xFFFFFFFF goes on at address 0 (as
+:class:`MainMemory` writes it) and is invalidated there too; a block
+ends at the last word of the address space rather than run on to 0.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ PAGE_SHIFT = 8
 #: longest basic block discovered at fetch time (longer straight-line
 #: runs chain blocks)
 MAX_BLOCK_LEN = 64
+
+#: the size of the address space; a write that runs past its end goes
+#: on from address 0, and a block ends at its last word
+ADDRESS_SPACE = 1 << 32
 
 
 def _ends_block(instr) -> bool:
@@ -72,9 +79,10 @@ class DecodedBlock:
     ``valid`` flips to False when a store overlaps ``[entry, end)``; a
     block function tests it after every store so self-modifying code
     re-fetches mid-block.  ``compiled`` caches the block function the ISS
-    run loop executes (see :meth:`repro.iss.interpreter.BaseInterpreter.
-    run`); a store over the block clears it, which is what ties block
-    functions to the write-invalidation contract.
+    run loop executes, ``fn(state, syscalls, limit) -> next_pc`` (see
+    :meth:`repro.iss.interpreter.BaseInterpreter.run`); a store over the
+    block clears it, which is what ties block functions to the
+    write-invalidation contract.
     """
 
     __slots__ = ("entry", "end", "instrs", "valid", "compiled", "__weakref__")
@@ -156,8 +164,9 @@ class DecodeCache:
     def _build_block(self, entry: int) -> DecodedBlock:
         instrs = [self.fetch(entry)]
         addr = entry
-        while not _ends_block(instrs[-1]) and len(instrs) < MAX_BLOCK_LEN:
-            addr = (addr + INSTR_BYTES) & 0xFFFFFFFF
+        while (not _ends_block(instrs[-1]) and len(instrs) < MAX_BLOCK_LEN
+               and addr + 2 * INSTR_BYTES <= ADDRESS_SPACE):
+            addr += INSTR_BYTES
             try:
                 instrs.append(self.fetch(addr))
             except Exception:
@@ -182,7 +191,9 @@ class DecodeCache:
         of *length* bytes at *address* overlaps X in
         ``[address-3, address+length-1]``.  Only the pages spanned by
         that interval are consulted, so a wide ``write_block`` costs one
-        probe per 256-byte page rather than one per byte.
+        probe per 256-byte page rather than one per byte.  A write that
+        runs past 2**32 goes on at address 0 (as :class:`MainMemory`
+        writes it), so its tail is scanned from page 0.
         """
         lo = address - INSTR_BYTES + 1
         hi = address + length
@@ -194,24 +205,29 @@ class DecodeCache:
             # fast path: data stores almost never share a page with code
             if first_page not in pages and first_page not in block_pages:
                 return
+        spans = [(address, hi)]
+        if hi > ADDRESS_SPACE:
+            spans = [(address, ADDRESS_SPACE), (0, hi - ADDRESS_SPACE)]
         entries = self.entries
-        for page in range(first_page, last_page + 1):
-            addrs = pages.get(page)
-            if addrs:
-                dead = [a for a in addrs if lo <= a < hi]
-                for a in dead:
-                    addrs.discard(a)
-                    del entries[a]
-                self.invalidations += len(dead)
-                if not addrs:
-                    del pages[page]
-            blocks_here = block_pages.get(page)
-            if blocks_here:
-                dead_blocks = [b for b in blocks_here
-                               if address < b.end and hi > b.entry]
-                for block in dead_blocks:
-                    self._drop_block(block)
-                self.block_invalidations += len(dead_blocks)
+        for start, stop in spans:
+            lo = start - INSTR_BYTES + 1
+            for page in range(lo >> PAGE_SHIFT, ((stop - 1) >> PAGE_SHIFT) + 1):
+                addrs = pages.get(page)
+                if addrs:
+                    dead = [a for a in addrs if lo <= a < stop]
+                    for a in dead:
+                        addrs.discard(a)
+                        del entries[a]
+                    self.invalidations += len(dead)
+                    if not addrs:
+                        del pages[page]
+                blocks_here = block_pages.get(page)
+                if blocks_here:
+                    dead_blocks = [b for b in blocks_here
+                                   if start < b.end and stop > b.entry]
+                    for block in dead_blocks:
+                        self._drop_block(block)
+                    self.block_invalidations += len(dead_blocks)
 
     def _drop_block(self, block: DecodedBlock) -> None:
         block.valid = False

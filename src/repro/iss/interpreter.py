@@ -168,10 +168,11 @@ class BaseInterpreter:
         """Run to the exit syscall; returns the exit code.
 
         Specialised, whole blocks run as compiled functions until the
-        machine halts or the next block could overrun *max_steps*; the
-        reference loop below runs the rest (all of it when not
-        specialising), so the budget is met exactly and an instruction
-        that raises leaves the reference's state.
+        machine halts or the next block could overrun *max_steps* (a
+        block that loops in place stops before an iteration that
+        could); the reference loop below runs the rest (all of it when
+        not specialising), so the budget is met exactly and an
+        instruction that raises leaves the reference's state.
         """
         state = self.state
         start = state.instret
@@ -193,7 +194,9 @@ class BaseInterpreter:
 
     def _run_blocks(self, limit: int) -> None:
         """Run compiled blocks while the machine runs and each whole
-        block fits below *limit*."""
+        block fits below *limit*, which every block function is handed
+        so that one looping in place stops where the next iteration
+        would not fit."""
         state = self.state
         syscalls = self.syscalls
         fetch_block = self.decode_cache.fetch_block
@@ -205,10 +208,10 @@ class BaseInterpreter:
                 fn = block.compiled = compile_block(block)
             if state.instret + len(block.instrs) > limit:
                 return
-            state.pc = fn(state, syscalls)
+            state.pc = fn(state, syscalls, limit)
 
     def _compile_block(self, block: DecodedBlock) -> Callable:
-        """``fn(state, syscalls) -> next_pc`` for *block*: its leading
+        """``fn(state, syscalls, limit) -> next_pc`` for *block*: its leading
         instructions up to the first the execgen does not translate,
         written and compiled once per process per block of instructions
         (:func:`repro.iss.translations.block_code`).  ``_block``, the
@@ -229,7 +232,7 @@ class BaseInterpreter:
         reference semantics execute it (and raise for it)."""
         execute = self._execute
 
-        def reference(state, syscalls):
+        def reference(state, syscalls, limit):
             execute(instr)
             state.instret += 1
             return state.pc

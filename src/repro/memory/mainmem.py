@@ -10,6 +10,12 @@ caches — see :mod:`repro.iss.decode_cache`) register a callback via
 :meth:`MainMemory.add_write_hook` and are told the ``(address, length)``
 span of every mutation, so self-modifying code invalidates exactly the
 stale entries.  Each write operation notifies once for its whole span.
+
+Read path: the page map (:attr:`MainMemory._pages`) may also be read
+directly.  Generated ISS block functions read aligned words from it
+inline, through :data:`unpack_word` with :data:`ZERO_PAGE` for an
+unmapped page, instead of calling :meth:`MainMemory.read_word`.  Every
+write still goes through the ``write_*`` methods, so the hooks see it.
 """
 
 from __future__ import annotations
@@ -21,11 +27,21 @@ PAGE_BITS = 12
 PAGE_SIZE = 1 << PAGE_BITS
 PAGE_MASK = PAGE_SIZE - 1
 
+#: ``unpack_word(page, offset)[0]`` is the little-endian word at
+#: *offset* (a multiple of 4) of a page of the page map
+unpack_word = struct.Struct("<I").unpack_from
+
+#: what a page the page map does not hold reads as
+ZERO_PAGE = bytes(PAGE_SIZE)
+
 
 class MainMemory:
     """Lazily-paged 32-bit byte-addressable memory."""
 
     def __init__(self):
+        #: page number -> its bytes.  A page is made on its first write
+        #: and is never dropped or replaced, so a reference to this dict
+        #: or to a page sees every later write: the read path above.
         self._pages: Dict[int, bytearray] = {}
         #: callbacks ``hook(address, length)`` fired after every write
         self._write_hooks: List[Callable[[int, int], None]] = []

@@ -487,6 +487,29 @@ class TestIsaRuleMutations:
         found = _errors(report, "TRV005")
         assert found, "TRV005 must fire when PPC store guards are stripped"
 
+    @pytest.mark.parametrize("isa", ["arm", "ppc"])
+    @pytest.mark.parametrize("mutation", ["strip-guard", "load-above-guard"])
+    def test_trv005_fires_on_loop_form_mutations(self, isa, mutation):
+        """The drivers' block that loops in place stores then loads: its
+        guard stripped, or the load moved above it, is reported at that
+        block and nowhere else."""
+        from repro.analysis.certify.isachecks import run_arm_driver, run_ppc_driver
+
+        iss = run_arm_driver() if isa == "arm" else run_ppc_driver()
+        loops = [entry for entry, block in iss.decode_cache.blocks.items()
+                 if "while True:" in block.compiled.__block_source__]
+        assert len(loops) == 1
+        assert certify_isa(isa, passes=[
+            Trv005BlockStoreGuards(interpreter=iss)]).diagnostics == []
+        mutate = _strip_guards if mutation == "strip-guard" else _load_above_guard
+        report = certify_isa(isa, passes=[Trv005BlockStoreGuards(
+            interpreter=iss,
+            mutate=lambda source: mutate(source) if "while True:" in source
+            else source)])
+        found = _errors(report, "TRV005")
+        assert found, f"TRV005 must fire on a loop block's {mutation}"
+        assert all(d.message.startswith(f"block {loops[0]:#x}:") for d in found)
+
     def test_trv005_fires_on_missing_block_source(self, arm_iss):
         entry, block = next(iter(arm_iss.decode_cache.blocks.items()))
         saved = block.compiled.__block_source__
@@ -526,6 +549,21 @@ def _strip_guards(source):
             continue
         out.append(line)
     return "\n".join(out)
+
+
+def _load_above_guard(source):
+    """*source* with the first load after its loop body's store guard
+    moved above that guard."""
+    import ast
+
+    tree = ast.parse(source)
+    body = next(node for node in ast.walk(tree) if isinstance(node, ast.While)).body
+    guard = next(index for index, stmt in enumerate(body)
+                 if isinstance(stmt, ast.If) and "_block.valid" in ast.unparse(stmt.test))
+    load = next(index for index in range(guard + 1, len(body))
+                if "_word(" in ast.unparse(body[index]))
+    body.insert(guard, body.pop(load))
+    return ast.unparse(tree)
 
 
 @pytest.fixture(scope="module")

@@ -122,8 +122,9 @@ _start:
     _assert_matches_snapshot("arm_adds_executor.py", source)
 
 
-#: per ISA, a loop whose body block loads, stores (with its guard), sets
-#: the flags or CR0 by a compare and exits on a conditional branch
+#: per ISA, a loop whose body is one block that loads, stores (with its
+#: guard), sets the flags or CR0 by a compare and branches back to its
+#: own entry
 BLOCK_LOOPS = {
     "arm": """
     .text
@@ -164,9 +165,11 @@ buf: .word 0
 
 @pytest.mark.parametrize("isa", sorted(BLOCK_LOOPS))
 def test_loop_block_function_snapshot(isa):
-    """The block function ``run()`` executes for the loop body: flags or
-    CR0 in locals, operands inline, a guard after the store and the
-    branch as the return expression."""
+    """The block function ``run()`` executes for the loop body, which
+    loops in place: flags or CR0 in locals, operands and the word load
+    inline, a guard after the store, instret counted in ``_i``, and a
+    ``while True:`` left when the branch falls through or another
+    iteration would pass the instret limit."""
     from repro.isa.arm import assemble as asm_arm
     from repro.isa.ppc import assemble as asm_ppc
     from repro.iss import ArmInterpreter, PpcInterpreter

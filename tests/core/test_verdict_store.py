@@ -288,6 +288,22 @@ def test_only_package_code_is_stored():
     assert custom.fuse_certificate["verdict"] == "gate"
 
 
+def test_certificate_names_what_kept_a_spec_out_of_the_store():
+    """The certificate (and so ``repro run --json``) says whether a
+    structure is stored and, when not, names the first object outside
+    the package its walk met: here a test-local lambda."""
+    assert StrongArmModel(_toy_program()).spec.fuse_certificate.items() >= {
+        "stored": True, "kept_out_by": None}.items()
+    spec = keyed_toy(0, "a")
+    spec.edges[0].condition.primitives[0] = Guard(lambda osm: True, "local")
+    assert _Walk(spec).outsider is spec.edges[0].condition.primitives[0].predicate
+    enable_fusion(spec)
+    assert spec.fuse_certificate["stored"] is False
+    assert spec.fuse_certificate["kept_out_by"] == (
+        f"{__name__}.test_certificate_names_what_kept_a_spec_out_of_the_store"
+        ".<locals>.<lambda>")
+
+
 def test_user_spec_writes_nothing_to_the_store(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     spec = keyed_toy(9, "u")

@@ -67,6 +67,8 @@ class TestRun:
         fusion = row["fusion"]
         assert fusion["plan"] == "reused"  # the text run built this structure
         assert fusion["verdict"] == "cache"
+        # a bundled model is all package code, kept in the fusion store
+        assert (fusion["stored"], fusion["kept_out_by"]) == (True, None)
         assert "W" in fusion["fused_states"]
         assert set(fusion["parked_states"]) <= set(fusion["fused_states"])
         assert set(row["code_cache"]) == {"hits", "misses"}

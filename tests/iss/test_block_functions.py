@@ -7,12 +7,17 @@ flags, pc, instret, LR/CTR, the memory image, syscall output, the exit
 code and the raised error, over whole programs, a budget that ends
 inside a block, and instructions that raise right after a store in the
 same block.  They also pin which generated code each path runs: ``run()``
-only block functions, the timing models only execgen executors.
+only block functions, the timing models only execgen executors; and
+how often ``run()`` dispatches: a block that branches back to its own
+entry loops in place, so it is dispatched once per entry.
 """
 
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.isa.arm import assemble as asm_arm
 from repro.isa.ppc import assemble as asm_ppc
@@ -21,6 +26,7 @@ from repro.iss.syscalls import SyscallError
 from repro.workloads import generator, mediabench
 
 from ..conftest import arm_program, ppc_program
+from .test_compiled import straightline, straightline_ppc
 
 ISAS = {
     "arm": (ArmInterpreter, asm_arm, mediabench.arm_source, generator.arm_source),
@@ -107,9 +113,13 @@ loop:
 
 class TestBudget:
     """A ``max_steps`` budget that runs out inside a block is met exactly:
-    the same instructions retire and the same error is raised."""
+    the same instructions retire and the same error is raised.  The
+    loops retire 2 + 5k instructions by the end of iteration k, the
+    first in the entry block and the rest in the loop block, which loops
+    in place: budgets end at and between its iteration boundaries."""
 
-    @pytest.mark.parametrize("budget", [1, 3, 7, 50, 51, 52, 53, 54])
+    @pytest.mark.parametrize("budget", [1, 3, 7, 12, 13, 16, 17, 50, 51, 52, 53, 54,
+                                        57, 58, 61, 101, 102, 103])
     @pytest.mark.parametrize("isa,source", [("arm", _ARM_LOOP), ("ppc", _PPC_LOOP)],
                              ids=["arm", "ppc"])
     def test_budget_ends_mid_block(self, isa, source, budget):
@@ -124,6 +134,155 @@ class TestBudget:
         assert same_as_reference(isa, source, max_steps=total)["error"] is None
         short = same_as_reference(isa, source, max_steps=total - 1)
         assert short["error"][0] is IssError
+
+    @pytest.mark.parametrize("isa", sorted(ISAS))
+    def test_spin_exhausts_the_budget(self, isa):
+        # ``b .``: a one-instruction block that loops in place until the
+        # next iteration would pass the budget
+        wrap = arm_program if isa == "arm" else ppc_program
+        first = "mov r1, #1" if isa == "arm" else "li r4, 1"
+        result = same_as_reference(isa, wrap(f"    {first}\nspin:\n    b spin"),
+                                   max_steps=1000)
+        assert result["error"] == (IssError, "program exceeded 1000 instructions")
+        assert result["instret"] == 1000
+
+
+def _word_of(isa: str, line: str) -> int:
+    """The encoding of the instruction *line*."""
+    program = ISAS[isa][1](f"    .text\n_start:\n    {line}\n")
+    return program.text_words()[0][1]
+
+
+class TestLoopInPlace:
+    """A block that branches back to its own entry loops in place: it is
+    dispatched once per entry, and a store over it stops it."""
+
+    @pytest.mark.parametrize("isa,source", [("arm", _ARM_LOOP), ("ppc", _PPC_LOOP)],
+                             ids=["arm", "ppc"])
+    def test_the_loop_block_is_dispatched_once(self, isa, source):
+        iss_class, assemble = ISAS[isa][:2]
+        program = assemble(source)
+        iss = iss_class(program)
+        assert iss.run() == 20
+        cache = iss.decode_cache
+        assert (cache.block_misses, cache.block_hits) == (3, 0)
+        block = cache.blocks[program.symbols["loop"]]
+        assert "while True:" in block.compiled.__block_source__
+
+    def test_arm_store_over_the_running_loop_block(self):
+        # the first iteration runs in the entry block; the third, the
+        # loop block's second in place, stores ``add r4, r4, #16`` over
+        # ``patch``: the guard leaves the loop before ``patch``, and the
+        # rest of the run decodes anew
+        result = same_as_reference("arm", arm_program("""
+    li    r1, patch
+    li    r6, newword
+    ldr   r2, [r6]
+    mov   r3, #0
+    mov   r4, #0
+loop:
+    add   r3, r3, #1
+    cmp   r3, #3
+    streq r2, [r1]
+patch:
+    add   r4, r4, #1
+    cmp   r3, #6
+    blt   loop
+    mov   r0, r4
+""", data=f"newword: .word {_word_of('arm', 'add r4, r4, #16')}"))
+        assert result["exit_code"] == 2 + 4 * 16
+
+    def test_ppc_store_over_the_running_loop_block(self):
+        # the store goes to ``buf`` until the third iteration (the loop
+        # block's second in place), then (r8 = patch - buf) stores
+        # ``addi r3, r3, 16`` over ``patch``
+        result = same_as_reference("ppc", ppc_program("""
+    li32   r4, buf
+    li32   r10, patch
+    subf   r10, r4, r10
+    li32   r6, newword
+    lwz    r7, 0(r6)
+    li     r5, 0
+    li     r3, 0
+loop:
+    addi   r5, r5, 1
+    subfic r9, r5, 2
+    srawi  r9, r9, 31
+    and    r8, r9, r10
+    stwx   r7, r4, r8
+patch:
+    addi   r3, r3, 1
+    cmpwi  r5, 6
+    blt    loop
+""", data=f"buf: .word 0\nnewword: .word {_word_of('ppc', 'addi r3, r3, 16')}"))
+        assert result["exit_code"] == 2 + 4 * 16
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(straightline(), st.integers(1, 8), st.integers(1, 200))
+    def test_random_arm_loops_and_budgets(self, body, iterations, budget):
+        # random ALU operations, a load, a store and the counter: one
+        # block that loops in place, cut by a budget anywhere (or none)
+        lines = body.splitlines()
+        same_as_reference("arm", arm_program("\n".join([
+            *lines[:4], "    li r9, buf", f"    mov r8, #{iterations}", "lp:",
+            *lines[4:], "    ldr r5, [r9]", "    add r5, r5, r7", "    str r5, [r9]",
+            "    subs r8, r8, #1", "    bne lp", "    mov r0, #0"]), data="buf: .word 0"),
+            max_steps=budget)
+
+    @settings(max_examples=25, deadline=None)
+    @given(straightline_ppc(), st.integers(1, 8), st.integers(1, 200))
+    def test_random_ppc_loops_and_budgets(self, body, iterations, budget):
+        lines = body.splitlines()[:-4]  # without the trailing CR0 branch
+        same_as_reference("ppc", ppc_program("\n".join([
+            *lines[:4], "    li32 r12, buf", f"    li r13, {iterations}", "lp:",
+            *lines[4:], "    lwz r11, 0(r12)", "    add r11, r11, r4",
+            "    stw r11, 0(r12)", "    addi r13, r13, -1", "    cmpwi r13, 0",
+            "    bne lp", "    li r3, 0"]), data="buf: .word 0"),
+            max_steps=budget)
+
+
+def _iss_programs(seed: int):
+    """One round of perfbench's ``iss`` workload (``perfbench/inputs.py``)."""
+    module = sys.modules.get("perfbench_inputs")
+    if module is None:
+        path = Path(__file__).resolve().parents[2] / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclass looks itself up
+        spec.loader.exec_module(module)
+    return module.iss_programs(seed)
+
+
+#: block dispatches (``block_hits + block_misses``) of ``run()`` on each
+#: MediaBench kernel of the ``iss`` round; every generated program makes
+#: 3 (its loop is one block, dispatched once)
+KERNEL_DISPATCHES = {
+    "arm": {"gsm_dec": 121, "gsm_enc": 121, "g721_dec": 3, "g721_enc": 289,
+            "mpeg2_dec": 301, "mpeg2_enc": 151},
+    "ppc": {"gsm_dec": 121, "gsm_enc": 161, "g721_dec": 769, "g721_enc": 1983,
+            "mpeg2_dec": 1261, "mpeg2_enc": 151},
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_iss_round_dispatch_counts(seed):
+    """perfbench's ``iss`` round against the reference, and the exact
+    number of block dispatches it makes: 5,450 (8,772 when every
+    iteration of a one-block loop was a dispatch)."""
+    total = 0
+    for program in _iss_programs(seed):
+        iss_class, assemble = ISAS[program.isa][:2]
+        assembled = assemble(program.source)
+        iss = iss_class(assembled)
+        assert outcome(iss) == outcome(iss_class(assembled, specialize=False)), \
+            program.name
+        cache = iss.decode_cache
+        dispatches = cache.block_hits + cache.block_misses
+        assert dispatches == KERNEL_DISPATCHES[program.isa].get(program.name, 3), \
+            program.name
+        total += dispatches
+    assert total == 5450
 
 
 class TestArmPcWrites:

@@ -86,10 +86,14 @@ class TestCompiledIss:
 """, data="buf: .space 16")
 
     def test_loops_reuse_compiled_blocks(self):
+        # the body spans two blocks, so each is dispatched per iteration
+        # (a one-block loop runs in place, dispatched once)
         compiled = differential("""
     mov r1, #0
 lp:
     add r1, r1, #1
+    b   mid
+mid:
     cmp r1, #50
     blt lp
     mov r0, r1

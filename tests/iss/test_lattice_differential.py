@@ -9,7 +9,9 @@ through the reference ``semantics.execute``, the execgen executor and a
 one-instruction block function.  All three must leave the same
 registers, flags, PC, LR/CTR, halt latch and exit code, instret, memory
 pages and syscall output.  The executor's ``ExecInfo`` must also equal
-the reference's in every field the timing models read.
+the reference's in every field the timing models read.  The block
+function runs with an instret limit of one instruction, so a branch to
+its own address, whose block loops in place, stops after one iteration.
 """
 
 import importlib
@@ -104,7 +106,9 @@ def _cases(isa):
                 return info
 
             def by_block(state, block_fn=block_fn):
-                state.pc = block_fn(state, state.syscalls)
+                # a budget of one instruction: a branch to itself (a
+                # block that loops in place) runs once, as the others do
+                state.pc = block_fn(state, state.syscalls, state.instret + 1)
 
             for regs in files:
                 for flags in FLAG_PATTERNS:

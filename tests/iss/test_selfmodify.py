@@ -318,6 +318,47 @@ class TestWideWriteInvalidation:
         assert cache.fetch(entry + 3 * page) is kept_high
 
 
+class TestWrappingWrites:
+    """A write that runs past 0xFFFFFFFF goes on at address 0, as
+    :class:`MainMemory` writes it, so it must drop what it overlaps
+    there too; and no block runs on from the last word to address 0."""
+
+    @staticmethod
+    def _cached_at_zero():
+        from repro.isa.arm import decode
+
+        memory = MainMemory()
+        cache = DecodeCache(memory, decode)
+        memory.write_word(0, _arm_encoding("mov r0, #1"))
+        assert cache.fetch(0).text == "mov r0, #1"
+        return memory, cache, decode, cache.fetch_block(0)
+
+    @pytest.mark.parametrize("write,text", [
+        (lambda memory: memory.write_word(0xFFFFFFFE, 0x0002E3A0), "mov r0, #2"),
+        (lambda memory: memory.write_half(0xFFFFFFFF, 0x0200), "mov r0, #2"),
+        (lambda memory: memory.write_block(0xFFFFFFFC, bytes(8)), None),
+    ], ids=["word", "half", "block"])
+    def test_wrapping_write_drops_the_instruction_at_zero(self, write, text):
+        memory, cache, decode, block = self._cached_at_zero()
+        write(memory)
+        fresh = decode(0, memory.read_word(0))
+        assert text is None or fresh.text == text
+        assert not block.valid and 0 not in cache.blocks
+        assert cache.fetch(0).text == fresh.text
+        assert cache.fetch_block(0).instrs[0].text == fresh.text
+
+    def test_block_ends_at_the_last_word(self):
+        from repro.isa.arm import decode
+
+        memory = MainMemory()
+        cache = DecodeCache(memory, decode)
+        for addr in (0xFFFFFFF8, 0xFFFFFFFC, 0):
+            memory.write_word(addr, _arm_encoding("add r1, r1, #1"))
+        block = cache.fetch_block(0xFFFFFFF8)
+        assert (len(block), block.end) == (2, 1 << 32)
+        assert len(cache.fetch_block(0xFFFFFFFC)) == 1
+
+
 def _record_drops(monkeypatch) -> list:
     """The block function of every block a store drops, as it was before
     the drop (which must clear it)."""
