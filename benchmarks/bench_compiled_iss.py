@@ -10,11 +10,10 @@ function (composed from the ISA's execgen emitters) — the technique gap
 that motivates fast functional backbones for micro-architecture
 simulators.  Programs are assembled before the clock starts; each timed
 run builds a fresh ISS per program and runs it to exit.  The compiled
-side is timed twice: *cold*, with the process's translation and code
-caches (:mod:`repro.iss.translations`, :mod:`repro.codecache`) cleared
-first, so it pays for every decode and block compile, and *warm*, right
-after, when a process that has run the programs decodes and compiles
-nothing.  The three sides alternate round by round and the table
+side is timed twice: *cold*, with the process's translation cache
+(:mod:`repro.iss.translations`) cleared first, so it pays for every
+decode and block compile, and *warm*, right after, when a process that
+has run the programs decodes and compiles nothing.  The three sides alternate round by round and the table
 reports each side's median over :data:`ROUNDS` rounds (a single round
 per side moves by about ±40% on a shared host).
 """
@@ -24,7 +23,6 @@ from __future__ import annotations
 import statistics
 import time
 
-from repro import codecache
 from repro.isa.arm import assemble as assemble_arm
 from repro.isa.ppc import assemble as assemble_ppc
 from repro.iss import ArmInterpreter, PpcInterpreter, translations
@@ -40,7 +38,7 @@ ISAS = {
     "PPC": (PpcInterpreter, assemble_ppc, mediabench.ppc_source),
 }
 
-#: side -> (row label, specialise?, clear the caches first?)
+#: side -> (row label, specialise?, clear the translation cache first?)
 SIDES = {
     "interpreted": ("interpreted", False, False),
     "cold": ("dynamically compiled (run), cold", True, True),
@@ -58,7 +56,6 @@ def _run(isa: str, programs: list, specialize: bool, cold: bool):
     iss_class = ISAS[isa][0]
     if cold:
         translations.clear()
-        codecache.compile_cached.cache_clear()
     instructions = 0
     start = time.perf_counter()
     for program in programs:

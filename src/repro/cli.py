@@ -108,24 +108,17 @@ MODEL_DEFAULT_ISA = {
 def cmd_run(args) -> int:
     import json
 
-    from . import codecache
-    from .iss import translations
-
     source = _read_source(args.file)
     isa = args.isa or MODEL_DEFAULT_ISA.get(args.model, "arm")
     program = _assemble(isa, source)
-    code = {"hits": 0, "misses": 0}
-    translated = dict(code)
-    code_before = codecache.stats()
-    translated_before = translations.stats()
+    before = _process_counters()
     model = _build_model(args.model, program, isa)
 
     if args.model == "iss":
         exit_code = model.run(args.max_cycles)
         output = model.syscalls.output_text
         if args.json:
-            _add_counts(code, code_before, codecache.stats())
-            _add_counts(translated, translated_before, translations.stats())
+            translated = _counter_delta(before)["translation_cache"]
             cache = model.decode_cache
             print(json.dumps({"model": "iss", "exit_code": exit_code,
                               "instructions": model.steps,
@@ -134,7 +127,6 @@ def cmd_run(args) -> int:
                                   "block_reentries": cache.block_hits,
                                   "block_invalidations": cache.block_invalidations,
                               },
-                              "code_cache": code,
                               "translation_cache": translated,
                               "output": output}, indent=2))
             return 0
@@ -151,8 +143,7 @@ def cmd_run(args) -> int:
     stats = model.run(args.max_cycles)
     output = getattr(model, "output_text", "")
     if args.json:
-        _add_counts(code, code_before, codecache.stats())
-        _add_counts(translated, translated_before, translations.stats())
+        translated = _counter_delta(before)["translation_cache"]
         certificate = getattr(model.spec, "fuse_certificate", None)
         print(json.dumps({
             "model": args.model,
@@ -170,7 +161,6 @@ def cmd_run(args) -> int:
                 key: certificate[key]
                 for key in ("verdict", "plan", "stored", "kept_out_by",
                             "fused_states", "parked_states", "sleeping_states")},
-            "code_cache": code,
             "translation_cache": translated,
             "output": output,
         }, indent=2))
@@ -506,10 +496,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
     """
     import gc
 
-    from . import codecache
-    from .core.fuse import plan_stats
     from .core.stats import SimulationStats
-    from .iss import translations
     from .workloads import mediabench
 
     isa = args.isa or MODEL_DEFAULT_ISA.get(model_name, "arm")
@@ -524,24 +511,15 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
     verdict = None
     cache_counts = {"block_hits": 0, "block_misses": 0,
                     "entry_invalidations": 0, "block_invalidations": 0}
-    # process code-cache, translation-cache and build-plan counter
-    # deltas: the timed builds and runs, and the verify re-runs, which
-    # repeat a program this process just ran
-    timed_code = {"hits": 0, "misses": 0}
-    verify_code = dict(timed_code)
-    timed_translations = dict(timed_code)
-    verify_translations = dict(timed_code)
-    timed_plans = {"reused": 0, "generated": 0}
-    verify_plans = dict(timed_plans)
+    # process-counter deltas: the timed builds and runs, and the verify
+    # re-runs, which repeat a program this process just ran
+    timed = verify = None
     for name in names:
         with agg.time_phase("assemble"):
             program = _assemble(isa, source_of(name))
-        code_before = codecache.stats()
-        translated_before = translations.stats()
-        plans_before = plan_stats()
+        before = _process_counters()
         with agg.time_phase("build"):
             model = _build_model(model_name, program, isa, fused=fused)
-        _add_counts(timed_plans, plans_before, plan_stats())
         if compile_stats is None:
             # the row's first build is the one that can pay the fusion gate
             certificate = getattr(model.spec, "fuse_certificate", None)
@@ -554,8 +532,7 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        _add_counts(timed_code, code_before, codecache.stats())
-        _add_counts(timed_translations, translated_before, translations.stats())
+        timed = _counter_delta(before, timed)
         compile_stats = model.spec.compile_stats
         cache = _model_decode_cache(model)
         if cache is not None:
@@ -582,17 +559,12 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
             # re-run under the reference scheduling loop: the fast path
             # must be result-identical, not merely faster
             with agg.time_phase("verify"):
-                code_before = codecache.stats()
-                translated_before = translations.stats()
-                plans_before = plan_stats()
+                before = _process_counters()
                 with agg.time_phase("build"):
                     ref_model = _build_model(model_name, program, isa, fused=fused)
-                _add_counts(verify_plans, plans_before, plan_stats())
                 ref_model.director.reference = True
                 ref_stats = ref_model.run(args.max_cycles)
-                _add_counts(verify_code, code_before, codecache.stats())
-                _add_counts(verify_translations, translated_before,
-                            translations.stats())
+                verify = _counter_delta(before, verify)
             reference = {
                 "cycles": ref_stats.cycles,
                 "instructions": ref_stats.instructions,
@@ -603,6 +575,8 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
                 mismatches.append(
                     {"workload": name, "fast": result, "reference": reference}
                 )
+    if verify is None:  # --no-verify
+        verify = dict.fromkeys(timed)
     lookups = cache_counts["block_hits"] + cache_counts["block_misses"]
     block_hit_rate = (
         round(cache_counts["block_hits"] / lookups, 4) if lookups else None
@@ -638,12 +612,10 @@ def _bench_model(model_name: str, args, fused: bool) -> dict:
         ),
         "verdict": verdict,
         "decode_cache": {**cache_counts, "block_hit_rate": block_hit_rate},
-        "code_cache": timed_code,
-        "verify_code_cache": None if args.no_verify else verify_code,
-        "translation_cache": timed_translations,
-        "verify_translation_cache": None if args.no_verify else verify_translations,
-        "fusion_plans": timed_plans,
-        "verify_fusion_plans": None if args.no_verify else verify_plans,
+        "translation_cache": timed["translation_cache"],
+        "verify_translation_cache": verify["translation_cache"],
+        "fusion_plans": timed["fusion_plans"],
+        "verify_fusion_plans": verify["fusion_plans"],
     }
 
 
@@ -662,10 +634,24 @@ def _generated_calls_per_commit(stats) -> Optional[float]:
     return round((stats.control_step_passes + stats.wake_calls) / stats.transitions, 4)
 
 
-def _add_counts(total: dict, before: dict, after: dict) -> None:
-    """Add one span's process-counter deltas to *total*."""
-    for key in total:
-        total[key] += after[key] - before[key]
+def _process_counters() -> dict:
+    """A snapshot of the process caches' counters: the translation
+    cache's hits and misses (:func:`repro.iss.translations.stats`) and
+    the builds that reused or generated a fusion build plan
+    (:func:`repro.core.fuse.plan_stats`)."""
+    from .core.fuse import plan_stats
+    from .iss import translations
+
+    return {"translation_cache": translations.stats(), "fusion_plans": plan_stats()}
+
+
+def _counter_delta(before: dict, total: Optional[dict] = None) -> dict:
+    """How far every process counter moved since the snapshot *before*,
+    plus *total* (an earlier delta) when given."""
+    after = _process_counters()
+    return {name: {key: value - before[name][key] + (total[name][key] if total else 0)
+                   for key, value in counts.items()}
+            for name, counts in after.items()}
 
 
 def _print_bench_row(row: dict, verify: bool) -> None:
@@ -690,14 +676,11 @@ def _print_bench_row(row: dict, verify: bool) -> None:
               f"(hit rate {cache['block_hit_rate']:.2%}, "
               f"{cache['entry_invalidations']}+"
               f"{cache['block_invalidations']} invalidated)")
-    print(f"  code cache: {_hit_counts(row['code_cache'])}")
     print(f"  translation cache: {_hit_counts(row['translation_cache'])}")
     print(f"  fusion plans: {_plan_counts(row['fusion_plans'])}")
     if verify:
         state = "ok" if not row["mismatches"] else "MISMATCH"
         print(f"  reference-loop verification: {state}")
-        print(f"  code cache (verify re-runs): "
-              f"{_hit_counts(row['verify_code_cache'])}")
         print(f"  translation cache (verify re-runs): "
               f"{_hit_counts(row['verify_translation_cache'])}")
         print(f"  fusion plans (verify re-runs): "
@@ -768,14 +751,12 @@ def cmd_bench(args) -> int:
     first build's fusion verdict came from (``verdict``: ``"cache"``
     when the fusion store held it, ``"gate"`` when the build ran the
     analyses, null unfused), the
-    ISS block-cache hit rate, the hits and misses of the process code
-    cache (:mod:`repro.codecache`) and translation cache
-    (:mod:`repro.iss.translations`) over the timed builds and runs
-    (``code_cache``, ``translation_cache``) and over the verify re-runs
-    (``verify_code_cache``, ``verify_translation_cache``), and what the
-    builds did with their fusion
-    build plans (``fusion_plans`` and ``verify_fusion_plans``: how many
-    reused one and how many generated their text; see
+    ISS block-cache hit rate, the hits and misses of the process
+    translation cache (:mod:`repro.iss.translations`) over the timed
+    builds and runs (``translation_cache``) and over the verify re-runs
+    (``verify_translation_cache``), and what the builds did with their
+    fusion build plans (``fusion_plans`` and ``verify_fusion_plans``:
+    how many reused one and how many generated their text; see
     :func:`repro.core.fuse.plan_stats`).  ``--model cases`` benches
     every case-study model (StrongARM and PPC 750).  ``--out`` holds a JSON array and is
     *merged*, not overwritten: rows are keyed by (bench, model, quick,
@@ -787,9 +768,9 @@ def cmd_bench(args) -> int:
     runs ``bench --quick`` fused and unfused and fails on result
     mismatches, on the fused ppc750 row's ``failed_probes_per_commit``
     above 0.65 or ``generated_calls_per_commit`` above 3.1, on any
-    code-cache or translation-cache miss in a verify re-run and on any
-    fused verify re-run build that did not reuse its plan, never on
-    speed.
+    translation-cache miss in a verify re-run (or one with no hit) and
+    on any fused verify re-run build that did not reuse its plan, never
+    on speed.
     """
     import json
 

@@ -87,7 +87,6 @@ from contextlib import contextmanager
 from types import CodeType, FunctionType, MethodType, ModuleType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..codecache import compile_cached
 from ..contentstore import (PACKAGE_ROOT, ResultCache, content_key,
                             generator_fingerprint, package_fingerprint,
                             user_cache_dir)
@@ -314,10 +313,9 @@ class _Codegen:
         return f"{hint}{self._n}"
 
     def function(self, source: str, filename: str) -> Callable:
-        """The function *source* defines, compiled once per process
-        (:func:`~repro.codecache.compile_cached`), with the bound objects
-        as its parameter defaults."""
-        module = compile_cached(source, filename)
+        """The function *source* defines, with the bound objects as its
+        parameter defaults."""
+        module = compile(source, filename, "exec")
         code = next(c for c in module.co_consts if isinstance(c, CodeType))
         return _function(code, source, tuple([self.env[name] for name in self.params]))
 
@@ -1666,11 +1664,10 @@ def _pairs_ok(pairs) -> bool:
 
 
 #: build plans kept.  A plan holds a census, text, code and paths
-#: only: ppc750's, the largest, about 75 KB of text and as much code,
-#: the same objects the code cache holds.  A process needs one per spec
-#: structure it builds: the seven registered specs have seven, and
-#: every config of the fleet-bench, E1 and E2 sweeps builds its model's
-#: one structure.
+#: only: ppc750's, the largest, about 75 KB of text and as much code.
+#: A process needs one per spec structure it builds: the seven
+#: registered specs have seven, and every config of the fleet-bench, E1
+#: and E2 sweeps builds its model's one structure.
 MAX_PLANS = 64
 
 #: gated builds of this process by what their plan did

@@ -47,27 +47,18 @@ Cross-process hazards audited for this contract (and why each is safe):
   build looks the positions up in its own spec walk and gets functions
   of its own whose defaults are its own objects, the same ones a fresh
   generation would bind.
-* ``repro.codecache`` keeps the code objects of generated ISS blocks and
-  steppers for the life of the process, so a worker compiles a block
-  its earlier jobs compiled only once.  Sharing them across jobs is
-  sound because a code object is immutable and a pure function of its
-  key (the exact source text and filename): each build still makes its
-  own functions from it, with a namespace or parameter defaults of its
-  own, so no block, manager or
-  model of one job is reachable from another, and the result is what a
-  fresh ``compile()`` would give.  The cache lives in memory only and
-  is never shared between processes.
 * ``repro.iss.translations`` keeps decoded instructions, with the
-  executors bound to them, and block code for the life of the process,
-  so a worker decodes, writes and compiles the code of a program its
-  earlier jobs ran only once.  Sharing them across jobs is sound
-  because a decode is a pure function of the decoder, address and
-  word, and an executor or a block's code a pure function of its
-  instructions; the cache holds no block, memory, state or model, each
-  job's interpreter makes block functions of its own (with its own
-  ``_block``), and each job's decode cache keeps its own
-  write-invalidation, so a job that stores over its text re-fetches
-  the word it wrote.
+  executors bound to them, and block functions for the life of the
+  process, so a worker decodes, writes and compiles the code of a
+  program its earlier jobs ran only once.  Sharing them across jobs is
+  sound because a decode is a pure function of the decoder, address and
+  word, and an executor or a block function's text a pure function of
+  its instructions; a generated function reads only its arguments and
+  the execgen's helpers, so the cache holds no block, memory, state or
+  model; each job's run loop hands a block function that job's own
+  block, which its store guards test; and each job's decode cache keeps
+  its own write-invalidation, so a job that stores over its text
+  re-fetches the word it wrote.
 """
 
 from __future__ import annotations

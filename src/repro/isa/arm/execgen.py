@@ -10,25 +10,25 @@ each emitted body mirrors :func:`repro.isa.arm.semantics.execute`
 exactly.
 
 * **Executors.**  :func:`_translate` writes a dedicated ``fn(state) ->
-  ExecInfo`` for one instruction; the interpreter's fetch path compiles
-  a new block's executors as one unit and attaches them as
-  ``instr.exec_fn`` (:meth:`repro.iss.interpreter.BaseInterpreter.
-  fetch_decode`).  ``step()``, the oracle and every timing model dispatch
+  ExecInfo`` for one instruction; the interpreter's fetch path
+  (:meth:`repro.iss.interpreter.BaseInterpreter.fetch_decode`) has
+  :func:`repro.iss.translations.bind_block` compile a new block's
+  executors as one unit and attach them as ``instr.exec_fn``.  ``step()``, the oracle and every timing model dispatch
   through them, because they need the :class:`ExecInfo` record per
   instruction.  NZCV and memory are the architectural ``state.flag_*``
   and ``state.memory``.
 * **Block functions.**  :func:`block_source` composes the same bodies
-  into one ``fn(state, syscalls, limit) -> next_pc`` for a whole basic
-  block, the function the ISS run loop executes
+  into one ``fn(state, syscalls, limit, _block) -> next_pc`` for a
+  whole basic block, the function the ISS run loop executes
   (:meth:`repro.iss.interpreter.BaseInterpreter.run`).  NZCV lives in the
   locals ``n``/``z``/``c``/``v``, memory in a local and aligned word loads
   read the memory's page map inline (``_word(pages.get(…), …)``, see
   :mod:`repro.memory.mainmem`); no :class:`ExecInfo` is written, the
   flags spill only at block exits and around a ``swi``, the PC is
   written only at exits, and every store is followed by an ``if not
-  _block.valid:`` guard (``_block`` is the block itself, a name the
-  bodies never bind), so a store over the running block stops at the
-  next instruction boundary.  A block that ends in a ``b`` without link
+  _block.valid:`` guard (``_block``, an argument the bodies never bind,
+  is the running block), so a store over the running block stops at
+  the next instruction boundary.  A block that ends in a ``b`` without link
   to its own entry loops in place (``while True:``), counting instret
   in the local ``_i``, until the branch falls through, a guard fires or
   another iteration would take instret past *limit*.
@@ -480,9 +480,9 @@ def _block_ender(e: _Emitter, instr: ArmInstruction, guard: Optional[str],
 
 
 def block_source(instrs: List[ArmInstruction], name: str) -> str:
-    """Source of ``name(state, syscalls, limit) -> next_pc``, which runs
-    *instrs* (a basic block's leading instructions, none ``udf``) back
-    to back and returns where control goes next.
+    """Source of ``name(state, syscalls, limit, _block) -> next_pc``,
+    which runs *instrs* (a basic block's leading instructions, none
+    ``udf``) back to back and returns where control goes next.
 
     When the last is a ``b`` without link to the first, the body loops
     in place while the branch is taken and another iteration keeps
@@ -511,7 +511,7 @@ def block_source(instrs: List[ArmInstruction], name: str) -> str:
         # that has no block form: continue at the next address
         exit_pc = str((last.addr + 4) & 0xFFFFFFFF)
     e.leave(exit_pc)
-    head = [f"def {name}(state, syscalls, limit):", "    r = state.regs.values"]
+    head = [f"def {name}(state, syscalls, limit, _block):", "    r = state.regs.values"]
     head += [f"    {local} = {_LOCALS[local]}" for local in sorted(e.locals)]
     head.append("    n = state.flag_n; z = state.flag_z; c = state.flag_c; v = state.flag_v")
     if e.loop:
@@ -541,6 +541,7 @@ def _sub(a: int, b: int, carry: int = 1):
     return result, carry_out, overflow
 
 
-#: the globals both forms read (a block function also reads ``_block``)
+#: the globals both forms read, and all a block function reads besides
+#: its arguments, so one block function serves every interpreter
 GLOBALS = {"ExecInfo": ExecInfo, "_add": _add, "_sub": _sub,
            "_word": unpack_word, "_zero": ZERO_PAGE}

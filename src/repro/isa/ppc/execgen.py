@@ -7,22 +7,23 @@ literals, and each emitted body mirrors
 decrement side effect of branch conditions).
 
 * **Executors.**  :func:`_translate` writes a dedicated ``fn(state) ->
-  ExecInfo`` for one instruction; the interpreter's fetch path compiles
-  a new block's executors as one unit and attaches them as
-  ``instr.exec_fn`` (:meth:`repro.iss.interpreter.BaseInterpreter.
-  fetch_decode`).  ``step()``, the ppc750 oracle and every timing model
+  ExecInfo`` for one instruction; the interpreter's fetch path
+  (:meth:`repro.iss.interpreter.BaseInterpreter.fetch_decode`) has
+  :func:`repro.iss.translations.bind_block` compile a new block's
+  executors as one unit and attach them as ``instr.exec_fn``.  ``step()``, the ppc750 oracle and every timing model
   dispatch through them, because they need the :class:`ExecInfo` record
   per instruction.
 * **Block functions.**  :func:`block_source` composes the same bodies
-  into one ``fn(state, syscalls, limit) -> next_pc`` for a whole basic
-  block, the function the ISS run loop executes
+  into one ``fn(state, syscalls, limit, _block) -> next_pc`` for a
+  whole basic block, the function the ISS run loop executes
   (:meth:`repro.iss.interpreter.BaseInterpreter.run`).  CR0 and memory
   live in locals, aligned word loads read the memory's page map inline
   (``_word(pages.get(…), …)``, see :mod:`repro.memory.mainmem`), no
   :class:`ExecInfo` is written, the PC is written only at block exits,
   and every store is followed by an ``if not _block.valid:`` guard
-  (``_block`` is the block itself, a name the bodies never bind), so a
-  store over the running block stops at the next instruction boundary.
+  (``_block``, an argument the bodies never bind, is the running
+  block), so a store over the running block stops at the next
+  instruction boundary.
   A block that ends in a ``b`` or ``bc`` without link to its own entry
   loops in place (``while True:``), counting instret in the local
   ``_i``, until the branch falls through, a guard fires or another
@@ -384,9 +385,9 @@ def _translate(instr: PpcInstruction, name: str) -> Optional[str]:
 
 
 def block_source(instrs: List[PpcInstruction], name: str) -> str:
-    """Source of ``name(state, syscalls, limit) -> next_pc``, which runs
-    *instrs* (a basic block's leading instructions, none ``illegal``)
-    back to back and returns where control goes next.
+    """Source of ``name(state, syscalls, limit, _block) -> next_pc``,
+    which runs *instrs* (a basic block's leading instructions, none
+    ``illegal``) back to back and returns where control goes next.
 
     CR0 lives in the locals ``lt``/``gt``/``eq`` when the block touches
     it, and is written back at every exit and before a syscall, which
@@ -407,7 +408,7 @@ def block_source(instrs: List[PpcInstruction], name: str) -> str:
             and last.target == str(instrs[0].addr))
     pad = "        " if loop else "    "
     spill = []
-    lines = [f"def {name}(state, syscalls, limit):", "    r = state.regs.values"]
+    lines = [f"def {name}(state, syscalls, limit, _block):", "    r = state.regs.values"]
     lines += [f"    {local} = {_LOCALS[local]}"
               for local in sorted(set().union(*(e.locals for e in parts)))]
     if any(e.uses_cr for e in parts):
@@ -451,6 +452,7 @@ def block_source(instrs: List[PpcInstruction], name: str) -> str:
 #: the locals a block function binds for its bodies when they use them
 _LOCALS = {"memory": "state.memory", "pages": "state.memory._pages"}
 
-#: the globals both forms read (a block function also reads ``_block``)
+#: the globals both forms read, and all a block function reads besides
+#: its arguments, so one block function serves every interpreter
 GLOBALS = {"ExecInfo": ExecInfo, "_div": _div_trunc,
            "_word": unpack_word, "_zero": ZERO_PAGE}

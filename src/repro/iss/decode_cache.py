@@ -16,14 +16,14 @@ fetch time: starting from an entry address it decodes forward until a
 control transfer (``is_branch`` / ``writes_pc``) or a system instruction
 ends the block, and memoises the resulting :class:`DecodedBlock`.  The
 ISS run loop executes each block as one compiled function between cache
-probes (cached on the block as ``compiled``), and the interpreter's
+probes (kept on the block as ``compiled``), and the interpreter's
 fetch path for ``step()`` and the timing models binds per-instruction
 executor closures to a block's instructions when it builds the block.
 A specialising interpreter hands this cache a decoder that goes
 through the process's translation cache (:mod:`repro.iss.translations`),
-so the instruction objects, with their executors, are shared by every
-interpreter of the process; the address map, the blocks and the
-invalidation below are this cache's own.
+so the instruction objects, with their executors, and the block
+functions are shared by every interpreter of the process; the address
+map, the blocks and the invalidation below are this cache's own.
 
 Both layers honor the write-invalidation contract.  A write hook on the
 backing :class:`MainMemory` consults a 256-byte *page map* — page index
@@ -33,8 +33,9 @@ O(write length) per-byte scan; wide block writes (``write_block``) no
 longer walk every byte of their span.  A store that overlaps a cached
 instruction drops the entry *and* every block containing it; dropped
 blocks are flagged ``valid = False`` and lose their block function, so
-a block function that stores over its own block, looping in place or
-not, returns right after the store and the run loop re-fetches.  A
+a block function that stores over the block it was handed, looping in
+place or not, returns right after the store and the run loop
+re-fetches.  A
 write that runs past 0xFFFFFFFF goes on at address 0 (as
 :class:`MainMemory` writes it) and is invalidated there too; a block
 ends at the last word of the address space rather than run on to 0.
@@ -78,11 +79,12 @@ class DecodedBlock:
 
     ``valid`` flips to False when a store overlaps ``[entry, end)``; a
     block function tests it after every store so self-modifying code
-    re-fetches mid-block.  ``compiled`` caches the block function the ISS
-    run loop executes, ``fn(state, syscalls, limit) -> next_pc`` (see
-    :meth:`repro.iss.interpreter.BaseInterpreter.run`); a store over the
-    block clears it, which is what ties block functions to the
-    write-invalidation contract.
+    re-fetches mid-block.  ``compiled`` keeps the block function the ISS
+    run loop executes, ``fn(state, syscalls, limit, block) -> next_pc``
+    (see :meth:`repro.iss.interpreter.BaseInterpreter.run`): the
+    process's function for these instructions, which holds no block and
+    tests the one it is handed; a store over the block clears it, which
+    is what ties block functions to the write-invalidation contract.
     """
 
     __slots__ = ("entry", "end", "instrs", "valid", "compiled", "__weakref__")

@@ -11,11 +11,10 @@ from __future__ import annotations
 import importlib
 from typing import Callable
 
-from ..codecache import compile_cached
 from ..isa.program import Program
 from ..memory.mainmem import MainMemory
 from . import translations
-from .decode_cache import DecodeCache, DecodedBlock
+from .decode_cache import DecodeCache
 from .state import ArchState
 from .syscalls import SyscallHandler
 
@@ -30,17 +29,19 @@ class BaseInterpreter:
     With ``specialize`` (the default) the decode cache builds whole basic
     blocks, and each path gets the generated code it needs:
 
-    * :meth:`run` executes each block as one compiled function
-      (``block.compiled``), built on the block's first dispatch;
+    * :meth:`run` executes each block with one compiled function
+      (``block.compiled``, looked up on the block's first dispatch),
+      ``fn(state, syscalls, limit, block)``;
     * :meth:`step` and the timing models, which need an ``ExecInfo``
       record per instruction, fetch through :meth:`fetch_decode`, whose
       block builds bind a specialised executor closure to every
       supported instruction (``instr.exec_fn``).
 
     The ISA's :attr:`execgen` module writes both forms, and the
-    process's translation cache (:mod:`repro.iss.translations`) keeps
-    the decoded instructions, with their executors, and the block code,
-    so each is decoded, written and compiled once per process.
+    process's translation cache (:mod:`repro.iss.translations`) makes
+    and keeps the decoded instructions, with their executors, and the
+    block functions, so each is decoded, written and compiled once per
+    process and shared by every interpreter that meets the same code.
 
     ``specialize=False`` keeps the pure per-instruction interpreter — the
     reference both paths are differentially tested against — which
@@ -120,37 +121,9 @@ class BaseInterpreter:
             return instr
         if self.specialize:
             instrs = cache.fetch_block(addr).instrs
-            self._bind_block(instrs)
+            translations.bind_block(importlib.import_module(self.execgen), instrs)
             return instrs[0]
         return cache.fetch(addr)
-
-    def _bind_block(self, instrs) -> None:
-        """Attach an ``exec_fn`` executor to every instruction of a new
-        block that has none and a translation, compiling the block's
-        executors as one unit under an ``<execgen …>`` filename."""
-        execgen = importlib.import_module(self.execgen)
-        undefined = execgen.UNDEFINED_KIND
-        sources = []
-        bound = []
-        for index, instr in enumerate(instrs):
-            if instr.exec_fn is not None or instr.kind == undefined:
-                # bound by an overlapping block built earlier, here or
-                # (the instruction being the process's) by another
-                # interpreter; or one the reference executes
-                continue
-            name = f"_x{index}"
-            source = execgen._translate(instr, name)
-            if source is not None:
-                sources.append(source)
-                bound.append((instr, name))
-        if not bound:
-            return
-        namespace = dict(execgen.GLOBALS)
-        exec(compile_cached("\n".join(sources),
-                            f"<execgen {execgen.ISA} block {instrs[0].addr:#x}>"),
-             namespace)
-        for instr, name in bound:
-            instr.exec_fn = namespace[name]
 
     def step(self):
         """Execute one instruction; returns (instr, exec_info)."""
@@ -193,46 +166,33 @@ class BaseInterpreter:
         return state.exit_code
 
     def _run_blocks(self, limit: int) -> None:
-        """Run compiled blocks while the machine runs and each whole
+        """Run block functions while the machine runs and each whole
         block fits below *limit*, which every block function is handed
         so that one looping in place stops where the next iteration
-        would not fit."""
+        would not fit; each is handed its block too, which its store
+        guards test."""
         state = self.state
         syscalls = self.syscalls
         fetch_block = self.decode_cache.fetch_block
-        compile_block = self._compile_block
+        execgen = importlib.import_module(self.execgen)
+        block_function = translations.block_function
         while not state.halted:
             block = fetch_block(state.pc)
             fn = block.compiled
             if fn is None:
-                fn = block.compiled = compile_block(block)
+                fn = block.compiled = (
+                    block_function(execgen, tuple(block.instrs))
+                    or self._reference_block(block.instrs[0]))
             if state.instret + len(block.instrs) > limit:
                 return
-            state.pc = fn(state, syscalls, limit)
-
-    def _compile_block(self, block: DecodedBlock) -> Callable:
-        """``fn(state, syscalls, limit) -> next_pc`` for *block*: its leading
-        instructions up to the first the execgen does not translate,
-        written and compiled once per process per block of instructions
-        (:func:`repro.iss.translations.block_code`).  ``_block``, the
-        block its store guards test, belongs to this block alone."""
-        execgen = importlib.import_module(self.execgen)
-        translation = translations.block_code(execgen, tuple(block.instrs))
-        if translation is None:
-            return self._reference_block(block.instrs[0])
-        code, source, name = translation
-        namespace = dict(execgen.GLOBALS, _block=block)
-        exec(code, namespace)
-        fn = namespace[name]
-        fn.__block_source__ = source  # transcheck introspection (TRV005)
-        return fn
+            state.pc = fn(state, syscalls, limit, block)
 
     def _reference_block(self, instr) -> Callable:
         """A block function for an instruction with no block form: the
         reference semantics execute it (and raise for it)."""
         execute = self._execute
 
-        def reference(state, syscalls, limit):
+        def reference(state, syscalls, limit, _block):
             execute(instr)
             state.instret += 1
             return state.pc

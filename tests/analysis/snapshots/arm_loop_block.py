@@ -1,4 +1,4 @@
-def _block_8014(state, syscalls, limit):
+def _block_8014(state, syscalls, limit, _block):
     r = state.regs.values
     memory = state.memory
     pages = state.memory._pages

@@ -1,4 +1,4 @@
-def _block_800c(state, syscalls, limit):
+def _block_800c(state, syscalls, limit, _block):
     r = state.regs.values
     memory = state.memory
     pages = state.memory._pages

@@ -510,15 +510,17 @@ class TestIsaRuleMutations:
         assert found, f"TRV005 must fire on a loop block's {mutation}"
         assert all(d.message.startswith(f"block {loops[0]:#x}:") for d in found)
 
-    def test_trv005_fires_on_missing_block_source(self, arm_iss):
-        entry, block = next(iter(arm_iss.decode_cache.blocks.items()))
-        saved = block.compiled.__block_source__
-        block.compiled.__block_source__ = None
-        try:
+    def test_trv005_fires_on_missing_block_source(self, fresh_translations):
+        # a block function is the process's: mutate one that fresh
+        # translations made, which no other run shares
+        from repro.analysis.certify.isachecks import run_arm_driver
+
+        with fresh_translations():
+            iss = run_arm_driver()
+            block = next(iter(iss.decode_cache.blocks.values()))
+            block.compiled.__block_source__ = None
             report = certify_isa(
-                "arm", passes=[Trv005BlockStoreGuards(interpreter=arm_iss)])
-        finally:
-            block.compiled.__block_source__ = saved
+                "arm", passes=[Trv005BlockStoreGuards(interpreter=iss)])
         found = _errors(report, "TRV005")
         assert found and "__block_source__" in found[0].message
 

@@ -43,7 +43,7 @@ def fresh_translations(monkeypatch):
               max_blocks=translations.MAX_BLOCKS):
         with monkeypatch.context() as patch:
             for name, size in (("decoded", max_instructions),
-                               ("block_code", max_blocks)):
+                               ("block_function", max_blocks)):
                 cached = getattr(translations, name)
                 patch.setattr(translations, name,
                               functools.lru_cache(maxsize=size)(cached.__wrapped__))

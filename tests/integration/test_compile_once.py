@@ -1,21 +1,20 @@
 """Generated code is written and compiled once per process.
 
-Every execgen block binder, the ISS run loop's block functions and the
-fusion generator compile through :func:`repro.codecache.compile_cached`, keyed on the
-exact source text and filename, and the ISS translation cache
-(:mod:`repro.iss.translations`) keys decoded instructions, with their
-executors, and block code on the code bytes.  These tests pin what that
+The ISS translation cache (:mod:`repro.iss.translations`) keys decoded
+instructions, with their executors, and block functions on the code
+bytes, and the fusion build plans (:mod:`repro.core.fuse`) keep each
+spec structure's steppers and wake tests.  These tests pin what that
 must and must not change: a second run of a program decodes, writes and
-compiles nothing and produces the same complete result; a cached code
-object equals a fresh compile; no model, block, memory, state or
-manager is kept alive by either cache; and each inline declaration the
-fuser reads is parsed once.
+compiles nothing and produces the same complete result; no model,
+block, memory, state or manager is kept alive by either cache, and a
+block function holds no block; and each inline declaration the fuser
+reads is parsed once.
 """
 
 from __future__ import annotations
 
-import __future__
 import ast
+import builtins
 import gc
 import importlib
 import sys
@@ -23,8 +22,6 @@ import weakref
 
 import pytest
 
-from repro import codecache
-from repro.codecache import compile_cached
 from repro.isa.arm import assemble as asm_arm
 from repro.isa.arm import execgen as arm_execgen
 from repro.isa.ppc import assemble as asm_ppc
@@ -85,81 +82,29 @@ class TestSecondRunCompilesNothing:
     def test_second_run_is_all_hits_and_identical(self, name, monkeypatch,
                                                   fresh_translations):
         calls = []
+
+        def counting(real, label):
+            def counted(*args, **kwargs):
+                calls.append(label)
+                return real(*args, **kwargs)
+            return counted
+
         for module, attr in WRITERS:
-            def counted(*args, real=getattr(module, attr), attr=attr):
-                calls.append(attr)
-                return real(*args)
-            monkeypatch.setattr(module, attr, counted)
+            monkeypatch.setattr(module, attr, counting(getattr(module, attr), attr))
         with fresh_translations():
             first = RUNS[name]()
             assert "decode" in calls  # the counters see the first run's work
             del calls[:]
-            translated, compiled = translations.stats(), codecache.stats()
-            second = RUNS[name]()
+            translated = translations.stats()
+            with monkeypatch.context() as patch:
+                patch.setattr(builtins, "compile", counting(builtins.compile, "compile"))
+                second = RUNS[name]()
             after = translations.stats()
-        assert calls == []  # no decode, no executor text, no block text
-        assert codecache.stats() == compiled  # no compile_cached call at all
+        # no decode, no executor or block text, no compile() at all
+        assert calls == []
         assert after["misses"] == translated["misses"]
         assert after["hits"] > translated["hits"]  # the run's translations came from the cache
         assert second == first
-
-
-class TestCachedCode:
-    SOURCE = "def _f(state):\n    return state + 1\n"
-
-    def test_equals_a_fresh_compile_with_the_call_sites_flags(self):
-        cached = compile_cached(self.SOURCE, "<test unit>")
-        fresh = compile(self.SOURCE, "<test unit>", "exec",
-                        __future__.annotations.compiler_flag, dont_inherit=True)
-        assert cached == fresh
-        assert cached.co_flags == fresh.co_flags
-        assert compile_cached(self.SOURCE, "<test unit>") is cached
-
-    def test_filename_is_part_of_the_key(self):
-        one = compile_cached(self.SOURCE, "<test unit one>")
-        two = compile_cached(self.SOURCE, "<test unit two>")
-        assert one is not two
-        assert two.co_filename == "<test unit two>"
-
-    def test_bounded(self):
-        assert compile_cached.cache_info().maxsize == codecache.MAX_ENTRIES
-
-    def test_each_run_gets_its_own_functions(self):
-        # the code object is shared; run()'s block functions, and the
-        # namespaces holding their per-build ``_block``, are not
-        a, b = _compiled_iss(), _compiled_iss()
-        entry = a.program.entry
-        fa = a.decode_cache.blocks[entry].compiled
-        fb = b.decode_cache.blocks[entry].compiled
-        assert fa is not fb and fa.__globals__ is not fb.__globals__
-        assert fa.__code__ is fb.__code__
-        # step()'s executors read nothing per build: each rides on the
-        # process's instruction, bound once for every interpreter
-        c = ArmInterpreter(asm_arm(mediabench.arm_source(WORKLOAD)))
-        d = ArmInterpreter(asm_arm(mediabench.arm_source(WORKLOAD)))
-        c.step()
-        d.step()
-        instr = c.decode_cache.entries[entry]
-        assert d.decode_cache.entries[entry] is instr
-        # its namespace: the execgen's globals and its unit's executors
-        namespace = instr.exec_fn.__globals__
-        assert {name for name in namespace if not name.startswith("_x")} == {
-            *arm_execgen.GLOBALS, "__builtins__"}
-
-    def test_translated_blocks_guard_their_own_block(self):
-        # a block function's store guard reads ``_block.valid``: each
-        # translation must test the block it was made for, not the one
-        # an earlier ISS compiled the same text for
-        for build in (_compiled_iss, _compiled_ppc_iss):
-            runs = [build(), build()]
-            for iss in runs:
-                for block in iss.decode_cache.blocks.values():
-                    assert block.compiled.__globals__["_block"] is block
-            codes = [{entry: block.compiled.__code__
-                      for entry, block in iss.decode_cache.blocks.items()}
-                     for iss in runs]
-            assert codes[0] == codes[1] and codes[0]
-            assert all(codes[1][entry] is code for entry, code in codes[0].items())
 
 
 def _compiled_iss():
@@ -203,12 +148,13 @@ def _iss_of(sim):
 
 def _generated_functions(sim) -> list:
     """Every function made from generated code that *sim* holds alone:
-    block translations, steppers and wake tests."""
-    found = [block.compiled for block in _iss_of(sim).decode_cache.blocks.values()]
+    its steppers and wake tests."""
     spec = getattr(sim, "spec", None)
-    if spec is not None:
-        for state in spec.states.values():
-            found += [state._fused, state._wake]
+    if spec is None:
+        return []
+    found = []
+    for state in spec.states.values():
+        found += [state._fused, state._wake]
     return [fn for fn in found if callable(fn)]
 
 
@@ -218,10 +164,13 @@ def _run_objects(sim) -> list:
     return [*iss.decode_cache.blocks.values(), iss.state.memory, iss.state]
 
 
-def _executors(sim) -> list:
-    """The execgen executors bound to *sim*'s decoded instructions."""
-    return [instr.exec_fn for instr in _iss_of(sim).decode_cache.entries.values()
-            if instr.exec_fn is not None]
+def _translated(sim) -> list:
+    """The process's functions *sim* ran: the executors bound to its
+    decoded instructions and its blocks' block functions."""
+    cache = _iss_of(sim).decode_cache
+    found = [instr.exec_fn for instr in cache.entries.values()]
+    found += [block.compiled for block in cache.blocks.values()]
+    return [fn for fn in found if fn is not None]
 
 
 BUILDS = {
@@ -235,37 +184,48 @@ BUILDS = {
 
 
 class TestNothingKeptAlive:
-    """The code cache holds code objects and their source keys only, a
-    build plan text, code and walk positions, and the translation cache
-    instructions, their executors and block code: a built and run
-    simulator, its blocks, memory and state, and every function it
-    made from generated code, die with the simulator's last reference,
-    also when its build reused a plan and with the translation cache
-    still holding the run's translations."""
+    """A build plan holds text, code and walk positions, and the
+    translation cache instructions, their executors and block functions:
+    a built and run simulator, its blocks, memory and state, and every
+    stepper and wake test it made, die with the simulator's last
+    reference, also when its build reused a plan and with the
+    translation cache still holding the run's translations."""
 
     @pytest.mark.parametrize("name", sorted(BUILDS))
     def test_collected_after_del(self, name):
         sim = BUILDS[name]()
         functions = _generated_functions(sim)
-        assert functions
+        assert functions or name.startswith("compiled-")
         refs = [weakref.ref(obj) for obj in [sim, *_run_objects(sim), *functions]]
         del sim, functions
         gc.collect()
         assert [ref for ref in refs if ref() is not None] == []
         assert translations.stats()["misses"] > 0
 
-    @pytest.mark.parametrize("name", ["strongarm", "ppc750"])
+    @pytest.mark.parametrize("name", ["strongarm", "ppc750",
+                                      "compiled-arm-iss", "compiled-ppc-iss"])
     def test_executors_live_as_long_as_their_translations(self, name,
                                                           fresh_translations):
-        # an executor rides on the process's instruction, so it outlives
-        # the simulator that bound it, and only the cache keeps it
+        # an executor rides on the process's instruction and a block
+        # function is the process's too; each reads nothing but its
+        # arguments and the execgen's globals, so it holds no block,
+        # outlives the simulator that made it, and only the cache keeps it
         with fresh_translations():
             sim = BUILDS[name]()
-            refs = [weakref.ref(fn) for fn in _executors(sim)]
-            assert refs
-            del sim
+            globals_ = {*importlib.import_module(_iss_of(sim).execgen).GLOBALS,
+                        "__builtins__"}
+            functions = _translated(sim)
+            assert functions
+            assert all({key for key in fn.__globals__
+                        if not key.startswith(("_x", "_block_"))} == globals_
+                       and fn.__closure__ is None and fn.__defaults__ is None
+                       for fn in functions)
+            refs = [weakref.ref(fn) for fn in functions]
+            blocks = [weakref.ref(block) for block in _iss_of(sim).decode_cache.blocks.values()]
+            del sim, functions
             gc.collect()
             assert all(ref() is not None for ref in refs)
+            assert [ref for ref in blocks if ref() is not None] == []
         gc.collect()
         assert [ref for ref in refs if ref() is not None] == []
 

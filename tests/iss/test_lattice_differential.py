@@ -90,7 +90,7 @@ def _cases(isa):
             instr = target.decode(ADDR, cls.encode(point) & 0xFFFFFFFF)
             if instr.kind in target.udf_kinds:
                 continue
-            namespace = dict(execgen.GLOBALS, _block=SimpleNamespace(valid=True))
+            namespace = dict(execgen.GLOBALS)
             exec(execgen._translate(instr, "_x"), namespace)
             exec(execgen.block_source([instr], "_b"), namespace)
             executor, block_fn = namespace["_x"], namespace["_b"]
@@ -107,8 +107,10 @@ def _cases(isa):
 
             def by_block(state, block_fn=block_fn):
                 # a budget of one instruction: a branch to itself (a
-                # block that loops in place) runs once, as the others do
-                state.pc = block_fn(state, state.syscalls, state.instret + 1)
+                # block that loops in place) runs once, as the others do;
+                # the block its store guards test stays valid
+                state.pc = block_fn(state, state.syscalls, state.instret + 1,
+                                    SimpleNamespace(valid=True))
 
             for regs in files:
                 for flags in FLAG_PATTERNS:

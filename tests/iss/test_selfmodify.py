@@ -6,21 +6,21 @@ kept executing the stale decode.  These tests pin the fixed contract: a
 memory write overlapping a cached instruction's bytes drops the entry and
 the next fetch re-decodes.
 
-Every scenario that builds an ISS also runs with the process code cache
-(:mod:`repro.codecache`) and translation cache
-(:mod:`repro.iss.translations`) already warm from the same program: the
-``*Warm`` classes at the end re-run the scenario classes after a
-throwaway ISS has run the program to completion.  A store over
-translated code must still drop it and re-translate, then from code
-compiled by the throwaway run.
+Every scenario that builds an ISS also runs with the process
+translation cache (:mod:`repro.iss.translations`) already warm from the
+same program: the ``*Warm`` classes at the end re-run the scenario
+classes after throwaway ISSs have run the program to completion.  A
+store over translated code must still drop it and re-translate, then
+from the throwaway run's translations, with no ``compile()`` call.
 """
+
+import builtins
 
 import pytest
 
-from repro import codecache
 from repro.isa.arm import assemble as asm_arm
 from repro.isa.ppc import assemble as asm_ppc
-from repro.iss import ArmInterpreter, PpcInterpreter
+from repro.iss import ArmInterpreter, PpcInterpreter, translations
 from repro.iss.decode_cache import PAGE_SHIFT, DecodeCache
 from repro.memory.mainmem import MainMemory
 
@@ -43,15 +43,20 @@ def _ppc_encoding(instruction: str) -> int:
 
 
 class _Scenarios:
-    #: run each program once in a throwaway ISS before the scenario's
-    #: own, so every block it translates is in the code cache
+    #: run each program in throwaway ISSs before the scenario's own,
+    #: through ``run()`` and through ``step()``, so every block function
+    #: and executor it makes is in the translation cache
     warm = False
 
     def iss(self, iss_class, program):
         """The scenario's ISS of *iss_class* over *program*."""
         if self.warm:
             iss_class(program).run()
-            self.misses_when_warm = codecache.stats()["misses"]
+            stepped = iss_class(program)
+            while not stepped.state.halted:
+                stepped.step()
+            self.misses_when_warm = translations.stats()["misses"]
+            del self.compiles[:]
         return iss_class(program)
 
 
@@ -425,15 +430,26 @@ class TestWriteHookPlumbing:
 
 
 class _WarmCache:
-    """Runs a scenario class with the code cache warm from the same
-    program; the scenario itself must then compile nothing."""
+    """Runs a scenario class with the translation cache warm from the
+    same program; the scenario itself must then translate and compile
+    nothing."""
 
     warm = True
 
     @pytest.fixture(autouse=True)
-    def _scenario_compiles_nothing(self):
+    def _scenario_compiles_nothing(self, monkeypatch):
+        self.compiles = []
+        real = builtins.compile
+
+        def counted(source, filename, *args, **kwargs):
+            self.compiles.append(filename)
+            return real(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", counted)
         yield
-        assert codecache.stats()["misses"] == self.misses_when_warm
+        monkeypatch.undo()
+        assert translations.stats()["misses"] == self.misses_when_warm
+        assert self.compiles == []
 
 
 class TestArmSelfModifyWarm(_WarmCache, TestArmSelfModify):

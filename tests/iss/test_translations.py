@@ -1,14 +1,15 @@
 """The process-wide translation cache (:mod:`repro.iss.translations`).
 
 Every specialised interpreter of a process takes its decoded
-instructions, with their executors, and its block code from one cache
-keyed on code bytes.  These tests pin that the sharing is exact: an
-interpreter that stores over its own text with the cache warm from
+instructions, with their executors, and its block functions from one
+cache keyed on code bytes.  These tests pin that the sharing is exact:
+an interpreter that stores over its own text with the cache warm from
 another interpreter's run still matches the reference, two interpreters
 stepping the same self-modifying program side by side each see their
-own text, the reference shares no instruction with the cache, and runs
-whose translations are evicted at a small bound give the same complete
-result.
+own text, two running it share one block function whose store guards
+test each one's own block, the reference shares no instruction with the
+cache, and runs whose translations are evicted at a small bound give
+the same complete result.
 """
 
 import importlib
@@ -18,10 +19,13 @@ import pytest
 from repro.isa.arm import assemble as asm_arm
 from repro.isa.ppc import assemble as asm_ppc
 from repro.iss import ArmInterpreter, PpcInterpreter, translations
+from repro.iss.decode_cache import DecodeCache
 from repro.workloads import mediabench
 
+from ..conftest import arm_program, ppc_program
 from .test_block_functions import outcome
-from .test_selfmodify import (_arm_midblock_source, _arm_sameblock_source,
+from .test_selfmodify import (_arm_encoding, _arm_midblock_source,
+                              _arm_sameblock_source, _ppc_encoding,
                               _ppc_midblock_source, _ppc_sameblock_source)
 
 #: programs that store over their own text
@@ -84,6 +88,83 @@ class TestWarmSelfModify:
             assert _stepped(iss, 10_000) == reference
 
 
+def _arm_store_as_told() -> str:
+    """Reads a byte *k*, then, in the block at ``body``, stores the
+    patch word at ``target + k * (patch - target)``: over ``target``,
+    that block's next instruction, for 0 (exit 42), over the patch word
+    itself for 1 (exit 1)."""
+    patch_word = _arm_encoding("    mov r0, #42")
+    return arm_program(f"""
+    swi  #3
+body:
+    li   r1, target
+    li   r2, patch
+    ldr  r3, [r2]
+    sub  r4, r2, r1
+    mul  r5, r0, r4
+    add  r1, r1, r5
+    str  r3, [r1]
+target:
+    mov  r0, #1
+""", data=f"patch: .word {patch_word:#010x}")
+
+
+def _ppc_store_as_told() -> str:
+    patch_word = _ppc_encoding("    li r3, 42")
+    return ppc_program(f"""
+    li    r0, 3
+    sc
+body:
+    li32  r4, target
+    li32  r5, patch
+    lwz   r6, 0(r5)
+    subf  r7, r4, r5
+    mullw r7, r3, r7
+    add   r4, r4, r7
+    stw   r6, 0(r4)
+target:
+    li    r3, 1
+""", data=f"patch: .word {patch_word:#010x}")
+
+
+class TestSharedBlockFunctions:
+    def test_one_function_guards_each_block(self, monkeypatch):
+        # two interpreters of one program run one block function; the
+        # one whose store lands on its running block leaves at its own
+        # guard and re-fetches, and the other's block stays valid
+        dropped = []  # (decode cache, block, its function) per drop
+        drop = DecodeCache._drop_block
+
+        def recording(cache, block):
+            dropped.append((cache, block, block.compiled))
+            drop(cache, block)
+
+        monkeypatch.setattr(DecodeCache, "_drop_block", recording)
+        for iss_class, assemble, source in (
+                (ArmInterpreter, asm_arm, _arm_store_as_told()),
+                (PpcInterpreter, asm_ppc, _ppc_store_as_told())):
+            program = assemble(source)
+            body, target = program.symbols["body"], program.symbols["target"]
+            reference = {stdin: outcome(iss_class(program, stdin=stdin,
+                                                  specialize=False), 1_000)
+                         for stdin in (b"\0", b"\1")}
+            assert [reference[stdin]["exit_code"] for stdin in (b"\0", b"\1")] == [42, 1]
+            other = iss_class(program, stdin=b"\1")
+            assert outcome(other, 1_000) == reference[b"\1"]
+            kept = other.decode_cache.blocks[body]
+            shared = kept.compiled
+            assert dropped == [] and hasattr(shared, "__block_source__")
+            storing = iss_class(program, stdin=b"\0")
+            assert outcome(storing, 1_000) == reference[b"\0"]
+            [(cache, block, fn)] = dropped
+            assert cache is storing.decode_cache and block is not kept
+            assert fn is shared
+            assert target in storing.decode_cache.blocks  # the re-fetch
+            assert kept.valid and other.decode_cache.blocks[body] is kept
+            assert kept.compiled is shared
+            del dropped[:]
+
+
 class TestReferenceSharesNothing:
     @pytest.mark.parametrize("isa", sorted(KERNELS))
     def test_plain_interpreter_decodes_fresh_instructions(self, isa):
@@ -128,7 +209,7 @@ class TestEviction:
             runs = [outcome(iss_class(program)) for _ in range(2)]
             steps = [_stepped(iss_class(program)) for _ in range(2)]
             instrs = translations.decoded.cache_info()
-            blocks = translations.block_code.cache_info()
+            blocks = translations.block_function.cache_info()
         assert runs == [reference] * 2
         assert steps == [reference] * 2
         assert instrs.currsize == 16 and instrs.misses > 16
