@@ -107,6 +107,55 @@ class TestSecondRunCompilesNothing:
         assert second == first
 
 
+class TestCachedCode:
+    def test_each_run_gets_its_own_functions(self):
+        # what a run gets of its own is its blocks: the block functions
+        # they run, and the executors bound to their instructions, are
+        # the process's, made once for every interpreter
+        a, b = _compiled_iss(), _compiled_iss()
+        entry = a.program.entry
+        ba, bb = a.decode_cache.blocks[entry], b.decode_cache.blocks[entry]
+        assert ba is not bb
+        assert ba.compiled is bb.compiled and "_block" not in ba.compiled.__globals__
+        # step()'s executors read nothing per build: each rides on the
+        # process's instruction, bound once for every interpreter
+        c = ArmInterpreter(asm_arm(mediabench.arm_source(WORKLOAD)))
+        d = ArmInterpreter(asm_arm(mediabench.arm_source(WORKLOAD)))
+        c.step()
+        d.step()
+        instr = c.decode_cache.entries[entry]
+        assert d.decode_cache.entries[entry] is instr
+        # its namespace: the execgen's globals and its unit's executors
+        namespace = instr.exec_fn.__globals__
+        assert {name for name in namespace if not name.startswith("_x")} == {
+            *arm_execgen.GLOBALS, "__builtins__"}
+
+    def test_translated_blocks_guard_their_own_block(self):
+        # a block function's store guard reads ``_block.valid``, and
+        # ``_block`` is the function's fourth argument, never a global:
+        # one function shared by every run tests the block each run
+        # hands it, not one an earlier run made the same text for
+        for build in (_compiled_iss, _compiled_ppc_iss):
+            runs = [build(), build()]
+            guarded = 0
+            for iss in runs:
+                for block in iss.decode_cache.blocks.values():
+                    fn = block.compiled
+                    code = fn.__code__
+                    assert code.co_varnames[:code.co_argcount] == (
+                        "state", "syscalls", "limit", "_block")
+                    assert "_block" not in fn.__globals__
+                    guarded += "if not _block.valid:" in getattr(
+                        fn, "__block_source__", "")
+            assert guarded  # the workload stores inside translated blocks
+            functions = [{entry: block.compiled
+                          for entry, block in iss.decode_cache.blocks.items()}
+                         for iss in runs]
+            assert functions[0] and functions[0].keys() == functions[1].keys()
+            assert all(functions[1][entry] is fn for entry, fn in functions[0].items()
+                       if hasattr(fn, "__block_source__"))
+
+
 def _compiled_iss():
     iss = ArmInterpreter(asm_arm(mediabench.arm_source(WORKLOAD)))
     iss.run()
