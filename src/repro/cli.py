@@ -47,13 +47,13 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 
 def _assemble(isa: str, source: str):
-    if isa == "arm":
-        from .isa.arm import assemble
-    elif isa == "ppc":
-        from .isa.ppc import assemble
-    else:
-        raise SystemExit(f"unknown ISA {isa!r} (choose arm or ppc)")
-    return assemble(source)
+    """The assembled program; an error in the source exits with its message."""
+    from .isa import AssemblyError, assemble
+
+    try:
+        return assemble(isa, source)
+    except AssemblyError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _build_model(name: str, program, isa: str, fused: bool = True):

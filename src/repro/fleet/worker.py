@@ -59,6 +59,9 @@ Cross-process hazards audited for this contract (and why each is safe):
   block, which its store guards test; and each job's decode cache keeps
   its own write-invalidation, so a job that stores over its text
   re-fetches the word it wrote.
+* ``repro.isa.arm.syntax.parse_mnemonic`` memoises (up to 1,024
+  entries) a pure function of the mnemonic text, so a hit returns what
+  a fresh parse would.
 """
 
 from __future__ import annotations
@@ -151,14 +154,6 @@ _BUILDERS: Dict[str, Callable] = {
 }
 
 
-def _assemble(isa: str, source: str):
-    if isa == "arm":
-        from ..isa.arm import assemble
-    else:
-        from ..isa.ppc import assemble
-    return assemble(source)
-
-
 def _memory_metrics(model) -> Dict[str, Any]:
     """Deterministic memory-hierarchy figures, where structures exist."""
     metrics: Dict[str, Any] = {}
@@ -183,11 +178,13 @@ def run_job(job_dict: Dict[str, Any]) -> Dict[str, Any]:
     """
     import time
 
+    from ..isa import assemble
+
     try:
         job = Job.from_dict(job_dict)
         start = time.perf_counter()
         source = resolve_workload(job.workload, job.isa, job.seed)
-        program = _assemble(job.isa, source)
+        program = assemble(job.isa, source)
         assembled = time.perf_counter()
         model = _BUILDERS[job.model](program, job.config)
         built = time.perf_counter()

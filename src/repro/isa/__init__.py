@@ -10,5 +10,18 @@ __all__ = [
     "Instruction",
     "Program",
     "Section",
+    "assemble",
     "split_operands",
 ]
+
+
+def assemble(isa: str, source: str) -> Program:
+    """Assemble *source* for the ``arm`` or ``ppc`` target; an error in the
+    source raises :class:`AssemblyError`."""
+    if isa == "arm":
+        from .arm import assemble as assemble_isa
+    elif isa == "ppc":
+        from .ppc import assemble as assemble_isa
+    else:
+        raise ValueError(f"unknown ISA {isa!r} (choose arm or ppc)")
+    return assemble_isa(source)

@@ -262,7 +262,7 @@ def _decode_load_store(instr: ArmInstruction) -> None:
         instr.shift_type = bits(word, 6, 5)
         instr.shift_amount = bits(word, 11, 7)
         sources.append(instr.rm)
-        offset_text = f"r{instr.rm}"
+        offset_text = f"{'' if instr.up else '-'}r{instr.rm}"
         if instr.shift_amount:
             offset_text += f", {SHIFT_NAMES[instr.shift_type]} #{instr.shift_amount}"
     else:

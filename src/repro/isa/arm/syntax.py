@@ -15,6 +15,7 @@ Pseudo-instructions::
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import List, Optional, Tuple
 
@@ -43,6 +44,7 @@ _ALL_BASES = sorted(
 _S_ALLOWED = _DP_BASES | _MUL_BASES
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_mnemonic(mnemonic: str) -> Optional[Tuple[str, int, int]]:
     """Split ``op{cond}{s}`` into (base, cond, s); None if unparseable.
 
@@ -109,12 +111,11 @@ class ArmSyntax(IsaSyntax):
             return 16
         return 4
 
-    def encode_statement(self, mnemonic: str, operands: str, ctx: AsmContext) -> bytes:
+    def encode_statement(self, mnemonic: str, ops: List[str], ctx: AsmContext) -> bytes:
         parsed = parse_mnemonic(mnemonic)
         if parsed is None:
             raise ctx.error(f"unknown mnemonic {mnemonic!r}")
         base, cond, s = parsed
-        ops = split_operands(operands) if operands else []
         if base == "nop":
             words = [encode.dp_register(cond, DP_OPCODES["mov"], 0, 0, 0, 0)]
         elif base == "li" or (base == "ldr" and len(ops) == 2 and ops[1].startswith("=")):
@@ -126,7 +127,7 @@ class ArmSyntax(IsaSyntax):
         elif base in _LDST_BASES:
             words = [self._encode_ldst(base, cond, ops, ctx)]
         elif base in _BLOCK_BASES or base in ("push", "pop"):
-            words = [self._encode_block(base, cond, operands, ctx)]
+            words = [self._encode_block(base, cond, ops, ctx)]
         elif base in _BRANCH_BASES:
             words = [self._encode_branch(base, cond, ops, ctx)]
         elif base == "bx":
@@ -136,7 +137,7 @@ class ArmSyntax(IsaSyntax):
             words = [encode.software_interrupt(cond, number)]
         else:  # pragma: no cover - bases exhausted above
             raise ctx.error(f"unhandled mnemonic {mnemonic!r}")
-        return b"".join(struct.pack("<I", w) for w in words)
+        return struct.pack(f"<{len(words)}I", *words)
 
     # -- per-class encoders ---------------------------------------------------
 
@@ -259,16 +260,15 @@ class ArmSyntax(IsaSyntax):
             cond, load, byte, rn, rd, rm, shift_type, shift_amount, up
         )
 
-    def _encode_block(self, base: str, cond: int, operands: str, ctx: AsmContext) -> int:
+    def _encode_block(self, base: str, cond: int, ops: List[str], ctx: AsmContext) -> int:
         """ldm/stm families plus the push/pop stack aliases."""
         if base == "push":
-            reglist = self._parse_reglist(operands, ctx)
+            reglist = self._parse_reglist(", ".join(ops), ctx)
             return encode.block_transfer(cond, 0, 13, reglist, pre=1, up=0, writeback=1)
         if base == "pop":
-            reglist = self._parse_reglist(operands, ctx)
+            reglist = self._parse_reglist(", ".join(ops), ctx)
             return encode.block_transfer(cond, 1, 13, reglist, pre=0, up=1, writeback=1)
         load, pre, up = _BLOCK_BASES[base]
-        ops = split_operands(operands)
         if len(ops) < 2:
             raise ctx.error(f"{base} needs a base register and a register list")
         base_text = ops[0].strip()

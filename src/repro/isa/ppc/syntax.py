@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from typing import List, Tuple
 
-from ..assembler import AsmContext, AssemblyError, IsaSyntax, split_operands
+from ..assembler import AsmContext, AssemblyError, IsaSyntax
 from . import encode, isa
 
 _D_ALU = {"addi": isa.OP_ADDI, "addic": isa.OP_ADDIC, "addis": isa.OP_ADDIS,
@@ -95,15 +95,14 @@ class PpcSyntax(IsaSyntax):
             raise AssemblyError(f"unknown mnemonic {mnemonic!r}")
         return 8 if mnemonic == "li32" else 4
 
-    def encode_statement(self, mnemonic: str, operands: str, ctx: AsmContext) -> bytes:
-        ops = split_operands(operands) if operands else []
+    def encode_statement(self, mnemonic: str, ops: List[str], ctx: AsmContext) -> bytes:
         rc = 0
         base = mnemonic
         if mnemonic.endswith(".") and mnemonic != "andi.":
             base = mnemonic[:-1]
             rc = 1
         words = self._encode(base, rc, ops, ctx)
-        return b"".join(struct.pack("<I", w) for w in words)
+        return struct.pack(f"<{len(words)}I", *words)
 
     # -- encoding dispatch ------------------------------------------------------
 

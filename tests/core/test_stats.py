@@ -63,6 +63,27 @@ class TestSimulationStats:
         assert "cycles" in text and "IPC" in text
 
 
+class FakeClock:
+    """``perf_counter`` for :mod:`repro.core.stats` that moves only when a
+    test sleeps, so timed phases read exact figures on any host."""
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.fixture()
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr("repro.core.stats.time", fake)
+    return fake
+
+
 class TestPhaseAttribution:
     def test_record_and_accumulate(self):
         stats = SimulationStats()
@@ -110,52 +131,48 @@ class TestPhaseAttribution:
         stats.start_timer()
         assert stats.stop_timer() is True
 
-    def test_nested_time_phase_is_exclusive(self):
+    def test_nested_time_phase_is_exclusive(self, clock):
         """A nested phase's time must not also count toward its parent
         (the bench breakdown used to double-count verify/build)."""
         stats = SimulationStats()
         with stats.time_phase("outer"):
-            time.sleep(0.02)
+            clock.sleep(2.0)
             with stats.time_phase("inner"):
-                time.sleep(0.02)
-        total = stats.phase_seconds["outer"] + stats.phase_seconds["inner"]
-        assert stats.phase_seconds["inner"] >= 0.02
-        assert stats.phase_seconds["outer"] >= 0.015
-        # outer excludes inner: the sum is the real elapsed wall time,
-        # well under the ~0.06s a double-counted inner would produce
-        assert total < 0.06
+                clock.sleep(2.0)
+        # outer excludes inner: the sum is the elapsed 4.0, where a
+        # double-counted inner would read 6.0
+        assert stats.phase_seconds == {"outer": 2.0, "inner": 2.0}
 
-    def test_nested_same_name_accumulates_once(self):
+    def test_nested_same_name_accumulates_once(self, clock):
         stats = SimulationStats()
         with stats.time_phase("build"):
-            time.sleep(0.01)
+            clock.sleep(1.0)
             with stats.time_phase("build"):
-                time.sleep(0.01)
-        assert 0.02 <= stats.phase_seconds["build"] < 0.04
+                clock.sleep(1.0)
+        assert stats.phase_seconds == {"build": 2.0}
 
-    def test_stop_timer_inside_time_phase_is_exclusive(self):
+    def test_stop_timer_inside_time_phase_is_exclusive(self, clock):
         """A stop_timer(phase=...) interval inside an open time_phase
         block counts toward the inner phase only."""
         stats = SimulationStats()
         with stats.time_phase("harness"):
+            clock.sleep(0.5)
             stats.start_timer()
-            time.sleep(0.02)
+            clock.sleep(2.0)
             stats.stop_timer(phase="simulate")
-        assert stats.phase_seconds["simulate"] >= 0.02
-        assert stats.phase_seconds["harness"] < 0.015
+        assert stats.phase_seconds == {"simulate": 2.0, "harness": 0.5}
 
-    def test_timer_started_before_phase_clamps_to_frame(self):
+    def test_timer_started_before_phase_clamps_to_frame(self, clock):
         """Only the part of a stop_timer interval that overlaps the open
         frame is subtracted from it."""
         stats = SimulationStats()
         stats.start_timer()
-        time.sleep(0.02)
+        clock.sleep(2.0)
         with stats.time_phase("harness"):
-            time.sleep(0.01)
+            clock.sleep(1.0)
             stats.stop_timer(phase="simulate")
-        assert stats.phase_seconds["simulate"] >= 0.03
-        # harness self-time is ~0, never negative
-        assert 0.0 <= stats.phase_seconds["harness"] < 0.01
+        # harness self-time is exactly 0, never negative
+        assert stats.phase_seconds == {"simulate": 3.0, "harness": 0.0}
 
     def test_transitions_per_second(self):
         stats = SimulationStats()

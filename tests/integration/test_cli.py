@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +108,35 @@ class TestAsm:
     def test_ppc_listing(self, ppc_file, capsys):
         assert main(["asm", "--isa", "ppc", ppc_file]) == 0
         assert "mullw" in capsys.readouterr().out
+
+
+class TestAssemblyErrors:
+    """An error in the source ends the command with its ``line N:``
+    message, the way Python prints a string ``SystemExit``: no traceback."""
+
+    @pytest.fixture()
+    def bad_file(self, tmp_path):
+        source = tmp_path / "bad.s"
+        source.write_text(".text\n_start:\n    b nowhere\n")
+        return str(source)
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["run", "--model", "iss"], ["run", "--model", "ppc750"], ["asm"]])
+    def test_exits_with_the_line(self, bad_file, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [bad_file])
+        assert excinfo.value.code.startswith("line 3: undefined symbol 'nowhere'")
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+
+    def test_printed_without_traceback(self, bad_file):
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "asm", bad_file], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": os.path.abspath(src)}, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.startswith("line 3: undefined symbol 'nowhere'")
+        assert "Traceback" not in done.stderr
 
 
 class TestAnalyze:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.isa.arm import decode, parse_mnemonic
+from repro.isa.arm import assemble, decode, parse_mnemonic
 from repro.isa.arm import encode
 from repro.isa.arm.isa import COND_AL, CONDITIONS, DP_OPCODES, FLAGS_REG, LR, PC
 
@@ -101,6 +101,17 @@ class TestRoundTrip:
         assert instr.is_load
         assert instr.imm == offset
         assert instr.rn == rn and instr.rd == rd
+
+    @pytest.mark.parametrize("load,byte", [(0, 0), (1, 1)])
+    @pytest.mark.parametrize("up", [0, 1])
+    @pytest.mark.parametrize("shift_type,amount", [(0, 0), (0, 2), (2, 31)])
+    def test_register_offset_listing_reassembles(self, load, byte, up, shift_type, amount):
+        """The listing keeps the sign of a register offset (``[r1, -r3]``)."""
+        word = encode.load_store_register(COND_AL, load, byte, 1, 2, 3,
+                                          shift_type, amount, up)
+        text = decode(0x8000, word).text
+        assert ("-r3" in text) == (not up)
+        assert assemble(text).text_words() == [(0x8000, word)]
 
     @given(st.integers(min_value=-(1 << 23), max_value=(1 << 23) - 1))
     def test_branch_offset(self, words_offset):

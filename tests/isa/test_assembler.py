@@ -1,10 +1,20 @@
 """Tests for the generic two-pass assembler (directives, labels,
 expressions, error reporting)."""
 
-import pytest
+import itertools
 
-from repro.isa.arm import assemble
-from repro.isa.assembler import AssemblyError, ExpressionEvaluator, split_operands
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.fleet.worker import run_job
+from repro.isa.arm import ArmSyntax, assemble
+from repro.isa.assembler import (
+    MAX_SECTION_BYTES,
+    Assembler,
+    AssemblyError,
+    ExpressionEvaluator,
+    split_operands,
+)
 
 
 class TestDirectives:
@@ -193,3 +203,132 @@ _start:              @ at comment
     nop              // slash comment
 """)
         assert program.text.size == 4
+
+
+class TestMalformedSources:
+    """Every malformed source raises AssemblyError naming its line."""
+
+    @pytest.mark.parametrize("source,lineno", [
+        (".org nowhere", 1),
+        (".text\n.space nowhere", 2),
+        (".align nowhere", 1),
+        (".data\n.word 0123", 2),
+        (".equ X, 0123", 1),
+        (".data\n.word 1 / 0", 2),
+        (".data\n.half 1 % 0", 2),
+        (".data\n.byte 4 / (2 - 2)", 2),
+        (".equ X, 1 % 0", 1),
+        (".data\n.space -4", 2),
+        (".data\n.space", 2),
+        (".data\n.word 1 << -1", 2),
+        (".data\n.word '\\'", 2),
+        (".data\n.align -1", 2),
+        (".text\nnop\n.org 0x8000\nnop", 4),
+        (".data\n.word 1 << 0x7fffffff", 2),
+        (".equ A, 1 << 4000\n.equ B, A * A", 2),
+    ], ids=lambda value: repr(value) if isinstance(value, str) else None)
+    def test_error_names_the_line(self, source, lineno):
+        with pytest.raises(AssemblyError, match=rf"^line {lineno}: "):
+            assemble(source)
+
+
+class TestSizeBounds:
+    """Pass 1 rejects a line that would make pass 2 build a huge image."""
+
+    @pytest.fixture()
+    def no_pass2(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pass 2 reached")
+
+        monkeypatch.setattr(Assembler, "_pass2", refuse)
+
+    @pytest.mark.parametrize("source,lineno", [
+        (".data\n.space 0x7fffffff", 2),
+        (".data\n.byte 1\n.align 40", 3),
+        (".text\n.org 0xfffff000\nnop", 3),
+        (".text\n.org 0x100000001", 2),
+        (".text\n.org 0x100000000\nnop", 3),
+        (".data\n.space 0x7fffffff, 0xAB", 2),
+    ])
+    def test_rejected_in_pass1(self, no_pass2, source, lineno):
+        with pytest.raises(AssemblyError, match=rf"^line {lineno}: "):
+            assemble(source)
+
+    def test_bound_is_inclusive(self):
+        asm = Assembler(ArmSyntax())
+        statements, _ = asm._pass1(f".data\n.space {MAX_SECTION_BYTES}")
+        assert statements[0].size == MAX_SECTION_BYTES
+        with pytest.raises(AssemblyError, match="^line 3: section .data grows past"):
+            asm._pass1(f".data\n.space {MAX_SECTION_BYTES}\n.byte 1")
+
+    def test_fleet_source_job_fails_cleanly(self, no_pass2):
+        outcome = run_job({"model": "strongarm", "workload": {
+            "kind": "source", "text": ".text\n_start: nop\n.space 0x7fffffff\n"}})
+        assert outcome["ok"] is False
+        assert outcome["error"]["type"] == "AssemblyError"
+        assert outcome["error"]["message"].startswith("line 3: ")
+
+
+_LEVELS = (("|",), ("^",), ("&",), ("<<", ">>"), ("+", "-"), ("*", "/", "%"))
+_PRECEDENCE = {op: level + 1 for level, ops in enumerate(_LEVELS) for op in ops}
+_ATOM, _UNARY = 8, 7
+
+
+def _wrap(rendered, below):
+    """Parenthesize *rendered* when it binds looser than *below* allows."""
+    text, precedence = rendered
+    return text if precedence > below else f"({text})"
+
+
+def _binary(parts):
+    left, op, right = parts
+    precedence = _PRECEDENCE[op]
+    return f"{_wrap(left, precedence - 1)} {op} {_wrap(right, precedence)}", precedence
+
+
+_literals = st.builds(lambda value, form: (form(value), _ATOM),
+                      st.integers(0, 300), st.sampled_from([str, hex, bin]))
+
+
+def _extend(children):
+    # a shift count is a small literal, so no value outgrows memory
+    counts = st.integers(-2, 40).map(lambda n: (str(n), _ATOM if n >= 0 else _UNARY))
+    return st.one_of(
+        st.tuples(st.sampled_from("-+~"), children).map(
+            lambda t: (t[0] + _wrap(t[1], _UNARY - 1), _UNARY)),
+        children.map(lambda c: (f"({c[0]})", _ATOM)),
+        st.tuples(children, st.sampled_from(["|", "^", "&", "+", "-", "*", "/", "%"]),
+                  children).map(_binary),
+        st.tuples(children, st.sampled_from(["<<", ">>"]), counts).map(_binary),
+    )
+
+
+_expressions = st.recursive(_literals, _extend, max_leaves=12).map(lambda r: r[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions)
+def test_evaluator_agrees_with_python(text):
+    """The assembler binds, floors and fails as Python does."""
+    try:
+        expected = eval(text.replace("/", "//"))
+    except (ArithmeticError, ValueError):
+        with pytest.raises(AssemblyError):
+            ExpressionEvaluator({}).eval(text)
+    else:
+        assert ExpressionEvaluator({}).eval(text) == expected
+
+
+def test_operator_pairs_group_as_in_python():
+    """Every pair of binary operators groups as in Python: the operands
+    tell the two groupings apart for all but the associative pairs."""
+    for (a, b, c), first, second in itertools.product(
+            [(42, 10, 3), (13, 2, 5)], _PRECEDENCE, _PRECEDENCE):
+        text = f"{a} {first} {b} {second} {c}"
+        try:
+            expected = eval(text.replace("/", "//"))
+        except (ArithmeticError, ValueError):
+            with pytest.raises(AssemblyError):
+                ExpressionEvaluator({}).eval(text)
+        else:
+            assert ExpressionEvaluator({}).eval(text) == expected, text
