@@ -18,9 +18,9 @@ trusted-but-wrong one a silent miscompile or a wrong cached result.
 * :func:`generator_fingerprint` covers the code generators whose output
   transcheck certifies; ``spec.fuse_certificate`` carries it and
   ``repro certify`` flags a mismatch (rule TRV008).
-* :func:`package_fingerprint` / :func:`combined_fingerprint` cover a
-  model's implementation closure (fleet job keys), or with
-  ``"repro"`` the whole package (fusion verdict keys).
+* :func:`package_fingerprint` covers a package or module; with
+  ``"repro"`` the whole package, which keys both the fusion verdicts and
+  the fleet's jobs.
 
 **:class:`ResultCache`** is a directory of JSON files sharded by the
 first two key hex digits (``ab/abcdef....json``).  Writes go through a
@@ -144,11 +144,6 @@ def package_fingerprint(name: str) -> str:
                      for rel, digest in files.items() if rel.startswith(prefix)]
         _memo[key] = content_key(sorted(parts))
     return _memo[key]
-
-
-def combined_fingerprint(names: Iterable[str]) -> str:
-    """One sha256 combining :func:`package_fingerprint` of each name."""
-    return content_key((name, package_fingerprint(name)) for name in sorted(set(names)))
 
 
 def user_cache_dir() -> str:

@@ -1,11 +1,14 @@
 """Sharded, cached fleet runner: ``repro serve`` / ``repro submit``.
 
 The fleet layer fans (model, workload, config, seed) jobs across a
-multiprocess worker pool, dedupes identical jobs through a
-content-addressed result cache (sha256 over the model's source-closure
-fingerprint, the resolved workload text, the canonical config, the seed
-and the cycle budget — see :mod:`repro.fleet.jobs`), and streams JSON
-results back as they complete.  Caching is sound because simulation is
+multiprocess worker pool (:mod:`concurrent.futures`: one future per
+executing job, which every duplicate and concurrent submission of it
+waits on), dedupes identical jobs through a content-addressed result
+cache (sha256 over the whole package's source fingerprint, the model
+name, the resolved workload text, the canonical config, the seed and
+the cycle budget — see :mod:`repro.fleet.jobs`), and streams JSON
+results back as they complete.  A worker that dies mid-job yields an
+error record, not a hang.  Caching is sound because simulation is
 deterministic — the property `tests/integration/test_fastpath_determinism.py`
 pins; see ``docs/fleet.md`` for the full argument.
 """

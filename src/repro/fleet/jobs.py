@@ -11,11 +11,13 @@ content-addressed result cache sound.
 
 The cache key (:func:`job_key`) is the sha256 of:
 
-* the **model implementation fingerprint** — source hashes of every
-  package the model's simulation semantics depend on
-  (:func:`repro.contentstore.combined_fingerprint`).  Editing any file
-  in the closure changes the key, so stale results can never be served
-  across a code change;
+* the **package fingerprint** — the source hashes of every ``.py``
+  file of the ``repro`` package (:func:`model_fingerprint`, the fusion
+  store's :func:`repro.contentstore.package_fingerprint`), so the
+  model, its ISA, the core and the fleet worker that builds the config
+  objects and the payload are all covered.  Editing any file changes
+  every key, so stale results can never be served across a code change;
+* the **model name**;
 * the **workload bytes** — the resolved assembly source text, not the
   workload's name, so renaming a workload cannot alias two different
   programs (and two names for the same program share cache entries);
@@ -34,7 +36,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..contentstore import combined_fingerprint
+from ..contentstore import package_fingerprint
 
 #: bump when the result payload layout changes — old cache entries
 #: stop matching instead of being misread
@@ -49,29 +51,6 @@ MODEL_ISA: Dict[str, str] = {
     "strongarm": "arm",
     "vliw": "arm",
     "ppc750": "ppc",
-}
-
-#: packages every model's results depend on (assembler, ISS, OSM core,
-#: memory timing, DE kernels) — hashed into every fingerprint
-_BASE_PACKAGES = (
-    "repro.core",
-    "repro.de",
-    "repro.iss",
-    "repro.memory",
-    "repro.isa.bits",
-    "repro.isa.instruction",
-    "repro.isa.program",
-    "repro.isa.assembler",
-)
-
-#: model name -> model-layer modules in its implementation closure
-#: (strongarm subclasses pipeline5; everything uses models.common)
-_MODEL_PACKAGES = {
-    "pipeline5": ("repro.models.pipeline5", "repro.models.common"),
-    "strongarm": ("repro.models.strongarm", "repro.models.pipeline5",
-                  "repro.models.common"),
-    "vliw": ("repro.models.vliw", "repro.models.common"),
-    "ppc750": ("repro.models.ppc750", "repro.models.common"),
 }
 
 
@@ -201,23 +180,20 @@ def _workload_name(workload: Dict[str, Any]) -> str:
 # -- fingerprints and keys --------------------------------------------------
 
 def model_fingerprint(model: str) -> str:
-    """sha256 over the source closure of *model*'s implementation.
+    """sha256 over every ``.py`` file of the ``repro`` package, which
+    holds *model*'s whole implementation and the fleet worker that runs
+    it.
 
-    Conservative on purpose: the closure covers the model's package, the
-    model-layer modules it builds on, the OSM core, the ISS, the memory
-    timing models and the ISA infrastructure.  Over-invalidating costs a
-    re-simulation; under-invalidating would serve a stale result after a
-    semantics change.
+    Conservative on purpose: any edit to the package changes every key.
+    Over-invalidating costs a re-simulation; under-invalidating would
+    serve a stale result after a semantics change.
     """
-    try:
-        model_packages = _MODEL_PACKAGES[model]
-    except KeyError:
+    if model not in MODEL_ISA:
         raise ValueError(
             f"unknown fleet model {model!r}; "
             f"choose one of {', '.join(sorted(MODEL_ISA))}"
-        ) from None
-    isa_package = f"repro.isa.{MODEL_ISA[model]}"
-    return combined_fingerprint(_BASE_PACKAGES + model_packages + (isa_package,))
+        )
+    return package_fingerprint("repro")
 
 
 def job_key(job: Job, source: Optional[str] = None) -> str:

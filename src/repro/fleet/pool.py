@@ -7,44 +7,70 @@ redundant work off the pool:
 1. **Result cache** — jobs whose content-addressed key is already cached
    are answered immediately (``cached: true``) without touching a
    worker.
-2. **In-flight dedupe** — while a key is executing, further submissions
-   of the same key (from this batch or a concurrent one) attach to the
-   running execution instead of launching another (``dedup: true``).
-3. **Batch dedupe** — duplicates within one batch share one execution.
+2. **In-flight dedupe** — every executing key has exactly one
+   :class:`~concurrent.futures.Future` in the runner; further
+   submissions of the key from a concurrent batch wait on that future
+   instead of launching another execution (``dedup: true``).
+3. **Batch dedupe** — duplicates within one batch wait on it too.
 
-Workers default to the ``spawn`` start method: every worker process
-imports the model code fresh, which is the configuration the
-cross-process determinism tests pin (a forked worker could silently
-lean on inherited module state; a spawned one cannot).  ``workers=0``
-runs jobs serially in-process — same records, same cache, no pool —
-which is what the sweep benchmarks use so their numbers measure the
-simulator, not process scheduling.
+One idempotent settle per execution caches a success and counts it.  It
+runs before the execution's first record leaves and, as the future's
+done-callback, even when no batch is left to read the record.
+
+With ``workers >= 1`` a ``ProcessPoolExecutor`` runs the jobs, on the
+``spawn`` start method by default: every worker process imports the
+model code fresh, which is the configuration the cross-process
+determinism tests pin (a forked worker could silently lean on inherited
+module state; a spawned one cannot).  A worker that dies mid-job breaks
+the pool: every job in flight on it gets an ``ok: false`` record
+(``BrokenProcessPool``), never cached, and the next job starts a fresh
+pool.  ``workers=0`` runs each job in-process, in submission order, as
+the batch's records are read — same records, same cache, no pool — which
+is what the sweep benchmarks use so their numbers measure the simulator,
+not process scheduling; a batch closed before its jobs ran leaves none
+of them in flight.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .cache import open_cache
 from .jobs import Job, job_key, resolve_workload
-from .worker import pool_run, run_job
+from .worker import failure, run_job
 
 
-class _Pending:
-    """One in-flight execution; followers wait on :attr:`event`."""
-
-    __slots__ = ("event", "outcome")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.outcome: Optional[Dict[str, Any]] = None
+def summarize(records: List[Dict[str, Any]], wall: float) -> Dict[str, Any]:
+    """The ``summary`` of a finished batch: job counts, cache and dedupe
+    hits, errors, end-to-end wall seconds and jobs/s."""
+    jobs = len(records)
+    cache_hits = sum(record["cached"] for record in records)
+    dedup_hits = sum(record["dedup"] for record in records)
+    return {
+        "type": "summary",
+        "jobs": jobs,
+        "executed": jobs - cache_hits - dedup_hits,
+        "cache_hits": cache_hits,
+        "dedup_hits": dedup_hits,
+        "errors": sum(not record["ok"] for record in records),
+        "cache_hit_rate": round(cache_hits / jobs, 4) if jobs else 0.0,
+        "wall_seconds": round(wall, 4),
+        "jobs_per_second": round(jobs / wall, 2) if wall > 0 else 0.0,
+    }
 
 
 class FleetRunner:
-    """Deduplicating, caching job runner over a multiprocess pool."""
+    """Deduplicating, caching job runner over a multiprocess pool.
+
+    The executor is only ever called outside :attr:`_lock`: a future's
+    done-callback takes the lock, and the executor runs those callbacks
+    on its own manager thread.
+    """
 
     def __init__(
         self,
@@ -56,34 +82,78 @@ class FleetRunner:
         self.cache = cache if cache is not None else open_cache(cache_dir)
         self.workers = max(0, int(workers))
         self._start_method = start_method
-        self._pool = None
+        self._executor: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
-        #: key -> _Pending for executions currently on the pool
-        self._inflight: Dict[str, _Pending] = {}
+        #: key -> the one future of its execution, until it is settled
+        self._inflight: Dict[str, Future] = {}
         self.executed = 0
         self.errors = 0
 
     # -- pool lifecycle -----------------------------------------------------
 
-    def _ensure_pool(self):
-        if self._pool is None:
-            import multiprocessing
+    def _pool(self, broken: Optional[ProcessPoolExecutor] = None) -> ProcessPoolExecutor:
+        """The process pool; a fresh one when there is none yet or the
+        current one is *broken*."""
+        with self._lock:
+            if self._executor is None or self._executor is broken:
+                import multiprocessing
 
-            context = multiprocessing.get_context(self._start_method)
-            self._pool = context.Pool(processes=self.workers)
-        return self._pool
+                context = multiprocessing.get_context(self._start_method)
+                self._executor = ProcessPoolExecutor(self.workers, mp_context=context)
+            return self._executor
 
     def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        """End the workers without waiting for running jobs; the jobs
+        they drop get error records."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            # the executor has no terminate(); its manager thread sees the
+            # workers die and fails their futures
+            for process in list(executor._processes.values()):
+                process.terminate()
+            executor.shutdown()
 
     def __enter__(self) -> "FleetRunner":
         return self
 
     def __exit__(self, *_exc) -> None:
         self.close()
+
+    # -- execution ------------------------------------------------------------
+
+    def _dispatch(self, job: Job, future: Future) -> None:
+        """Run *job* on the pool; its outcome completes *future*."""
+        try:
+            executor = self._pool()
+            try:
+                pooled = executor.submit(run_job, job.to_dict())
+            except BrokenProcessPool:  # a worker died since the last job
+                pooled = self._pool(broken=executor).submit(run_job, job.to_dict())
+        except Exception as exc:  # a closed runner, a failed spawn: a record
+            future.set_result(failure(exc))
+            return
+
+        def transfer(done: Future) -> None:
+            try:
+                future.set_result(done.result())
+            except Exception as exc:  # BrokenProcessPool: a worker died
+                future.set_result(failure(exc))
+
+        pooled.add_done_callback(transfer)
+
+    def _settle(self, key: str, future: Future) -> None:
+        """Publish a finished execution, once: count it, cache a success."""
+        with self._lock:
+            if self._inflight.get(key) is not future:
+                return  # settled already, or abandoned unrun
+            del self._inflight[key]
+            outcome = future.result()
+            self.executed += 1
+            if outcome["ok"]:
+                self.cache.put(key, outcome["result"])
+            else:
+                self.errors += 1
 
     # -- submission ---------------------------------------------------------
 
@@ -103,10 +173,10 @@ class FleetRunner:
             prepared.append((index, job, job_key(job, source=source)))
 
         ready: List[Dict[str, Any]] = []
-        leaders: List[Tuple[str, Job]] = []
-        follower_keys: List[str] = []
         members: Dict[str, List[int]] = {}  # key -> indices awaiting execution
-        followed: Dict[str, _Pending] = {}
+        waits: Dict[Future, str] = {}  # the futures this batch reads
+        followed = set()  # keys running for a concurrent batch
+        started: List[Tuple[str, Job, Future]] = []  # executions this batch starts
         with self._lock:
             for index, job, key in prepared:
                 if key in members:
@@ -114,86 +184,52 @@ class FleetRunner:
                     continue
                 payload = self.cache.get(key)
                 if payload is not None:
-                    ready.append(self._record(index, key, cached=True,
-                                              outcome={"ok": True,
-                                                       "result": payload}))
+                    ready.append(self._record(index, key, {"ok": True, "result": payload},
+                                              cached=True))
                     continue
                 members[key] = [index]
-                pending = self._inflight.get(key)
-                if pending is not None:  # running for a concurrent batch
-                    followed[key] = pending
-                    follower_keys.append(key)
+                future = self._inflight.get(key)
+                if future is None:
+                    future = self._inflight[key] = Future()
+                    future.add_done_callback(partial(self._settle, key))
+                    started.append((key, job, future))
                 else:
-                    self._inflight[key] = _Pending()
-                    leaders.append((key, job))
+                    followed.add(key)
+                waits[future] = key
+        if self.workers:
+            for _key, job, future in started:
+                self._dispatch(job, future)
+            started = []  # the pool runs them whether or not the batch is read
+        local = iter(started)
 
-        yield from ready
+        def run_next() -> None:  # workers == 0: one job per record read
+            for _key, job, future in local:
+                future.set_result(run_job(job.to_dict()))
+                return
 
-        if not members:
-            return
+        try:
+            yield from ready
+            run_next()
+            for future in as_completed(waits):
+                key = waits[future]
+                self._settle(key, future)
+                outcome = future.result()
+                first, *duplicates = members[key]
+                yield self._record(first, key, outcome, dedup=key in followed)
+                for index in duplicates:
+                    yield self._record(index, key, outcome, dedup=True)
+                run_next()
+        finally:
+            for key, _job, future in started:
+                if not future.done():  # an in-process job this batch never ran
+                    with self._lock:
+                        del self._inflight[key]
+                    future.set_result(failure(
+                        CancelledError("the batch that was to run this job was closed")))
 
-        done: "queue.Queue[Tuple[str, Dict[str, Any]]]" = queue.Queue()
-
-        def settle(key: str, outcome: Dict[str, Any]) -> None:
-            """Publish a finished execution: cache, wake followers."""
-            with self._lock:
-                pending = self._inflight.pop(key, None)
-                self.executed += 1
-                if outcome.get("ok"):
-                    self.cache.put(key, outcome["result"])
-                else:
-                    self.errors += 1
-            if pending is not None:
-                pending.outcome = outcome
-                pending.event.set()
-
-        for key in follower_keys:
-            threading.Thread(
-                target=lambda key=key, pending=followed[key]: (
-                    pending.event.wait(),
-                    done.put((key, dict(pending.outcome or {}))),
-                ),
-                daemon=True,
-            ).start()
-
-        if self.workers == 0:
-            # serial in-process execution, submission order
-            for key, job in leaders:
-                start = time.perf_counter()
-                outcome = run_job(job.to_dict())
-                outcome["seconds"] = round(time.perf_counter() - start, 6)
-                settle(key, outcome)
-                done.put((key, outcome))
-        else:
-            pool = self._ensure_pool()
-            for key, job in leaders:
-                def _cb(result, _key=key):
-                    finished_key, outcome = result
-                    settle(finished_key, outcome)
-                    done.put((finished_key, outcome))
-
-                def _err(exc, _key=key):  # pragma: no cover - worker crash
-                    outcome = {"ok": False,
-                               "error": {"type": type(exc).__name__,
-                                         "message": str(exc)}}
-                    settle(_key, outcome)
-                    done.put((_key, outcome))
-
-                pool.apply_async(pool_run, ((key, job.to_dict()),),
-                                 callback=_cb, error_callback=_err)
-
-        for _ in range(len(members)):
-            key, outcome = done.get()
-            indices = members.pop(key)
-            dedup = key in followed
-            yield self._record(indices[0], key, cached=False, outcome=outcome,
-                               dedup=dedup)
-            for index in indices[1:]:
-                yield self._record(index, key, cached=False, outcome=outcome,
-                                   dedup=True)
-
-    def _record(self, index: int, key: str, cached: bool,
-                outcome: Dict[str, Any], dedup: bool = False) -> Dict[str, Any]:
+    @staticmethod
+    def _record(index: int, key: str, outcome: Dict[str, Any],
+                cached: bool = False, dedup: bool = False) -> Dict[str, Any]:
         record: Dict[str, Any] = {
             "type": "result",
             "job": index,
@@ -205,10 +241,8 @@ class FleetRunner:
         if outcome.get("ok"):
             record["result"] = outcome["result"]
         else:
-            record["error"] = outcome.get("error",
-                                          {"type": "UnknownError",
-                                           "message": "no outcome"})
-        if outcome.get("seconds") is not None and not cached and not dedup:
+            record["error"] = outcome["error"]
+        if "seconds" in outcome and not cached and not dedup:
             record["seconds"] = outcome["seconds"]
             if "phases" in outcome:
                 record["phases"] = outcome["phases"]
@@ -220,28 +254,12 @@ class FleetRunner:
         """Run a batch to completion.
 
         Returns ``(records, summary)`` — records in submission order,
-        summary with job counts, cache/dedupe hits, errors, end-to-end
-        wall seconds and jobs/s.
+        and the batch's :func:`summarize` summary.
         """
         jobs = list(jobs)
         start = time.perf_counter()
         records = sorted(self.submit(jobs), key=lambda r: r["job"])
-        wall = time.perf_counter() - start
-        cache_hits = sum(1 for r in records if r["cached"])
-        dedup_hits = sum(1 for r in records if r["dedup"])
-        errors = sum(1 for r in records if not r["ok"])
-        summary = {
-            "type": "summary",
-            "jobs": len(records),
-            "executed": len(records) - cache_hits - dedup_hits,
-            "cache_hits": cache_hits,
-            "dedup_hits": dedup_hits,
-            "errors": errors,
-            "cache_hit_rate": round(cache_hits / len(records), 4) if records else 0.0,
-            "wall_seconds": round(wall, 4),
-            "jobs_per_second": round(len(records) / wall, 2) if wall > 0 else 0.0,
-        }
-        return records, summary
+        return records, summarize(records, time.perf_counter() - start)
 
 
 def sweep(

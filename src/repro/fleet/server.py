@@ -10,7 +10,10 @@ the server streams response lines and closes:
 * ``{"op": "submit", "jobs": [...]}`` → one ``{"type": "result", ...}``
   line per job **as each completes** (cache hits first, then pool
   completions — the streaming/async half of the contract), terminated
-  by a ``{"type": "summary", ...}`` line
+  by a ``{"type": "summary", ...}`` line, the one
+  :func:`~repro.fleet.pool.summarize` makes for ``run_sweep`` too.  A
+  job whose worker dies gets an ``ok: false`` record, so the stream
+  always ends.
 * ``{"op": "shutdown"}`` → ``{"type": "bye"}`` and the server stops
 
 Connections are handled on daemon threads over one shared
@@ -24,9 +27,10 @@ from __future__ import annotations
 import json
 import socketserver
 import threading
+import time
 from typing import Any, Dict, Optional
 
-from .pool import FleetRunner
+from .pool import FleetRunner, summarize
 
 #: default port; "OSM1" on a phone pad has nothing on just picking one
 DEFAULT_PORT = 7341
@@ -57,25 +61,14 @@ class _Handler(socketserver.StreamRequestHandler):
                 jobs = request.get("jobs")
                 if not isinstance(jobs, list) or not jobs:
                     raise ValueError("submit needs a non-empty 'jobs' list")
-                completed = cache_hits = dedup_hits = errors = 0
+                start = time.perf_counter()
+                records = []
                 for record in server.runner.submit(jobs):
-                    completed += 1
-                    cache_hits += record["cached"]
-                    dedup_hits += record["dedup"]
-                    errors += not record["ok"]
-                    record["progress"] = {"completed": completed,
+                    records.append(record)
+                    record["progress"] = {"completed": len(records),
                                           "total": len(jobs)}
                     self._send(record)
-                self._send({
-                    "type": "summary",
-                    "jobs": len(jobs),
-                    "executed": completed - cache_hits - dedup_hits,
-                    "cache_hits": cache_hits,
-                    "dedup_hits": dedup_hits,
-                    "errors": errors,
-                    "cache_hit_rate": (round(cache_hits / completed, 4)
-                                       if completed else 0.0),
-                })
+                self._send(summarize(records, time.perf_counter() - start))
             elif op == "shutdown":
                 self._send({"type": "bye"})
                 threading.Thread(target=server.shutdown, daemon=True).start()

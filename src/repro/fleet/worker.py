@@ -166,23 +166,31 @@ def _memory_metrics(model) -> Dict[str, Any]:
     return metrics
 
 
+def failure(exc: BaseException) -> Dict[str, Any]:
+    """The outcome of a job that raised, or that no worker finished."""
+    return {"ok": False, "error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def run_job(job_dict: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one job description; never raises.
 
-    Returns ``{"ok": True, "result": payload, "phases": seconds}`` or
-    ``{"ok": False, "error": {...}}``.  The ``result`` payload is the
-    deterministic, cacheable part; timing lives in the envelope: the
-    wall seconds of each phase (``assemble``, resolving the workload
-    too, ``build`` and ``simulate``) here, the job's total in the one
-    the runner adds.
+    Returns ``{"ok": True, "result": payload, "phases": ..., "seconds":
+    ...}`` or ``{"ok": False, "error": {...}, "seconds": ...}``.  The
+    ``result`` payload is the deterministic, cacheable part; timing
+    lives in the envelope: ``seconds``, the whole run, and the wall
+    seconds of each phase (``assemble``, resolving the workload too,
+    ``build`` and ``simulate``).  This is the pool's entry point, so it
+    stays a module-level function that ``spawn`` workers import by
+    qualified name.
     """
     import time
 
     from ..isa import assemble
 
+    start = time.perf_counter()
     try:
         job = Job.from_dict(job_dict)
-        start = time.perf_counter()
+        began = time.perf_counter()
         source = resolve_workload(job.workload, job.isa, job.seed)
         program = assemble(job.isa, source)
         assembled = time.perf_counter()
@@ -198,7 +206,7 @@ def run_job(job_dict: Dict[str, Any]) -> Dict[str, Any]:
             "ipc": round(stats.ipc, 6),
         }
         metrics.update(_memory_metrics(model))
-        return {
+        outcome = {
             "ok": True,
             "result": {
                 "schema": 1,
@@ -208,31 +216,15 @@ def run_job(job_dict: Dict[str, Any]) -> Dict[str, Any]:
                 "metrics": metrics,
             },
             "phases": {
-                "assemble": round(assembled - start, 6),
+                "assemble": round(assembled - began, 6),
                 "build": round(built - assembled, 6),
                 "simulate": round(simulated - built, 6),
             },
         }
     except Exception as exc:
-        return {
-            "ok": False,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-
-
-def pool_run(item: Tuple[str, Dict[str, Any]]) -> Tuple[str, Dict[str, Any]]:
-    """Pool entry point: ``(key, job dict) -> (key, outcome)``.
-
-    Must stay a module-level function so ``spawn`` workers can import it
-    by qualified name.
-    """
-    import time
-
-    key, job_dict = item
-    start = time.perf_counter()
-    outcome = run_job(job_dict)
+        outcome = failure(exc)
     outcome["seconds"] = round(time.perf_counter() - start, 6)
-    return key, outcome
+    return outcome
 
 
 def run_job_with_key(job_dict: Dict[str, Any]) -> Dict[str, Any]:

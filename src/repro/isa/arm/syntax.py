@@ -69,6 +69,12 @@ def parse_mnemonic(mnemonic: str) -> Optional[Tuple[str, int, int]]:
     return None
 
 
+def _loads_constant(base: str, ops: List[str]) -> bool:
+    """Whether a statement is the 16-byte constant load: ``li rd, expr``
+    or ``ldr rd, =expr``.  Sizing and encoding both ask this."""
+    return base == "li" or (base == "ldr" and len(ops) == 2 and ops[1].startswith("="))
+
+
 def parse_register(text: str, ctx: AsmContext) -> int:
     name = text.strip().lower()
     if name in REGISTER_ALIASES:
@@ -100,16 +106,11 @@ class ArmSyntax(IsaSyntax):
 
     word_size = 4
 
-    def statement_size(self, mnemonic: str, operands: str) -> int:
+    def statement_size(self, mnemonic: str, ops: List[str]) -> int:
         parsed = parse_mnemonic(mnemonic)
         if parsed is None:
             raise AssemblyError(f"unknown mnemonic {mnemonic!r}")
-        base = parsed[0]
-        if base == "li":
-            return 16
-        if base == "ldr" and "=" in operands:
-            return 16
-        return 4
+        return 16 if _loads_constant(parsed[0], ops) else 4
 
     def encode_statement(self, mnemonic: str, ops: List[str], ctx: AsmContext) -> bytes:
         parsed = parse_mnemonic(mnemonic)
@@ -117,8 +118,10 @@ class ArmSyntax(IsaSyntax):
             raise ctx.error(f"unknown mnemonic {mnemonic!r}")
         base, cond, s = parsed
         if base == "nop":
+            if ops:
+                raise ctx.error("nop takes no operands")
             words = [encode.dp_register(cond, DP_OPCODES["mov"], 0, 0, 0, 0)]
-        elif base == "li" or (base == "ldr" and len(ops) == 2 and ops[1].startswith("=")):
+        elif _loads_constant(base, ops):
             words = self._encode_li(base, cond, ops, ctx)
         elif base in _DP_BASES:
             words = [self._encode_dp(base, cond, s, ops, ctx)]
@@ -131,8 +134,12 @@ class ArmSyntax(IsaSyntax):
         elif base in _BRANCH_BASES:
             words = [self._encode_branch(base, cond, ops, ctx)]
         elif base == "bx":
+            if len(ops) != 1:
+                raise ctx.error("bx needs one register")
             words = [encode.branch_exchange(cond, parse_register(ops[0], ctx))]
         elif base == "swi":
+            if len(ops) > 1:
+                raise ctx.error("swi takes at most one operand")
             number = ctx.eval(ops[0].lstrip("#")) if ops else 0
             words = [encode.software_interrupt(cond, number)]
         else:  # pragma: no cover - bases exhausted above

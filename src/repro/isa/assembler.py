@@ -30,7 +30,8 @@ operands and encodes.
 
 Errors: every malformed source raises :class:`AssemblyError` whose message
 starts ``line N:``, N being the 1-based source line: an unknown mnemonic or
-directive, a bad operand, expression or literal (``0123``), an undefined
+directive, a bad, missing or surplus operand (``nop r1``, ``.asciz "s" 1``:
+no operand is ever dropped), expression or literal (``0123``), an undefined
 symbol, a division by zero, a negative ``.space``, an ``.org`` below the
 section base, or overlapping emission.  Pass 1 also bounds what a line can
 make pass 2 allocate: it rejects a location counter past 2**32 and a section
@@ -273,9 +274,10 @@ class IsaSyntax:
     #: instruction width in bytes for fixed-width ISAs
     word_size = 4
 
-    def statement_size(self, mnemonic: str, operands: str) -> int:
-        """Byte size of the statement (pseudo-ops may expand to several
-        words; must be computable without the symbol table)."""
+    def statement_size(self, mnemonic: str, ops: List[str]) -> int:
+        """Byte size of the statement, its operands split by
+        :func:`split_operands` (pseudo-ops may expand to several words;
+        must be computable without the symbol table)."""
         raise NotImplementedError
 
     def encode_statement(self, mnemonic: str, ops: List[str], ctx: "AsmContext") -> bytes:
@@ -380,7 +382,7 @@ class Assembler:
             try:
                 if not mnemonic.startswith("."):
                     stmt = Statement(lineno, raw, mnemonic, operands, section, address)
-                    stmt.size = self.syntax.statement_size(mnemonic, operands)
+                    stmt.size = self.syntax.statement_size(mnemonic, stmt.ops)
                 elif mnemonic in (".text", ".data"):
                     section = mnemonic
                     continue
@@ -420,16 +422,16 @@ class Assembler:
         if mnemonic in _PACK:
             return _PACK[mnemonic][1] * len(ops)
         if mnemonic == ".space":
-            if not ops:
-                raise AssemblyError(".space needs a size")
+            if not 1 <= len(ops) <= 2:
+                raise AssemblyError(".space takes a size and an optional fill byte")
             size = evaluate(ops[0], symbols)
             if size < 0:
                 raise AssemblyError(f"negative .space size {size}")
             return size
         if mnemonic in (".ascii", ".asciz"):
-            match = _STRING_RE.search(stmt.operands)
+            match = _STRING_RE.fullmatch(stmt.operands)
             if match is None:
-                raise AssemblyError("expected string literal")
+                raise AssemblyError("expected one string literal")
             return len(_unescape(match.group(1))) + (1 if mnemonic == ".asciz" else 0)
         if mnemonic == ".align":
             power = evaluate(stmt.operands or "2", {})
@@ -469,7 +471,7 @@ class Assembler:
                 fill = ctx.eval(ops[1]) & 0xFF if len(ops) > 1 else 0
                 blob = bytes([fill]) * stmt.size
             elif mnemonic in (".ascii", ".asciz"):
-                blob = _unescape(_STRING_RE.search(stmt.operands).group(1))
+                blob = _unescape(_STRING_RE.fullmatch(stmt.operands).group(1))
                 if mnemonic == ".asciz":
                     blob += b"\x00"
             else:  # .align

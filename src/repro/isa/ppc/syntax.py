@@ -55,13 +55,25 @@ _SPR_MOVES = {
     "mfctr": (isa.XO_MFSPR, isa.SPR_CTR),
 }
 
-_KNOWN = (
-    set(_D_ALU) | set(_D_LOGICAL) | set(_XO_ALU) | set(_X_LOGICAL) | set(_D_MEM)
-    | set(_X_MEM) | set(_SPR_MOVES) | set(isa.BRANCH_CONDITIONS)
-    | {"li", "lis", "li32", "mr", "nop", "sub", "neg", "slwi", "srwi", "srawi",
-       "rlwinm", "cmpw", "cmpwi", "cmplw", "cmplwi", "b", "bl", "blr", "bctr",
-       "bctrl", "sc", "extsb", "extsh", "cntlzw"}
-)
+_COMPARES = ("cmpw", "cmplw", "cmpwi", "cmplwi")
+#: every mnemonic -> its operand count (a compare may name ``cr0`` first)
+_ARITY = {
+    **dict.fromkeys(("nop", "blr", "bctr", "bctrl", "sc"), 0),
+    **dict.fromkeys(("b", "bl", *isa.BRANCH_CONDITIONS, *_SPR_MOVES), 1),
+    **dict.fromkeys(("li", "lis", "li32", "mr", "neg", "extsb", "extsh", "cntlzw",
+                     *_COMPARES, *_D_MEM), 2),
+    **dict.fromkeys(("sub", "slwi", "srwi", "srawi", *_D_ALU, *_D_LOGICAL, *_XO_ALU,
+                     *_X_LOGICAL, *_X_MEM), 3),
+    "rlwinm": 5,
+}
+
+
+def _split_record(mnemonic: str) -> Tuple[str, int]:
+    """``(base, Rc)``: a trailing ``.`` sets the record bit, except in
+    ``andi.``, which always records."""
+    if mnemonic.endswith(".") and mnemonic != "andi.":
+        return mnemonic[:-1], 1
+    return mnemonic, 0
 
 
 def parse_register(text: str, ctx: AsmContext) -> int:
@@ -89,24 +101,22 @@ class PpcSyntax(IsaSyntax):
 
     word_size = 4
 
-    def statement_size(self, mnemonic: str, operands: str) -> int:
-        base = mnemonic.rstrip(".") if mnemonic != "andi." else mnemonic
-        if base not in _KNOWN and mnemonic not in _KNOWN:
+    def statement_size(self, mnemonic: str, ops: List[str]) -> int:
+        if _split_record(mnemonic)[0] not in _ARITY:
             raise AssemblyError(f"unknown mnemonic {mnemonic!r}")
         return 8 if mnemonic == "li32" else 4
 
     def encode_statement(self, mnemonic: str, ops: List[str], ctx: AsmContext) -> bytes:
-        rc = 0
-        base = mnemonic
-        if mnemonic.endswith(".") and mnemonic != "andi.":
-            base = mnemonic[:-1]
-            rc = 1
-        words = self._encode(base, rc, ops, ctx)
+        words = self._encode(*_split_record(mnemonic), ops, ctx)
         return struct.pack(f"<{len(words)}I", *words)
 
     # -- encoding dispatch ------------------------------------------------------
 
     def _encode(self, base: str, rc: int, ops: List[str], ctx: AsmContext) -> List[int]:
+        if base in _COMPARES and ops and ops[0].strip().lower() == "cr0":
+            ops = ops[1:]
+        if len(ops) != _ARITY[base]:
+            raise ctx.error(f"{base} takes {_ARITY[base]} operand(s), got {len(ops)}")
         if base == "nop":
             return [encode.d_form(isa.OP_ORI, 0, 0, 0, signed=False)]
         if base == "li":
@@ -131,8 +141,8 @@ class PpcSyntax(IsaSyntax):
             rd = parse_register(ops[0], ctx)
             ra = parse_register(ops[1], ctx)
             return [encode.d_form(_D_ALU[base], rd, ra, ctx.eval(ops[2]))]
-        if base in _D_LOGICAL or base == "andi":
-            opcd = _D_LOGICAL.get(base, isa.OP_ANDI)
+        if base in _D_LOGICAL:
+            opcd = _D_LOGICAL[base]
             ra = parse_register(ops[0], ctx)
             rs = parse_register(ops[1], ctx)
             return [encode.d_form(opcd, rs, ra, ctx.eval(ops[2]), signed=False)]
@@ -180,9 +190,7 @@ class PpcSyntax(IsaSyntax):
             rs = parse_register(ops[1], ctx)
             sh, mb, me = (ctx.eval(op) for op in ops[2:5])
             return [encode.rlwinm(rs, ra, sh, mb, me, rc)]
-        if base in ("cmpw", "cmplw", "cmpwi", "cmplwi"):
-            if ops and ops[0].strip().lower() == "cr0":
-                ops = ops[1:]
+        if base in _COMPARES:
             ra = parse_register(ops[0], ctx)
             if base == "cmpw":
                 return [encode.cmp_form(isa.XO_CMPW, ra, parse_register(ops[1], ctx))]

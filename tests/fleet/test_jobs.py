@@ -145,10 +145,23 @@ class TestModelFingerprint:
         assert fp == model_fingerprint("strongarm")
         assert len(fp) == 64
 
-    def test_distinct_per_model(self):
-        fps = {model_fingerprint(m)
-               for m in ("pipeline5", "strongarm", "vliw", "ppc750")}
-        assert len(fps) == 4
+    def test_any_package_file_changes_every_job_key(self, monkeypatch):
+        """The key covers the whole package: the fleet worker, which
+        builds the config objects and the payload, as much as a model."""
+        from repro import contentstore
+
+        jobs = [_job(model=model) for model in ("pipeline5", "strongarm", "vliw")]
+        jobs.append(_job(model="ppc750",
+                         workload={"kind": "mediabench", "name": "gsm_dec"}))
+        sources = [resolve_workload(job.workload, job.isa, job.seed) for job in jobs]
+        keys = [job_key(job, source) for job, source in zip(jobs, sources)]
+        files = contentstore._package_files()
+        assert "fleet/worker.py" in files and "models/vliw/model.py" in files
+        for path in files:
+            monkeypatch.setattr(contentstore, "_files", {**files, path: "0" * 64})
+            monkeypatch.setattr(contentstore, "_memo", {})
+            changed = [job_key(job, source) for job, source in zip(jobs, sources)]
+            assert all(new != old for new, old in zip(changed, keys)), path
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fleet.worker import run_job
+from repro.isa import assemble as assemble_for
 from repro.isa.arm import ArmSyntax, assemble
 from repro.isa.assembler import (
     MAX_SECTION_BYTES,
@@ -230,6 +231,36 @@ class TestMalformedSources:
     def test_error_names_the_line(self, source, lineno):
         with pytest.raises(AssemblyError, match=rf"^line {lineno}: "):
             assemble(source)
+
+
+class TestSurplusOperands:
+    """A statement given an operand its form does not take fails; it is
+    never assembled with the operand dropped."""
+
+    @pytest.mark.parametrize("isa,source", [
+        ("arm", '.data\n.asciz "hi" 123'),
+        ("arm", '.data\n.ascii junk "hi"'),
+        ("arm", '.data\n.ascii "hi", "there"'),
+        ("arm", ".data\n.space 4, 1, 2"),
+        ("arm", ".text\nnop r1"),
+        ("ppc", ".text\nnop r1"),
+        ("arm", ".text\nswi #0, #1"),
+        ("arm", ".text\nbx r1, r2"),
+        ("ppc", ".text\nli r3, 1, 2"),
+        ("ppc", ".text\naddi r3, r3, 1, 9"),
+        ("ppc", ".text\ncmpwi cr0, r3, 0, 1"),
+    ], ids=repr)
+    def test_error_names_the_line(self, isa, source):
+        with pytest.raises(AssemblyError, match=r"^line 2: "):
+            assemble_for(isa, source)
+
+
+def test_equals_sign_in_an_address_is_a_one_word_load():
+    """Only ``ldr rd, =expr`` takes the 16-byte constant-load form, in
+    sizing as in encoding."""
+    quoted = assemble(".text\n_start:\n    ldr r0, [r1, #'=']\n")
+    assert quoted.text.data == assemble(".text\n_start:\n    ldr r0, [r1, #61]\n").text.data
+    assert assemble(".text\n_start:\n    ldr r0, =61\n").text.size == 16
 
 
 class TestSizeBounds:
